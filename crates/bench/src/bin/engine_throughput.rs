@@ -5,7 +5,11 @@
 //! Every benchmark is a deterministic simulation, so its event count is
 //! measured once up front and each row reports an events/sec throughput
 //! alongside the per-iteration times — the comparable figure for event
-//! queue changes.
+//! queue changes. The `waitall_fanin_<n>` rows (two ranks, each ending in
+//! one waitall over `n` small-message requests, on the VM backend like
+//! every experiment) are rated in request *completions* per second
+//! instead: the figure that collapses if completing one member of a
+//! wait-set ever costs more than O(1).
 //!
 //! Two of the rows are *gated pairs* (enforced here, run by
 //! `scripts/verify.sh` through [`bench::gate::check_speedup`]):
@@ -27,7 +31,8 @@ use bcs_mpi::match_index::reference::LinearRecvList;
 use bcs_mpi::match_index::{RecvIndex, RecvSel, SendKey};
 use bench::micro::Micro;
 use mpi_api::message::{SrcSel, TagSel};
-use mpi_api::runtime::{JobLayout, RunOpts, run_job, run_job_hooked};
+use mpi_api::runtime::{JobLayout, RunOpts, run_job, run_job_hooked, run_program};
+use mpi_api::AsyncMpi;
 use simcore::{Sim, SimDuration, SimTime};
 use std::hint::black_box;
 
@@ -44,23 +49,45 @@ fn idle_slices() -> u64 {
 }
 
 fn burst_62ranks() -> u64 {
-    // 62-rank allreduce + neighbour exchange: end-to-end engine cost.
+    // 62-rank allreduce + neighbour exchange: end-to-end engine cost, on
+    // the VM backend (on the thread backend this row timed 62 OS-thread
+    // spawns, not the engine).
     let layout = JobLayout::crescendo(62);
-    let out = run_job(
+    let out = run_program(
         bcs_mpi::BcsMpi::new(bcs_mpi::BcsConfig::default(), &layout),
         layout,
-        |mpi| {
+        |mut mpi: AsyncMpi| async move {
             let peer = (mpi.rank() + 1) % mpi.size();
             let from = (mpi.rank() + mpi.size() - 1) % mpi.size();
-            let s = mpi.isend(peer, 1, &[0u8; 4096]);
-            let r = mpi.irecv(
-                mpi_api::message::SrcSel::Rank(from),
-                mpi_api::message::TagSel::Tag(1),
-            );
-            mpi.waitall(&[s, r]);
-            mpi.allreduce_i64(mpi_api::datatype::ReduceOp::Sum, &[1])
+            let s = mpi.isend(peer, 1, &[0u8; 4096]).await;
+            let r = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(1)).await;
+            mpi.waitall(&[s, r]).await;
+            mpi.allreduce_i64(mpi_api::datatype::ReduceOp::Sum, &[1]).await
         },
     );
+    black_box(out.events)
+}
+
+/// Two ranks exchange `n / 2` eight-byte messages each way and each waits
+/// on its `n` requests with one waitall.
+fn waitall_fanin(n: usize) -> u64 {
+    let layout = JobLayout::new(2, 1, 2);
+    let out = run_program(
+        bcs_mpi::BcsMpi::new(bcs_mpi::BcsConfig::default(), &layout),
+        layout,
+        move |mut mpi: AsyncMpi| async move {
+            let peer = 1 - mpi.rank();
+            let mut reqs = Vec::with_capacity(n);
+            for _ in 0..n / 2 {
+                reqs.push(mpi.isend(peer, 1, &[0u8; 8]).await);
+            }
+            for _ in 0..n / 2 {
+                reqs.push(mpi.irecv(SrcSel::Rank(peer), TagSel::Tag(1)).await);
+            }
+            mpi.waitall(&reqs).await.len()
+        },
+    );
+    assert_eq!(out.results, [n, n]);
     black_box(out.events)
 }
 
@@ -202,6 +229,13 @@ fn main() {
 
     let events = burst_62ranks();
     m.bench_rated("engine", "bcs_burst_62ranks", events as f64, burst_62ranks);
+
+    for n in [64usize, 1024, 16384] {
+        // Both ranks complete `n` requests.
+        m.bench_rated("engine", &format!("waitall_fanin_{n}"), 2.0 * n as f64, move || {
+            waitall_fanin(n)
+        });
+    }
 
     // Gated pair 1: indexed descriptor matching vs the linear reference at
     // 16384 posted receives. Rated by matching events (posts + deliveries).

@@ -171,10 +171,11 @@ struct EngineSnap {
     /// Shared with the live engine copy-on-write: capturing clones `Arc`s,
     /// and only nodes whose state changes after the capture are copied.
     nic: Vec<std::sync::Arc<crate::p2p::NicState>>,
-    // Canonically ordered `Vec` copies of the live engine's hash maps,
-    // named so they cannot be confused with the maps themselves.
-    reqs_sorted: Vec<(mpi_api::call::ReqId, crate::engine::BcsReq)>,
-    payloads_sorted: Vec<(crate::p2p::MsgId, mpi_api::payload::Payload)>,
+    // Both tables iterate in id order and carry their id allocators, so a
+    // clone is already the canonical image (payload clones are refcount
+    // bumps, not byte copies).
+    reqs: mpi_api::request::ReqTable,
+    payloads: mpi_api::idtable::IdTable<crate::p2p::MsgId, mpi_api::payload::Payload>,
     blocked: Vec<Option<crate::engine::Blocked>>,
     coll: crate::coll::CollState,
     comms: mpi_api::comm::CommRegistry,
@@ -187,8 +188,6 @@ struct EngineSnap {
     trace: Vec<crate::trace::SliceRecord>,
     trace_cursor: crate::trace::TraceCursor,
     gang: Option<crate::gang::GangState>,
-    next_req: u64,
-    next_msg: u64,
     words: bcs_core::WordsSnapshot,
     fabric: qsnet::FabricSnapshot,
 }
@@ -203,17 +202,6 @@ pub(crate) fn capture_image(w: &mut BW, now: SimTime, digest: u64) -> Checkpoint
     );
     let rt = w.runtime_image(now);
     let e = &mut w.engine;
-    // Sort the hash maps into a canonical order so two captures of the same
-    // state produce identical images. Request and payload clones are
-    // refcount bumps (`Payload` is a shared buffer), not byte copies.
-    // detlint: allow(D02) — checkpoint capture: sorted by key immediately
-    // below, so the image is canonical whatever the map order was.
-    let mut reqs: Vec<_> = e.reqs.iter().map(|(&k, v)| (k, v.clone())).collect();
-    reqs.sort_unstable_by_key(|(k, _)| *k);
-    // detlint: allow(D02) — checkpoint capture: sorted by key immediately
-    // below, so the image is canonical whatever the map order was.
-    let mut payloads: Vec<_> = e.payloads.iter().map(|(&k, v)| (k, v.clone())).collect();
-    payloads.sort_unstable_by_key(|(k, _)| *k);
     CheckpointImage {
         slice: e.slice,
         captured_at: now,
@@ -221,8 +209,8 @@ pub(crate) fn capture_image(w: &mut BW, now: SimTime, digest: u64) -> Checkpoint
         rt,
         eng: EngineSnap {
             nic: e.nic.clone(),
-            reqs_sorted: reqs,
-            payloads_sorted: payloads,
+            reqs: e.reqs.clone(),
+            payloads: e.payloads.clone(),
             blocked: e.blocked.clone(),
             coll: e.coll.clone(),
             comms: e.comms.clone(),
@@ -235,8 +223,6 @@ pub(crate) fn capture_image(w: &mut BW, now: SimTime, digest: u64) -> Checkpoint
             trace: e.trace.clone(),
             trace_cursor: e.trace_cursor,
             gang: e.gang.clone(),
-            next_req: e.next_req,
-            next_msg: e.next_msg,
             words: e.bcs.snapshot_words(),
             fabric: e.bcs.fabric.snapshot(),
         },
@@ -244,21 +230,21 @@ pub(crate) fn capture_image(w: &mut BW, now: SimTime, digest: u64) -> Checkpoint
 }
 
 impl CheckpointImage {
-    /// Deep-clone the image so it shares *nothing* with the live engine or
-    /// other images: fresh NIC state behind fresh `Arc`s, payload bytes
-    /// copied into fresh buffers, the response logs flattened, the fabric
-    /// snapshot unshared. Restoring from the result must be byte-identical
-    /// to restoring from `self` — the property `tests/fault_recovery.rs`
-    /// checks to validate the copy-on-write capture path.
     /// Total bytes of payload data the image references (parked send
     /// payloads awaiting their receiver). Capturing shares these buffers
     /// with the live engine; [`Self::materialize`] copies them. Useful for
     /// sizing what a serialized image would occupy, and for selecting a
     /// representative image in benchmarks.
     pub fn payload_bytes(&self) -> usize {
-        self.eng.payloads_sorted.iter().map(|(_, p)| p.len()).sum()
+        self.eng.payloads.iter().map(|(_, p)| p.len()).sum()
     }
 
+    /// Deep-clone the image so it shares *nothing* with the live engine or
+    /// other images: fresh NIC state behind fresh `Arc`s, payload bytes
+    /// copied into fresh buffers, the response logs flattened, the fabric
+    /// snapshot unshared. Restoring from the result must be byte-identical
+    /// to restoring from `self` — the property `tests/fault_recovery.rs`
+    /// checks to validate the copy-on-write capture path.
     pub fn materialize(&self) -> CheckpointImage {
         let mut img = self.clone();
         img.rt = self.rt.materialize();
@@ -268,12 +254,9 @@ impl CheckpointImage {
             .iter()
             .map(|n| std::sync::Arc::new((**n).clone()))
             .collect();
-        img.eng.payloads_sorted = self
-            .eng
-            .payloads_sorted
-            .iter()
-            .map(|(k, p)| (*k, mpi_api::payload::Payload::from(&p[..])))
-            .collect();
+        for p in img.eng.payloads.values_mut() {
+            *p = mpi_api::payload::Payload::from(&p[..]);
+        }
         img.eng.fabric = self.eng.fabric.materialize();
         img
     }
@@ -298,8 +281,8 @@ impl BcsMpi {
         e.phase = 0;
         e.slice_started_at = img.captured_at;
         e.nic = s.nic.clone();
-        e.reqs = s.reqs_sorted.iter().cloned().collect();
-        e.payloads = s.payloads_sorted.iter().cloned().collect();
+        e.reqs = s.reqs.clone();
+        e.payloads = s.payloads.clone();
         e.blocked = s.blocked.clone();
         e.coll = s.coll.clone();
         e.comms = s.comms.clone();
@@ -312,8 +295,6 @@ impl BcsMpi {
         e.trace = s.trace.clone();
         e.trace_cursor = s.trace_cursor;
         e.gang = s.gang.clone();
-        e.next_req = s.next_req;
-        e.next_msg = s.next_msg;
         e.bcs.restore_words(&s.words);
         e.bcs.fabric.restore(&s.fabric);
         e
@@ -324,8 +305,8 @@ impl BcsMpi {
     /// accumulator without materializing a [`CommCheckpoint`]. The
     /// digest-only checkpoint path (`checkpoint_images: false`) uses this so
     /// a boundary digest allocates nothing per node and never touches a
-    /// payload refcount — only the open-request triples are collected (for
-    /// the canonical sort, they are three plain words each).
+    /// payload refcount (the request table iterates in id order, which is
+    /// the canonical order).
     pub fn checkpoint_digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |x: u64| {
@@ -348,27 +329,19 @@ impl BcsMpi {
                 mix(rs.msg.0 ^ 0x3333);
                 mix(key.src_rank as u64);
             }
-            for it in nic.inflight.iter() {
+            for (_, it) in nic.inflight.iter() {
                 mix(it.msg.0 ^ 0x4444);
                 mix(it.moved);
                 mix(it.total);
             }
         }
-        let mut open_requests: Vec<(u64, usize, bool)> = self
-            .reqs
-            // detlint: allow(D02) — boundary snapshot: sorted immediately
-            // below (`open_requests.sort_unstable()`) before use.
-            .iter()
-            .map(|(id, st)| (id.0, st.owner, st.complete))
-            .collect();
-        open_requests.sort_unstable();
-        for (id, owner, complete) in open_requests {
-            mix(id ^ 0x5555);
-            mix(owner as u64);
-            mix(complete as u64);
+        for (id, st) in self.reqs.iter() {
+            mix(id.0 ^ 0x5555);
+            mix(st.owner as u64);
+            mix(st.complete as u64);
         }
         for r in 0..self.blocked.len() {
-            if self.blocked[r].is_some() {
+            if self.suspended(r) {
                 mix(r as u64 ^ 0x6666);
             }
         }
@@ -407,7 +380,7 @@ impl BcsMpi {
                 inflight: nic
                     .inflight
                     .iter()
-                    .map(|it| InflightEntry {
+                    .map(|(_, it)| InflightEntry {
                         msg: it.msg.0,
                         src_rank: it.src_rank,
                         dst_rank: it.dst_rank,
@@ -417,16 +390,13 @@ impl BcsMpi {
                     .collect(),
             })
             .collect();
-        let mut open_requests: Vec<(u64, usize, bool)> = self
+        let open_requests = self
             .reqs
-            // detlint: allow(D02) — boundary snapshot: sorted immediately
-            // below (`open_requests.sort_unstable()`) before use.
             .iter()
             .map(|(id, st)| (id.0, st.owner, st.complete))
             .collect();
-        open_requests.sort_unstable();
         let suspended_ranks = (0..self.blocked.len())
-            .filter(|&r| self.blocked[r].is_some())
+            .filter(|&r| self.suspended(r))
             .collect();
         let open_collectives = self
             .coll

@@ -11,14 +11,15 @@ use crate::p2p::{MsgId, NicState};
 use bcs_core::BcsCluster;
 use mpi_api::call::{MpiCall, MpiResp, ReqId};
 use mpi_api::comm::{CommId, CommRegistry};
-use mpi_api::message::{SrcSel, Status, TagSel};
+use mpi_api::idtable::IdTable;
+use mpi_api::message::{SrcSel, TagSel};
 use mpi_api::noise::{NoiseConfig, NoiseModel};
 use mpi_api::payload::Payload;
+use mpi_api::request::{CallSite, ReqKind, ReqTable, Wake};
 use mpi_api::runtime::{ClusterWorld, Engine, JobLayout, resume_at};
 use qsnet::{FabricKind, NetModel, NodeId};
 use simcore::stats::LogHistogram;
 use simcore::{Sim, SimDuration, SimTime};
-use std::collections::HashMap;
 
 pub(crate) type BW = ClusterWorld<BcsMpi>;
 
@@ -194,33 +195,10 @@ pub struct FailureInfo {
     pub reason: String,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum ReqKind {
-    Send,
-    Recv,
-}
-
-#[derive(Clone)]
-pub(crate) struct BcsReq {
-    pub owner: usize,
-    pub kind: ReqKind,
-    pub complete: bool,
-    pub data: Option<Payload>,
-    pub status: Option<Status>,
-    /// Slice-boundary time at which the descriptor was posted (for the
-    /// blocking-delay statistic).
-    pub posted_at: SimTime,
-}
-
-/// What a rank is blocked on (the NM suspended it).
+/// What a rank is suspended on besides a request condition (those live
+/// in [`BcsMpi::reqs`], see [`mpi_api::request::Waiting`]).
 #[derive(Clone)]
 pub(crate) enum Blocked {
-    /// Blocking send: respond `Ok`.
-    SendDone(ReqId),
-    /// Blocking recv / MPI_Wait: respond `WaitDone`.
-    WaitOne(ReqId),
-    /// MPI_Waitall.
-    WaitAll(Vec<ReqId>),
     /// Blocking probe (completed by the matcher).
     Probe { src: SrcSel, tag: TagSel },
     /// Blocking collective; completion handled by `coll.rs`.
@@ -242,16 +220,19 @@ pub struct BcsMpi {
     /// (protocol transient — zero at every slice boundary).
     pub(crate) outstanding: Vec<u32>,
     /// Chunks scheduled for this slice's P2P microphase, per node:
-    /// `(msg, bytes)` (protocol transient — empty at every boundary).
-    pub(crate) sched: Vec<Vec<(MsgId, u64)>>,
+    /// `(transfer, bytes)` (protocol transient — empty at every boundary).
+    pub(crate) sched: Vec<Vec<(crate::p2p::XferSlot, u64)>>,
     /// Current slice number and microphase (0=DEM..4=RM).
     pub(crate) slice: u64,
     pub(crate) phase: u32,
     pub(crate) slice_started_at: SimTime,
     /// Ranks to restart at the next slice boundary, with their responses.
     pub(crate) restart_queue: Vec<(usize, MpiResp)>,
-    pub(crate) reqs: HashMap<ReqId, BcsReq>,
-    pub(crate) payloads: HashMap<MsgId, Payload>,
+    /// Open requests and the request conditions ranks are suspended on.
+    pub(crate) reqs: ReqTable,
+    /// Send payloads parked until their transfer completes; the table
+    /// hands out the [`MsgId`]s.
+    pub(crate) payloads: IdTable<MsgId, Payload>,
     pub(crate) blocked: Vec<Option<Blocked>>,
     pub(crate) coll: CollState,
     pub(crate) comms: CommRegistry,
@@ -278,8 +259,6 @@ pub struct BcsMpi {
     pub trace: Vec<crate::trace::SliceRecord>,
     pub(crate) trace_cursor: crate::trace::TraceCursor,
     pub(crate) gang: Option<crate::gang::GangState>,
-    pub(crate) next_req: u64,
-    pub(crate) next_msg: u64,
 }
 
 impl bcs_core::BcsHost<BW> for BcsMpi {
@@ -309,8 +288,8 @@ impl BcsMpi {
             phase: 0,
             slice_started_at: SimTime::ZERO,
             restart_queue: Vec::new(),
-            reqs: HashMap::new(),
-            payloads: HashMap::new(),
+            reqs: ReqTable::new(layout.ranks),
+            payloads: IdTable::new(),
             blocked: (0..layout.ranks).map(|_| None).collect(),
             coll: CollState::new(layout),
             comms: CommRegistry::new(layout.ranks),
@@ -330,8 +309,6 @@ impl BcsMpi {
                 .gang
                 .clone()
                 .map(|g| crate::gang::GangState::new(g, layout.ranks, layout.compute_nodes)),
-            next_req: 0,
-            next_msg: 0,
             cfg,
             layout: layout.clone(),
         }
@@ -358,29 +335,6 @@ impl BcsMpi {
             agg.add(&d.stats);
         }
         agg
-    }
-
-    pub(crate) fn alloc_req(&mut self, owner: usize, kind: ReqKind, now: SimTime) -> ReqId {
-        let id = ReqId(self.next_req);
-        self.next_req += 1;
-        self.reqs.insert(
-            id,
-            BcsReq {
-                owner,
-                kind,
-                complete: false,
-                data: None,
-                status: None,
-                posted_at: now,
-            },
-        );
-        id
-    }
-
-    pub(crate) fn alloc_msg(&mut self) -> MsgId {
-        let id = MsgId(self.next_msg);
-        self.next_msg += 1;
-        id
     }
 
     #[inline]
@@ -418,75 +372,31 @@ impl BcsMpi {
     // Request completion & NM restarts
     // ------------------------------------------------------------------
 
-    /// Mark `req` complete. If its owner is blocked on it, queue the owner
+    /// Mark `req` complete. If its owner is suspended on it, queue the owner
     /// for restart at the next slice boundary (the NM restarts suspended
     /// processes only at slice starts, §3.1).
     pub(crate) fn complete_req(w: &mut BW, sim: &mut Sim<BW>, req: ReqId) {
-        let owner = {
-            let st = w.engine.reqs.get_mut(&req).expect("request vanished");
-            st.complete = true;
-            st.owner
-        };
-        Self::check_blocked(w, sim, owner);
-    }
-
-    /// If `rank`'s blocked condition is now satisfied, queue its restart.
-    pub(crate) fn check_blocked(w: &mut BW, sim: &mut Sim<BW>, rank: usize) {
         let e = &mut w.engine;
-        let Some(blocked) = e.blocked[rank].take() else {
+        let Some((rank, wake)) = e.reqs.complete(req) else {
             return;
         };
-        let now = sim.now();
-        match blocked {
-            Blocked::SendDone(r) => {
-                if e.reqs.get(&r).is_some_and(|s| s.complete) {
-                    let st = e.reqs.remove(&r).unwrap();
-                    e.stats
-                        .blocking_delay
-                        .record(now.since(st.posted_at) + e.half_slice_to_boundary(now));
-                    e.restart_queue.push((rank, MpiResp::Ok));
-                } else {
-                    e.blocked[rank] = Some(Blocked::SendDone(r));
-                }
-            }
-            Blocked::WaitOne(r) => {
-                if e.reqs.get(&r).is_some_and(|s| s.complete) {
-                    let st = e.reqs.remove(&r).unwrap();
-                    if st.kind == ReqKind::Recv {
-                        e.stats
-                            .blocking_delay
-                            .record(now.since(st.posted_at) + e.half_slice_to_boundary(now));
-                    }
-                    e.restart_queue.push((
-                        rank,
-                        MpiResp::WaitDone {
-                            data: st.data,
-                            status: st.status,
-                        },
-                    ));
-                } else {
-                    e.blocked[rank] = Some(Blocked::WaitOne(r));
-                }
-            }
-            Blocked::WaitAll(rs) => {
-                if rs.iter().all(|r| e.reqs.get(r).is_some_and(|s| s.complete)) {
-                    let results = rs
-                        .iter()
-                        .map(|r| {
-                            let st = e.reqs.remove(r).unwrap();
-                            (st.data, st.status)
-                        })
-                        .collect();
-                    e.restart_queue.push((rank, MpiResp::WaitallDone { results }));
-                } else {
-                    e.blocked[rank] = Some(Blocked::WaitAll(rs));
-                }
-            }
-            other @ (Blocked::Probe { .. } | Blocked::Collective) => {
-                // Resolved elsewhere (matcher / collective completion).
-                e.blocked[rank] = Some(other);
-            }
+        let blocking = match &wake {
+            Wake::SendDone(st) => Some(st),
+            Wake::WaitDone(st) if st.kind == ReqKind::Recv => Some(st),
+            Wake::WaitDone(_) | Wake::WaitallDone(_) => None,
+        };
+        if let Some(st) = blocking {
+            let now = sim.now();
+            e.stats
+                .blocking_delay
+                .record(now.since(st.posted_at) + e.half_slice_to_boundary(now));
         }
+        e.restart_queue.push((rank, wake.into_resp()));
+    }
+
+    /// True while the NM holds `rank` suspended in a blocking primitive.
+    pub(crate) fn suspended(&self, rank: usize) -> bool {
+        self.blocked[rank].is_some() || self.reqs.waiting(rank).is_some()
     }
 
     /// Residual time from `now` to the next nominal slice boundary — added
@@ -498,29 +408,6 @@ impl BcsMpi {
         let ts = self.cfg.timeslice.as_nanos();
         let next = origin + rel.div_ceil(ts.max(1)) * ts;
         SimDuration::nanos(next.saturating_sub(now.as_nanos()))
-    }
-
-    /// Immediately complete a `Wait` whose request already finished (the
-    /// §3.2 non-blocking fast path: "verify that the communication has been
-    /// performed and continue").
-    fn wait_fast_path(w: &mut BW, sim: &mut Sim<BW>, rank: usize, req: ReqId) -> bool {
-        if w.engine.reqs.get(&req).is_some_and(|s| s.complete) {
-            let st = w.engine.reqs.remove(&req).unwrap();
-            let at = sim.now() + w.engine.cfg.post_cost;
-            resume_at(
-                w,
-                sim,
-                at,
-                rank,
-                MpiResp::WaitDone {
-                    data: st.data,
-                    status: st.status,
-                },
-            );
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -535,6 +422,7 @@ impl Engine for BcsMpi {
 
     fn on_call(w: &mut BW, sim: &mut Sim<BW>, rank: usize, call: MpiCall) {
         let post = w.engine.cfg.post_cost;
+        let site = CallSite::of(rank, &call, sim.now());
         match call {
             MpiCall::Compute { ns } => {
                 if w.engine.gang.is_some() {
@@ -565,65 +453,25 @@ impl Engine for BcsMpi {
             MpiCall::Recv { src, tag, blocking } => {
                 crate::p2p::post_recv(w, sim, rank, src, tag, blocking)
             }
+            // A wait whose condition already holds is the §3.2 fast path
+            // ("verify that the communication has been performed and
+            // continue"); otherwise the rank stays suspended in `reqs`.
             MpiCall::Wait { req } => {
-                if !Self::wait_fast_path(w, sim, rank, req) {
-                    w.engine.blocked[rank] = Some(Blocked::WaitOne(req));
+                if let Some(wake) = w.engine.reqs.wait(site, req) {
+                    resume_at(w, sim, site.now + post, rank, wake.into_resp());
                 }
             }
             MpiCall::Waitall { reqs } => {
-                let mut seen = std::collections::HashSet::new();
-                assert!(
-                    reqs.iter().all(|r| seen.insert(*r)),
-                    "duplicate requests in waitall"
-                );
-                let all_done = reqs
-                    .iter()
-                    .all(|r| w.engine.reqs.get(r).is_some_and(|s| s.complete));
-                if all_done {
-                    let results = reqs
-                        .iter()
-                        .map(|r| {
-                            let st = w.engine.reqs.remove(r).unwrap();
-                            (st.data, st.status)
-                        })
-                        .collect();
-                    resume_at(
-                        w,
-                        sim,
-                        sim.now() + post,
-                        rank,
-                        MpiResp::WaitallDone { results },
-                    );
-                } else {
-                    w.engine.blocked[rank] = Some(Blocked::WaitAll(reqs));
+                if let Some(wake) = w.engine.reqs.wait_all(site, reqs) {
+                    resume_at(w, sim, site.now + post, rank, wake.into_resp());
                 }
             }
             MpiCall::Test { req } => {
-                let done = w.engine.reqs.get(&req).is_some_and(|s| s.complete);
-                let result = if done {
-                    let st = w.engine.reqs.remove(&req).unwrap();
-                    Some((st.data, st.status))
-                } else {
-                    None
-                };
+                let result = w.engine.reqs.test(site, req);
                 w.resume(rank, MpiResp::TestDone { result });
             }
             MpiCall::Testall { reqs } => {
-                let all = reqs
-                    .iter()
-                    .all(|r| w.engine.reqs.get(r).is_some_and(|s| s.complete));
-                let results = if all {
-                    Some(
-                        reqs.iter()
-                            .map(|r| {
-                                let st = w.engine.reqs.remove(r).unwrap();
-                                (st.data, st.status)
-                            })
-                            .collect(),
-                    )
-                } else {
-                    None
-                };
+                let results = w.engine.reqs.test_all(site, &reqs);
                 w.resume(rank, MpiResp::TestallDone { results });
             }
             MpiCall::Probe { src, tag, blocking } => {
@@ -709,13 +557,11 @@ impl Engine for BcsMpi {
             ));
         }
         for (r, b) in self.blocked.iter().enumerate() {
-            let what = match b {
-                None => continue,
-                Some(Blocked::SendDone(q)) => format!("blocking send {q:?}"),
-                Some(Blocked::WaitOne(q)) => format!("wait {q:?}"),
-                Some(Blocked::WaitAll(qs)) => format!("waitall {} reqs", qs.len()),
-                Some(Blocked::Probe { src, tag }) => format!("probe {src:?}/{tag:?}"),
-                Some(Blocked::Collective) => "collective".to_string(),
+            let what = match (b, self.reqs.waiting(r)) {
+                (Some(Blocked::Probe { src, tag }), _) => format!("probe {src:?}/{tag:?}"),
+                (Some(Blocked::Collective), _) => "collective".to_string(),
+                (None, Some(waiting)) => waiting.describe(),
+                (None, None) => continue,
             };
             out.push_str(&format!("  rank {r}: {what}\n"));
         }

@@ -25,9 +25,6 @@
 //!   already been examined against the current receive set: a backlog of
 //!   unmatched sends is only re-examined when a new receive has been
 //!   posted, so an idle backlog costs nothing per slice.
-//! * [`InflightQueue`] — matching descriptors keyed by message, iterated
-//!   in match order (the order chunk budgets are granted in), with O(1)
-//!   lookup replacing the per-chunk list scans.
 //! * [`LazyBudget`] — per-node P2P byte budgets with generation-stamped
 //!   lazy reset: a slice boundary bumps one generation counter instead of
 //!   rewriting O(nodes) entries, so idle nodes cost nothing per slice.
@@ -461,65 +458,6 @@ impl<T> SendIndex<T> {
     /// Live entries in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &SendKey, &T)> {
         self.master.iter().map(|(&seq, (key, item))| (seq, key, item))
-    }
-}
-
-// ----------------------------------------------------------------------
-// InflightQueue
-// ----------------------------------------------------------------------
-
-/// Matching descriptors in match order with O(1) lookup by key.
-#[derive(Clone)]
-pub struct InflightQueue<K, T> {
-    master: BTreeMap<u64, T>,
-    by_key: FxHashMap<K, u64>,
-    next_seq: u64,
-}
-
-impl<K, T> Default for InflightQueue<K, T> {
-    fn default() -> Self {
-        InflightQueue {
-            master: BTreeMap::new(),
-            by_key: FxHashMap::default(),
-            next_seq: 0,
-        }
-    }
-}
-
-impl<K: std::hash::Hash + Eq + Copy, T> InflightQueue<K, T> {
-    pub fn push(&mut self, key: K, item: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let prev = self.by_key.insert(key, seq);
-        debug_assert!(prev.is_none(), "duplicate in-flight key");
-        self.master.insert(seq, item);
-    }
-
-    pub fn get(&self, key: &K) -> Option<&T> {
-        self.by_key.get(key).and_then(|seq| self.master.get(seq))
-    }
-
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut T> {
-        let seq = self.by_key.get(key)?;
-        self.master.get_mut(seq)
-    }
-
-    pub fn remove(&mut self, key: &K) -> Option<T> {
-        let seq = self.by_key.remove(key)?;
-        self.master.remove(&seq)
-    }
-
-    pub fn len(&self) -> usize {
-        self.master.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.master.is_empty()
-    }
-
-    /// Items in match (insertion) order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.master.values()
     }
 }
 

@@ -21,11 +21,13 @@
 //! descriptor counts while producing bit-identical results to the
 //! list-scan specification (`match_index::reference`).
 
-use crate::engine::{BW, Blocked, BcsMpi, ReqKind};
-use crate::match_index::{InflightQueue, RecvIndex, RecvSel, SendIndex, SendKey};
+use crate::engine::{BW, Blocked, BcsMpi};
+use crate::match_index::{RecvIndex, RecvSel, SendIndex, SendKey};
 use mpi_api::call::{MpiResp, ReqId};
+use mpi_api::idtable::IdTable;
 use mpi_api::message::{SrcSel, Status, TagSel};
 use mpi_api::payload::Payload;
+use mpi_api::request::ReqKind;
 use mpi_api::runtime::resume_at;
 use simcore::Sim;
 use std::sync::Arc;
@@ -33,6 +35,18 @@ use std::sync::Arc;
 /// Identifier of one in-flight message (sender-assigned).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MsgId(pub u64);
+
+impl From<u64> for MsgId {
+    fn from(id: u64) -> MsgId {
+        MsgId(id)
+    }
+}
+
+impl From<MsgId> for u64 {
+    fn from(id: MsgId) -> u64 {
+        id.0
+    }
+}
 
 /// A send descriptor in BS memory.
 #[derive(Clone)]
@@ -53,6 +67,11 @@ pub(crate) struct RemoteSend {
     pub bytes: usize,
     pub send_req: ReqId,
 }
+
+/// Per-node id of a transfer in progress (its slot in
+/// [`NicState::inflight`]): what the slice's chunk schedule and the chunk
+/// arrival events name a matching descriptor by.
+pub(crate) type XferSlot = u64;
 
 /// A matching descriptor: transfer in progress, owned by the receiving node.
 #[allow(dead_code)] // dst_rank kept for diagnostics/tracing
@@ -90,9 +109,10 @@ pub(crate) struct NicState {
     /// Send descriptors received from remote BSs, in arrival order (BR),
     /// indexed by envelope.
     pub remote_sends: SendIndex<RemoteSend>,
-    /// Matching descriptors with bytes still to move (BR/DH), in match
-    /// order.
-    pub inflight: InflightQueue<MsgId, MatchItem>,
+    /// Matching descriptors with bytes still to move (BR/DH); slots are
+    /// handed out in match order, which is the order chunk budgets are
+    /// granted in.
+    pub inflight: IdTable<XferSlot, MatchItem>,
     /// Set when a receive is posted, cleared by the MSM pass. While clear,
     /// the retained unmatched backlog provably cannot match (the receive
     /// set has only shrunk since it was last examined) and is skipped.
@@ -137,11 +157,10 @@ pub(crate) fn post_send(
 ) {
     let e = &mut w.engine;
     let now = sim.now();
-    let msg = e.alloc_msg();
-    let req = e.alloc_req(rank, ReqKind::Send, now);
+    let req = e.reqs.post(rank, ReqKind::Send, now);
     let node = e.node_of(rank);
     let bytes = data.len();
-    e.payloads.insert(msg, data);
+    let msg = e.payloads.push(data);
     Arc::make_mut(&mut e.nic[node.0]).send_posted.push(SendDesc {
         msg,
         src_rank: rank,
@@ -151,7 +170,7 @@ pub(crate) fn post_send(
         req,
     });
     if blocking {
-        e.blocked[rank] = Some(Blocked::SendDone(req));
+        e.reqs.block_on_send(rank, req);
     } else {
         let at = now + e.cfg.post_cost;
         resume_at(w, sim, at, rank, MpiResp::Req(req));
@@ -172,7 +191,7 @@ pub(crate) fn post_recv(
 ) {
     let e = &mut w.engine;
     let now = sim.now();
-    let req = e.alloc_req(rank, ReqKind::Recv, now);
+    let req = e.reqs.post(rank, ReqKind::Recv, now);
     let node = e.node_of(rank);
     let nic = Arc::make_mut(&mut e.nic[node.0]);
     nic.recv_posted.post(
@@ -185,7 +204,7 @@ pub(crate) fn post_recv(
     );
     nic.recvs_since_msm = true;
     if blocking {
-        e.blocked[rank] = Some(Blocked::WaitOne(req));
+        e.reqs.block_on_recv(rank, req);
     } else {
         let at = now + e.cfg.post_cost;
         resume_at(w, sim, at, rank, MpiResp::Req(req));
@@ -493,7 +512,7 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
         let e = &mut w.engine;
         let mut sched = std::mem::take(&mut e.sched[node.0]);
         debug_assert!(sched.is_empty());
-        for item in e.nic[node.0].inflight.iter() {
+        for (slot, item) in e.nic[node.0].inflight.iter() {
             // Completed transfers leave the queue in `chunk_arrived` and
             // zero-byte messages never enter it, so bytes always remain.
             let remaining = item.total - item.moved;
@@ -504,7 +523,7 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
             if chunk > 0 {
                 e.src_budget.sub(item.src_node.0, chunk);
                 e.dst_budget.sub(node.0, chunk);
-                sched.push((item.msg, chunk));
+                sched.push((slot, chunk));
             }
             processed += 1;
         }
@@ -593,21 +612,18 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
                 for p in &pairs {
                     let (key, rs) = &incoming[p.arrival as usize];
                     let (_sel, recv_req) = recvs[p.recv as usize];
-                    e.sched[node.0].push((rs.msg, p.total));
-                    Arc::make_mut(&mut e.nic[node.0]).inflight.push(
-                        rs.msg,
-                        MatchItem {
-                            msg: rs.msg,
-                            src_node: qsnet::NodeId(p.src_node as usize),
-                            src_rank: key.src_rank,
-                            dst_rank: key.dst_rank,
-                            tag: key.tag,
-                            send_req: rs.send_req,
-                            recv_req,
-                            total: p.total,
-                            moved: 0,
-                        },
-                    );
+                    let slot = Arc::make_mut(&mut e.nic[node.0]).inflight.push(MatchItem {
+                        msg: rs.msg,
+                        src_node: qsnet::NodeId(p.src_node as usize),
+                        src_rank: key.src_rank,
+                        dst_rank: key.dst_rank,
+                        tag: key.tag,
+                        send_req: rs.send_req,
+                        recv_req,
+                        total: p.total,
+                        moved: 0,
+                    });
+                    e.sched[node.0].push((slot, p.total));
                 }
                 processed += pairs.len() as u64;
                 e.sched_detect[node.0].replayed();
@@ -647,13 +663,22 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
                             // Metadata-only message: complete in MSM.
                             compile_ok = false; // completes out of band
                             completions.push((rs.send_req, recv_req));
-                            let st = e.reqs.get_mut(&recv_req).unwrap();
-                            st.data = Some(Payload::empty());
-                            st.status = Some(Status {
-                                source: key.src_rank,
-                                tag: key.tag,
-                                bytes: 0,
-                            });
+                            // Nothing will be transferred, so the parked
+                            // (empty) payload is handed over here, not in
+                            // `chunk_arrived`.
+                            let data = e
+                                .payloads
+                                .remove(rs.msg)
+                                .expect("payload vanished before its message matched");
+                            e.reqs.deliver(
+                                recv_req,
+                                data,
+                                Status {
+                                    source: key.src_rank,
+                                    tag: key.tag,
+                                    bytes: 0,
+                                },
+                            );
                             continue;
                         }
                         let item = MatchItem {
@@ -670,10 +695,11 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
                         let chunk = total
                             .min(e.src_budget.get(src_node.0))
                             .min(e.dst_budget.get(node.0));
+                        let slot = Arc::make_mut(&mut e.nic[node.0]).inflight.push(item);
                         if chunk > 0 {
                             e.src_budget.sub(src_node.0, chunk);
                             e.dst_budget.sub(node.0, chunk);
-                            e.sched[node.0].push((item.msg, chunk));
+                            e.sched[node.0].push((slot, chunk));
                         }
                         if chunk < total {
                             e.stats.chunked_messages += 1;
@@ -686,7 +712,6 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
                                 total,
                             });
                         }
-                        Arc::make_mut(&mut e.nic[node.0]).inflight.push(item.msg, item);
                     }
                 }
             }
@@ -762,10 +787,10 @@ pub(crate) fn node_begin_p2p(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
     }
 
     w.engine.outstanding[node.0] = sched.len() as u32;
-    for (msg, chunk) in sched {
+    for (slot, chunk) in sched {
         let src_node = w.engine.nic[node.0]
             .inflight
-            .get(&msg)
+            .get(slot)
             .expect("scheduled chunk without match item")
             .src_node;
         w.engine.stats.chunks += 1;
@@ -776,7 +801,7 @@ pub(crate) fn node_begin_p2p(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
                     .bcs
                     .fabric
                     .get(sim, node, src_node, chunk + hdr, move |w: &mut BW, sim| {
-                        chunk_arrived(w, sim, node, msg, chunk);
+                        chunk_arrived(w, sim, node, slot, chunk);
                         crate::protocol::work_item_done(w, sim, node);
                         mpi_api::runtime::drain(w, sim);
                     });
@@ -787,7 +812,7 @@ pub(crate) fn node_begin_p2p(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
             Some(policy) => {
                 let deliver: bcs_core::retry::RetryFn<BW> =
                     std::rc::Rc::new(move |w: &mut BW, sim| {
-                        chunk_arrived(w, sim, node, msg, chunk);
+                        chunk_arrived(w, sim, node, slot, chunk);
                         crate::protocol::work_item_done(w, sim, node);
                         mpi_api::runtime::drain(w, sim);
                     });
@@ -817,35 +842,35 @@ fn node_begin_p2p_coalesced(
     w: &mut BW,
     sim: &mut Sim<BW>,
     node: qsnet::NodeId,
-    sched: Vec<(MsgId, u64)>,
+    sched: Vec<(XferSlot, u64)>,
     trace: bool,
 ) {
     let ccfg = w.engine.cfg.coalesce.expect("coalesced P2P without coalesce cfg");
     let hdr = w.engine.cfg.desc_bytes;
     let retry = w.engine.cfg.retry;
-    let mut entries: Vec<(MsgId, u64, qsnet::NodeId)> = Vec::with_capacity(sched.len());
-    for (msg, chunk) in sched {
+    let mut entries: Vec<(XferSlot, u64, qsnet::NodeId)> = Vec::with_capacity(sched.len());
+    for (slot, chunk) in sched {
         let src_node = w.engine.nic[node.0]
             .inflight
-            .get(&msg)
+            .get(slot)
             .expect("scheduled chunk without match item")
             .src_node;
         w.engine.stats.chunks += 1;
         w.engine.stats.p2p_bytes += chunk;
-        entries.push((msg, chunk, src_node));
+        entries.push((slot, chunk, src_node));
     }
     let items: Vec<(usize, u64)> = entries.iter().map(|&(_, chunk, sn)| (sn.0, chunk)).collect();
     let (singles, gathers) = bcs_core::coalesce::plan(&items, &ccfg);
     w.engine.outstanding[node.0] = (singles.len() + gathers.len()) as u32;
     for i in singles {
-        let (msg, chunk, src_node) = entries[i];
+        let (slot, chunk, src_node) = entries[i];
         match retry {
             None => {
                 let t = w.engine
                     .bcs
                     .fabric
                     .get(sim, node, src_node, chunk + hdr, move |w: &mut BW, sim| {
-                        chunk_arrived(w, sim, node, msg, chunk);
+                        chunk_arrived(w, sim, node, slot, chunk);
                         crate::protocol::work_item_done(w, sim, node);
                         mpi_api::runtime::drain(w, sim);
                     });
@@ -856,7 +881,7 @@ fn node_begin_p2p_coalesced(
             Some(policy) => {
                 let deliver: bcs_core::retry::RetryFn<BW> =
                     std::rc::Rc::new(move |w: &mut BW, sim| {
-                        chunk_arrived(w, sim, node, msg, chunk);
+                        chunk_arrived(w, sim, node, slot, chunk);
                         crate::protocol::work_item_done(w, sim, node);
                         mpi_api::runtime::drain(w, sim);
                     });
@@ -876,7 +901,7 @@ fn node_begin_p2p_coalesced(
     for g in gathers {
         let src_node = qsnet::NodeId(g.peer);
         let wire = g.wire_bytes(&ccfg);
-        let batch: Vec<(MsgId, u64)> =
+        let batch: Vec<(XferSlot, u64)> =
             g.entries.iter().map(|&i| (entries[i].0, entries[i].1)).collect();
         w.engine.stats.p2p_gathers += 1;
         w.engine.stats.p2p_gather_msgs += batch.len() as u64;
@@ -887,8 +912,8 @@ fn node_begin_p2p_coalesced(
         let slot = std::cell::Cell::new(Some(batch));
         let deliver = move |w: &mut BW, sim: &mut Sim<BW>| {
             let batch = slot.take().expect("P2P gather delivered twice");
-            for (msg, chunk) in batch {
-                chunk_arrived(w, sim, node, msg, chunk);
+            for (slot, chunk) in batch {
+                chunk_arrived(w, sim, node, slot, chunk);
             }
             crate::protocol::work_item_done(w, sim, node);
             mpi_api::runtime::drain(w, sim);
@@ -938,32 +963,32 @@ fn transfer_abort(peer: qsnet::NodeId, what: &'static str) -> bcs_core::retry::R
 
 // in-flight table; the entry lives until the final chunk retires it here.
 
-fn chunk_arrived(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId, msg: MsgId, chunk: u64) {
+fn chunk_arrived(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId, slot: XferSlot, chunk: u64) {
     let e = &mut w.engine;
     let done = {
         let item = Arc::make_mut(&mut e.nic[node.0])
             .inflight
-            .get_mut(&msg)
+            .get_mut(slot)
             .expect("chunk for unknown match item");
         item.moved += chunk;
         debug_assert!(item.moved <= item.total);
         item.moved == item.total
     };
     if done {
-        let item = Arc::make_mut(&mut e.nic[node.0]).inflight.remove(&msg).unwrap();
+        let item = Arc::make_mut(&mut e.nic[node.0]).inflight.remove(slot).unwrap();
         let payload = e
             .payloads
-            .remove(&item.msg)
+            .remove(item.msg)
             .expect("payload vanished before transfer completed");
-        {
-            let st = e.reqs.get_mut(&item.recv_req).unwrap();
-            st.data = Some(payload);
-            st.status = Some(Status {
+        e.reqs.deliver(
+            item.recv_req,
+            payload,
+            Status {
                 source: item.src_rank,
                 tag: item.tag,
                 bytes: item.total as usize,
-            });
-        }
+            },
+        );
         BcsMpi::complete_req(w, sim, item.recv_req);
         BcsMpi::complete_req(w, sim, item.send_req);
     }

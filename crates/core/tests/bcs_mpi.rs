@@ -383,3 +383,21 @@ fn sendrecv_exchanges_without_deadlock() {
     });
     assert!(out.results.iter().all(|&b| b));
 }
+
+/// Request misuse ends in the shared lifecycle diagnostic (rank, call,
+/// request, virtual time), not in a hang: the isend's handle comes back one
+/// `post_cost` (500 ns) after the post, and that is when the waitall runs.
+#[test]
+#[should_panic(
+    expected = "rank 0 called waitall at t=500ns on ReqId(0), which appears twice in the request list"
+)]
+fn duplicate_request_in_waitall_is_diagnosed() {
+    use mpi_api::AsyncMpi;
+    let layout = JobLayout::new(2, 1, 2);
+    mpi_api::run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
+        if mpi.rank() == 0 {
+            let r = mpi.isend(1, 0, &[1u8; 8]).await;
+            mpi.waitall(&[r, r]).await;
+        }
+    });
+}

@@ -231,3 +231,142 @@ proplite! {
             "engines disagree on checksums ({:?})", &p);
     }
 }
+
+// ----------------------------------------------------------------------
+// Wide wait-sets: one waitall over hundreds of requests must be the same
+// thing as waiting on those requests one at a time.
+// ----------------------------------------------------------------------
+
+/// A ring exchange whose every iteration ends in a wait over
+/// `2 * per_peer` (≥ 256) requests.
+#[derive(Clone, Debug)]
+struct Fanin {
+    n: usize,
+    per_peer: usize,
+    msg_bytes: usize,
+    iters: usize,
+    order_seed: u64,
+}
+
+fn fanin_strategy() -> impl Strategy<Value = Fanin> {
+    (
+        2..5usize,
+        128..193usize,
+        prop_oneof![Just(0usize), Just(8), Just(64)],
+        1..4usize,
+        any::<u64>(),
+    )
+        .prop_map(|(n, per_peer, msg_bytes, iters, order_seed)| Fanin {
+            n,
+            per_peer,
+            msg_bytes,
+            iters,
+            order_seed,
+        })
+}
+
+#[derive(Clone, Copy)]
+enum WaitForm {
+    /// One waitall, requests listed in post order.
+    AllInPostOrder,
+    /// One waitall, requests listed in a seeded shuffle of post order, so
+    /// the set completes neither front-to-back nor back-to-front.
+    AllShuffled,
+    /// The same shuffled list, one `wait` per request.
+    OneAtATime,
+}
+
+type Waited = Vec<(Option<Vec<u8>>, Option<mpi_api::Status>)>;
+
+/// The rank program: what each wait returned, in wait order.
+fn fanin_program(p: Fanin, form: WaitForm) -> impl mpi_api::RankProgram<Out = Waited> {
+    move |mut mpi: mpi_api::AsyncMpi| {
+        let p = p.clone();
+        async move {
+            let (me, n) = (mpi.rank(), mpi.size());
+            let mut order = simcore::SimRng::new(p.order_seed).split(me as u64);
+            let mut waited = Waited::new();
+            for it in 0..p.iters {
+                mpi.compute(SimDuration::micros(150)).await;
+                let payload: Vec<u8> = (0..p.msg_bytes).map(|i| (me + it + i) as u8).collect();
+                let mut reqs = Vec::new();
+                for j in 0..p.per_peer {
+                    reqs.push(mpi.isend((me + 1) % n, (j % 4) as i32, &payload).await);
+                }
+                for j in 0..p.per_peer {
+                    let src = SrcSel::Rank((me + n - 1) % n);
+                    reqs.push(mpi.irecv(src, TagSel::Tag((j % 4) as i32)).await);
+                }
+                match form {
+                    WaitForm::AllInPostOrder => waited.extend(mpi.waitall(&reqs).await),
+                    WaitForm::AllShuffled => {
+                        order.shuffle(&mut reqs);
+                        waited.extend(mpi.waitall(&reqs).await);
+                    }
+                    WaitForm::OneAtATime => {
+                        order.shuffle(&mut reqs);
+                        for &r in &reqs {
+                            waited.push(mpi.wait(r).await);
+                        }
+                    }
+                }
+            }
+            waited
+        }
+    }
+}
+
+proplite! {
+    #![config(cases = 8)]
+
+    #[test]
+    fn wide_waitall_equals_one_wait_at_a_time_on_both_engines(p in fanin_strategy()) {
+        use mpi_api::runtime::run_program;
+        let layout = JobLayout::new(p.n, 1, p.n);
+
+        // Baseline engine: a wait costs nothing and schedules nothing, so
+        // the two forms are equal in every observable.
+        let quadrics = |form| {
+            let e = quadrics_mpi::QuadricsMpi::new(Default::default(), &layout);
+            run_program(e, layout.clone(), fanin_program(p.clone(), form))
+        };
+        let (q_all, q_one) = (quadrics(WaitForm::AllShuffled), quadrics(WaitForm::OneAtATime));
+        prop_assert_eq!(&q_all.results, &q_one.results);
+        prop_assert_eq!(&q_all.finish_times, &q_one.finish_times);
+        prop_assert_eq!(q_all.events, q_one.events);
+
+        // BCS-MPI: the whole set moves in one slice, so every wait after a
+        // rank's first finds its request complete and takes the §3.2 fast
+        // path: one resume event and one `post_cost` each. With `post_cost`
+        // zero the two forms agree in results and finish times and differ
+        // by exactly those events. (Their digest streams cannot agree: at
+        // the boundary that restarts the rank, the waitall has retired the
+        // whole set and the single wait only its own request.)
+        let bcs = |form, post_cost| {
+            let cfg = BcsConfig {
+                post_cost,
+                checkpoint_every: Some(1),
+                ..BcsConfig::default()
+            };
+            run_program(BcsMpi::new(cfg, &layout), layout.clone(), fanin_program(p.clone(), form))
+        };
+        let b_all = bcs(WaitForm::AllShuffled, SimDuration::ZERO);
+        let b_one = bcs(WaitForm::OneAtATime, SimDuration::ZERO);
+        let fast_waits = (p.n * p.iters * (2 * p.per_peer - 1)) as u64;
+        prop_assert_eq!(&b_all.results, &b_one.results);
+        prop_assert_eq!(&b_all.finish_times, &b_one.finish_times);
+        prop_assert_eq!(b_all.events + fast_waits, b_one.events);
+        prop_assert_eq!(&q_all.results, &b_all.results, "engines disagree on what arrived");
+
+        // The order a waitall lists its requests in is invisible to the
+        // machine: same clock, events, counters and per-slice digests
+        // (which cover every open request and suspended rank).
+        let cost = BcsConfig::default().post_cost;
+        let sorted = bcs(WaitForm::AllInPostOrder, cost);
+        let shuffled = bcs(WaitForm::AllShuffled, cost);
+        prop_assert_eq!(&sorted.finish_times, &shuffled.finish_times);
+        prop_assert_eq!(sorted.events, shuffled.events);
+        prop_assert_eq!(&sorted.engine.checkpoints, &shuffled.engine.checkpoints);
+        prop_assert_eq!(format!("{:?}", sorted.engine.stats), format!("{:?}", shuffled.engine.stats));
+    }
+}

@@ -124,7 +124,7 @@ pub const CRATES: &[CrateSpec] = &[
         layer: 3,
         standalone: false,
         deps: &["simcore", "qsnet", "bcs-core"],
-        dev_deps: &[],
+        dev_deps: &["proplite"],
     },
     CrateSpec {
         name: "storm",

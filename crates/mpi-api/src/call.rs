@@ -17,6 +17,18 @@ use crate::payload::Payload;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReqId(pub u64);
 
+impl From<u64> for ReqId {
+    fn from(id: u64) -> ReqId {
+        ReqId(id)
+    }
+}
+
+impl From<ReqId> for u64 {
+    fn from(id: ReqId) -> u64 {
+        id.0
+    }
+}
+
 /// A request from a rank program to its MPI engine. `Clone` so an
 /// in-flight [`MpiCall::Batch`]'s unissued sub-calls can be captured in a
 /// checkpoint image (`runtime::BatchState`).

@@ -1,0 +1,161 @@
+//! A dense table keyed by ids the table itself hands out in ascending order.
+//!
+//! Request ids, message ids and scheduled-resume ids are all allocated
+//! monotonically and retired roughly in allocation order, so a hash or tree
+//! map pays for generality nothing here uses. [`IdTable`] is a
+//! `VecDeque<Option<V>>` window over the id space: slot `i` holds id
+//! `base + i`, [`IdTable::push`] appends, look-ups and removals are one
+//! index computation, and every vacated slot at the front is popped so the
+//! window spans only `oldest live id ..= newest id`. One entry that is never
+//! removed pins the front and the window then grows by one (empty) slot per
+//! later id; callers retire what they allocate.
+//!
+//! Iteration is in id order by construction, so anything derived from it
+//! (checkpoint images, digests) is canonical without sorting.
+
+use std::collections::VecDeque;
+use std::marker::PhantomData;
+
+#[derive(Clone, Debug)]
+pub struct IdTable<K, V> {
+    /// Id of `slots[0]`; `base + slots.len()` is the next id to hand out.
+    base: u64,
+    slots: VecDeque<Option<V>>,
+    live: usize,
+    /// Look-ups made (`get`, `get_mut`, `remove`), for complexity tests.
+    #[cfg(test)]
+    probes: std::cell::Cell<u64>,
+    _key: PhantomData<fn(K) -> K>,
+}
+
+impl<K, V> Default for IdTable<K, V> {
+    fn default() -> Self {
+        IdTable {
+            base: 0,
+            slots: VecDeque::new(),
+            live: 0,
+            #[cfg(test)]
+            probes: std::cell::Cell::new(0),
+            _key: PhantomData,
+        }
+    }
+}
+
+impl<K: Copy + From<u64> + Into<u64>, V> IdTable<K, V> {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The id the next [`Self::push`] will return. Ids start at 0 and are
+    /// never reused.
+    pub fn next_id(&self) -> K {
+        K::from(self.base + self.slots.len() as u64)
+    }
+
+    /// Store `value` under a fresh id.
+    pub fn push(&mut self, value: V) -> K {
+        let id = self.next_id();
+        self.slots.push_back(Some(value));
+        self.live += 1;
+        id
+    }
+
+    #[inline]
+    fn slot(&self, id: K) -> Option<usize> {
+        #[cfg(test)]
+        self.probes.set(self.probes.get() + 1);
+        let i = id.into().checked_sub(self.base)?;
+        ((i as usize) < self.slots.len()).then_some(i as usize)
+    }
+
+    pub fn get(&self, id: K) -> Option<&V> {
+        self.slots[self.slot(id)?].as_ref()
+    }
+
+    pub fn get_mut(&mut self, id: K) -> Option<&mut V> {
+        let i = self.slot(id)?;
+        self.slots[i].as_mut()
+    }
+
+    /// Take the entry out. Vacated slots at the front are dropped, so the
+    /// cost is O(1) amortized over the ids handed out.
+    pub fn remove(&mut self, id: K) -> Option<V> {
+        let i = self.slot(id)?;
+        let value = self.slots[i].take()?;
+        self.live -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(value)
+    }
+
+    /// Number of live entries.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Slots currently held, live or vacated: `next_id - oldest live id`.
+    pub fn span(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Live entries in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        let base = self.base;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, s)| Some((K::from(base + i as u64), s.as_ref()?)))
+    }
+
+    /// Live values in ascending id order, mutably.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.slots.iter_mut().flatten()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn probes(&self) -> u64 {
+        self.probes.get()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ids_are_dense_and_never_reused() {
+        let mut t: IdTable<u64, &str> = IdTable::new();
+        assert_eq!(t.push("a"), 0);
+        assert_eq!(t.push("b"), 1);
+        assert_eq!(t.remove(0), Some("a"));
+        assert_eq!(t.remove(1), Some("b"));
+        assert!(t.is_empty());
+        assert_eq!(t.span(), 0);
+        assert_eq!(t.push("c"), 2, "an emptied table keeps counting");
+        assert_eq!(t.get(0), None);
+        assert_eq!(t.get(2), Some(&"c"));
+        assert_eq!(t.get(3), None);
+    }
+
+    #[test]
+    fn front_is_compacted_past_every_vacated_slot() {
+        let mut t: IdTable<u64, u32> = IdTable::new();
+        for v in 0..8 {
+            t.push(v);
+        }
+        for id in 1..6 {
+            t.remove(id);
+        }
+        assert_eq!(t.span(), 8, "id 0 still pins the front");
+        t.remove(0);
+        assert_eq!(t.span(), 2);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(6, &6), (7, &7)]);
+        assert_eq!(t.remove(0), None, "a retired id stays retired");
+    }
+}

@@ -19,6 +19,9 @@
 //!   gather(v)/allgather(v)/alltoall(v) composed on top of the primitives,
 //!   exactly as Appendix A prescribes ("the rest of them are built on top
 //!   of those"); plus [`ctx::RankProgram`], a rank program as data;
+//! * [`idtable`] / [`request`] — the dense id-ordered table behind every
+//!   monotone id (requests, messages, scheduled resumes) and the request
+//!   lifecycle (post → complete → wait → retire) both engines run on it;
 //! * [`runtime`] — [`runtime::Engine`] (the trait an MPI implementation
 //!   provides), [`runtime::ClusterWorld`] (harness + engine world) and
 //!   the job drivers: [`runtime::run_program`] steps each rank as a
@@ -31,9 +34,11 @@ pub mod coll_sched;
 pub mod comm;
 pub mod ctx;
 pub mod datatype;
+pub mod idtable;
 pub mod message;
 pub mod noise;
 pub mod payload;
+pub mod request;
 pub mod runtime;
 
 pub use call::{MpiCall, MpiResp, ReqId};

@@ -1,0 +1,432 @@
+//! The request lifecycle both engines share: post → complete → wait → retire.
+//!
+//! A [`ReqTable`] owns every open non-blocking request (an [`IdTable`], so
+//! ids are dense, look-ups are an index and iteration is in id order) and,
+//! per rank, the one request condition the rank may be suspended on
+//! ([`Waiting`]). Every step is O(1) in the number of open requests:
+//!
+//! * [`ReqTable::post`] appends;
+//! * [`ReqTable::complete`] flips the request's flag and, if its owner is
+//!   suspended on it, either wakes the owner or decrements the outstanding
+//!   count of the owner's wait-set — a completed member is never looked at
+//!   again until the set retires;
+//! * `wait`/`wait_all`/`test`/`test_all` validate the ids the *program*
+//!   supplied in one pass (unknown, retired, foreign and duplicate ids all
+//!   end in one diagnostic naming the rank, the call, the id and the
+//!   virtual time; duplicates are caught by a mark bit in the request
+//!   itself), answer at once if the condition already holds, and otherwise
+//!   record it;
+//! * retiring removes the requests and hands their results back as a
+//!   [`Wake`].
+//!
+//! What the engines keep to themselves is *when* a woken rank resumes:
+//! BCS-MPI restarts it at the next slice boundary, the baseline at once.
+
+use crate::call::{MpiCall, MpiResp, ReqId};
+use crate::idtable::IdTable;
+use crate::message::Status;
+use crate::payload::Payload;
+use simcore::SimTime;
+
+/// What a retired request yields: the received payload (`None` for sends)
+/// and its status.
+pub type ReqResult = (Option<Payload>, Option<Status>);
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReqKind {
+    Send,
+    Recv,
+}
+
+/// One open request.
+#[derive(Clone, Debug)]
+pub struct Req {
+    pub owner: usize,
+    pub kind: ReqKind,
+    pub complete: bool,
+    /// Member of its owner's current wait-set (or of the `test_all` being
+    /// validated): seeing it set twice in one pass is a duplicate id.
+    marked: bool,
+    /// Recv: the delivered payload. Send: engine-private parking space
+    /// (the baseline holds a rendezvous payload here until the CTS).
+    pub data: Option<Payload>,
+    pub status: Option<Status>,
+    /// When the descriptor was posted (BCS-MPI's blocking-delay statistic).
+    pub posted_at: SimTime,
+}
+
+/// The request condition a rank is suspended on.
+#[derive(Clone, Debug)]
+pub enum Waiting {
+    /// Blocking send: wakes with [`Wake::SendDone`].
+    Send(ReqId),
+    /// Blocking receive / `MPI_Wait`: wakes with [`Wake::WaitDone`].
+    One(ReqId),
+    /// `MPI_Waitall`. Boxed so that the per-rank slot stays two words: a
+    /// job has one per rank, used or not.
+    All(Box<WaitSet>),
+}
+
+/// The members of one `MPI_Waitall` and how many are still incomplete.
+#[derive(Clone, Debug)]
+pub struct WaitSet {
+    ids: Vec<ReqId>,
+    outstanding: usize,
+}
+
+impl Waiting {
+    /// One-line description for deadlock reports.
+    pub fn describe(&self) -> String {
+        match self {
+            Waiting::Send(q) => format!("blocking send {q:?}"),
+            Waiting::One(q) => format!("wait {q:?}"),
+            Waiting::All(set) => {
+                format!("waitall {} reqs ({} outstanding)", set.ids.len(), set.outstanding)
+            }
+        }
+    }
+}
+
+/// A satisfied [`Waiting`], with the retired requests' contents.
+#[derive(Debug)]
+pub enum Wake {
+    SendDone(Req),
+    WaitDone(Req),
+    WaitallDone(Vec<ReqResult>),
+}
+
+impl Wake {
+    /// The response the suspended call returns.
+    pub fn into_resp(self) -> MpiResp {
+        match self {
+            Wake::SendDone(_) => MpiResp::Ok,
+            Wake::WaitDone(st) => MpiResp::WaitDone {
+                data: st.data,
+                status: st.status,
+            },
+            Wake::WaitallDone(results) => MpiResp::WaitallDone { results },
+        }
+    }
+}
+
+/// Who is asking, for the misuse diagnostic.
+#[derive(Clone, Copy, Debug)]
+pub struct CallSite {
+    pub rank: usize,
+    /// [`crate::call::MpiCall::op_name`] of the call being served.
+    pub op: &'static str,
+    pub now: SimTime,
+}
+
+impl CallSite {
+    pub fn of(rank: usize, call: &MpiCall, now: SimTime) -> CallSite {
+        CallSite {
+            rank,
+            op: call.op_name(),
+            now,
+        }
+    }
+
+    /// The one exit for a request id the program had no right to pass.
+    fn misuse(&self, id: ReqId, why: &str) -> ! {
+        panic!(
+            "rank {} called {} at t={} on {id:?}, which {why}",
+            self.rank, self.op, self.now
+        )
+    }
+}
+
+#[derive(Clone, Debug)]
+pub struct ReqTable {
+    reqs: IdTable<ReqId, Req>,
+    waiting: Vec<Option<Waiting>>,
+}
+
+impl ReqTable {
+    pub fn new(ranks: usize) -> ReqTable {
+        ReqTable {
+            reqs: IdTable::new(),
+            waiting: vec![None; ranks],
+        }
+    }
+
+    pub fn post(&mut self, owner: usize, kind: ReqKind, now: SimTime) -> ReqId {
+        self.reqs.push(Req {
+            owner,
+            kind,
+            complete: false,
+            marked: false,
+            data: None,
+            status: None,
+            posted_at: now,
+        })
+    }
+
+    /// An open request the *engine* holds the id of; a miss is an engine
+    /// bug (requests retire only after they complete), not program input.
+    pub fn req_mut(&mut self, id: ReqId) -> &mut Req {
+        self.reqs
+            .get_mut(id)
+            .unwrap_or_else(|| panic!("engine touched {id:?} after it was retired"))
+    }
+
+    /// Fill in what a receive request will hand back.
+    pub fn deliver(&mut self, id: ReqId, data: Payload, status: Status) {
+        let st = self.req_mut(id);
+        debug_assert_eq!(st.kind, ReqKind::Recv);
+        st.data = Some(data);
+        st.status = Some(status);
+    }
+
+    /// Mark `id` complete. If that satisfies what its owner is suspended
+    /// on, retire the request(s) and return `(owner, wake)`.
+    pub fn complete(&mut self, id: ReqId) -> Option<(usize, Wake)> {
+        let st = self.req_mut(id);
+        debug_assert!(!st.complete, "{id:?} completed twice");
+        st.complete = true;
+        let (owner, marked) = (st.owner, st.marked);
+        let satisfied = match self.waiting[owner].as_mut()? {
+            Waiting::Send(r) | Waiting::One(r) => *r == id,
+            Waiting::All(set) => {
+                set.outstanding -= marked as usize;
+                set.outstanding == 0
+            }
+        };
+        satisfied.then(|| (owner, self.retire(owner)))
+    }
+
+    /// Suspend `rank` on the blocking send it just posted.
+    pub fn block_on_send(&mut self, rank: usize, id: ReqId) {
+        debug_assert!(self.waiting[rank].is_none());
+        self.waiting[rank] = Some(Waiting::Send(id));
+    }
+
+    /// Suspend `rank` on the blocking receive it just posted.
+    pub fn block_on_recv(&mut self, rank: usize, id: ReqId) {
+        debug_assert!(self.waiting[rank].is_none());
+        self.waiting[rank] = Some(Waiting::One(id));
+    }
+
+    /// `MPI_Wait`: the wake if `id` is already complete, else the rank is
+    /// now suspended on it.
+    pub fn wait(&mut self, site: CallSite, id: ReqId) -> Option<Wake> {
+        let complete = self.checked(site, id).complete;
+        self.waiting[site.rank] = Some(Waiting::One(id));
+        complete.then(|| self.retire(site.rank))
+    }
+
+    /// `MPI_Waitall`, as [`Self::wait`]. The one pass over `ids` validates
+    /// them, marks them as members and counts the incomplete ones.
+    pub fn wait_all(&mut self, site: CallSite, ids: Vec<ReqId>) -> Option<Wake> {
+        let outstanding = self.mark_all(site, &ids);
+        self.waiting[site.rank] = Some(Waiting::All(Box::new(WaitSet { ids, outstanding })));
+        (outstanding == 0).then(|| self.retire(site.rank))
+    }
+
+    /// `MPI_Test`: retire `id` if complete.
+    pub fn test(&mut self, site: CallSite, id: ReqId) -> Option<ReqResult> {
+        if !self.checked(site, id).complete {
+            return None;
+        }
+        let st = self.retire_one(id);
+        Some((st.data, st.status))
+    }
+
+    /// `MPI_Testall`: retire all of `ids` if all are complete, else none.
+    pub fn test_all(&mut self, site: CallSite, ids: &[ReqId]) -> Option<Vec<ReqResult>> {
+        if self.mark_all(site, ids) == 0 {
+            return Some(self.retire_all(ids));
+        }
+        for &id in ids {
+            self.req_mut(id).marked = false;
+        }
+        None
+    }
+
+    /// What `rank` is suspended on, if it is a request condition.
+    pub fn waiting(&self, rank: usize) -> Option<&Waiting> {
+        self.waiting[rank].as_ref()
+    }
+
+    /// Open requests in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (ReqId, &Req)> {
+        self.reqs.iter()
+    }
+
+    /// Look up an id supplied by the program at `site`.
+    fn checked(&mut self, site: CallSite, id: ReqId) -> &mut Req {
+        let next = self.reqs.next_id();
+        match self.reqs.get_mut(id) {
+            Some(st) if st.owner == site.rank => st,
+            Some(st) => site.misuse(id, &format!("belongs to rank {}", st.owner)),
+            None if id >= next => site.misuse(id, "was never posted"),
+            None => site.misuse(id, "is already retired"),
+        }
+    }
+
+    /// Validate and mark every id; returns how many are still incomplete.
+    fn mark_all(&mut self, site: CallSite, ids: &[ReqId]) -> usize {
+        let mut outstanding = 0;
+        for &id in ids {
+            let st = self.checked(site, id);
+            if st.marked {
+                site.misuse(id, "appears twice in the request list");
+            }
+            st.marked = true;
+            outstanding += !st.complete as usize;
+        }
+        outstanding
+    }
+
+    fn retire_one(&mut self, id: ReqId) -> Req {
+        self.reqs.remove(id).expect("awaited request retired early")
+    }
+
+    fn retire_all(&mut self, ids: &[ReqId]) -> Vec<ReqResult> {
+        ids.iter()
+            .map(|&id| {
+                let st = self.retire_one(id);
+                (st.data, st.status)
+            })
+            .collect()
+    }
+
+    /// Retire what `rank` was suspended on (the condition holds).
+    fn retire(&mut self, rank: usize) -> Wake {
+        match self.waiting[rank].take().expect("rank is not suspended") {
+            Waiting::Send(id) => Wake::SendDone(self.retire_one(id)),
+            Waiting::One(id) => Wake::WaitDone(self.retire_one(id)),
+            Waiting::All(set) => Wake::WaitallDone(self.retire_all(&set.ids)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn site(rank: usize, op: &'static str) -> CallSite {
+        CallSite {
+            rank,
+            op,
+            now: SimTime::ZERO,
+        }
+    }
+
+    fn post_n(t: &mut ReqTable, n: usize) -> Vec<ReqId> {
+        (0..n)
+            .map(|_| t.post(0, ReqKind::Recv, SimTime::ZERO))
+            .collect()
+    }
+
+    /// Complete the members of one 16 384-request waitall in `order`. Each
+    /// completion but the last costs exactly one look-up (its own request),
+    /// and the wait-set's look-ups (build + retirement) stay within 2·N.
+    fn fanin(order: impl Fn(usize) -> Vec<usize>) {
+        const N: usize = 16_384;
+        let mut t = ReqTable::new(1);
+        let ids = post_n(&mut t, N);
+        let p0 = t.reqs.probes();
+        assert!(t.wait_all(site(0, "waitall"), ids.clone()).is_none());
+        let mut woke = None;
+        for i in order(N) {
+            assert!(woke.is_none(), "woke before the last completion");
+            let before = t.reqs.probes();
+            woke = t.complete(ids[i]);
+            if woke.is_none() {
+                assert_eq!(t.reqs.probes() - before, 1, "completion must not rescan");
+            }
+        }
+        let (rank, wake) = woke.expect("last completion wakes the rank");
+        assert_eq!(rank, 0);
+        assert!(matches!(wake, Wake::WaitallDone(r) if r.len() == N));
+        let wait_set = t.reqs.probes() - p0 - N as u64;
+        assert!(wait_set <= 2 * N as u64, "{wait_set} wait-set probes for {N} requests");
+        assert_eq!(t.reqs.span(), 0, "everything retired, window compacted");
+    }
+
+    #[test]
+    fn per_rank_slot_is_two_words() {
+        assert_eq!(std::mem::size_of::<Option<Waiting>>(), 16);
+    }
+
+    #[test]
+    fn waitall_fanin_forward() {
+        fanin(|n| (0..n).collect());
+    }
+
+    #[test]
+    fn waitall_fanin_reverse() {
+        fanin(|n| (0..n).rev().collect());
+    }
+
+    #[test]
+    fn waitall_fanin_shuffled() {
+        fanin(|n| {
+            let mut order: Vec<usize> = (0..n).collect();
+            simcore::SimRng::new(2003).shuffle(&mut order);
+            order
+        });
+    }
+
+    #[test]
+    fn waitall_counts_only_incomplete_members() {
+        let mut t = ReqTable::new(2);
+        let ids = post_n(&mut t, 3);
+        let other = t.post(1, ReqKind::Send, SimTime::ZERO);
+        assert!(t.complete(ids[1]).is_none());
+        assert!(t.wait_all(site(0, "waitall"), ids.clone()).is_none());
+        assert!(t.complete(other).is_none(), "another rank's request");
+        assert!(t.complete(ids[2]).is_none());
+        let (rank, wake) = t.complete(ids[0]).expect("set complete");
+        assert_eq!(rank, 0);
+        assert!(matches!(wake, Wake::WaitallDone(r) if r.len() == 3));
+        assert_eq!(t.iter().count(), 1);
+    }
+
+    #[test]
+    fn testall_leaves_an_incomplete_set_untouched() {
+        let mut t = ReqTable::new(1);
+        let ids = post_n(&mut t, 2);
+        t.complete(ids[0]);
+        assert!(t.test_all(site(0, "testall"), &ids).is_none());
+        assert!(t.test_all(site(0, "testall"), &ids).is_none(), "marks were cleared");
+        t.complete(ids[1]);
+        assert_eq!(t.test_all(site(0, "testall"), &ids).map(|r| r.len()), Some(2));
+        assert_eq!(t.iter().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0 called waitall at t=0ns on ReqId(1), which appears twice")]
+    fn duplicate_in_waitall_is_named() {
+        let mut t = ReqTable::new(1);
+        let ids = post_n(&mut t, 2);
+        t.wait_all(site(0, "waitall"), vec![ids[0], ids[1], ids[1]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "called wait at t=0ns on ReqId(0), which is already retired")]
+    fn retired_id_is_named() {
+        let mut t = ReqTable::new(1);
+        let ids = post_n(&mut t, 2);
+        t.complete(ids[0]);
+        assert!(t.test(site(0, "test"), ids[0]).is_some());
+        t.wait(site(0, "wait"), ids[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "on ReqId(7), which was never posted")]
+    fn unknown_id_is_named() {
+        let mut t = ReqTable::new(1);
+        post_n(&mut t, 2);
+        t.test(site(0, "test"), ReqId(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 called wait at t=0ns on ReqId(0), which belongs to rank 0")]
+    fn foreign_id_is_named() {
+        let mut t = ReqTable::new(2);
+        let ids = post_n(&mut t, 1);
+        t.wait(site(1, "wait"), ids[0]);
+    }
+}

@@ -23,9 +23,10 @@
 
 use crate::call::{MpiCall, MpiResp};
 use crate::ctx::{ready, AsyncMpi, Mpi, RankProgram};
+use crate::idtable::IdTable;
 use qsnet::NodeId;
 use simcore::{CoHarness, ProcId, ProcYield, Sim, SimDuration, SimTime, SpawnError, VmChannel, VmHarness};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Placement of an MPI job on the simulated cluster.
@@ -184,11 +185,10 @@ pub struct ClusterWorld<E: Engine> {
     /// it was issued. Pure diagnostic state — at n = 4096 a deadlock report
     /// that does not name the stuck calls is undebuggable.
     pending_call: Vec<Option<(&'static str, SimTime)>>,
-    /// Scheduled-but-undelivered completions ([`resume_at`]), keyed by a
-    /// monotone id so iteration order equals scheduling order. Tracked in
-    /// the world (not closures) so checkpoints can capture them.
-    pending_resumes: BTreeMap<u64, (SimTime, usize, MpiResp)>,
-    next_resume_id: u64,
+    /// Scheduled-but-undelivered completions ([`resume_at`]), in scheduling
+    /// order. Tracked in the world (not closures) so checkpoints can
+    /// capture them.
+    pending_resumes: IdTable<u64, (SimTime, usize, MpiResp)>,
     /// When set, every response delivered to a rank is appended to
     /// `resp_log` — the raw material of deterministic replay.
     record_resps: bool,
@@ -273,8 +273,7 @@ impl<E: Engine> ClusterWorld<E> {
             draining: false,
             batches: (0..ranks).map(|_| None).collect(),
             pending_call: vec![None; ranks],
-            pending_resumes: BTreeMap::new(),
-            next_resume_id: 0,
+            pending_resumes: IdTable::new(),
             record_resps: false,
             resp_log: vec![RespLog::default(); ranks],
         }
@@ -320,7 +319,7 @@ impl<E: Engine> ClusterWorld<E> {
         );
         RuntimeImage {
             resp_log: self.resp_log.iter_mut().map(|log| log.snapshot()).collect(),
-            pending_resumes: self.pending_resumes.values().cloned().collect(),
+            pending_resumes: self.pending_resumes.iter().map(|(_, r)| r.clone()).collect(),
             finish_times: self.finish_times.clone(),
             batches: self.batches.clone(),
             captured_at,
@@ -476,11 +475,9 @@ pub fn resume_at<E: Engine>(
     rank: usize,
     resp: MpiResp,
 ) {
-    let id = w.next_resume_id;
-    w.next_resume_id += 1;
-    w.pending_resumes.insert(id, (at, rank, resp));
+    let id = w.pending_resumes.push((at, rank, resp));
     sim.schedule_at(at, move |w: &mut ClusterWorld<E>, sim| {
-        if let Some((_, rank, resp)) = w.pending_resumes.remove(&id) {
+        if let Some((_, rank, resp)) = w.pending_resumes.remove(id) {
             w.resume(rank, resp);
             drain(w, sim);
         }

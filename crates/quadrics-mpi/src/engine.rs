@@ -10,10 +10,10 @@ use mpi_api::call::{MpiCall, MpiResp, ReqId};
 use mpi_api::comm::{CommId, CommRegistry};
 use mpi_api::message::{Envelope, SrcSel, Status, TagSel};
 use mpi_api::noise::{NoiseConfig, NoiseModel};
+use mpi_api::request::{CallSite, ReqKind, ReqTable};
 use mpi_api::runtime::{ClusterWorld, Engine, JobLayout, drain, resume_at};
 use qsnet::{Fabric, FabricKind, NetModel, NodeId};
 use simcore::{Sim, SimDuration, SimTime};
-use std::collections::HashMap;
 
 type QW = ClusterWorld<QuadricsMpi>;
 
@@ -68,21 +68,6 @@ pub struct QuadricsStats {
     pub allgathers: u64,
 }
 
-#[derive(Debug, PartialEq)]
-enum ReqKind {
-    Send,
-    Recv,
-}
-
-struct ReqState {
-    owner: usize,
-    kind: ReqKind,
-    complete: bool,
-    /// Send: payload awaiting rendezvous. Recv: delivered payload.
-    data: Option<mpi_api::Payload>,
-    status: Option<Status>,
-}
-
 enum Payload {
     Eager(mpi_api::Payload),
     Rts { send_req: ReqId },
@@ -99,22 +84,12 @@ struct PostedRecv {
     tag: TagSel,
 }
 
-/// What a rank is currently blocked on, if anything.
-enum Blocked {
-    /// Blocking send: respond `Ok` when the request completes.
-    SendDone(ReqId),
-    /// Blocking recv / MPI_Wait: respond `WaitDone`.
-    WaitOne(ReqId),
-    /// MPI_Waitall: respond `WaitallDone` when every request completes.
-    WaitAll(Vec<ReqId>),
-    /// Blocking probe.
-    Probe { src: SrcSel, tag: TagSel },
-}
-
 struct RankComm {
     posted: Vec<PostedRecv>,
     unexpected: Vec<Unexpected>,
-    blocked: Option<Blocked>,
+    /// The blocking probe the rank is suspended in, if any (request
+    /// conditions are tracked by [`QuadricsMpi::reqs`]).
+    probing: Option<(SrcSel, TagSel)>,
 }
 
 /// The baseline MPI engine.
@@ -123,8 +98,9 @@ pub struct QuadricsMpi {
     pub(crate) layout: JobLayout,
     pub fabric: Box<dyn Fabric<QW>>,
     noise: Option<NoiseModel>,
-    next_req: u64,
-    reqs: HashMap<ReqId, ReqState>,
+    /// Open requests (a rendezvous send parks its payload in the request
+    /// until the CTS) and the request conditions ranks are suspended on.
+    reqs: ReqTable,
     ranks: Vec<RankComm>,
     pub coll: CollManager,
     pub(crate) comms: CommRegistry,
@@ -143,13 +119,12 @@ impl QuadricsMpi {
             layout: layout.clone(),
             fabric,
             noise,
-            next_req: 0,
-            reqs: HashMap::new(),
+            reqs: ReqTable::new(layout.ranks),
             ranks: (0..layout.ranks)
                 .map(|_| RankComm {
                     posted: Vec::new(),
                     unexpected: Vec::new(),
-                    blocked: None,
+                    probing: None,
                 })
                 .collect(),
             coll: CollManager::new(layout.ranks),
@@ -169,22 +144,6 @@ impl QuadricsMpi {
         nodes.sort_unstable();
         nodes.dedup();
         nodes
-    }
-
-    fn alloc_req(&mut self, owner: usize, kind: ReqKind) -> ReqId {
-        let id = ReqId(self.next_req);
-        self.next_req += 1;
-        self.reqs.insert(
-            id,
-            ReqState {
-                owner,
-                kind,
-                complete: false,
-                data: None,
-                status: None,
-            },
-        );
-        id
     }
 
     #[inline]
@@ -214,7 +173,7 @@ impl QuadricsMpi {
             tag,
             bytes: data.len(),
         };
-        let req = e.alloc_req(rank, ReqKind::Send);
+        let req = e.reqs.post(rank, ReqKind::Send, sim.now());
         let overhead = e.cfg.net.host_overhead;
 
         if data.len() <= e.cfg.eager_threshold {
@@ -226,7 +185,9 @@ impl QuadricsMpi {
                 QuadricsMpi::arrive_message(w, sim, env, Payload::Eager(data));
                 drain(w, sim);
             });
-            w.engine.reqs.get_mut(&req).unwrap().complete = true;
+            // Nobody can be waiting on a request whose id is not out yet.
+            let woke = w.engine.reqs.complete(req);
+            debug_assert!(woke.is_none());
             if blocking {
                 resume_at(w, sim, sim.now() + overhead, rank, MpiResp::Ok);
             } else {
@@ -235,7 +196,7 @@ impl QuadricsMpi {
         } else {
             // Rendezvous: park the payload, send RTS.
             e.stats.rndv_msgs += 1;
-            e.reqs.get_mut(&req).unwrap().data = Some(data);
+            e.reqs.req_mut(req).data = Some(data);
             let (src_node, dst_node) = (e.node_of(rank), e.node_of(dest));
             let hdr = e.cfg.header_bytes;
             e.fabric.put(sim, src_node, dst_node, hdr, move |w, sim| {
@@ -243,7 +204,7 @@ impl QuadricsMpi {
                 drain(w, sim);
             });
             if blocking {
-                w.engine.ranks[rank].blocked = Some(Blocked::SendDone(req));
+                w.engine.reqs.block_on_send(rank, req);
             } else {
                 w.resume(rank, MpiResp::Req(req));
             }
@@ -298,8 +259,7 @@ impl QuadricsMpi {
             let e = &mut w.engine;
             let data = e
                 .reqs
-                .get_mut(&send_req)
-                .expect("rendezvous send request vanished")
+                .req_mut(send_req)
                 .data
                 .take()
                 .expect("rendezvous payload already taken");
@@ -324,17 +284,12 @@ impl QuadricsMpi {
         data: mpi_api::Payload,
         at: SimTime,
     ) {
-        {
-            let st = w.engine.reqs.get_mut(&req).expect("recv request vanished");
-            debug_assert_eq!(st.kind, ReqKind::Recv);
-            st.data = Some(data);
-            st.status = Some(Status::of(&env));
-        }
+        w.engine.reqs.deliver(req, data, Status::of(&env));
         Self::complete_req(w, sim, req, at);
     }
 
-    /// Mark a request complete (now or at `at`) and resolve the owner's
-    /// blocked state if it was waiting on it.
+    /// Mark a request complete (now or at `at`) and resume its owner if that
+    /// satisfies what the owner is suspended on.
     fn complete_req(w: &mut QW, sim: &mut Sim<QW>, req: ReqId, at: SimTime) {
         if at > sim.now() {
             sim.schedule_at(at, move |w: &mut QW, sim| {
@@ -343,61 +298,8 @@ impl QuadricsMpi {
             });
             return;
         }
-        let owner = {
-            let st = w.engine.reqs.get_mut(&req).expect("request vanished");
-            st.complete = true;
-            st.owner
-        };
-        Self::try_unblock(w, sim, owner);
-    }
-
-    /// If `rank` is blocked on something now satisfied, resume it.
-    fn try_unblock(w: &mut QW, _sim: &mut Sim<QW>, rank: usize) {
-        let e = &mut w.engine;
-        let Some(blocked) = e.ranks[rank].blocked.take() else {
-            return;
-        };
-        match blocked {
-            Blocked::SendDone(r) => {
-                if e.reqs.get(&r).is_some_and(|s| s.complete) {
-                    e.reqs.remove(&r);
-                    w.resume(rank, MpiResp::Ok);
-                } else {
-                    e.ranks[rank].blocked = Some(Blocked::SendDone(r));
-                }
-            }
-            Blocked::WaitOne(r) => {
-                if e.reqs.get(&r).is_some_and(|s| s.complete) {
-                    let st = e.reqs.remove(&r).unwrap();
-                    w.resume(
-                        rank,
-                        MpiResp::WaitDone {
-                            data: st.data,
-                            status: st.status,
-                        },
-                    );
-                } else {
-                    e.ranks[rank].blocked = Some(Blocked::WaitOne(r));
-                }
-            }
-            Blocked::WaitAll(rs) => {
-                if rs.iter().all(|r| e.reqs.get(r).is_some_and(|s| s.complete)) {
-                    let results = rs
-                        .iter()
-                        .map(|r| {
-                            let st = e.reqs.remove(r).unwrap();
-                            (st.data, st.status)
-                        })
-                        .collect();
-                    w.resume(rank, MpiResp::WaitallDone { results });
-                } else {
-                    e.ranks[rank].blocked = Some(Blocked::WaitAll(rs));
-                }
-            }
-            Blocked::Probe { src, tag } => {
-                // Resolved by check_blocked_probe; restore.
-                e.ranks[rank].blocked = Some(Blocked::Probe { src, tag });
-            }
+        if let Some((rank, wake)) = w.engine.reqs.complete(req) {
+            w.resume(rank, wake.into_resp());
         }
     }
 
@@ -411,10 +313,9 @@ impl QuadricsMpi {
 
     fn check_blocked_probe(w: &mut QW, sim: &mut Sim<QW>, rank: usize) {
         let _ = sim;
-        if let Some(Blocked::Probe { src, tag }) = &w.engine.ranks[rank].blocked {
-            let (src, tag) = (*src, *tag);
+        if let Some((src, tag)) = w.engine.ranks[rank].probing {
             if let Some(status) = w.engine.probe_match(rank, src, tag) {
-                w.engine.ranks[rank].blocked = None;
+                w.engine.ranks[rank].probing = None;
                 w.resume(
                     rank,
                     MpiResp::ProbeDone {
@@ -438,11 +339,11 @@ impl QuadricsMpi {
         blocking: bool,
     ) {
         w.engine.stats.recvs_posted += 1;
-        let req = w.engine.alloc_req(rank, ReqKind::Recv);
+        let req = w.engine.reqs.post(rank, ReqKind::Recv, sim.now());
         if !blocking {
             w.resume(rank, MpiResp::Req(req));
         } else {
-            w.engine.ranks[rank].blocked = Some(Blocked::WaitOne(req));
+            w.engine.reqs.block_on_recv(rank, req);
         }
         // Match against already-arrived messages first (in arrival order).
         let pos = w.engine.ranks[rank]
@@ -473,6 +374,7 @@ impl Engine for QuadricsMpi {
     }
 
     fn on_call(w: &mut QW, sim: &mut Sim<QW>, rank: usize, call: MpiCall) {
+        let site = CallSite::of(rank, &call, sim.now());
         match call {
             MpiCall::Compute { ns } => {
                 let mut d = SimDuration::nanos(ns);
@@ -495,44 +397,21 @@ impl Engine for QuadricsMpi {
                 Self::start_recv(w, sim, rank, src, tag, blocking)
             }
             MpiCall::Wait { req } => {
-                w.engine.ranks[rank].blocked = Some(Blocked::WaitOne(req));
-                Self::try_unblock(w, sim, rank);
+                if let Some(wake) = w.engine.reqs.wait(site, req) {
+                    w.resume(rank, wake.into_resp());
+                }
             }
             MpiCall::Waitall { reqs } => {
-                let mut seen = std::collections::HashSet::new();
-                assert!(
-                    reqs.iter().all(|r| seen.insert(*r)),
-                    "duplicate requests in waitall"
-                );
-                w.engine.ranks[rank].blocked = Some(Blocked::WaitAll(reqs));
-                Self::try_unblock(w, sim, rank);
+                if let Some(wake) = w.engine.reqs.wait_all(site, reqs) {
+                    w.resume(rank, wake.into_resp());
+                }
             }
             MpiCall::Test { req } => {
-                let done = w.engine.reqs.get(&req).is_some_and(|s| s.complete);
-                let result = if done {
-                    let st = w.engine.reqs.remove(&req).unwrap();
-                    Some((st.data, st.status))
-                } else {
-                    None
-                };
+                let result = w.engine.reqs.test(site, req);
                 w.resume(rank, MpiResp::TestDone { result });
             }
             MpiCall::Testall { reqs } => {
-                let all = reqs
-                    .iter()
-                    .all(|r| w.engine.reqs.get(r).is_some_and(|s| s.complete));
-                let results = if all {
-                    Some(
-                        reqs.iter()
-                            .map(|r| {
-                                let st = w.engine.reqs.remove(r).unwrap();
-                                (st.data, st.status)
-                            })
-                            .collect(),
-                    )
-                } else {
-                    None
-                };
+                let results = w.engine.reqs.test_all(site, &reqs);
                 w.resume(rank, MpiResp::TestallDone { results });
             }
             MpiCall::Probe { src, tag, blocking } => {
@@ -546,7 +425,7 @@ impl Engine for QuadricsMpi {
                     ),
                     (None, false) => w.resume(rank, MpiResp::ProbeDone { status: None }),
                     (None, true) => {
-                        w.engine.ranks[rank].blocked = Some(Blocked::Probe { src, tag });
+                        w.engine.ranks[rank].probing = Some((src, tag));
                     }
                 }
             }
@@ -592,12 +471,10 @@ impl Engine for QuadricsMpi {
     fn describe_pending(&self) -> String {
         let mut out = String::new();
         for (r, rc) in self.ranks.iter().enumerate() {
-            let blocked = match &rc.blocked {
-                None => continue,
-                Some(Blocked::SendDone(q)) => format!("blocking send {q:?}"),
-                Some(Blocked::WaitOne(q)) => format!("wait {q:?}"),
-                Some(Blocked::WaitAll(qs)) => format!("waitall {} reqs", qs.len()),
-                Some(Blocked::Probe { src, tag }) => format!("probe {src:?}/{tag:?}"),
+            let blocked = match (rc.probing, self.reqs.waiting(r)) {
+                (Some((src, tag)), _) => format!("probe {src:?}/{tag:?}"),
+                (None, Some(waiting)) => waiting.describe(),
+                (None, None) => continue,
             };
             out.push_str(&format!(
                 "  rank {r}: {blocked}; {} posted, {} unexpected\n",

@@ -378,3 +378,20 @@ fn reduce_zero_length() {
     });
     assert!(out.results.iter().all(|d| d.is_empty()));
 }
+
+/// Request misuse ends in the shared lifecycle diagnostic (rank, call,
+/// request, virtual time): an eager isend is complete at once, the wait
+/// retires it, and the test that follows names a request that is gone.
+#[test]
+#[should_panic(expected = "rank 0 called test at t=0ns on ReqId(0), which is already retired")]
+fn testing_a_retired_request_is_diagnosed() {
+    use mpi_api::AsyncMpi;
+    let layout = JobLayout::new(2, 1, 2);
+    mpi_api::run_program(engine(&layout), layout, |mut mpi: AsyncMpi| async move {
+        if mpi.rank() == 0 {
+            let r = mpi.isend(1, 0, &[1u8; 8]).await;
+            mpi.wait(r).await;
+            mpi.test(r).await;
+        }
+    });
+}

@@ -60,7 +60,7 @@ export CARGO_NET_OFFLINE=true
 export RUSTFLAGS="${RUSTFLAGS:-} -D warnings"
 
 echo "== detlint: determinism & safety lints (D01-D11) -> reports/detlint.json + detlint_graph.dot"
-cargo run --release -q -p detlint -- --graph dot --max-waivers 17
+cargo run --release -q -p detlint -- --graph dot --max-waivers 13
 [ -s reports/detlint.json ] || { echo "verify: missing reports/detlint.json" >&2; exit 1; }
 [ -s reports/detlint_graph.dot ] || { echo "verify: missing reports/detlint_graph.dot" >&2; exit 1; }
 cargo run --release -q -p detlint -- --quiet --check-json reports/detlint.json \
