@@ -32,7 +32,7 @@ pub mod retry;
 
 use qsnet::{Fabric, NodeId};
 use simcore::{Sim, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Accessor implemented by every simulation world that embeds a BCS cluster.
@@ -84,7 +84,7 @@ pub struct WriteSpec {
 
 /// Per-destination delivery hook of `Xfer-And-Signal`: higher layers use it
 /// to deposit payloads (descriptors, strobes) into NIC data structures.
-pub type DeliverFn<W> = Rc<dyn Fn(&mut W, &mut Sim<W>, NodeId)>;
+pub use qsnet::fabric::DeliverFn;
 
 /// Options of one `Xfer-And-Signal` invocation.
 pub struct XsOpts<W> {
@@ -120,29 +120,27 @@ impl<W> Default for EventState<W> {
     }
 }
 
-struct NodeCtl<W> {
-    words: HashMap<GlobalWord, i64>,
-    events: HashMap<EventWord, EventState<W>>,
+/// One global word across the machine: `vals[n]` is node `n`'s copy (zero
+/// until written, like the memory it models). A global variable lives at
+/// the same address on every node, so storing it as a column makes
+/// `Compare-And-Write` — the only operation that reads many nodes — a scan
+/// of adjacent memory. Columns are created on first write and kept sorted
+/// by address; a protocol uses a handful of addresses, so finding one is a
+/// short binary search.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct WordColumn {
+    addr: GlobalWord,
+    vals: Vec<i64>,
 }
 
-impl<W> Default for NodeCtl<W> {
-    fn default() -> Self {
-        NodeCtl {
-            words: HashMap::new(),
-            events: HashMap::new(),
-        }
-    }
-}
-
-/// Control-memory state of the whole cluster at a quiescent instant:
-/// every node's global words and pending (unconsumed) event counts, in a
-/// deterministic order. Captured only when no event *waiters* are parked —
-/// a closure cannot be checkpointed — which holds at BCS slice boundaries.
+/// Control-memory state of the whole cluster at a quiescent instant: the
+/// global-word columns and every node's pending (unconsumed) event counts,
+/// in a deterministic order. Captured only when no event *waiters* are
+/// parked — a closure cannot be checkpointed — which holds at BCS slice
+/// boundaries.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WordsSnapshot {
-    // Sorted rows, one per node — plain `Vec`s, named so they cannot be
-    // confused with the live `NodeCtl` hash maps they were captured from.
-    word_rows: Vec<Vec<(GlobalWord, i64)>>,
+    words: Vec<WordColumn>,
     pending_rows: Vec<Vec<(EventWord, u32)>>,
 }
 
@@ -152,7 +150,10 @@ pub struct BcsCluster<W: 'static> {
     pub fabric: Box<dyn Fabric<W>>,
     /// Reliable-delivery bookkeeping (see [`retry`]).
     pub retry: retry::RetryState,
-    nodes: Vec<NodeCtl<W>>,
+    /// Global words, one column per written address, ascending address.
+    words: Vec<WordColumn>,
+    /// Event words, per node.
+    events: Vec<BTreeMap<EventWord, EventState<W>>>,
 }
 
 impl<W: BcsWorld> BcsCluster<W> {
@@ -161,64 +162,53 @@ impl<W: BcsWorld> BcsCluster<W> {
         BcsCluster {
             fabric,
             retry: retry::RetryState::default(),
-            nodes: (0..n).map(|_| NodeCtl::default()).collect(),
+            words: Vec::new(),
+            events: (0..n).map(|_| BTreeMap::new()).collect(),
         }
     }
 
     pub fn nodes(&self) -> usize {
-        self.nodes.len()
+        self.events.len()
     }
 
-    /// Capture every node's global words and pending event counts.
+    /// Capture the global words and every node's pending event counts.
     /// Panics if any event waiter is parked: waiters are continuations and
     /// cannot survive a checkpoint — callers must capture at quiescent
     /// points only (slice boundaries in BCS-MPI).
     pub fn snapshot_words(&self) -> WordsSnapshot {
-        let mut words = Vec::with_capacity(self.nodes.len());
-        let mut pending = Vec::with_capacity(self.nodes.len());
-        for (i, n) in self.nodes.iter().enumerate() {
-            let mut ws: Vec<(GlobalWord, i64)> =
-                // detlint: allow(D02) — snapshot capture: collected into a
-                // Vec and sorted immediately below; map order never escapes.
-                n.words.iter().map(|(&a, &v)| (a, v)).collect();
-            ws.sort_unstable();
-            words.push(ws);
-            let mut ps: Vec<(EventWord, u32)> = n
-                .events
-                // detlint: allow(D02) — snapshot capture: collected and
-                // sorted (`ps.sort_unstable()` below) before observation.
-                .iter()
-                .inspect(|(ev, st)| {
-                    assert!(
-                        st.waiters.is_empty(),
-                        "snapshot_words with parked waiter on node {i} event {ev}"
-                    );
-                })
-                .filter(|(_, st)| st.pending > 0)
-                .map(|(&ev, st)| (ev, st.pending))
-                .collect();
-            ps.sort_unstable();
-            pending.push(ps);
-        }
+        let pending_rows = self
+            .events
+            .iter()
+            .enumerate()
+            .map(|(i, events)| {
+                events
+                    .iter()
+                    .inspect(|(ev, st)| {
+                        assert!(
+                            st.waiters.is_empty(),
+                            "snapshot_words with parked waiter on node {i} event {ev}"
+                        );
+                    })
+                    .filter(|(_, st)| st.pending > 0)
+                    .map(|(&ev, st)| (ev, st.pending))
+                    .collect()
+            })
+            .collect();
         WordsSnapshot {
-            word_rows: words,
-            pending_rows: pending,
+            words: self.words.clone(),
+            pending_rows,
         }
     }
 
     /// Restore global words and pending event counts from a snapshot,
     /// discarding all current control-memory state.
     pub fn restore_words(&mut self, s: &WordsSnapshot) {
-        assert_eq!(s.word_rows.len(), self.nodes.len(), "snapshot node count");
-        for (n, (ws, ps)) in self
-            .nodes
-            .iter_mut()
-            .zip(s.word_rows.iter().zip(&s.pending_rows))
-        {
-            n.words = ws.iter().copied().collect();
-            n.events.clear();
+        assert_eq!(s.pending_rows.len(), self.events.len(), "snapshot node count");
+        self.words.clone_from(&s.words);
+        for (events, ps) in self.events.iter_mut().zip(&s.pending_rows) {
+            events.clear();
             for &(ev, pending) in ps {
-                n.events.insert(
+                events.insert(
                     ev,
                     EventState {
                         pending,
@@ -233,20 +223,40 @@ impl<W: BcsWorld> BcsCluster<W> {
     // Global words
     // ------------------------------------------------------------------
 
+    /// Every node's copy of `addr`, if any node ever wrote it.
+    fn column(&self, addr: GlobalWord) -> Option<&[i64]> {
+        self.words
+            .binary_search_by_key(&addr, |c| c.addr)
+            .ok()
+            .map(|i| &self.words[i].vals[..])
+    }
+
+    fn column_mut(&mut self, addr: GlobalWord) -> &mut [i64] {
+        let i = match self.words.binary_search_by_key(&addr, |c| c.addr) {
+            Ok(i) => i,
+            Err(i) => {
+                let vals = vec![0; self.events.len()];
+                self.words.insert(i, WordColumn { addr, vals });
+                i
+            }
+        };
+        &mut self.words[i].vals
+    }
+
     /// Read a global word on one node (zero if never written).
     pub fn word(&self, node: NodeId, addr: GlobalWord) -> i64 {
-        *self.nodes[node.0].words.get(&addr).unwrap_or(&0)
+        self.column(addr).map_or(0, |vals| vals[node.0])
     }
 
     /// Write a global word locally (no network traffic — used by NIC threads
     /// updating their own node's state).
     pub fn set_word(&mut self, node: NodeId, addr: GlobalWord, value: i64) {
-        self.nodes[node.0].words.insert(addr, value);
+        self.column_mut(addr)[node.0] = value;
     }
 
     /// Add to a global word locally, returning the new value.
     pub fn add_word(&mut self, node: NodeId, addr: GlobalWord, delta: i64) -> i64 {
-        let w = self.nodes[node.0].words.entry(addr).or_insert(0);
+        let w = &mut self.column_mut(addr)[node.0];
         *w += delta;
         *w
     }
@@ -258,7 +268,7 @@ impl<W: BcsWorld> BcsCluster<W> {
     /// Signal an event on a node: wakes one waiter if present, otherwise
     /// increments the pending count (Elan events are counters).
     pub fn signal_event(w: &mut W, sim: &mut Sim<W>, node: NodeId, ev: EventWord) {
-        let st = w.bcs().nodes[node.0].events.entry(ev).or_default();
+        let st = w.bcs().events[node.0].entry(ev).or_default();
         if let Some(waiter) = pop_waiter(st) {
             waiter(w, sim);
         } else {
@@ -269,7 +279,7 @@ impl<W: BcsWorld> BcsCluster<W> {
     /// Non-blocking `Test-Event`: returns true (consuming one signal) if the
     /// event has been signalled.
     pub fn test_event(&mut self, node: NodeId, ev: EventWord) -> bool {
-        let st = self.nodes[node.0].events.entry(ev).or_default();
+        let st = self.events[node.0].entry(ev).or_default();
         if st.pending > 0 {
             st.pending -= 1;
             true
@@ -287,7 +297,7 @@ impl<W: BcsWorld> BcsCluster<W> {
         ev: EventWord,
         cont: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
     ) {
-        let st = w.bcs().nodes[node.0].events.entry(ev).or_default();
+        let st = w.bcs().events[node.0].entry(ev).or_default();
         if st.pending > 0 {
             st.pending -= 1;
             cont(w, sim);
@@ -374,18 +384,41 @@ impl<W: BcsWorld> BcsCluster<W> {
         write: Option<WriteSpec>,
         cont: impl FnOnce(&mut W, &mut Sim<W>, bool) + 'static,
     ) -> SimTime {
+        Self::compare_and_write_shared(w, sim, src, dests.into(), word, op, value, write, cont)
+    }
+
+    /// [`Self::compare_and_write`] for callers that already hold their node
+    /// set behind an `Rc` (the strobe loop polls the same job nodes several
+    /// times per slice): the in-flight operation shares the list instead of
+    /// copying it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn compare_and_write_shared(
+        w: &mut W,
+        sim: &mut Sim<W>,
+        src: NodeId,
+        dests: Rc<[NodeId]>,
+        word: GlobalWord,
+        op: CmpOp,
+        value: i64,
+        write: Option<WriteSpec>,
+        cont: impl FnOnce(&mut W, &mut Sim<W>, bool) + 'static,
+    ) -> SimTime {
         assert!(!dests.is_empty(), "Compare-And-Write with empty destination set");
-        let dests: Vec<NodeId> = dests.to_vec();
         let span = dests.len();
         w.bcs()
             .fabric
             .conditional(sim, src, span, move |w: &mut W, sim: &mut Sim<W>| {
                 let bcs = w.bcs();
-                let ok = dests.iter().all(|&d| op.eval(bcs.word(d, word), value));
+                // A never-written word reads zero everywhere.
+                let ok = match bcs.column(word) {
+                    Some(vals) => dests.iter().all(|&d| op.eval(vals[d.0], value)),
+                    None => op.eval(0, value),
+                };
                 if ok {
                     if let Some(ws) = write {
-                        for &d in &dests {
-                            bcs.set_word(d, ws.word, ws.value);
+                        let vals = bcs.column_mut(ws.word);
+                        for &d in dests.iter() {
+                            vals[d.0] = ws.value;
                         }
                     }
                 }

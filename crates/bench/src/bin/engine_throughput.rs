@@ -5,7 +5,11 @@
 //! Every benchmark is a deterministic simulation, so its event count is
 //! measured once up front and each row reports an events/sec throughput
 //! alongside the per-iteration times — the comparable figure for event
-//! queue changes. The `waitall_fanin_<n>` rows (two ranks, each ending in
+//! queue changes. The idle-slice rows (`bcs_200_idle_slices_16nodes`,
+//! `bcs_idle_slices_<n>nodes`) all simulate 200 empty slices with two ranks
+//! per node, so events per slice is `events_per_iter / 200` and the host
+//! cost of one node in one slice is `median_ns / (200 * n)`; both are
+//! printed. The `waitall_fanin_<n>` rows (two ranks, each ending in
 //! one waitall over `n` small-message requests, on the VM backend like
 //! every experiment) are rated in request *completions* per second
 //! instead: the figure that collapses if completing one member of a
@@ -31,20 +35,23 @@ use bcs_mpi::match_index::reference::LinearRecvList;
 use bcs_mpi::match_index::{RecvIndex, RecvSel, SendKey};
 use bench::micro::Micro;
 use mpi_api::message::{SrcSel, TagSel};
-use mpi_api::runtime::{JobLayout, RunOpts, run_job, run_job_hooked, run_program};
+use mpi_api::runtime::{JobLayout, RunOpts, run_job_hooked, run_program};
 use mpi_api::AsyncMpi;
 use simcore::{Sim, SimDuration, SimTime};
 use std::hint::black_box;
 
-fn idle_slices() -> u64 {
-    // 100 ms of virtual time = 200 empty slices on a 16-node cluster:
-    // measures the strobe/poll machinery cost.
-    let layout = JobLayout::new(16, 2, 32);
-    let out = run_job(
+const IDLE_SLICES: u64 = 200;
+
+/// 100 ms of virtual time = 200 empty slices on `nodes` nodes: the
+/// strobe/poll machinery and nothing else.
+fn idle_slices(nodes: usize) -> u64 {
+    let layout = JobLayout::new(nodes, 2, 2 * nodes);
+    let out = run_program(
         bcs_mpi::BcsMpi::new(bcs_mpi::BcsConfig::default(), &layout),
         layout,
-        |mpi| mpi.compute(SimDuration::millis(100)),
+        |mut mpi: AsyncMpi| async move { mpi.compute(SimDuration::millis(100)).await },
     );
+    assert_eq!(out.engine.stats.slices, IDLE_SLICES);
     black_box(out.events)
 }
 
@@ -219,13 +226,22 @@ fn main() {
         black_box(world)
     });
 
-    let events = idle_slices();
-    m.bench_rated(
-        "engine",
-        "bcs_200_idle_slices_16nodes",
-        events as f64,
-        idle_slices,
-    );
+    for (nodes, name) in [
+        (16usize, "bcs_200_idle_slices_16nodes"),
+        (64, "bcs_idle_slices_64nodes"),
+        (1024, "bcs_idle_slices_1024nodes"),
+        (8192, "bcs_idle_slices_8192nodes"),
+    ] {
+        let events = idle_slices(nodes);
+        let median_ns = m
+            .bench_rated("engine", name, events as f64, move || idle_slices(nodes))
+            .median_ns;
+        println!(
+            "    -> {:.1} events per slice, {:.1} ns per node-slice",
+            events as f64 / IDLE_SLICES as f64,
+            median_ns / (IDLE_SLICES * nodes as u64) as f64
+        );
+    }
 
     let events = burst_62ranks();
     m.bench_rated("engine", "bcs_burst_62ranks", events as f64, burst_62ranks);

@@ -35,7 +35,7 @@ use crate::engine::{BW, BcsConfig, Blocked};
 use bcs_core::{BcsCluster, CmpOp};
 use mpi_api::call::MpiResp;
 use mpi_api::coll_sched::{self, CollAlgo, RoundSchedule};
-use mpi_api::comm::CommId;
+use mpi_api::comm::{CommId, Group};
 use mpi_api::datatype::{Datatype, ReduceOp, combine_native};
 use mpi_api::payload::Payload;
 use mpi_api::runtime::JobLayout;
@@ -187,10 +187,11 @@ pub(crate) fn post_collective(
     let id = c[slot];
     c[slot] += 1;
     let node = e.node_of(rank);
-    let size = e.comms.size_of(comm);
-    let local_rank = e.comms.comm_rank(comm, rank);
+    let group = e.comms.group(comm);
+    let size = group.size();
+    let local_rank = group.comm_rank(rank);
+    let local_members = group.ranks_on(node).len();
     let compute_nodes = e.coll.compute_nodes;
-    let local_members = e.local_members(comm, node);
 
     let round = e
         .coll
@@ -279,12 +280,12 @@ pub(crate) fn msm_queries(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) -> u32 {
             round.query_inflight = true;
         }
         queries += 1;
-        let member_nodes = w.engine.member_nodes(comm);
-        BcsCluster::compare_and_write(
+        let member_nodes = Rc::clone(w.engine.comms.group(comm).nodes());
+        BcsCluster::compare_and_write_shared(
             w,
             sim,
             node,
-            &member_nodes,
+            member_nodes,
             flag_word(comm, slot),
             CmpOp::Ge,
             (id + 1) as i64,
@@ -307,21 +308,6 @@ pub(crate) fn msm_queries(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) -> u32 {
 // ----------------------------------------------------------------------
 // Schedule-based wire executors (CollAlgo::Binomial / ::OptimalSchedule)
 // ----------------------------------------------------------------------
-
-/// Member nodes with the master (the BBM/RM issuing node) rotated to the
-/// front — position 0 of every schedule. The remainder stays in ascending
-/// node order.
-// PANIC-OK: `order` always contains `master` — it is built from the same
-// member list the master was chosen from.
-fn master_first(mut order: Vec<NodeId>, master: NodeId) -> Vec<NodeId> {
-    let p = order
-        .iter()
-        .position(|&n| n == master)
-        .expect("master node is not a member node");
-    order.remove(p);
-    order.insert(0, master);
-    order
-}
 
 /// Per-node completion hook of a broadcast leg.
 type NodeFn = Rc<dyn Fn(&mut BW, &mut Sim<BW>, NodeId)>;
@@ -658,7 +644,7 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
         .collect();
 
     if todo.is_empty() {
-        finish_phase_with_delay(w, sim, node);
+        crate::protocol::idle_phase(w, sim, node);
         return;
     }
     w.engine.outstanding[node.0] = todo.len() as u32;
@@ -678,20 +664,14 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
             _ => unreachable!(),
         }
         let bytes = payload.len() as u64 + w.engine.cfg.desc_bytes;
-        let member_nodes = w.engine.member_nodes(comm);
-        let members = std::rc::Rc::new(w.engine.comms.members(comm).to_vec());
-        let layout = w.engine.layout.clone();
-        let per_dest: std::rc::Rc<dyn Fn(&mut BW, &mut Sim<BW>, NodeId)> = {
+        let group = Rc::clone(w.engine.comms.group(comm));
+        let per_dest: NodeFn = {
             let payload = payload.clone();
-            let members = std::rc::Rc::clone(&members);
-            std::rc::Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, d: NodeId| {
+            let group = Rc::clone(&group);
+            Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, d: NodeId| {
                 // Delivery at node d completes the collective for its local
                 // member ranks; they restart at the next slice boundary.
-                let ranks: Vec<usize> = layout
-                    .ranks_on(d)
-                    .filter(|r| members.contains(r))
-                    .collect();
-                for rank in ranks {
+                for &rank in group.ranks_on(d) {
                     let resp = match kind {
                         CollKind::Barrier => MpiResp::Ok,
                         CollKind::Bcast => MpiResp::Data(payload.clone()),
@@ -712,7 +692,7 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
                 w,
                 sim,
                 node,
-                &member_nodes,
+                group.nodes(),
                 bytes,
                 bcs_core::XsOpts {
                     remote_event: None,
@@ -729,7 +709,7 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
                 mpi_api::runtime::drain(w, sim);
             });
         } else {
-            let order = master_first(member_nodes, node);
+            let order = group.nodes_from(node);
             let on_done: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)> =
                 Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
                     let _ = w.engine.coll.rounds.remove(&key);
@@ -777,7 +757,7 @@ pub(crate) fn node_begin_rm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
         .map(|(k, _)| *k)
         .collect();
     if todo.is_empty() {
-        finish_phase_with_delay(w, sim, node);
+        crate::protocol::idle_phase(w, sim, node);
         return;
     }
     w.engine.outstanding[node.0] = todo.len() as u32;
@@ -807,8 +787,8 @@ fn rm_reduce(
     w.engine.stats.reduces += 1;
     let (op, dtype) = round.params.expect("reduce without parameters");
     let comm = round.comm;
-    let members = w.engine.comms.members(comm).to_vec();
-    let root_world = members[round.root];
+    let group = Rc::clone(w.engine.comms.group(comm));
+    let root_world = group.members()[round.root];
     // RH combines partials with the NIC's softfloat arithmetic, in
     // ascending communicator-rank order for cross-engine (and
     // cross-algorithm) bit-identity. The wire schedule below only
@@ -824,11 +804,9 @@ fn rm_reduce(
     let value = Payload::from_vec(acc.unwrap_or_default());
     let bytes = value.len();
 
-    let member_nodes = w.engine.member_nodes(comm);
-    let nn = member_nodes.len();
+    let nn = group.nodes().len();
     let algo = w.engine.cfg.coll_algo;
     let composite = w.engine.cfg.allreduce_composite && all && nn > 1;
-    let layout = w.engine.layout.clone();
 
     // What happens once the gather leg completes at the root.
     let finish: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)> = if composite {
@@ -837,7 +815,7 @@ fn rm_reduce(
         // under the same algorithm. Members stay blocked until then.
         let value = value.clone();
         let root = round.root;
-        let size = members.len();
+        let size = group.size();
         let compute_nodes = w.engine.coll.compute_nodes;
         Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
             let mut contribs = vec![None; size];
@@ -864,20 +842,14 @@ fn rm_reduce(
     } else if all && nn > 1 {
         // Allreduce: the RH broadcasts the result within the reduce
         // microphase, under the active algorithm.
-        let members = Rc::new(members);
+        let group = Rc::clone(&group);
         let value2 = value.clone();
         Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-            let member_nodes = w.engine.member_nodes(comm);
             let per_dest: NodeFn = {
                 let value = value2.clone();
-                let members = Rc::clone(&members);
-                let layout = layout.clone();
+                let group = Rc::clone(&group);
                 Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, d: NodeId| {
-                    let ranks: Vec<usize> = layout
-                        .ranks_on(d)
-                        .filter(|r| members.contains(r))
-                        .collect();
-                    for rank in ranks {
+                    for &rank in group.ranks_on(d) {
                         w.engine.blocked[rank] = None;
                         w.engine
                             .restart_queue
@@ -898,7 +870,7 @@ fn rm_reduce(
                         w,
                         sim,
                         node,
-                        &member_nodes,
+                        group.nodes(),
                         bytes,
                         bcs_core::XsOpts {
                             remote_event: None,
@@ -913,7 +885,7 @@ fn rm_reduce(
                 CollAlgo::Binomial => binomial_bcast(
                     w,
                     sim,
-                    Rc::new(master_first(member_nodes, node)),
+                    Rc::new(group.nodes_from(node)),
                     bytes,
                     per_dest,
                     Rc::new(RefCell::new(Some(item_done))),
@@ -922,7 +894,7 @@ fn rm_reduce(
                     w,
                     sim,
                     comm,
-                    master_first(member_nodes, node),
+                    group.nodes_from(node),
                     value2.len() as u64,
                     per_dest,
                     item_done,
@@ -932,8 +904,9 @@ fn rm_reduce(
     } else {
         // Plain reduce (result only on the root) or a degenerate one-node
         // allreduce: respond the moment the gather completes.
+        let group = Rc::clone(&group);
         Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-            for &rank in &members {
+            for &rank in group.members().iter() {
                 w.engine.blocked[rank] = None;
                 let resp = if all {
                     MpiResp::Data(value.clone())
@@ -949,7 +922,7 @@ fn rm_reduce(
         })
     };
 
-    run_gather_leg(w, sim, node, comm, member_nodes, bytes, true, algo, finish);
+    run_gather_leg(w, sim, node, comm, &group, bytes, true, algo, finish);
 }
 
 // PANIC-OK: allgather segments were sized at post time from the same
@@ -959,7 +932,7 @@ fn rm_reduce(
 fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRound) {
     w.engine.stats.allgathers += 1;
     let comm = round.comm;
-    let members = Rc::new(w.engine.comms.members(comm).to_vec());
+    let group = Rc::clone(w.engine.comms.group(comm));
     // Value plane: every member's contribution, ascending communicator
     // rank — identical under every algorithm and engine.
     let parts: Vec<Payload> = round
@@ -969,20 +942,14 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
         .collect();
     let total: usize = parts.iter().map(|p| p.len()).sum();
 
-    let member_nodes = w.engine.member_nodes(comm);
-    let nn = member_nodes.len();
+    let nn = group.nodes().len();
     let algo = w.engine.cfg.coll_algo;
-    let layout = w.engine.layout.clone();
 
     let per_dest: NodeFn = {
-        let members = Rc::clone(&members);
+        let group = Rc::clone(&group);
         let parts = parts.clone();
         Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, d: NodeId| {
-            let ranks: Vec<usize> = layout
-                .ranks_on(d)
-                .filter(|r| members.contains(r))
-                .collect();
-            for rank in ranks {
+            for &rank in group.ranks_on(d) {
                 w.engine.blocked[rank] = None;
                 w.engine.restart_queue.push((
                     rank,
@@ -999,8 +966,8 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
     // legs under the active algorithm. The gather leg's wire model charges
     // every edge the full result size (a stated upper bound; DESIGN §14).
     let finish: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)> = if nn > 1 {
+        let group = Rc::clone(&group);
         Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-            let member_nodes = w.engine.member_nodes(comm);
             let bytes = total as u64 + w.engine.cfg.desc_bytes;
             let item_done: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)> =
                 Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
@@ -1013,7 +980,7 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
                         w,
                         sim,
                         node,
-                        &member_nodes,
+                        group.nodes(),
                         bytes,
                         bcs_core::XsOpts {
                             remote_event: None,
@@ -1028,7 +995,7 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
                 CollAlgo::Binomial => binomial_bcast(
                     w,
                     sim,
-                    Rc::new(master_first(member_nodes, node)),
+                    Rc::new(group.nodes_from(node)),
                     bytes,
                     per_dest,
                     Rc::new(RefCell::new(Some(item_done))),
@@ -1037,7 +1004,7 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
                     w,
                     sim,
                     comm,
-                    master_first(member_nodes, node),
+                    group.nodes_from(node),
                     total as u64,
                     per_dest,
                     item_done,
@@ -1052,7 +1019,7 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
         })
     };
 
-    run_gather_leg(w, sim, node, comm, member_nodes, total, false, algo, finish);
+    run_gather_leg(w, sim, node, comm, &group, total, false, algo, finish);
 }
 
 /// Run the gather leg of a reduction/allgather: `finish` fires at the
@@ -1069,13 +1036,13 @@ fn run_gather_leg(
     sim: &mut Sim<BW>,
     node: NodeId,
     comm: CommId,
-    member_nodes: Vec<NodeId>,
+    group: &Group,
     bytes: usize,
     combine: bool,
     algo: CollAlgo,
     finish: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>,
 ) {
-    let nn = member_nodes.len();
+    let nn = group.nodes().len();
     match algo {
         CollAlgo::HwMulticast => {
             let e = &w.engine;
@@ -1097,7 +1064,7 @@ fn run_gather_leg(
             });
         }
         CollAlgo::Binomial => {
-            let order = master_first(member_nodes, node);
+            let order = group.nodes_from(node);
             let wire = bytes as u64 + w.engine.cfg.desc_bytes;
             let combine_cost = if combine {
                 reduce_delay(&w.engine.cfg, bytes)
@@ -1107,23 +1074,10 @@ fn run_gather_leg(
             binomial_gather(w, sim, order, wire, combine_cost, finish);
         }
         CollAlgo::OptimalSchedule => {
-            let order = master_first(member_nodes, node);
+            let order = group.nodes_from(node);
             sched_gather(w, sim, comm, order, bytes as u64, combine, finish);
         }
     }
-}
-
-// PANIC-OK: the finishing phase exists — this is only called from the
-
-// phase that installed it.
-
-fn finish_phase_with_delay(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
-    w.engine.outstanding[node.0] = 1;
-    let cost = w.engine.cfg.desc_cost;
-    sim.schedule_in(cost, move |w: &mut BW, sim| {
-        crate::protocol::work_item_done(w, sim, node);
-        mpi_api::runtime::drain(w, sim);
-    });
 }
 
 /// NIC softfloat arithmetic time for `bytes` of reduce payload — the one

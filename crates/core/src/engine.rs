@@ -219,6 +219,10 @@ pub struct BcsMpi {
     /// Outstanding async work items of the current microphase, per node
     /// (protocol transient — zero at every slice boundary).
     pub(crate) outstanding: Vec<u32>,
+    /// Nodes whose NIC-thread work item ends at the keyed instant, grouped
+    /// by the simulator dispatch that started them (protocol transient —
+    /// empty at every boundary; see `protocol::work_item_done_in`).
+    pub(crate) due: std::collections::BTreeMap<(SimTime, u64), Vec<NodeId>>,
     /// Chunks scheduled for this slice's P2P microphase, per node:
     /// `(transfer, bytes)` (protocol transient — empty at every boundary).
     pub(crate) sched: Vec<Vec<(crate::p2p::XferSlot, u64)>>,
@@ -283,6 +287,7 @@ impl BcsMpi {
                 .map(|_| std::sync::Arc::new(NicState::default()))
                 .collect(),
             outstanding: vec![0; layout.compute_nodes],
+            due: Default::default(),
             sched: (0..layout.compute_nodes).map(|_| Vec::new()).collect(),
             slice: 0,
             phase: 0,
@@ -292,7 +297,7 @@ impl BcsMpi {
             payloads: IdTable::new(),
             blocked: (0..layout.ranks).map(|_| None).collect(),
             coll: CollState::new(layout),
-            comms: CommRegistry::new(layout.ranks),
+            comms: CommRegistry::new(layout),
             src_budget: crate::match_index::LazyBudget::new(layout.compute_nodes),
             dst_budget: crate::match_index::LazyBudget::new(layout.compute_nodes),
             sched_detect: (0..layout.compute_nodes)
@@ -342,30 +347,10 @@ impl BcsMpi {
         self.layout.node_of(rank)
     }
 
-    /// All compute nodes used by the job (the SS strobes exactly these).
-    pub(crate) fn job_nodes(&self) -> Vec<NodeId> {
-        (0..self.layout.nodes_used()).map(NodeId).collect()
-    }
-
-    /// Distinct compute nodes hosting members of `comm`, in node order.
-    pub(crate) fn member_nodes(&self, comm: CommId) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self
-            .comms
-            .members(comm)
-            .iter()
-            .map(|&r| self.layout.node_of(r))
-            .collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
-    }
-
-    /// Number of `comm` members hosted on `node`.
-    pub(crate) fn local_members(&self, comm: CommId, node: NodeId) -> usize {
-        self.layout
-            .ranks_on(node)
-            .filter(|r| self.comms.members(comm).contains(r))
-            .count()
+    /// All compute nodes used by the job (the SS strobes exactly these):
+    /// the world communicator's member nodes.
+    pub(crate) fn job_nodes(&self) -> std::rc::Rc<[NodeId]> {
+        std::rc::Rc::clone(self.comms.group(CommId::WORLD).nodes())
     }
 
     // ------------------------------------------------------------------

@@ -299,11 +299,7 @@ pub(crate) fn node_begin_dem(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
         node_begin_dem_coalesced(w, sim, node, descs);
         // NIC thread processing time is per descriptor regardless of how
         // the wire operations are batched.
-        let cost = desc_cost * (n.max(1) as u64);
-        sim.schedule_in(cost, move |w: &mut BW, sim| {
-            crate::protocol::work_item_done(w, sim, node);
-            mpi_api::runtime::drain(w, sim);
-        });
+        crate::protocol::work_item_done_in(w, sim, node, desc_cost * (n.max(1) as u64));
         return;
     }
 
@@ -357,11 +353,7 @@ pub(crate) fn node_begin_dem(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
         }
     }
     // NIC thread processing time for the whole queue.
-    let cost = desc_cost * (n.max(1) as u64);
-    sim.schedule_in(cost, move |w: &mut BW, sim| {
-        crate::protocol::work_item_done(w, sim, node);
-        mpi_api::runtime::drain(w, sim);
-    });
+    crate::protocol::work_item_done_in(w, sim, node, desc_cost * (n.max(1) as u64));
 }
 
 /// DEM with descriptor coalescing (`cfg.coalesce`): all send descriptors
@@ -749,10 +741,7 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
     // descriptors examined.
     let cost = w.engine.cfg.desc_cost * processed.max(1);
     w.engine.outstanding[node.0] = work_items;
-    sim.schedule_in(cost, move |w: &mut BW, sim| {
-        crate::protocol::work_item_done(w, sim, node);
-        mpi_api::runtime::drain(w, sim);
-    });
+    crate::protocol::work_item_done_in(w, sim, node, cost);
 }
 
 // ----------------------------------------------------------------------
@@ -766,12 +755,7 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
 pub(crate) fn node_begin_p2p(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId) {
     let sched = std::mem::take(&mut w.engine.sched[node.0]);
     if sched.is_empty() {
-        w.engine.outstanding[node.0] = 1;
-        let cost = w.engine.cfg.desc_cost;
-        sim.schedule_in(cost, move |w: &mut BW, sim| {
-            crate::protocol::work_item_done(w, sim, node);
-            mpi_api::runtime::drain(w, sim);
-        });
+        crate::protocol::idle_phase(w, sim, node);
         return;
     }
     let hdr = w.engine.cfg.desc_bytes;

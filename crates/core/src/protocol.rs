@@ -212,6 +212,48 @@ pub(crate) fn work_item_done(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
     }
 }
 
+/// The NIC thread of `node` finishes one work item of the current
+/// microphase `delay` from now. On an idle machine every node's item ends
+/// at the same instant, so nodes started by the same simulator dispatch (one
+/// microstrobe delivery, see `qsnet::fabric::schedule_deliveries`) and due
+/// at the same instant complete in one event, in the order they were
+/// started.
+///
+/// Moving a node's completion up to the group's first position is not
+/// observable (DESIGN §9): what the same dispatch scheduled in between is
+/// per-node NIC work that commutes with a decrement of another counter, and
+/// the one reader of other nodes' `MP_DONE`, the SS poll, is never issued
+/// from inside a delivery.
+// PANIC-OK: the event scheduled with a group is the only remover of its key.
+pub(crate) fn work_item_done_in(
+    w: &mut BW,
+    sim: &mut Sim<BW>,
+    node: NodeId,
+    delay: simcore::SimDuration,
+) {
+    let key = (sim.now() + delay, sim.events_executed());
+    if let Some(nodes) = w.engine.due.get_mut(&key) {
+        nodes.push(node);
+        return;
+    }
+    w.engine.due.insert(key, vec![node]);
+    sim.schedule_at(key.0, move |w: &mut BW, sim| {
+        let nodes = w.engine.due.remove(&key).expect("due group fired twice");
+        for node in nodes {
+            work_item_done(w, sim, node);
+        }
+        drain(w, sim);
+    });
+}
+
+/// A node with nothing to do in this microphase: its NIC thread still wakes
+/// and looks, which is one work item of one descriptor's cost.
+pub(crate) fn idle_phase(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
+    w.engine.outstanding[node.0] = 1;
+    let cost = w.engine.cfg.desc_cost;
+    work_item_done_in(w, sim, node, cost);
+}
+
 /// SS: check whether all nodes completed the current microphase; if so,
 /// strobe the next one (or start the next slice), otherwise re-poll.
 fn poll_phase_done(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
@@ -221,11 +263,11 @@ fn poll_phase_done(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
     let target = (slice * PHASES as u64 + phase as u64 + 1) as i64;
     let mgmt = w.engine.mgmt;
     let job_nodes = w.engine.job_nodes();
-    BcsCluster::compare_and_write(
+    BcsCluster::compare_and_write_shared(
         w,
         sim,
         mgmt,
-        &job_nodes,
+        job_nodes,
         words::MP_DONE,
         CmpOp::Ge,
         target,

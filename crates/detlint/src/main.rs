@@ -5,7 +5,7 @@
 //! cargo run --release -p detlint                  # lint the workspace
 //! cargo run --release -p detlint -- --root <dir>  # lint another tree
 //! cargo run --release -p detlint -- --check-json reports/detlint.json
-//! cargo run --release -p detlint -- --graph dot --max-waivers 13
+//! cargo run --release -p detlint -- --graph dot --max-waivers 11
 //! ```
 //!
 //! Exit codes: 0 = clean (waived findings are fine, up to any

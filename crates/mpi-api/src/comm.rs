@@ -10,6 +10,17 @@
 //! `CommId::WORLD`. Membership is computed engine-side when a split
 //! completes (every member of the parent must call it — it is a collective)
 //! and cached on both sides.
+//!
+//! Everything an engine asks about membership — a world rank's communicator
+//! rank, whether it is a member, which nodes host members and how many —
+//! is answered from one [`Group`] built when the communicator is created
+//! (DESIGN §9): the member list sorted by world rank. Ranks are
+//! block-distributed over nodes, so that one order is also grouped by node.
+
+use crate::runtime::JobLayout;
+use qsnet::NodeId;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Identifier of a communicator. Dense, engine-assigned; 0 is the world.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -25,8 +36,9 @@ pub struct CommHandle {
     pub id: CommId,
     /// This process's rank within the communicator.
     pub rank: usize,
-    /// World ranks of the members, in communicator-rank order.
-    pub members: Vec<usize>,
+    /// World ranks of the members, in communicator-rank order. One list per
+    /// communicator, shared by the registry and every member's handle.
+    pub members: Arc<[usize]>,
 }
 
 impl CommHandle {
@@ -40,10 +52,124 @@ impl CommHandle {
     }
 }
 
+/// Membership of one communicator, indexed at creation.
+pub struct Group {
+    id: CommId,
+    /// World ranks in communicator-rank order.
+    members: Arc<[usize]>,
+    /// The same world ranks, ascending. A split with equal keys (and the
+    /// world) orders its members that way already, and then this *is*
+    /// `members`, shared.
+    sorted: Arc<[usize]>,
+    /// Communicator rank of `sorted[i]`; `None` when it is `i` (`sorted` is
+    /// `members`).
+    rank_of_sorted: Option<Box<[u32]>>,
+    /// Distinct nodes hosting members, ascending.
+    nodes: Rc<[NodeId]>,
+    /// Ranks are block-distributed (`node = rank / cpus_per_node`), so a
+    /// node's members are adjacent in `sorted`.
+    cpus_per_node: usize,
+}
+
+impl Group {
+    fn new(id: CommId, members: Arc<[usize]>, layout: &JobLayout) -> Group {
+        let (sorted, rank_of_sorted) = if members.is_sorted() {
+            (Arc::clone(&members), None)
+        } else {
+            let mut by_world: Vec<(usize, u32)> = members
+                .iter()
+                .enumerate()
+                .map(|(comm_rank, &world)| (world, comm_rank as u32))
+                .collect();
+            by_world.sort_unstable();
+            (
+                by_world.iter().map(|&(world, _)| world).collect(),
+                Some(by_world.iter().map(|&(_, rank)| rank).collect()),
+            )
+        };
+        let mut nodes = Vec::with_capacity(sorted.len().min(layout.nodes_used()));
+        let mut block_end = 0; // first world rank past the current node's block
+        for &world in sorted.iter() {
+            if world >= block_end {
+                let node = layout.node_of(world);
+                block_end = (node.0 + 1) * layout.cpus_per_node;
+                nodes.push(node);
+            }
+        }
+        Group {
+            id,
+            members,
+            sorted,
+            rank_of_sorted,
+            nodes: nodes.into(),
+            cpus_per_node: layout.cpus_per_node,
+        }
+    }
+
+    /// World ranks in communicator-rank order.
+    pub fn members(&self) -> &Arc<[usize]> {
+        &self.members
+    }
+
+    pub fn size(&self) -> usize {
+        self.members.len()
+    }
+
+    fn find(&self, world_rank: usize) -> Option<usize> {
+        let i = self.sorted.binary_search(&world_rank).ok()?;
+        Some(match &self.rank_of_sorted {
+            Some(rank_of) => rank_of[i] as usize,
+            None => i,
+        })
+    }
+
+    pub fn is_member(&self, world_rank: usize) -> bool {
+        self.find(world_rank).is_some()
+    }
+
+    /// Communicator-local rank of a world rank.
+    // PANIC-OK: asking for the rank of a non-member is a caller bug (the API
+    // layer only passes communicators the calling rank holds a handle to);
+    // the message names everything needed to find it.
+    pub fn comm_rank(&self, world_rank: usize) -> usize {
+        self.find(world_rank).unwrap_or_else(|| {
+            panic!(
+                "world rank {world_rank} is not a member of {:?} ({} members)",
+                self.id,
+                self.size()
+            )
+        })
+    }
+
+    /// Distinct compute nodes hosting members, in node order.
+    pub fn nodes(&self) -> &Rc<[NodeId]> {
+        &self.nodes
+    }
+
+    /// Member world ranks hosted on `node`, ascending (empty if none).
+    pub fn ranks_on(&self, node: NodeId) -> &[usize] {
+        let block = node.0 * self.cpus_per_node;
+        let lo = self.sorted.partition_point(|&r| r < block);
+        let hi = self.sorted.partition_point(|&r| r < block + self.cpus_per_node);
+        &self.sorted[lo..hi]
+    }
+
+    /// The member nodes with `master` rotated to the front — position 0 of
+    /// every collective schedule; the rest stays in ascending node order.
+    pub fn nodes_from(&self, master: NodeId) -> Vec<NodeId> {
+        debug_assert!(self.nodes.contains(&master), "master node is not a member node");
+        let mut order = Vec::with_capacity(self.nodes.len());
+        order.push(master);
+        order.extend(self.nodes.iter().filter(|&&n| n != master));
+        order
+    }
+}
+
 /// Engine-side membership registry, shared by both implementations.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct CommRegistry {
-    groups: Vec<Vec<usize>>, // by CommId; [0] = world
+    layout: JobLayout,
+    groups: Vec<Rc<Group>>, // by CommId; [0] = world
     /// In-progress splits: key = (parent, per-parent split round).
     pending: std::collections::BTreeMap<(CommId, u64), SplitRound>,
     /// Per (rank, parent) split-invocation counters.
@@ -62,29 +188,38 @@ pub struct SplitOutcome {
 }
 
 impl CommRegistry {
-    pub fn new(world_size: usize) -> CommRegistry {
+    pub fn new(layout: &JobLayout) -> CommRegistry {
+        let world = Group::new(CommId::WORLD, (0..layout.ranks).collect(), layout);
         CommRegistry {
-            groups: vec![(0..world_size).collect()],
+            layout: layout.clone(),
+            groups: vec![Rc::new(world)],
             pending: Default::default(),
             counters: Default::default(),
         }
     }
 
-    /// Members of a communicator, in communicator-rank order.
-    pub fn members(&self, id: CommId) -> &[usize] {
+    /// The membership index of a communicator. Communicators never change
+    /// or go away, so a caller may keep the `Rc` across events.
+    pub fn group(&self, id: CommId) -> &Rc<Group> {
         &self.groups[id.0 as usize]
     }
 
+    /// Members of a communicator, in communicator-rank order.
+    pub fn members(&self, id: CommId) -> &[usize] {
+        &self.group(id).members
+    }
+
     pub fn size_of(&self, id: CommId) -> usize {
-        self.members(id).len()
+        self.group(id).size()
     }
 
     /// Communicator-local rank of a world rank.
     pub fn comm_rank(&self, id: CommId, world_rank: usize) -> usize {
-        self.members(id)
-            .iter()
-            .position(|&r| r == world_rank)
-            .expect("rank is not a member of this communicator")
+        self.group(id).comm_rank(world_rank)
+    }
+
+    pub fn is_member(&self, id: CommId, world_rank: usize) -> bool {
+        self.group(id).is_member(world_rank)
     }
 
     /// Record one rank's arrival at a `comm_split`. Returns the completed
@@ -129,16 +264,17 @@ impl CommRegistry {
         let mut handle_of: std::collections::HashMap<usize, CommHandle> = Default::default();
         for (_color, mut members) in colors {
             members.sort_unstable();
-            let world_ranks: Vec<usize> = members.iter().map(|&(_, r)| r).collect();
+            let world_ranks: Arc<[usize]> = members.iter().map(|&(_, r)| r).collect();
             let id = CommId(self.groups.len() as u32);
-            self.groups.push(world_ranks.clone());
+            self.groups
+                .push(Rc::new(Group::new(id, Arc::clone(&world_ranks), &self.layout)));
             for (i, &r) in world_ranks.iter().enumerate() {
                 handle_of.insert(
                     r,
                     CommHandle {
                         id,
                         rank: i,
-                        members: world_ranks.clone(),
+                        members: Arc::clone(&world_ranks),
                     },
                 );
             }
@@ -157,16 +293,46 @@ impl CommRegistry {
 mod tests {
     use super::*;
 
+    /// Two ranks per node, like the paper's cluster.
+    fn registry(ranks: usize) -> CommRegistry {
+        CommRegistry::new(&JobLayout::new(ranks.div_ceil(2), 2, ranks))
+    }
+
     #[test]
     fn world_registry() {
-        let reg = CommRegistry::new(8);
+        let reg = registry(8);
         assert_eq!(reg.size_of(CommId::WORLD), 8);
         assert_eq!(reg.comm_rank(CommId::WORLD, 5), 5);
+        let world = reg.group(CommId::WORLD);
+        assert_eq!(**world.nodes(), [0, 1, 2, 3].map(NodeId));
+        assert_eq!(world.ranks_on(NodeId(3)), [6, 7]);
+        assert_eq!(world.nodes_from(NodeId(2)), [2, 0, 1, 3].map(NodeId));
+    }
+
+    #[test]
+    fn split_shares_one_member_list_per_communicator() {
+        // 4096 ranks kept in one communicator: a per-handle copy of the
+        // member list would be 4096^2 words.
+        let n = 4096;
+        let mut reg = registry(n);
+        let mut out = None;
+        for r in 0..n {
+            out = reg.arrive_split(CommId::WORLD, r, 0, 0);
+        }
+        let out = out.expect("last arrival closes the round");
+        let first = out.assignments[0].1.as_ref().unwrap();
+        assert_eq!(first.size(), n);
+        for (r, handle) in &out.assignments {
+            let handle = handle.as_ref().unwrap();
+            assert!(Arc::ptr_eq(&handle.members, &first.members));
+            assert_eq!(handle.world_rank(handle.rank), *r);
+        }
+        assert!(Arc::ptr_eq(reg.group(first.id).members(), &first.members));
     }
 
     #[test]
     fn split_by_parity_orders_by_key_then_rank() {
-        let mut reg = CommRegistry::new(4);
+        let mut reg = registry(4);
         // Ranks 0..3 split by parity; rank 2 passes a low key to become
         // rank 0 of the even group.
         assert!(reg.arrive_split(CommId::WORLD, 0, 0, 10).is_none());
@@ -183,18 +349,18 @@ mod tests {
                 .unwrap()
         };
         let even = get(0);
-        assert_eq!(even.members, vec![2, 0]); // key -5 before key 10
+        assert_eq!(*even.members, [2, 0]); // key -5 before key 10
         assert_eq!(get(2).rank, 0);
         assert_eq!(get(0).rank, 1);
         let odd = get(1);
-        assert_eq!(odd.members, vec![1, 3]); // equal keys: world order
+        assert_eq!(*odd.members, [1, 3]); // equal keys: world order
         assert_eq!(get(3).rank, 1);
         assert_ne!(even.id, odd.id);
     }
 
     #[test]
     fn undefined_color_gets_no_comm() {
-        let mut reg = CommRegistry::new(2);
+        let mut reg = registry(2);
         assert!(reg.arrive_split(CommId::WORLD, 0, -1, 0).is_none());
         let out = reg.arrive_split(CommId::WORLD, 1, 3, 0).unwrap();
         assert!(out.assignments.iter().find(|(r, _)| *r == 0).unwrap().1.is_none());
@@ -203,7 +369,7 @@ mod tests {
 
     #[test]
     fn nested_split_of_subcommunicator() {
-        let mut reg = CommRegistry::new(4);
+        let mut reg = registry(4);
         for r in 0..3 {
             assert!(reg.arrive_split(CommId::WORLD, r, 0, 0).is_none());
         }
@@ -216,20 +382,20 @@ mod tests {
             .1
             .clone()
             .unwrap();
-        assert_eq!(sub.members, vec![0, 1, 2]);
+        assert_eq!(*sub.members, [0, 1, 2]);
         // Split the sub-communicator again.
         assert!(reg.arrive_split(sub.id, 0, 7, 0).is_none());
         assert!(reg.arrive_split(sub.id, 1, 7, 0).is_none());
         let out2 = reg.arrive_split(sub.id, 2, 8, 0).unwrap();
         assert_eq!(out2.assignments.len(), 3);
         let s0 = out2.assignments.iter().find(|(r, _)| *r == 0).unwrap().1.clone().unwrap();
-        assert_eq!(s0.members, vec![0, 1]);
+        assert_eq!(*s0.members, [0, 1]);
     }
 
     #[test]
     #[should_panic(expected = "not a member")]
     fn comm_rank_of_non_member_panics() {
-        let mut reg = CommRegistry::new(3);
+        let mut reg = registry(3);
         reg.arrive_split(CommId::WORLD, 0, 0, 0);
         reg.arrive_split(CommId::WORLD, 1, 0, 0);
         let out = reg.arrive_split(CommId::WORLD, 2, 1, 0).unwrap();

@@ -504,7 +504,9 @@ pub struct RunResult<R, E> {
     pub finish_times: Vec<SimTime>,
     /// The engine, for stats inspection.
     pub engine: E,
-    /// Total discrete events executed (simulation cost diagnostic).
+    /// Simulator dispatches executed (simulation cost diagnostic). A
+    /// dispatch is not a delivery: one event may run the hooks of every
+    /// destination a multicast reaches at one instant (DESIGN §9).
     pub events: u64,
 }
 
@@ -704,7 +706,7 @@ pub struct RunOutcome<R, E> {
     pub finish_times: Vec<Option<SimTime>>,
     /// The engine, for stats/checkpoint inspection.
     pub engine: E,
-    /// Total discrete events executed.
+    /// Simulator dispatches executed (see [`RunResult::events`]).
     pub events: u64,
     /// Human-readable reason when `completed` is false.
     pub diagnostic: Option<String>,

@@ -155,6 +155,36 @@ impl SnapState for PortState {
 /// stays object-safe.
 pub type OnDone<W> = Box<dyn FnOnce(&mut W, &mut Sim<W>)>;
 
+/// Per-destination delivery hook of a multicast.
+pub type DeliverFn<W> = Rc<dyn Fn(&mut W, &mut Sim<W>, NodeId)>;
+
+/// Schedule the hook calls of one multicast: one simulator event per
+/// distinct delivery instant, which runs `hook` for that instant's
+/// destinations in the order they appear in `deliveries` (`dests` order).
+///
+/// This is the order one event per destination would give (DESIGN §9): a
+/// multicast schedules all its deliveries in one call, so their sequence
+/// numbers are adjacent and no other event can sit between two deliveries
+/// of the same instant; whatever a hook schedules for that instant is
+/// numbered after all of them either way.
+pub fn schedule_deliveries<W: 'static>(
+    sim: &mut Sim<W>,
+    hook: &DeliverFn<W>,
+    mut deliveries: Vec<(SimTime, NodeId)>,
+) {
+    // Stable, so destinations sharing an instant keep their `dests` order.
+    deliveries.sort_by_key(|&(at, _)| at);
+    for run in deliveries.chunk_by(|a, b| a.0 == b.0) {
+        let hook = Rc::clone(hook);
+        let nodes: Vec<NodeId> = run.iter().map(|&(_, d)| d).collect();
+        sim.schedule_at(run[0].0, move |w, sim| {
+            for d in nodes {
+                hook(w, sim, d);
+            }
+        });
+    }
+}
+
 /// The interconnect surface the BCS stack programs against: unicast DMA
 /// (put/get), ordered multicast, the global conditional, fault injection,
 /// and occupancy snapshot/restore. Object-safe — engines hold a
@@ -172,7 +202,10 @@ pub type OnDone<W> = Box<dyn FnOnce(&mut W, &mut Sim<W>)>;
 /// * only transfers larger than [`CTRL_BYTES`] consume a `bulk_seq`
 ///   coordinate — fault-injection drop plans are portable across fabrics;
 /// * dead endpoints suppress delivery callbacks but never change
-///   reservations.
+///   reservations;
+/// * the `per_dest` hooks of one multicast run in `dests` order, and
+///   destinations sharing a delivery instant share one simulator event
+///   ([`schedule_deliveries`]).
 pub trait Fabric<W: 'static> {
     fn kind(&self) -> FabricKind;
     fn model(&self) -> &NetModel;
@@ -221,7 +254,7 @@ pub trait Fabric<W: 'static> {
         src: NodeId,
         dests: &[NodeId],
         bytes: u64,
-        per_dest: Option<Rc<dyn Fn(&mut W, &mut Sim<W>, NodeId)>>,
+        per_dest: Option<DeliverFn<W>>,
         on_complete: OnDone<W>,
     ) -> SimTime;
     fn conditional_boxed(
@@ -265,7 +298,7 @@ impl<W: 'static> dyn Fabric<W> {
         src: NodeId,
         dests: &[NodeId],
         bytes: u64,
-        per_dest: Option<Rc<dyn Fn(&mut W, &mut Sim<W>, NodeId)>>,
+        per_dest: Option<DeliverFn<W>>,
         on_complete: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
     ) -> SimTime {
         self.multicast_boxed(sim, src, dests, bytes, per_dest, Box::new(on_complete))
@@ -525,7 +558,7 @@ impl QsNetFabric {
         src: NodeId,
         dests: &[NodeId],
         bytes: u64,
-        per_dest: Option<Rc<dyn Fn(&mut W, &mut Sim<W>, NodeId)>>,
+        per_dest: Option<DeliverFn<W>>,
         on_complete: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
     ) -> SimTime {
         assert!(!dests.is_empty(), "multicast needs at least one destination");
@@ -551,6 +584,7 @@ impl QsNetFabric {
         let first_bit = start + self.model.mcast_latency(n, self.topo.levels());
 
         let mut last = SimTime::ZERO;
+        let mut deliveries = Vec::with_capacity(if per_dest.is_some() { n } else { 0 });
         for &d in dests {
             let deliver = if d == src {
                 // Loopback through the NIC, no wire.
@@ -566,12 +600,12 @@ impl QsNetFabric {
             last = last.max(deliver);
             if self.is_dead(d) || self.is_dead(src) {
                 self.stats.dead_skips += 1;
-                continue;
+            } else if per_dest.is_some() {
+                deliveries.push((deliver, d));
             }
-            if let Some(cb) = &per_dest {
-                let cb = Rc::clone(cb);
-                sim.schedule_at(deliver, move |w, s| cb(w, s, d));
-            }
+        }
+        if let Some(hook) = &per_dest {
+            schedule_deliveries(sim, hook, deliveries);
         }
         sim.schedule_at(last, on_complete);
         last
@@ -722,7 +756,7 @@ impl<W: 'static> Fabric<W> for QsNetFabric {
         src: NodeId,
         dests: &[NodeId],
         bytes: u64,
-        per_dest: Option<Rc<dyn Fn(&mut W, &mut Sim<W>, NodeId)>>,
+        per_dest: Option<DeliverFn<W>>,
         on_complete: OnDone<W>,
     ) -> SimTime {
         self.multicast(sim, src, dests, bytes, per_dest, on_complete)

@@ -3,8 +3,10 @@
 //! sequences.
 
 use proplite::prelude::*;
+use qsnet::fabric::{DeliverFn, schedule_deliveries};
 use qsnet::{NetModel, NodeId, QsNetFabric};
 use simcore::{Sim, SimDuration, SimTime};
+use std::rc::Rc;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -79,8 +81,149 @@ fn run_script(model: NetModel, nodes: usize, ops: &[Op]) -> Vec<u64> {
     completions
 }
 
+/// `(instant, destination)` per hook call; a hook's same-instant follow-up
+/// event logs its destination + [`FOLLOW_UP`].
+type HookLog = Vec<(u64, usize)>;
+const FOLLOW_UP: usize = 1000;
+
+/// A delivery hook that logs, and (with `follow`) schedules an event for
+/// the same instant — the way a microstrobe's hook starts NIC work.
+fn logging_hook(follow: bool) -> DeliverFn<HookLog> {
+    Rc::new(move |log: &mut HookLog, sim: &mut Sim<HookLog>, d: NodeId| {
+        log.push((sim.now().0, d.0));
+        if follow {
+            sim.schedule_now(move |log: &mut HookLog, sim| log.push((sim.now().0, d.0 + FOLLOW_UP)));
+        }
+    })
+}
+
+/// The reference `schedule_deliveries` replaced: one event per destination,
+/// scheduled in `dests` order.
+fn one_event_per_destination(
+    sim: &mut Sim<HookLog>,
+    hook: &DeliverFn<HookLog>,
+    deliveries: &[(SimTime, NodeId)],
+) {
+    for &(at, d) in deliveries {
+        let hook = Rc::clone(hook);
+        sim.schedule_at(at, move |log, sim| hook(log, sim, d));
+    }
+}
+
+fn distinct_instants(deliveries: &[(SimTime, NodeId)]) -> usize {
+    let mut instants: Vec<SimTime> = deliveries.iter().map(|&(at, _)| at).collect();
+    instants.sort_unstable();
+    instants.dedup();
+    instants.len()
+}
+
 proplite! {
     #![config(cases = 64)]
+
+    /// Any list of deliveries — ties in any position, other events queued
+    /// for the same instants before and after — produces the hook calls of
+    /// one event per destination, in the same order, from one event per
+    /// distinct instant.
+    #[test]
+    fn batched_deliveries_match_one_event_per_destination(
+        deliveries in prop::collection::vec((0u64..6, 0usize..32), 0..40),
+        follow in any::<bool>()
+    ) {
+        let deliveries: Vec<(SimTime, NodeId)> =
+            deliveries.into_iter().map(|(t, d)| (SimTime(t * 100), NodeId(d))).collect();
+        let run = |batched: bool| {
+            let mut sim: Sim<HookLog> = Sim::new();
+            let hook = logging_hook(follow);
+            let foreign = |sim: &mut Sim<HookLog>, tag: usize| {
+                for t in 0..6 {
+                    sim.schedule_at(SimTime(t * 100), move |log: &mut HookLog, _| log.push((t * 100, tag)));
+                }
+            };
+            foreign(&mut sim, 2000);
+            if batched {
+                schedule_deliveries(&mut sim, &hook, deliveries.clone());
+            } else {
+                one_event_per_destination(&mut sim, &hook, &deliveries);
+            }
+            foreign(&mut sim, 3000);
+            let mut log = HookLog::new();
+            sim.run(&mut log);
+            (log, sim.events_executed())
+        };
+        let (batched, events) = run(true);
+        let (reference, _) = run(false);
+        prop_assert_eq!(batched, reference);
+        let follow_ups = if follow { deliveries.len() } else { 0 };
+        prop_assert_eq!(events as usize, 12 + distinct_instants(&deliveries) + follow_ups);
+    }
+
+    /// A multicast over a random destination order with dead nodes, the
+    /// source's own loopback and receive ports busy with earlier puts: the
+    /// hooks run as one event per destination would run them, and the call
+    /// schedules one event per distinct delivery instant plus completion.
+    #[test]
+    fn multicast_hooks_keep_per_destination_order(
+        nodes in 2usize..12,
+        src in 0usize..12,
+        order in prop::collection::vec(0u8..255, 12..13),
+        take in 1usize..13,
+        dead in prop::collection::vec(0usize..12, 0..3),
+        warm in prop::collection::vec((0usize..12, 1u32..400_000), 0..6),
+        bytes in prop_oneof![Just(64u64), 65u64..200_000],
+        follow in any::<bool>()
+    ) {
+        let src = NodeId(src % nodes);
+        let mut dests: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+        dests.sort_by_key(|d| order[d.0]);
+        dests.truncate(take.min(nodes));
+        let mut fab = QsNetFabric::new(NetModel::qsnet(), nodes);
+        let mut sim: Sim<HookLog> = Sim::new();
+        for &(d, b) in &warm {
+            // Distinct receive-port clocks make bulk deliveries land apart.
+            let d = NodeId(d % nodes);
+            let from = NodeId((d.0 + 1) % nodes);
+            if from != src {
+                fab.put(&mut sim, from, d, b as u64, |_, _| {});
+            }
+        }
+        for &d in &dead {
+            fab.kill_node(NodeId(d % nodes));
+        }
+        let pending = sim.pending();
+        let hook = logging_hook(follow);
+        fab.multicast(&mut sim, src, &dests, bytes, Some(Rc::clone(&hook)), |_, _| {});
+        let scheduled = sim.pending() - pending;
+        let mut log = HookLog::new();
+        sim.run(&mut log);
+
+        // Every live destination exactly once (nothing if the source died).
+        let live: Vec<NodeId> = dests
+            .iter()
+            .copied()
+            .filter(|&d| !fab.is_dead(d) && !fab.is_dead(src))
+            .collect();
+        let mut reached: Vec<usize> =
+            log.iter().map(|&(_, d)| d).filter(|&d| d < FOLLOW_UP).collect();
+        reached.sort_unstable();
+        let mut want: Vec<usize> = live.iter().map(|d| d.0).collect();
+        want.sort_unstable();
+        prop_assert_eq!(reached, want);
+
+        // Replay the observed instants as one event per destination.
+        let deliveries: Vec<(SimTime, NodeId)> = live
+            .iter()
+            .map(|&d| {
+                let at = log.iter().find(|&&(_, who)| who == d.0).expect("reached").0;
+                (SimTime(at), d)
+            })
+            .collect();
+        let mut ref_sim: Sim<HookLog> = Sim::new();
+        one_event_per_destination(&mut ref_sim, &hook, &deliveries);
+        let mut reference = HookLog::new();
+        ref_sim.run(&mut reference);
+        prop_assert_eq!(log, reference);
+        prop_assert_eq!(scheduled, distinct_instants(&deliveries) + 1);
+    }
 
     #[test]
     fn causality_and_bandwidth_bounds(

@@ -135,7 +135,7 @@ impl CollManager {
             let waiters = std::mem::take(&mut round.waiters);
             w.engine.coll.rounds.remove(&(comm, Kind::Barrier, id));
             w.engine.stats.barriers += 1;
-            let span = w.engine.member_nodes(comm).len();
+            let span = w.engine.comms.group(comm).nodes().len();
             let src = w.engine.layout.node_of(rank);
             w.engine.fabric.conditional(sim, src, span, move |w: &mut QW, sim| {
                 for r in waiters {
@@ -171,34 +171,29 @@ impl CollManager {
                 round.waiters.push(rank);
             }
             w.engine.stats.bcasts += 1;
-            let nodes: Vec<NodeId> = w.engine.member_nodes(comm);
+            let group = Rc::clone(w.engine.comms.group(comm));
             let src = w.engine.layout.node_of(root_world);
-            let layout = w.engine.layout.clone();
-            let members: std::rc::Rc<Vec<usize>> =
-                std::rc::Rc::new(w.engine.comms.members(comm).to_vec());
-            let per_node: Rc<dyn Fn(&mut QW, &mut Sim<QW>, NodeId)> =
+            let per_node: Rc<dyn Fn(&mut QW, &mut Sim<QW>, NodeId)> = {
+                let group = Rc::clone(&group);
                 Rc::new(move |w: &mut QW, sim: &mut Sim<QW>, node: NodeId| {
-                    let ranks_here: Vec<usize> = layout
-                        .ranks_on(node)
-                        .filter(|r| members.contains(r))
-                        .collect();
-                    for r in ranks_here {
+                    for &r in group.ranks_on(node) {
                         Self::bcast_delivered(w, key, r);
                     }
                     drain(w, sim);
-                });
+                })
+            };
             match w.engine.cfg.coll_algo {
                 CollAlgo::HwMulticast => {
                     w.engine
                         .fabric
-                        .multicast(sim, src, &nodes, bytes, Some(per_node), |_, _| {});
+                        .multicast(sim, src, group.nodes(), bytes, Some(per_node), |_, _| {});
                 }
                 CollAlgo::Binomial => {
-                    let order = Rc::new(master_first(nodes, src));
+                    let order = Rc::new(group.nodes_from(src));
                     tree_forward(w, sim, order, 0, bytes, per_node);
                 }
                 CollAlgo::OptimalSchedule => {
-                    let order = master_first(nodes, src);
+                    let order = group.nodes_from(src);
                     let blocks = coll_sched::block_count(plen);
                     let sched = w.engine.coll.sched_for(order.len(), blocks);
                     sched_bcast(w, sim, order, sched, plen, per_node);
@@ -445,18 +440,6 @@ impl CollManager {
             }
         }
     }
-}
-
-/// Member nodes with the root's node rotated to position 0 (the schedules'
-/// root position); the remainder stays in ascending node order.
-fn master_first(mut order: Vec<NodeId>, master: NodeId) -> Vec<NodeId> {
-    let p = order
-        .iter()
-        .position(|&n| n == master)
-        .expect("root node is not a member node");
-    order.remove(p);
-    order.insert(0, master);
-    order
 }
 
 /// Binomial broadcast over point-to-point puts: each node forwards to its

@@ -7,7 +7,7 @@
 
 use crate::coll::CollManager;
 use mpi_api::call::{MpiCall, MpiResp, ReqId};
-use mpi_api::comm::{CommId, CommRegistry};
+use mpi_api::comm::CommRegistry;
 use mpi_api::message::{Envelope, SrcSel, Status, TagSel};
 use mpi_api::noise::{NoiseConfig, NoiseModel};
 use mpi_api::request::{CallSite, ReqKind, ReqTable};
@@ -128,22 +128,9 @@ impl QuadricsMpi {
                 })
                 .collect(),
             coll: CollManager::new(layout.ranks),
-            comms: CommRegistry::new(layout.ranks),
+            comms: CommRegistry::new(layout),
             stats: QuadricsStats::default(),
         }
-    }
-
-    /// Distinct compute nodes hosting members of `comm`, in node order.
-    pub(crate) fn member_nodes(&self, comm: CommId) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self
-            .comms
-            .members(comm)
-            .iter()
-            .map(|&r| self.layout.node_of(r))
-            .collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
     }
 
     #[inline]
@@ -451,7 +438,7 @@ impl Engine for QuadricsMpi {
                 match w.engine.comms.arrive_split(parent, rank, color, key) {
                     None => {} // caller stays blocked until the round closes
                     Some(outcome) => {
-                        let span = w.engine.member_nodes(parent).len();
+                        let span = w.engine.comms.group(parent).nodes().len();
                         let src = w.engine.node_of(rank);
                         w.engine.fabric.conditional(sim, src, span, move |w: &mut QW, sim| {
                             for (r, handle) in outcome.assignments {

@@ -38,7 +38,7 @@
 //! [`CTRL_BYTES`], so one fault plan replays bit-identically on both
 //! fabrics.
 
-use qsnet::fabric::{CTRL_BYTES, OnDone};
+use qsnet::fabric::{CTRL_BYTES, DeliverFn, OnDone, schedule_deliveries};
 use qsnet::model::log2_ceil;
 use qsnet::{
     Degradation, Fabric, FabricKind, FabricSnapshot, FabricStats, NetModel, NodeId, QsNetFabric,
@@ -351,14 +351,15 @@ impl<W: 'static> Fabric<W> for RdmaFabric {
     /// forwards one copy. The whole operation acquires the software
     /// sequencer for its first stage, so concurrent multicasts inject in a
     /// total order, exactly like QsNet's root serializer — `per_dest`
-    /// hooks then fire in deterministic (stage, argument-order) order.
+    /// hooks then fire in deterministic (stage, argument-order) order, one
+    /// simulator event per stage.
     fn multicast_boxed(
         &mut self,
         sim: &mut Sim<W>,
         src: NodeId,
         dests: &[NodeId],
         bytes: u64,
-        per_dest: Option<Rc<dyn Fn(&mut W, &mut Sim<W>, NodeId)>>,
+        per_dest: Option<DeliverFn<W>>,
         on_complete: OnDone<W>,
     ) -> SimTime {
         assert!(!dests.is_empty(), "multicast needs at least one destination");
@@ -378,6 +379,7 @@ impl<W: 'static> Fabric<W> for RdmaFabric {
 
         let mut last = SimTime::ZERO;
         let mut relay = 0u64; // index among non-self destinations
+        let mut deliveries = Vec::with_capacity(if per_dest.is_some() { dests.len() } else { 0 });
         for &d in dests {
             let deliver = if d == src {
                 start + self.model.nic_op
@@ -398,12 +400,12 @@ impl<W: 'static> Fabric<W> for RdmaFabric {
             last = last.max(deliver);
             if self.dead[d.0] || self.dead[src.0] {
                 self.stats.dead_skips += 1;
-                continue;
+            } else if per_dest.is_some() {
+                deliveries.push((deliver, d));
             }
-            if let Some(cb) = &per_dest {
-                let cb = Rc::clone(cb);
-                sim.schedule_at(deliver, move |w, s| cb(w, s, d));
-            }
+        }
+        if let Some(hook) = &per_dest {
+            schedule_deliveries(sim, hook, deliveries);
         }
         sim.schedule_at(last, on_complete);
         last

@@ -7,9 +7,10 @@
 //! point of the fabric-matrix experiment); delivery semantics must not.
 
 use proplite::prelude::*;
+use qsnet::fabric::DeliverFn;
 use qsnet::{FabricKind, NetModel, NodeId};
 use rdmanet::build_fabric;
-use simcore::Sim;
+use simcore::{Sim, SimTime};
 use std::rc::Rc;
 
 /// World shared by every run: the observable delivery record.
@@ -169,6 +170,65 @@ proplite! {
         let b = run_script(FabricKind::Rdma, nodes, &[], &ops);
         prop_assert_eq!(a.deliveries, b.deliveries);
         prop_assert_eq!(a.completions, b.completions);
+    }
+
+    /// The software tree delivers each stage's destinations from one event
+    /// (`qsnet::fabric::schedule_deliveries`) without changing what one
+    /// event per destination did: over random destination orders with dead
+    /// nodes and the source's own loopback, the `(instant, destination)`
+    /// hook calls equal the per-destination reference in the same order,
+    /// and the call schedules one event per distinct instant plus
+    /// completion.
+    #[test]
+    fn staged_deliveries_match_one_event_per_destination(
+        nodes in 2usize..40,
+        src in 0usize..40,
+        order in prop::collection::vec(0u8..255, 40..41),
+        take in 1usize..41,
+        dead in prop::collection::vec(0usize..40, 0..3),
+        bytes in prop_oneof![Just(64u64), 65u64..200_000]
+    ) {
+        type HookLog = Vec<(u64, usize)>;
+        let src = NodeId(src % nodes);
+        let mut dests: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+        dests.sort_by_key(|d| order[d.0]);
+        dests.truncate(take.min(nodes));
+        let mut fab = build_fabric::<HookLog>(FabricKind::Rdma, NetModel::infiniband(), nodes);
+        for &d in &dead {
+            fab.kill_node(NodeId(d % nodes));
+        }
+        let hook: DeliverFn<HookLog> =
+            Rc::new(|log: &mut HookLog, sim: &mut Sim<HookLog>, d: NodeId| {
+                log.push((sim.now().0, d.0));
+            });
+        let mut sim: Sim<HookLog> = Sim::new();
+        fab.multicast(&mut sim, src, &dests, bytes, Some(Rc::clone(&hook)), |_, _| {});
+        let scheduled = sim.pending();
+        let mut log = HookLog::new();
+        sim.run(&mut log);
+
+        let live: Vec<NodeId> = dests
+            .iter()
+            .copied()
+            .filter(|&d| !fab.is_dead(d) && !fab.is_dead(src))
+            .collect();
+        prop_assert_eq!(log.len(), live.len());
+        // The reference this replaced: one event per live destination,
+        // scheduled in `dests` order at the instant its hook observed.
+        let mut ref_sim: Sim<HookLog> = Sim::new();
+        let mut instants = Vec::new();
+        for &d in &live {
+            let at = log.iter().find(|&&(_, who)| who == d.0).expect("live destination reached").0;
+            instants.push(at);
+            let hook = Rc::clone(&hook);
+            ref_sim.schedule_at(SimTime(at), move |log, sim| hook(log, sim, d));
+        }
+        let mut reference = HookLog::new();
+        ref_sim.run(&mut reference);
+        prop_assert_eq!(log, reference);
+        instants.sort_unstable();
+        instants.dedup();
+        prop_assert_eq!(scheduled, instants.len() + 1);
     }
 
     /// Multicasts are totally ordered on both fabrics: two multicasts from

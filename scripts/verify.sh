@@ -30,7 +30,9 @@
 #   7. the n=4096 scale smoke: barrier + neighbor sweeps on the BlueGene/L
 #      model via the stackless VM backend (DESIGN.md section 11), pinned
 #      to one sweep worker so peak thread count is independent of n, with
-#      the two n=4096 headline slowdowns tolerance-gated; plus the
+#      the two n=4096 headline slowdowns tolerance-gated and the slice
+#      machinery's dispatches per slice at n=4096 held under twice the
+#      smallest n's (DESIGN.md section 9); plus the
 #      fabric-matrix smoke (both engines on the QsNet and the RDMA-channel
 #      fabrics, DESIGN.md section 12) and the ablation-schedule smoke
 #      (DESIGN.md section 13: replay transparency pinned to exactly 0 ns,
@@ -60,7 +62,7 @@ export CARGO_NET_OFFLINE=true
 export RUSTFLAGS="${RUSTFLAGS:-} -D warnings"
 
 echo "== detlint: determinism & safety lints (D01-D11) -> reports/detlint.json + detlint_graph.dot"
-cargo run --release -q -p detlint -- --graph dot --max-waivers 13
+cargo run --release -q -p detlint -- --graph dot --max-waivers 11
 [ -s reports/detlint.json ] || { echo "verify: missing reports/detlint.json" >&2; exit 1; }
 [ -s reports/detlint_graph.dot ] || { echo "verify: missing reports/detlint_graph.dot" >&2; exit 1; }
 cargo run --release -q -p detlint -- --quiet --check-json reports/detlint.json \
@@ -112,6 +114,19 @@ done
 echo "== n=4096 scale smoke + fabric-matrix smoke + ablation-schedule/-reduce smokes (single sweep worker)"
 smoke_out="$(REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick scale fabric-matrix ablation-schedule ablation-reduce)"
 [ -s reports/scale.csv ] || { echo "verify: missing reports/scale.csv" >&2; exit 1; }
+# O(active) slices (DESIGN.md section 9): what the strobe machinery
+# dispatches per slice at n=4096 must stay under twice the smallest n.
+echo "$smoke_out" | awk '
+  /machine dispatches per slice:/ {
+    for (i = 1; i < NF; i++) if ($i ~ /^n=/) { if (!seen) small = $(i + 1); large = $(i + 1); seen = 1 }
+  }
+  END {
+    if (!seen) { print "verify: scale smoke printed no dispatches-per-slice note" > "/dev/stderr"; exit 1 }
+    if (large > 2 * small) {
+      printf "verify: %s dispatches per slice at n=4096 vs %s at the smallest n\n", large, small > "/dev/stderr"
+      exit 1
+    }
+  }'
 [ -s reports/fabric_matrix.csv ] || { echo "verify: missing reports/fabric_matrix.csv" >&2; exit 1; }
 [ -s reports/ablation_schedule.csv ] || { echo "verify: missing reports/ablation_schedule.csv" >&2; exit 1; }
 [ -s reports/ablation_reduce.csv ] || { echo "verify: missing reports/ablation_reduce.csv" >&2; exit 1; }
