@@ -28,6 +28,14 @@
 //!   checkpoint image by copy-on-write sharing against the old
 //!   field-for-field deep clone; sharing must be at least 5x faster.
 //!
+//! `ckpt_capture_at_image_{8,512}` take the 8th and the 512th image of one
+//! run that captures at every slice boundary and time what an image costs
+//! to share and release: equal when an image holds handles on its
+//! histories, linear in the image number when it holds copies.
+//! `recover_replay_resps_per_s` restores that run from its last image —
+//! engine rebuild, every rank replayed through the whole response log, the
+//! few remaining slices simulated — rated in log entries per second.
+//!
 //! Run offline: `cargo run --release -p bench --bin engine_throughput
 //! [-- --quick]`. Emits `reports/microbench_engine_throughput.csv`.
 
@@ -35,7 +43,10 @@ use bcs_mpi::match_index::reference::LinearRecvList;
 use bcs_mpi::match_index::{RecvIndex, RecvSel, SendKey};
 use bench::micro::Micro;
 use mpi_api::message::{SrcSel, TagSel};
-use mpi_api::runtime::{JobLayout, RunOpts, run_job_hooked, run_program};
+use mpi_api::runtime::{
+    Backend, ClusterWorld, JobLayout, RunOpts, resume_program, run_job_hooked, run_program,
+    run_program_hooked,
+};
 use mpi_api::AsyncMpi;
 use simcore::{Sim, SimDuration, SimTime};
 use std::hint::black_box;
@@ -213,6 +224,66 @@ fn checkpoint_image_fixture() -> bcs_mpi::CheckpointImage {
     img
 }
 
+type BW = ClusterWorld<bcs_mpi::BcsMpi>;
+
+const RING_ITERS: i32 = 300;
+
+/// The long recorded run behind the capture-by-image-number and replay
+/// rows: 8 ranks exchanging 2 KiB around a ring for 300 iterations, an
+/// image at every boundary (more than 512 of them).
+async fn recorded_ring(mut mpi: AsyncMpi) -> u64 {
+    let (me, n) = (mpi.rank(), mpi.size());
+    let mut acc = 0u64;
+    for it in 0..RING_ITERS {
+        mpi.compute(SimDuration::micros(400)).await;
+        let s = mpi.isend((me + 1) % n, it, &[it as u8; 2048]).await;
+        let r = mpi.irecv(SrcSel::Rank((me + n - 1) % n), TagSel::Tag(it)).await;
+        acc += mpi.waitall(&[s, r]).await[1].0.as_ref().map_or(0, |d| d[0] as u64);
+    }
+    acc
+}
+
+fn ring_cfg() -> (bcs_mpi::BcsConfig, JobLayout) {
+    let cfg = bcs_mpi::BcsConfig {
+        checkpoint_every: Some(1),
+        checkpoint_images: true,
+        ..bcs_mpi::BcsConfig::default()
+    };
+    (cfg, JobLayout::new(4, 2, 8))
+}
+
+fn recorded_ring_images() -> Vec<bcs_mpi::CheckpointImage> {
+    let (cfg, layout) = ring_cfg();
+    let out = run_program_hooked(
+        bcs_mpi::BcsMpi::new(cfg, &layout),
+        layout,
+        recorded_ring,
+        |w: &mut BW, _: &mut Sim<BW>| w.set_recording(true),
+        RunOpts::default(),
+        Backend::default(),
+    );
+    assert!(out.completed, "fixture job must complete");
+    assert!(out.engine.images.len() > 512, "fixture run too short");
+    out.engine.images
+}
+
+/// Restore from `img` and run the job to completion.
+fn restore_and_finish(img: &bcs_mpi::CheckpointImage) -> u64 {
+    let (cfg, layout) = ring_cfg();
+    let out = resume_program(
+        bcs_mpi::BcsMpi::restore_from_image(cfg, &layout, img),
+        layout,
+        recorded_ring,
+        &img.rt,
+        |w: &mut BW, sim: &mut Sim<BW>| bcs_mpi::resume_from_boundary(w, sim),
+        |_: &mut BW, _: &mut Sim<BW>| {},
+        RunOpts::default(),
+        Backend::default(),
+    );
+    assert!(out.completed, "restored fixture job must complete");
+    out.events
+}
+
 fn main() {
     let mut m = Micro::from_args("engine_throughput");
 
@@ -294,6 +365,20 @@ fn main() {
         })
         .median_ns
     };
+
+    // Capture cost by image number, and one whole restore.
+    let ring_images = recorded_ring_images();
+    for k in [8usize, 512] {
+        let img = ring_images[k].clone();
+        m.bench("engine", &format!("ckpt_capture_at_image_{k}"), move || {
+            black_box(img.clone())
+        });
+    }
+    let last = ring_images.last().expect("checked non-empty").clone();
+    drop(ring_images);
+    m.bench_rated("engine", "recover_replay_resps_per_s", last.rt.log.len() as f64, move || {
+        black_box(restore_and_finish(&last))
+    });
 
     m.finish();
 

@@ -1220,7 +1220,15 @@ pub fn ablation_fault_exp(quick: bool) -> Experiment {
             rc.opts = opts();
             let clean = run_with_recovery(&rc, lay(), &FaultPlan::none(), program);
             assert!(clean.completed, "clean checkpointed run failed: {:?}", clean.abort);
-            PointOut::new(vec![], vec![clean.elapsed.as_nanos()])
+            let last = clean.engine.images.last().expect("a checkpointed run leaves images");
+            PointOut::new(
+                vec![],
+                vec![
+                    clean.elapsed.as_nanos(),
+                    last.rt.logged_payload_bytes,
+                    clean.engine.stats.p2p_bytes,
+                ],
+            )
         }));
         for &mtbf in mtbfs {
             points.push(Box::new(move || {
@@ -1306,6 +1314,7 @@ pub fn ablation_fault_exp(quick: bool) -> Experiment {
             let mut all_identical = true;
             let mut max_latency_ms = 0.0f64;
             let mut i = 1usize;
+            let (logged_bytes, p2p_bytes) = (outs[1].words[1], outs[1].words[2]);
             for &k in intervals {
                 let clean_elapsed = dur(outs[i].words[0]);
                 i += 1;
@@ -1368,6 +1377,10 @@ pub fn ablation_fault_exp(quick: bool) -> Experiment {
             r.note("every faulted row verified bit-identical to the fault-free results");
             r.note("rework = virtual time rolled back and replayed (faulted rows) or grid spill (clean rows)");
             r.note("detect latency = crash instant to heartbeat declaration (2 ms strobe period)");
+            r.note(format!(
+                "replay log retains {logged_bytes} B of payloads by value (collective results); \
+                 the {p2p_bytes} B moved point to point are logged by reference to their send"
+            ));
             vec![("ablation_fault", r)]
         }),
     }

@@ -10,6 +10,7 @@ use crate::coll::{CollKind, CollState};
 use crate::p2p::{MsgId, NicState};
 use bcs_core::BcsCluster;
 use mpi_api::call::{MpiCall, MpiResp, ReqId};
+use mpi_api::chunklog::ChunkLog;
 use mpi_api::comm::{CommId, CommRegistry};
 use mpi_api::idtable::IdTable;
 use mpi_api::message::{SrcSel, TagSel};
@@ -262,6 +263,11 @@ pub struct BcsMpi {
     /// Per-slice activity records (when `cfg.trace_slices`).
     pub trace: Vec<crate::trace::SliceRecord>,
     pub(crate) trace_cursor: crate::trace::TraceCursor,
+    /// What the images hold of `checkpoints` and `trace`: each capture
+    /// copies in the records since the previous one and shares the rest
+    /// (`ChunkLog::snapshot_of`).
+    pub(crate) checkpoints_log: ChunkLog<(u64, u64)>,
+    pub(crate) trace_log: ChunkLog<crate::trace::SliceRecord>,
     pub(crate) gang: Option<crate::gang::GangState>,
 }
 
@@ -310,6 +316,8 @@ impl BcsMpi {
             failed: None,
             trace: Vec::new(),
             trace_cursor: crate::trace::TraceCursor::default(),
+            checkpoints_log: ChunkLog::new(),
+            trace_log: ChunkLog::new(),
             gang: cfg
                 .gang
                 .clone()

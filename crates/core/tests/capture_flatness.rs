@@ -1,0 +1,100 @@
+//! A checkpoint image costs what changed since the previous one, not what
+//! the run has accumulated (DESIGN §9), and the replay log does not keep
+//! message bytes. Counts only; nothing here depends on host speed.
+//!
+//! One recorded run captures an image at every slice boundary for more than
+//! 512 slices. Each image reports the cumulative work its three histories —
+//! response log, digest stream, slice trace — had spent on snapshots when
+//! it was taken; the difference between consecutive images is one capture.
+//! At the parent commit that difference grew linearly: every capture cloned
+//! one chunk handle per rank per earlier capture and copied the whole
+//! digest stream and trace.
+
+use bcs_mpi::{BcsConfig, BcsMpi, CheckpointImage};
+use mpi_api::message::{SrcSel, TagSel};
+use mpi_api::runtime::{Backend, ClusterWorld, JobLayout, RunOpts, run_program_hooked};
+use mpi_api::{AsyncMpi, ReduceOp};
+use simcore::{Sim, SimDuration};
+
+const ITERS: u64 = 300;
+const MSG_BYTES: usize = 2048;
+
+/// Ring exchange, every message received, an allreduce every third
+/// iteration (its 16-byte result is the only payload logged by value).
+async fn ring(mut mpi: AsyncMpi) -> u64 {
+    let (me, n) = (mpi.rank(), mpi.size());
+    let mut acc = me as u64;
+    for it in 0..ITERS {
+        mpi.compute(SimDuration::micros(400)).await;
+        let payload = vec![(acc ^ it) as u8; MSG_BYTES];
+        let s = mpi.isend((me + 1) % n, it as i32, &payload).await;
+        let r = mpi.irecv(SrcSel::Rank((me + n - 1) % n), TagSel::Tag(it as i32)).await;
+        let got = mpi.waitall(&[s, r]).await;
+        acc = acc.wrapping_mul(31) + got[1].0.as_ref().expect("recv payload")[0] as u64;
+        if it % 3 == 2 {
+            acc ^= mpi.allreduce_f64(ReduceOp::Sum, &[me as f64, it as f64]).await[1].to_bits();
+        }
+    }
+    acc
+}
+
+type W = ClusterWorld<BcsMpi>;
+
+fn recorded_run() -> (Vec<CheckpointImage>, u64) {
+    let layout = JobLayout::new(4, 2, 8);
+    let cfg = BcsConfig {
+        checkpoint_every: Some(1),
+        checkpoint_images: true,
+        trace_slices: true,
+        ..BcsConfig::default()
+    };
+    let out = run_program_hooked(
+        BcsMpi::new(cfg, &layout),
+        layout,
+        ring,
+        |w: &mut W, _: &mut Sim<W>| w.set_recording(true),
+        RunOpts::default(),
+        Backend::default(),
+    );
+    assert!(out.completed, "{:?}", out.diagnostic);
+    (out.engine.images, out.engine.stats.p2p_bytes)
+}
+
+#[test]
+fn capture_work_is_flat_and_the_log_holds_no_message_bytes() {
+    let (images, p2p_bytes) = recorded_run();
+    assert!(images.len() > 513, "only {} images", images.len());
+
+    // (handles cloned, records copied) by the capture of image `k`.
+    let capture = |k: usize| {
+        let (now, before) = (images[k].history_work(), images[k - 1].history_work());
+        (
+            now.handles_cloned - before.handles_cloned,
+            now.records_copied - before.records_copied,
+        )
+    };
+    // One handle per history; one digest and one slice record copied.
+    assert_eq!(capture(8), (3, 2));
+    assert_eq!(capture(512), capture(8), "capture work grew with the number of earlier images");
+
+    // The log's own count of what it holds by value, checked against a walk
+    // over every logged response.
+    let last = images.last().expect("checked above");
+    let (mut by_value, mut hollow) = (0u64, 0u64);
+    for (_, resp) in last.rt.log.iter() {
+        resp.clone().for_each_payload(&mut |p| match p.origin() {
+            Some(_) => {
+                assert!(p.is_empty(), "a stamped payload was logged with its bytes");
+                hollow += 1;
+            }
+            None => by_value += p.len() as u64,
+        });
+    }
+    assert_eq!(by_value, last.rt.logged_payload_bytes);
+    assert!(hollow > 2000, "only {hollow} point-to-point deliveries were logged by reference");
+    assert_eq!(p2p_bytes, ITERS * 8 * MSG_BYTES as u64);
+    assert!(
+        by_value * 100 < p2p_bytes,
+        "the log retains {by_value} of {p2p_bytes} point-to-point bytes"
+    );
+}

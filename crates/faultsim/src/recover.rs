@@ -165,29 +165,20 @@ where
     let mut latest: Option<CheckpointImage> = None;
 
     // Segment 0: fresh run with the full plan armed.
-    let mut outcome = {
-        let prog = Shared(Arc::clone(&program));
-        let plan0 = plan.clone();
-        let crashes0 = plan.crashes.clone();
-        let hb = cfg.heartbeat_period;
-        run_program_hooked(
-            BcsMpi::new(cfg.bcs.clone(), &layout),
-            layout.clone(),
-            prog,
-            move |w: &mut W, sim: &mut Sim<W>| {
-                w.set_recording(true);
-                inject(w, sim, &crashes0, &plan0, hb, SimTime::ZERO);
-            },
-            cfg.opts.clone(),
-            cfg.backend,
-        )
-    };
+    let mut outcome = run_program_hooked(
+        BcsMpi::new(cfg.bcs.clone(), &layout),
+        layout.clone(),
+        Shared(Arc::clone(&program)),
+        |w: &mut W, sim: &mut Sim<W>| {
+            w.set_recording(true);
+            inject(w, sim, &plan.crashes, plan, cfg.heartbeat_period, SimTime::ZERO);
+        },
+        cfg.opts.clone(),
+        cfg.backend,
+    );
 
     loop {
         events += outcome.events;
-        if let Some(img) = outcome.engine.images.last() {
-            latest = Some(img.clone());
-        }
         if outcome.completed {
             return RecoveryOutcome {
                 completed: true,
@@ -225,7 +216,13 @@ where
             );
             return aborted(outcome, restarts, detections, events, why);
         }
-        let Some(img) = latest.clone() else {
+        // The halted engine is about to be dropped: take its newest image
+        // rather than copy it. A segment that died before its first capture
+        // restores from its predecessor's image again.
+        if let Some(img) = outcome.engine.images.pop() {
+            latest = Some(img);
+        }
+        let Some(img) = latest.as_ref() else {
             detections.push(Detection {
                 node: fail.node,
                 crashed_at,
@@ -251,19 +248,14 @@ where
         // Crashes at or before the detection are repaired by the restore
         // (the fabric snapshot revives every node); later ones stay armed.
         let remaining = plan.crashes_after(fail.at);
-        let engine = BcsMpi::restore_from_image(cfg.bcs.clone(), &layout, &img);
-        let prog = Shared(Arc::clone(&program));
-        let planr = plan.clone();
-        let hb = cfg.heartbeat_period;
-        let monitor_at = img.captured_at;
         outcome = resume_program(
-            engine,
+            BcsMpi::restore_from_image(cfg.bcs.clone(), &layout, img),
             layout.clone(),
-            prog,
+            Shared(Arc::clone(&program)),
             &img.rt,
             |w: &mut W, sim: &mut Sim<W>| bcs_mpi::resume_from_boundary(w, sim),
-            move |w: &mut W, sim: &mut Sim<W>| {
-                inject(w, sim, &remaining, &planr, hb, monitor_at);
+            |w: &mut W, sim: &mut Sim<W>| {
+                inject(w, sim, &remaining, plan, cfg.heartbeat_period, img.captured_at);
             },
             cfg.opts.clone(),
             cfg.backend,

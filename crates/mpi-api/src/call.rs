@@ -178,6 +178,29 @@ impl MpiCall {
         }
     }
 
+    /// Visit the payload of every point-to-point send this call posts — its
+    /// own, or a batch's sub-calls' in issue order. Replay logging stamps
+    /// them, a restore harvests them (`runtime`).
+    pub fn for_each_send_payload(&mut self, f: &mut impl FnMut(&mut Payload)) {
+        match self {
+            MpiCall::Send { data, .. } => f(data),
+            MpiCall::Batch { calls } => calls.iter_mut().for_each(|c| c.for_each_send_payload(f)),
+            MpiCall::Compute { .. }
+            | MpiCall::Now
+            | MpiCall::Recv { .. }
+            | MpiCall::Wait { .. }
+            | MpiCall::Test { .. }
+            | MpiCall::Waitall { .. }
+            | MpiCall::Testall { .. }
+            | MpiCall::Probe { .. }
+            | MpiCall::Barrier { .. }
+            | MpiCall::Bcast { .. }
+            | MpiCall::Reduce { .. }
+            | MpiCall::Allgatherv { .. }
+            | MpiCall::CommSplit { .. } => {}
+        }
+    }
+
     /// Whether the call is a non-blocking post answered by exactly one
     /// [`MpiResp::Req`] — what [`crate::ctx::Mpi::post_batch`] accepts.
     pub fn is_nonblocking_post(&self) -> bool {
@@ -209,6 +232,37 @@ impl MpiCall {
                 | MpiCall::Barrier { .. }
                 | MpiCall::Waitall { .. }
         )
+    }
+}
+
+impl MpiResp {
+    /// Visit every payload the response carries, sub-responses of a batch
+    /// included. Every variant is listed: a new payload-carrying response
+    /// must decide here how it is logged and replayed.
+    pub fn for_each_payload(&mut self, f: &mut impl FnMut(&mut Payload)) {
+        fn each(
+            results: &mut [(Option<Payload>, Option<Status>)],
+            f: &mut impl FnMut(&mut Payload),
+        ) {
+            results.iter_mut().filter_map(|(d, _)| d.as_mut()).for_each(f)
+        }
+        match self {
+            MpiResp::Ok
+            | MpiResp::Time(_)
+            | MpiResp::Req(_)
+            | MpiResp::ProbeDone { .. }
+            | MpiResp::CommSplitDone { .. } => {}
+            MpiResp::Data(p) => f(p),
+            MpiResp::RootData(p) => p.iter_mut().for_each(f),
+            MpiResp::Gathered { parts } => parts.iter_mut().for_each(f),
+            MpiResp::WaitDone { data, .. } => data.iter_mut().for_each(f),
+            MpiResp::WaitallDone { results } => each(results, f),
+            MpiResp::TestDone { result } => each(result.as_mut_slice(), f),
+            MpiResp::TestallDone { results } => {
+                results.iter_mut().for_each(|rs| each(rs, f))
+            }
+            MpiResp::Batch { resps } => resps.iter_mut().for_each(|r| r.for_each_payload(f)),
+        }
     }
 }
 

@@ -22,6 +22,9 @@
 //! * [`idtable`] / [`request`] — the dense id-ordered table behind every
 //!   monotone id (requests, messages, scheduled resumes) and the request
 //!   lifecycle (post → complete → wait → retire) both engines run on it;
+//! * [`payload`] / [`chunklog`] — refcounted message buffers, and the
+//!   persistent append-only log (O(1) snapshots) that checkpoint images
+//!   keep their histories in;
 //! * [`runtime`] — [`runtime::Engine`] (the trait an MPI implementation
 //!   provides), [`runtime::ClusterWorld`] (harness + engine world) and
 //!   the job drivers: [`runtime::run_program`] steps each rank as a
@@ -30,6 +33,7 @@
 //!   one-cooperative-thread-per-rank reference backend.
 
 pub mod call;
+pub mod chunklog;
 pub mod coll_sched;
 pub mod comm;
 pub mod ctx;

@@ -2,13 +2,25 @@
 //!
 //! Every byte buffer that crosses the rank⇄engine boundary — send data,
 //! received data, collective contributions and results — is a [`Payload`]:
-//! an immutable, atomically reference-counted `Vec<u8>`. Cloning one is a
-//! refcount bump, so the same bytes can simultaneously sit in an engine's
-//! in-flight payload table, a response awaiting delivery, the runtime's
-//! replay log and any number of checkpoint images without ever being
-//! copied. The single copy-on-write point is [`Payload::into_vec`]: the
-//! last holder takes the allocation back for free, while a shared holder
-//! pays the one clone that mutation actually requires.
+//! an immutable, atomically reference-counted byte buffer. Cloning one is
+//! a refcount bump, so the same bytes can simultaneously sit in an engine's
+//! in-flight payload table, a response awaiting delivery and any number of
+//! checkpoint images without ever being copied. The single copy-on-write
+//! point is [`Payload::into_vec`]: the last holder takes the allocation
+//! back for free, while a shared holder pays the one clone that mutation
+//! actually requires.
+//!
+//! The runtime's replay log does **not** hold message bytes. A recording
+//! runtime stamps every point-to-point send payload with its [`Origin`] as
+//! the rank yields it, and logs a delivered response with each stamped
+//! payload replaced by [`Payload::hollow`]: the origin and no bytes. A
+//! rollback replays every rank, so the replayed sender regenerates the
+//! bytes and the reference is filled from them (`runtime::resume_program`);
+//! the receiving rank holds the only reference to what it received and its
+//! `into_vec` moves. Payloads nobody stamped — collective results, whatever
+//! an engine re-buffers — are logged by value. The stamp lives inside the
+//! shared allocation, so the handle stays one pointer wide and
+//! `MpiCall`/`MpiResp` do not grow.
 //!
 //! `Arc` (not `Rc`) because responses cross the coroutine harness's
 //! OS-thread boundary (`CoHarness` requires `Resp: Send`).
@@ -16,38 +28,78 @@
 use std::fmt;
 use std::sync::Arc;
 
+/// Where a point-to-point payload entered the machine: the `ordinal`-th
+/// send (from 0, batch sub-calls counted at yield) of world rank `rank`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Origin {
+    pub rank: u32,
+    pub ordinal: u64,
+}
+
+struct Shared {
+    data: Vec<u8>,
+    origin: Option<Origin>,
+}
+
 /// Immutable shared byte buffer (see module docs).
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Payload(Arc<Vec<u8>>);
+#[derive(Clone)]
+pub struct Payload(Arc<Shared>);
+
+const _: () = assert!(std::mem::size_of::<Payload>() == std::mem::size_of::<usize>());
 
 impl Payload {
     /// Wrap an owned buffer without copying.
     pub fn from_vec(data: Vec<u8>) -> Self {
-        Payload(Arc::new(data))
+        Payload(Arc::new(Shared { data, origin: None }))
     }
 
     /// An empty payload (no allocation is shared, but still cheap).
     pub fn empty() -> Self {
-        Payload(Arc::new(Vec::new()))
+        Payload::from_vec(Vec::new())
+    }
+
+    /// A reference to the payload stamped `origin`, carrying no bytes: what
+    /// the replay log keeps of a delivered point-to-point message.
+    pub fn hollow(origin: Origin) -> Self {
+        Payload(Arc::new(Shared { data: Vec::new(), origin: Some(origin) }))
+    }
+
+    /// The stamp, if the payload carries one.
+    pub fn origin(&self) -> Option<Origin> {
+        self.0.origin
+    }
+
+    /// Stamp the payload. A rank normally yields a buffer nobody else
+    /// holds and the stamp is written in place; one it still shares (a
+    /// hand-built call sending the same `Payload` twice) is copied, so no
+    /// other holder sees a stamp that is not its own.
+    pub fn stamp(&mut self, origin: Origin) {
+        match Arc::get_mut(&mut self.0) {
+            Some(unique) => unique.origin = Some(origin),
+            None => *self = Payload(Arc::new(Shared { data: self.to_vec(), origin: Some(origin) })),
+        }
     }
 
     pub fn as_slice(&self) -> &[u8] {
-        &self.0
+        &self.0.data
     }
 
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.0.data.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0.data.is_empty()
     }
 
     /// Take the bytes out. This is the only place a copy can happen: if
     /// the buffer is uniquely held the allocation is moved out; otherwise
     /// the data is cloned once, leaving the other holders untouched.
     pub fn into_vec(self) -> Vec<u8> {
-        Arc::try_unwrap(self.0).unwrap_or_else(|arc| (*arc).clone())
+        match Arc::try_unwrap(self.0) {
+            Ok(unique) => unique.data,
+            Err(shared) => shared.data.clone(),
+        }
     }
 
     /// Do the two payloads share one allocation? (Diagnostics/tests.)
@@ -59,7 +111,7 @@ impl Payload {
 impl std::ops::Deref for Payload {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.0
+        self.as_slice()
     }
 }
 
@@ -77,7 +129,7 @@ impl From<&[u8]> for Payload {
 
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Payload({} bytes)", self.0.len())
+        write!(f, "Payload({} bytes)", self.len())
     }
 }
 
@@ -101,5 +153,25 @@ mod tests {
         let ptr = big.as_ptr();
         let back = Payload::from_vec(big).into_vec();
         assert_eq!(back.as_ptr(), ptr);
+    }
+
+    #[test]
+    fn stamp_is_in_place_when_unique_and_copies_when_shared() {
+        let o = |ordinal| Origin { rank: 3, ordinal };
+        let mut p = Payload::from_vec(vec![9; 64]);
+        let ptr = p.as_slice().as_ptr();
+        p.stamp(o(0));
+        assert_eq!(p.origin(), Some(o(0)));
+        assert_eq!(p.as_slice().as_ptr(), ptr, "a unique buffer is stamped in place");
+        // A second send of a buffer someone still holds gets its own copy:
+        // the first holder's stamp must not change under it.
+        let mut q = p.clone();
+        q.stamp(o(1));
+        assert_eq!((p.origin(), q.origin()), (Some(o(0)), Some(o(1))));
+        assert!(!Payload::ptr_eq(&p, &q));
+        assert_eq!(p.as_slice(), q.as_slice());
+        let h = Payload::hollow(o(1));
+        assert!(h.is_empty());
+        assert_eq!(h.origin(), q.origin());
     }
 }

@@ -22,8 +22,10 @@
 //! drained at the top level ([`drain`]) rather than recursing.
 
 use crate::call::{MpiCall, MpiResp};
+use crate::chunklog::{ChunkLog, LogSnapshot};
 use crate::ctx::{ready, AsyncMpi, Mpi, RankProgram};
 use crate::idtable::IdTable;
+use crate::payload::{Origin, Payload};
 use qsnet::NodeId;
 use simcore::{CoHarness, ProcId, ProcYield, Sim, SimDuration, SimTime, SpawnError, VmChannel, VmHarness};
 use std::collections::VecDeque;
@@ -189,69 +191,22 @@ pub struct ClusterWorld<E: Engine> {
     /// order. Tracked in the world (not closures) so checkpoints can
     /// capture them.
     pending_resumes: IdTable<u64, (SimTime, usize, MpiResp)>,
-    /// When set, every response delivered to a rank is appended to
-    /// `resp_log` — the raw material of deterministic replay.
+    /// When set, every response delivered to a rank is appended to `log`
+    /// and every send a rank yields is stamped with its [`Origin`] — the
+    /// raw material of deterministic replay.
     record_resps: bool,
-    resp_log: Vec<RespLog>,
+    log: ChunkLog<Delivery>,
+    /// Point-to-point sends each rank has yielded while recording: the
+    /// ordinal of its next one.
+    sends_yielded: Vec<u64>,
+    /// Payload bytes `log` holds by value (see [`RuntimeImage`]).
+    logged_payload_bytes: u64,
 }
 
-/// One rank's response history, chunked for incremental checkpointing.
-///
-/// Capturing a [`RuntimeImage`] seals the growing tail into an immutable,
-/// reference-counted chunk shared between the live log and every image
-/// that contains it — so a capture copies only the responses delivered
-/// since the previous capture, not the whole history since program start.
-#[derive(Clone, Debug, Default)]
-pub struct RespLog {
-    /// Sealed history, oldest first. Never mutated once sealed.
-    sealed: Vec<Arc<Vec<MpiResp>>>,
-    /// Responses delivered since the last seal.
-    tail: Vec<MpiResp>,
-}
-
-impl RespLog {
-    pub fn push(&mut self, resp: MpiResp) {
-        self.tail.push(resp);
-    }
-
-    /// Seal the tail and return a structurally-shared copy of the whole
-    /// log (per-chunk refcount bumps; nothing is deep-copied).
-    pub fn snapshot(&mut self) -> RespLog {
-        if !self.tail.is_empty() {
-            self.sealed.push(Arc::new(std::mem::take(&mut self.tail)));
-        }
-        RespLog {
-            sealed: self.sealed.clone(),
-            tail: Vec::new(),
-        }
-    }
-
-    /// All responses in delivery order.
-    pub fn iter(&self) -> impl Iterator<Item = &MpiResp> {
-        self.sealed
-            .iter()
-            .flat_map(|chunk| chunk.iter())
-            .chain(self.tail.iter())
-    }
-
-    pub fn len(&self) -> usize {
-        self.sealed.iter().map(|chunk| chunk.len()).sum::<usize>() + self.tail.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.sealed.is_empty() && self.tail.is_empty()
-    }
-
-    /// Deep copy with no structural sharing: the full history flattened
-    /// into a fresh unsealed log. Replays identically to the chunked
-    /// original (`iter` order is the only observable).
-    pub fn materialized(&self) -> RespLog {
-        RespLog {
-            sealed: Vec::new(),
-            tail: self.iter().cloned().collect(),
-        }
-    }
-}
+/// One entry of the replay log: a response and the world rank it was
+/// delivered to. Payloads stamped with an [`Origin`] are logged hollow
+/// ([`Payload::hollow`]).
+pub type Delivery = (u32, MpiResp);
 
 impl<E: Engine> ClusterWorld<E> {
     /// World on the thread backend — the constructor the closure-based
@@ -275,7 +230,9 @@ impl<E: Engine> ClusterWorld<E> {
             pending_call: vec![None; ranks],
             pending_resumes: IdTable::new(),
             record_resps: false,
-            resp_log: vec![RespLog::default(); ranks],
+            log: ChunkLog::new(),
+            sends_yielded: vec![0; ranks],
+            logged_payload_bytes: 0,
         }
     }
 
@@ -290,7 +247,9 @@ impl<E: Engine> ClusterWorld<E> {
     }
 
     /// Turn response recording on (required before a [`RuntimeImage`] can
-    /// be captured). Must be enabled before any rank receives a response.
+    /// be captured). Must be enabled before any rank runs — a run's setup
+    /// hook is the place: replay starts every rank from its entry point, so
+    /// the log and the send ordinals have to as well.
     pub fn set_recording(&mut self, on: bool) {
         self.record_resps = on;
     }
@@ -299,15 +258,31 @@ impl<E: Engine> ClusterWorld<E> {
         self.record_resps
     }
 
+    /// Append `resp`, about to be delivered to `rank`, to the replay log.
+    /// A stamped payload is a point-to-point message whose sender will
+    /// regenerate it on replay, so only its origin is kept and the rank
+    /// receives the sole reference to the bytes; anything else is kept by
+    /// value.
+    fn record(&mut self, rank: usize, resp: &MpiResp) {
+        let mut logged = resp.clone();
+        let mut kept = 0usize;
+        logged.for_each_payload(&mut |p| match p.origin() {
+            Some(origin) => *p = Payload::hollow(origin),
+            None => kept += p.len(),
+        });
+        self.logged_payload_bytes += kept as u64;
+        self.log.push((rank as u32, logged));
+    }
+
     /// Capture the runtime half of a checkpoint at a quiescent instant:
-    /// the full per-rank response history, every scheduled-but-undelivered
+    /// the machine-wide response history, every scheduled-but-undelivered
     /// completion, and per-rank finish times. Together with an engine-state
     /// snapshot this is sufficient to reconstruct the whole simulation on
     /// the original (absolute) timeline — see [`resume_job`].
     ///
-    /// Takes `&mut self` because capturing seals each rank's response-log
-    /// tail into a shared chunk (see [`RespLog`]) — the capture's cost is
-    /// proportional to the responses delivered since the last capture.
+    /// Takes `&mut self` because capturing seals the log's tail into a
+    /// chunk the image shares ([`ChunkLog::snapshot`]) — O(1) whatever the
+    /// length of the history.
     pub fn runtime_image(&mut self, captured_at: SimTime) -> RuntimeImage {
         assert!(
             self.record_resps,
@@ -318,7 +293,8 @@ impl<E: Engine> ClusterWorld<E> {
             "runtime_image at a non-quiescent instant: completion queue not drained"
         );
         RuntimeImage {
-            resp_log: self.resp_log.iter_mut().map(|log| log.snapshot()).collect(),
+            log: self.log.snapshot(),
+            logged_payload_bytes: self.logged_payload_bytes,
             pending_resumes: self.pending_resumes.iter().map(|(_, r)| r.clone()).collect(),
             finish_times: self.finish_times.clone(),
             batches: self.batches.clone(),
@@ -331,11 +307,17 @@ impl<E: Engine> ClusterWorld<E> {
 /// the engine itself). See [`ClusterWorld::runtime_image`].
 #[derive(Clone, Debug)]
 pub struct RuntimeImage {
-    /// Every response delivered to each rank since program start, in
-    /// delivery order, structurally shared with the live log and earlier
-    /// images. Replaying them reconstructs each rank's control state
-    /// exactly (the call/response protocol is lock-step).
-    pub resp_log: Vec<RespLog>,
+    /// Every response delivered to any rank since program start, in
+    /// delivery order, shared chunk by chunk with the live log and with
+    /// every other image of the run. Replaying it reconstructs each rank's
+    /// control state exactly (the call/response protocol is lock-step).
+    /// Delivery order is a causal order — a receive completes only after
+    /// its sender yielded the send — which is what lets the log hold
+    /// point-to-point payloads as hollow references.
+    pub log: LogSnapshot<Delivery>,
+    /// Payload bytes the log holds by value (collective results and other
+    /// unstamped payloads). A count, so it repeats exactly.
+    pub logged_payload_bytes: u64,
     /// Completions scheduled but not yet delivered at capture, in
     /// scheduling order, with their absolute delivery times.
     pub pending_resumes: Vec<(SimTime, usize, MpiResp)>,
@@ -351,12 +333,12 @@ pub struct RuntimeImage {
 }
 
 impl RuntimeImage {
-    /// Deep copy sharing nothing with the live runtime or other images
-    /// (see [`RespLog::materialized`]). The reference point incremental
-    /// recovery is validated against.
+    /// Deep copy whose log shares no chunk with the live runtime or other
+    /// images ([`LogSnapshot::materialize`]). The reference point
+    /// incremental recovery is validated against.
     pub fn materialize(&self) -> RuntimeImage {
         let mut img = self.clone();
-        img.resp_log = self.resp_log.iter().map(|l| l.materialized()).collect();
+        img.log = self.log.materialize();
         img
     }
 }
@@ -373,15 +355,29 @@ fn issue_call<E: Engine>(
     E::on_call(w, sim, rank, call);
 }
 
+/// Stamp the sends `call` carries with their origin: `rank` and the next
+/// ordinals of its count. Out of line and by value, so a run that does not
+/// record never takes the call's address.
+#[inline(never)]
+fn stamp_sends(ordinal: &mut u64, rank: usize, mut call: MpiCall) -> MpiCall {
+    call.for_each_send_payload(&mut |p| {
+        p.stamp(Origin { rank: rank as u32, ordinal: *ordinal });
+        *ordinal += 1;
+    });
+    call
+}
+
 /// Route one rank-yielded call: [`MpiCall::Batch`] is unpacked by the
 /// runtime (the engine only ever sees ordinary calls); everything else goes
-/// straight to the engine.
+/// straight to the engine. A recording runtime first stamps the sends the
+/// call carries, so whoever receives them can be logged by reference.
 fn dispatch_call<E: Engine>(
     w: &mut ClusterWorld<E>,
     sim: &mut Sim<ClusterWorld<E>>,
     rank: usize,
     call: MpiCall,
 ) {
+    let call = if w.record_resps { stamp_sends(&mut w.sends_yielded[rank], rank, call) } else { call };
     match call {
         MpiCall::Batch { calls } => {
             assert!(
@@ -447,7 +443,7 @@ pub fn drain<E: Engine>(w: &mut ClusterWorld<E>, sim: &mut Sim<ClusterWorld<E>>)
             resp
         };
         if w.record_resps {
-            w.resp_log[rank].push(resp.clone());
+            w.record(rank, &resp);
         }
         let y = w.harness.resume(ProcId(rank), resp);
         match y {
@@ -840,11 +836,13 @@ fn spawn_failure_outcome<E: Engine, R>(
 /// image's state, `rt` is the matching [`RuntimeImage`], and `kickoff` is
 /// scheduled at the capture instant to restart the protocol (in BCS-MPI,
 /// the slice-boundary resume). Rank programs are re-spawned and silently
-/// replayed through their recorded responses — their yielded calls are
-/// discarded because every effect of those calls is already part of the
-/// restored engine state — leaving each rank parked exactly where the
-/// checkpoint caught it. The simulation then continues on the original
-/// absolute timeline.
+/// replayed through the recorded responses, all ranks interleaved in the
+/// order the responses were delivered. The calls they yield are discarded,
+/// because every effect of those calls is already part of the restored
+/// engine state — except the payloads of their sends, which are what the
+/// log's hollow references are filled from. Each rank ends up parked
+/// exactly where the checkpoint caught it, and the simulation continues on
+/// the original absolute timeline.
 pub fn resume_job<E, R, F, S, K>(
     engine: E,
     layout: JobLayout,
@@ -924,7 +922,6 @@ where
     K: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>) + 'static,
 {
     let size = layout.ranks;
-    assert_eq!(rt.resp_log.len(), size, "image rank count mismatch");
     assert_eq!(rt.batches.len(), size, "image rank count mismatch");
     let mut sim: Sim<ClusterWorld<E>> = Sim::new();
     if let Some(mv) = opts.max_virtual {
@@ -933,47 +930,74 @@ where
     let mut w = ClusterWorld::with_backend(engine, layout.clone(), backend);
     // No bootstrap: the restored engine state already contains the
     // protocol's standing state; `kickoff` restarts its event loop.
-    w.record_resps = true;
-    w.resp_log = rt.resp_log.clone();
     w.batches = rt.batches.clone();
 
-    for rank in 0..size {
-        let (pid, first) = match spawner.spawn_rank(&mut w.harness, rank, size) {
+    // What each rank has sent and nobody has received yet, by send ordinal.
+    // In the original run a receive completed only after its sender had
+    // yielded the send, and the log is in delivery order, so by the time an
+    // entry refers to a payload its replayed sender has yielded it again.
+    let mut sent: Vec<IdTable<u64, Payload>> = (0..size).map(|_| IdTable::new()).collect();
+    let mut parked: Vec<ProcYield<MpiCall>> = Vec::with_capacity(size);
+    for (rank, sent) in sent.iter_mut().enumerate() {
+        let (pid, mut y) = match spawner.spawn_rank(&mut w.harness, rank, size) {
             Ok(sp) => sp,
             Err(e) => return spawn_failure_outcome(w, sim, rank, e),
         };
         assert_eq!(pid.0, rank, "rank ids must be dense");
-        let mut y = first;
-        for resp in rt.resp_log[rank].iter() {
-            match y {
-                ProcYield::Request(_) => y = w.harness.resume(pid, resp.clone()),
-                ProcYield::Finished(_) => {
-                    panic!("rank {rank} finished before its response log was exhausted")
-                }
-            }
+        harvest_sends(sent, &mut y);
+        parked.push(y);
+    }
+    for (entry, (rank, logged)) in rt.log.iter().enumerate() {
+        let rank = *rank as usize;
+        if let ProcYield::Finished(_) = parked[rank] {
+            replay_diverged(rt, rank, entry, &parked[rank], "is owed another response");
         }
-        match y {
-            ProcYield::Request(call) => {
-                // The call itself is discarded (its effects live in the
-                // restored engine state), but it tells the diagnostics what
-                // the rank is parked in; the capture instant stands in for
-                // the original issue time.
-                w.pending_call[rank] = Some((call.op_name(), rt.captured_at));
-                assert!(
-                    rt.finish_times[rank].is_none(),
-                    "rank {rank} replay diverged from the checkpoint image"
-                );
+        let mut resp = logged.clone();
+        resp.for_each_payload(&mut |p| {
+            let Some(Origin { rank: sender, ordinal }) = p.origin() else {
+                return; // logged by value
+            };
+            match sent.get_mut(sender as usize).and_then(|t| t.remove(ordinal)) {
+                Some(bytes) => *p = bytes,
+                None => replay_diverged(
+                    rt,
+                    rank,
+                    entry,
+                    &parked[rank],
+                    &format!("is owed send #{ordinal} of rank {sender}, which no replayed rank has yielded"),
+                ),
             }
-            ProcYield::Finished(_) => {
-                assert!(
-                    rt.finish_times[rank].is_some(),
-                    "rank {rank} replay diverged from the checkpoint image"
-                );
+        });
+        let mut y = w.harness.resume(ProcId(rank), resp);
+        harvest_sends(&mut sent[rank], &mut y);
+        parked[rank] = y;
+    }
+    for (rank, y) in parked.iter().enumerate() {
+        match (y, rt.finish_times[rank]) {
+            // The call itself is discarded (its effects live in the
+            // restored engine state), but it tells the diagnostics what
+            // the rank is parked in; the capture instant stands in for
+            // the original issue time.
+            (ProcYield::Request(call), None) => {
+                w.pending_call[rank] = Some((call.op_name(), rt.captured_at));
+            }
+            (ProcYield::Finished(_), Some(at)) => {
                 w.finished += 1;
-                w.finish_times[rank] = rt.finish_times[rank];
+                w.finish_times[rank] = Some(at);
+            }
+            (ProcYield::Request(_), Some(at)) => {
+                replay_diverged(rt, rank, rt.log.len(), y, &format!("had finished at t={at}"))
+            }
+            (ProcYield::Finished(_), None) => {
+                replay_diverged(rt, rank, rt.log.len(), y, "was still running at the capture")
             }
         }
     }
+    // Recording continues where the image's log and send counts end.
+    w.record_resps = true;
+    w.log = ChunkLog::resume(&rt.log);
+    w.logged_payload_bytes = rt.logged_payload_bytes;
+    w.sends_yielded = sent.iter().map(IdTable::next_id).collect();
 
     // Re-create the delivery schedule (scheduling order = original issue
     // order, so same-instant events keep their relative order), then the
@@ -988,6 +1012,38 @@ where
     setup(&mut w, &mut sim);
 
     finish_run(w, sim)
+}
+
+/// Keep the payloads of the sends a replayed rank just yielded, under the
+/// ordinals the recording run stamped them with (a rank's sends in yield
+/// order, so the table's own ids).
+fn harvest_sends(sent: &mut IdTable<u64, Payload>, y: &mut ProcYield<MpiCall>) {
+    if let ProcYield::Request(call) = y {
+        call.for_each_send_payload(&mut |p| {
+            sent.push(p.clone());
+        });
+    }
+}
+
+/// A rank program did not repeat under replay what it did in the recorded
+/// run (it is not a function of its responses alone): say where.
+fn replay_diverged(
+    rt: &RuntimeImage,
+    rank: usize,
+    entry: usize,
+    parked: &ProcYield<MpiCall>,
+    what: &str,
+) -> ! {
+    let op = match parked {
+        ProcYield::Request(call) => call.op_name(),
+        ProcYield::Finished(_) => "nothing: its program returned",
+    };
+    panic!(
+        "replay diverged from the checkpoint image captured at t={}: at log entry {entry} of {} \
+         rank {rank} {what}, while its replay is parked in {op}",
+        rt.captured_at,
+        rt.log.len(),
+    )
 }
 
 /// Cap on per-rank lines in the deadlock diagnostic — at n = 4096 listing

@@ -13,9 +13,12 @@
 #      workspace via workspace.default-members)
 #   2. explicit --workspace test pass
 #   3. the fault-recovery property suite (random fault plans: bit-identical
-#      recovery + same-seed replay)
+#      recovery + same-seed replay) and, in release next to it, the
+#      count-based test that a capture's work does not grow with the image
+#      number and that the replay log retains no message bytes
 #   4. the fault ablation (quick), tolerance-gated, emitting
-#      reports/ablation_fault.csv
+#      reports/ablation_fault.csv; its note on what the replay log retains
+#      by value must name fewer bytes than were moved point to point
 #   5. the quick repro sequentially and with REPRO_THREADS=4: the CSVs
 #      must be byte-identical across thread counts, and the parallel run
 #      is gated against the sequential run's wall-clock baseline (the
@@ -79,12 +82,24 @@ cargo test -q
 echo "== full workspace test pass"
 cargo test --workspace -q
 
-echo "== fault-recovery property suite"
+echo "== fault-recovery property suite + capture flatness / log retention counts"
 cargo test --release -q --test fault_recovery
+cargo test --release -q -p bcs-mpi --test capture_flatness
 
 echo "== fault ablation (quick, tolerance-gated) -> reports/ablation_fault.csv"
-cargo run --release -q -p bench --bin repro -- ablation-fault --quick
+fault_out="$(cargo run --release -q -p bench --bin repro -- ablation-fault --quick)"
 [ -s reports/ablation_fault.csv ] || { echo "verify: missing reports/ablation_fault.csv" >&2; exit 1; }
+# The replay log holds point-to-point payloads by reference (DESIGN.md
+# section 9): what it retains by value must stay below the bytes moved.
+echo "$fault_out" | awk '
+  /replay log retains/ { seen = 1; kept = $5; for (i = 6; i < NF; i++) if ($i == "the") moved = $(i + 1) }
+  END {
+    if (!seen) { print "verify: ablation-fault printed no retained-log-bytes note" > "/dev/stderr"; exit 1 }
+    if (kept + 0 >= moved + 0) {
+      printf "verify: replay log retains %s B, not below the %s B moved point to point\n", kept, moved > "/dev/stderr"
+      exit 1
+    }
+  }'
 
 echo "== parallel repro determinism (quick, REPRO_THREADS=1 vs 4) + wall-clock gate"
 seq_dir="$(mktemp -d)"; par_dir="$(mktemp -d)"

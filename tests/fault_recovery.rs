@@ -17,12 +17,15 @@ use bcs_repro::mpi_api::message::{SrcSel, TagSel};
 use bcs_repro::mpi_api::runtime::{
     Backend, ClusterWorld, JobLayout, resume_program, run_program_hooked,
 };
-use bcs_repro::mpi_api::{AsyncMpi, ReduceOp};
+use bcs_repro::mpi_api::{AsyncMpi, MpiCall, MpiResp, Payload, RankProgram, ReduceOp};
 use bcs_repro::qsnet::NodeId;
 use bcs_repro::simcore::{Sim, SimDuration};
 use proplite::prelude::*;
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Deterministic ring workload: neighbor exchange with specific (never
 /// wildcard) receives, a mix of chunked and small payloads, and an
@@ -67,6 +70,121 @@ async fn ring_program(mut mpi: AsyncMpi, iters: u64) -> u64 {
     acc
 }
 
+/// Fold one received message into a checksum, order-independently: the
+/// two wildcard receives of [`mixed_program`] complete in arrival order,
+/// which fault timing may change, so their contributions must commute.
+fn digest(source: usize, data: &[u8]) -> u64 {
+    data.iter().fold(source as u64 + 1, |h, b| {
+        (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Everything the ring does not: wildcard-source receives, a hand-built
+/// [`MpiCall::Batch`] whose two sends carry *one shared* `Payload`, a
+/// self-send, and a blocking send of several slices — so some capture
+/// always finds a rank parked in it. The checksum is timing-invariant like
+/// the ring's.
+async fn mixed_program(mut mpi: AsyncMpi, iters: u64) -> u64 {
+    let me = mpi.rank();
+    let n = mpi.size();
+    let mut acc: u64 = (me as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for it in 0..iters {
+        let tag = it as i32;
+        // Self-send: sender and receiver of the logged reference coincide.
+        let own: Vec<u8> = (0..300u64).map(|i| (acc ^ i) as u8).collect();
+        let s = mpi.isend(me, 1000 + tag, &own).await;
+        let r = mpi.irecv(SrcSel::Rank(me), TagSel::Tag(1000 + tag)).await;
+        let res = mpi.waitall(&[s, r]).await;
+        acc = acc.wrapping_add(digest(me, res[1].0.as_ref().expect("self payload")));
+
+        // One buffer to two neighbours in a hand-built batch, against two
+        // wildcard receives (senders: me-1 and me-2). The batch opens with
+        // more than a slice of compute, so it is in flight at a boundary.
+        let shared = Payload::from_vec((0..700u64).map(|i| (acc.rotate_left(7) ^ i) as u8).collect());
+        let send = |dest: usize| MpiCall::Send { dest, tag, data: shared.clone(), blocking: false };
+        let any = || MpiCall::Recv { src: SrcSel::Any, tag: TagSel::Tag(tag), blocking: false };
+        let calls = vec![
+            mpi.compute_desc(SimDuration::micros(520 + 40 * ((me as u64 + it) % 3))),
+            send((me + 1) % n),
+            send((me + 2) % n),
+            any(),
+            any(),
+        ];
+        let reqs: Vec<_> = mpi
+            .batch(calls)
+            .await
+            .into_iter()
+            .filter_map(|resp| match resp {
+                MpiResp::Req(r) => Some(r),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reqs.len(), 4);
+        let mut from_any = 0u64;
+        for (data, status) in mpi.waitall(&reqs).await {
+            if let (Some(data), Some(status)) = (data, status) {
+                assert_eq!(data.len(), 700);
+                from_any ^= digest(status.source, &data);
+            }
+        }
+        acc = acc.wrapping_mul(31).wrapping_add(from_any);
+
+        // A blocking send of 160 KiB takes several slices to move; the
+        // receive is pre-posted so the ring of blocked senders drains.
+        let big: Vec<u8> = (0..160 * 1024u64).map(|i| (acc ^ i.wrapping_mul(0x9E37)) as u8).collect();
+        let r = mpi.irecv(SrcSel::Rank((me + n - 1) % n), TagSel::Tag(2000 + tag)).await;
+        mpi.send((me + 1) % n, 2000 + tag, &big).await;
+        let (data, _) = mpi.wait_recv(r).await;
+        acc = acc.wrapping_mul(31).wrapping_add(digest(0, &data));
+        if it % 2 == 1 {
+            for v in mpi.allreduce_f64(ReduceOp::Sum, &[(acc as u16) as f64]).await {
+                acc ^= v.to_bits();
+            }
+        }
+    }
+    acc
+}
+
+/// The program a property case runs, drawn from its seed.
+#[derive(Clone, Copy, Debug)]
+enum Workload {
+    Ring(u64),
+    Mixed(u64),
+}
+
+impl Workload {
+    fn of(seed: u64) -> Workload {
+        if seed % 2 == 0 { Workload::Ring(5) } else { Workload::Mixed(4) }
+    }
+}
+
+impl RankProgram for Workload {
+    type Out = u64;
+
+    fn boot(&self, mpi: AsyncMpi) -> Pin<Box<dyn Future<Output = u64>>> {
+        match *self {
+            Workload::Ring(iters) => Box::pin(ring_program(mpi, iters)),
+            Workload::Mixed(iters) => Box::pin(mixed_program(mpi, iters)),
+        }
+    }
+}
+
+/// `plan` with one more crash ten slices after its first. The heartbeat
+/// declares a crash within nine slices (two periods of four and the
+/// Compare-And-Write), so the extra one strikes survivors that are running
+/// restored from a checkpoint: a crash in the segment that follows a
+/// restore.
+fn with_crash_after_restore(mut plan: FaultPlan, rc: &RecoveryCfg, seed: u64) -> FaultPlan {
+    if let Some(first) = plan.crashes.first().cloned() {
+        plan.crashes.push(bcs_repro::faultsim::CrashEvent {
+            node: NodeId((first.node.0 + 1 + seed as usize % 3) % 4),
+            at: first.at + rc.bcs.timeslice * 10,
+        });
+        plan.crashes.sort_by_key(|c| c.at);
+    }
+    plan
+}
+
 fn layout() -> JobLayout {
     JobLayout::new(4, 1, 4)
 }
@@ -76,13 +194,11 @@ fn recovery_cfg() -> RecoveryCfg {
 }
 
 fn fault_free_results(rc: &RecoveryCfg, iters: u64) -> Vec<u64> {
-    fault_free_reference(
-        &rc.bcs,
-        layout(),
-        move |mpi: AsyncMpi| ring_program(mpi, iters),
-        rc.opts.clone(),
-    )
-    .results
+    reference_results(rc, Workload::Ring(iters))
+}
+
+fn reference_results(rc: &RecoveryCfg, program: Workload) -> Vec<u64> {
+    fault_free_reference(&rc.bcs, layout(), program, rc.opts.clone()).results
 }
 
 /// Satellite 1 + acceptance: the heartbeat monitor (first real consumer of
@@ -164,6 +280,25 @@ fn survives_two_crashes() {
     assert!(out.completed, "recovery failed: {:?}", out.abort);
     assert_eq!(out.restarts, 2);
     assert_eq!(out.detections.len(), 2);
+    let got: Vec<u64> = out.results.iter().map(|r| r.unwrap()).collect();
+    assert_eq!(got, reference);
+}
+
+/// The mixed workload (wildcard receives, a batch with shared-payload sends
+/// in flight at a boundary, self-sends, a parked blocking send) through two
+/// restores, the second crash striking the restored segment.
+#[test]
+fn mixed_workload_survives_a_crash_in_the_restored_segment() {
+    let rc = recovery_cfg();
+    let reference = reference_results(&rc, Workload::Mixed(4));
+    let plan = with_crash_after_restore(FaultPlan::single_crash(&rc.bcs, NodeId(2), 3), &rc, 0);
+    let out = run_with_recovery(&rc, layout(), &plan, Workload::Mixed(4));
+    assert!(out.completed, "recovery failed: {:?}", out.abort);
+    assert_eq!(out.restarts, 2);
+    assert!(
+        out.detections[1].restored_from_at > out.detections[0].restored_from_at,
+        "the second restore must start from an image the restored segment captured"
+    );
     let got: Vec<u64> = out.results.iter().map(|r| r.unwrap()).collect();
     assert_eq!(got, reference);
 }
@@ -260,6 +395,82 @@ fn shadow_images(
     }
 }
 
+/// How rank 1 of [`unfaithful_ring`] misbehaves once its flag is set.
+#[derive(Clone, Copy)]
+enum Lapse {
+    /// Posts a receive nobody will match where it used to send.
+    SkipsItsSends,
+    /// Returns after the first iteration.
+    ReturnsEarly,
+}
+
+/// A ring whose rank 1 is *not* a function of its responses: it consults
+/// `lapsed`, which the test sets between the recorded run and the restore.
+async fn unfaithful_ring(mut mpi: AsyncMpi, lapsed: &'static AtomicBool, lapse: Lapse) -> u64 {
+    let (me, n) = (mpi.rank(), mpi.size());
+    let mut acc = 0u64;
+    for it in 0..6i32 {
+        mpi.compute(SimDuration::micros(300)).await;
+        let lapsed = me == 1 && lapsed.load(Ordering::SeqCst);
+        let s = match (lapsed, lapse) {
+            (true, Lapse::ReturnsEarly) if it > 0 => return acc,
+            (true, Lapse::SkipsItsSends) => mpi.irecv(SrcSel::Rank(me), TagSel::Tag(9000 + it)).await,
+            _ => mpi.isend((me + 1) % n, it, &[me as u8; 2048]).await,
+        };
+        let r = mpi.irecv(SrcSel::Rank((me + n - 1) % n), TagSel::Tag(it)).await;
+        let res = mpi.waitall(&[s, r]).await;
+        acc += res[1].0.as_ref().map_or(0, |d| d.len() as u64);
+    }
+    acc
+}
+
+/// Record a fault-free run of [`unfaithful_ring`], set the flag, and restore
+/// from the image in the middle of the run.
+fn restore_after_lapse(lapsed: &'static AtomicBool, lapse: Lapse) {
+    let mut cfg = recovery_cfg().bcs;
+    cfg.checkpoint_every = Some(1);
+    let program = move |mpi: AsyncMpi| unfaithful_ring(mpi, lapsed, lapse);
+    let out = run_program_hooked(
+        BcsMpi::new(cfg.clone(), &layout()),
+        layout(),
+        program,
+        |w: &mut CW, _: &mut Sim<CW>| w.set_recording(true),
+        Default::default(),
+        Backend::default(),
+    );
+    assert!(out.completed, "{:?}", out.diagnostic);
+    let img = &out.engine.images[out.engine.images.len() / 2];
+    lapsed.store(true, Ordering::SeqCst);
+    resume_program(
+        BcsMpi::restore_from_image(cfg, &layout(), img),
+        layout(),
+        program,
+        &img.rt,
+        |w: &mut CW, sim: &mut Sim<CW>| bcs_repro::bcs_mpi::resume_from_boundary(w, sim),
+        |_: &mut CW, _: &mut Sim<CW>| {},
+        Default::default(),
+        Backend::default(),
+    );
+}
+
+/// Replay of a rank that no longer sends what it sent: the receiver's log
+/// entry refers to a payload no replayed rank produced, and the restore
+/// says which.
+#[test]
+#[should_panic(expected = "rank 2 is owed send #0 of rank 1, which no replayed rank has yielded")]
+fn replay_names_the_send_a_divergent_rank_did_not_repeat() {
+    static LAPSED: AtomicBool = AtomicBool::new(false);
+    restore_after_lapse(&LAPSED, Lapse::SkipsItsSends);
+}
+
+/// Replay of a rank that returns while the log still holds responses for it.
+#[test]
+#[should_panic(expected = "rank 1 is owed another response, while its replay is parked in nothing")]
+fn replay_names_the_rank_that_returned_early() {
+    static LAPSED: AtomicBool = AtomicBool::new(false);
+    restore_after_lapse(&LAPSED, Lapse::ReturnsEarly);
+}
+
 // Satellite 3: property suite over random fault plans.
 proplite! {
     // Every case runs 2–3 full machine simulations; keep the counts tight.
@@ -272,9 +483,9 @@ proplite! {
     fn random_fault_plans_recover_bit_identically(seed in 1u64..1_000_000u64) {
         let rc = recovery_cfg();
         let profile = FaultProfile { mtbf_slices: Some(6.0), drops: 4, degradations: 1 };
-        let plan = FaultPlan::generate(seed, &rc.bcs, 4, 12, &profile);
-        let reference = fault_free_results(&rc, 5);
-        let out = run_with_recovery(&rc, layout(), &plan, |mpi: AsyncMpi| ring_program(mpi, 5));
+        let plan = with_crash_after_restore(FaultPlan::generate(seed, &rc.bcs, 4, 12, &profile), &rc, seed);
+        let reference = reference_results(&rc, Workload::of(seed));
+        let out = run_with_recovery(&rc, layout(), &plan, Workload::of(seed));
         prop_assert!(out.completed, "seed {} failed: {:?}", seed, out.abort);
         let got: Vec<u64> = out.results.iter().map(|r| r.unwrap()).collect();
         prop_assert_eq!(got, reference);
@@ -288,9 +499,9 @@ proplite! {
     fn random_fault_plans_recover_bit_identically_on_rdma(seed in 1u64..1_000_000u64) {
         let rc = rdma_recovery_cfg();
         let profile = FaultProfile { mtbf_slices: Some(6.0), drops: 4, degradations: 1 };
-        let plan = FaultPlan::generate(seed, &rc.bcs, 4, 12, &profile);
-        let reference = fault_free_results(&rc, 5);
-        let out = run_with_recovery(&rc, layout(), &plan, |mpi: AsyncMpi| ring_program(mpi, 5));
+        let plan = with_crash_after_restore(FaultPlan::generate(seed, &rc.bcs, 4, 12, &profile), &rc, seed);
+        let reference = reference_results(&rc, Workload::of(seed));
+        let out = run_with_recovery(&rc, layout(), &plan, Workload::of(seed));
         prop_assert!(out.completed, "seed {} failed: {:?}", seed, out.abort);
         let got: Vec<u64> = out.results.iter().map(|r| r.unwrap()).collect();
         prop_assert_eq!(got, reference);
@@ -302,9 +513,9 @@ proplite! {
     fn same_seed_replays_the_rdma_fault_run_exactly(seed in 1u64..1_000_000u64) {
         let rc = rdma_recovery_cfg();
         let profile = FaultProfile { mtbf_slices: Some(5.0), drops: 3, degradations: 1 };
-        let plan = FaultPlan::generate(seed, &rc.bcs, 4, 10, &profile);
-        let a = run_with_recovery(&rc, layout(), &plan, |mpi: AsyncMpi| ring_program(mpi, 5));
-        let b = run_with_recovery(&rc, layout(), &plan, |mpi: AsyncMpi| ring_program(mpi, 5));
+        let plan = with_crash_after_restore(FaultPlan::generate(seed, &rc.bcs, 4, 10, &profile), &rc, seed);
+        let a = run_with_recovery(&rc, layout(), &plan, Workload::of(seed));
+        let b = run_with_recovery(&rc, layout(), &plan, Workload::of(seed));
         prop_assert_eq!(a.completed, b.completed);
         prop_assert_eq!(a.restarts, b.restarts);
         prop_assert_eq!(a.elapsed.as_nanos(), b.elapsed.as_nanos());
@@ -319,9 +530,9 @@ proplite! {
     fn same_seed_replays_the_fault_run_exactly(seed in 1u64..1_000_000u64) {
         let rc = recovery_cfg();
         let profile = FaultProfile { mtbf_slices: Some(5.0), drops: 3, degradations: 1 };
-        let plan = FaultPlan::generate(seed, &rc.bcs, 4, 10, &profile);
-        let a = run_with_recovery(&rc, layout(), &plan, |mpi: AsyncMpi| ring_program(mpi, 5));
-        let b = run_with_recovery(&rc, layout(), &plan, |mpi: AsyncMpi| ring_program(mpi, 5));
+        let plan = with_crash_after_restore(FaultPlan::generate(seed, &rc.bcs, 4, 10, &profile), &rc, seed);
+        let a = run_with_recovery(&rc, layout(), &plan, Workload::of(seed));
+        let b = run_with_recovery(&rc, layout(), &plan, Workload::of(seed));
         prop_assert_eq!(a.completed, b.completed);
         prop_assert_eq!(a.restarts, b.restarts);
         prop_assert_eq!(a.elapsed.as_nanos(), b.elapsed.as_nanos());
@@ -352,7 +563,7 @@ proplite! {
         let out = run_program_hooked(
             BcsMpi::new(rc.bcs.clone(), &layout()),
             layout(),
-            |mpi: AsyncMpi| ring_program(mpi, 5),
+            Workload::of(seed),
             move |w: &mut CW, sim: &mut Sim<CW>| {
                 w.set_recording(true);
                 let fabric = &mut w.bcs().fabric;
@@ -393,7 +604,7 @@ proplite! {
             let o = resume_program(
                 engine,
                 layout(),
-                |mpi: AsyncMpi| ring_program(mpi, 5),
+                Workload::of(seed),
                 &img.rt,
                 |w: &mut CW, sim: &mut Sim<CW>| bcs_repro::bcs_mpi::resume_from_boundary(w, sim),
                 |_: &mut CW, _: &mut Sim<CW>| {},
