@@ -3,7 +3,7 @@
 use bcs_mpi::{BcsConfig, BcsMpi};
 use mpi_api::coll_sched::CollAlgo;
 use mpi_api::RankProgram;
-use mpi_api::runtime::{Backend, JobLayout, RunOpts, run_program_on};
+use mpi_api::runtime::{Job, JobLayout, RunOpts};
 use qsnet::FabricKind;
 use quadrics_mpi::{QuadricsConfig, QuadricsMpi};
 use simcore::SimDuration;
@@ -72,24 +72,6 @@ impl fmt::Display for EnvOptionError {
 
 impl std::error::Error for EnvOptionError {}
 
-/// Rank-execution backend for app runs: `REPRO_BACKEND=threads` opts into
-/// the reference thread harness; `vm` or unset uses the scalable stackless
-/// VM. Virtual-time results are identical either way (see the
-/// backend-equivalence suite). Any other value is rejected with
-/// [`EnvOptionError`]. One of the sanctioned env-read sites (detlint D04).
-pub fn backend_from_env() -> Result<Backend, EnvOptionError> {
-    match std::env::var("REPRO_BACKEND") {
-        Ok(v) if v == "threads" => Ok(Backend::Threads),
-        Ok(v) if v == "vm" => Ok(Backend::Vm),
-        Ok(v) => Err(EnvOptionError {
-            var: "REPRO_BACKEND",
-            got: v,
-            valid: &["vm", "threads"],
-        }),
-        Err(_) => Ok(Backend::Vm),
-    }
-}
-
 /// Interconnect override for app runs: `REPRO_FABRIC=rdma` retargets every
 /// engine onto the RDMA-channel fabric (software-emulated collectives),
 /// `qsnet` forces the Quadrics-class fabric, and unset leaves each
@@ -137,7 +119,6 @@ pub fn run_app<P: RankProgram>(sel: &EngineSel, layout: JobLayout, program: P) -
     let opts = RunOpts {
         max_virtual: Some(SimDuration::secs(3600)),
     };
-    let backend = backend_from_env().unwrap_or_else(|e| panic!("{e}"));
     let fabric = fabric_from_env().unwrap_or_else(|e| panic!("{e}"));
     let coll = coll_algo_from_env().unwrap_or_else(|e| panic!("{e}"));
     match sel {
@@ -149,7 +130,8 @@ pub fn run_app<P: RankProgram>(sel: &EngineSel, layout: JobLayout, program: P) -
             if let Some(algo) = coll {
                 cfg.coll_algo = algo;
             }
-            let out = run_program_on(BcsMpi::new(cfg, &layout), layout, program, opts, backend);
+            let engine = BcsMpi::new(cfg, &layout);
+            let out = Job::new(engine, layout).opts(opts).start(&program).expect_complete();
             AppOutcome {
                 elapsed: out.elapsed,
                 results: out.results,
@@ -164,13 +146,8 @@ pub fn run_app<P: RankProgram>(sel: &EngineSel, layout: JobLayout, program: P) -
             if let Some(algo) = coll {
                 cfg.coll_algo = algo;
             }
-            let out = run_program_on(
-                QuadricsMpi::new(cfg, &layout),
-                layout,
-                program,
-                opts,
-                backend,
-            );
+            let engine = QuadricsMpi::new(cfg, &layout);
+            let out = Job::new(engine, layout).opts(opts).start(&program).expect_complete();
             AppOutcome {
                 elapsed: out.elapsed,
                 results: out.results,

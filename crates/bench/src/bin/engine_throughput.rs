@@ -10,10 +10,9 @@
 //! per node, so events per slice is `events_per_iter / 200` and the host
 //! cost of one node in one slice is `median_ns / (200 * n)`; both are
 //! printed. The `waitall_fanin_<n>` rows (two ranks, each ending in
-//! one waitall over `n` small-message requests, on the VM backend like
-//! every experiment) are rated in request *completions* per second
-//! instead: the figure that collapses if completing one member of a
-//! wait-set ever costs more than O(1).
+//! one waitall over `n` small-message requests) are rated in request
+//! *completions* per second instead: the figure that collapses if
+//! completing one member of a wait-set ever costs more than O(1).
 //!
 //! Two of the rows are *gated pairs* (enforced here, run by
 //! `scripts/verify.sh` through [`bench::gate::check_speedup`]):
@@ -43,10 +42,7 @@ use bcs_mpi::match_index::reference::LinearRecvList;
 use bcs_mpi::match_index::{RecvIndex, RecvSel, SendKey};
 use bench::micro::Micro;
 use mpi_api::message::{SrcSel, TagSel};
-use mpi_api::runtime::{
-    Backend, ClusterWorld, JobLayout, RunOpts, resume_program, run_job_hooked, run_program,
-    run_program_hooked,
-};
+use mpi_api::runtime::{Job, JobLayout, run_program};
 use mpi_api::AsyncMpi;
 use simcore::{Sim, SimDuration, SimTime};
 use std::hint::black_box;
@@ -67,9 +63,7 @@ fn idle_slices(nodes: usize) -> u64 {
 }
 
 fn burst_62ranks() -> u64 {
-    // 62-rank allreduce + neighbour exchange: end-to-end engine cost, on
-    // the VM backend (on the thread backend this row timed 62 OS-thread
-    // spawns, not the engine).
+    // 62-rank allreduce + neighbour exchange: end-to-end engine cost.
     let layout = JobLayout::crescendo(62);
     let out = run_program(
         bcs_mpi::BcsMpi::new(bcs_mpi::BcsConfig::default(), &layout),
@@ -192,23 +186,19 @@ fn checkpoint_image_fixture() -> bcs_mpi::CheckpointImage {
     let mut cfg = bcs_mpi::BcsConfig::default();
     cfg.checkpoint_every = Some(1);
     cfg.checkpoint_images = true;
-    let out = run_job_hooked(
-        bcs_mpi::BcsMpi::new(cfg, &layout),
-        layout,
-        |mpi| {
+    let out = Job::new(bcs_mpi::BcsMpi::new(cfg, &layout), layout)
+        .setup(|w, _| w.set_recording(true))
+        .start(&|mut mpi: AsyncMpi| async move {
             let peer = (mpi.rank() + 1) % mpi.size();
             let from = (mpi.rank() + mpi.size() - 1) % mpi.size();
             for it in 0..3i32 {
-                let s0 = mpi.isend(peer, it * 2, &vec![0x5Au8; 1024 * 1024]);
-                let s1 = mpi.isend(peer, it * 2 + 1, &vec![0xA5u8; 1024 * 1024]);
-                let r0 = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(it * 2));
-                let r1 = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(it * 2 + 1));
-                mpi.waitall(&[s0, s1, r0, r1]);
+                let s0 = mpi.isend(peer, it * 2, &vec![0x5Au8; 1024 * 1024]).await;
+                let s1 = mpi.isend(peer, it * 2 + 1, &vec![0xA5u8; 1024 * 1024]).await;
+                let r0 = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(it * 2)).await;
+                let r1 = mpi.irecv(SrcSel::Rank(from), TagSel::Tag(it * 2 + 1)).await;
+                mpi.waitall(&[s0, s1, r0, r1]).await;
             }
-        },
-        |w, _| w.set_recording(true),
-        RunOpts::default(),
-    );
+        });
     assert!(out.completed, "fixture job must complete");
     let img = out
         .engine
@@ -223,8 +213,6 @@ fn checkpoint_image_fixture() -> bcs_mpi::CheckpointImage {
     );
     img
 }
-
-type BW = ClusterWorld<bcs_mpi::BcsMpi>;
 
 const RING_ITERS: i32 = 300;
 
@@ -254,14 +242,9 @@ fn ring_cfg() -> (bcs_mpi::BcsConfig, JobLayout) {
 
 fn recorded_ring_images() -> Vec<bcs_mpi::CheckpointImage> {
     let (cfg, layout) = ring_cfg();
-    let out = run_program_hooked(
-        bcs_mpi::BcsMpi::new(cfg, &layout),
-        layout,
-        recorded_ring,
-        |w: &mut BW, _: &mut Sim<BW>| w.set_recording(true),
-        RunOpts::default(),
-        Backend::default(),
-    );
+    let out = Job::new(bcs_mpi::BcsMpi::new(cfg, &layout), layout)
+        .setup(|w, _| w.set_recording(true))
+        .start(&recorded_ring);
     assert!(out.completed, "fixture job must complete");
     assert!(out.engine.images.len() > 512, "fixture run too short");
     out.engine.images
@@ -270,16 +253,9 @@ fn recorded_ring_images() -> Vec<bcs_mpi::CheckpointImage> {
 /// Restore from `img` and run the job to completion.
 fn restore_and_finish(img: &bcs_mpi::CheckpointImage) -> u64 {
     let (cfg, layout) = ring_cfg();
-    let out = resume_program(
-        bcs_mpi::BcsMpi::restore_from_image(cfg, &layout, img),
-        layout,
-        recorded_ring,
-        &img.rt,
-        |w: &mut BW, sim: &mut Sim<BW>| bcs_mpi::resume_from_boundary(w, sim),
-        |_: &mut BW, _: &mut Sim<BW>| {},
-        RunOpts::default(),
-        Backend::default(),
-    );
+    let out = Job::new(bcs_mpi::BcsMpi::restore_from_image(cfg, &layout, img), layout)
+        .resume_from(&img.rt, bcs_mpi::resume_from_boundary)
+        .start(&recorded_ring);
     assert!(out.completed, "restored fixture job must complete");
     out.events
 }

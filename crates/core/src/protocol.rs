@@ -132,7 +132,7 @@ fn boundary_resume(w: &mut BW, sim: &mut Sim<BW>, slice: u64) {
 /// Restart the protocol after an engine restore: runs the slice boundary's
 /// post-checkpoint tail (gang decision, NM restarts, DEM strobe) for the
 /// engine's current slice. Intended as the `kickoff` of
-/// `mpi_api::runtime::resume_job`, scheduled at the image's capture
+/// [`mpi_api::runtime::Job::resume_from`], scheduled at the image's capture
 /// instant; the checkpoint hook is deliberately skipped — the boundary was
 /// already captured, and re-capturing would duplicate the image.
 pub fn resume_from_boundary(w: &mut BW, sim: &mut Sim<BW>) {

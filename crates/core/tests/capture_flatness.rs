@@ -12,9 +12,9 @@
 
 use bcs_mpi::{BcsConfig, BcsMpi, CheckpointImage};
 use mpi_api::message::{SrcSel, TagSel};
-use mpi_api::runtime::{Backend, ClusterWorld, JobLayout, RunOpts, run_program_hooked};
+use mpi_api::runtime::{Job, JobLayout};
 use mpi_api::{AsyncMpi, ReduceOp};
-use simcore::{Sim, SimDuration};
+use simcore::SimDuration;
 
 const ITERS: u64 = 300;
 const MSG_BYTES: usize = 2048;
@@ -38,8 +38,6 @@ async fn ring(mut mpi: AsyncMpi) -> u64 {
     acc
 }
 
-type W = ClusterWorld<BcsMpi>;
-
 fn recorded_run() -> (Vec<CheckpointImage>, u64) {
     let layout = JobLayout::new(4, 2, 8);
     let cfg = BcsConfig {
@@ -48,14 +46,9 @@ fn recorded_run() -> (Vec<CheckpointImage>, u64) {
         trace_slices: true,
         ..BcsConfig::default()
     };
-    let out = run_program_hooked(
-        BcsMpi::new(cfg, &layout),
-        layout,
-        ring,
-        |w: &mut W, _: &mut Sim<W>| w.set_recording(true),
-        RunOpts::default(),
-        Backend::default(),
-    );
+    let out = Job::new(BcsMpi::new(cfg, &layout), layout)
+        .setup(|w, _| w.set_recording(true))
+        .start(&ring);
     assert!(out.completed, "{:?}", out.diagnostic);
     (out.engine.images, out.engine.stats.p2p_bytes)
 }

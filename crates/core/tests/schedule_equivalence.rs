@@ -15,7 +15,8 @@
 
 use bcs_mpi::{BcsConfig, BcsMpi};
 use mpi_api::message::{SrcSel, TagSel};
-use mpi_api::runtime::{JobLayout, RunResult, run_job};
+use mpi_api::runtime::{JobLayout, RunResult, run_program};
+use mpi_api::{AsyncMpi, RankProgram};
 use proplite::prelude::*;
 use qsnet::FabricKind;
 use simcore::SimDuration;
@@ -58,54 +59,61 @@ fn pattern_strategy() -> impl Strategy<Value = Pattern> {
         })
 }
 
-/// The workload itself, blocking-handle form (`run_job`): compute, shower
-/// every ring neighbour, absorb everything received into a checksum.
+/// The workload itself: compute, shower every ring neighbour, absorb
+/// everything received into a checksum.
+fn pattern_program(p: &Pattern) -> impl RankProgram<Out = u64> {
+    let p = p.clone();
+    move |mut mpi: AsyncMpi| {
+        let p = p.clone();
+        async move {
+            let me = mpi.rank();
+            let n = mpi.size();
+            let mut peers = Vec::new();
+            for o in 1..=p.neighbors {
+                peers.push((me + o) % n);
+            }
+            let mut checksum = 0u64;
+            for (it, &tag) in p.tags.iter().enumerate() {
+                mpi.compute(SimDuration::micros(150)).await;
+                let payload: Vec<u8> =
+                    (0..p.msg_bytes).map(|i| (me + it + i) as u8).collect();
+                let mut reqs = Vec::new();
+                for &peer in &peers {
+                    for _ in 0..p.mpp {
+                        reqs.push(mpi.isend(peer, tag, &payload).await);
+                    }
+                }
+                let sends = reqs.len();
+                let wild = p.wild[it % p.wild.len()];
+                for o in 1..=p.neighbors {
+                    let from = (me + n - o) % n;
+                    let src = if wild { SrcSel::Any } else { SrcSel::Rank(from) };
+                    for _ in 0..p.mpp {
+                        reqs.push(mpi.irecv(src, TagSel::Tag(tag)).await);
+                    }
+                }
+                for (data, status) in &mpi.waitall(&reqs).await[sends..] {
+                    let data = data.as_ref().expect("recv payload");
+                    let status = status.as_ref().expect("recv status");
+                    assert_eq!(data.len(), p.msg_bytes);
+                    // Order-insensitive fold: wildcard receives may match in
+                    // engine-specific order, so each message contributes a
+                    // commutative term.
+                    checksum = checksum.wrapping_add(
+                        (1 + status.source as u64)
+                            .wrapping_mul(31)
+                            .wrapping_add(data.iter().map(|&b| b as u64).sum::<u64>()),
+                    );
+                }
+            }
+            checksum
+        }
+    }
+}
+
 fn run_pattern(cfg: BcsConfig, p: &Pattern) -> RunResult<u64, BcsMpi> {
     let layout = JobLayout::new(p.n, 1, p.n);
-    let p = p.clone();
-    run_job(BcsMpi::new(cfg, &layout), layout, move |mpi| {
-        let me = mpi.rank();
-        let n = mpi.size();
-        let mut peers = Vec::new();
-        for o in 1..=p.neighbors {
-            peers.push((me + o) % n);
-        }
-        let mut checksum = 0u64;
-        for (it, &tag) in p.tags.iter().enumerate() {
-            mpi.compute(SimDuration::micros(150));
-            let payload: Vec<u8> =
-                (0..p.msg_bytes).map(|i| (me + it + i) as u8).collect();
-            let mut reqs = Vec::new();
-            for &peer in &peers {
-                for _ in 0..p.mpp {
-                    reqs.push(mpi.isend(peer, tag, &payload));
-                }
-            }
-            let sends = reqs.len();
-            let wild = p.wild[it % p.wild.len()];
-            for o in 1..=p.neighbors {
-                let from = (me + n - o) % n;
-                let src = if wild { SrcSel::Any } else { SrcSel::Rank(from) };
-                for _ in 0..p.mpp {
-                    reqs.push(mpi.irecv(src, TagSel::Tag(tag)));
-                }
-            }
-            for (data, status) in &mpi.waitall(&reqs)[sends..] {
-                let data = data.as_ref().expect("recv payload");
-                let status = status.as_ref().expect("recv status");
-                assert_eq!(data.len(), p.msg_bytes);
-                // Order-insensitive fold: wildcard receives may match in
-                // engine-specific order, so each message contributes a
-                // commutative term.
-                checksum = checksum.wrapping_add(
-                    (1 + status.source as u64)
-                        .wrapping_mul(31)
-                        .wrapping_add(data.iter().map(|&b| b as u64).sum::<u64>()),
-                );
-            }
-        }
-        checksum
-    })
+    run_program(BcsMpi::new(cfg, &layout), layout, pattern_program(p))
 }
 
 fn cfg_with(fabric: FabricKind, compile: bool, coalesce: bool) -> BcsConfig {
@@ -176,56 +184,11 @@ proplite! {
         // Independent oracle for *what* the checksums should be: the
         // Quadrics engine shares no slice/schedule machinery with BCS.
         let layout = JobLayout::new(p.n, 1, p.n);
-        let q = {
-            let p = p.clone();
-            run_job(
-                quadrics_mpi::QuadricsMpi::new(quadrics_mpi::QuadricsConfig::default(), &layout),
-                layout,
-                move |mpi| {
-                    let me = mpi.rank();
-                    let n = mpi.size();
-                    let mut peers = Vec::new();
-                    for o in 1..=p.neighbors {
-                        peers.push((me + o) % n);
-                    }
-                    let mut checksum = 0u64;
-                    for (it, &tag) in p.tags.iter().enumerate() {
-                        mpi.compute(SimDuration::micros(150));
-                        let payload: Vec<u8> =
-                            (0..p.msg_bytes).map(|i| (me + it + i) as u8).collect();
-                        let mut reqs = Vec::new();
-                        for &peer in &peers {
-                            for _ in 0..p.mpp {
-                                reqs.push(mpi.isend(peer, tag, &payload));
-                            }
-                        }
-                        let sends = reqs.len();
-                        let wild = p.wild[it % p.wild.len()];
-                        for o in 1..=p.neighbors {
-                            let from = (me + n - o) % n;
-                            let src =
-                                if wild { SrcSel::Any } else { SrcSel::Rank(from) };
-                            for _ in 0..p.mpp {
-                                reqs.push(mpi.irecv(src, TagSel::Tag(tag)));
-                            }
-                        }
-                        for (data, status) in &mpi.waitall(&reqs)[sends..] {
-                            let data = data.as_ref().expect("recv payload");
-                            let status = status.as_ref().expect("recv status");
-                            assert_eq!(data.len(), p.msg_bytes);
-                            checksum = checksum.wrapping_add(
-                                (1 + status.source as u64)
-                                    .wrapping_mul(31)
-                                    .wrapping_add(
-                                        data.iter().map(|&b| b as u64).sum::<u64>(),
-                                    ),
-                            );
-                        }
-                    }
-                    checksum
-                },
-            )
-        };
+        let q = run_program(
+            quadrics_mpi::QuadricsMpi::new(quadrics_mpi::QuadricsConfig::default(), &layout),
+            layout,
+            pattern_program(&p),
+        );
         let b = run_pattern(cfg_with(FabricKind::QsNet, true, false), &p);
         prop_assert_eq!(&q.results, &b.results,
             "engines disagree on checksums ({:?})", &p);
@@ -279,8 +242,8 @@ enum WaitForm {
 type Waited = Vec<(Option<Vec<u8>>, Option<mpi_api::Status>)>;
 
 /// The rank program: what each wait returned, in wait order.
-fn fanin_program(p: Fanin, form: WaitForm) -> impl mpi_api::RankProgram<Out = Waited> {
-    move |mut mpi: mpi_api::AsyncMpi| {
+fn fanin_program(p: Fanin, form: WaitForm) -> impl RankProgram<Out = Waited> {
+    move |mut mpi: AsyncMpi| {
         let p = p.clone();
         async move {
             let (me, n) = (mpi.rank(), mpi.size());
@@ -321,7 +284,6 @@ proplite! {
 
     #[test]
     fn wide_waitall_equals_one_wait_at_a_time_on_both_engines(p in fanin_strategy()) {
-        use mpi_api::runtime::run_program;
         let layout = JobLayout::new(p.n, 1, p.n);
 
         // Baseline engine: a wait costs nothing and schedules nothing, so

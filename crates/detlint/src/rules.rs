@@ -6,7 +6,7 @@
 //! |------|-----------|
 //! | D01  | no host clocks (`Instant`, `SystemTime`) outside `bench::{sweep,micro,wallclock}` |
 //! | D02  | no iteration over `HashMap`/`HashSet` in sim crates (order is seeded per-process) |
-//! | D03  | no `thread::spawn`/`thread::scope` outside `bench::sweep` |
+//! | D03  | no `thread::spawn`/`thread::scope`/`thread::Builder` outside `bench::sweep` |
 //! | D04  | no `std::env` reads outside `bench`, `apps::runner`, `detlint` |
 //! | D05  | every `unsafe` block/fn/impl carries a `// SAFETY:` comment |
 //! | D06  | no host-float literals or `f32`/`f64` in `crates/core` (softfloat owns FP) |
@@ -210,7 +210,7 @@ pub fn check_file(
                 if !d03_allowed(rel)
                     && i + 2 < toks.len()
                     && toks[i + 1].is_punct("::")
-                    && (toks[i + 2].is_ident("spawn") || toks[i + 2].is_ident("scope")) =>
+                    && ["spawn", "scope", "Builder"].contains(&toks[i + 2].text.as_str()) =>
             {
                 out.push(finding(
                     "D03",

@@ -3,7 +3,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | D08  | `use` paths and qualified references only name workspace crates the containing crate declares in the layer DAG ([`crate::dag`]); dev-deps only from test/example context |
-//! | D09  | no `_ =>` wildcard or bare-binding arm in a `match` over a protocol enum (`MpiCall`, `MpiResp`, `FabricKind`, `CollAlgo`, `Backend`) in shipped sim-crate code — a new variant must break the build, not fall through |
+//! | D09  | no `_ =>` wildcard or bare-binding arm in a `match` over a protocol enum (`MpiCall`, `MpiResp`, `FabricKind`, `CollAlgo`) in shipped sim-crate code — a new variant must break the build, not fall through |
 //! | D10  | no `unwrap`/`expect`/panic-macro/direct index in the designated hot/recovery modules without a fn-level `// PANIC-OK:` justification |
 //!
 //! (D11, the call-graph taint rule, lives in [`crate::graph`] — it is the
@@ -88,7 +88,7 @@ fn d08_layering(rel: &str, parsed: &ParsedFile, out: &mut Vec<Finding>) {
 /// the build at every match site, because a silently-swallowed variant is
 /// a silently-divergent replay.
 pub const PROTOCOL_ENUMS: &[&str] =
-    &["MpiCall", "MpiResp", "FabricKind", "CollAlgo", "Backend"];
+    &["MpiCall", "MpiResp", "FabricKind", "CollAlgo"];
 
 fn d09_applies(rel: &str) -> bool {
     !matches!(crate_of(rel), "bench" | "detlint" | "proplite")

@@ -19,30 +19,12 @@ use crate::plan::{CrashEvent, FaultPlan};
 use bcs_core::BcsWorld;
 use bcs_mpi::{BcsConfig, BcsMpi, CheckpointImage, FailureInfo};
 use mpi_api::RankProgram;
-use mpi_api::runtime::{
-    Backend, ClusterWorld, JobLayout, RunOpts, resume_program, run_program_hooked,
-};
+use mpi_api::runtime::{ClusterWorld, Job, JobLayout, RunOpts};
 use qsnet::NodeId;
 use simcore::{Sim, SimDuration, SimTime};
 use std::rc::Rc;
-use std::sync::Arc;
 
 type W = ClusterWorld<BcsMpi>;
-
-/// `Arc`-shared rank program: every recovery segment boots ranks from the
-/// same program value without requiring `P: Clone`.
-struct Shared<P>(Arc<P>);
-
-impl<P: RankProgram> RankProgram for Shared<P> {
-    type Out = P::Out;
-
-    fn boot(
-        &self,
-        mpi: mpi_api::AsyncMpi,
-    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Self::Out>>> {
-        self.0.boot(mpi)
-    }
-}
 
 /// Configuration of the recovery machinery around a [`BcsConfig`].
 #[derive(Clone, Debug)]
@@ -58,8 +40,6 @@ pub struct RecoveryCfg {
     pub max_restarts: usize,
     /// Per-segment run options (virtual-time horizon).
     pub opts: RunOpts,
-    /// Rank-program backend for every segment (default: the stackless VM).
-    pub backend: Backend,
 }
 
 impl RecoveryCfg {
@@ -79,7 +59,6 @@ impl RecoveryCfg {
             opts: RunOpts {
                 max_virtual: Some(SimDuration::secs(60)),
             },
-            backend: Backend::default(),
         }
     }
 }
@@ -158,24 +137,19 @@ where
         );
     }
 
-    let program = Arc::new(program);
     let mut detections: Vec<Detection> = Vec::new();
     let mut restarts = 0usize;
     let mut events = 0u64;
     let mut latest: Option<CheckpointImage> = None;
 
     // Segment 0: fresh run with the full plan armed.
-    let mut outcome = run_program_hooked(
-        BcsMpi::new(cfg.bcs.clone(), &layout),
-        layout.clone(),
-        Shared(Arc::clone(&program)),
-        |w: &mut W, sim: &mut Sim<W>| {
+    let mut outcome = Job::new(BcsMpi::new(cfg.bcs.clone(), &layout), layout.clone())
+        .opts(cfg.opts.clone())
+        .setup(|w, sim| {
             w.set_recording(true);
             inject(w, sim, &plan.crashes, plan, cfg.heartbeat_period, SimTime::ZERO);
-        },
-        cfg.opts.clone(),
-        cfg.backend,
-    );
+        })
+        .start(&program);
 
     loop {
         events += outcome.events;
@@ -248,18 +222,12 @@ where
         // Crashes at or before the detection are repaired by the restore
         // (the fabric snapshot revives every node); later ones stay armed.
         let remaining = plan.crashes_after(fail.at);
-        outcome = resume_program(
-            BcsMpi::restore_from_image(cfg.bcs.clone(), &layout, img),
-            layout.clone(),
-            Shared(Arc::clone(&program)),
-            &img.rt,
-            |w: &mut W, sim: &mut Sim<W>| bcs_mpi::resume_from_boundary(w, sim),
-            |w: &mut W, sim: &mut Sim<W>| {
-                inject(w, sim, &remaining, plan, cfg.heartbeat_period, img.captured_at);
-            },
-            cfg.opts.clone(),
-            cfg.backend,
-        );
+        let engine = BcsMpi::restore_from_image(cfg.bcs.clone(), &layout, img);
+        outcome = Job::new(engine, layout.clone())
+            .opts(cfg.opts.clone())
+            .resume_from(&img.rt, bcs_mpi::resume_from_boundary)
+            .setup(|w, sim| inject(w, sim, &remaining, plan, cfg.heartbeat_period, img.captured_at))
+            .start(&program);
     }
 }
 
@@ -359,5 +327,5 @@ where
     let mut cfg = bcs.clone();
     cfg.checkpoint_images = false;
     cfg.checkpoint_cost = SimDuration::ZERO;
-    mpi_api::runtime::run_program_opts(BcsMpi::new(cfg, &layout), layout, program, opts)
+    Job::new(BcsMpi::new(cfg, &layout), layout).opts(opts).start(&program).expect_complete()
 }

@@ -1,10 +1,10 @@
 //! The rank ⇄ engine protocol.
 //!
-//! Every MPI primitive a rank program invokes crosses the cooperative-thread
-//! boundary as one [`MpiCall`] and returns as one [`MpiResp`]. The calls
-//! mirror the BCS API of the paper's Appendix A (`bcs_send`, `bcs_recv`,
-//! `bcs_probe`, `bcs_test`, `bcs_testall`, `bcs_barrier`, `bcs_bcast`,
-//! `bcs_reduce`); the higher-level collectives (scatter/gather/allgather/
+//! Every MPI primitive a rank program invokes crosses to the engine as one
+//! [`MpiCall`] and returns as one [`MpiResp`]. The calls mirror the BCS API
+//! of the paper's Appendix A (`bcs_send`, `bcs_recv`, `bcs_probe`,
+//! `bcs_test`, `bcs_testall`, `bcs_barrier`, `bcs_bcast`, `bcs_reduce`);
+//! the higher-level collectives (scatter/gather/allgather/
 //! alltoall and their vector forms) are composed from these in
 //! [`crate::ctx`], matching the paper's layering.
 
@@ -202,7 +202,7 @@ impl MpiCall {
     }
 
     /// Whether the call is a non-blocking post answered by exactly one
-    /// [`MpiResp::Req`] — what [`crate::ctx::Mpi::post_batch`] accepts.
+    /// [`MpiResp::Req`] — what [`crate::ctx::AsyncMpi::post_batch`] accepts.
     pub fn is_nonblocking_post(&self) -> bool {
         matches!(
             self,

@@ -15,15 +15,17 @@
 //! the rank yields it, and logs a delivered response with each stamped
 //! payload replaced by [`Payload::hollow`]: the origin and no bytes. A
 //! rollback replays every rank, so the replayed sender regenerates the
-//! bytes and the reference is filled from them (`runtime::resume_program`);
+//! bytes and the reference is filled from them (`runtime::Job::resume_from`);
 //! the receiving rank holds the only reference to what it received and its
 //! `into_vec` moves. Payloads nobody stamped — collective results, whatever
 //! an engine re-buffers — are logged by value. The stamp lives inside the
 //! shared allocation, so the handle stays one pointer wide and
 //! `MpiCall`/`MpiResp` do not grow.
 //!
-//! `Arc` (not `Rc`) because responses cross the coroutine harness's
-//! OS-thread boundary (`CoHarness` requires `Resp: Send`).
+//! `Arc` (not `Rc`) keeps a payload `Send + Sync`. One simulation runs on
+//! one thread, but a checkpoint image may leave the thread that captured
+//! it, and sharding a simulation (ROADMAP item 6) moves payloads between
+//! shards.
 
 use std::fmt;
 use std::sync::Arc;

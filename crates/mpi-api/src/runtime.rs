@@ -1,18 +1,15 @@
 //! The cluster runtime: engine trait, world, and job driver.
 //!
 //! One simulation = one [`ClusterWorld`] (the engine plus the rank harness)
-//! driven by one [`simcore::Sim`]. Rank programs run on one of two
-//! [`Backend`]s behind the same yield protocol:
+//! driven by one [`simcore::Sim`]. Each rank is a stackless state machine
+//! ([`simcore::VmHarness`]) stepped in place by the drain loop. No OS
+//! threads, no per-rank stacks: n = 4096 ranks cost 4096 heap-allocated
+//! futures, so job size is bounded by memory, not by the host's thread
+//! limit.
 //!
-//! * [`Backend::Vm`] (default for program-based entry points) — each rank
-//!   is a stackless state machine ([`simcore::VmHarness`]) stepped in place
-//!   by the drain loop. No OS threads, no per-rank stacks: n = 4096 ranks
-//!   cost 4096 heap-allocated futures, so job size is bounded by memory,
-//!   not by the host's thread limit.
-//! * [`Backend::Threads`] — the original cooperative harness
-//!   ([`simcore::CoHarness`]), one parked OS thread per rank. Retained as
-//!   the executable reference implementation; the backend-equivalence suite
-//!   checks the two produce bit-identical results.
+//! A run is described once as a [`Job`] value — engine, layout, options, an
+//! optional setup hook, an optional checkpoint to resume from — and then
+//! started; [`run_program`] is the shorthand for the common case.
 //!
 //! Every [`MpiCall`] a rank issues is dispatched to the engine, which
 //! completes it immediately or later by scheduling a resume. The drain loop
@@ -23,13 +20,12 @@
 
 use crate::call::{MpiCall, MpiResp};
 use crate::chunklog::{ChunkLog, LogSnapshot};
-use crate::ctx::{ready, AsyncMpi, Mpi, RankProgram};
+use crate::ctx::{AsyncMpi, RankProgram};
 use crate::idtable::IdTable;
 use crate::payload::{Origin, Payload};
 use qsnet::NodeId;
-use simcore::{CoHarness, ProcId, ProcYield, Sim, SimDuration, SimTime, SpawnError, VmChannel, VmHarness};
+use simcore::{ProcId, ProcYield, Sim, SimDuration, SimTime, VmChannel, VmHarness};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Placement of an MPI job on the simulated cluster.
 #[derive(Clone, Debug)]
@@ -95,14 +91,6 @@ pub trait Engine: Sized + 'static {
         call: MpiCall,
     );
 
-    /// Notification that `rank`'s program returned.
-    fn on_finished(
-        _w: &mut ClusterWorld<Self>,
-        _sim: &mut Sim<ClusterWorld<Self>>,
-        _rank: usize,
-    ) {
-    }
-
     /// Diagnostic dump of in-flight state, used in deadlock reports.
     fn describe_pending(&self) -> String {
         String::new()
@@ -113,47 +101,6 @@ pub trait Engine: Sized + 'static {
     /// by the driver after every event.
     fn halted(_w: &ClusterWorld<Self>) -> bool {
         false
-    }
-}
-
-/// Which rank-execution substrate a job runs on (see the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// Stackless state-machine ranks; scales to thousands of ranks.
-    #[default]
-    Vm,
-    /// One parked OS thread per rank; the executable reference.
-    Threads,
-}
-
-/// The per-rank harness behind the yield protocol — the only place the two
-/// backends differ. Both expose the same resume/take_result surface and
-/// identical panic behaviour, so the driver below is backend-agnostic.
-enum RankHarness {
-    Threads(CoHarness<MpiCall, MpiResp>),
-    Vm(VmHarness<MpiCall, MpiResp>),
-}
-
-impl RankHarness {
-    fn new(backend: Backend) -> RankHarness {
-        match backend {
-            Backend::Threads => RankHarness::Threads(CoHarness::new()),
-            Backend::Vm => RankHarness::Vm(VmHarness::new()),
-        }
-    }
-
-    fn resume(&mut self, pid: ProcId, resp: MpiResp) -> ProcYield<MpiCall> {
-        match self {
-            RankHarness::Threads(h) => h.resume(pid, resp),
-            RankHarness::Vm(h) => h.resume(pid, resp),
-        }
-    }
-
-    fn take_result<R: Send + 'static>(&mut self, pid: ProcId) -> Option<R> {
-        match self {
-            RankHarness::Threads(h) => h.take_result::<R>(pid),
-            RankHarness::Vm(h) => h.take_result::<R>(pid),
-        }
     }
 }
 
@@ -174,7 +121,7 @@ pub struct BatchState {
 pub struct ClusterWorld<E: Engine> {
     pub engine: E,
     pub layout: JobLayout,
-    harness: RankHarness,
+    harness: VmHarness<MpiCall, MpiResp>,
     pending: VecDeque<(usize, MpiResp)>,
     pub finished: usize,
     finish_times: Vec<Option<SimTime>>,
@@ -209,19 +156,12 @@ pub struct ClusterWorld<E: Engine> {
 pub type Delivery = (u32, MpiResp);
 
 impl<E: Engine> ClusterWorld<E> {
-    /// World on the thread backend — the constructor the closure-based
-    /// [`run_job`] family uses.
     pub fn new(engine: E, layout: JobLayout) -> ClusterWorld<E> {
-        ClusterWorld::with_backend(engine, layout, Backend::Threads)
-    }
-
-    /// World on an explicit [`Backend`].
-    pub fn with_backend(engine: E, layout: JobLayout, backend: Backend) -> ClusterWorld<E> {
         let ranks = layout.ranks;
         ClusterWorld {
             engine,
             layout,
-            harness: RankHarness::new(backend),
+            harness: VmHarness::new(),
             pending: VecDeque::new(),
             finished: 0,
             finish_times: vec![None; ranks],
@@ -234,6 +174,22 @@ impl<E: Engine> ClusterWorld<E> {
             sends_yielded: vec![0; ranks],
             logged_payload_bytes: 0,
         }
+    }
+
+    /// Boot `program` for `rank` and run it up to its first yield.
+    fn boot_rank<P: RankProgram>(&mut self, program: &P, rank: usize) -> ProcYield<MpiCall> {
+        let chan: VmChannel<MpiCall, MpiResp> = VmChannel::new();
+        let mpi = AsyncMpi::new(chan.clone(), rank, self.layout.ranks);
+        let (pid, y) = self.harness.spawn(chan, program.boot(mpi));
+        assert_eq!(pid.0, rank, "rank ids must be dense");
+        y
+    }
+
+    /// `rank`'s program returned at virtual time `at`.
+    fn mark_finished(&mut self, rank: usize, at: SimTime) {
+        self.pending_call[rank] = None;
+        self.finished += 1;
+        self.finish_times[rank] = Some(at);
     }
 
     /// Queue a completion for `rank`. Processed by the next [`drain`].
@@ -278,7 +234,7 @@ impl<E: Engine> ClusterWorld<E> {
     /// the machine-wide response history, every scheduled-but-undelivered
     /// completion, and per-rank finish times. Together with an engine-state
     /// snapshot this is sufficient to reconstruct the whole simulation on
-    /// the original (absolute) timeline — see [`resume_job`].
+    /// the original (absolute) timeline — see [`Job::resume_from`].
     ///
     /// Takes `&mut self` because capturing seals the log's tail into a
     /// chunk the image shares ([`ChunkLog::snapshot`]) — O(1) whatever the
@@ -344,7 +300,7 @@ impl RuntimeImage {
 }
 
 /// Hand one call to the engine, noting what the rank is now parked in (the
-/// raw material of the deadlock diagnostic in [`finish_run`]).
+/// raw material of the deadlock diagnostic, [`stuck_report`]).
 fn issue_call<E: Engine>(
     w: &mut ClusterWorld<E>,
     sim: &mut Sim<ClusterWorld<E>>,
@@ -445,15 +401,9 @@ pub fn drain<E: Engine>(w: &mut ClusterWorld<E>, sim: &mut Sim<ClusterWorld<E>>)
         if w.record_resps {
             w.record(rank, &resp);
         }
-        let y = w.harness.resume(ProcId(rank), resp);
-        match y {
+        match w.harness.resume(ProcId(rank), resp) {
             ProcYield::Request(call) => dispatch_call(w, sim, rank, call),
-            ProcYield::Finished(_) => {
-                w.pending_call[rank] = None;
-                w.finished += 1;
-                w.finish_times[rank] = Some(sim.now());
-                E::on_finished(w, sim, rank);
-            }
+            ProcYield::Finished => w.mark_finished(rank, sim.now()),
         }
     }
     w.draining = false;
@@ -490,7 +440,7 @@ where
     }
 }
 
-/// Outcome of [`run_job`].
+/// Outcome of a job that ran to completion ([`RunOutcome::expect_complete`]).
 pub struct RunResult<R, E> {
     /// Per-rank program return values, indexed by rank.
     pub results: Vec<R>,
@@ -506,191 +456,17 @@ pub struct RunResult<R, E> {
     pub events: u64,
 }
 
-/// Options for [`run_job_opts`].
+/// Options for [`Job::opts`].
 #[derive(Clone, Debug, Default)]
 pub struct RunOpts {
-    /// Abort (panic) if virtual time exceeds this bound — catches protocol
-    /// livelock in tests.
+    /// Stop the run (incomplete, with a diagnostic) if virtual time exceeds
+    /// this bound — catches protocol livelock in tests.
     pub max_virtual: Option<SimDuration>,
 }
 
-/// How the generic driver instantiates one rank: the only seam between the
-/// closure world (`Fn(&mut Mpi)`, thread backend only) and the program
-/// world ([`RankProgram`], either backend).
-trait Spawner {
-    type Out: Send + 'static;
-
-    fn spawn_rank(
-        &self,
-        harness: &mut RankHarness,
-        rank: usize,
-        size: usize,
-    ) -> Result<(ProcId, ProcYield<MpiCall>), SpawnError>;
-}
-
-/// Spawner for blocking-style closure programs. These need a real call
-/// stack to block on, so they run only on [`Backend::Threads`].
-struct ClosureSpawner<F>(Arc<F>);
-
-impl<R, F> Spawner for ClosureSpawner<F>
-where
-    R: Send + 'static,
-    F: Fn(&mut Mpi) -> R + Send + Sync + 'static,
-{
-    type Out = R;
-
-    fn spawn_rank(
-        &self,
-        harness: &mut RankHarness,
-        rank: usize,
-        size: usize,
-    ) -> Result<(ProcId, ProcYield<MpiCall>), SpawnError> {
-        let RankHarness::Threads(co) = harness else {
-            unreachable!("closure programs run only on the thread backend")
-        };
-        let prog = Arc::clone(&self.0);
-        co.try_spawn(format!("rank{rank}"), move |h| {
-            let mut mpi = Mpi::new(h, rank, size);
-            prog(&mut mpi)
-        })
-    }
-}
-
-/// Spawner for [`RankProgram`]s: boots the program's future into a VM slot,
-/// or drives the identical future to completion on a cooperative thread.
-struct ProgramSpawner<P>(Arc<P>);
-
-impl<P: RankProgram> Spawner for ProgramSpawner<P> {
-    type Out = P::Out;
-
-    fn spawn_rank(
-        &self,
-        harness: &mut RankHarness,
-        rank: usize,
-        size: usize,
-    ) -> Result<(ProcId, ProcYield<MpiCall>), SpawnError> {
-        match harness {
-            RankHarness::Vm(vm) => {
-                let chan: VmChannel<MpiCall, MpiResp> = VmChannel::new();
-                let mpi = AsyncMpi::from_vm(chan.clone(), rank, size);
-                Ok(vm.spawn(chan, self.0.boot(mpi)))
-            }
-            RankHarness::Threads(co) => {
-                let prog = Arc::clone(&self.0);
-                co.try_spawn(format!("rank{rank}"), move |h| {
-                    let mpi = AsyncMpi::from_thread(h, rank, size);
-                    ready(prog.boot(mpi))
-                })
-            }
-        }
-    }
-}
-
-/// Run `program` as an MPI job of `layout.ranks` ranks over `engine`.
-///
-/// The program closure receives an [`Mpi`] context; its return value is
-/// collected per rank. Panics with a diagnostic if the job deadlocks.
-/// Runs on [`Backend::Threads`]; the scalable entry point is
-/// [`run_program`].
-pub fn run_job<E, R, F>(engine: E, layout: JobLayout, program: F) -> RunResult<R, E>
-where
-    E: Engine,
-    R: Send + 'static,
-    F: Fn(&mut Mpi) -> R + Send + Sync + 'static,
-{
-    run_job_opts(engine, layout, program, RunOpts::default())
-}
-
-/// [`run_job`] with explicit options.
-pub fn run_job_opts<E, R, F>(
-    engine: E,
-    layout: JobLayout,
-    program: F,
-    opts: RunOpts,
-) -> RunResult<R, E>
-where
-    E: Engine,
-    R: Send + 'static,
-    F: Fn(&mut Mpi) -> R + Send + Sync + 'static,
-{
-    expect_complete(run_job_hooked(engine, layout, program, |_, _| {}, opts))
-}
-
-/// Run a [`RankProgram`] job on the default backend ([`Backend::Vm`]).
-pub fn run_program<E, P>(engine: E, layout: JobLayout, program: P) -> RunResult<P::Out, E>
-where
-    E: Engine,
-    P: RankProgram,
-{
-    run_program_opts(engine, layout, program, RunOpts::default())
-}
-
-/// [`run_program`] with explicit options.
-pub fn run_program_opts<E, P>(
-    engine: E,
-    layout: JobLayout,
-    program: P,
-    opts: RunOpts,
-) -> RunResult<P::Out, E>
-where
-    E: Engine,
-    P: RankProgram,
-{
-    run_program_on(engine, layout, program, opts, Backend::default())
-}
-
-/// [`run_program`] with explicit options and backend. Panics with a
-/// diagnostic if the job deadlocks or a rank cannot be spawned.
-pub fn run_program_on<E, P>(
-    engine: E,
-    layout: JobLayout,
-    program: P,
-    opts: RunOpts,
-    backend: Backend,
-) -> RunResult<P::Out, E>
-where
-    E: Engine,
-    P: RankProgram,
-{
-    expect_complete(run_program_hooked(
-        engine,
-        layout,
-        program,
-        |_, _| {},
-        opts,
-        backend,
-    ))
-}
-
-/// Panicking conversion shared by the infallible entry points.
-fn expect_complete<R, E>(out: RunOutcome<R, E>) -> RunResult<R, E> {
-    if !out.completed {
-        panic!(
-            "{}",
-            out.diagnostic.as_deref().unwrap_or("MPI job did not complete")
-        );
-    }
-    let finish_times: Vec<SimTime> = out
-        .finish_times
-        .iter()
-        .map(|t| t.expect("finished rank must have a finish time"))
-        .collect();
-    RunResult {
-        results: out
-            .results
-            .into_iter()
-            .map(|r| r.expect("finished rank must have a result"))
-            .collect(),
-        elapsed: out.elapsed,
-        finish_times,
-        engine: out.engine,
-        events: out.events,
-    }
-}
-
-/// Outcome of [`run_job_hooked`] / [`resume_job`]: like [`RunResult`] but
-/// non-panicking, so a halted run (node failure, horizon, rank-spawn
-/// failure) can be inspected and recovered instead of aborting the process.
+/// Outcome of [`Job::start`]: like [`RunResult`] but non-panicking, so a
+/// halted run (node failure, horizon) can be inspected and recovered instead
+/// of aborting the process.
 pub struct RunOutcome<R, E> {
     /// True when every rank's program returned.
     pub completed: bool,
@@ -708,228 +484,174 @@ pub struct RunOutcome<R, E> {
     pub diagnostic: Option<String>,
 }
 
-/// [`run_job_opts`]'s engine room, with two extra capabilities: a `setup`
-/// hook that runs after `bootstrap` but before any rank executes (fault
-/// injection, monitors, response recording), and a non-panicking outcome —
-/// the run also stops when [`Engine::halted`] turns true.
-pub fn run_job_hooked<E, R, F, S>(
-    engine: E,
-    layout: JobLayout,
-    program: F,
-    setup: S,
-    opts: RunOpts,
-) -> RunOutcome<R, E>
-where
-    E: Engine,
-    R: Send + 'static,
-    F: Fn(&mut Mpi) -> R + Send + Sync + 'static,
-    S: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>),
-{
-    run_hooked_inner(
-        engine,
-        layout,
-        ClosureSpawner(Arc::new(program)),
-        setup,
-        opts,
-        Backend::Threads,
-    )
-}
-
-/// [`run_program_on`]'s engine room: [`run_job_hooked`] for
-/// [`RankProgram`]s, on an explicit backend.
-pub fn run_program_hooked<E, P, S>(
-    engine: E,
-    layout: JobLayout,
-    program: P,
-    setup: S,
-    opts: RunOpts,
-    backend: Backend,
-) -> RunOutcome<P::Out, E>
-where
-    E: Engine,
-    P: RankProgram,
-    S: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>),
-{
-    run_hooked_inner(
-        engine,
-        layout,
-        ProgramSpawner(Arc::new(program)),
-        setup,
-        opts,
-        backend,
-    )
-}
-
-/// Backend- and program-representation-agnostic driver body shared by
-/// [`run_job_hooked`] and [`run_program_hooked`] — one copy of the spawn /
-/// dispatch / drain logic, so the two entry families cannot drift.
-fn run_hooked_inner<E, Sp, S>(
-    engine: E,
-    layout: JobLayout,
-    spawner: Sp,
-    setup: S,
-    opts: RunOpts,
-    backend: Backend,
-) -> RunOutcome<Sp::Out, E>
-where
-    E: Engine,
-    Sp: Spawner,
-    S: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>),
-{
-    let mut sim: Sim<ClusterWorld<E>> = Sim::new();
-    if let Some(mv) = opts.max_virtual {
-        sim.set_horizon(SimTime::ZERO + mv);
-    }
-    let mut w = ClusterWorld::with_backend(engine, layout.clone(), backend);
-    E::bootstrap(&mut w, &mut sim);
-    setup(&mut w, &mut sim);
-
-    let size = layout.ranks;
-    for rank in 0..size {
-        let (pid, y) = match spawner.spawn_rank(&mut w.harness, rank, size) {
-            Ok(sp) => sp,
-            Err(e) => return spawn_failure_outcome(w, sim, rank, e),
-        };
-        assert_eq!(pid.0, rank, "rank ids must be dense");
-        match y {
-            ProcYield::Request(call) => dispatch_call(&mut w, &mut sim, rank, call),
-            ProcYield::Finished(_) => {
-                w.finished += 1;
-                w.finish_times[rank] = Some(SimTime::ZERO);
-            }
+impl<R, E> RunOutcome<R, E> {
+    /// The result of a job that has to have completed: panics with the
+    /// run's diagnostic if it deadlocked, halted or hit the horizon.
+    pub fn expect_complete(self) -> RunResult<R, E> {
+        assert!(
+            self.completed,
+            "{}",
+            self.diagnostic.as_deref().unwrap_or("MPI job did not complete")
+        );
+        RunResult {
+            results: self
+                .results
+                .into_iter()
+                .map(|r| r.expect("finished rank must have a result"))
+                .collect(),
+            elapsed: self.elapsed,
+            finish_times: self
+                .finish_times
+                .into_iter()
+                .map(|t| t.expect("finished rank must have a finish time"))
+                .collect(),
+            engine: self.engine,
+            events: self.events,
         }
     }
-    drain(&mut w, &mut sim);
-
-    finish_run(w, sim)
 }
 
-/// A rank could not be spawned (thread backend hitting the host's thread
-/// limit). Surface a structured diagnostic instead of aborting — the world
-/// (and its already-spawned ranks) is torn down by dropping it.
-fn spawn_failure_outcome<E: Engine, R>(
-    w: ClusterWorld<E>,
-    sim: Sim<ClusterWorld<E>>,
-    rank: usize,
-    err: SpawnError,
-) -> RunOutcome<R, E> {
-    let size = w.layout.ranks;
-    let ClusterWorld {
-        engine,
-        finish_times,
-        ..
-    } = w;
-    RunOutcome {
-        completed: false,
-        results: (0..size).map(|_| None).collect(),
-        elapsed: sim.now().since(SimTime::ZERO),
-        finish_times,
-        engine,
-        events: sim.events_executed(),
-        diagnostic: Some(format!(
-            "MPI job could not start: failed to spawn rank {rank} of {size}: {err}"
-        )),
+/// A caller-supplied step of a run, given the world and its simulator.
+type Hook<'a, E> = Box<dyn FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>) + 'a>;
+
+/// An MPI job as a value: `layout.ranks` ranks over `engine`, described once
+/// and then started with the program every rank boots from.
+pub struct Job<'a, E: Engine> {
+    engine: E,
+    layout: JobLayout,
+    opts: RunOpts,
+    setup: Hook<'a, E>,
+    resume: Option<(&'a RuntimeImage, Hook<'static, E>)>,
+}
+
+impl<'a, E: Engine> Job<'a, E> {
+    /// A fresh run with default options and no setup hook.
+    pub fn new(engine: E, layout: JobLayout) -> Job<'a, E> {
+        Job {
+            engine,
+            layout,
+            opts: RunOpts::default(),
+            setup: Box::new(|_, _| {}),
+            resume: None,
+        }
+    }
+
+    /// Run under `opts` (the default sets no virtual-time horizon).
+    pub fn opts(mut self, opts: RunOpts) -> Self {
+        self.opts = opts;
+        self
+    }
+
+    /// Run `hook` after the engine's `bootstrap` and before any rank
+    /// executes: fault injection, monitors, response recording.
+    pub fn setup(
+        mut self,
+        hook: impl FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>) + 'a,
+    ) -> Self {
+        self.setup = Box::new(hook);
+        self
+    }
+
+    /// Resume from a checkpoint instead of starting fresh: the job's engine
+    /// must already be restored to the image's state, `rt` is the matching
+    /// [`RuntimeImage`], and `kickoff` is scheduled at the capture instant
+    /// to restart the protocol (in BCS-MPI, the slice-boundary resume) —
+    /// which is why it alone must be `'static`. Rank programs are re-booted
+    /// and silently replayed through the recorded responses, all ranks
+    /// interleaved in the order the responses were delivered. The calls
+    /// they yield are discarded, because every effect of those calls is
+    /// already part of the restored engine state — except the payloads of
+    /// their sends, which are what the log's hollow references are filled
+    /// from. Each rank ends up parked exactly where the checkpoint caught
+    /// it, and the simulation continues on the original absolute timeline.
+    /// A setup hook, if any, runs once all of that is in place.
+    pub fn resume_from(
+        mut self,
+        rt: &'a RuntimeImage,
+        kickoff: impl FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>) + 'static,
+    ) -> Self {
+        self.resume = Some((rt, Box::new(kickoff)));
+        self
+    }
+
+    /// Run the job until every rank's program has returned, the engine
+    /// declares the machine halted ([`Engine::halted`]) or the horizon is
+    /// hit. `Sim` breaks same-instant ties by scheduling sequence, so the
+    /// order of the steps below is part of the result.
+    pub fn start<P: RankProgram>(self, program: &P) -> RunOutcome<P::Out, E> {
+        let mut sim: Sim<ClusterWorld<E>> = Sim::new();
+        if let Some(mv) = self.opts.max_virtual {
+            sim.set_horizon(SimTime::ZERO + mv);
+        }
+        let size = self.layout.ranks;
+        let mut w = ClusterWorld::new(self.engine, self.layout);
+        match self.resume {
+            None => {
+                E::bootstrap(&mut w, &mut sim);
+                (self.setup)(&mut w, &mut sim);
+                for rank in 0..size {
+                    match w.boot_rank(program, rank) {
+                        ProcYield::Request(call) => dispatch_call(&mut w, &mut sim, rank, call),
+                        ProcYield::Finished => w.mark_finished(rank, SimTime::ZERO),
+                    }
+                }
+                drain(&mut w, &mut sim);
+            }
+            Some((rt, kickoff)) => {
+                // No bootstrap: the restored engine state already contains
+                // the protocol's standing state; `kickoff` restarts its
+                // event loop.
+                replay(&mut w, program, rt);
+                // Re-create the delivery schedule (scheduling order =
+                // original issue order, so same-instant events keep their
+                // relative order), then the protocol kickoff at the capture
+                // instant.
+                for (at, rank, resp) in &rt.pending_resumes {
+                    resume_at(&mut w, &mut sim, *at, *rank, resp.clone());
+                }
+                sim.schedule_at(rt.captured_at, move |w: &mut ClusterWorld<E>, sim| {
+                    kickoff(w, sim);
+                    drain(w, sim);
+                });
+                (self.setup)(&mut w, &mut sim);
+            }
+        }
+
+        let done = sim.run_until(&mut w, |w| w.all_finished() || E::halted(w));
+        let completed = w.all_finished();
+        let end = match w.finish_times.iter().flatten().max() {
+            Some(&last_finish) if completed => last_finish,
+            _ => sim.now(),
+        };
+        RunOutcome {
+            completed,
+            results: (0..size).map(|r| w.harness.take_result(ProcId(r))).collect(),
+            elapsed: end.since(SimTime::ZERO),
+            diagnostic: (!completed).then(|| stuck_report(&w, sim.now(), done)),
+            finish_times: w.finish_times,
+            engine: w.engine,
+            events: sim.events_executed(),
+        }
     }
 }
 
-/// Resume a job from a checkpoint: `engine` must already be restored to the
-/// image's state, `rt` is the matching [`RuntimeImage`], and `kickoff` is
-/// scheduled at the capture instant to restart the protocol (in BCS-MPI,
-/// the slice-boundary resume). Rank programs are re-spawned and silently
-/// replayed through the recorded responses, all ranks interleaved in the
-/// order the responses were delivered. The calls they yield are discarded,
-/// because every effect of those calls is already part of the restored
-/// engine state — except the payloads of their sends, which are what the
-/// log's hollow references are filled from. Each rank ends up parked
-/// exactly where the checkpoint caught it, and the simulation continues on
-/// the original absolute timeline.
-pub fn resume_job<E, R, F, S, K>(
-    engine: E,
-    layout: JobLayout,
-    program: F,
-    rt: &RuntimeImage,
-    kickoff: K,
-    setup: S,
-    opts: RunOpts,
-) -> RunOutcome<R, E>
-where
-    E: Engine,
-    R: Send + 'static,
-    F: Fn(&mut Mpi) -> R + Send + Sync + 'static,
-    S: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>),
-    K: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>) + 'static,
-{
-    resume_inner(
-        engine,
-        layout,
-        ClosureSpawner(Arc::new(program)),
-        rt,
-        kickoff,
-        setup,
-        opts,
-        Backend::Threads,
-    )
-}
-
-/// [`resume_job`] for [`RankProgram`]s, on an explicit backend. Checkpoint
-/// replay works identically on VM-resident rank state: the response log is
-/// fed to the re-booted state machines exactly as it is to re-spawned
-/// threads.
-pub fn resume_program<E, P, S, K>(
-    engine: E,
-    layout: JobLayout,
-    program: P,
-    rt: &RuntimeImage,
-    kickoff: K,
-    setup: S,
-    opts: RunOpts,
-    backend: Backend,
-) -> RunOutcome<P::Out, E>
+/// Run `program` as an MPI job of `layout.ranks` ranks over `engine`; its
+/// return value is collected per rank. Panics with a diagnostic if the job
+/// deadlocks.
+pub fn run_program<E, P>(engine: E, layout: JobLayout, program: P) -> RunResult<P::Out, E>
 where
     E: Engine,
     P: RankProgram,
-    S: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>),
-    K: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>) + 'static,
 {
-    resume_inner(
-        engine,
-        layout,
-        ProgramSpawner(Arc::new(program)),
-        rt,
-        kickoff,
-        setup,
-        opts,
-        backend,
-    )
+    Job::new(engine, layout).start(&program).expect_complete()
 }
 
-/// Shared body of [`resume_job`] / [`resume_program`].
-#[allow(clippy::too_many_arguments)]
-fn resume_inner<E, Sp, S, K>(
-    engine: E,
-    layout: JobLayout,
-    spawner: Sp,
-    rt: &RuntimeImage,
-    kickoff: K,
-    setup: S,
-    opts: RunOpts,
-    backend: Backend,
-) -> RunOutcome<Sp::Out, E>
-where
-    E: Engine,
-    Sp: Spawner,
-    S: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>),
-    K: FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>) + 'static,
-{
-    let size = layout.ranks;
+/// Boot every rank of a resumed job and replay it through `rt`'s response
+/// log, leaving the world's rank and recording state as it was at the
+/// capture (see [`Job::resume_from`]).
+fn replay<E: Engine, P: RankProgram>(w: &mut ClusterWorld<E>, program: &P, rt: &RuntimeImage) {
+    let size = w.layout.ranks;
     assert_eq!(rt.batches.len(), size, "image rank count mismatch");
-    let mut sim: Sim<ClusterWorld<E>> = Sim::new();
-    if let Some(mv) = opts.max_virtual {
-        sim.set_horizon(SimTime::ZERO + mv);
-    }
-    let mut w = ClusterWorld::with_backend(engine, layout.clone(), backend);
-    // No bootstrap: the restored engine state already contains the
-    // protocol's standing state; `kickoff` restarts its event loop.
     w.batches = rt.batches.clone();
 
     // What each rank has sent and nobody has received yet, by send ordinal.
@@ -939,17 +661,13 @@ where
     let mut sent: Vec<IdTable<u64, Payload>> = (0..size).map(|_| IdTable::new()).collect();
     let mut parked: Vec<ProcYield<MpiCall>> = Vec::with_capacity(size);
     for (rank, sent) in sent.iter_mut().enumerate() {
-        let (pid, mut y) = match spawner.spawn_rank(&mut w.harness, rank, size) {
-            Ok(sp) => sp,
-            Err(e) => return spawn_failure_outcome(w, sim, rank, e),
-        };
-        assert_eq!(pid.0, rank, "rank ids must be dense");
+        let mut y = w.boot_rank(program, rank);
         harvest_sends(sent, &mut y);
         parked.push(y);
     }
     for (entry, (rank, logged)) in rt.log.iter().enumerate() {
         let rank = *rank as usize;
-        if let ProcYield::Finished(_) = parked[rank] {
+        if matches!(parked[rank], ProcYield::Finished) {
             replay_diverged(rt, rank, entry, &parked[rank], "is owed another response");
         }
         let mut resp = logged.clone();
@@ -981,14 +699,11 @@ where
             (ProcYield::Request(call), None) => {
                 w.pending_call[rank] = Some((call.op_name(), rt.captured_at));
             }
-            (ProcYield::Finished(_), Some(at)) => {
-                w.finished += 1;
-                w.finish_times[rank] = Some(at);
-            }
+            (ProcYield::Finished, Some(at)) => w.mark_finished(rank, at),
             (ProcYield::Request(_), Some(at)) => {
                 replay_diverged(rt, rank, rt.log.len(), y, &format!("had finished at t={at}"))
             }
-            (ProcYield::Finished(_), None) => {
+            (ProcYield::Finished, None) => {
                 replay_diverged(rt, rank, rt.log.len(), y, "was still running at the capture")
             }
         }
@@ -998,20 +713,6 @@ where
     w.log = ChunkLog::resume(&rt.log);
     w.logged_payload_bytes = rt.logged_payload_bytes;
     w.sends_yielded = sent.iter().map(IdTable::next_id).collect();
-
-    // Re-create the delivery schedule (scheduling order = original issue
-    // order, so same-instant events keep their relative order), then the
-    // protocol kickoff at the capture instant.
-    for (at, rank, resp) in &rt.pending_resumes {
-        resume_at(&mut w, &mut sim, *at, *rank, resp.clone());
-    }
-    sim.schedule_at(rt.captured_at, move |w: &mut ClusterWorld<E>, sim| {
-        kickoff(w, sim);
-        drain(w, sim);
-    });
-    setup(&mut w, &mut sim);
-
-    finish_run(w, sim)
 }
 
 /// Keep the payloads of the sends a replayed rank just yielded, under the
@@ -1036,7 +737,7 @@ fn replay_diverged(
 ) -> ! {
     let op = match parked {
         ProcYield::Request(call) => call.op_name(),
-        ProcYield::Finished(_) => "nothing: its program returned",
+        ProcYield::Finished => "nothing: its program returned",
     };
     panic!(
         "replay diverged from the checkpoint image captured at t={}: at log entry {entry} of {} \
@@ -1050,66 +751,33 @@ fn replay_diverged(
 /// every stuck rank would bury the report.
 const STUCK_RANKS_SHOWN: usize = 16;
 
-/// Shared tail of the drivers: run to completion/halt and collect.
-fn finish_run<E, R>(mut w: ClusterWorld<E>, mut sim: Sim<ClusterWorld<E>>) -> RunOutcome<R, E>
-where
-    E: Engine,
-    R: Send + 'static,
-{
+/// Why a run stopped short of completion at `now`: which ranks are stuck,
+/// what each is parked in, and what the engine still holds.
+fn stuck_report<E: Engine>(w: &ClusterWorld<E>, now: SimTime, run_until: bool) -> String {
     let size = w.layout.ranks;
-    let done = sim.run_until(&mut w, |w| w.all_finished() || E::halted(w));
-    let completed = w.all_finished();
-    let diagnostic = if completed {
-        None
-    } else {
-        let stuck: Vec<usize> = (0..size).filter(|&r| w.finish_times[r].is_none()).collect();
-        let mut lines = String::new();
-        for &r in stuck.iter().take(STUCK_RANKS_SHOWN) {
-            match w.pending_call[r] {
-                Some((op, t)) => lines.push_str(&format!("  rank {r}: parked in {op} since t={t}\n")),
-                None => lines.push_str(&format!("  rank {r}: never issued a call\n")),
-            }
+    let stuck: Vec<usize> = (0..size).filter(|&r| w.finish_times[r].is_none()).collect();
+    let mut lines = String::new();
+    for &r in stuck.iter().take(STUCK_RANKS_SHOWN) {
+        match w.pending_call[r] {
+            Some((op, t)) => lines.push_str(&format!("  rank {r}: parked in {op} since t={t}\n")),
+            None => lines.push_str(&format!("  rank {r}: never issued a call\n")),
         }
-        if stuck.len() > STUCK_RANKS_SHOWN {
-            lines.push_str(&format!(
-                "  … and {} more stuck ranks\n",
-                stuck.len() - STUCK_RANKS_SHOWN
-            ));
-        }
-        Some(format!(
-            "MPI job did not complete at t={} ({} of {} ranks finished).\n\
-             Stuck ranks:\n{lines}\
-             Either the program deadlocked, a failure halted the machine, or the\n\
-             virtual-time horizon was hit (run_until={done}).\n\
-             Engine state:\n{}",
-            sim.now(),
-            w.finished,
-            size,
-            w.engine.describe_pending()
-        ))
-    };
-    let elapsed = if completed {
-        w.finish_times
-            .iter()
-            .map(|t| t.expect("finished rank must have a finish time"))
-            .max()
-            .unwrap_or(SimTime::ZERO)
-            .since(SimTime::ZERO)
-    } else {
-        sim.now().since(SimTime::ZERO)
-    };
-    let results: Vec<Option<R>> = (0..size)
-        .map(|r| w.harness.take_result::<R>(ProcId(r)))
-        .collect();
-    RunOutcome {
-        completed,
-        results,
-        elapsed,
-        finish_times: w.finish_times.clone(),
-        engine: w.engine,
-        events: sim.events_executed(),
-        diagnostic,
     }
+    if stuck.len() > STUCK_RANKS_SHOWN {
+        lines.push_str(&format!(
+            "  … and {} more stuck ranks\n",
+            stuck.len() - STUCK_RANKS_SHOWN
+        ));
+    }
+    format!(
+        "MPI job did not complete at t={now} ({} of {size} ranks finished).\n\
+         Stuck ranks:\n{lines}\
+         Either the program deadlocked, a failure halted the machine, or the\n\
+         virtual-time horizon was hit (run_until={run_until}).\n\
+         Engine state:\n{}",
+        w.finished,
+        w.engine.describe_pending()
+    )
 }
 
 #[cfg(test)]
@@ -1143,11 +811,17 @@ mod tests {
     }
 
     // A trivial engine: everything completes instantly except Compute,
-    // which advances virtual time. Exercises the full driver machinery.
-    struct NullEngine;
+    // which advances virtual time. Exercises the full driver machinery, and
+    // notes the order the driver reaches it in.
+    #[derive(Default)]
+    struct NullEngine {
+        seen: Vec<&'static str>,
+    }
 
     impl Engine for NullEngine {
-        fn bootstrap(_w: &mut ClusterWorld<Self>, _sim: &mut Sim<ClusterWorld<Self>>) {}
+        fn bootstrap(w: &mut ClusterWorld<Self>, _sim: &mut Sim<ClusterWorld<Self>>) {
+            w.engine.seen.push("bootstrap");
+        }
 
         fn on_call(
             w: &mut ClusterWorld<Self>,
@@ -1155,6 +829,7 @@ mod tests {
             rank: usize,
             call: MpiCall,
         ) {
+            w.engine.seen.push(call.op_name());
             match call {
                 MpiCall::Compute { ns } => {
                     let at = sim.now() + SimDuration::nanos(ns);
@@ -1172,8 +847,8 @@ mod tests {
     #[test]
     fn run_job_collects_results_and_times() {
         let layout = JobLayout::new(4, 2, 8);
-        let out = run_job(NullEngine, layout, |mpi| {
-            mpi.compute(SimDuration::micros(100 * (mpi.rank() as u64 + 1)));
+        let out = run_program(NullEngine::default(), layout, |mut mpi: AsyncMpi| async move {
+            mpi.compute(SimDuration::micros(100 * (mpi.rank() as u64 + 1))).await;
             mpi.rank() * 10
         });
         assert_eq!(out.results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
@@ -1188,52 +863,67 @@ mod tests {
     #[test]
     fn virtual_clock_visible_to_ranks() {
         let layout = JobLayout::new(1, 1, 1);
-        let out = run_job(NullEngine, layout, |mpi| {
-            let t0 = mpi.now();
-            mpi.compute(SimDuration::millis(3));
-            let t1 = mpi.now();
+        let out = run_program(NullEngine::default(), layout, |mut mpi: AsyncMpi| async move {
+            let t0 = mpi.now().await;
+            mpi.compute(SimDuration::millis(3)).await;
+            let t1 = mpi.now().await;
             t1.since(t0)
         });
         assert_eq!(out.results[0], SimDuration::millis(3));
     }
 
+    /// The setup hook sees a bootstrapped engine that no rank has called yet.
+    #[test]
+    fn setup_runs_between_bootstrap_and_the_first_call() {
+        let layout = JobLayout::new(1, 2, 2);
+        let out = Job::new(NullEngine::default(), layout)
+            .setup(|w, _| w.engine.seen.push("setup"))
+            .start(&|mut mpi: AsyncMpi| async move { mpi.now().await })
+            .expect_complete();
+        assert_eq!(out.engine.seen, ["bootstrap", "setup", "now", "now"]);
+    }
+
+    /// A rank whose program returns before issuing any call never reaches
+    /// the drain loop: it is finished at boot, at t=0, result and all.
+    #[test]
+    fn rank_returning_without_a_call_finishes_at_time_zero() {
+        let layout = JobLayout::new(1, 2, 2);
+        let out = run_program(NullEngine::default(), layout, |mut mpi: AsyncMpi| async move {
+            if mpi.rank() == 1 {
+                mpi.compute(SimDuration::micros(5)).await;
+            }
+            mpi.rank() + 7
+        });
+        assert_eq!(out.results, [7, 8]);
+        assert_eq!(out.finish_times, [SimTime::ZERO, SimTime::ZERO + SimDuration::micros(5)]);
+        assert_eq!(out.engine.seen, ["bootstrap", "compute"]);
+    }
+
+    /// Rank 1 computes past the horizon.
+    fn overrun() -> RunOutcome<(), NullEngine> {
+        let layout = JobLayout::new(1, 2, 2);
+        Job::new(NullEngine::default(), layout)
+            .opts(RunOpts {
+                max_virtual: Some(SimDuration::secs(1)),
+            })
+            .start(&|mut mpi: AsyncMpi| async move {
+                if mpi.rank() == 1 {
+                    mpi.compute(SimDuration::secs(10)).await;
+                }
+            })
+    }
+
     #[test]
     #[should_panic(expected = "did not complete")]
     fn horizon_reports_stuck_ranks() {
-        let layout = JobLayout::new(1, 2, 2);
-        run_job_opts(
-            NullEngine,
-            layout,
-            |mpi| {
-                // Rank 1 computes past the horizon.
-                if mpi.rank() == 1 {
-                    mpi.compute(SimDuration::secs(10));
-                }
-            },
-            RunOpts {
-                max_virtual: Some(SimDuration::secs(1)),
-            },
-        );
+        overrun().expect_complete();
     }
 
     /// The deadlock diagnostic must name each stuck rank's pending call and
     /// the virtual instant it was issued.
     #[test]
     fn diagnostic_names_stuck_ranks_and_calls() {
-        let layout = JobLayout::new(1, 2, 2);
-        let out = run_job_hooked(
-            NullEngine,
-            layout,
-            |mpi: &mut Mpi| {
-                if mpi.rank() == 1 {
-                    mpi.compute(SimDuration::secs(10));
-                }
-            },
-            |_, _| {},
-            RunOpts {
-                max_virtual: Some(SimDuration::secs(1)),
-            },
-        );
+        let out = overrun();
         assert!(!out.completed);
         let d = out.diagnostic.expect("incomplete run must carry a diagnostic");
         assert!(
@@ -1243,45 +933,13 @@ mod tests {
         assert!(!d.contains("rank 0:"), "rank 0 finished and must not be listed:\n{d}");
     }
 
-    /// Same program, same engine, both backends: identical results, finish
-    /// times, and event counts.
-    #[test]
-    fn vm_backend_matches_thread_backend() {
-        let prog = |mut mpi: AsyncMpi| async move {
-            mpi.compute(SimDuration::micros(100 * (mpi.rank() as u64 + 1)))
-                .await;
-            let t = mpi.now().await;
-            (mpi.rank() * 10, t)
-        };
-        let layout = JobLayout::new(4, 2, 8);
-        let vm = run_program_on(
-            NullEngine,
-            layout.clone(),
-            prog,
-            RunOpts::default(),
-            Backend::Vm,
-        );
-        let th = run_program_on(
-            NullEngine,
-            layout,
-            prog,
-            RunOpts::default(),
-            Backend::Threads,
-        );
-        assert_eq!(vm.results, th.results);
-        assert_eq!(vm.finish_times, th.finish_times);
-        assert_eq!(vm.elapsed, th.elapsed);
-        assert_eq!(vm.events, th.events);
-        assert_eq!(vm.results[3].0, 30);
-    }
-
-    /// The VM backend runs a rank count that would need thousands of OS
-    /// threads on the reference backend.
+    /// A rank count that would need thousands of OS threads on a
+    /// thread-per-rank substrate.
     #[test]
     fn vm_backend_scales_past_thread_counts() {
         let n: usize = 4096;
         let layout = JobLayout::new(n.div_ceil(2), 2, n);
-        let out = run_program(NullEngine, layout, |mut mpi: AsyncMpi| async move {
+        let out = run_program(NullEngine::default(), layout, |mut mpi: AsyncMpi| async move {
             mpi.compute(SimDuration::nanos(mpi.rank() as u64 + 1)).await;
             mpi.rank()
         });

@@ -7,10 +7,9 @@
 //!   ordered by `(time, sequence-number)` and therefore **fully
 //!   deterministic**: two runs with the same inputs produce identical event
 //!   interleavings and identical virtual-time results;
-//! * [`coro::CoHarness`] — a cooperative process harness that lets simulated
-//!   application processes be written in natural blocking style (each runs on
-//!   its own parked OS thread, with a strict lock-step handoff to the
-//!   simulator, so there is never more than one runnable thread);
+//! * [`VmHarness`] — the rank substrate: each simulated application process
+//!   is a stackless state machine (a `Future`) stepped in place on the
+//!   simulator thread, in strict lock-step with it;
 //! * [`rng::SimRng`] — a tiny, self-contained, splittable PRNG
 //!   (splitmix64/xoshiro256**) whose stream is stable forever, independent of
 //!   external crate versions;
@@ -21,15 +20,13 @@
 //! `bcs-core`, `bcs-mpi`, `quadrics-mpi`) supply the world state `W` and the
 //! event closures.
 
-pub mod coro;
 pub mod rng;
 pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod vm;
 
-pub use coro::{CoHarness, ProcId, ProcYield, ProcessHandle, SpawnError};
-pub use vm::{VmChannel, VmHarness};
+pub use vm::{ProcId, ProcYield, VmChannel, VmHarness};
 pub use rng::SimRng;
 pub use sim::Sim;
 pub use time::{SimDuration, SimTime};

@@ -1,13 +1,14 @@
 //! Stackless rank-program VM.
 //!
-//! [`VmHarness`] is the scale-capable sibling of [`crate::coro::CoHarness`]:
-//! instead of parking one 1 MiB-stack OS thread per simulated process, each
-//! process is a compiled state machine (a Rust `Future`) stepped in place on
-//! the simulator thread. A rank's entire control state — program counter and
-//! typed locals — lives inside the future, so a 4096-rank job costs 4096
-//! heap objects instead of 4096 OS threads.
+//! Each simulated process is a compiled state machine (a Rust `Future`)
+//! stepped in place on the simulator thread by [`VmHarness`]. A rank's
+//! entire control state — program counter and typed locals — lives inside
+//! the future, so a 4096-rank job costs 4096 heap objects and no OS thread,
+//! and at most one piece of simulation code is ever running: execution is
+//! deterministic and process code needs no synchronization.
 //!
-//! The request/response protocol is identical to the thread harness:
+//! The request/response types are chosen by the layer above (for MPI they
+//! are `MpiCall` / `MpiResp`):
 //!
 //! ```text
 //! simulator (single thread)            rank future
@@ -20,10 +21,8 @@
 //! A rank may suspend **only** inside [`VmChannel::call`]; suspending
 //! anywhere else (a foreign future that returns `Pending` without posting a
 //! request) is a protocol violation and panics. At most one request is in
-//! flight per rank, mirroring the lock-step handoff of the thread harness,
-//! so the two backends observe bit-identical call/response sequences.
+//! flight per rank: the handoff is lock-step.
 
-use crate::coro::{ProcId, ProcYield, panic_message};
 use std::any::Any;
 use std::cell::RefCell;
 use std::future::Future;
@@ -31,6 +30,25 @@ use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
+
+/// Identifier of a simulated process within one harness (dense, 0-based).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct ProcId(pub usize);
+
+impl std::fmt::Display for ProcId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "P{}", self.0)
+    }
+}
+
+/// What a process did when it last ran.
+pub enum ProcYield<Req> {
+    /// The process issued a request and is now parked awaiting the response.
+    Request(Req),
+    /// The process's future completed; its output is collected with
+    /// [`VmHarness::take_result`].
+    Finished,
+}
 
 /// The single-slot mailbox shared between one rank future and the harness.
 struct VmCell<Req, Resp> {
@@ -40,9 +58,8 @@ struct VmCell<Req, Resp> {
     incoming: Option<Resp>,
 }
 
-/// A rank's capability to issue requests: the VM analogue of
-/// [`crate::coro::ProcessHandle`]. Clone one into the rank's future and hand
-/// the original to [`VmHarness::spawn`].
+/// A rank's capability to issue requests. Clone one into the rank's future
+/// and hand the original to [`VmHarness::spawn`].
 pub struct VmChannel<Req, Resp>(Rc<RefCell<VmCell<Req, Resp>>>);
 
 impl<Req, Resp> Clone for VmChannel<Req, Resp> {
@@ -122,10 +139,7 @@ struct VmSlot<Req, Resp> {
     result: Option<Box<dyn Any + Send>>,
 }
 
-/// Harness owning all stackless processes of one simulation. The API
-/// mirrors [`crate::coro::CoHarness`] exactly (spawn / resume / take_result
-/// and the same panic messages), so drivers can treat the two backends
-/// interchangeably.
+/// Harness owning all stackless processes of one simulation.
 pub struct VmHarness<Req, Resp> {
     slots: Vec<VmSlot<Req, Resp>>,
     live: usize,
@@ -225,9 +239,7 @@ impl<Req, Resp> VmHarness<Req, Resp> {
                 slot.result = Some(result);
                 slot.fut = None;
                 self.live -= 1;
-                // Hand a placeholder back: callers match on Finished and
-                // must use take_result for the value (CoHarness parity).
-                ProcYield::Finished(Box::new(()))
+                ProcYield::Finished
             }
             Ok(Poll::Pending) => {
                 let req = slot.chan.take_outgoing().unwrap_or_else(|| {
@@ -264,6 +276,16 @@ impl<Req, Resp> VmHarness<Req, Resp> {
                 None
             }
         }
+    }
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
     }
 }
 
@@ -312,7 +334,7 @@ mod tests {
             panic!("unexpected third yield")
         };
         let y = h.resume(pid, 0);
-        assert!(matches!(y, ProcYield::Finished(_)));
+        assert!(matches!(y, ProcYield::Finished));
         assert!(h.is_finished(pid));
         assert_eq!(h.take_result::<u64>(pid), Some(15));
         assert_eq!(h.live(), 0);
@@ -322,7 +344,7 @@ mod tests {
     fn immediate_finish_without_calls() {
         let mut h: VmHarness<Req, u64> = VmHarness::new();
         let (pid, y) = spawn_prog(&mut h, |_chan| async move { 42u64 });
-        assert!(matches!(y, ProcYield::Finished(_)));
+        assert!(matches!(y, ProcYield::Finished));
         assert_eq!(h.take_result::<u64>(pid), Some(42));
     }
 
@@ -353,7 +375,7 @@ mod tests {
                 vals[k] += 1;
                 let y = h.resume(pid, vals[k]);
                 rounds[k] += 1;
-                if matches!(y, ProcYield::Finished(_)) {
+                if matches!(y, ProcYield::Finished) {
                     done += 1;
                 }
             }
@@ -438,7 +460,7 @@ mod tests {
         for round in 1..=3u64 {
             for (i, &pid) in pids.iter().enumerate() {
                 let y = h.resume(pid, i as u64 + round);
-                assert_eq!(matches!(y, ProcYield::Finished(_)), round == 3);
+                assert_eq!(matches!(y, ProcYield::Finished), round == 3);
             }
         }
         for (i, &pid) in pids.iter().enumerate() {

@@ -11,7 +11,10 @@
 #      sources are part of the scanned tree)
 #   1. tier-1: cargo build --release && cargo test -q   (covers the whole
 #      workspace via workspace.default-members)
-#   2. explicit --workspace test pass
+#   2. explicit --workspace test pass, then a compile-only build of the
+#      standalone benchmark package: perf/ is outside the workspace, so
+#      nothing above notices when a change breaks the product surface
+#      perf/README.md pins
 #   3. the fault-recovery property suite (random fault plans: bit-identical
 #      recovery + same-seed replay) and, in release next to it, the
 #      count-based test that a capture's work does not grow with the image
@@ -31,7 +34,7 @@
 #      (indexed matching vs the linear-scan reference, incremental image
 #      capture vs a deep clone, both >= 5x) and exits non-zero on a miss
 #   7. the n=4096 scale smoke: barrier + neighbor sweeps on the BlueGene/L
-#      model via the stackless VM backend (DESIGN.md section 11), pinned
+#      model on the stackless rank VM (DESIGN.md section 11), pinned
 #      to one sweep worker so peak thread count is independent of n, with
 #      the two n=4096 headline slowdowns tolerance-gated and the slice
 #      machinery's dispatches per slice at n=4096 held under twice the
@@ -81,6 +84,9 @@ cargo test -q
 
 echo "== full workspace test pass"
 cargo test --workspace -q
+
+echo "== benchmark package compiles against the product surface (perf/, build only)"
+cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
 echo "== fault-recovery property suite + capture flatness / log retention counts"
 cargo test --release -q --test fault_recovery

@@ -14,9 +14,7 @@ use bcs_repro::faultsim::{
     FaultPlan, FaultProfile, RecoveryCfg, fault_free_reference, run_with_recovery,
 };
 use bcs_repro::mpi_api::message::{SrcSel, TagSel};
-use bcs_repro::mpi_api::runtime::{
-    Backend, ClusterWorld, JobLayout, resume_program, run_program_hooked,
-};
+use bcs_repro::mpi_api::runtime::{ClusterWorld, Job, JobLayout};
 use bcs_repro::mpi_api::{AsyncMpi, MpiCall, MpiResp, Payload, RankProgram, ReduceOp};
 use bcs_repro::qsnet::NodeId;
 use bcs_repro::simcore::{Sim, SimDuration};
@@ -430,27 +428,15 @@ fn restore_after_lapse(lapsed: &'static AtomicBool, lapse: Lapse) {
     let mut cfg = recovery_cfg().bcs;
     cfg.checkpoint_every = Some(1);
     let program = move |mpi: AsyncMpi| unfaithful_ring(mpi, lapsed, lapse);
-    let out = run_program_hooked(
-        BcsMpi::new(cfg.clone(), &layout()),
-        layout(),
-        program,
-        |w: &mut CW, _: &mut Sim<CW>| w.set_recording(true),
-        Default::default(),
-        Backend::default(),
-    );
+    let out = Job::new(BcsMpi::new(cfg.clone(), &layout()), layout())
+        .setup(|w, _| w.set_recording(true))
+        .start(&program);
     assert!(out.completed, "{:?}", out.diagnostic);
     let img = &out.engine.images[out.engine.images.len() / 2];
     lapsed.store(true, Ordering::SeqCst);
-    resume_program(
-        BcsMpi::restore_from_image(cfg, &layout(), img),
-        layout(),
-        program,
-        &img.rt,
-        |w: &mut CW, sim: &mut Sim<CW>| bcs_repro::bcs_mpi::resume_from_boundary(w, sim),
-        |_: &mut CW, _: &mut Sim<CW>| {},
-        Default::default(),
-        Backend::default(),
-    );
+    Job::new(BcsMpi::restore_from_image(cfg, &layout(), img), layout())
+        .resume_from(&img.rt, bcs_repro::bcs_mpi::resume_from_boundary)
+        .start(&program);
 }
 
 /// Replay of a rank that no longer sends what it sent: the receiver's log
@@ -560,11 +546,9 @@ proplite! {
         let shadow: Rc<RefCell<Vec<CheckpointImage>>> = Rc::new(RefCell::new(Vec::new()));
         let sh = shadow.clone();
         let timeslice = rc.bcs.timeslice;
-        let out = run_program_hooked(
-            BcsMpi::new(rc.bcs.clone(), &layout()),
-            layout(),
-            Workload::of(seed),
-            move |w: &mut CW, sim: &mut Sim<CW>| {
+        let out = Job::new(BcsMpi::new(rc.bcs.clone(), &layout()), layout())
+            .opts(rc.opts.clone())
+            .setup(move |w, sim| {
                 w.set_recording(true);
                 let fabric = &mut w.bcs().fabric;
                 fabric.plan_drops(plan.drops.clone());
@@ -572,10 +556,8 @@ proplite! {
                     fabric.degrade_link(d.clone());
                 }
                 shadow_images(w, sim, sh, timeslice);
-            },
-            rc.opts.clone(),
-            Backend::default(),
-        );
+            })
+            .start(&Workload::of(seed));
         prop_assert!(out.completed, "seed {} failed: {:?}", seed, out.diagnostic);
         let mut shadow = shadow.borrow_mut();
         prop_assert!(!shadow.is_empty(), "no image was shadowed mid-run");
@@ -601,16 +583,10 @@ proplite! {
         let mut outs = Vec::new();
         for img in [&out.engine.images[mid], &shadow[mid]] {
             let engine = BcsMpi::restore_from_image(rc.bcs.clone(), &layout(), img);
-            let o = resume_program(
-                engine,
-                layout(),
-                Workload::of(seed),
-                &img.rt,
-                |w: &mut CW, sim: &mut Sim<CW>| bcs_repro::bcs_mpi::resume_from_boundary(w, sim),
-                |_: &mut CW, _: &mut Sim<CW>| {},
-                rc.opts.clone(),
-                Backend::default(),
-            );
+            let o = Job::new(engine, layout())
+                .opts(rc.opts.clone())
+                .resume_from(&img.rt, bcs_repro::bcs_mpi::resume_from_boundary)
+                .start(&Workload::of(seed));
             prop_assert!(o.completed, "resume from slice {} failed", img.slice);
             outs.push((o.results, o.elapsed.as_nanos(), o.engine.checkpoints.clone()));
         }
