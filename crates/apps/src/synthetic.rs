@@ -18,7 +18,7 @@
 //! a rotating tag (never compilable).
 
 use mpi_api::message::{SrcSel, Status, TagSel};
-use mpi_api::{AsyncMpi, MpiResp, RankProgram, ReqId};
+use mpi_api::{AsyncMpi, MpiResp, Payload, RankProgram, ReqId};
 use simcore::SimDuration;
 
 /// Configuration of the compute+barrier benchmark.
@@ -110,7 +110,10 @@ pub fn neighbor_loop(cfg: NeighborLoopCfg) -> impl RankProgram<Out = u64> {
             let me = mpi.rank();
             assert!(cfg.neighbors < n, "need more ranks than neighbours");
             let peers = ring_peers(me, n, cfg.neighbors);
-            let payload: Vec<u8> = (0..cfg.msg_bytes).map(|i| (me + i) as u8).collect();
+            // Built once and posted by reference: every send of every
+            // iteration is a clone (a refcount) of this one buffer.
+            let payload: Payload =
+                (0..cfg.msg_bytes).map(|i| (me + i) as u8).collect::<Vec<u8>>().into();
             let mut checksum = 0u64;
             // One harness handoff per iteration: batch the previous
             // exchange's waitall together with this iteration's compute and
@@ -129,7 +132,7 @@ pub fn neighbor_loop(cfg: NeighborLoopCfg) -> impl RankProgram<Out = u64> {
                 }
                 calls.push(mpi.compute_desc(cfg.granularity));
                 for &p in &peers {
-                    calls.push(mpi.isend_desc(p, tag, &payload));
+                    calls.push(mpi.isend_desc(p, tag, payload.clone()));
                 }
                 for &p in &peers {
                     calls.push(mpi.irecv_desc(SrcSel::Rank(p), TagSel::Tag(tag)));
@@ -213,9 +216,10 @@ pub fn particle_stress(cfg: ParticleStressCfg) -> impl RankProgram<Out = u64> {
             assert!(cfg.neighbors < n, "need more ranks than neighbours");
             let peers = ring_peers(me, n, cfg.neighbors);
             let sends = peers.len() * cfg.msgs_per_peer;
-            // Payload m is peer-independent, so build each once.
-            let payloads: Vec<Vec<u8>> = (0..cfg.msgs_per_peer)
-                .map(|m| (0..cfg.msg_bytes).map(|i| (me + m + i) as u8).collect())
+            // Payload m is peer-independent, so build each once; the sends
+            // are clones.
+            let payloads: Vec<Payload> = (0..cfg.msgs_per_peer)
+                .map(|m| (0..cfg.msg_bytes).map(|i| (me + m + i) as u8).collect::<Vec<u8>>().into())
                 .collect();
             let mut checksum = 0u64;
             let mut reqs: Vec<ReqId> = Vec::new();
@@ -228,7 +232,7 @@ pub fn particle_stress(cfg: ParticleStressCfg) -> impl RankProgram<Out = u64> {
                 calls.push(mpi.compute_desc(cfg.granularity));
                 for &p in &peers {
                     for payload in &payloads {
-                        calls.push(mpi.isend_desc(p, tag, payload));
+                        calls.push(mpi.isend_desc(p, tag, payload.clone()));
                     }
                 }
                 for &p in &peers {

@@ -1,0 +1,126 @@
+//! What one simulated message costs the host allocator, as an exact count.
+//!
+//! A counting global allocator (`simcore::CountingAlloc`: per thread, so
+//! parallel tests do not mix) wraps whole runs of the two point-to-point
+//! benchmarks: every heap allocation between the run call and its result is
+//! divided by the messages the run moved. The bounds: at most 2.5
+//! allocations per message, and at most half of what this same test
+//! measured on the commit before payloads went by reference and the event
+//! queue, the match index and the fabric completions stopped allocating per
+//! message. The second test checks the other half of "a message body is
+//! never copied": the bytes a rank reads out of a batched waitall are the
+//! allocation its neighbour posted.
+
+use apps::runner::{EngineSel, run_app};
+use apps::synthetic::{NeighborLoopCfg, ParticleStressCfg, neighbor_loop, particle_stress};
+use mpi_api::message::{SrcSel, TagSel};
+use mpi_api::runtime::JobLayout;
+use mpi_api::{AsyncMpi, MpiResp, Payload, RankProgram};
+use simcore::{CountingAlloc, SimDuration};
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations (and reallocations) this thread makes per message while it
+/// runs `program`, engine construction and rank boot included.
+fn allocs_per_message<P: RankProgram>(
+    engine: EngineSel,
+    layout: JobLayout,
+    program: P,
+    msgs: usize,
+) -> f64 {
+    let before = CountingAlloc::allocs_on_this_thread();
+    run_app(&engine, layout, program);
+    (CountingAlloc::allocs_on_this_thread() - before) as f64 / msgs as f64
+}
+
+#[test]
+fn a_message_costs_at_most_two_and_a_half_allocations() {
+    let halo = NeighborLoopCfg::paper(SimDuration::micros(400), 200);
+    let halo_msgs = 62 * halo.neighbors * 200;
+    let particle = ParticleStressCfg::small(false, 40);
+    let particle_msgs = 32 * particle.neighbors * particle.msgs_per_peer * 40;
+    let crescendo = || JobLayout::crescendo(62);
+    // (workload, allocations per message now, and as this test measured
+    // them on that earlier commit)
+    let rows = [
+        (
+            "neighbor_loop on BCS-MPI",
+            allocs_per_message(EngineSel::bcs(), crescendo(), neighbor_loop(halo.clone()), halo_msgs),
+            8.72,
+        ),
+        (
+            "neighbor_loop on Quadrics MPI",
+            allocs_per_message(EngineSel::quadrics(), crescendo(), neighbor_loop(halo), halo_msgs),
+            4.26,
+        ),
+        (
+            "particle_stress on BCS-MPI",
+            allocs_per_message(
+                EngineSel::bcs(),
+                JobLayout::new(16, 2, 32),
+                particle_stress(particle),
+                particle_msgs,
+            ),
+            4.65,
+        ),
+    ];
+    for (name, per_msg, parent) in rows {
+        println!("{name}: {per_msg:.2} allocations per message (before: {parent})");
+        assert!(per_msg <= 2.5, "{name}: {per_msg:.2} allocations per message");
+        assert!(
+            per_msg <= parent / 2.0,
+            "{name}: {per_msg:.2} allocations per message, over half the {parent} it was"
+        );
+    }
+}
+
+/// Lock-step ranks post every `post_cost` and their resumes fall on the same
+/// instants, so the event queue holds runs, not events: under two heap
+/// entries for every three events executed (it was one for one).
+#[test]
+fn same_instant_events_share_heap_entries() {
+    let layout = JobLayout::crescendo(62);
+    let out = mpi_api::runtime::run_program(
+        bcs_mpi::BcsMpi::new(bcs_mpi::BcsConfig::default(), &layout),
+        layout,
+        neighbor_loop(NeighborLoopCfg::paper(SimDuration::micros(400), 200)),
+    );
+    let share = out.heap_pushes as f64 / out.events as f64;
+    println!("neighbor_loop on BCS-MPI: {} heap pushes for {} events ({share:.3})", out.heap_pushes, out.events);
+    assert!(share <= 0.65, "{share:.3} heap pushes per event");
+}
+
+/// Rank `r` posts one `Payload` to `r + 1` and reads what `r - 1` sent out
+/// of a batched waitall; returns both handles.
+async fn pass_on(mut mpi: AsyncMpi) -> (Payload, Payload) {
+    let (me, n) = (mpi.rank(), mpi.size());
+    let mine: Payload = vec![me as u8; 4096].into();
+    let posts = vec![
+        mpi.isend_desc((me + 1) % n, 7, mine.clone()),
+        mpi.irecv_desc(SrcSel::Rank((me + n - 1) % n), TagSel::Tag(7)),
+    ];
+    let reqs = mpi.post_batch(posts).await;
+    let wait = mpi.waitall_desc(&reqs);
+    match mpi.batch(vec![wait]).await.pop() {
+        Some(MpiResp::WaitallDone { mut results }) => {
+            (mine, results.pop().and_then(|(data, _)| data).expect("recv payload"))
+        }
+        other => unreachable!("batched waitall -> {other:?}"),
+    }
+}
+
+#[test]
+fn the_receiver_reads_the_allocation_the_sender_posted() {
+    for engine in [EngineSel::bcs(), EngineSel::quadrics()] {
+        let out = run_app(&engine, JobLayout::new(4, 2, 8), pass_on);
+        for (r, (posted, _)) in out.results.iter().enumerate() {
+            let (_, received) = &out.results[(r + 1) % 8];
+            assert!(
+                Payload::ptr_eq(posted, received),
+                "rank {} read a copy of what rank {r} posted",
+                (r + 1) % 8
+            );
+        }
+    }
+}

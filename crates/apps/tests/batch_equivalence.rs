@@ -82,7 +82,7 @@ fn batched(s: Script) -> impl RankProgram<Out = u64> {
                 calls.push(mpi.barrier_desc());
             }
             for o in 1..=s.fanout {
-                calls.push(mpi.isend_desc((me + o) % n, tag, &payload));
+                calls.push(mpi.isend_desc((me + o) % n, tag, &payload[..]));
             }
             for o in 1..=s.fanout {
                 calls.push(mpi.irecv_desc(SrcSel::Rank((me + n - o) % n), TagSel::Tag(tag)));

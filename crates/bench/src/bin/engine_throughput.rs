@@ -35,6 +35,14 @@
 //! engine rebuild, every rank replayed through the whole response log, the
 //! few remaining slices simulated — rated in log entries per second.
 //!
+//! Two rows are *exact counts*, not timings (`Micro::count`): what the host
+//! pays per unit of simulated work, the same on every run and at any load.
+//! `sim_lockstep_heap_pushes_per_event` is the share of events that cost
+//! the queue a heap entry when 64 timers fire together and re-arm for the
+//! same next instant (1/64: one run per period); `halo_allocs_per_msg` is
+//! heap allocations per message of the 62-rank neighbour exchange on
+//! BCS-MPI, through the counting allocator this binary installs.
+//!
 //! Run offline: `cargo run --release -p bench --bin engine_throughput
 //! [-- --quick]`. Emits `reports/microbench_engine_throughput.csv`.
 
@@ -44,8 +52,11 @@ use bench::micro::Micro;
 use mpi_api::message::{SrcSel, TagSel};
 use mpi_api::runtime::{Job, JobLayout, run_program};
 use mpi_api::AsyncMpi;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{CountingAlloc, Sim, SimDuration, SimTime};
 use std::hint::black_box;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const IDLE_SLICES: u64 = 200;
 
@@ -60,6 +71,38 @@ fn idle_slices(nodes: usize) -> u64 {
     );
     assert_eq!(out.engine.stats.slices, IDLE_SLICES);
     black_box(out.events)
+}
+
+/// 64 timers fire together every 500 us and re-arm, 1000 times over.
+/// Returns `(heap pushes, events)`.
+fn lockstep_timers() -> (u64, u64) {
+    fn arm(sim: &mut Sim<u64>, left: u32) {
+        if left > 0 {
+            sim.schedule_in(SimDuration::micros(500), move |fired: &mut u64, sim| {
+                *fired += 1;
+                arm(sim, left - 1);
+            });
+        }
+    }
+    let mut sim: Sim<u64> = Sim::new();
+    let mut fired = 0u64;
+    for _ in 0..64 {
+        arm(&mut sim, 1000);
+    }
+    sim.run(&mut fired);
+    (sim.heap_pushes(), black_box(fired))
+}
+
+/// The paper's neighbour exchange (4 x 4 KiB every 400 us) on 62 ranks of
+/// BCS-MPI for 200 iterations. Returns `(allocations, messages)`.
+fn halo_allocs() -> (u64, u64) {
+    let cfg = apps::synthetic::NeighborLoopCfg::paper(SimDuration::micros(400), 200);
+    let msgs = 62 * cfg.neighbors as u64 * cfg.iters;
+    let layout = JobLayout::crescendo(62);
+    let engine = bcs_mpi::BcsMpi::new(bcs_mpi::BcsConfig::default(), &layout);
+    let before = CountingAlloc::allocs_on_this_thread();
+    black_box(run_program(engine, layout, apps::synthetic::neighbor_loop(cfg)).events);
+    (CountingAlloc::allocs_on_this_thread() - before, msgs)
 }
 
 fn burst_62ranks() -> u64 {
@@ -273,6 +316,10 @@ fn main() {
         black_box(world)
     });
 
+    let (pushes, events) = lockstep_timers();
+    m.bench_rated("engine", "sim_lockstep_64_timers", events as f64, lockstep_timers);
+    m.count("engine", "sim_lockstep_heap_pushes_per_event", pushes as f64 / events as f64);
+
     for (nodes, name) in [
         (16usize, "bcs_200_idle_slices_16nodes"),
         (64, "bcs_idle_slices_64nodes"),
@@ -292,6 +339,9 @@ fn main() {
 
     let events = burst_62ranks();
     m.bench_rated("engine", "bcs_burst_62ranks", events as f64, burst_62ranks);
+
+    let (allocs, msgs) = halo_allocs();
+    m.count("engine", "halo_allocs_per_msg", allocs as f64 / msgs as f64);
 
     for n in [64usize, 1024, 16384] {
         // Both ranks complete `n` requests.

@@ -164,16 +164,9 @@ fn main() {
         let (c, v) = bench::gate::check(name, r, quick);
         checked += c;
         violations.extend(v);
-        let (c, v) = bench::gate::check_speedups(name, r, stats.threads);
+        let (c, v) = bench::gate::check_speedups(name, r);
         checked += c;
         violations.extend(v);
-        if c == 0 && bench::gate::has_speedup_gates(name) {
-            println!(
-                "note: {name} speedup gate skipped (host-timed pair ran under \
-                 {} concurrent sweep workers); rerun with REPRO_THREADS=1 to enforce",
-                stats.threads
-            );
-        }
     }
     if let Some(path) = baseline {
         match std::fs::read_to_string(&path)

@@ -6,7 +6,9 @@
 //! statistics are robust (median / p95 / min) rather than a mean that a
 //! single descheduling blip can ruin. Results are printed as a table and
 //! written as CSV into the repo's `reports/` directory, so every bench
-//! run is diffable offline.
+//! run is diffable offline. A deterministic figure that needs no clock at
+//! all (heap pushes per event, allocations per message) is recorded with
+//! [`Micro::count`]: its row leaves the timing columns empty.
 //!
 //! Quick mode (`--quick` argument or `MICROBENCH_QUICK=1`) cuts warmup,
 //! sample count and sample budget for CI-sized runs.
@@ -28,10 +30,12 @@ pub struct Stats {
 struct Row {
     group: String,
     name: String,
-    stats: Stats,
+    /// `None` for an exact-count row ([`Micro::count`]).
+    stats: Option<Stats>,
     /// Simulation events executed per iteration, when the benchmark is a
     /// discrete-event run (deterministic, so measured once up front);
-    /// turns per-iteration time into an events/sec throughput figure.
+    /// turns per-iteration time into an events/sec throughput figure. On
+    /// an exact-count row, the count.
     events_per_iter: Option<f64>,
 }
 
@@ -113,10 +117,27 @@ impl Micro {
         self.rows.push(Row {
             group: group.to_string(),
             name: name.to_string(),
-            stats,
+            stats: Some(stats),
             events_per_iter: None,
         });
-        &self.rows.last().unwrap().stats
+        self.last_stats()
+    }
+
+    fn last_stats(&self) -> &Stats {
+        self.rows.last().and_then(|r| r.stats.as_ref()).expect("bench pushed a timed row")
+    }
+
+    /// Record an exact count instead of a timing: a figure the program
+    /// computes the same way on every run and at any load, so it is taken
+    /// once. Its CSV row carries `value` in the `events_per_iter` column.
+    pub fn count(&mut self, group: &str, name: &str, value: f64) {
+        println!("  {group}/{name}: {value:.6} (exact count)");
+        self.rows.push(Row {
+            group: group.to_string(),
+            name: name.to_string(),
+            stats: None,
+            events_per_iter: Some(value),
+        });
     }
 
     /// Like [`bench`](Micro::bench), for a benchmark that executes
@@ -131,15 +152,14 @@ impl Micro {
         f: impl FnMut() -> T,
     ) -> &Stats {
         assert!(events_per_iter > 0.0, "rate needs a positive event count");
-        self.bench(group, name, f);
-        let row = self.rows.last_mut().expect("bench pushed a row");
-        row.events_per_iter = Some(events_per_iter);
+        let median_ns = self.bench(group, name, f).median_ns;
+        self.rows.last_mut().expect("bench pushed a row").events_per_iter = Some(events_per_iter);
         println!(
             "    -> {} events/iter, {} events/sec (median)",
             events_per_iter,
-            fmt_rate(events_per_iter * 1e9 / row.stats.median_ns)
+            fmt_rate(events_per_iter * 1e9 / median_ns)
         );
-        &self.rows.last().unwrap().stats
+        self.last_stats()
     }
 
     /// Write the CSV report and return its path.
@@ -151,7 +171,11 @@ impl Micro {
             "group,bench,samples,iters_per_sample,min_ns,mean_ns,median_ns,p95_ns,events_per_iter,events_per_sec\n",
         );
         for r in &self.rows {
-            let s = &r.stats;
+            let Some(s) = &r.stats else {
+                let count = r.events_per_iter.expect("a count row has a count");
+                csv.push_str(&format!("{},{},,,,,,,{count:.6},\n", r.group, r.name));
+                continue;
+            };
             let rate = match r.events_per_iter {
                 Some(e) => format!("{e:.0},{:.0}", e * 1e9 / s.median_ns),
                 None => ",".to_string(),
@@ -230,6 +254,7 @@ mod tests {
             acc
         });
         assert!(s.median_ns > 0.0);
+        m.count("g", "exact", 0.25);
         let path = m.finish();
         let csv = std::fs::read_to_string(path).unwrap();
         assert!(csv.starts_with("group,bench,"));
@@ -243,6 +268,8 @@ mod tests {
         let cols: Vec<&str> = rated.split(',').collect();
         assert_eq!(cols[8], "100");
         assert!(cols[9].parse::<f64>().unwrap() > 0.0);
+        // An exact count has no timing columns at all.
+        assert!(csv.contains("g,exact,,,,,,,0.250000,\n"), "{csv}");
         std::env::remove_var("MICROBENCH_OUT");
         std::env::remove_var("MICROBENCH_QUICK");
     }

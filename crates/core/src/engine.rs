@@ -224,6 +224,10 @@ pub struct BcsMpi {
     /// by the simulator dispatch that started them (protocol transient —
     /// empty at every boundary; see `protocol::work_item_done_in`).
     pub(crate) due: std::collections::BTreeMap<(SimTime, u64), Vec<NodeId>>,
+    /// The send descriptors each node is exchanging in this slice's DEM,
+    /// which the deliveries in flight name by index (protocol transient —
+    /// whatever it still holds at a boundary has been delivered).
+    pub(crate) dem_out: Vec<Vec<crate::p2p::SendDesc>>,
     /// Chunks scheduled for this slice's P2P microphase, per node:
     /// `(transfer, bytes)` (protocol transient — empty at every boundary).
     pub(crate) sched: Vec<Vec<(crate::p2p::XferSlot, u64)>>,
@@ -294,7 +298,8 @@ impl BcsMpi {
                 .collect(),
             outstanding: vec![0; layout.compute_nodes],
             due: Default::default(),
-            sched: (0..layout.compute_nodes).map(|_| Vec::new()).collect(),
+            dem_out: vec![Vec::new(); layout.compute_nodes],
+            sched: vec![Vec::new(); layout.compute_nodes],
             slice: 0,
             phase: 0,
             slice_started_at: SimTime::ZERO,

@@ -5,8 +5,8 @@
 //! receive-descriptor list, first match in post order (MPI non-overtaking).
 //! A literal list scan costs O(posted receives) per descriptor, which makes
 //! the *harness* quadratic on exactly the sweeps the paper scales (§5). The
-//! structures here make every hot operation O(log n) or amortized O(1)
-//! while reproducing the scan's results bit for bit:
+//! structures here make every hot operation amortized O(1) while
+//! reproducing the scan's results bit for bit:
 //!
 //! * [`RecvIndex`] — posted receives, bucketed by selector specificity.
 //!   Every receive carries a monotonically increasing *post sequence* and
@@ -15,7 +15,8 @@
 //!   An incoming `(dst, src, tag)` can only be matched by those four
 //!   buckets, each of which is FIFO in post order — so the first eligible
 //!   receive in post order is simply the minimum head sequence of the four
-//!   queues. Cancellation removes from the master map only; stale queue
+//!   queues, and of the exact bucket alone while no wildcard receive is
+//!   queued. Cancellation removes from the master table only; stale queue
 //!   heads are skipped lazily (each skip is paid for by one cancellation).
 //! * [`SendIndex`] — unmatched remote send descriptors in arrival order,
 //!   with per-`(dst, src, tag)` FIFO queues so probes are O(1) for exact
@@ -29,16 +30,26 @@
 //!   lazy reset: a slice boundary bumps one generation counter instead of
 //!   rewriting O(nodes) entries, so idle nodes cost nothing per slice.
 //!
+//! Both indices hand out their own sequences in ascending order and retire
+//! them roughly in order, so the source of truth is an
+//! [`IdTable`] window, not a tree: insert, look-up and removal are one index
+//! computation, and iteration is in sequence order by construction. The
+//! per-bucket queues live in `Buckets`: one lazily allocated box per index
+//! (a NIC that never sees a descriptor holds a null pointer), whose deques
+//! are recycled when a bucket empties instead of being freed and allocated
+//! again for the next tag.
+//!
 //! Determinism: all iteration that can reach an observable result (matching,
-//! probing, checkpoint capture) goes through sequence-ordered `BTreeMap`s or
+//! probing, checkpoint capture) goes through the sequence-ordered tables or
 //! takes numeric minima; the interior `HashMap`s are reached only by exact
 //! key. [`reference`] keeps the original linear-scan matcher alive as the
 //! executable specification; `crates/core/tests/match_equivalence.rs`
 //! property-checks the two against each other, and the `engine_throughput`
 //! microbench races them (`matching gate` in `scripts/verify.sh`).
 
+use mpi_api::idtable::IdTable;
 use mpi_api::message::{SrcSel, TagSel};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Cheap, deterministic 64-bit hasher (FxHash-style rotate-xor-multiply)
 /// for the fixed-width keys of the match index. std's default SipHash
@@ -157,33 +168,101 @@ fn class_of(sel: &RecvSel) -> ClassKey {
 }
 
 // ----------------------------------------------------------------------
+// Buckets
+// ----------------------------------------------------------------------
+
+/// Spare deques a [`Buckets`] keeps for its next new keys; more are freed.
+const SPARE_DEQUES: usize = 16;
+
+/// Ascending sequence FIFOs per key. A key's deque is taken from `spare`
+/// when its first sequence is queued and goes back there when its last one
+/// leaves, so a steady stream of short-lived keys (one receive per rotating
+/// tag) allocates nothing, and the map holds live keys only.
+#[derive(Clone)]
+struct Buckets<K> {
+    map: FxHashMap<K, VecDeque<u64>>,
+    spare: Vec<VecDeque<u64>>,
+}
+
+impl<K> Default for Buckets<K> {
+    fn default() -> Self {
+        Buckets {
+            map: FxHashMap::default(),
+            spare: Vec::new(),
+        }
+    }
+}
+
+/// A bucket is gone: keep its deque, emptied, for the next one.
+fn keep_spare(spare: &mut Vec<VecDeque<u64>>, mut q: VecDeque<u64>) {
+    if spare.len() < SPARE_DEQUES {
+        q.clear();
+        spare.push(q);
+    }
+}
+
+impl<K: std::hash::Hash + Eq> Buckets<K> {
+    fn push_back(&mut self, key: K, seq: u64) {
+        let Buckets { map, spare } = self;
+        map.entry(key).or_insert_with(|| spare.pop().unwrap_or_default()).push_back(seq);
+    }
+
+    /// `key`'s queue has emptied.
+    fn retire(&mut self, key: &K) {
+        let q = self.map.remove(key).expect("retired bucket vanished");
+        debug_assert!(q.is_empty());
+        keep_spare(&mut self.spare, q);
+    }
+
+    fn clear(&mut self) {
+        let Buckets { map, spare } = self;
+        map.drain().for_each(|(_, q)| keep_spare(spare, q));
+    }
+
+    /// Give back every spare deque and all spare capacity — the whole box,
+    /// if no key is left.
+    fn shrink_to_fit(this: &mut Option<Box<Self>>) {
+        match this {
+            Some(b) if !b.map.is_empty() => {
+                b.spare = Vec::new();
+                b.map.values_mut().for_each(VecDeque::shrink_to_fit);
+                b.map.shrink_to_fit();
+            }
+            _ => *this = None,
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
 // RecvIndex
 // ----------------------------------------------------------------------
 
-/// Posted receives indexed for O(log n) first-in-post-order matching.
+/// Posted receives indexed for O(1) first-in-post-order matching.
 #[derive(Clone)]
 pub struct RecvIndex<T> {
-    /// Source of truth, keyed by post sequence (= post order).
-    master: BTreeMap<u64, (RecvSel, T)>,
+    /// Source of truth; the table's ids are the post sequences.
+    master: IdTable<u64, (RecvSel, T)>,
     /// FIFO of post sequences per specificity bucket. May hold sequences
     /// already cancelled from `master`; heads are pruned lazily.
-    classes: FxHashMap<ClassKey, VecDeque<u64>>,
-    next_seq: u64,
+    classes: Option<Box<Buckets<ClassKey>>>,
+    /// Sequences queued in wildcard buckets (cancelled ones included until
+    /// pruned): while zero, a match looks at the exact bucket only.
+    wild_queued: u32,
     /// Running selector-shape digest in post order (see [`Self::shape_digest`]).
     /// Valid while every removal so far has left the set empty — true on a
     /// schedule-replay streak, where each slice consumes the whole set.
-    digest: crate::schedule::FpBuilder,
     digest_ok: bool,
+    digest: crate::schedule::FpBuilder,
 }
 
 impl<T> Default for RecvIndex<T> {
     fn default() -> Self {
         RecvIndex {
-            master: BTreeMap::new(),
-            classes: FxHashMap::default(),
-            next_seq: 0,
-            digest: crate::schedule::FpBuilder::new(),
+            master: IdTable::new(),
+            classes: None,
+            wild_queued: 0,
             digest_ok: true,
+            digest: crate::schedule::FpBuilder::new(),
         }
     }
 }
@@ -195,13 +274,13 @@ impl<T> RecvIndex<T> {
 
     /// Insert a receive; returns its post sequence (usable with `cancel`).
     pub fn post(&mut self, sel: RecvSel, item: T) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.classes.entry(class_of(&sel)).or_default().push_back(seq);
+        let seq = self.master.push((sel, item));
+        let class = class_of(&sel);
+        self.wild_queued += !matches!(class, ClassKey::Exact { .. }) as u32;
+        self.classes.get_or_insert_with(Default::default).push_back(class, seq);
         if self.digest_ok {
             self.digest.recv(&sel); // append-only: post order == iter order
         }
-        self.master.insert(seq, (sel, item));
         seq
     }
 
@@ -218,17 +297,34 @@ impl<T> RecvIndex<T> {
         }
     }
 
+    /// `n` sequences left `key`'s bucket (matched, or pruned after a cancel).
+    #[inline]
+    fn note_dequeued(&mut self, key: &ClassKey, n: u32) {
+        if !matches!(key, ClassKey::Exact { .. }) {
+            self.wild_queued -= n;
+        }
+    }
+
     /// Live head sequence of one bucket, pruning cancelled entries.
     fn head(&mut self, key: ClassKey) -> Option<u64> {
-        let q = self.classes.get_mut(&key)?;
-        while let Some(&seq) = q.front() {
-            if self.master.contains_key(&seq) {
-                return Some(seq);
+        let buckets = self.classes.as_deref_mut()?;
+        let q = buckets.map.get_mut(&key)?;
+        let mut pruned = 0;
+        let live = loop {
+            match q.front() {
+                Some(&seq) if self.master.get(seq).is_some() => break Some(seq),
+                Some(_) => {
+                    q.pop_front();
+                    pruned += 1;
+                }
+                None => break None,
             }
-            q.pop_front();
+        };
+        if live.is_none() {
+            buckets.retire(&key);
         }
-        self.classes.remove(&key);
-        None
+        self.note_dequeued(&key, pruned);
+        live
     }
 
     /// Remove and return the first receive in post order whose selectors
@@ -265,39 +361,57 @@ impl<T> RecvIndex<T> {
                     best = Some((seq, ck));
                 }
             }
+            if self.wild_queued == 0 {
+                break; // the other three buckets are empty
+            }
         }
         let (seq, ck) = best?;
-        let q = self.classes.get_mut(&ck).expect("winning bucket vanished");
+        let buckets = self.classes.as_deref_mut().expect("winning bucket vanished");
+        let q = buckets.map.get_mut(&ck).expect("winning bucket vanished");
         debug_assert_eq!(q.front(), Some(&seq));
         q.pop_front();
         if q.is_empty() {
-            self.classes.remove(&ck);
+            buckets.retire(&ck);
         }
-        let out = self.master.remove(&seq).map(|(sel, item)| (seq, sel, item));
-        if out.is_some() {
-            self.note_removed();
-        }
-        out
+        self.note_dequeued(&ck, 1);
+        let (sel, item) = self.master.remove(seq).expect("bucket head is live");
+        self.note_removed();
+        Some((seq, sel, item))
     }
 
     /// Remove and return every live receive, in post order. Used by the
     /// schedule replay path, which the compiler only enters when the
     /// compiled pattern is known to consume the entire receive set.
     pub fn take_all(&mut self) -> Vec<(RecvSel, T)> {
-        self.classes.clear();
+        if let Some(buckets) = &mut self.classes {
+            buckets.clear();
+        }
+        self.wild_queued = 0;
         self.digest = crate::schedule::FpBuilder::new();
         self.digest_ok = true;
-        std::mem::take(&mut self.master).into_values().collect()
+        self.master.drain_from(0)
     }
 
     /// Cancel the receive with the given post sequence (tombstones its
     /// bucket entry; pruned lazily).
     pub fn cancel(&mut self, seq: u64) -> Option<(RecvSel, T)> {
-        let out = self.master.remove(&seq);
+        let out = self.master.remove(seq);
         if out.is_some() {
             self.note_removed();
         }
         out
+    }
+
+    /// Give back the capacity the index holds beyond its live entries.
+    pub fn shrink_to_fit(&mut self) {
+        self.master.shrink_to_fit();
+        Buckets::shrink_to_fit(&mut self.classes);
+    }
+
+    /// Deques the index holds, in use or spare (diagnostic: bounded by the
+    /// live buckets plus a constant, however many buckets came and went).
+    pub fn deques_held(&self) -> usize {
+        self.classes.as_ref().map_or(0, |b| b.map.len() + b.spare.len())
     }
 
     pub fn len(&self) -> usize {
@@ -310,7 +424,7 @@ impl<T> RecvIndex<T> {
 
     /// Live receives in post order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &RecvSel, &T)> {
-        self.master.iter().map(|(&seq, (sel, item))| (seq, sel, item))
+        self.master.iter().map(|(seq, (sel, item))| (seq, sel, item))
     }
 
     /// 64-bit digest of the live selector set — `(dst, src-sel, tag-sel)`
@@ -345,13 +459,12 @@ impl<T> RecvIndex<T> {
 /// not re-matched every slice.
 #[derive(Clone)]
 pub struct SendIndex<T> {
-    /// Source of truth, keyed by arrival sequence (= arrival order).
-    master: BTreeMap<u64, (SendKey, T)>,
+    /// Source of truth; the table's ids are the arrival sequences.
+    master: IdTable<u64, (SendKey, T)>,
     /// Arrival sequences per envelope, ascending. Kept exact (no
     /// tombstones): removal happens only via the drain calls below, which
     /// maintain the queues.
-    by_key: FxHashMap<SendKey, VecDeque<u64>>,
-    next_seq: u64,
+    by_key: Option<Box<Buckets<SendKey>>>,
     /// Sequences below this were already matched against every receive
     /// currently posted (and failed); count cached for O(1) cost
     /// accounting.
@@ -362,9 +475,8 @@ pub struct SendIndex<T> {
 impl<T> Default for SendIndex<T> {
     fn default() -> Self {
         SendIndex {
-            master: BTreeMap::new(),
-            by_key: FxHashMap::default(),
-            next_seq: 0,
+            master: IdTable::new(),
+            by_key: None,
             examined_seq: 0,
             examined_len: 0,
         }
@@ -377,10 +489,8 @@ impl<T> SendIndex<T> {
     }
 
     pub fn push(&mut self, key: SendKey, item: T) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.by_key.entry(key).or_default().push_back(seq);
-        self.master.insert(seq, (key, item));
+        let seq = self.master.push((key, item));
+        self.by_key.get_or_insert_with(Default::default).push_back(key, seq);
         seq
     }
 
@@ -390,6 +500,7 @@ impl<T> SendIndex<T> {
     /// sequence over matching envelope keys, so the interior hash map's
     /// iteration order cannot influence the result.
     pub fn probe(&self, dst_rank: usize, src: SrcSel, tag: TagSel) -> Option<(&SendKey, &T)> {
+        let by_key = &self.by_key.as_deref()?.map;
         let seq = match (src, tag) {
             (SrcSel::Rank(src_rank), TagSel::Tag(t)) => {
                 let key = SendKey {
@@ -397,48 +508,58 @@ impl<T> SendIndex<T> {
                     src_rank,
                     tag: t,
                 };
-                self.by_key.get(&key).and_then(|q| q.front().copied())
+                by_key.get(&key).and_then(|q| q.front().copied())
             }
-            _ => self
-                .by_key
+            _ => by_key
                 .iter()
                 .filter(|(k, _)| k.dst_rank == dst_rank && src.matches(k.src_rank) && tag.matches(k.tag))
                 .filter_map(|(_, q)| q.front().copied())
                 .min(),
         }?;
-        self.master.get(&seq).map(|(k, item)| (k, item))
+        self.master.get(seq).map(|(k, item)| (k, item))
     }
 
     /// Remove and return every entry, in arrival order.
     pub fn drain_all(&mut self) -> Vec<(SendKey, T)> {
-        self.by_key.clear();
+        if let Some(by_key) = &mut self.by_key {
+            by_key.clear();
+        }
         self.examined_seq = 0;
         self.examined_len = 0;
-        std::mem::take(&mut self.master).into_values().collect()
+        self.master.drain_from(0)
     }
 
     /// Remove and return only the entries pushed since [`Self::mark_examined`],
     /// in arrival order; the examined backlog stays put untouched.
     pub fn drain_new(&mut self) -> Vec<(SendKey, T)> {
-        let newer = self.master.split_off(&self.examined_seq);
-        for (key, _) in newer.values() {
-            // Drained sequences are the largest of their queue, so they sit
-            // at the back; one pop per drained entry removes exactly them.
-            let q = self.by_key.get_mut(key).expect("send entry without queue");
-            let back = q.pop_back();
-            debug_assert!(back.is_some_and(|s| s >= self.examined_seq));
-            if q.is_empty() {
-                self.by_key.remove(key);
+        let newer = self.master.drain_from(self.examined_seq);
+        if let Some(by_key) = self.by_key.as_deref_mut() {
+            for (key, _) in &newer {
+                // Drained sequences are the largest of their queue, so they
+                // sit at the back; one pop per drained entry removes exactly
+                // them.
+                let q = by_key.map.get_mut(key).expect("send entry without queue");
+                let back = q.pop_back();
+                debug_assert!(back.is_some_and(|s| s >= self.examined_seq));
+                if q.is_empty() {
+                    by_key.retire(key);
+                }
             }
         }
-        newer.into_values().collect()
+        newer
+    }
+
+    /// Give back the capacity the index holds beyond its live entries.
+    pub fn shrink_to_fit(&mut self) {
+        self.master.shrink_to_fit();
+        Buckets::shrink_to_fit(&mut self.by_key);
     }
 
     /// Declare every current entry examined against the current receive
     /// set: until a new receive is posted, none of them can match, and
     /// [`Self::drain_new`] will skip them.
     pub fn mark_examined(&mut self) {
-        self.examined_seq = self.next_seq;
+        self.examined_seq = self.master.next_id();
         self.examined_len = self.master.len();
     }
 
@@ -457,7 +578,7 @@ impl<T> SendIndex<T> {
 
     /// Live entries in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &SendKey, &T)> {
-        self.master.iter().map(|(&seq, (key, item))| (seq, key, item))
+        self.master.iter().map(|(seq, (key, item))| (seq, key, item))
     }
 }
 

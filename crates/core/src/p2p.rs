@@ -49,7 +49,7 @@ impl From<MsgId> for u64 {
 }
 
 /// A send descriptor in BS memory.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 pub(crate) struct SendDesc {
     pub msg: MsgId,
     pub src_rank: usize,
@@ -57,6 +57,23 @@ pub(crate) struct SendDesc {
     pub tag: i32,
     pub bytes: usize,
     pub req: ReqId,
+}
+
+impl SendDesc {
+    /// The descriptor as the destination BR files it.
+    fn arrival(&self) -> (SendKey, RemoteSend) {
+        let key = SendKey {
+            dst_rank: self.dst_rank,
+            src_rank: self.src_rank,
+            tag: self.tag,
+        };
+        let remote = RemoteSend {
+            msg: self.msg,
+            bytes: self.bytes,
+            send_req: self.req,
+        };
+        (key, remote)
+    }
 }
 
 /// A send descriptor as received by the destination BR. The envelope triple
@@ -95,13 +112,16 @@ pub(crate) struct MatchItem {
 /// node's state is deep-copied lazily, the first time it changes after a
 /// capture — so checkpointing an idle node is a refcount bump regardless
 /// of how deep its queues are. Per-microphase transients (`outstanding`
-/// work counts, the slice's chunk schedule) live directly in the engine so
-/// protocol bookkeeping never unshares an idle node.
+/// work counts, the DEM's staged descriptors, the slice's chunk schedule)
+/// live directly in the engine so protocol bookkeeping never unshares an
+/// idle node.
 #[derive(Clone, Default)]
 pub(crate) struct NicState {
     /// Send descriptors posted by local processes (BS input FIFO).
     pub send_posted: Vec<SendDesc>,
-    /// Snapshot taken at the slice strobe: descriptors to exchange in DEM.
+    /// Snapshot taken at the slice strobe: descriptors to exchange in DEM
+    /// (empty outside the strobe-to-DEM hand-over, but it keeps its
+    /// capacity: the three descriptor buffers rotate).
     pub send_exchanging: Vec<SendDesc>,
     /// Receive descriptors posted by local processes (BR), indexed by
     /// selector class, matched in post order.
@@ -119,7 +139,23 @@ pub(crate) struct NicState {
     pub recvs_since_msm: bool,
 }
 
+// An idle NIC must not pay for a busy one's queues: a large job builds
+// thousands that never see a descriptor (264 B before the match index moved
+// from trees to windows).
+const _: () = assert!(std::mem::size_of::<NicState>() <= 264);
+
 impl NicState {
+    /// Give back the spare capacity of every queue: what a checkpoint image
+    /// is about to freeze should weigh what the NIC holds, not what it once
+    /// needed.
+    pub fn shrink_to_fit(&mut self) {
+        self.send_posted.shrink_to_fit();
+        self.send_exchanging.shrink_to_fit();
+        self.recv_posted.shrink_to_fit();
+        self.remote_sends.shrink_to_fit();
+        self.inflight.shrink_to_fit();
+    }
+
     pub fn describe(&self) -> String {
         if self.send_posted.is_empty()
             && self.recv_posted.is_empty()
@@ -143,9 +179,7 @@ impl NicState {
 // ----------------------------------------------------------------------
 
 // PANIC-OK: per-rank tables are sized by the layout at startup and rank
-
 // indices come from the harness; a miss is a construction bug, not input.
-
 pub(crate) fn post_send(
     w: &mut BW,
     sim: &mut Sim<BW>,
@@ -178,9 +212,7 @@ pub(crate) fn post_send(
 }
 
 // PANIC-OK: per-rank tables are sized by the layout at startup and rank
-
 // indices come from the harness; a miss is a construction bug, not input.
-
 pub(crate) fn post_recv(
     w: &mut BW,
     sim: &mut Sim<BW>,
@@ -239,9 +271,7 @@ pub(crate) fn probe(
 }
 
 // PANIC-OK: nic/remote_sends are sized per node at startup; node ids come
-
 // from the fixed topology.
-
 pub(crate) fn probe_match(e: &BcsMpi, rank: usize, src: SrcSel, tag: TagSel) -> Option<Status> {
     let node = e.node_of(rank);
     e.nic[node.0]
@@ -259,8 +289,7 @@ pub(crate) fn probe_match(e: &BcsMpi, rank: usize, src: SrcSel, tag: TagSel) -> 
 // PANIC-OK: `blocked` is sized per rank at startup; ranks come from the
 // layout iterator over the same table.
 pub(crate) fn check_blocked_probes(w: &mut BW, _sim: &mut Sim<BW>, node: qsnet::NodeId) {
-    let ranks: Vec<usize> = w.engine.layout.ranks_on(node).collect();
-    for rank in ranks {
+    for rank in w.engine.layout.ranks_on(node) {
         if let Some(Blocked::Probe { src, tag }) = &w.engine.blocked[rank] {
             let (src, tag) = (*src, *tag);
             if let Some(st) = probe_match(&w.engine, rank, src, tag) {
@@ -280,80 +309,82 @@ pub(crate) fn check_blocked_probes(w: &mut BW, _sim: &mut Sim<BW>, node: qsnet::
 /// BS work for one node: deliver every snapshot descriptor to its
 /// destination BR. The node's DEM is done when the NIC thread has processed
 /// the queue and every descriptor has landed.
+///
+/// The snapshot is staged in the engine (`dem_out`) and a delivery names its
+/// descriptor by `(node, index)`, so the completion is two words and lives
+/// inline in its simulator event.
 // PANIC-OK: descriptor queues and per-node NIC state are populated by the
 // posting path before the strobe schedules this DEM; indices are node ids
 // from the fixed topology.
 pub(crate) fn node_begin_dem(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId) {
-    let descs = if w.engine.nic[node.0].send_exchanging.is_empty() {
-        Vec::new() // don't unshare an idle node's state
-    } else {
-        std::mem::take(&mut Arc::make_mut(&mut w.engine.nic[node.0]).send_exchanging)
-    };
-    let n = descs.len() as u32;
-    w.engine.stats.descriptors_exchanged += n as u64;
-    let desc_cost = w.engine.cfg.desc_cost;
-    let desc_bytes = w.engine.cfg.desc_bytes;
-    let retry = w.engine.cfg.retry;
-
-    if w.engine.cfg.coalesce.is_some() && !descs.is_empty() {
-        node_begin_dem_coalesced(w, sim, node, descs);
-        // NIC thread processing time is per descriptor regardless of how
-        // the wire operations are batched.
-        crate::protocol::work_item_done_in(w, sim, node, desc_cost * (n.max(1) as u64));
-        return;
+    let e = &mut w.engine;
+    e.dem_out[node.0].clear();
+    if !e.nic[node.0].send_exchanging.is_empty() {
+        // (an idle node's state is not unshared)
+        let nic = Arc::make_mut(&mut e.nic[node.0]);
+        std::mem::swap(&mut e.dem_out[node.0], &mut nic.send_exchanging);
     }
+    let n = e.dem_out[node.0].len();
+    e.stats.descriptors_exchanged += n as u64;
+    let desc_cost = e.cfg.desc_cost;
+    let desc_bytes = e.cfg.desc_bytes;
 
-    // One work item per descriptor delivery, plus one for the NIC thread's
-    // own processing pass.
-    w.engine.outstanding[node.0] = n + 1;
-    for d in descs {
-        let dst_node = w.engine.node_of(d.dst_rank);
-        let key = SendKey {
-            dst_rank: d.dst_rank,
-            src_rank: d.src_rank,
-            tag: d.tag,
-        };
-        let remote = RemoteSend {
-            msg: d.msg,
-            bytes: d.bytes,
-            send_req: d.req,
-        };
-        // One delivery path for both transports: the descriptor sits in a
-        // take-once slot so the closure is `Fn` (as the retry layer needs)
-        // yet moves the payload out without cloning on delivery. The retry
-        // layer invokes it at most once (drops mean it never fires).
-        let slot = std::cell::Cell::new(Some((key, remote)));
-        let deliver = move |w: &mut BW, sim: &mut Sim<BW>| {
-            let (key, remote) = slot.take().expect("DEM descriptor delivered twice");
-            Arc::make_mut(&mut w.engine.nic[dst_node.0])
-                .remote_sends
-                .push(key, remote);
-            crate::protocol::work_item_done(w, sim, node);
-            mpi_api::runtime::drain(w, sim);
-        };
-        match retry {
-            None => {
-                w.engine
-                    .bcs
-                    .fabric
-                    .put(sim, node, dst_node, desc_bytes, deliver);
-            }
-            Some(policy) => {
-                bcs_core::retry::reliable_put(
-                    w,
-                    sim,
-                    node,
-                    dst_node,
-                    desc_bytes,
-                    policy,
-                    std::rc::Rc::new(deliver),
-                    transfer_abort(dst_node, "DEM descriptor put"),
-                );
-            }
+    if e.cfg.coalesce.is_some() && n > 0 {
+        node_begin_dem_coalesced(w, sim, node);
+    } else {
+        // One work item per descriptor delivery, plus one for the NIC
+        // thread's own processing pass.
+        e.outstanding[node.0] = n as u32 + 1;
+        for i in 0..n {
+            let dst_node = w.engine.node_of(w.engine.dem_out[node.0][i].dst_rank);
+            dem_put(w, sim, node, dst_node, desc_bytes, "DEM descriptor put", move |w, sim| {
+                deliver_desc(w, sim, node, i)
+            });
         }
     }
-    // NIC thread processing time for the whole queue.
+    // NIC thread processing time for the whole queue, per descriptor
+    // regardless of how the wire operations are batched.
     crate::protocol::work_item_done_in(w, sim, node, desc_cost * (n.max(1) as u64));
+}
+
+/// One DEM wire operation, raw or under the retry layer; `deliver` runs at
+/// most once either way (a drop means it never fires).
+fn dem_put(
+    w: &mut BW,
+    sim: &mut Sim<BW>,
+    node: qsnet::NodeId,
+    dst_node: qsnet::NodeId,
+    bytes: u64,
+    what: &'static str,
+    deliver: impl Fn(&mut BW, &mut Sim<BW>) + 'static,
+) {
+    match w.engine.cfg.retry {
+        None => {
+            w.engine.bcs.fabric.put(sim, node, dst_node, bytes, deliver);
+        }
+        Some(policy) => bcs_core::retry::reliable_put(
+            w,
+            sim,
+            node,
+            dst_node,
+            bytes,
+            policy,
+            std::rc::Rc::new(deliver),
+            transfer_abort(dst_node, what),
+        ),
+    }
+}
+
+/// Descriptor `i` of `node`'s staged snapshot landed at its destination BR.
+// PANIC-OK: the index was taken from the staged snapshot it reads, which
+// stays put until the node's next DEM — after this one completed.
+fn deliver_desc(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId, i: usize) {
+    let e = &mut w.engine;
+    let (key, remote) = e.dem_out[node.0][i].arrival();
+    let dst_node = e.layout.node_of(key.dst_rank);
+    Arc::make_mut(&mut e.nic[dst_node.0]).remote_sends.push(key, remote);
+    crate::protocol::work_item_done(w, sim, node);
+    mpi_api::runtime::drain(w, sim);
 }
 
 /// DEM with descriptor coalescing (`cfg.coalesce`): all send descriptors
@@ -362,97 +393,36 @@ pub(crate) fn node_begin_dem(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
 /// arrival list (see `bcs_core::coalesce` for the modeled wire layout).
 /// Descriptors keep their posting order inside a block, so MPI
 /// non-overtaking per (src, dst) pair is preserved.
-// PANIC-OK: coalesce runs exist exactly for the descriptors grouped two
-// lines above; per-destination bins are non-empty by construction.
-fn node_begin_dem_coalesced(
-    w: &mut BW,
-    sim: &mut Sim<BW>,
-    node: qsnet::NodeId,
-    descs: Vec<SendDesc>,
-) {
+// PANIC-OK: coalesce runs exist exactly for the descriptors staged by the
+// caller; per-destination bins are non-empty by construction.
+fn node_begin_dem_coalesced(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId) {
     let ccfg = w.engine.cfg.coalesce.expect("coalesced DEM without coalesce cfg");
     let desc_bytes = w.engine.cfg.desc_bytes;
-    let retry = w.engine.cfg.retry;
-    let mut entries: Vec<Option<(qsnet::NodeId, SendKey, RemoteSend)>> =
-        Vec::with_capacity(descs.len());
-    for d in descs {
-        let dst_node = w.engine.node_of(d.dst_rank);
-        let key = SendKey {
-            dst_rank: d.dst_rank,
-            src_rank: d.src_rank,
-            tag: d.tag,
-        };
-        let remote = RemoteSend {
-            msg: d.msg,
-            bytes: d.bytes,
-            send_req: d.req,
-        };
-        entries.push(Some((dst_node, key, remote)));
-    }
-    let items: Vec<(usize, u64)> = entries
+    let items: Vec<(usize, u64)> = w.engine.dem_out[node.0]
         .iter()
-        .map(|e| {
-            let (dst_node, _, _) = e.as_ref().expect("entry just built");
-            (dst_node.0, desc_bytes)
-        })
+        .map(|d| (w.engine.node_of(d.dst_rank).0, desc_bytes))
         .collect();
     let (singles, gathers) = bcs_core::coalesce::plan(&items, &ccfg);
     // One work item per wire operation, plus the NIC processing pass the
     // caller schedules.
     w.engine.outstanding[node.0] = (singles.len() + gathers.len() + 1) as u32;
     for i in singles {
-        let (dst_node, key, remote) = entries[i].take().expect("single issued twice");
-        let slot = std::cell::Cell::new(Some((key, remote)));
-        let deliver = move |w: &mut BW, sim: &mut Sim<BW>| {
-            let (key, remote) = slot.take().expect("DEM descriptor delivered twice");
-            Arc::make_mut(&mut w.engine.nic[dst_node.0])
-                .remote_sends
-                .push(key, remote);
-            crate::protocol::work_item_done(w, sim, node);
-            mpi_api::runtime::drain(w, sim);
-        };
-        match retry {
-            None => {
-                w.engine
-                    .bcs
-                    .fabric
-                    .put(sim, node, dst_node, desc_bytes, deliver);
-            }
-            Some(policy) => {
-                bcs_core::retry::reliable_put(
-                    w,
-                    sim,
-                    node,
-                    dst_node,
-                    desc_bytes,
-                    policy,
-                    std::rc::Rc::new(deliver),
-                    transfer_abort(dst_node, "DEM descriptor put"),
-                );
-            }
-        }
+        let dst_node = qsnet::NodeId(items[i].0);
+        dem_put(w, sim, node, dst_node, desc_bytes, "DEM descriptor put", move |w, sim| {
+            deliver_desc(w, sim, node, i)
+        });
     }
     for g in gathers {
         let dst_node = qsnet::NodeId(g.peer);
-        let batch: Vec<(SendKey, RemoteSend)> = g
-            .entries
-            .iter()
-            .map(|&i| {
-                let (_, key, remote) = entries[i].take().expect("entry gathered twice");
-                (key, remote)
-            })
-            .collect();
+        let msgs = g.entries.len() as u64;
         w.engine.stats.dem_blocks += 1;
-        w.engine.stats.dem_block_msgs += batch.len() as u64;
-        w.engine
-            .bcs
-            .fabric
-            .note_gather(batch.len() as u64, batch.len() as u64 * desc_bytes);
-        let slot = std::cell::Cell::new(Some(batch));
+        w.engine.stats.dem_block_msgs += msgs;
+        w.engine.bcs.fabric.note_gather(msgs, msgs * desc_bytes);
         let deliver = move |w: &mut BW, sim: &mut Sim<BW>| {
-            let batch = slot.take().expect("DEM block delivered twice");
-            let nic = Arc::make_mut(&mut w.engine.nic[dst_node.0]);
-            for (key, remote) in batch {
+            let e = &mut w.engine;
+            let nic = Arc::make_mut(&mut e.nic[dst_node.0]);
+            for &i in &g.entries {
+                let (key, remote) = e.dem_out[node.0][i].arrival();
                 nic.remote_sends.push(key, remote);
             }
             crate::protocol::work_item_done(w, sim, node);
@@ -461,26 +431,7 @@ fn node_begin_dem_coalesced(
         // The packed descriptors are NIC metadata, not payload: the block
         // rides the wire as one header-sized control packet, exactly like
         // a microstrobe — that is the whole point of the batching.
-        match retry {
-            None => {
-                w.engine
-                    .bcs
-                    .fabric
-                    .put(sim, node, dst_node, ccfg.block_hdr_bytes, deliver);
-            }
-            Some(policy) => {
-                bcs_core::retry::reliable_put(
-                    w,
-                    sim,
-                    node,
-                    dst_node,
-                    ccfg.block_hdr_bytes,
-                    policy,
-                    std::rc::Rc::new(deliver),
-                    transfer_abort(dst_node, "DEM descriptor block put"),
-                );
-            }
-        }
+        dem_put(w, sim, node, dst_node, ccfg.block_hdr_bytes, "DEM descriptor block put", deliver);
     }
 }
 
@@ -528,22 +479,22 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
     //    receive set has only shrunk) — the BR still walks the list, so its
     //    NIC-thread cost is charged, but no matching work is done for it.
     let mut completions: Vec<(ReqId, ReqId)> = Vec::new(); // zero-byte messages
-    {
-        let e = &mut w.engine;
-        let fresh_recvs = e.nic[node.0].recvs_since_msm;
-        let has_new =
-            e.nic[node.0].remote_sends.len() > e.nic[node.0].remote_sends.examined_len();
+    let e = &mut w.engine;
+    let fresh_recvs = e.nic[node.0].recvs_since_msm;
+    let has_new = e.nic[node.0].remote_sends.len() > e.nic[node.0].remote_sends.examined_len();
+    if !fresh_recvs {
+        processed += e.nic[node.0].remote_sends.examined_len() as u64;
+    }
+    // (An idle BR — nothing to examine — unshares nothing: its watermark is
+    // already current.)
+    if fresh_recvs || has_new {
+        // The one unsharing of this pass; `e`'s other fields borrow beside it.
+        let nic = Arc::make_mut(&mut e.nic[node.0]);
         let incoming = if fresh_recvs {
-            let nic = Arc::make_mut(&mut e.nic[node.0]);
             nic.recvs_since_msm = false;
             nic.remote_sends.drain_all()
         } else {
-            processed += e.nic[node.0].remote_sends.examined_len() as u64;
-            if has_new {
-                Arc::make_mut(&mut e.nic[node.0]).remote_sends.drain_new()
-            } else {
-                Vec::new() // idle BR: nothing to examine, nothing unshared
-            }
+            nic.remote_sends.drain_new()
         };
 
         // Schedule compilation (crate::schedule): on a full pass — every
@@ -562,7 +513,7 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
                 }
                 // Receive side: the index maintains this digest at post
                 // time, so a replay streak never re-walks the posted set.
-                fp.word(Arc::make_mut(&mut e.nic[node.0]).recv_posted.shape_digest());
+                fp.word(nic.recv_posted.shape_digest());
                 fp_val = fp.finish();
                 action = e.sched_detect[node.0].observe(fp_val, sc.detect_after);
             }
@@ -579,7 +530,7 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
             // Budget needs are aggregated per source at compile time
             // (`Compiled::new`), so this pass is O(distinct sources).
             let ok = c.pairs.len() == incoming.len()
-                && e.nic[node.0].recv_posted.len() == c.pairs.len()
+                && nic.recv_posted.len() == c.pairs.len()
                 && c.dst_need <= e.dst_budget.get(node.0)
                 && c.src_need
                     .iter()
@@ -599,12 +550,12 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
                 }
                 e.dst_budget.sub(node.0, dst_need);
                 e.stats.matches += pairs.len() as u64;
-                let recvs = Arc::make_mut(&mut e.nic[node.0]).recv_posted.take_all();
+                let recvs = nic.recv_posted.take_all();
                 debug_assert_eq!(recvs.len(), pairs.len());
                 for p in &pairs {
                     let (key, rs) = &incoming[p.arrival as usize];
                     let (_sel, recv_req) = recvs[p.recv as usize];
-                    let slot = Arc::make_mut(&mut e.nic[node.0]).inflight.push(MatchItem {
+                    let slot = nic.inflight.push(MatchItem {
                         msg: rs.msg,
                         src_node: qsnet::NodeId(p.src_node as usize),
                         src_rank: key.src_rank,
@@ -634,7 +585,7 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
             let mut rec: Vec<crate::schedule::Pair> = Vec::new();
             let mut compile_ok = compile;
             if compile {
-                for (i, (seq, _, _)) in e.nic[node.0].recv_posted.iter().enumerate() {
+                for (i, (seq, _, _)) in nic.recv_posted.iter().enumerate() {
                     recv_pos.insert(seq, i as u32);
                 }
             }
@@ -642,10 +593,10 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
                 processed += 1;
                 // The BR matches against the receive-descriptor list as of
                 // MSM execution (§4.3) — no slice-age requirement.
-                match Arc::make_mut(&mut e.nic[node.0]).recv_posted.match_first_seq(&key) {
+                match nic.recv_posted.match_first_seq(&key) {
                     None => {
                         compile_ok = false; // an unmatched arrival can't replay
-                        Arc::make_mut(&mut e.nic[node.0]).remote_sends.push(key, rs);
+                        nic.remote_sends.push(key, rs);
                     }
                     Some((seq, _sel, recv_req)) => {
                         e.stats.matches += 1;
@@ -687,7 +638,7 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
                         let chunk = total
                             .min(e.src_budget.get(src_node.0))
                             .min(e.dst_budget.get(node.0));
-                        let slot = Arc::make_mut(&mut e.nic[node.0]).inflight.push(item);
+                        let slot = nic.inflight.push(item);
                         if chunk > 0 {
                             e.src_budget.sub(src_node.0, chunk);
                             e.dst_budget.sub(node.0, chunk);
@@ -710,7 +661,7 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
             if compile {
                 // Eligible only if the pass consumed the whole input: every
                 // arrival matched and fully scheduled, every receive used.
-                if compile_ok && e.nic[node.0].recv_posted.is_empty() {
+                if compile_ok && nic.recv_posted.is_empty() {
                     e.sched_detect[node.0]
                         .install(crate::schedule::Compiled::new(fp_val, rec));
                 } else {
@@ -719,11 +670,8 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
             }
         }
         // Everything now in the index has been examined against the current
-        // receive set; until a new receive arrives it stays parked. (An
-        // idle BR skips this: its watermark is already current.)
-        if fresh_recvs || has_new {
-            Arc::make_mut(&mut e.nic[node.0]).remote_sends.mark_examined();
-        }
+        // receive set; until a new receive arrives it stays parked.
+        nic.remote_sends.mark_examined();
     }
     for (sreq, rreq) in completions {
         BcsMpi::complete_req(w, sim, sreq);
@@ -749,69 +697,92 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
 // ----------------------------------------------------------------------
 
 /// DH work for one node: one one-sided get per scheduled chunk.
-// PANIC-OK: transmissions scheduled by the MSM reference messages recorded
-// in the same slice; the in-flight table entry exists until chunk_arrived
-// retires it.
+// PANIC-OK: per-node tables are sized by the layout at startup; node ids
+// come from the fixed topology.
 pub(crate) fn node_begin_p2p(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId) {
-    let sched = std::mem::take(&mut w.engine.sched[node.0]);
-    if sched.is_empty() {
+    if w.engine.sched[node.0].is_empty() {
         crate::protocol::idle_phase(w, sim, node);
         return;
     }
-    let hdr = w.engine.cfg.desc_bytes;
-    let retry = w.engine.cfg.retry;
+    let mut sched = std::mem::take(&mut w.engine.sched[node.0]);
     // detlint: allow(D04, D11) — debug-trace gate only: toggles eprintln
     // logging on stderr and can never alter simulation state or CSV outputs,
     // so callers of this path stay determinism-clean (D11 taint neutralized).
     let trace = std::env::var_os("BCS_TRACE_P2P").is_some();
 
     if w.engine.cfg.coalesce.is_some() {
-        node_begin_p2p_coalesced(w, sim, node, sched, trace);
-        return;
-    }
-
-    w.engine.outstanding[node.0] = sched.len() as u32;
-    for (slot, chunk) in sched {
-        let src_node = w.engine.nic[node.0]
-            .inflight
-            .get(slot)
-            .expect("scheduled chunk without match item")
-            .src_node;
-        w.engine.stats.chunks += 1;
-        w.engine.stats.p2p_bytes += chunk;
-        match retry {
-            None => {
-                let t = w.engine
-                    .bcs
-                    .fabric
-                    .get(sim, node, src_node, chunk + hdr, move |w: &mut BW, sim| {
-                        chunk_arrived(w, sim, node, slot, chunk);
-                        crate::protocol::work_item_done(w, sim, node);
-                        mpi_api::runtime::drain(w, sim);
-                    });
-                if trace {
-                    eprintln!("  p2p get {node} <- {src_node} {chunk}B deliver at {t}");
-                }
-            }
-            Some(policy) => {
-                let deliver: bcs_core::retry::RetryFn<BW> =
-                    std::rc::Rc::new(move |w: &mut BW, sim| {
-                        chunk_arrived(w, sim, node, slot, chunk);
-                        crate::protocol::work_item_done(w, sim, node);
-                        mpi_api::runtime::drain(w, sim);
-                    });
-                bcs_core::retry::reliable_get(
-                    w,
-                    sim,
-                    node,
-                    src_node,
-                    chunk + hdr,
-                    policy,
-                    deliver,
-                    transfer_abort(src_node, "P2P chunk get"),
-                );
-            }
+        node_begin_p2p_coalesced(w, sim, node, &sched, trace);
+    } else {
+        w.engine.outstanding[node.0] = sched.len() as u32;
+        for &(slot, chunk) in &sched {
+            let src_node = chunk_source(w, node, slot, chunk);
+            get_chunk(w, sim, node, src_node, slot, chunk, trace);
         }
+    }
+    // The buffer goes back empty, for the next slice's MSM to fill.
+    sched.clear();
+    w.engine.sched[node.0] = sched;
+}
+
+/// Count one scheduled chunk and look up the node it comes from.
+// PANIC-OK: transmissions scheduled by the MSM reference messages recorded
+// in the same slice; the in-flight table entry exists until chunk_arrived
+// retires it.
+fn chunk_source(w: &mut BW, node: qsnet::NodeId, slot: XferSlot, chunk: u64) -> qsnet::NodeId {
+    let e = &mut w.engine;
+    e.stats.chunks += 1;
+    e.stats.p2p_bytes += chunk;
+    e.nic[node.0].inflight.get(slot).expect("scheduled chunk without match item").src_node
+}
+
+/// One P2P wire operation, raw or under the retry layer; `deliver` runs at
+/// most once either way. Returns a raw get's delivery instant (the trace
+/// prints it).
+fn p2p_get(
+    w: &mut BW,
+    sim: &mut Sim<BW>,
+    node: qsnet::NodeId,
+    src_node: qsnet::NodeId,
+    bytes: u64,
+    what: &'static str,
+    deliver: impl Fn(&mut BW, &mut Sim<BW>) + 'static,
+) -> Option<simcore::SimTime> {
+    match w.engine.cfg.retry {
+        None => Some(w.engine.bcs.fabric.get(sim, node, src_node, bytes, deliver)),
+        Some(policy) => {
+            bcs_core::retry::reliable_get(
+                w,
+                sim,
+                node,
+                src_node,
+                bytes,
+                policy,
+                std::rc::Rc::new(deliver),
+                transfer_abort(src_node, what),
+            );
+            None
+        }
+    }
+}
+
+/// The DMA get of one chunk on its own.
+fn get_chunk(
+    w: &mut BW,
+    sim: &mut Sim<BW>,
+    node: qsnet::NodeId,
+    src_node: qsnet::NodeId,
+    slot: XferSlot,
+    chunk: u64,
+    trace: bool,
+) {
+    let wire = chunk + w.engine.cfg.desc_bytes;
+    let at = p2p_get(w, sim, node, src_node, wire, "P2P chunk get", move |w, sim| {
+        chunk_arrived(w, sim, node, slot, chunk);
+        crate::protocol::work_item_done(w, sim, node);
+        mpi_api::runtime::drain(w, sim);
+    });
+    if let (true, Some(t)) = (trace, at) {
+        eprintln!("  p2p get {node} <- {src_node} {chunk}B deliver at {t}");
     }
 }
 
@@ -826,104 +797,42 @@ fn node_begin_p2p_coalesced(
     w: &mut BW,
     sim: &mut Sim<BW>,
     node: qsnet::NodeId,
-    sched: Vec<(XferSlot, u64)>,
+    sched: &[(XferSlot, u64)],
     trace: bool,
 ) {
     let ccfg = w.engine.cfg.coalesce.expect("coalesced P2P without coalesce cfg");
-    let hdr = w.engine.cfg.desc_bytes;
-    let retry = w.engine.cfg.retry;
-    let mut entries: Vec<(XferSlot, u64, qsnet::NodeId)> = Vec::with_capacity(sched.len());
-    for (slot, chunk) in sched {
-        let src_node = w.engine.nic[node.0]
-            .inflight
-            .get(slot)
-            .expect("scheduled chunk without match item")
-            .src_node;
-        w.engine.stats.chunks += 1;
-        w.engine.stats.p2p_bytes += chunk;
-        entries.push((slot, chunk, src_node));
-    }
-    let items: Vec<(usize, u64)> = entries.iter().map(|&(_, chunk, sn)| (sn.0, chunk)).collect();
+    let items: Vec<(usize, u64)> = sched
+        .iter()
+        .map(|&(slot, chunk)| (chunk_source(w, node, slot, chunk).0, chunk))
+        .collect();
     let (singles, gathers) = bcs_core::coalesce::plan(&items, &ccfg);
     w.engine.outstanding[node.0] = (singles.len() + gathers.len()) as u32;
     for i in singles {
-        let (slot, chunk, src_node) = entries[i];
-        match retry {
-            None => {
-                let t = w.engine
-                    .bcs
-                    .fabric
-                    .get(sim, node, src_node, chunk + hdr, move |w: &mut BW, sim| {
-                        chunk_arrived(w, sim, node, slot, chunk);
-                        crate::protocol::work_item_done(w, sim, node);
-                        mpi_api::runtime::drain(w, sim);
-                    });
-                if trace {
-                    eprintln!("  p2p get {node} <- {src_node} {chunk}B deliver at {t}");
-                }
-            }
-            Some(policy) => {
-                let deliver: bcs_core::retry::RetryFn<BW> =
-                    std::rc::Rc::new(move |w: &mut BW, sim| {
-                        chunk_arrived(w, sim, node, slot, chunk);
-                        crate::protocol::work_item_done(w, sim, node);
-                        mpi_api::runtime::drain(w, sim);
-                    });
-                bcs_core::retry::reliable_get(
-                    w,
-                    sim,
-                    node,
-                    src_node,
-                    chunk + hdr,
-                    policy,
-                    deliver,
-                    transfer_abort(src_node, "P2P chunk get"),
-                );
-            }
-        }
+        let (slot, chunk) = sched[i];
+        get_chunk(w, sim, node, qsnet::NodeId(items[i].0), slot, chunk, trace);
     }
     for g in gathers {
         let src_node = qsnet::NodeId(g.peer);
         let wire = g.wire_bytes(&ccfg);
-        let batch: Vec<(XferSlot, u64)> =
-            g.entries.iter().map(|&i| (entries[i].0, entries[i].1)).collect();
+        let batch: Vec<(XferSlot, u64)> = g.entries.iter().map(|&i| sched[i]).collect();
         w.engine.stats.p2p_gathers += 1;
         w.engine.stats.p2p_gather_msgs += batch.len() as u64;
         w.engine
             .bcs
             .fabric
             .note_gather(batch.len() as u64, g.payload_bytes);
-        let slot = std::cell::Cell::new(Some(batch));
-        let deliver = move |w: &mut BW, sim: &mut Sim<BW>| {
-            let batch = slot.take().expect("P2P gather delivered twice");
-            for (slot, chunk) in batch {
+        let at = p2p_get(w, sim, node, src_node, wire, "P2P gather get", move |w, sim| {
+            for &(slot, chunk) in &batch {
                 chunk_arrived(w, sim, node, slot, chunk);
             }
             crate::protocol::work_item_done(w, sim, node);
             mpi_api::runtime::drain(w, sim);
-        };
-        match retry {
-            None => {
-                let t = w.engine.bcs.fabric.get(sim, node, src_node, wire, deliver);
-                if trace {
-                    eprintln!(
-                        "  p2p gather {node} <- {src_node} {} msgs {wire}B deliver at {t}",
-                        g.entries.len()
-                    );
-                }
-            }
-            Some(policy) => {
-                bcs_core::retry::reliable_get(
-                    w,
-                    sim,
-                    node,
-                    src_node,
-                    wire,
-                    policy,
-                    std::rc::Rc::new(deliver),
-                    transfer_abort(src_node, "P2P gather get"),
-                );
-            }
+        });
+        if let (true, Some(t)) = (trace, at) {
+            eprintln!(
+                "  p2p gather {node} <- {src_node} {} msgs {wire}B deliver at {t}",
+                g.entries.len()
+            );
         }
     }
 }
@@ -944,22 +853,15 @@ fn transfer_abort(peer: qsnet::NodeId, what: &'static str) -> bcs_core::retry::R
 }
 
 // PANIC-OK: a chunk arrival event is only scheduled for a message in the
-
 // in-flight table; the entry lives until the final chunk retires it here.
-
 fn chunk_arrived(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId, slot: XferSlot, chunk: u64) {
     let e = &mut w.engine;
-    let done = {
-        let item = Arc::make_mut(&mut e.nic[node.0])
-            .inflight
-            .get_mut(slot)
-            .expect("chunk for unknown match item");
-        item.moved += chunk;
-        debug_assert!(item.moved <= item.total);
-        item.moved == item.total
-    };
-    if done {
-        let item = Arc::make_mut(&mut e.nic[node.0]).inflight.remove(slot).unwrap();
+    let nic = Arc::make_mut(&mut e.nic[node.0]);
+    let item = nic.inflight.get_mut(slot).expect("chunk for unknown match item");
+    item.moved += chunk;
+    debug_assert!(item.moved <= item.total);
+    if item.moved == item.total {
+        let item = nic.inflight.remove(slot).expect("chunk for unknown match item");
         let payload = e
             .payloads
             .remove(item.msg)

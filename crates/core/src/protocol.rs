@@ -185,7 +185,7 @@ fn on_microstrobe(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32, node: N
             debug_assert!(w.engine.nic[node.0].send_exchanging.is_empty());
             if !w.engine.nic[node.0].send_posted.is_empty() {
                 let nic = std::sync::Arc::make_mut(&mut w.engine.nic[node.0]);
-                nic.send_exchanging = std::mem::take(&mut nic.send_posted);
+                std::mem::swap(&mut nic.send_exchanging, &mut nic.send_posted);
             }
             crate::p2p::node_begin_dem(w, sim, node);
         }

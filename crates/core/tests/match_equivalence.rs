@@ -28,6 +28,8 @@ enum Op {
     Cancel { nth: u8 },
     /// An MSM sweep: drain the unmatched backlog and match in order.
     Sweep,
+    /// The schedule-replay path: every posted receive taken at once.
+    TakeAll,
 }
 
 fn op_strategy(ranks: u8, tags: i8) -> impl Strategy<Value = Op> {
@@ -41,6 +43,7 @@ fn op_strategy(ranks: u8, tags: i8) -> impl Strategy<Value = Op> {
             .prop_map(|(dst, src, tag)| Op::SendArrive { dst, src, tag }),
         (0..ranks, src2, tag2).prop_map(|(dst, src, tag)| Op::Probe { dst, src, tag }),
         (0u8..16).prop_map(|nth| Op::Cancel { nth }),
+        Just(Op::TakeAll),
         Just(Op::Sweep),
         // Sweeps are the hot path; weight them up so scripts exercise both
         // the drain_all and drain_new branches repeatedly.
@@ -145,6 +148,9 @@ fn check_script(ops: &[Op]) -> TestResult {
                 }
                 prop_assert_eq!(matches_i, matches_l, "sweep match set diverged");
             }
+            Op::TakeAll => {
+                prop_assert_eq!(idx_recv.take_all(), lin_recv.take_all(), "take_all diverged");
+            }
         }
         // Invariant after every op: both views of the world are identical.
         let ri: Vec<(u64, RecvSel, u64)> =
@@ -184,4 +190,35 @@ proplite! {
     ) {
         check_script(&ops)?;
     }
+}
+
+/// Buckets that empty and refill — one receive per rotating tag, as the halo
+/// exchange posts them, with a wide burst of distinct tags now and then —
+/// are recycled, not kept: however many came and went, the index holds a
+/// deque per live bucket plus a bounded number of spares.
+#[test]
+fn churned_buckets_are_recycled_not_kept() {
+    let recv = |src: SrcSel, tag: i32| RecvSel { dst_rank: 0, src, tag: TagSel::Tag(tag) };
+    let send = |tag: i32| SendKey { dst_rank: 0, src_rank: 1, tag };
+    let mut idx: RecvIndex<u64> = RecvIndex::new();
+    // Two buckets that stay: one exact, one wildcard.
+    idx.post(recv(SrcSel::Rank(9), -1), 0);
+    idx.post(recv(SrcSel::Any, -2), 0);
+    let mut spare_seen = 0;
+    for round in 0..10_000i32 {
+        let width = if round % 100 == 99 { 40 } else { 1 };
+        let tags = round * 64..round * 64 + width;
+        for tag in tags.clone() {
+            idx.post(recv(SrcSel::Rank(1), tag), tag as u64);
+        }
+        assert_eq!(idx.len(), 2 + width as usize);
+        assert!(idx.deques_held() <= 2 + width as usize + 16, "{} deques", idx.deques_held());
+        for tag in tags {
+            assert_eq!(idx.match_first(&send(tag)).map(|(_, item)| item), Some(tag as u64));
+        }
+        assert_eq!(idx.len(), 2);
+        assert!(idx.deques_held() <= 2 + 16, "{} deques for 2 buckets", idx.deques_held());
+        spare_seen = spare_seen.max(idx.deques_held() - 2);
+    }
+    assert!(spare_seen >= 1, "an emptied bucket's deque must be kept for the next");
 }

@@ -9,6 +9,13 @@
 //! primitives ... are implemented in the NIC while the rest of them are
 //! built on top of those").
 //!
+//! Send data crosses to the engine as a [`Payload`]. The methods that take
+//! `&[u8]` copy it once on the way in; everything that already owns its
+//! bytes passes them on as they are — the typed helpers the `Vec` they just
+//! encoded, `allgatherv*` one shared buffer for all peers, and
+//! [`AsyncMpi::isend_desc`] whatever `Into<Payload>` the program hands it,
+//! so a buffer kept as a `Payload` is posted by reference count.
+//!
 //! Every `async` method suspends at each engine handoff: awaiting a call on
 //! the rank's [`simcore::VmChannel`] parks its state machine
 //! (`Poll::Pending`) until the runtime delivers the response.
@@ -17,6 +24,7 @@ use crate::call::{MpiCall, MpiResp, ReqId};
 use crate::comm::{CommHandle, CommId};
 use crate::datatype::{self, Datatype, ReduceOp};
 use crate::message::{SrcSel, Status, TagSel};
+use crate::payload::Payload;
 use simcore::{SimDuration, SimTime, VmChannel};
 use std::future::Future;
 use std::pin::Pin;
@@ -177,10 +185,11 @@ impl AsyncMpi {
     }
 
     /// Build an `MPI_Isend` descriptor for [`Self::post_batch`], with the
-    /// same argument checks as [`Self::isend`].
-    pub fn isend_desc(&self, dest: usize, tag: i32, data: &[u8]) -> MpiCall {
-        assert!(tag >= 0, "user tags must be non-negative");
-        assert!(dest < self.size, "isend to rank {dest} of {}", self.size);
+    /// same argument checks as [`Self::isend`]. A `Vec<u8>` or a [`Payload`]
+    /// is sent as it is — a program that posts one buffer many times keeps
+    /// it as a `Payload` and passes clones — while a `&[u8]` is copied once.
+    pub fn isend_desc(&self, dest: usize, tag: i32, data: impl Into<Payload>) -> MpiCall {
+        self.check_send("isend", dest, tag);
         Self::isend_call(dest, tag, data)
     }
 
@@ -189,7 +198,12 @@ impl AsyncMpi {
         Self::irecv_call(src, tag)
     }
 
-    fn isend_call(dest: usize, tag: i32, data: &[u8]) -> MpiCall {
+    fn check_send(&self, op: &str, dest: usize, tag: i32) {
+        assert!(tag >= 0, "user tags must be non-negative");
+        assert!(dest < self.size, "{op} to rank {dest} of {}", self.size);
+    }
+
+    fn isend_call(dest: usize, tag: i32, data: impl Into<Payload>) -> MpiCall {
         MpiCall::Send {
             dest,
             tag,
@@ -232,13 +246,16 @@ impl AsyncMpi {
 
     /// MPI_Send (blocking).
     pub async fn send(&mut self, dest: usize, tag: i32, data: &[u8]) {
-        assert!(tag >= 0, "user tags must be non-negative");
-        assert!(dest < self.size, "send to rank {dest} of {}", self.size);
+        self.send_payload(dest, tag, data.into()).await
+    }
+
+    async fn send_payload(&mut self, dest: usize, tag: i32, data: Payload) {
+        self.check_send("send", dest, tag);
         match self
             .call(MpiCall::Send {
                 dest,
                 tag,
-                data: data.into(),
+                data,
                 blocking: true,
             })
             .await
@@ -250,21 +267,12 @@ impl AsyncMpi {
 
     /// MPI_Isend (non-blocking).
     pub async fn isend(&mut self, dest: usize, tag: i32, data: &[u8]) -> ReqId {
-        assert!(tag >= 0, "user tags must be non-negative");
-        assert!(dest < self.size, "isend to rank {dest} of {}", self.size);
-        self.isend_internal(dest, tag, data).await
+        self.check_send("isend", dest, tag);
+        self.isend_internal(dest, tag, data.into()).await
     }
 
-    async fn isend_internal(&mut self, dest: usize, tag: i32, data: &[u8]) -> ReqId {
-        match self
-            .call(MpiCall::Send {
-                dest,
-                tag,
-                data: data.into(),
-                blocking: false,
-            })
-            .await
-        {
+    async fn isend_internal(&mut self, dest: usize, tag: i32, data: Payload) -> ReqId {
+        match self.call(Self::isend_call(dest, tag, data)).await {
             MpiResp::Req(r) => r,
             other => unreachable!("isend -> {other:?}"),
         }
@@ -304,8 +312,7 @@ impl AsyncMpi {
         src: SrcSel,
         recv_tag: TagSel,
     ) -> (Vec<u8>, Status) {
-        assert!(send_tag >= 0, "user tags must be non-negative");
-        assert!(dest < self.size, "sendrecv to rank {dest} of {}", self.size);
+        self.check_send("sendrecv", dest, send_tag);
         let reqs = self
             .post_batch(vec![
                 Self::irecv_call(src, recv_tag),
@@ -493,6 +500,16 @@ impl AsyncMpi {
         dtype: Datatype,
         data: &[u8],
     ) -> Option<Vec<u8>> {
+        self.reduce_payload(root, op, dtype, data.into()).await
+    }
+
+    async fn reduce_payload(
+        &mut self,
+        root: usize,
+        op: ReduceOp,
+        dtype: Datatype,
+        data: Payload,
+    ) -> Option<Vec<u8>> {
         assert!(root < self.size);
         match self
             .call(MpiCall::Reduce {
@@ -500,7 +517,7 @@ impl AsyncMpi {
                 root,
                 op,
                 dtype,
-                data: data.into(),
+                data,
                 all: false,
             })
             .await
@@ -512,7 +529,7 @@ impl AsyncMpi {
 
     /// MPI_Allreduce (world).
     pub async fn allreduce(&mut self, op: ReduceOp, dtype: Datatype, data: &[u8]) -> Vec<u8> {
-        self.allreduce_on_id(CommId::WORLD, op, dtype, data).await
+        self.allreduce_on_id(CommId::WORLD, op, dtype, data.into()).await
     }
 
     /// MPI_Allreduce over a sub-communicator.
@@ -523,7 +540,7 @@ impl AsyncMpi {
         dtype: Datatype,
         data: &[u8],
     ) -> Vec<u8> {
-        self.allreduce_on_id(comm.id, op, dtype, data).await
+        self.allreduce_on_id(comm.id, op, dtype, data.into()).await
     }
 
     async fn allreduce_on_id(
@@ -531,7 +548,7 @@ impl AsyncMpi {
         comm: CommId,
         op: ReduceOp,
         dtype: Datatype,
-        data: &[u8],
+        data: Payload,
     ) -> Vec<u8> {
         match self
             .call(MpiCall::Reduce {
@@ -539,7 +556,7 @@ impl AsyncMpi {
                 root: 0,
                 op,
                 dtype,
-                data: data.into(),
+                data,
                 all: true,
             })
             .await
@@ -569,40 +586,16 @@ impl AsyncMpi {
     /// communicator's rank `i`; returns chunks indexed by communicator rank.
     pub async fn alltoallv_on(&mut self, comm: &CommHandle, chunks: &[Vec<u8>]) -> Vec<Vec<u8>> {
         assert_eq!(chunks.len(), comm.size(), "one chunk per member");
-        let tag = self.next_coll_tag();
-        let me_local = comm.rank;
-        // All posts (sends first, then receives — the sequential issue
-        // order) cross the harness boundary in one batch.
-        let mut calls = Vec::with_capacity(2 * (comm.size() - 1));
-        let mut recv_peers = Vec::with_capacity(comm.size() - 1);
-        for (i, chunk) in chunks.iter().enumerate() {
-            if i != me_local {
-                calls.push(Self::isend_call(comm.world_rank(i), tag, chunk));
-            }
-        }
-        for i in 0..comm.size() {
-            if i != me_local {
-                let w = comm.world_rank(i);
-                calls.push(Self::irecv_call(SrcSel::Rank(w), TagSel::Tag(tag)));
-                recv_peers.push(i);
-            }
-        }
-        let reqs = self.post_batch(calls).await;
-        let (sends, recvs) = reqs.split_at(comm.size() - 1);
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
-        out[me_local] = chunks[me_local].clone();
-        let results = self.waitall(recvs).await;
-        for (&i, (payload, _)) in recv_peers.iter().zip(results) {
-            out[i] = payload.expect("alltoall recv payload");
-        }
-        self.waitall(sends).await;
-        out
+        let (n, me, own) = (comm.size(), comm.rank, chunks[comm.rank].clone());
+        self.exchange(n, me, |i| comm.world_rank(i), own, |i| chunks[i].as_slice().into())
+            .await
     }
 
     /// MPI_Allgatherv over a sub-communicator (indexed by communicator rank).
     pub async fn allgatherv_on(&mut self, comm: &CommHandle, data: &[u8]) -> Vec<Vec<u8>> {
-        let chunks: Vec<Vec<u8>> = (0..comm.size()).map(|_| data.to_vec()).collect();
-        self.alltoallv_on(comm, &chunks).await
+        let shared: Payload = data.into();
+        self.exchange(comm.size(), comm.rank, |i| comm.world_rank(i), data.to_vec(), |_| shared.clone())
+            .await
     }
 
     /// MPI_Allgatherv as a single engine collective: gathered on the NIC
@@ -639,7 +632,7 @@ impl AsyncMpi {
         xs: &[f64],
     ) -> Vec<f64> {
         let out = self
-            .allreduce_on(comm, op, Datatype::F64, &datatype::to_bytes_f64(xs))
+            .allreduce_on_id(comm.id, op, Datatype::F64, datatype::to_bytes_f64(xs).into())
             .await;
         datatype::from_bytes_f64(&out)
     }
@@ -654,8 +647,37 @@ impl AsyncMpi {
         t
     }
 
-    async fn isend_raw(&mut self, dest: usize, tag: i32, data: &[u8]) -> ReqId {
-        self.isend_internal(dest, tag, data).await
+    /// All-pairs non-blocking exchange among `n` members, of which this
+    /// rank is member `me` and member `i` is world rank `world(i)`:
+    /// `chunk(i)` goes to member `i`; returns what every member sent here,
+    /// by member, with `own` in this rank's place. All posts (sends first,
+    /// then receives — the sequential issue order) cross the harness
+    /// boundary in one batch.
+    async fn exchange(
+        &mut self,
+        n: usize,
+        me: usize,
+        world: impl Fn(usize) -> usize,
+        own: Vec<u8>,
+        chunk: impl Fn(usize) -> Payload,
+    ) -> Vec<Vec<u8>> {
+        let tag = self.next_coll_tag();
+        let peers = (0..n).filter(|&i| i != me);
+        let mut calls = Vec::with_capacity(2 * (n - 1));
+        calls.extend(peers.clone().map(|i| Self::isend_call(world(i), tag, chunk(i))));
+        calls.extend(
+            peers.clone().map(|i| Self::irecv_call(SrcSel::Rank(world(i)), TagSel::Tag(tag))),
+        );
+        let reqs = self.post_batch(calls).await;
+        let (sends, recvs) = reqs.split_at(n - 1);
+        let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
+        out[me] = own;
+        let results = self.waitall(recvs).await;
+        for (i, (payload, _)) in peers.zip(results) {
+            out[i] = payload.expect("all-pairs recv payload");
+        }
+        self.waitall(sends).await;
+        out
     }
 
     /// MPI_Scatterv: the root supplies one chunk per rank; every rank
@@ -668,7 +690,7 @@ impl AsyncMpi {
             let mut calls = Vec::with_capacity(self.size - 1);
             for (r, chunk) in chunks.iter().enumerate() {
                 if r != root {
-                    calls.push(Self::isend_call(r, tag, chunk));
+                    calls.push(Self::isend_call(r, tag, chunk.as_slice()));
                 }
             }
             let reqs = self.post_batch(calls).await;
@@ -716,7 +738,7 @@ impl AsyncMpi {
             }
             Some(out)
         } else {
-            let req = self.isend_raw(root, tag, data).await;
+            let req = self.isend_internal(root, tag, data.into()).await;
             self.wait(req).await;
             None
         }
@@ -736,32 +758,10 @@ impl AsyncMpi {
     }
 
     /// MPI_Allgatherv: every rank receives every contribution, in rank
-    /// order. All-pairs non-blocking exchange.
+    /// order. All-pairs non-blocking exchange of one shared buffer.
     pub async fn allgatherv(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
-        let tag = self.next_coll_tag();
-        let mut calls = Vec::with_capacity(2 * (self.size - 1));
-        let mut recv_peers = Vec::with_capacity(self.size - 1);
-        for r in 0..self.size {
-            if r != self.rank {
-                calls.push(Self::isend_call(r, tag, data));
-            }
-        }
-        for r in 0..self.size {
-            if r != self.rank {
-                calls.push(Self::irecv_call(SrcSel::Rank(r), TagSel::Tag(tag)));
-                recv_peers.push(r);
-            }
-        }
-        let reqs = self.post_batch(calls).await;
-        let (sends, recvs) = reqs.split_at(self.size - 1);
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); self.size];
-        out[self.rank] = data.to_vec();
-        let results = self.waitall(recvs).await;
-        for (&r, (payload, _)) in recv_peers.iter().zip(results) {
-            out[r] = payload.expect("allgather recv payload");
-        }
-        self.waitall(sends).await;
-        out
+        let shared: Payload = data.into();
+        self.exchange(self.size, self.rank, |r| r, data.to_vec(), |_| shared.clone()).await
     }
 
     /// MPI_Allgather (equal sizes).
@@ -779,30 +779,8 @@ impl AsyncMpi {
     /// sent to us, in rank order.
     pub async fn alltoallv(&mut self, chunks: &[Vec<u8>]) -> Vec<Vec<u8>> {
         assert_eq!(chunks.len(), self.size, "one chunk per destination");
-        let tag = self.next_coll_tag();
-        let mut calls = Vec::with_capacity(2 * (self.size - 1));
-        let mut recv_peers = Vec::with_capacity(self.size - 1);
-        for (r, chunk) in chunks.iter().enumerate() {
-            if r != self.rank {
-                calls.push(Self::isend_call(r, tag, chunk));
-            }
-        }
-        for r in 0..self.size {
-            if r != self.rank {
-                calls.push(Self::irecv_call(SrcSel::Rank(r), TagSel::Tag(tag)));
-                recv_peers.push(r);
-            }
-        }
-        let reqs = self.post_batch(calls).await;
-        let (sends, recvs) = reqs.split_at(self.size - 1);
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); self.size];
-        out[self.rank] = chunks[self.rank].clone();
-        let results = self.waitall(recvs).await;
-        for (&r, (payload, _)) in recv_peers.iter().zip(results) {
-            out[r] = payload.expect("alltoall recv payload");
-        }
-        self.waitall(sends).await;
-        out
+        let (n, me, own) = (self.size, self.rank, chunks[self.rank].clone());
+        self.exchange(n, me, |r| r, own, |r| chunks[r].as_slice().into()).await
     }
 
     /// MPI_Alltoall (equal sizes).
@@ -822,7 +800,7 @@ impl AsyncMpi {
     /// Allreduce over `f64` values.
     pub async fn allreduce_f64(&mut self, op: ReduceOp, xs: &[f64]) -> Vec<f64> {
         let out = self
-            .allreduce(op, Datatype::F64, &datatype::to_bytes_f64(xs))
+            .allreduce_on_id(CommId::WORLD, op, Datatype::F64, datatype::to_bytes_f64(xs).into())
             .await;
         datatype::from_bytes_f64(&out)
     }
@@ -830,21 +808,21 @@ impl AsyncMpi {
     /// Allreduce over `i64` values.
     pub async fn allreduce_i64(&mut self, op: ReduceOp, xs: &[i64]) -> Vec<i64> {
         let out = self
-            .allreduce(op, Datatype::I64, &datatype::to_bytes_i64(xs))
+            .allreduce_on_id(CommId::WORLD, op, Datatype::I64, datatype::to_bytes_i64(xs).into())
             .await;
         datatype::from_bytes_i64(&out)
     }
 
     /// Reduce over `f64` values (result on root only).
     pub async fn reduce_f64(&mut self, root: usize, op: ReduceOp, xs: &[f64]) -> Option<Vec<f64>> {
-        self.reduce(root, op, Datatype::F64, &datatype::to_bytes_f64(xs))
+        self.reduce_payload(root, op, Datatype::F64, datatype::to_bytes_f64(xs).into())
             .await
             .map(|b| datatype::from_bytes_f64(&b))
     }
 
     /// Send a typed `f64` slice.
     pub async fn send_f64(&mut self, dest: usize, tag: i32, xs: &[f64]) {
-        self.send(dest, tag, &datatype::to_bytes_f64(xs)).await;
+        self.send_payload(dest, tag, datatype::to_bytes_f64(xs).into()).await;
     }
 
     /// Blocking receive of a typed `f64` slice from an exact source.
@@ -854,6 +832,7 @@ impl AsyncMpi {
 
     /// Non-blocking send of a typed `f64` slice.
     pub async fn isend_f64(&mut self, dest: usize, tag: i32, xs: &[f64]) -> ReqId {
-        self.isend(dest, tag, &datatype::to_bytes_f64(xs)).await
+        self.check_send("isend", dest, tag);
+        self.isend_internal(dest, tag, datatype::to_bytes_f64(xs).into()).await
     }
 }

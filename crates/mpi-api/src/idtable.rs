@@ -8,7 +8,9 @@
 //! index computation, and every vacated slot at the front is popped so the
 //! window spans only `oldest live id ..= newest id`. One entry that is never
 //! removed pins the front and the window then grows by one (empty) slot per
-//! later id; callers retire what they allocate.
+//! later id; callers retire what they allocate. [`IdTable::drain_from`]
+//! takes a whole tail of the id space out at once; the ids it vacates are
+//! retired like any other, never handed out again.
 //!
 //! Iteration is in id order by construction, so anything derived from it
 //! (checkpoint images, digests) is canonical without sorting.
@@ -83,11 +85,31 @@ impl<K: Copy + From<u64> + Into<u64>, V> IdTable<K, V> {
         let i = self.slot(id)?;
         let value = self.slots[i].take()?;
         self.live -= 1;
+        self.compact();
+        Some(value)
+    }
+
+    /// Take out every entry whose id is `from` or later, in id order
+    /// (`drain_from(0)` empties the table). [`Self::next_id`] does not move.
+    pub fn drain_from(&mut self, from: K) -> Vec<V> {
+        let start = (from.into().saturating_sub(self.base)).min(self.slots.len() as u64);
+        let out: Vec<V> = self.slots.range_mut(start as usize..).filter_map(Option::take).collect();
+        self.live -= out.len();
+        self.compact();
+        out
+    }
+
+    /// Drop the vacated slots at the front of the window.
+    fn compact(&mut self) {
         while let Some(None) = self.slots.front() {
             self.slots.pop_front();
             self.base += 1;
         }
-        Some(value)
+    }
+
+    /// Give back the window's spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.slots.shrink_to_fit();
     }
 
     /// Number of live entries.

@@ -5,10 +5,14 @@
 //! an immutable, atomically reference-counted byte buffer. Cloning one is
 //! a refcount bump, so the same bytes can simultaneously sit in an engine's
 //! in-flight payload table, a response awaiting delivery and any number of
-//! checkpoint images without ever being copied. The single copy-on-write
-//! point is [`Payload::into_vec`]: the last holder takes the allocation
-//! back for free, while a shared holder pays the one clone that mutation
-//! actually requires.
+//! checkpoint images without ever being copied. Bytes are copied where they
+//! enter as a borrow and nowhere else: `From<&[u8]>` copies once,
+//! `From<Vec<u8>>` and a clone of an existing `Payload` never do — a rank
+//! that posts one buffer to many peers, or every iteration, keeps it as a
+//! `Payload` and posts clones (`AsyncMpi::isend_desc`). On the way out the
+//! single copy-on-write point is [`Payload::into_vec`]: the last holder
+//! takes the allocation back for free, while a shared holder pays the one
+//! clone that mutation actually requires.
 //!
 //! The runtime's replay log does **not** hold message bytes. A recording
 //! runtime stamps every point-to-point send payload with its [`Origin`] as

@@ -71,9 +71,9 @@ impl JobLayout {
     }
 
     /// Ranks hosted on `node`, in rank order.
-    pub fn ranks_on(&self, node: NodeId) -> impl Iterator<Item = usize> + '_ {
-        let lo = node.0 * self.cpus_per_node;
-        (lo..(lo + self.cpus_per_node).min(self.ranks)).filter(move |_| lo < self.ranks)
+    pub fn ranks_on(&self, node: NodeId) -> std::ops::Range<usize> {
+        let lo = (node.0 * self.cpus_per_node).min(self.ranks);
+        lo..(lo + self.cpus_per_node).min(self.ranks)
     }
 }
 
@@ -454,6 +454,9 @@ pub struct RunResult<R, E> {
     /// dispatch is not a delivery: one event may run the hooks of every
     /// destination a multicast reaches at one instant (DESIGN §9).
     pub events: u64,
+    /// Heap entries the simulator's queue pushed for them: one per run of
+    /// events scheduled back to back for one instant (DESIGN §9).
+    pub heap_pushes: u64,
 }
 
 /// Options for [`Job::opts`].
@@ -478,8 +481,10 @@ pub struct RunOutcome<R, E> {
     pub finish_times: Vec<Option<SimTime>>,
     /// The engine, for stats/checkpoint inspection.
     pub engine: E,
-    /// Simulator dispatches executed (see [`RunResult::events`]).
+    /// Simulator dispatches executed (see [`RunResult::events`]) and the
+    /// heap entries pushed for them.
     pub events: u64,
+    pub heap_pushes: u64,
     /// Human-readable reason when `completed` is false.
     pub diagnostic: Option<String>,
 }
@@ -507,6 +512,7 @@ impl<R, E> RunOutcome<R, E> {
                 .collect(),
             engine: self.engine,
             events: self.events,
+            heap_pushes: self.heap_pushes,
         }
     }
 }
@@ -631,6 +637,7 @@ impl<'a, E: Engine> Job<'a, E> {
             finish_times: w.finish_times,
             engine: w.engine,
             events: sim.events_executed(),
+            heap_pushes: sim.heap_pushes(),
         }
     }
 }

@@ -1,8 +1,9 @@
-//! `IdTable` against a `BTreeMap` model: whatever sequence of pushes and
-//! removals a caller makes, both hold the same entries under the same ids,
-//! iterate in the same (id) order, and the table's window never spans more
-//! than `next id - oldest live id` slots — in particular it is empty again
-//! once everything is removed, however long one entry pinned the front.
+//! `IdTable` against a `BTreeMap` model: whatever sequence of pushes,
+//! removals and tail drains a caller makes, both hold the same entries under
+//! the same ids, iterate in the same (id) order, and the table's window
+//! never spans more than `next id - oldest live id` slots — in particular it
+//! is empty again once everything is removed, however long one entry pinned
+//! the front.
 
 use mpi_api::idtable::IdTable;
 use proplite::prelude::*;
@@ -15,6 +16,9 @@ enum Op {
     RemoveLive(usize),
     /// Remove an id that may be live, retired or not handed out yet.
     RemoveId(u64),
+    /// Take out everything from an id on, which may be live, retired or not
+    /// handed out yet (0 without a pinned entry: the whole table).
+    DrainFrom(u64),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -23,6 +27,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             3 => Just(Op::Push),
             2 => (0..64usize).prop_map(Op::RemoveLive),
             1 => (0..96u64).prop_map(Op::RemoveId),
+            1 => (0..96u64).prop_map(Op::DrainFrom),
         ],
         0..200,
     )
@@ -72,6 +77,12 @@ proplite! {
                     let id = id + pin as u64;
                     prop_assert_eq!(table.get(id), model.get(&id));
                     prop_assert_eq!(table.remove(id), model.remove(&id));
+                }
+                Op::DrainFrom(id) => {
+                    // Never the pinned entry: it is not in the model.
+                    let id = id + pin as u64;
+                    let tail = model.split_off(&id);
+                    prop_assert_eq!(table.drain_from(id), tail.into_values().collect::<Vec<_>>());
                 }
             }
             if pin {

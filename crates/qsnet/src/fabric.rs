@@ -11,12 +11,17 @@
 //! a transfer's delivery time is computed immediately and its completion
 //! callback scheduled on the simulator queue.
 //!
-//! Since the multi-fabric matrix, the interconnect surface the engines
-//! program against is the object-safe [`Fabric`] trait; [`QsNetFabric`] is
-//! the Quadrics implementation (hardware multicast + network conditionals),
-//! and `rdmanet::RdmaFabric` provides the RDMA-channel alternative with
-//! software emulations of both collectives. Engines hold a
-//! `Box<dyn Fabric<W>>` and never learn which one they got.
+//! The interconnect surface the engines program against is the object-safe
+//! [`Fabric`] trait; [`QsNetFabric`] is the Quadrics implementation
+//! (hardware multicast + network conditionals), and `rdmanet::RdmaFabric`
+//! provides the RDMA-channel alternative with software emulations of both
+//! collectives. Engines hold a `Box<dyn Fabric<W>>` and never learn which
+//! one they got. A unicast operation (put, get, conditional) is a *timing
+//! function* on the trait — reserve, account, return the completion instant
+//! — and the `put`/`get`/`conditional` wrappers on `dyn Fabric<W>` schedule
+//! the caller's closure themselves, unboxed, so a small completion lives
+//! inline in its simulator event; only `multicast`, whose per-destination
+//! hook is shared between events, takes boxed hooks.
 
 use crate::model::NetModel;
 use crate::topology::{NodeId, Topology};
@@ -151,8 +156,8 @@ impl SnapState for PortState {
     }
 }
 
-/// Completion callback of a one-shot fabric operation, boxed so the trait
-/// stays object-safe.
+/// Completion callback of a multicast, boxed so the trait stays
+/// object-safe.
 pub type OnDone<W> = Box<dyn FnOnce(&mut W, &mut Sim<W>)>;
 
 /// Per-destination delivery hook of a multicast.
@@ -188,9 +193,9 @@ pub fn schedule_deliveries<W: 'static>(
 /// The interconnect surface the BCS stack programs against: unicast DMA
 /// (put/get), ordered multicast, the global conditional, fault injection,
 /// and occupancy snapshot/restore. Object-safe — engines hold a
-/// `Box<dyn Fabric<W>>` — so the one-shot callbacks arrive boxed; the
-/// convenience wrappers on `dyn Fabric<W>` below restore the
-/// `impl FnOnce` call-site ergonomics.
+/// `Box<dyn Fabric<W>>` — so the unicast operations take no closure at all
+/// (see the `*_timing` methods); the wrappers on `dyn Fabric<W>` below give
+/// call sites `fabric.put(sim, src, dst, bytes, |w, sim| ...)`.
 ///
 /// Contract every implementation must honor (the recovery and gate suites
 /// assume it):
@@ -231,23 +236,35 @@ pub trait Fabric<W: 'static> {
     fn snapshot(&mut self) -> FabricSnapshot;
     fn restore(&mut self, s: &FabricSnapshot);
 
-    // Wire operations (boxed-callback forms; call the `dyn` wrappers).
-    fn put_boxed(
+    // Unicast wire operations, issued at `now`: reserve the ports, account
+    // the operation, and return its completion instant and whether the
+    // completion is delivered at all (not for a planned drop or a dead
+    // endpoint). Call the `dyn` wrappers, which schedule the completion.
+
+    /// Remote put (one-sided write): DMA `bytes` from `src` to `dst`;
+    /// complete when the last byte lands in destination memory.
+    fn put_timing(&mut self, now: SimTime, src: NodeId, dst: NodeId, bytes: u64)
+        -> (SimTime, bool);
+    /// Remote get (one-sided read): `requester` pulls `bytes` from
+    /// `target`'s memory. This is how the BCS-MPI DMA Helper moves message
+    /// bodies (Figure 6, step 9).
+    fn get_timing(
         &mut self,
-        sim: &mut Sim<W>,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        on_delivered: OnDone<W>,
-    ) -> SimTime;
-    fn get_boxed(
-        &mut self,
-        sim: &mut Sim<W>,
+        now: SimTime,
         requester: NodeId,
         target: NodeId,
         bytes: u64,
-        on_delivered: OnDone<W>,
-    ) -> SimTime;
+    ) -> (SimTime, bool);
+    /// Network conditional spanning `span` nodes, the transport of
+    /// `Compare-And-Write`: the fabric provides ordering and latency, the
+    /// caller evaluates the predicate (and performs the global write) at
+    /// the returned fire time. Always fires.
+    fn conditional_timing(&mut self, now: SimTime, src: NodeId, span: usize) -> SimTime;
+
+    /// Ordered, reliable, atomic multicast from `src` to `dests`
+    /// (self-delivery permitted). `per_dest` runs at each destination's
+    /// delivery instant; `on_complete` runs once, when the last destination
+    /// has been reached. Returns the completion time.
     fn multicast_boxed(
         &mut self,
         sim: &mut Sim<W>,
@@ -257,18 +274,12 @@ pub trait Fabric<W: 'static> {
         per_dest: Option<DeliverFn<W>>,
         on_complete: OnDone<W>,
     ) -> SimTime;
-    fn conditional_boxed(
-        &mut self,
-        sim: &mut Sim<W>,
-        src: NodeId,
-        span: usize,
-        on_fire: OnDone<W>,
-    ) -> SimTime;
 }
 
-/// `impl FnOnce` ergonomics on trait objects: every pre-trait call site
-/// (`cluster.fabric.put(sim, src, dst, bytes, |w, s| ...)`) compiles
-/// unchanged against a `Box<dyn Fabric<W>>` through these wrappers.
+/// The wire operations as call sites write them, on trait objects
+/// (`cluster.fabric.put(sim, src, dst, bytes, |w, s| ...)`): the unicast
+/// ones schedule the completion closure as it is — no box — at the instant
+/// the timing method returns. Each returns that instant.
 impl<W: 'static> dyn Fabric<W> {
     pub fn put(
         &mut self,
@@ -278,7 +289,11 @@ impl<W: 'static> dyn Fabric<W> {
         bytes: u64,
         on_delivered: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
     ) -> SimTime {
-        self.put_boxed(sim, src, dst, bytes, Box::new(on_delivered))
+        let (at, lands) = self.put_timing(sim.now(), src, dst, bytes);
+        if lands {
+            sim.schedule_at(at, on_delivered);
+        }
+        at
     }
 
     pub fn get(
@@ -289,7 +304,11 @@ impl<W: 'static> dyn Fabric<W> {
         bytes: u64,
         on_delivered: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
     ) -> SimTime {
-        self.get_boxed(sim, requester, target, bytes, Box::new(on_delivered))
+        let (at, lands) = self.get_timing(sim.now(), requester, target, bytes);
+        if lands {
+            sim.schedule_at(at, on_delivered);
+        }
+        at
     }
 
     pub fn multicast(
@@ -311,7 +330,9 @@ impl<W: 'static> dyn Fabric<W> {
         span: usize,
         on_fire: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
     ) -> SimTime {
-        self.conditional_boxed(sim, src, span, Box::new(on_fire))
+        let at = self.conditional_timing(sim.now(), src, span);
+        sim.schedule_at(at, on_fire);
+        at
     }
 }
 
@@ -368,121 +389,6 @@ impl QsNetFabric {
         self.snap_dirty = true;
     }
 
-    pub fn model(&self) -> &NetModel {
-        &self.model
-    }
-
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    pub fn nodes(&self) -> usize {
-        self.topo.nodes()
-    }
-
-    pub fn stats(&self) -> &FabricStats {
-        &self.stats
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.touch();
-        self.stats = FabricStats::default();
-    }
-
-    pub fn note_gather(&mut self, msgs: u64, logical_bytes: u64) {
-        self.touch();
-        self.stats.gathers += 1;
-        self.stats.gathered_msgs += msgs;
-        self.stats.gathered_bytes += logical_bytes;
-    }
-
-    // ------------------------------------------------------------------
-    // Fault injection (see `faultsim`)
-    // ------------------------------------------------------------------
-
-    /// Fail-stop `node`: from now on no delivery originates from or lands
-    /// on it. Timing reservations still account for its traffic already in
-    /// the FIFOs, keeping the model deterministic.
-    pub fn kill_node(&mut self, node: NodeId) {
-        self.dead[node.0] = true;
-    }
-
-    /// Undo [`QsNetFabric::kill_node`] (spare-node replacement semantics).
-    pub fn revive_node(&mut self, node: NodeId) {
-        self.dead[node.0] = false;
-    }
-
-    pub fn is_dead(&self, node: NodeId) -> bool {
-        self.dead[node.0]
-    }
-
-    /// Register a link-degradation window (additive with existing ones;
-    /// overlapping windows take the worst factor).
-    pub fn degrade_link(&mut self, d: Degradation) {
-        assert!(d.factor >= 1);
-        self.degradations.push(d);
-    }
-
-    pub fn clear_degradations(&mut self) {
-        self.degradations.clear();
-    }
-
-    /// Replace the planned set of bulk-DMA sequence numbers to drop.
-    pub fn plan_drops(&mut self, mut seqs: Vec<u64>) {
-        seqs.sort_unstable();
-        seqs.dedup();
-        self.drop_seqs = seqs;
-    }
-
-    /// Bulk transfers issued so far (the coordinate of the drop plan).
-    pub fn bulk_seq(&self) -> u64 {
-        self.bulk_seq
-    }
-
-    /// Capture the port-occupancy state (see [`FabricSnapshot`]).
-    ///
-    /// Served from the snapshot cache when nothing changed since the last
-    /// capture — back-to-back captures of a quiet fabric are refcount
-    /// bumps, and every image taken of the same state shares one
-    /// allocation.
-    pub fn snapshot(&mut self) -> FabricSnapshot {
-        if self.snap_dirty || self.snap_cache.is_none() {
-            self.snap_cache = Some(FabricSnapshot::new(Rc::new(PortState {
-                tx_free: self.tx_free.clone(),
-                rx_free: self.rx_free.clone(),
-                coll_free: self.coll_free,
-                stats: self.stats,
-                bulk_seq: self.bulk_seq,
-            })));
-            self.snap_dirty = false;
-        }
-        self.snap_cache.clone().expect("snapshot cache just filled")
-    }
-
-    /// Restore port occupancy from a snapshot and clear all fault state
-    /// (every node revived, degradations and drop plans forgotten). The
-    /// recovery driver re-injects whatever faults remain in its plan.
-    /// Copies in place — no allocation — and re-primes the snapshot cache
-    /// with the restored image (the states are now identical).
-    pub fn restore(&mut self, s: &FabricSnapshot) {
-        let p: &PortState = s
-            .state()
-            .as_any()
-            .downcast_ref()
-            .expect("fabric-kind mismatch: QsNet fabric restoring a non-QsNet snapshot");
-        assert_eq!(p.tx_free.len(), self.tx_free.len(), "snapshot node count");
-        self.tx_free.copy_from_slice(&p.tx_free);
-        self.rx_free.copy_from_slice(&p.rx_free);
-        self.coll_free = p.coll_free;
-        self.stats = p.stats;
-        self.bulk_seq = p.bulk_seq;
-        self.dead.iter_mut().for_each(|d| *d = false);
-        self.degradations.clear();
-        self.drop_seqs.clear();
-        self.snap_cache = Some(s.clone());
-        self.snap_dirty = false;
-    }
-
     /// Worst degradation factor touching `node` at instant `t`.
     fn degrade_factor(&self, node: NodeId, t: SimTime) -> u64 {
         self.degradations
@@ -493,145 +399,12 @@ impl QsNetFabric {
             .unwrap_or(1)
     }
 
-    /// Remote put (one-sided write): DMA `bytes` from `src` to `dst`.
-    /// `on_delivered` runs when the last byte lands in destination memory.
-    /// Returns the delivery time.
-    pub fn put<W: 'static>(
-        &mut self,
-        sim: &mut Sim<W>,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        on_delivered: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
-    ) -> SimTime {
-        self.touch();
-        self.stats.puts += 1;
-        self.stats.put_bytes += bytes;
-        let (deliver, landed) = self.reserve_put(sim.now(), src, dst, bytes);
-        if self.is_dead(src) || self.is_dead(dst) {
-            self.stats.dead_skips += 1;
-        } else if landed {
-            sim.schedule_at(deliver, on_delivered);
-        }
-        deliver
-    }
-
-    /// Remote get (one-sided read): `requester` pulls `bytes` from `target`'s
-    /// memory. A control request travels to the target, then the data DMA
-    /// streams back. This is how the BCS-MPI DMA Helper moves message bodies
-    /// (Figure 6, step 9).
-    pub fn get<W: 'static>(
-        &mut self,
-        sim: &mut Sim<W>,
-        requester: NodeId,
-        target: NodeId,
-        bytes: u64,
-        on_delivered: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
-    ) -> SimTime {
-        self.touch();
-        self.stats.gets += 1;
-        self.stats.get_bytes += bytes;
-        // Request leg.
-        let (req_at, _) = self.reserve_put(sim.now(), requester, target, CTRL_BYTES);
-        // Data leg, reserved now (FIFO in issue order) but starting only
-        // after the request arrives and the target NIC turns it around.
-        let data_issue = req_at + self.model.nic_op;
-        let (deliver, landed) = self.reserve_put(data_issue, target, requester, bytes);
-        if self.is_dead(requester) || self.is_dead(target) {
-            self.stats.dead_skips += 1;
-        } else if landed {
-            sim.schedule_at(deliver, on_delivered);
-        }
-        deliver
-    }
-
-    /// Ordered, reliable, atomic multicast from `src` to `dests`
-    /// (self-delivery permitted). `per_dest` runs at each destination's
-    /// delivery instant; `on_complete` runs once, when the last destination
-    /// has been reached. Returns the completion time.
-    ///
-    /// Atomicity: the simulated fabric never drops packets, so "all or none"
-    /// holds trivially; ordering comes from the root serializer.
-    pub fn multicast<W: 'static>(
-        &mut self,
-        sim: &mut Sim<W>,
-        src: NodeId,
-        dests: &[NodeId],
-        bytes: u64,
-        per_dest: Option<DeliverFn<W>>,
-        on_complete: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
-    ) -> SimTime {
-        assert!(!dests.is_empty(), "multicast needs at least one destination");
-        self.touch();
-        self.stats.multicasts += 1;
-        self.stats.multicast_bytes += bytes * dests.len() as u64;
-
-        let n = dests.len();
-        let ctrl = bytes <= CTRL_BYTES;
-        let tx = self.model.mcast_tx_time(bytes);
-        let start = if ctrl {
-            // Strobes and other control multicasts use the priority channel:
-            // ordered through the root but never queued behind bulk DMA.
-            let s = sim.now().max(self.coll_free);
-            self.coll_free = s + tx;
-            s
-        } else {
-            let s = sim.now().max(self.tx_free[src.0]).max(self.coll_free);
-            self.tx_free[src.0] = s + tx;
-            self.coll_free = s + tx;
-            s
-        };
-        let first_bit = start + self.model.mcast_latency(n, self.topo.levels());
-
-        let mut last = SimTime::ZERO;
-        let mut deliveries = Vec::with_capacity(if per_dest.is_some() { n } else { 0 });
-        for &d in dests {
-            let deliver = if d == src {
-                // Loopback through the NIC, no wire.
-                start + self.model.nic_op
-            } else if ctrl {
-                first_bit + tx
-            } else {
-                let rx_start = first_bit.max(self.rx_free[d.0]);
-                let deliver = rx_start + tx;
-                self.rx_free[d.0] = deliver;
-                deliver
-            };
-            last = last.max(deliver);
-            if self.is_dead(d) || self.is_dead(src) {
-                self.stats.dead_skips += 1;
-            } else if per_dest.is_some() {
-                deliveries.push((deliver, d));
-            }
-        }
-        if let Some(hook) = &per_dest {
-            schedule_deliveries(sim, hook, deliveries);
-        }
-        sim.schedule_at(last, on_complete);
-        last
-    }
-
-    /// Network conditional spanning `span` nodes: the fabric-level transport
-    /// for `Compare-And-Write`. The caller evaluates the predicate (and
-    /// performs the global write) inside `on_fire`, which runs at the
-    /// operation's completion time; the fabric only provides ordering and
-    /// latency.
-    pub fn conditional<W: 'static>(
-        &mut self,
-        sim: &mut Sim<W>,
-        _src: NodeId,
-        span: usize,
-        on_fire: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
-    ) -> SimTime {
-        assert!(span > 0);
-        self.touch();
-        self.stats.conditionals += 1;
-        let start = sim.now().max(self.coll_free);
-        // A conditional is a control packet through the root.
-        self.coll_free = start + self.model.tx_time(CTRL_BYTES);
-        let fire = start + self.model.cond_latency(span, self.topo.levels());
-        sim.schedule_at(fire, on_fire);
-        fire
+    /// Whether an operation between `a` and `b` completes: not when the
+    /// payload was dropped, and not (counted) when an endpoint is dead.
+    fn lands(&mut self, a: NodeId, b: NodeId, landed: bool) -> bool {
+        let dead = self.dead[a.0] || self.dead[b.0];
+        self.stats.dead_skips += dead as u64;
+        landed && !dead
     }
 
     /// Reserve the tx/rx ports for a unicast. Returns the delivery time and
@@ -677,79 +450,147 @@ impl QsNetFabric {
     }
 }
 
-/// Pure delegation: the inherent methods above are the implementation (and
-/// remain directly callable on a concrete `QsNetFabric`); the trait impl
-/// makes the fabric usable behind `Box<dyn Fabric<W>>`. Inherent methods
-/// win method resolution, so these calls do not recurse.
 impl<W: 'static> Fabric<W> for QsNetFabric {
     fn kind(&self) -> FabricKind {
         FabricKind::QsNet
     }
     fn model(&self) -> &NetModel {
-        QsNetFabric::model(self)
+        &self.model
     }
     fn topology(&self) -> &Topology {
-        QsNetFabric::topology(self)
+        &self.topo
     }
     fn nodes(&self) -> usize {
-        QsNetFabric::nodes(self)
+        self.topo.nodes()
     }
     fn stats(&self) -> &FabricStats {
-        QsNetFabric::stats(self)
+        &self.stats
     }
     fn reset_stats(&mut self) {
-        QsNetFabric::reset_stats(self)
+        self.touch();
+        self.stats = FabricStats::default();
     }
     fn note_gather(&mut self, msgs: u64, logical_bytes: u64) {
-        QsNetFabric::note_gather(self, msgs, logical_bytes)
+        self.touch();
+        self.stats.gathers += 1;
+        self.stats.gathered_msgs += msgs;
+        self.stats.gathered_bytes += logical_bytes;
     }
+
+    /// Fail-stop `node`: from now on no delivery originates from or lands
+    /// on it. Timing reservations still account for its traffic already in
+    /// the FIFOs, keeping the model deterministic.
     fn kill_node(&mut self, node: NodeId) {
-        QsNetFabric::kill_node(self, node)
+        self.dead[node.0] = true;
     }
+    /// Undo `kill_node` (spare-node replacement semantics).
     fn revive_node(&mut self, node: NodeId) {
-        QsNetFabric::revive_node(self, node)
+        self.dead[node.0] = false;
     }
     fn is_dead(&self, node: NodeId) -> bool {
-        QsNetFabric::is_dead(self, node)
+        self.dead[node.0]
     }
+    /// Register a link-degradation window (additive with existing ones;
+    /// overlapping windows take the worst factor).
     fn degrade_link(&mut self, d: Degradation) {
-        QsNetFabric::degrade_link(self, d)
+        assert!(d.factor >= 1);
+        self.degradations.push(d);
     }
     fn clear_degradations(&mut self) {
-        QsNetFabric::clear_degradations(self)
+        self.degradations.clear();
     }
-    fn plan_drops(&mut self, seqs: Vec<u64>) {
-        QsNetFabric::plan_drops(self, seqs)
+    /// Replace the planned set of bulk-DMA sequence numbers to drop.
+    fn plan_drops(&mut self, mut seqs: Vec<u64>) {
+        seqs.sort_unstable();
+        seqs.dedup();
+        self.drop_seqs = seqs;
     }
+    /// Bulk transfers issued so far (the coordinate of the drop plan).
     fn bulk_seq(&self) -> u64 {
-        QsNetFabric::bulk_seq(self)
+        self.bulk_seq
     }
+
+    /// Capture the port-occupancy state (see [`FabricSnapshot`]).
+    ///
+    /// Served from the snapshot cache when nothing changed since the last
+    /// capture — back-to-back captures of a quiet fabric are refcount
+    /// bumps, and every image taken of the same state shares one
+    /// allocation.
     fn snapshot(&mut self) -> FabricSnapshot {
-        QsNetFabric::snapshot(self)
+        if self.snap_dirty || self.snap_cache.is_none() {
+            self.snap_cache = Some(FabricSnapshot::new(Rc::new(PortState {
+                tx_free: self.tx_free.clone(),
+                rx_free: self.rx_free.clone(),
+                coll_free: self.coll_free,
+                stats: self.stats,
+                bulk_seq: self.bulk_seq,
+            })));
+            self.snap_dirty = false;
+        }
+        self.snap_cache.clone().expect("snapshot cache just filled")
     }
+
+    /// Restore port occupancy from a snapshot and clear all fault state
+    /// (every node revived, degradations and drop plans forgotten). The
+    /// recovery driver re-injects whatever faults remain in its plan.
+    /// Copies in place — no allocation — and re-primes the snapshot cache
+    /// with the restored image (the states are now identical).
     fn restore(&mut self, s: &FabricSnapshot) {
-        QsNetFabric::restore(self, s)
+        let p: &PortState = s
+            .state()
+            .as_any()
+            .downcast_ref()
+            .expect("fabric-kind mismatch: QsNet fabric restoring a non-QsNet snapshot");
+        assert_eq!(p.tx_free.len(), self.tx_free.len(), "snapshot node count");
+        self.tx_free.copy_from_slice(&p.tx_free);
+        self.rx_free.copy_from_slice(&p.rx_free);
+        self.coll_free = p.coll_free;
+        self.stats = p.stats;
+        self.bulk_seq = p.bulk_seq;
+        self.dead.iter_mut().for_each(|d| *d = false);
+        self.degradations.clear();
+        self.drop_seqs.clear();
+        self.snap_cache = Some(s.clone());
+        self.snap_dirty = false;
     }
-    fn put_boxed(
+
+    fn put_timing(
         &mut self,
-        sim: &mut Sim<W>,
+        now: SimTime,
         src: NodeId,
         dst: NodeId,
         bytes: u64,
-        on_delivered: OnDone<W>,
-    ) -> SimTime {
-        self.put(sim, src, dst, bytes, on_delivered)
+    ) -> (SimTime, bool) {
+        self.touch();
+        self.stats.puts += 1;
+        self.stats.put_bytes += bytes;
+        let (deliver, landed) = self.reserve_put(now, src, dst, bytes);
+        (deliver, self.lands(src, dst, landed))
     }
-    fn get_boxed(
+
+    /// A control request travels to the target, then the data DMA streams
+    /// back.
+    fn get_timing(
         &mut self,
-        sim: &mut Sim<W>,
+        now: SimTime,
         requester: NodeId,
         target: NodeId,
         bytes: u64,
-        on_delivered: OnDone<W>,
-    ) -> SimTime {
-        self.get(sim, requester, target, bytes, on_delivered)
+    ) -> (SimTime, bool) {
+        self.touch();
+        self.stats.gets += 1;
+        self.stats.get_bytes += bytes;
+        // Request leg.
+        let (req_at, _) = self.reserve_put(now, requester, target, CTRL_BYTES);
+        // Data leg, reserved now (FIFO in issue order) but starting only
+        // after the request arrives and the target NIC turns it around.
+        let data_issue = req_at + self.model.nic_op;
+        let (deliver, landed) = self.reserve_put(data_issue, target, requester, bytes);
+        (deliver, self.lands(requester, target, landed))
     }
+
+    /// Atomicity: the simulated fabric never drops packets, so "all or none"
+    /// holds trivially; ordering comes from the root serializer.
     fn multicast_boxed(
         &mut self,
         sim: &mut Sim<W>,
@@ -759,16 +600,64 @@ impl<W: 'static> Fabric<W> for QsNetFabric {
         per_dest: Option<DeliverFn<W>>,
         on_complete: OnDone<W>,
     ) -> SimTime {
-        self.multicast(sim, src, dests, bytes, per_dest, on_complete)
+        assert!(!dests.is_empty(), "multicast needs at least one destination");
+        self.touch();
+        self.stats.multicasts += 1;
+        self.stats.multicast_bytes += bytes * dests.len() as u64;
+
+        let n = dests.len();
+        let ctrl = bytes <= CTRL_BYTES;
+        let tx = self.model.mcast_tx_time(bytes);
+        let start = if ctrl {
+            // Strobes and other control multicasts use the priority channel:
+            // ordered through the root but never queued behind bulk DMA.
+            let s = sim.now().max(self.coll_free);
+            self.coll_free = s + tx;
+            s
+        } else {
+            let s = sim.now().max(self.tx_free[src.0]).max(self.coll_free);
+            self.tx_free[src.0] = s + tx;
+            self.coll_free = s + tx;
+            s
+        };
+        let first_bit = start + self.model.mcast_latency(n, self.topo.levels());
+
+        let mut last = SimTime::ZERO;
+        let mut deliveries = Vec::with_capacity(if per_dest.is_some() { n } else { 0 });
+        for &d in dests {
+            let deliver = if d == src {
+                // Loopback through the NIC, no wire.
+                start + self.model.nic_op
+            } else if ctrl {
+                first_bit + tx
+            } else {
+                let rx_start = first_bit.max(self.rx_free[d.0]);
+                let deliver = rx_start + tx;
+                self.rx_free[d.0] = deliver;
+                deliver
+            };
+            last = last.max(deliver);
+            if self.dead[d.0] || self.dead[src.0] {
+                self.stats.dead_skips += 1;
+            } else if per_dest.is_some() {
+                deliveries.push((deliver, d));
+            }
+        }
+        if let Some(hook) = &per_dest {
+            schedule_deliveries(sim, hook, deliveries);
+        }
+        sim.schedule_at(last, on_complete);
+        last
     }
-    fn conditional_boxed(
-        &mut self,
-        sim: &mut Sim<W>,
-        src: NodeId,
-        span: usize,
-        on_fire: OnDone<W>,
-    ) -> SimTime {
-        self.conditional(sim, src, span, on_fire)
+
+    fn conditional_timing(&mut self, now: SimTime, _src: NodeId, span: usize) -> SimTime {
+        assert!(span > 0);
+        self.touch();
+        self.stats.conditionals += 1;
+        let start = now.max(self.coll_free);
+        // A conditional is a control packet through the root.
+        self.coll_free = start + self.model.tx_time(CTRL_BYTES);
+        start + self.model.cond_latency(span, self.topo.levels())
     }
 }
 
@@ -790,10 +679,14 @@ mod tests {
         }
     }
 
+    fn qsnet(model: NetModel, nodes: usize) -> Box<dyn Fabric<W>> {
+        Box::new(QsNetFabric::new(model, nodes))
+    }
+
     #[test]
     fn uncontended_put_latency_is_base_plus_serialization() {
         let m = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(m, 32);
+        let mut fab = qsnet(m, 32);
         let mut sim: Sim<W> = Sim::new();
         let mut w = world();
         let bytes = 320_000; // 1 ms at 320 MB/s
@@ -809,7 +702,7 @@ mod tests {
     #[test]
     fn puts_on_same_tx_port_serialize() {
         let m = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(m, 32);
+        let mut fab = qsnet(m, 32);
         let mut sim: Sim<W> = Sim::new();
         let bytes = 3_200_000; // 10 ms of wire time
         let t1 = fab.put(&mut sim, NodeId(0), NodeId(1), bytes, |_, _| {});
@@ -824,7 +717,7 @@ mod tests {
     #[test]
     fn puts_into_same_rx_port_serialize() {
         let m = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(m, 32);
+        let mut fab = qsnet(m, 32);
         let mut sim: Sim<W> = Sim::new();
         let bytes = 3_200_000;
         let t1 = fab.put(&mut sim, NodeId(0), NodeId(9), bytes, |_, _| {});
@@ -835,7 +728,7 @@ mod tests {
     #[test]
     fn get_costs_request_roundtrip_plus_data() {
         let m = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(m, 32);
+        let mut fab = qsnet(m, 32);
         let mut sim: Sim<W> = Sim::new();
         let mut w = world();
         let bytes = 320_000;
@@ -853,7 +746,7 @@ mod tests {
     #[test]
     fn multicast_reaches_every_destination_and_completes_last() {
         let m = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(m, 32);
+        let mut fab = qsnet(m, 32);
         let mut sim: Sim<W> = Sim::new();
         let mut w = world();
         let dests: Vec<NodeId> = (0..32).map(NodeId).collect();
@@ -890,7 +783,7 @@ mod tests {
     #[test]
     fn multicasts_are_totally_ordered_through_the_root() {
         let m = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(m, 8);
+        let mut fab = qsnet(m, 8);
         let mut sim: Sim<W> = Sim::new();
         let dests: Vec<NodeId> = (0..8).map(NodeId).collect();
         let bytes = 320_000;
@@ -905,7 +798,7 @@ mod tests {
     fn conditional_fires_at_model_latency_and_serializes() {
         let m = NetModel::qsnet();
         let levels = Topology::fat_tree(32).levels();
-        let mut fab = QsNetFabric::new(m, 32);
+        let mut fab = qsnet(m, 32);
         let mut sim: Sim<W> = Sim::new();
         let mut w = world();
         let t1 = fab.conditional(&mut sim, NodeId(0), 32, |w, s| {
@@ -924,7 +817,7 @@ mod tests {
     #[test]
     fn self_put_is_local() {
         let m = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(m, 4);
+        let mut fab = qsnet(m, 4);
         let mut sim: Sim<W> = Sim::new();
         let t = fab.put(&mut sim, NodeId(2), NodeId(2), 64, |_, _| {});
         assert_eq!(t.since(SimTime::ZERO), m.nic_op + m.tx_time(64));
@@ -933,8 +826,8 @@ mod tests {
     #[test]
     fn dead_node_gets_no_deliveries_but_timing_is_unchanged() {
         let m = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(m, 8);
-        let mut alive = QsNetFabric::new(m, 8);
+        let mut fab = qsnet(m, 8);
+        let mut alive = qsnet(m, 8);
         let mut sim: Sim<W> = Sim::new();
         let mut w = world();
         fab.kill_node(NodeId(3));
@@ -971,7 +864,7 @@ mod tests {
     #[test]
     fn planned_drop_consumes_wire_time_without_delivering() {
         let m = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(m, 8);
+        let mut fab = qsnet(m, 8);
         let mut sim: Sim<W> = Sim::new();
         let mut w = world();
         fab.plan_drops(vec![1]);
@@ -998,7 +891,7 @@ mod tests {
     #[test]
     fn degradation_window_scales_bulk_tx_time() {
         let m = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(m, 8);
+        let mut fab = qsnet(m, 8);
         let mut sim: Sim<W> = Sim::new();
         let bytes = 320_000;
         fab.degrade_link(Degradation {
@@ -1011,7 +904,7 @@ mod tests {
         let expect = m.unicast_latency(2) + m.tx_time(bytes) * 4;
         assert_eq!(t.since(SimTime::ZERO), expect);
         // Outside the window the factor no longer applies.
-        let mut fab2 = QsNetFabric::new(m, 8);
+        let mut fab2 = qsnet(m, 8);
         fab2.degrade_link(Degradation {
             node: NodeId(1),
             from: SimTime(10),
@@ -1032,7 +925,7 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_occupancy_and_revives() {
         let m = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(m, 8);
+        let mut fab = qsnet(m, 8);
         let mut sim: Sim<W> = Sim::new();
         fab.put(&mut sim, NodeId(0), NodeId(1), 320_000, |_, _| {});
         fab.get(&mut sim, NodeId(2), NodeId(3), 100_000, |_, _| {});
@@ -1055,7 +948,7 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let m = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(m, 4);
+        let mut fab = qsnet(m, 4);
         let mut sim: Sim<W> = Sim::new();
         fab.put(&mut sim, NodeId(0), NodeId(1), 100, |_, _| {});
         fab.get(&mut sim, NodeId(0), NodeId(1), 200, |_, _| {});

@@ -4,7 +4,7 @@
 
 use proplite::prelude::*;
 use qsnet::fabric::{DeliverFn, schedule_deliveries};
-use qsnet::{NetModel, NodeId, QsNetFabric};
+use qsnet::{Fabric, NetModel, NodeId, QsNetFabric};
 use simcore::{Sim, SimDuration, SimTime};
 use std::rc::Rc;
 
@@ -35,9 +35,14 @@ fn op_strategy(nodes: u8) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The QsNet fabric as the engines hold it.
+fn qsnet<W: 'static>(model: NetModel, nodes: usize) -> Box<dyn Fabric<W>> {
+    Box::new(QsNetFabric::new(model, nodes))
+}
+
 /// Execute a script, returning every operation's completion time.
 fn run_script(model: NetModel, nodes: usize, ops: &[Op]) -> Vec<u64> {
-    let mut fab = QsNetFabric::new(model, nodes);
+    let mut fab = qsnet(model, nodes);
     let mut sim: Sim<()> = Sim::new();
     let mut completions = Vec::new();
     let all: Vec<NodeId> = (0..nodes).map(NodeId).collect();
@@ -176,7 +181,7 @@ proplite! {
         let mut dests: Vec<NodeId> = (0..nodes).map(NodeId).collect();
         dests.sort_by_key(|d| order[d.0]);
         dests.truncate(take.min(nodes));
-        let mut fab = QsNetFabric::new(NetModel::qsnet(), nodes);
+        let mut fab = qsnet(NetModel::qsnet(), nodes);
         let mut sim: Sim<HookLog> = Sim::new();
         for &(d, b) in &warm {
             // Distinct receive-port clocks make bulk deliveries land apart.
@@ -276,7 +281,7 @@ proplite! {
         sizes in prop::collection::vec(1u32..500_000, 2..20)
     ) {
         // Repeated puts between one pair must complete in issue order.
-        let mut fab = QsNetFabric::new(NetModel::qsnet(), 4);
+        let mut fab = qsnet(NetModel::qsnet(), 4);
         let mut sim: Sim<()> = Sim::new();
         let mut times = Vec::new();
         for &b in &sizes {
@@ -294,7 +299,7 @@ proplite! {
         // Control traffic rides the priority channel: a conditional's
         // latency must not depend on prior bulk transfers.
         let model = NetModel::qsnet();
-        let mut fab = QsNetFabric::new(model, 8);
+        let mut fab = qsnet(model, 8);
         let mut sim: Sim<()> = Sim::new();
         for &b in &warm {
             fab.put(&mut sim, NodeId(1), NodeId(2), b as u64, |_, _| {});

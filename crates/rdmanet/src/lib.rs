@@ -197,6 +197,19 @@ impl RdmaFabric {
         self.rx_free[dst.0] = deliver;
         (deliver, !dropped)
     }
+
+    /// When the operation between `a` and `b` whose data write is `write`
+    /// (last byte, landed) completes — one HCA operation after the last
+    /// byte unless it was a loopback — and whether it completes at all: not
+    /// when the payload was dropped, and not (counted) when an endpoint is
+    /// dead.
+    fn completion(&mut self, a: NodeId, b: NodeId, write: (SimTime, bool)) -> (SimTime, bool) {
+        let (last_byte, landed) = write;
+        let at = if a == b { last_byte } else { last_byte + self.model.nic_op };
+        let dead = self.dead[a.0] || self.dead[b.0];
+        self.stats.dead_skips += dead as u64;
+        (at, landed && !dead)
+    }
 }
 
 impl<W: 'static> Fabric<W> for RdmaFabric {
@@ -287,60 +300,38 @@ impl<W: 'static> Fabric<W> for RdmaFabric {
     /// Eager RDMA write: the payload and its piggybacked completion flag
     /// land with one work request; the destination HCA spends one
     /// operation surfacing the completion.
-    fn put_boxed(
+    fn put_timing(
         &mut self,
-        sim: &mut Sim<W>,
+        now: SimTime,
         src: NodeId,
         dst: NodeId,
         bytes: u64,
-        on_delivered: OnDone<W>,
-    ) -> SimTime {
+    ) -> (SimTime, bool) {
         self.touch();
         self.stats.puts += 1;
         self.stats.put_bytes += bytes;
-        let (last_byte, landed) = self.reserve_write(sim.now(), src, dst, bytes);
-        let deliver = if src == dst {
-            last_byte
-        } else {
-            last_byte + self.model.nic_op
-        };
-        if self.dead[src.0] || self.dead[dst.0] {
-            self.stats.dead_skips += 1;
-        } else if landed {
-            sim.schedule_at(deliver, on_delivered);
-        }
-        deliver
+        let write = self.reserve_write(now, src, dst, bytes);
+        self.completion(src, dst, write)
     }
 
     /// Rendezvous via RDMA read: the requester posts a read work request
     /// (a control-sized wire message that, unlike on QsNet, queues through
     /// the ports), the target HCA turns it around, and the data streams
     /// back one-sided.
-    fn get_boxed(
+    fn get_timing(
         &mut self,
-        sim: &mut Sim<W>,
+        now: SimTime,
         requester: NodeId,
         target: NodeId,
         bytes: u64,
-        on_delivered: OnDone<W>,
-    ) -> SimTime {
+    ) -> (SimTime, bool) {
         self.touch();
         self.stats.gets += 1;
         self.stats.get_bytes += bytes;
-        let (req_at, _) = self.reserve_write(sim.now(), requester, target, CTRL_BYTES);
+        let (req_at, _) = self.reserve_write(now, requester, target, CTRL_BYTES);
         let data_issue = req_at + self.model.nic_op;
-        let (last_byte, landed) = self.reserve_write(data_issue, target, requester, bytes);
-        let deliver = if requester == target {
-            last_byte
-        } else {
-            last_byte + self.model.nic_op
-        };
-        if self.dead[requester.0] || self.dead[target.0] {
-            self.stats.dead_skips += 1;
-        } else if landed {
-            sim.schedule_at(deliver, on_delivered);
-        }
-        deliver
+        let write = self.reserve_write(data_issue, target, requester, bytes);
+        self.completion(requester, target, write)
     }
 
     /// Software multicast: binomial fan-out of point-to-point RDMA writes.
@@ -414,21 +405,13 @@ impl<W: 'static> Fabric<W> for RdmaFabric {
     /// Gather-to-root conditional: `ceil(log2 span)` reduction stages up a
     /// software tree, serialized through the sequencer — overlapping
     /// conditionals stay sequentially consistent, at software latency.
-    fn conditional_boxed(
-        &mut self,
-        sim: &mut Sim<W>,
-        _src: NodeId,
-        span: usize,
-        on_fire: OnDone<W>,
-    ) -> SimTime {
+    fn conditional_timing(&mut self, now: SimTime, _src: NodeId, span: usize) -> SimTime {
         assert!(span > 0);
         self.touch();
         self.stats.conditionals += 1;
-        let start = sim.now().max(self.seq_free);
+        let start = now.max(self.seq_free);
         self.seq_free = start + self.model.tx_time(CTRL_BYTES) + self.model.nic_op;
-        let fire = start + self.cond_stage() * log2_ceil(span) as u64;
-        sim.schedule_at(fire, on_fire);
-        fire
+        start + self.cond_stage() * log2_ceil(span) as u64
     }
 }
 

@@ -14,18 +14,22 @@
 //!   (splitmix64/xoshiro256**) whose stream is stable forever, independent of
 //!   external crate versions;
 //! * [`stats`] — counters and fixed-bucket histograms used by the measurement
-//!   harness.
+//!   harness;
+//! * [`CountingAlloc`] — a counting global allocator that tests and
+//!   benchmark binaries install to measure allocations exactly.
 //!
 //! The engine knows nothing about networks or MPI; higher layers (`qsnet`,
 //! `bcs-core`, `bcs-mpi`, `quadrics-mpi`) supply the world state `W` and the
 //! event closures.
 
+pub mod alloc_count;
 pub mod rng;
 pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod vm;
 
+pub use alloc_count::CountingAlloc;
 pub use vm::{ProcId, ProcYield, VmChannel, VmHarness};
 pub use rng::SimRng;
 pub use sim::Sim;

@@ -2,62 +2,75 @@
 //!
 //! [`Sim<W>`] owns a priority queue of events, each an `FnOnce(&mut W,
 //! &mut Sim<W>)`. Events at equal virtual time fire in the order they were
-//! scheduled (a monotone sequence number breaks ties), which makes runs
-//! reproducible bit-for-bit.
+//! scheduled, which makes runs reproducible bit-for-bit.
 //!
 //! The world `W` is supplied by the caller; the engine never inspects it.
 //! Handlers receive both the world and the engine so they can schedule
-//! follow-up events. The engine pops an event *before* invoking it, so the
-//! handler holds the only mutable borrow.
+//! follow-up events. The engine takes an event out of the queue *before*
+//! invoking it, so the handler holds the only mutable borrow.
+//!
+//! ## An event is a closure, a heap entry is a run
+//!
+//! Lock-step ranks and fan-out loops schedule long stretches of events for
+//! one instant back to back, so the queue stores *runs*: `schedule_at` links
+//! a new event behind the one the previous `schedule_*` call created when
+//! both are for the same instant and that one has not begun executing, and
+//! only otherwise pushes a heap entry. [`Sim::step`] still executes exactly
+//! one closure; while the run it took it from has members left, the run's
+//! entry simply stays at the root.
+//!
+//! This is the `(time, schedule order)` order, not an approximation of it:
+//! the members of a run were created by consecutive calls for one instant,
+//! so no event — including whatever a member schedules for the current
+//! instant, which is ordered after every call made before it — can lie
+//! between two of them; and runs are ordered among themselves by `(time,
+//! push order)`, which is the order of their first members.
 //!
 //! ## Storage layout
 //!
-//! The queue is split so the ordering structure stays plain-old-data:
-//!
 //! * a manual binary min-heap of [`HeapEntry`] — `(time, seq, slot)`, 24
-//!   bytes, no drop glue — ordered by `(time, seq)`;
-//! * a slot arena of [`EventCell`]s addressed by the heap entries, with a
-//!   vacant-slot free list so steady-state scheduling recycles slots
-//!   instead of growing.
+//!   bytes, no drop glue — one per run, ordered by `(time, seq)`;
+//! * a slot arena of [`EventCell`]s, the run's members chained through
+//!   `next`, with a vacant-slot free list threaded through the same field so
+//!   steady-state scheduling recycles slots instead of growing.
 //!
-//! Handlers small enough for [`INLINE_WORDS`] machine words (the dominant
-//! fabric events: DMA hop completions, port releases, rank resumes) are
-//! stored *inline* in the cell — no heap allocation per event. Larger
-//! captures fall back to a `Box`. The inline path stores the closure bytes
-//! in a `MaybeUninit` buffer plus two erased function pointers (call and
-//! drop), so `schedule_*`/`step` allocate nothing at all for the common
-//! case.
+//! A handler of up to [`INLINE_WORDS`] machine words (the dominant fabric
+//! events: DMA completions, chunk arrivals, rank resumes) is stored in the
+//! cell itself — raw capture bytes plus one erased function pointer that
+//! either calls or drops them — so `schedule_*`/`step` allocate nothing for
+//! the common case. A larger capture is boxed and the cell holds the box.
 
 use crate::time::{SimDuration, SimTime};
 use std::mem::MaybeUninit;
-
-/// Type-erased boxed event handler (fallback for large captures).
-type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Sim<W>)>;
 
 /// Capture budget (in machine words) for the allocation-free inline path.
 const INLINE_WORDS: usize = 6;
 
 type InlineBuf = MaybeUninit<[usize; INLINE_WORDS]>;
 
-/// A closure stored inline: raw capture bytes plus erased call/drop glue.
+/// Erased glue of a stored closure: consumes the `F` in the buffer, calling
+/// it when given the world and dropping it when not.
+type EventOp<W> = unsafe fn(*mut u8, Option<(&mut W, &mut Sim<W>)>);
+
+/// One arena slot.
 ///
-/// Invariant: `buf` holds a valid, initialized `F` (for the `F` the two
-/// function pointers were instantiated with) until exactly one of `call`
-/// (consumes it) or `drop_fn` (drops it in place) is invoked.
-struct InlineEvent<W> {
+/// Invariant: while `op` is `Some`, `buf` holds a valid, initialized `F`
+/// (the `F` that `op` was instantiated with); `op` is taken out exactly
+/// once, by whoever then invokes it (`step`, or `Drop` for a pending event).
+struct EventCell<W> {
     buf: InlineBuf,
-    call: unsafe fn(*mut u8, &mut W, &mut Sim<W>),
-    drop_fn: unsafe fn(*mut u8),
+    /// `None` marks a vacant slot.
+    op: Option<EventOp<W>>,
+    /// Occupied: the next member of this cell's run (`NIL` ends it).
+    /// Vacant: the next free slot.
+    next: u32,
 }
 
-/// One arena slot. `Vacant` threads the free list through the arena.
-enum EventCell<W> {
-    Vacant { next_free: u32 },
-    Inline(InlineEvent<W>),
-    Boxed(EventFn<W>),
-}
+// Six words of capture, the glue pointer, the link: one cache line.
+const _: () = assert!(size_of::<EventCell<()>>() == 64);
 
-/// POD heap node; ordered by `(time, seq)`, pointing into the slot arena.
+/// POD heap node, one per run; ordered by `(time, seq)`, pointing at the
+/// run's first pending cell.
 #[derive(Clone, Copy)]
 struct HeapEntry {
     time: SimTime,
@@ -71,40 +84,43 @@ fn heap_less(a: &HeapEntry, b: &HeapEntry) -> bool {
 }
 
 // SAFETY: callers must pass a `buf` that holds an initialized `F` the
-// caller owns; the call reads the closure out of the buffer, so the buffer
-// must never be read or dropped again afterwards.
-unsafe fn call_inline<W, F: FnOnce(&mut W, &mut Sim<W>)>(
+// caller owns; the closure is read out of the buffer (and called or
+// dropped), so the buffer must never be read or dropped again afterwards.
+unsafe fn consume_inline<W, F: FnOnce(&mut W, &mut Sim<W>)>(
     buf: *mut u8,
-    world: &mut W,
-    sim: &mut Sim<W>,
+    ctx: Option<(&mut W, &mut Sim<W>)>,
 ) {
     // SAFETY: caller guarantees `buf` holds an initialized `F`; reading it
-    // out transfers ownership to this frame (consumed by the call below).
+    // out transfers ownership to this frame.
     let f = unsafe { (buf as *mut F).read() };
-    f(world, sim);
+    if let Some((world, sim)) = ctx {
+        f(world, sim);
+    }
 }
 
-// SAFETY: callers must pass a `buf` that holds an initialized `F`; the
-// closure is dropped in place, so the buffer must not be touched again.
-unsafe fn drop_inline<F>(buf: *mut u8) {
-    // SAFETY: caller guarantees `buf` holds an initialized `F` that will
-    // never be read again.
-    unsafe { std::ptr::drop_in_place(buf as *mut F) };
+/// Whether an `F` can be stored in a cell's buffer.
+const fn fits_inline<F>() -> bool {
+    size_of::<F>() <= size_of::<InlineBuf>() && align_of::<F>() <= align_of::<InlineBuf>()
+}
+
+fn inline_cell<W, F: FnOnce(&mut W, &mut Sim<W>) + 'static>(f: F) -> EventCell<W> {
+    assert!(fits_inline::<F>());
+    let mut cell = EventCell {
+        buf: MaybeUninit::uninit(),
+        op: Some(consume_inline::<W, F> as EventOp<W>),
+        next: NIL,
+    };
+    // SAFETY: size and alignment asserted above; the buffer is exclusively
+    // owned by this fresh cell.
+    unsafe { (cell.buf.as_mut_ptr() as *mut F).write(f) };
+    cell
 }
 
 fn make_cell<W, F: FnOnce(&mut W, &mut Sim<W>) + 'static>(f: F) -> EventCell<W> {
-    if size_of::<F>() <= size_of::<InlineBuf>() && align_of::<F>() <= align_of::<InlineBuf>() {
-        let mut ev = InlineEvent {
-            buf: MaybeUninit::uninit(),
-            call: call_inline::<W, F>,
-            drop_fn: drop_inline::<F>,
-        };
-        // SAFETY: size/alignment checked above; the buffer is exclusively
-        // owned by this fresh cell.
-        unsafe { (ev.buf.as_mut_ptr() as *mut F).write(f) };
-        EventCell::Inline(ev)
+    if fits_inline::<F>() {
+        inline_cell(f)
     } else {
-        EventCell::Boxed(Box::new(f))
+        inline_cell(Box::new(f)) // a `Box<F>` is itself the closure, one word wide
     }
 }
 
@@ -116,7 +132,14 @@ pub struct Sim<W> {
     heap: Vec<HeapEntry>,
     slots: Vec<EventCell<W>>,
     free_head: u32,
-    seq: u64,
+    /// The cell the latest `schedule_*` call created and its instant, while
+    /// that cell has not begun executing (`NIL` otherwise): the one cell a
+    /// new event may be chained behind.
+    tail: u32,
+    tail_time: SimTime,
+    pending: usize,
+    /// Heap entries pushed so far; also the tie-breaking `seq` of the next.
+    heap_pushes: u64,
     events_executed: u64,
     /// Optional hard cap on virtual time; events beyond it are not executed.
     horizon: Option<SimTime>,
@@ -130,14 +153,13 @@ impl<W> Default for Sim<W> {
 
 impl<W> Drop for Sim<W> {
     fn drop(&mut self) {
-        // Boxed cells drop themselves with the arena; inline cells need
-        // their erased drop glue run for any event still pending.
+        // Every event still pending, chained or not, sits in an occupied
+        // cell: run its erased glue in drop mode.
         for cell in &mut self.slots {
-            if let EventCell::Inline(ev) = cell {
-                // SAFETY: an `Inline` cell still in the arena was never
-                // consumed by `step`, so its buffer holds a live closure.
-                unsafe { (ev.drop_fn)(ev.buf.as_mut_ptr() as *mut u8) };
-                *cell = EventCell::Vacant { next_free: NIL };
+            if let Some(op) = cell.op.take() {
+                // SAFETY: `op` was still set, so the buffer holds a live
+                // closure nobody consumed; it is not touched again.
+                unsafe { op(cell.buf.as_mut_ptr() as *mut u8, None) };
             }
         }
     }
@@ -151,7 +173,10 @@ impl<W> Sim<W> {
             heap: Vec::new(),
             slots: Vec::new(),
             free_head: NIL,
-            seq: 0,
+            tail: NIL,
+            tail_time: SimTime::ZERO,
+            pending: 0,
+            heap_pushes: 0,
             events_executed: 0,
             horizon: None,
         }
@@ -169,10 +194,18 @@ impl<W> Sim<W> {
         self.events_executed
     }
 
+    /// Number of heap entries pushed so far (diagnostic): one per run of
+    /// events scheduled back to back for one instant, so at most the number
+    /// of events scheduled.
+    #[inline]
+    pub fn heap_pushes(&self) -> u64 {
+        self.heap_pushes
+    }
+
     /// Number of events currently pending.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.pending
     }
 
     /// Stop executing events scheduled after `t` (they stay queued).
@@ -183,11 +216,10 @@ impl<W> Sim<W> {
     fn alloc_slot(&mut self, cell: EventCell<W>) -> u32 {
         if self.free_head != NIL {
             let slot = self.free_head;
-            match self.slots[slot as usize] {
-                EventCell::Vacant { next_free } => self.free_head = next_free,
-                _ => unreachable!("free list points at an occupied slot"),
-            }
-            self.slots[slot as usize] = cell;
+            let vacant = &mut self.slots[slot as usize];
+            debug_assert!(vacant.op.is_none(), "free list points at an occupied slot");
+            self.free_head = vacant.next;
+            *vacant = cell;
             slot
         } else {
             let slot = u32::try_from(self.slots.len()).expect("event arena exceeds u32 slots");
@@ -241,11 +273,19 @@ impl<W> Sim<W> {
             self.now,
             t
         );
-        let seq = self.seq;
-        self.seq += 1;
         let slot = self.alloc_slot(make_cell(f));
-        self.heap.push(HeapEntry { time: t, seq, slot });
-        self.sift_up(self.heap.len() - 1);
+        if self.tail != NIL && self.tail_time == t {
+            // Same instant as the call before: extend that run.
+            self.slots[self.tail as usize].next = slot;
+        } else {
+            let seq = self.heap_pushes;
+            self.heap_pushes += 1;
+            self.heap.push(HeapEntry { time: t, seq, slot });
+            self.sift_up(self.heap.len() - 1);
+        }
+        self.tail = slot;
+        self.tail_time = t;
+        self.pending += 1;
     }
 
     /// Schedule `f` to run `delay` after the current time.
@@ -276,33 +316,35 @@ impl<W> Sim<W> {
                 return false;
             }
         }
-        // Pop the min heap entry, then vacate its slot (returning it to the
-        // free list) *before* invoking the handler, so the handler can
-        // schedule freely into the recycled capacity.
-        self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        let cell = std::mem::replace(
-            &mut self.slots[root.slot as usize],
-            EventCell::Vacant {
-                next_free: self.free_head,
-            },
-        );
+        // Take the first cell of the root run and vacate its slot (returning
+        // it to the free list) *before* invoking the handler, so the handler
+        // can schedule freely into the recycled capacity.
+        let cell = &mut self.slots[root.slot as usize];
+        let op = cell.op.take().expect("heap entry points at a vacant slot");
+        let mut buf = cell.buf;
+        let next = std::mem::replace(&mut cell.next, self.free_head);
         self.free_head = root.slot;
+        if next != NIL {
+            // The run goes on, and its key still precedes every other
+            // entry's: the entry stays at the root, one cell further.
+            self.heap[0].slot = next;
+        } else {
+            self.heap.swap_remove(0);
+            if !self.heap.is_empty() {
+                self.sift_down(0);
+            }
+            if self.tail == root.slot {
+                self.tail = NIL; // began executing: nothing may chain behind it
+            }
+        }
         debug_assert!(root.time >= self.now);
         self.now = root.time;
+        self.pending -= 1;
         self.events_executed += 1;
-        match cell {
-            EventCell::Inline(mut ev) => {
-                // SAFETY: the cell was occupied, so the buffer holds a live
-                // closure; `call` consumes it and it is never touched again
-                // (`InlineEvent` has no drop glue of its own).
-                unsafe { (ev.call)(ev.buf.as_mut_ptr() as *mut u8, world, self) };
-            }
-            EventCell::Boxed(f) => f(world, self),
-            EventCell::Vacant { .. } => unreachable!("heap entry points at a vacant slot"),
-        }
+        // SAFETY: `op` was set, so the bytes copied out of the cell are a
+        // live closure, owned here now that the cell is vacant; `op`
+        // consumes them and the copy is never touched again.
+        unsafe { op(buf.as_mut_ptr() as *mut u8, Some((world, self))) };
         true
     }
 

@@ -17,8 +17,11 @@
 #      perf/README.md pins
 #   3. the fault-recovery property suite (random fault plans: bit-identical
 #      recovery + same-seed replay) and, in release next to it, the
-#      count-based test that a capture's work does not grow with the image
-#      number and that the replay log retains no message bytes
+#      count-based tests: a capture's work does not grow with the image
+#      number and the replay log retains no message bytes; a message costs
+#      at most 2.5 host allocations, no copy and under two heap entries per
+#      three events; the run-chained event queue equals its (time, seq)
+#      model
 #   4. the fault ablation (quick), tolerance-gated, emitting
 #      reports/ablation_fault.csv; its note on what the replay log retains
 #      by value must name fewer bytes than were moved point to point
@@ -26,13 +29,14 @@
 #      must be byte-identical across thread counts, and the parallel run
 #      is gated against the sequential run's wall-clock baseline (the
 #      gate's 5x + 2s threshold is deliberately tolerant of CI noise);
-#      host-timed speedup pairs are ratio-gated on the sequential run
-#      only — with 4 workers oversubscribing the host the timed regions
-#      absorb preemption, so repro skips those gates and says so
+#      repro's speedup pairs are exact (a work count or virtual time), so
+#      they are ratio-gated at any worker count and any load
 #   6. the four microbenches (quick mode), emitting reports/microbench_*.csv;
 #      engine_throughput additionally self-gates its two paired rows
 #      (indexed matching vs the linear-scan reference, incremental image
-#      capture vs a deep clone, both >= 5x) and exits non-zero on a miss
+#      capture vs a deep clone, both >= 5x) and exits non-zero on a miss,
+#      and records two exact counts beside its timings (heap pushes per
+#      event for lock-step timers, allocations per halo message)
 #   7. the n=4096 scale smoke: barrier + neighbor sweeps on the BlueGene/L
 #      model on the stackless rank VM (DESIGN.md section 11), pinned
 #      to one sweep worker so peak thread count is independent of n, with
@@ -42,9 +46,11 @@
 #      fabric-matrix smoke (both engines on the QsNet and the RDMA-channel
 #      fabrics, DESIGN.md section 12) and the ablation-schedule smoke
 #      (DESIGN.md section 13: replay transparency pinned to exactly 0 ns,
-#      pattern behavior flags pinned, and the million-message stress pair
-#      gated >= 5x through gate::check_speedups — repro exits non-zero on
-#      any miss) and the collective bake-off smoke (DESIGN.md section 14),
+#      pattern behavior flags pinned, and the stress pair's DMA gets —
+#      one per message indexed, one per coalesced block compiled — gated
+#      >= 5x through gate::check_speedups, its host-time ratio printed in
+#      a note and not gated; repro exits non-zero on any miss) and the
+#      collective bake-off smoke (DESIGN.md section 14),
 #      refreshing reports/bench_wallclock.json
 #   8. fabric selection plumbing: the fabric-matrix CSV is byte-identical
 #      at REPRO_THREADS=1 and 4; REPRO_FABRIC=qsnet is a no-op for
@@ -88,9 +94,11 @@ cargo test --workspace -q
 echo "== benchmark package compiles against the product surface (perf/, build only)"
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
-echo "== fault-recovery property suite + capture flatness / log retention counts"
+echo "== fault-recovery property suite + count-based tests (capture flatness, per-message host cost, event-queue model)"
 cargo test --release -q --test fault_recovery
 cargo test --release -q -p bcs-mpi --test capture_flatness
+cargo test --release -q -p apps --test alloc_per_message
+cargo test --release -q --test sim_queue_model
 
 echo "== fault ablation (quick, tolerance-gated) -> reports/ablation_fault.csv"
 fault_out="$(cargo run --release -q -p bench --bin repro -- ablation-fault --quick)"
@@ -151,9 +159,9 @@ echo "$smoke_out" | awk '
 [ -s reports/fabric_matrix.csv ] || { echo "verify: missing reports/fabric_matrix.csv" >&2; exit 1; }
 [ -s reports/ablation_schedule.csv ] || { echo "verify: missing reports/ablation_schedule.csv" >&2; exit 1; }
 [ -s reports/ablation_reduce.csv ] || { echo "verify: missing reports/ablation_reduce.csv" >&2; exit 1; }
-# The schedule-machinery stress pair must have been measured and gated
+# The schedule-machinery stress pair must have been counted and gated
 # (a repro that silently skipped it would still exit 0).
-echo "$smoke_out" | grep -q "stress_compiled_ns" \
+echo "$smoke_out" | grep -q "stress_compiled_gets" \
   || { echo "verify: ablation-schedule stress speedup pair did not run" >&2; exit 1; }
 # Same for the bake-off's optimal-vs-multicast pair (virtual-time gated).
 echo "$smoke_out" | grep -q "rdma_optimal_large_ns" \
