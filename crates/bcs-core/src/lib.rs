@@ -19,9 +19,11 @@
 //! This crate implements those semantics on the simulated fabric:
 //! [`BcsCluster`] holds per-node *global words* (the global variables) and
 //! *event words* (Elan-style counting events with waiters), and drives the
-//! fabric's multicast/conditional transports. Sequential consistency of
-//! `Xfer-And-Signal` and `Compare-And-Write` follows from the fabric's root
-//! serializer, which totally orders collective wire operations.
+//! multicast/conditional transports of whichever `Box<dyn Fabric<W>>` it was
+//! built over (traffic counters and fault injection are the fabric's
+//! `net()`). Sequential consistency of `Xfer-And-Signal` and
+//! `Compare-And-Write` follows from the fabric's ordering clock, which every
+//! set of timing rules acquires for its collective wire operations.
 //!
 //! Higher layers own the simulation world `W` and embed a `BcsCluster<W>` in
 //! it; the [`BcsWorld`] accessor trait lets deferred completions find the
@@ -158,7 +160,7 @@ pub struct BcsCluster<W: 'static> {
 
 impl<W: BcsWorld> BcsCluster<W> {
     pub fn new(fabric: Box<dyn Fabric<W>>) -> BcsCluster<W> {
-        let n = fabric.nodes();
+        let n = fabric.net().nodes();
         BcsCluster {
             fabric,
             retry: retry::RetryState::default(),
@@ -369,7 +371,7 @@ impl<W: BcsWorld> BcsCluster<W> {
     /// of them; finally run `cont` with the outcome.
     ///
     /// Evaluation and write happen atomically at the operation's fire time,
-    /// and fire times are totally ordered by the fabric's root serializer, so
+    /// and fire times are totally ordered by the fabric's ordering clock, so
     /// concurrent `Compare-And-Write`s with overlapping destination sets are
     /// sequentially consistent (paper §2, point 2).
     #[allow(clippy::too_many_arguments)]
@@ -509,8 +511,8 @@ mod tests {
         assert!(w.bcs.test_event(NodeId(3), 1));
         // Unicast should not pay the multicast/root serialization.
         assert!(t.since(SimTime::ZERO) < SimDuration::micros(5));
-        assert_eq!(w.bcs.fabric.stats().puts, 1);
-        assert_eq!(w.bcs.fabric.stats().multicasts, 0);
+        assert_eq!(w.bcs.fabric.net().stats().puts, 1);
+        assert_eq!(w.bcs.fabric.net().stats().multicasts, 0);
     }
 
     #[test]

@@ -209,20 +209,20 @@ mod tests {
     #[test]
     fn dropped_transfer_is_retried_and_eventually_delivered() {
         let (mut w, mut sim) = world(4);
-        w.bcs.fabric.plan_drops(vec![0]); // first bulk DMA lost
+        w.bcs.fabric.net_mut().plan_drops(vec![0]); // first bulk DMA lost
         let (d, a) = hooks(0);
         reliable_put(&mut w, &mut sim, NodeId(0), NodeId(1), 100_000, RetryPolicy::default(), d, a);
         sim.run(&mut w);
         assert_eq!(w.delivered.len(), 1, "retry must re-deliver");
         assert!(w.aborted.is_empty());
         assert_eq!(w.bcs.retry.retries, 1);
-        assert_eq!(w.bcs.fabric.stats().drops, 1);
+        assert_eq!(w.bcs.fabric.net().stats().drops, 1);
     }
 
     #[test]
     fn dead_destination_aborts_after_max_retries() {
         let (mut w, mut sim) = world(4);
-        w.bcs.fabric.kill_node(NodeId(1));
+        w.bcs.fabric.net_mut().kill_node(NodeId(1));
         let policy = RetryPolicy {
             max_retries: 2,
             ..RetryPolicy::default()
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn backoff_spaces_successive_attempts_apart() {
         let (mut w, mut sim) = world(4);
-        w.bcs.fabric.kill_node(NodeId(1));
+        w.bcs.fabric.net_mut().kill_node(NodeId(1));
         let policy = RetryPolicy {
             timeout: SimDuration::micros(10),
             backoff: 3,

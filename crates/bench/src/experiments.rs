@@ -42,15 +42,6 @@ pub struct Experiment {
     pub assemble: Box<dyn FnOnce(Vec<PointOut>) -> Vec<(&'static str, Report)> + Send>,
 }
 
-impl Experiment {
-    /// Run every point in order on the calling thread and assemble.
-    /// The byte-identity reference for any parallel execution.
-    pub fn run_sequential(self) -> Vec<(&'static str, Report)> {
-        let outs: Vec<PointOut> = self.points.into_iter().map(|p| p()).collect();
-        (self.assemble)(outs)
-    }
-}
-
 /// Every experiment, in the order `repro` emits them.
 pub fn registry(quick: bool) -> Vec<Experiment> {
     vec![
@@ -87,19 +78,9 @@ fn dur(ns: u64) -> SimDuration {
     SimDuration::nanos(ns)
 }
 
-/// Extract the single report of a single-report experiment.
-fn only(mut reports: Vec<(&'static str, Report)>) -> Report {
-    assert_eq!(reports.len(), 1, "expected exactly one report");
-    reports.pop().unwrap().1
-}
-
 // ======================================================================
 // Table 1 — BCS core primitive performance per network model
 // ======================================================================
-
-pub fn table1() -> Report {
-    only(table1_exp().run_sequential())
-}
 
 /// One point per (model, n) cell: both the C&W latency and the X&S
 /// aggregate bandwidth for that node count.
@@ -196,10 +177,6 @@ fn measure_xs_aggregate_mbps(net: &qsnet::NetModel, n: usize) -> f64 {
 // ======================================================================
 // Figure 2 — blocking vs non-blocking send/receive timing
 // ======================================================================
-
-pub fn fig2() -> Report {
-    only(fig2_exp().run_sequential())
-}
 
 /// Two points: the blocking-delay histogram run and the overlap run.
 pub fn fig2_exp() -> Experiment {
@@ -332,10 +309,6 @@ fn pair_cells(outs: &[PointOut], pair: usize) -> (Vec<String>, f64) {
     )
 }
 
-pub fn fig8a(quick: bool) -> Report {
-    only(fig8a_exp(quick).run_sequential())
-}
-
 pub fn fig8a_exp(quick: bool) -> Experiment {
     let ranks = if quick { 16 } else { 62 };
     let gs: &'static [u64] = if quick { &[2, 10] } else { &[1, 2, 5, 10, 20, 50] };
@@ -374,10 +347,6 @@ pub fn fig8a_exp(quick: bool) -> Experiment {
     }
 }
 
-pub fn fig8b(quick: bool) -> Report {
-    only(fig8b_exp(quick).run_sequential())
-}
-
 pub fn fig8b_exp(quick: bool) -> Experiment {
     let ps: &'static [usize] = if quick { &[8, 16] } else { &[4, 8, 16, 32, 48, 62] };
     let g = SimDuration::millis(10);
@@ -408,10 +377,6 @@ pub fn fig8b_exp(quick: bool) -> Experiment {
             vec![("fig8b", r)]
         }),
     }
-}
-
-pub fn fig8c(quick: bool) -> Report {
-    only(fig8c_exp(quick).run_sequential())
 }
 
 pub fn fig8c_exp(quick: bool) -> Experiment {
@@ -447,10 +412,6 @@ pub fn fig8c_exp(quick: bool) -> Experiment {
             vec![("fig8c", r)]
         }),
     }
-}
-
-pub fn fig8d(quick: bool) -> Report {
-    only(fig8d_exp(quick).run_sequential())
 }
 
 pub fn fig8d_exp(quick: bool) -> Experiment {
@@ -495,13 +456,6 @@ fn bcs_apps(quick: bool) -> EngineSel {
         cfg.init_delay = apps::calib::BCS_INIT;
     }
     EngineSel::Bcs(cfg)
-}
-
-pub fn fig9(quick: bool) -> (Report, Report) {
-    let mut v = fig9_exp(quick).run_sequential().into_iter();
-    let runtimes = v.next().expect("fig9 runtimes").1;
-    let table2 = v.next().expect("table2").1;
-    (runtimes, table2)
 }
 
 /// One (BCS, Quadrics) point pair per application: 14 points.
@@ -583,10 +537,6 @@ pub fn fig9_exp(quick: bool) -> Experiment {
 // Figure 10 — SAGE vs processes
 // ======================================================================
 
-pub fn fig10(quick: bool) -> Report {
-    only(fig10_exp(quick).run_sequential())
-}
-
 pub fn fig10_exp(quick: bool) -> Experiment {
     let ps: &'static [usize] = if quick { &[4, 8] } else { &[8, 16, 32, 48, 62] };
     let mut points: Vec<PointFn> = Vec::new();
@@ -630,10 +580,6 @@ pub fn fig10_exp(quick: bool) -> Experiment {
 // ======================================================================
 // Figure 11 — SWEEP3D blocking vs non-blocking
 // ======================================================================
-
-pub fn fig11(quick: bool, variant: sweep3d::SweepVariant) -> Report {
-    only(fig11_exp(quick, variant).run_sequential())
-}
 
 pub fn fig11_exp(quick: bool, variant: sweep3d::SweepVariant) -> Experiment {
     let ps: &'static [usize] = if quick { &[4, 8] } else { &[4, 8, 16, 32, 48, 62] };
@@ -686,10 +632,6 @@ pub fn fig11_exp(quick: bool, variant: sweep3d::SweepVariant) -> Experiment {
 // Ablations
 // ======================================================================
 
-pub fn ablation_slice(quick: bool) -> Report {
-    only(ablation_slice_exp(quick).run_sequential())
-}
-
 /// Time-slice length ablation: the 500 µs default against alternatives.
 /// Point 0 is the Quadrics baseline; one point per slice length follows.
 pub fn ablation_slice_exp(quick: bool) -> Experiment {
@@ -739,10 +681,6 @@ pub fn ablation_slice_exp(quick: bool) -> Experiment {
             vec![("ablation_slice", r)]
         }),
     }
-}
-
-pub fn ablation_reduce(quick: bool) -> Report {
-    only(ablation_reduce_exp(quick).run_sequential())
 }
 
 /// The collective-algorithm bake-off: allreduce µs/op under the three
@@ -871,10 +809,6 @@ pub fn ablation_reduce_exp(quick: bool) -> Experiment {
     }
 }
 
-pub fn ablation_noise(quick: bool) -> Report {
-    only(ablation_noise_exp(quick).run_sequential())
-}
-
 /// OS-noise ablation (§4.5, reference \[20\]): four points — Quadrics and
 /// BCS, clean and with the noise injector.
 pub fn ablation_noise_exp(quick: bool) -> Experiment {
@@ -932,10 +866,6 @@ pub fn ablation_noise_exp(quick: bool) -> Experiment {
             vec![("ablation_noise", r)]
         }),
     }
-}
-
-pub fn ablation_chunk(quick: bool) -> Report {
-    only(ablation_chunk_exp(quick).run_sequential())
 }
 
 /// Chunking ablation: one point per (message size, engine).
@@ -997,10 +927,6 @@ pub fn ablation_chunk_exp(quick: bool) -> Experiment {
             vec![("ablation_chunk", r)]
         }),
     }
-}
-
-pub fn ablation_multijob() -> Report {
-    only(ablation_multijob_exp().run_sequential())
 }
 
 /// Multiprogramming ablation (§5.4 option 1): gang-schedule two jobs —
@@ -1141,10 +1067,6 @@ pub fn ablation_multijob_exp() -> Experiment {
             vec![("ablation_multijob", r)]
         }),
     }
-}
-
-pub fn ablation_fault(quick: bool) -> Report {
-    only(ablation_fault_exp(quick).run_sequential())
 }
 
 /// Fault ablation (the §6 transparent-fault-tolerance claim, quantified):
@@ -1389,10 +1311,6 @@ pub fn ablation_fault_exp(quick: bool) -> Experiment {
 // ======================================================================
 // Ablation — persistent schedule compilation + small-message coalescing
 // ======================================================================
-
-pub fn ablation_schedule(quick: bool) -> Report {
-    only(ablation_schedule_exp(quick).run_sequential())
-}
 
 /// Schedule-compilation ablation (DESIGN.md §13): the particle stress
 /// workload swept over pattern stability × message size × node count, each
@@ -1670,7 +1588,7 @@ fn machinery_min_ns(msgs: usize, compiled: bool) -> (f64, u64) {
         });
         assert_eq!(matched, msgs);
         times.push(ns);
-        gets = fab.stats().gets;
+        gets = fab.net().stats().gets;
     }
     (times.iter().copied().fold(f64::INFINITY, f64::min), gets)
 }
@@ -1678,10 +1596,6 @@ fn machinery_min_ns(msgs: usize, compiled: bool) -> (f64, u64) {
 // ======================================================================
 // Scale — BlueGene/L sweeps past the thread-per-rank ceiling
 // ======================================================================
-
-pub fn scale(quick: bool) -> Report {
-    only(scale_exp(quick).run_sequential())
-}
 
 /// Figure 8-style synthetic sweeps on the BlueGene/L interconnect model
 /// (Table 1's largest machine), extended to n=65536 in full mode — three
@@ -1806,10 +1720,6 @@ pub fn scale_exp(quick: bool) -> Experiment {
     }
 }
 
-pub fn storm_launch() -> Report {
-    only(storm_launch_exp().run_sequential())
-}
-
 /// STORM job-launch scaling (the substrate's flagship behavior):
 /// one point per (node count, network).
 pub fn storm_launch_exp() -> Experiment {
@@ -1858,10 +1768,6 @@ pub fn storm_launch_exp() -> Experiment {
 // ======================================================================
 // Fabric matrix — QsNet hardware collectives vs RDMA software emulation
 // ======================================================================
-
-pub fn fabric_matrix(quick: bool) -> Report {
-    only(fabric_matrix_exp(quick).run_sequential())
-}
 
 /// Both engines on both interconnects: the Quadrics-class fabric (hardware
 /// multicast + network conditionals, Table 1 QsNet constants) against the

@@ -60,11 +60,6 @@ pub(crate) enum CollKind {
 /// Word slots reserved per communicator (one per collective kind family).
 const SLOTS_PER_COMM: u32 = 4;
 
-/// Synthetic round ids (composite-allreduce broadcast legs) live above
-/// every id the per-rank counters can reach, so they sort after all real
-/// rounds of the slot and never collide with them.
-const SYNTH_ID: u64 = 1 << 63;
-
 impl CollKind {
     pub fn slot(self) -> usize {
         match self {
@@ -167,12 +162,10 @@ fn sched_for(w: &mut BW, comm: CommId, nodes: usize, blocks: usize) -> Rc<RoundS
 // Posting (application side)
 // ----------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 // PANIC-OK: per-comm/per-rank tables are sized when the communicator is
 // created; the posting rank was validated by the API layer.
 pub(crate) fn post_collective(
     w: &mut BW,
-    sim: &mut Sim<BW>,
     rank: usize,
     comm: CommId,
     kind: CollKind,
@@ -180,7 +173,6 @@ pub(crate) fn post_collective(
     data: Option<Payload>,
     params: Option<(ReduceOp, Datatype)>,
 ) {
-    let _ = sim;
     let e = &mut w.engine;
     let slot = kind.slot();
     let c = e.coll.counters.entry((rank, comm)).or_insert([0; 4]);
@@ -648,7 +640,6 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
         return;
     }
     w.engine.outstanding[node.0] = todo.len() as u32;
-    let algo = w.engine.cfg.coll_algo;
     for key in todo {
         let round = w.engine.coll.rounds.get(&key).unwrap();
         let kind = round.kind;
@@ -663,7 +654,6 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
             CollKind::Bcast => w.engine.stats.bcasts += 1,
             _ => unreachable!(),
         }
-        let bytes = payload.len() as u64 + w.engine.cfg.desc_bytes;
         let group = Rc::clone(w.engine.comms.group(comm));
         let per_dest: NodeFn = {
             let payload = payload.clone();
@@ -687,7 +677,32 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
                 mpi_api::runtime::drain(w, sim);
             })
         };
-        if algo == CollAlgo::HwMulticast {
+        let on_done = Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
+            let _ = w.engine.coll.rounds.remove(&key);
+            crate::protocol::work_item_done(w, sim, node);
+            mpi_api::runtime::drain(w, sim);
+        });
+        bcast_leg(w, sim, node, comm, &group, payload.len() as u64, per_dest, on_done);
+    }
+}
+
+/// One broadcast leg from `node` to every node of `group` under the active
+/// algorithm, carrying `payload_bytes` plus a descriptor: `per_dest` fires
+/// per node at its arrival instant, `on_done` once, at the last arrival.
+#[allow(clippy::too_many_arguments)]
+fn bcast_leg(
+    w: &mut BW,
+    sim: &mut Sim<BW>,
+    node: NodeId,
+    comm: CommId,
+    group: &Group,
+    payload_bytes: u64,
+    per_dest: NodeFn,
+    on_done: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>,
+) {
+    let bytes = payload_bytes + w.engine.cfg.desc_bytes;
+    match w.engine.cfg.coll_algo {
+        CollAlgo::HwMulticast => {
             let done_at = BcsCluster::xfer_and_signal(
                 w,
                 sim,
@@ -700,36 +715,21 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
                     on_deliver: Some(per_dest),
                 },
             );
-            // The round's work item ends when the multicast completes (last
-            // delivery); deliveries were scheduled earlier at the same
-            // instants, so they run first.
-            sim.schedule_at(done_at, move |w: &mut BW, sim: &mut Sim<BW>| {
-                let _ = w.engine.coll.rounds.remove(&key);
-                crate::protocol::work_item_done(w, sim, node);
-                mpi_api::runtime::drain(w, sim);
-            });
-        } else {
-            let order = group.nodes_from(node);
-            let on_done: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)> =
-                Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-                    let _ = w.engine.coll.rounds.remove(&key);
-                    crate::protocol::work_item_done(w, sim, node);
-                    mpi_api::runtime::drain(w, sim);
-                });
-            match algo {
-                CollAlgo::Binomial => binomial_bcast(
-                    w,
-                    sim,
-                    Rc::new(order),
-                    bytes,
-                    per_dest,
-                    Rc::new(RefCell::new(Some(on_done))),
-                ),
-                CollAlgo::OptimalSchedule => {
-                    sched_bcast(w, sim, comm, order, payload.len() as u64, per_dest, on_done)
-                }
-                CollAlgo::HwMulticast => unreachable!(),
-            }
+            // The leg ends when the multicast completes (last delivery);
+            // deliveries were scheduled earlier at the same instants, so
+            // they run first.
+            sim.schedule_at(done_at, on_done);
+        }
+        CollAlgo::Binomial => binomial_bcast(
+            w,
+            sim,
+            Rc::new(group.nodes_from(node)),
+            bytes,
+            per_dest,
+            Rc::new(RefCell::new(Some(on_done))),
+        ),
+        CollAlgo::OptimalSchedule => {
+            sched_bcast(w, sim, comm, group.nodes_from(node), payload_bytes, per_dest, on_done)
         }
     }
 }
@@ -765,7 +765,7 @@ pub(crate) fn node_begin_rm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
     for key in todo {
         let round = w.engine.coll.rounds.remove(&key).unwrap();
         match round.kind {
-            CollKind::Reduce { all } => rm_reduce(w, sim, node, key, round, all),
+            CollKind::Reduce { all } => rm_reduce(w, sim, node, round, all),
             CollKind::Allgather => rm_allgather(w, sim, node, round),
             _ => unreachable!(),
         }
@@ -780,7 +780,6 @@ fn rm_reduce(
     w: &mut BW,
     sim: &mut Sim<BW>,
     node: NodeId,
-    key: (u32, usize, u64),
     mut round: CollRound,
     all: bool,
 ) {
@@ -805,48 +804,15 @@ fn rm_reduce(
     let bytes = value.len();
 
     let nn = group.nodes().len();
-    let algo = w.engine.cfg.coll_algo;
-    let composite = w.engine.cfg.allreduce_composite && all && nn > 1;
 
     // What happens once the gather leg completes at the root.
-    let finish: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)> = if composite {
-        // Reduce + bcast composition: hand the result to a synthetic,
-        // already-scheduled broadcast round the *next* slice's BBM runs
-        // under the same algorithm. Members stay blocked until then.
-        let value = value.clone();
-        let root = round.root;
-        let size = group.size();
-        let compute_nodes = w.engine.coll.compute_nodes;
-        Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-            let mut contribs = vec![None; size];
-            contribs[root] = Some(value);
-            let synth = (comm.0, CollKind::Bcast.slot(), SYNTH_ID | key.2);
-            let prev = w.engine.coll.rounds.insert(
-                synth,
-                CollRound {
-                    kind: CollKind::Bcast,
-                    comm,
-                    root,
-                    params: None,
-                    contribs,
-                    arrived: size,
-                    arrived_on_node: vec![0; compute_nodes],
-                    scheduled: true,
-                    query_inflight: false,
-                },
-            );
-            debug_assert!(prev.is_none(), "synthetic bcast round id collision");
-            crate::protocol::work_item_done(w, sim, node);
-            mpi_api::runtime::drain(w, sim);
-        })
-    } else if all && nn > 1 {
+    let finish: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)> = if all && nn > 1 {
         // Allreduce: the RH broadcasts the result within the reduce
         // microphase, under the active algorithm.
         let group = Rc::clone(&group);
-        let value2 = value.clone();
         Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
+            let payload_bytes = value.len() as u64;
             let per_dest: NodeFn = {
-                let value = value2.clone();
                 let group = Rc::clone(&group);
                 Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, d: NodeId| {
                     for &rank in group.ranks_on(d) {
@@ -858,48 +824,11 @@ fn rm_reduce(
                     mpi_api::runtime::drain(w, sim);
                 })
             };
-            let bytes = value2.len() as u64 + w.engine.cfg.desc_bytes;
-            let item_done: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)> =
-                Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-                    crate::protocol::work_item_done(w, sim, node);
-                    mpi_api::runtime::drain(w, sim);
-                });
-            match w.engine.cfg.coll_algo {
-                CollAlgo::HwMulticast => {
-                    let done_at = BcsCluster::xfer_and_signal(
-                        w,
-                        sim,
-                        node,
-                        group.nodes(),
-                        bytes,
-                        bcs_core::XsOpts {
-                            remote_event: None,
-                            local_event: None,
-                            on_deliver: Some(per_dest),
-                        },
-                    );
-                    sim.schedule_at(done_at, move |w: &mut BW, sim: &mut Sim<BW>| {
-                        item_done(w, sim);
-                    });
-                }
-                CollAlgo::Binomial => binomial_bcast(
-                    w,
-                    sim,
-                    Rc::new(group.nodes_from(node)),
-                    bytes,
-                    per_dest,
-                    Rc::new(RefCell::new(Some(item_done))),
-                ),
-                CollAlgo::OptimalSchedule => sched_bcast(
-                    w,
-                    sim,
-                    comm,
-                    group.nodes_from(node),
-                    value2.len() as u64,
-                    per_dest,
-                    item_done,
-                ),
-            }
+            let item_done = Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
+                crate::protocol::work_item_done(w, sim, node);
+                mpi_api::runtime::drain(w, sim);
+            });
+            bcast_leg(w, sim, node, comm, &group, payload_bytes, per_dest, item_done);
         })
     } else {
         // Plain reduce (result only on the root) or a degenerate one-node
@@ -922,7 +851,7 @@ fn rm_reduce(
         })
     };
 
-    run_gather_leg(w, sim, node, comm, &group, bytes, true, algo, finish);
+    run_gather_leg(w, sim, node, comm, &group, bytes, true, finish);
 }
 
 // PANIC-OK: allgather segments were sized at post time from the same
@@ -943,7 +872,6 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
     let total: usize = parts.iter().map(|p| p.len()).sum();
 
     let nn = group.nodes().len();
-    let algo = w.engine.cfg.coll_algo;
 
     let per_dest: NodeFn = {
         let group = Rc::clone(&group);
@@ -968,48 +896,11 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
     let finish: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)> = if nn > 1 {
         let group = Rc::clone(&group);
         Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-            let bytes = total as u64 + w.engine.cfg.desc_bytes;
-            let item_done: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)> =
-                Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-                    crate::protocol::work_item_done(w, sim, node);
-                    mpi_api::runtime::drain(w, sim);
-                });
-            match w.engine.cfg.coll_algo {
-                CollAlgo::HwMulticast => {
-                    let done_at = BcsCluster::xfer_and_signal(
-                        w,
-                        sim,
-                        node,
-                        group.nodes(),
-                        bytes,
-                        bcs_core::XsOpts {
-                            remote_event: None,
-                            local_event: None,
-                            on_deliver: Some(per_dest),
-                        },
-                    );
-                    sim.schedule_at(done_at, move |w: &mut BW, sim: &mut Sim<BW>| {
-                        item_done(w, sim);
-                    });
-                }
-                CollAlgo::Binomial => binomial_bcast(
-                    w,
-                    sim,
-                    Rc::new(group.nodes_from(node)),
-                    bytes,
-                    per_dest,
-                    Rc::new(RefCell::new(Some(item_done))),
-                ),
-                CollAlgo::OptimalSchedule => sched_bcast(
-                    w,
-                    sim,
-                    comm,
-                    group.nodes_from(node),
-                    total as u64,
-                    per_dest,
-                    item_done,
-                ),
-            }
+            let item_done = Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
+                crate::protocol::work_item_done(w, sim, node);
+                mpi_api::runtime::drain(w, sim);
+            });
+            bcast_leg(w, sim, node, comm, &group, total as u64, per_dest, item_done);
         })
     } else {
         Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
@@ -1019,7 +910,7 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
         })
     };
 
-    run_gather_leg(w, sim, node, comm, &group, total, false, algo, finish);
+    run_gather_leg(w, sim, node, comm, &group, total, false, finish);
 }
 
 /// Run the gather leg of a reduction/allgather: `finish` fires at the
@@ -1039,16 +930,15 @@ fn run_gather_leg(
     group: &Group,
     bytes: usize,
     combine: bool,
-    algo: CollAlgo,
     finish: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>,
 ) {
     let nn = group.nodes().len();
-    match algo {
+    match w.engine.cfg.coll_algo {
         CollAlgo::HwMulticast => {
             let e = &w.engine;
             let depth = if nn <= 1 { 0 } else { log2_ceil(nn) };
             let wire = bytes as u64 + e.cfg.desc_bytes;
-            let levels = e.bcs.fabric.topology().levels();
+            let levels = e.bcs.fabric.net().topology().levels();
             let combine_cost = if combine {
                 reduce_delay(&e.cfg, bytes)
             } else {

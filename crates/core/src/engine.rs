@@ -103,11 +103,6 @@ pub struct BcsConfig {
     /// across all three; only the modeled wire traffic changes. Overridable
     /// per run with `REPRO_COLL` (see `apps::runner`).
     pub coll_algo: mpi_api::coll_sched::CollAlgo,
-    /// Run allreduce as an explicit reduce + broadcast composition: the RM
-    /// gathers to the root, then a synthetic broadcast round executes in
-    /// the *next* slice's BBM, instead of the native RH result multicast
-    /// within the reduce microphase. Defaults to *off* (the paper's RH).
-    pub allreduce_composite: bool,
 }
 
 impl Default for BcsConfig {
@@ -141,7 +136,6 @@ impl Default for BcsConfig {
             sched_compile: Some(crate::schedule::SchedCompileCfg::default()),
             coalesce: None,
             coll_algo: mpi_api::coll_sched::CollAlgo::HwMulticast,
-            allreduce_composite: false,
         }
     }
 }
@@ -335,7 +329,7 @@ impl BcsMpi {
     /// Fabric-level transfer counters (bytes, drops, dead-node skips) — the
     /// wire-side evidence fault experiments assert against.
     pub fn fabric_stats(&self) -> &qsnet::FabricStats {
-        self.bcs.fabric.stats()
+        self.bcs.fabric.net().stats()
     }
 
     /// Reliable-delivery counters (retries issued, transfers aborted).
@@ -477,7 +471,6 @@ impl Engine for BcsMpi {
             }
             MpiCall::Barrier { comm } => crate::coll::post_collective(
                 w,
-                sim,
                 rank,
                 comm,
                 CollKind::Barrier,
@@ -487,7 +480,6 @@ impl Engine for BcsMpi {
             ),
             MpiCall::Bcast { comm, root, data } => crate::coll::post_collective(
                 w,
-                sim,
                 rank,
                 comm,
                 CollKind::Bcast,
@@ -504,7 +496,6 @@ impl Engine for BcsMpi {
                 all,
             } => crate::coll::post_collective(
                 w,
-                sim,
                 rank,
                 comm,
                 CollKind::Reduce { all },
@@ -514,7 +505,6 @@ impl Engine for BcsMpi {
             ),
             MpiCall::Allgatherv { comm, data } => crate::coll::post_collective(
                 w,
-                sim,
                 rank,
                 comm,
                 CollKind::Allgather,

@@ -417,7 +417,7 @@ fn node_begin_dem_coalesced(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId) 
         let msgs = g.entries.len() as u64;
         w.engine.stats.dem_blocks += 1;
         w.engine.stats.dem_block_msgs += msgs;
-        w.engine.bcs.fabric.note_gather(msgs, msgs * desc_bytes);
+        w.engine.bcs.fabric.net_mut().note_gather(msgs, msgs * desc_bytes);
         let deliver = move |w: &mut BW, sim: &mut Sim<BW>| {
             let e = &mut w.engine;
             let nic = Arc::make_mut(&mut e.nic[dst_node.0]);
@@ -705,18 +705,13 @@ pub(crate) fn node_begin_p2p(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
         return;
     }
     let mut sched = std::mem::take(&mut w.engine.sched[node.0]);
-    // detlint: allow(D04, D11) — debug-trace gate only: toggles eprintln
-    // logging on stderr and can never alter simulation state or CSV outputs,
-    // so callers of this path stay determinism-clean (D11 taint neutralized).
-    let trace = std::env::var_os("BCS_TRACE_P2P").is_some();
-
     if w.engine.cfg.coalesce.is_some() {
-        node_begin_p2p_coalesced(w, sim, node, &sched, trace);
+        node_begin_p2p_coalesced(w, sim, node, &sched);
     } else {
         w.engine.outstanding[node.0] = sched.len() as u32;
         for &(slot, chunk) in &sched {
             let src_node = chunk_source(w, node, slot, chunk);
-            get_chunk(w, sim, node, src_node, slot, chunk, trace);
+            get_chunk(w, sim, node, src_node, slot, chunk);
         }
     }
     // The buffer goes back empty, for the next slice's MSM to fill.
@@ -736,8 +731,7 @@ fn chunk_source(w: &mut BW, node: qsnet::NodeId, slot: XferSlot, chunk: u64) -> 
 }
 
 /// One P2P wire operation, raw or under the retry layer; `deliver` runs at
-/// most once either way. Returns a raw get's delivery instant (the trace
-/// prints it).
+/// most once either way.
 fn p2p_get(
     w: &mut BW,
     sim: &mut Sim<BW>,
@@ -746,22 +740,21 @@ fn p2p_get(
     bytes: u64,
     what: &'static str,
     deliver: impl Fn(&mut BW, &mut Sim<BW>) + 'static,
-) -> Option<simcore::SimTime> {
+) {
     match w.engine.cfg.retry {
-        None => Some(w.engine.bcs.fabric.get(sim, node, src_node, bytes, deliver)),
-        Some(policy) => {
-            bcs_core::retry::reliable_get(
-                w,
-                sim,
-                node,
-                src_node,
-                bytes,
-                policy,
-                std::rc::Rc::new(deliver),
-                transfer_abort(src_node, what),
-            );
-            None
+        None => {
+            w.engine.bcs.fabric.get(sim, node, src_node, bytes, deliver);
         }
+        Some(policy) => bcs_core::retry::reliable_get(
+            w,
+            sim,
+            node,
+            src_node,
+            bytes,
+            policy,
+            std::rc::Rc::new(deliver),
+            transfer_abort(src_node, what),
+        ),
     }
 }
 
@@ -773,17 +766,13 @@ fn get_chunk(
     src_node: qsnet::NodeId,
     slot: XferSlot,
     chunk: u64,
-    trace: bool,
 ) {
     let wire = chunk + w.engine.cfg.desc_bytes;
-    let at = p2p_get(w, sim, node, src_node, wire, "P2P chunk get", move |w, sim| {
+    p2p_get(w, sim, node, src_node, wire, "P2P chunk get", move |w, sim| {
         chunk_arrived(w, sim, node, slot, chunk);
         crate::protocol::work_item_done(w, sim, node);
         mpi_api::runtime::drain(w, sim);
     });
-    if let (true, Some(t)) = (trace, at) {
-        eprintln!("  p2p get {node} <- {src_node} {chunk}B deliver at {t}");
-    }
 }
 
 /// P2P with chunk coalescing (`cfg.coalesce`): all small chunks this DH
@@ -798,7 +787,6 @@ fn node_begin_p2p_coalesced(
     sim: &mut Sim<BW>,
     node: qsnet::NodeId,
     sched: &[(XferSlot, u64)],
-    trace: bool,
 ) {
     let ccfg = w.engine.cfg.coalesce.expect("coalesced P2P without coalesce cfg");
     let items: Vec<(usize, u64)> = sched
@@ -809,7 +797,7 @@ fn node_begin_p2p_coalesced(
     w.engine.outstanding[node.0] = (singles.len() + gathers.len()) as u32;
     for i in singles {
         let (slot, chunk) = sched[i];
-        get_chunk(w, sim, node, qsnet::NodeId(items[i].0), slot, chunk, trace);
+        get_chunk(w, sim, node, qsnet::NodeId(items[i].0), slot, chunk);
     }
     for g in gathers {
         let src_node = qsnet::NodeId(g.peer);
@@ -820,20 +808,15 @@ fn node_begin_p2p_coalesced(
         w.engine
             .bcs
             .fabric
+            .net_mut()
             .note_gather(batch.len() as u64, g.payload_bytes);
-        let at = p2p_get(w, sim, node, src_node, wire, "P2P gather get", move |w, sim| {
+        p2p_get(w, sim, node, src_node, wire, "P2P gather get", move |w, sim| {
             for &(slot, chunk) in &batch {
                 chunk_arrived(w, sim, node, slot, chunk);
             }
             crate::protocol::work_item_done(w, sim, node);
             mpi_api::runtime::drain(w, sim);
         });
-        if let (true, Some(t)) = (trace, at) {
-            eprintln!(
-                "  p2p gather {node} <- {src_node} {} msgs {wire}B deliver at {t}",
-                g.entries.len()
-            );
-        }
     }
 }
 

@@ -291,16 +291,6 @@ fn poll_phase_done(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
 }
 
 fn advance_phase(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
-    // detlint: allow(D04, D11) — debug-trace gate only: toggles eprintln
-    // logging on stderr and can never alter simulation state or CSV outputs,
-    // so callers of this path stay determinism-clean (D11 taint neutralized).
-    if std::env::var_os("BCS_TRACE_PHASES").is_some() {
-        eprintln!(
-            "slice {slice} phase {phase} done at {} (started {})",
-            sim.now(),
-            w.engine.slice_started_at
-        );
-    }
     if phase + 1 < PHASES {
         strobe_phase(w, sim, slice, phase + 1);
         return;
@@ -322,11 +312,6 @@ fn advance_phase(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
 }
 
 impl BcsMpi {
-    /// Nominal start time of the next slice (used by tests).
-    pub fn next_slice_boundary(&self, now: SimTime) -> SimTime {
-        now.round_up(self.cfg.timeslice)
-    }
-
     /// Strictly-later nominal boundary after `now` (origin-aware).
     pub(crate) fn strict_next_boundary(&self, now: SimTime) -> SimTime {
         let origin = self.cfg.init_delay.as_nanos();
@@ -405,15 +390,6 @@ fn gang_on_boundary(w: &mut BW, sim: &mut Sim<BW>) {
                     g.switches += 1;
                     switched[node] = true;
                 }
-            }
-            // detlint: allow(D04, D11) — debug-trace gate only: toggles
-            // eprintln logging on stderr; simulation state is untouched either
-            // way, so callers stay determinism-clean (D11 taint neutralized).
-            if node == 0 && std::env::var_os("BCS_TRACE_GANG").is_some() {
-                eprintln!(
-                    "t={} node0 active={} (was {cur})",
-                    now, g.active[node]
-                );
             }
         }
     }

@@ -70,11 +70,10 @@ fn layout_of(s: &Scenario) -> JobLayout {
     JobLayout::new(s.nodes, s.ppn, s.nodes * s.ppn)
 }
 
-fn cfg_with(fabric: FabricKind, algo: CollAlgo, composite: bool) -> BcsConfig {
+fn cfg_with(fabric: FabricKind, algo: CollAlgo) -> BcsConfig {
     let mut cfg = BcsConfig::default();
     cfg.fabric = fabric;
     cfg.coll_algo = algo;
-    cfg.allreduce_composite = composite;
     // Checkpoint every few slices so the digest log samples mid-collective
     // protocol state.
     cfg.checkpoint_every = Some(3);
@@ -172,17 +171,15 @@ proplite! {
     #[test]
     fn algorithms_are_value_transparent_on_both_fabrics(s in scenario_strategy()) {
         for fabric in [FabricKind::QsNet, FabricKind::Rdma] {
-            let reference = run_scenario(cfg_with(fabric, CollAlgo::HwMulticast, false), &s);
+            let reference = run_scenario(cfg_with(fabric, CollAlgo::HwMulticast), &s);
             for algo in ALGOS {
-                for composite in [false, true] {
-                    let run = run_scenario(cfg_with(fabric, algo, composite), &s);
-                    prop_assert_eq!(
-                        &reference.results,
-                        &run.results,
-                        "{:?} (composite={}) diverged from hw-multicast on {:?}: {:?}",
-                        algo, composite, fabric, &s
-                    );
-                }
+                let run = run_scenario(cfg_with(fabric, algo), &s);
+                prop_assert_eq!(
+                    &reference.results,
+                    &run.results,
+                    "{:?} diverged from hw-multicast on {:?}: {:?}",
+                    algo, fabric, &s
+                );
             }
         }
     }
@@ -191,8 +188,8 @@ proplite! {
     fn every_algorithm_run_is_deterministic(s in scenario_strategy()) {
         for fabric in [FabricKind::QsNet, FabricKind::Rdma] {
             for algo in ALGOS {
-                let a = run_scenario(cfg_with(fabric, algo, false), &s);
-                let b = run_scenario(cfg_with(fabric, algo, false), &s);
+                let a = run_scenario(cfg_with(fabric, algo), &s);
+                let b = run_scenario(cfg_with(fabric, algo), &s);
                 prop_assert_eq!(
                     observables(&a),
                     observables(&b),

@@ -246,15 +246,15 @@ fn inject(
     heartbeat_period: SimDuration,
     monitor_at: SimTime,
 ) {
-    let fabric = &mut w.bcs().fabric;
-    fabric.plan_drops(plan.drops.clone());
+    let net = w.bcs().fabric.net_mut();
+    net.plan_drops(plan.drops.clone());
     for d in &plan.degradations {
-        fabric.degrade_link(d.clone());
+        net.degrade_link(d.clone());
     }
     for c in crashes {
         let node = c.node;
         sim.schedule_at(c.at, move |w: &mut W, _sim| {
-            w.bcs().fabric.kill_node(node);
+            w.bcs().fabric.net_mut().kill_node(node);
         });
     }
 

@@ -13,11 +13,13 @@
 //! * **network conditionals** (the basis of `Compare-And-Write`),
 //! * **remotely signalable events** (delivery callbacks).
 //!
-//! Timing is computed *at issue time* (LogGP-style): the fabric keeps a
-//! next-free time per NIC transmit/receive port plus a root serializer for
+//! Timing is computed *at issue time* (LogGP-style): [`Net`] keeps a
+//! next-free time per NIC transmit/receive port plus one ordering clock for
 //! collective wire operations, so contention is modeled without per-packet
 //! events. Delivery callbacks are scheduled on the [`simcore::Sim`] event
-//! queue.
+//! queue. `Net` also holds everything else an interconnect has — counters,
+//! fault injection, snapshots — so a different interconnect is only a
+//! different set of [`Fabric`] timing rules over it (`rdmanet` is one).
 //!
 //! [`NetModel`] presets reproduce the five networks of the paper's Table 1
 //! (Gigabit Ethernet, Myrinet, InfiniBand, QsNet, BlueGene/L), so the same
@@ -28,7 +30,7 @@ pub mod model;
 pub mod topology;
 
 pub use fabric::{
-    Degradation, Fabric, FabricKind, FabricSnapshot, FabricStats, OnDone, QsNetFabric, SnapState,
+    Degradation, Fabric, FabricKind, FabricSnapshot, FabricStats, Net, QsNetFabric,
 };
 pub use model::{CondImpl, McastImpl, NetModel};
 pub use topology::{NodeId, Topology};

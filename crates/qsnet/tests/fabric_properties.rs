@@ -192,7 +192,7 @@ proplite! {
             }
         }
         for &d in &dead {
-            fab.kill_node(NodeId(d % nodes));
+            fab.net_mut().kill_node(NodeId(d % nodes));
         }
         let pending = sim.pending();
         let hook = logging_hook(follow);
@@ -205,7 +205,7 @@ proplite! {
         let live: Vec<NodeId> = dests
             .iter()
             .copied()
-            .filter(|&d| !fab.is_dead(d) && !fab.is_dead(src))
+            .filter(|&d| !fab.net().is_dead(d) && !fab.net().is_dead(src))
             .collect();
         let mut reached: Vec<usize> =
             log.iter().map(|&(_, d)| d).filter(|&d| d < FOLLOW_UP).collect();
@@ -305,7 +305,7 @@ proplite! {
             fab.put(&mut sim, NodeId(1), NodeId(2), b as u64, |_, _| {});
         }
         let t = fab.conditional(&mut sim, NodeId(0), 8, |_, _| {});
-        let levels = fab.topology().levels();
+        let levels = fab.net().topology().levels();
         prop_assert_eq!(
             t.as_nanos(),
             model.cond_latency(8, levels).as_nanos()

@@ -67,6 +67,7 @@ struct Round {
 /// Collective bookkeeping for the baseline engine. Rounds are keyed by
 /// communicator so sub-communicator collectives proceed independently.
 /// `BTreeMap`s keep every walk deterministic by construction.
+#[derive(Default)]
 pub struct CollManager {
     rounds: BTreeMap<(CommId, Kind, u64), Round>,
     /// Per (rank, communicator) invocation counters:
@@ -77,14 +78,6 @@ pub struct CollManager {
 }
 
 impl CollManager {
-    pub fn new(_size: usize) -> CollManager {
-        CollManager {
-            rounds: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            sched_cache: BTreeMap::new(),
-        }
-    }
-
     fn enter(&mut self, comm: CommId, kind: Kind, rank: usize, comm_size: usize) -> u64 {
         let slot = match kind {
             Kind::Barrier => 0,
@@ -381,7 +374,7 @@ impl CollManager {
     /// the reversed pipelined schedule's round count on block-sized wires.
     fn gather_time(w: &mut QW, size: usize, bytes: usize, combine: bool) -> SimDuration {
         let net = w.engine.cfg.net.clone();
-        let levels = w.engine.fabric.topology().levels();
+        let levels = w.engine.fabric.net().topology().levels();
         let rnpb = w.engine.cfg.reduce_ns_per_byte;
         let combine_ns = |payload: u64| {
             if combine {
@@ -419,7 +412,7 @@ impl CollManager {
     /// schedule's rounds.
     fn return_leg_time(w: &mut QW, size: usize, bytes: usize) -> SimDuration {
         let net = w.engine.cfg.net.clone();
-        let levels = w.engine.fabric.topology().levels();
+        let levels = w.engine.fabric.net().topology().levels();
         let wire = bytes as u64 + w.engine.cfg.header_bytes;
         match w.engine.cfg.coll_algo {
             CollAlgo::HwMulticast => net.mcast_latency(size, levels) + net.mcast_tx_time(wire),

@@ -127,7 +127,7 @@ impl QuadricsMpi {
                     probing: None,
                 })
                 .collect(),
-            coll: CollManager::new(layout.ranks),
+            coll: CollManager::default(),
             comms: CommRegistry::new(layout),
             stats: QuadricsStats::default(),
         }

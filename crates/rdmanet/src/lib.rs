@@ -1,15 +1,15 @@
 #![forbid(unsafe_code)]
-//! # rdmanet — RDMA-channel fabric with software-emulated BCS primitives
+//! # rdmanet — RDMA-channel timing rules with software-emulated BCS primitives
 //!
 //! The BCS primitives lean on two pieces of QsNet hardware that most
 //! interconnects do not have: switch-replicated ordered multicast and
 //! network conditionals. This crate models an RDMA-channel fabric in the
 //! style of 2003-era InfiniBand VAPI (Liu et al., "Design and
 //! Implementation of MPICH2 over InfiniBand with RDMA Support",
-//! cs/0310059) and rebuilds both missing primitives in software, behind
-//! the same object-safe [`Fabric`] trait the QsNet fabric implements — so
-//! the strobe/DEM layer and the descriptor-exchange path run unchanged on
-//! either interconnect:
+//! cs/0310059) and rebuilds both missing primitives in software, as a second
+//! set of timing rules ([`Fabric`]) over the same [`Net`] the QsNet rules
+//! run on — so the strobe/DEM layer and the descriptor-exchange path run
+//! unchanged on either interconnect:
 //!
 //! * **eager RDMA write** (`put`): the payload lands directly in
 //!   pre-registered destination memory with the completion flag
@@ -28,24 +28,19 @@
 //!   serialization through the same sequencer keeps overlapping
 //!   conditionals sequentially consistent.
 //!
-//! The defining modeling difference from QsNet: RDMA channels have **no
-//! free priority channel**. Control-sized packets (descriptors, read
-//! requests) occupy the send/receive queue pairs like any other work
-//! request, so control traffic queues behind bulk DMA. Fault injection
-//! (`kill_node`, link degradation, planned drops) and the
-//! snapshot/restore contract are identical to the QsNet fabric —
-//! `bulk_seq` coordinates only count transfers larger than
-//! [`CTRL_BYTES`], so one fault plan replays bit-identically on both
-//! fabrics.
+//! The three modelled differences from QsNet, and all this crate holds: RDMA
+//! channels have **no free priority channel** — control-sized packets
+//! (descriptors, read requests) occupy the send/receive queue pairs like
+//! any other work request, so control traffic queues behind bulk DMA; a
+//! completion **surfaces one HCA operation after the last byte**; and both
+//! collectives are **software trees**. Counters, fault injection
+//! (`kill_node`, link degradation, planned drops) and snapshot/restore are
+//! `Net`'s, so one fault plan replays bit-identically on both fabrics.
 
-use qsnet::fabric::{CTRL_BYTES, DeliverFn, OnDone, schedule_deliveries};
+use qsnet::fabric::{CTRL_BYTES, Net};
 use qsnet::model::log2_ceil;
-use qsnet::{
-    Degradation, Fabric, FabricKind, FabricSnapshot, FabricStats, NetModel, NodeId, QsNetFabric,
-    SnapState, Topology,
-};
-use simcore::{Sim, SimDuration, SimTime};
-use std::rc::Rc;
+use qsnet::{CondImpl, Fabric, FabricKind, McastImpl, NetModel, NodeId, QsNetFabric};
+use simcore::{SimDuration, SimTime};
 
 /// Build the fabric selected by `kind` — the one construction point both
 /// engines use, so adding a fabric is a one-line change here.
@@ -60,80 +55,20 @@ pub fn build_fabric<W: 'static>(
     }
 }
 
-/// Occupancy state of the RDMA fabric at a quiescent instant (see
-/// `qsnet::FabricSnapshot` for the capture/restore contract).
-#[derive(Clone, Debug)]
-struct RdmaState {
-    tx_free: Vec<SimTime>,
-    rx_free: Vec<SimTime>,
-    seq_free: SimTime,
-    stats: FabricStats,
-    bulk_seq: u64,
-}
-
-impl SnapState for RdmaState {
-    fn materialize_state(&self) -> Rc<dyn SnapState> {
-        Rc::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-/// The simulated RDMA-channel interconnect.
-///
-/// Issue-time analytic timing like the QsNet fabric: per-HCA send/receive
-/// queue-pair clocks (`tx_free`/`rx_free`) plus one software **sequencer**
-/// clock (`seq_free`) that stands in for QsNet's hardware root serializer —
-/// every emulated collective acquires it, which is where the total order
-/// of multicast payloads and conditional fire times comes from.
+/// The simulated RDMA-channel interconnect: the port clocks are the HCAs'
+/// send/receive queue pairs, and the ordering clock is a software
+/// **sequencer** that stands in for QsNet's hardware root serializer — every
+/// emulated collective acquires it, which is where the total order of
+/// multicast payloads and conditional fire times comes from.
 pub struct RdmaFabric {
-    model: NetModel,
-    topo: Topology,
-    tx_free: Vec<SimTime>,
-    rx_free: Vec<SimTime>,
-    /// Software sequencer: totally orders emulated collectives.
-    seq_free: SimTime,
-    stats: FabricStats,
-    dead: Vec<bool>,
-    degradations: Vec<Degradation>,
-    drop_seqs: Vec<u64>,
-    bulk_seq: u64,
-    snap_cache: Option<FabricSnapshot>,
-    snap_dirty: bool,
+    net: Net,
 }
 
 impl RdmaFabric {
     pub fn new(model: NetModel, nodes: usize) -> RdmaFabric {
         RdmaFabric {
-            model,
-            topo: Topology::fat_tree(nodes),
-            tx_free: vec![SimTime::ZERO; nodes],
-            rx_free: vec![SimTime::ZERO; nodes],
-            seq_free: SimTime::ZERO,
-            stats: FabricStats::default(),
-            dead: vec![false; nodes],
-            degradations: Vec::new(),
-            drop_seqs: Vec::new(),
-            bulk_seq: 0,
-            snap_cache: None,
-            snap_dirty: true,
+            net: Net::new(FabricKind::Rdma, model, nodes),
         }
-    }
-
-    #[inline]
-    fn touch(&mut self) {
-        self.snap_dirty = true;
-    }
-
-    /// Worst degradation factor touching `node` at instant `t`.
-    fn degrade_factor(&self, node: NodeId, t: SimTime) -> u64 {
-        self.degradations
-            .iter()
-            .filter(|d| d.node == node && d.from <= t && t < d.to)
-            .map(|d| d.factor as u64)
-            .max()
-            .unwrap_or(1)
     }
 
     /// Per-stage cost of one software-tree forwarding hop for a multicast
@@ -141,160 +76,42 @@ impl RdmaFabric {
     /// Running a hardware-multicast model on this fabric still emulates in
     /// software — the relay then costs a wire hop plus an HCA operation.
     fn mcast_stage(&self, bytes: u64) -> SimDuration {
-        let stage = match self.model.mcast {
-            qsnet::McastImpl::SoftwareTree { stage, .. } => stage,
-            qsnet::McastImpl::Hardware { .. } => self.model.base_latency + self.model.nic_op,
+        let m = self.net.model();
+        let stage = match m.mcast {
+            McastImpl::SoftwareTree { stage, .. } => stage,
+            McastImpl::Hardware { .. } => m.base_latency + m.nic_op,
         };
-        stage + self.model.mcast_tx_time(bytes)
+        stage + m.mcast_tx_time(bytes)
     }
 
     /// Per-stage round cost of the gather-to-root conditional emulation.
     fn cond_stage(&self) -> SimDuration {
-        match self.model.cond {
-            qsnet::CondImpl::SoftwareTree { stage } => stage,
-            qsnet::CondImpl::Hardware { .. } => {
-                // Up-and-down a level in software: two wire hops + HCA ops.
-                (self.model.base_latency + self.model.nic_op) * 2
-            }
+        let m = self.net.model();
+        match m.cond {
+            CondImpl::SoftwareTree { stage } => stage,
+            // Up-and-down a level in software: two wire hops + HCA ops.
+            CondImpl::Hardware { .. } => (m.base_latency + m.nic_op) * 2,
         }
-    }
-
-    /// Reserve the send/receive queue pairs for one RDMA write. Unlike
-    /// QsNet there is no priority channel: control-sized writes occupy the
-    /// ports too. Only transfers larger than `CTRL_BYTES` consume a
-    /// `bulk_seq` coordinate (drop plans stay portable across fabrics).
-    /// Returns the last-byte time and whether the payload lands.
-    fn reserve_write(
-        &mut self,
-        issue: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-    ) -> (SimTime, bool) {
-        if src == dst {
-            // Local loopback through the HCA; DMA time, no wire.
-            return (issue + self.model.nic_op + self.model.tx_time(bytes), true);
-        }
-        let mut dropped = false;
-        let mut factor = 1u64;
-        if bytes > CTRL_BYTES {
-            let seq = self.bulk_seq;
-            self.bulk_seq += 1;
-            dropped = self.drop_seqs.binary_search(&seq).is_ok();
-            if dropped {
-                self.stats.drops += 1;
-            }
-            factor = self
-                .degrade_factor(src, issue)
-                .max(self.degrade_factor(dst, issue));
-        }
-        let tx = self.model.tx_time(bytes) * factor;
-        let start = issue.max(self.tx_free[src.0]);
-        self.tx_free[src.0] = start + tx;
-        let first_bit = start + self.model.unicast_latency(self.topo.hops(src, dst));
-        let rx_start = first_bit.max(self.rx_free[dst.0]);
-        let deliver = rx_start + tx;
-        self.rx_free[dst.0] = deliver;
-        (deliver, !dropped)
     }
 
     /// When the operation between `a` and `b` whose data write is `write`
-    /// (last byte, landed) completes — one HCA operation after the last
-    /// byte unless it was a loopback — and whether it completes at all: not
-    /// when the payload was dropped, and not (counted) when an endpoint is
-    /// dead.
-    fn completion(&mut self, a: NodeId, b: NodeId, write: (SimTime, bool)) -> (SimTime, bool) {
+    /// (last byte, landed) completes: one HCA operation after the last
+    /// byte, unless it was a loopback.
+    fn surfaced(&self, a: NodeId, b: NodeId, write: (SimTime, bool)) -> (SimTime, bool) {
         let (last_byte, landed) = write;
-        let at = if a == b { last_byte } else { last_byte + self.model.nic_op };
-        let dead = self.dead[a.0] || self.dead[b.0];
-        self.stats.dead_skips += dead as u64;
-        (at, landed && !dead)
+        let at = if a == b { last_byte } else { last_byte + self.net.model().nic_op };
+        (at, landed)
     }
 }
 
+/// Every write, control-sized or not, goes through [`Net::reserve`]: there
+/// is no priority channel to take instead.
 impl<W: 'static> Fabric<W> for RdmaFabric {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Rdma
+    fn net(&self) -> &Net {
+        &self.net
     }
-    fn model(&self) -> &NetModel {
-        &self.model
-    }
-    fn topology(&self) -> &Topology {
-        &self.topo
-    }
-    fn nodes(&self) -> usize {
-        self.topo.nodes()
-    }
-    fn stats(&self) -> &FabricStats {
-        &self.stats
-    }
-    fn reset_stats(&mut self) {
-        self.touch();
-        self.stats = FabricStats::default();
-    }
-    fn note_gather(&mut self, msgs: u64, logical_bytes: u64) {
-        self.touch();
-        self.stats.gathers += 1;
-        self.stats.gathered_msgs += msgs;
-        self.stats.gathered_bytes += logical_bytes;
-    }
-
-    fn kill_node(&mut self, node: NodeId) {
-        self.dead[node.0] = true;
-    }
-    fn revive_node(&mut self, node: NodeId) {
-        self.dead[node.0] = false;
-    }
-    fn is_dead(&self, node: NodeId) -> bool {
-        self.dead[node.0]
-    }
-    fn degrade_link(&mut self, d: Degradation) {
-        assert!(d.factor >= 1);
-        self.degradations.push(d);
-    }
-    fn clear_degradations(&mut self) {
-        self.degradations.clear();
-    }
-    fn plan_drops(&mut self, mut seqs: Vec<u64>) {
-        seqs.sort_unstable();
-        seqs.dedup();
-        self.drop_seqs = seqs;
-    }
-    fn bulk_seq(&self) -> u64 {
-        self.bulk_seq
-    }
-
-    fn snapshot(&mut self) -> FabricSnapshot {
-        if self.snap_dirty || self.snap_cache.is_none() {
-            self.snap_cache = Some(FabricSnapshot::new(Rc::new(RdmaState {
-                tx_free: self.tx_free.clone(),
-                rx_free: self.rx_free.clone(),
-                seq_free: self.seq_free,
-                stats: self.stats,
-                bulk_seq: self.bulk_seq,
-            })));
-            self.snap_dirty = false;
-        }
-        self.snap_cache.clone().expect("snapshot cache just filled")
-    }
-
-    fn restore(&mut self, s: &FabricSnapshot) {
-        let p: &RdmaState = s
-            .state()
-            .as_any()
-            .downcast_ref()
-            .expect("fabric-kind mismatch: RDMA fabric restoring a non-RDMA snapshot");
-        assert_eq!(p.tx_free.len(), self.tx_free.len(), "snapshot node count");
-        self.tx_free.copy_from_slice(&p.tx_free);
-        self.rx_free.copy_from_slice(&p.rx_free);
-        self.seq_free = p.seq_free;
-        self.stats = p.stats;
-        self.bulk_seq = p.bulk_seq;
-        self.dead.iter_mut().for_each(|d| *d = false);
-        self.degradations.clear();
-        self.drop_seqs.clear();
-        self.snap_cache = Some(s.clone());
-        self.snap_dirty = false;
+    fn net_mut(&mut self) -> &mut Net {
+        &mut self.net
     }
 
     /// Eager RDMA write: the payload and its piggybacked completion flag
@@ -307,11 +124,8 @@ impl<W: 'static> Fabric<W> for RdmaFabric {
         dst: NodeId,
         bytes: u64,
     ) -> (SimTime, bool) {
-        self.touch();
-        self.stats.puts += 1;
-        self.stats.put_bytes += bytes;
-        let write = self.reserve_write(now, src, dst, bytes);
-        self.completion(src, dst, write)
+        let write = self.net.reserve(now, src, dst, bytes);
+        self.surfaced(src, dst, write)
     }
 
     /// Rendezvous via RDMA read: the requester posts a read work request
@@ -325,13 +139,23 @@ impl<W: 'static> Fabric<W> for RdmaFabric {
         target: NodeId,
         bytes: u64,
     ) -> (SimTime, bool) {
-        self.touch();
-        self.stats.gets += 1;
-        self.stats.get_bytes += bytes;
-        let (req_at, _) = self.reserve_write(now, requester, target, CTRL_BYTES);
-        let data_issue = req_at + self.model.nic_op;
-        let write = self.reserve_write(data_issue, target, requester, bytes);
-        self.completion(requester, target, write)
+        let (req_at, _) = self.net.reserve(now, requester, target, CTRL_BYTES);
+        let data_issue = req_at + self.net.model().nic_op;
+        let write = self.net.reserve(data_issue, target, requester, bytes);
+        self.surfaced(requester, target, write)
+    }
+
+    /// Gather-to-root conditional: `ceil(log2 span)` reduction stages up a
+    /// software tree, serialized through the sequencer — overlapping
+    /// conditionals stay sequentially consistent, at software latency.
+    fn conditional_timing(&mut self, now: SimTime, _src: NodeId, span: usize) -> SimTime {
+        let m = self.net.model();
+        let hold = m.tx_time(CTRL_BYTES) + m.nic_op;
+        let latency = self.cond_stage() * log2_ceil(span) as u64;
+        let ports = self.net.ports_mut();
+        let start = now.max(ports.order_free);
+        ports.order_free = start + hold;
+        start + latency
     }
 
     /// Software multicast: binomial fan-out of point-to-point RDMA writes.
@@ -344,80 +168,57 @@ impl<W: 'static> Fabric<W> for RdmaFabric {
     /// total order, exactly like QsNet's root serializer — `per_dest`
     /// hooks then fire in deterministic (stage, argument-order) order, one
     /// simulator event per stage.
-    fn multicast_boxed(
+    fn multicast_timing(
         &mut self,
-        sim: &mut Sim<W>,
+        now: SimTime,
         src: NodeId,
         dests: &[NodeId],
         bytes: u64,
-        per_dest: Option<DeliverFn<W>>,
-        on_complete: OnDone<W>,
+        deliveries: &mut Vec<(SimTime, NodeId)>,
     ) -> SimTime {
-        assert!(!dests.is_empty(), "multicast needs at least one destination");
-        self.touch();
-        self.stats.multicasts += 1;
-        self.stats.multicast_bytes += bytes * dests.len() as u64;
-
         let stage_cost = self.mcast_stage(bytes);
-        let tx = self.model.mcast_tx_time(bytes);
+        let m = self.net.model();
+        let (tx, nic_op, base_latency) = (m.mcast_tx_time(bytes), m.nic_op, m.base_latency);
         let ctrl = bytes <= CTRL_BYTES;
+        let ports = self.net.ports_mut();
         // The root-of-tree injection owns the source send queue and the
         // sequencer; the sequencer frees after one stage (pipelined, but
-        // totally ordered starts — the QsNet `coll_free` discipline).
-        let start = sim.now().max(self.seq_free).max(self.tx_free[src.0]);
-        self.tx_free[src.0] = start + tx;
-        self.seq_free = start + stage_cost;
+        // totally ordered starts — the QsNet root's discipline).
+        let start = now.max(ports.order_free).max(ports.tx_free[src.0]);
+        ports.tx_free[src.0] = start + tx;
+        ports.order_free = start + stage_cost;
 
         let mut last = SimTime::ZERO;
         let mut relay = 0u64; // index among non-self destinations
-        let mut deliveries = Vec::with_capacity(if per_dest.is_some() { dests.len() } else { 0 });
         for &d in dests {
             let deliver = if d == src {
-                start + self.model.nic_op
+                start + nic_op
             } else {
                 let depth = log2_ceil((relay + 2) as usize) as u64; // floor(log2(relay+1))+1
                 relay += 1;
-                let base = start + self.model.base_latency + stage_cost * depth;
+                let base = start + base_latency + stage_cost * depth;
                 if ctrl {
                     base
                 } else {
                     // Bulk copies additionally FIFO through the receive QP.
-                    let rx_start = (base - tx).max(self.rx_free[d.0]);
-                    let deliver = rx_start + tx;
-                    self.rx_free[d.0] = deliver;
+                    let deliver = (base - tx).max(ports.rx_free[d.0]) + tx;
+                    ports.rx_free[d.0] = deliver;
                     deliver
                 }
             };
             last = last.max(deliver);
-            if self.dead[d.0] || self.dead[src.0] {
-                self.stats.dead_skips += 1;
-            } else if per_dest.is_some() {
-                deliveries.push((deliver, d));
-            }
+            deliveries.push((deliver, d));
         }
-        if let Some(hook) = &per_dest {
-            schedule_deliveries(sim, hook, deliveries);
-        }
-        sim.schedule_at(last, on_complete);
         last
-    }
-
-    /// Gather-to-root conditional: `ceil(log2 span)` reduction stages up a
-    /// software tree, serialized through the sequencer — overlapping
-    /// conditionals stay sequentially consistent, at software latency.
-    fn conditional_timing(&mut self, now: SimTime, _src: NodeId, span: usize) -> SimTime {
-        assert!(span > 0);
-        self.touch();
-        self.stats.conditionals += 1;
-        let start = now.max(self.seq_free);
-        self.seq_free = start + self.model.tx_time(CTRL_BYTES) + self.model.nic_op;
-        start + self.cond_stage() * log2_ceil(span) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsnet::Degradation;
+    use simcore::Sim;
+    use std::rc::Rc;
 
     struct W {
         delivered: Vec<(u64, &'static str)>,
@@ -438,10 +239,10 @@ mod tests {
     #[test]
     fn build_fabric_dispatches_on_kind() {
         let q: Box<dyn Fabric<W>> = build_fabric(FabricKind::QsNet, NetModel::qsnet(), 4);
-        assert_eq!(q.kind(), FabricKind::QsNet);
+        assert_eq!(q.net().kind(), FabricKind::QsNet);
         let r = fab(4);
-        assert_eq!(r.kind(), FabricKind::Rdma);
-        assert_eq!(r.nodes(), 4);
+        assert_eq!(r.net().kind(), FabricKind::Rdma);
+        assert_eq!(r.net().nodes(), 4);
     }
 
     #[test]
@@ -527,7 +328,7 @@ mod tests {
         // least 4 stage latencies — the opposite of hardware multicast's
         // tight window.
         let stage = match m.mcast {
-            qsnet::McastImpl::SoftwareTree { stage, .. } => stage,
+            McastImpl::SoftwareTree { stage, .. } => stage,
             _ => unreachable!(),
         };
         let wire: Vec<u64> = w
@@ -564,7 +365,7 @@ mod tests {
         let mut sim: Sim<W> = Sim::new();
         let mut w = world();
         let stage = match m.cond {
-            qsnet::CondImpl::SoftwareTree { stage } => stage,
+            CondImpl::SoftwareTree { stage } => stage,
             _ => unreachable!(),
         };
         let t1 = f.conditional(&mut sim, NodeId(0), 32, |w, s| {
@@ -585,7 +386,7 @@ mod tests {
         let mut f = fab(8);
         let mut sim: Sim<W> = Sim::new();
         let mut w = world();
-        f.plan_drops(vec![1]);
+        f.net_mut().plan_drops(vec![1]);
         // Control writes take no bulk_seq coordinate; bulk seq 1 drops.
         f.put(&mut sim, NodeId(0), NodeId(1), CTRL_BYTES, |w, s| {
             w.delivered.push((s.now().0, "ctrl"));
@@ -602,13 +403,13 @@ mod tests {
         sim.run(&mut w);
         let tags: Vec<&str> = w.delivered.iter().map(|&(_, t)| t).collect();
         assert_eq!(tags, vec!["ctrl", "bulk0", "bulk2"]);
-        assert_eq!(f.stats().drops, 1);
-        assert_eq!(f.bulk_seq(), 3);
+        assert_eq!(f.net().stats().drops, 1);
+        assert_eq!(f.net().bulk_seq(), 3);
 
         // Dead node: reservations unchanged, delivery suppressed.
         let mut dead_f = fab(8);
         let mut live_f = fab(8);
-        dead_f.kill_node(NodeId(3));
+        dead_f.net_mut().kill_node(NodeId(3));
         let t_dead = dead_f.put(&mut sim, NodeId(0), NodeId(3), 400_000, |w, s| {
             w.delivered.push((s.now().0, "lost"));
         });
@@ -616,9 +417,7 @@ mod tests {
         sim.run(&mut w);
         assert_eq!(t_dead, t_live, "reservations stay deterministic");
         assert!(!w.delivered.iter().any(|&(_, t)| t == "lost"));
-        assert_eq!(dead_f.stats().dead_skips, 1);
-        dead_f.revive_node(NodeId(3));
-        assert!(!dead_f.is_dead(NodeId(3)));
+        assert_eq!(dead_f.net().stats().dead_skips, 1);
     }
 
     #[test]
@@ -627,7 +426,7 @@ mod tests {
         let mut f = fab(8);
         let mut sim: Sim<W> = Sim::new();
         let bytes = 400_000;
-        f.degrade_link(Degradation {
+        f.net_mut().degrade_link(Degradation {
             node: NodeId(1),
             from: SimTime::ZERO,
             to: SimTime(1_000_000_000),
@@ -636,7 +435,7 @@ mod tests {
         let t = f.put(&mut sim, NodeId(0), NodeId(1), bytes, |_, _| {});
         let expect = m.unicast_latency(2) + m.tx_time(bytes) * 4 + m.nic_op;
         assert_eq!(t.since(SimTime::ZERO), expect);
-        f.clear_degradations();
+        // A transfer touching neither end of the degraded link is not slowed.
         let t2 = f.put(&mut sim, NodeId(2), NodeId(3), bytes, |_, _| {});
         assert_eq!(
             t2.since(SimTime::ZERO),
@@ -650,18 +449,17 @@ mod tests {
         let mut sim: Sim<W> = Sim::new();
         f.put(&mut sim, NodeId(0), NodeId(1), 400_000, |_, _| {});
         f.conditional(&mut sim, NodeId(0), 8, |_, _| {});
-        let snap = f.snapshot();
-        f.kill_node(NodeId(5));
-        f.plan_drops(vec![7]);
+        let snap = f.net_mut().snapshot();
+        f.net_mut().kill_node(NodeId(5));
+        f.net_mut().plan_drops(vec![7]);
         f.put(&mut sim, NodeId(0), NodeId(2), 640_000, |_, _| {});
         let t_before = f.put(&mut sim, NodeId(0), NodeId(4), 400_000, |_, _| {});
-        f.restore(&snap);
-        assert!(!f.is_dead(NodeId(5)));
-        assert_eq!(f.bulk_seq(), 1);
-        assert_eq!(f.stats().puts, 1);
+        f.net_mut().restore(&snap);
+        assert!(!f.net().is_dead(NodeId(5)));
+        assert_eq!(f.net().bulk_seq(), 1);
+        assert_eq!(f.net().stats().puts, 1);
         // Re-capture of the restored (untouched) state is a refcount bump.
-        let again = f.snapshot();
-        assert!(Rc::ptr_eq(snap.state(), again.state()));
+        assert!(snap.ptr_eq(&f.net_mut().snapshot()));
         let t_after = f.put(&mut sim, NodeId(0), NodeId(4), 400_000, |_, _| {});
         assert!(t_after <= t_before);
     }
@@ -670,8 +468,22 @@ mod tests {
     #[should_panic(expected = "fabric-kind mismatch")]
     fn restoring_a_qsnet_snapshot_panics() {
         let mut q: Box<dyn Fabric<W>> = build_fabric(FabricKind::QsNet, NetModel::qsnet(), 4);
-        let snap = q.snapshot();
-        let mut r = fab(4);
-        r.restore(&snap);
+        let snap = q.net_mut().snapshot();
+        fab(4).net_mut().restore(&snap);
+    }
+
+    #[test]
+    #[should_panic(expected = "fabric-kind mismatch: qsnet fabric restoring a rdma snapshot")]
+    fn qsnet_refuses_an_rdma_snapshot() {
+        let snap = fab(4).net_mut().snapshot();
+        let mut q: Box<dyn Fabric<W>> = build_fabric(FabricKind::QsNet, NetModel::qsnet(), 4);
+        q.net_mut().restore(&snap);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot node count")]
+    fn restoring_another_machine_size_panics() {
+        let snap = fab(4).net_mut().snapshot();
+        fab(8).net_mut().restore(&snap);
     }
 }

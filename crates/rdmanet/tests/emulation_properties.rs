@@ -4,11 +4,13 @@
 //! payload set delivered to the same destinations, completions in a
 //! deterministic order — across random topologies, group sizes and
 //! operation scripts. Timing legitimately differs (that difference is the
-//! point of the fabric-matrix experiment); delivery semantics must not.
+//! point of the fabric-matrix experiment); delivery semantics must not —
+//! and neither may anything `qsnet::fabric::Net` keeps for both: which
+//! transfers a fault plan loses, the counters, snapshot sharing, restore.
 
 use proplite::prelude::*;
 use qsnet::fabric::DeliverFn;
-use qsnet::{FabricKind, NetModel, NodeId};
+use qsnet::{Degradation, Fabric, FabricKind, NetModel, NodeId};
 use rdmanet::build_fabric;
 use simcore::{Sim, SimTime};
 use std::rc::Rc;
@@ -32,6 +34,8 @@ fn model_for(kind: FabricKind) -> NetModel {
 
 #[derive(Clone, Debug)]
 enum Op {
+    Put { src: u8, dst: u8, bytes: u32 },
+    Get { req: u8, tgt: u8, bytes: u32 },
     /// Multicast `bytes` from `src` to the group selected by `picks`.
     Mcast { src: u8, bytes: u32, picks: Vec<u8> },
     /// Global conditional rooted at `src` over the first `span` nodes.
@@ -39,7 +43,11 @@ enum Op {
 }
 
 fn op_strategy(nodes: u8) -> impl Strategy<Value = Op> {
+    // Control-sized transfers take no drop-plan coordinate; bulk ones do.
+    let bytes = || prop_oneof![1u32..65, 65u32..200_000];
     prop_oneof![
+        (0..nodes, 0..nodes, bytes()).prop_map(|(src, dst, bytes)| Op::Put { src, dst, bytes }),
+        (0..nodes, 0..nodes, bytes()).prop_map(|(req, tgt, bytes)| Op::Get { req, tgt, bytes }),
         (
             0..nodes,
             1u32..200_000,
@@ -63,40 +71,90 @@ fn group(picks: &[u8]) -> Vec<NodeId> {
     out
 }
 
+type Fab = Box<dyn Fabric<Log>>;
+
+/// Issue op `i` of a script at the sim's current instant, logging its
+/// deliveries and completion under `i`; returns the completion instant.
+fn issue(fab: &mut Fab, sim: &mut Sim<Log>, nodes: usize, i: usize, op: &Op) -> SimTime {
+    let node = |n: &u8| NodeId(*n as usize);
+    let done = move |w: &mut Log, s: &mut Sim<Log>| w.completions.push((i, s.now().0));
+    match op {
+        Op::Put { src, dst, bytes } => fab.put(sim, node(src), node(dst), *bytes as u64, done),
+        Op::Get { req, tgt, bytes } => fab.get(sim, node(req), node(tgt), *bytes as u64, done),
+        Op::Mcast { src, bytes, picks } => {
+            let per_dest = Rc::new(move |w: &mut Log, s: &mut Sim<Log>, d: NodeId| {
+                w.deliveries.push((i, s.now().0, d.0));
+            });
+            fab.multicast(sim, node(src), &group(picks), *bytes as u64, Some(per_dest), done)
+        }
+        Op::Cond { src } => fab.conditional(sim, node(src), nodes, done),
+    }
+}
+
 /// Execute `ops` on a fresh fabric of `kind`, with `dead` killed first,
 /// and return the full delivery/completion log after the sim drains.
 fn run_script(kind: FabricKind, nodes: usize, dead: &[u8], ops: &[Op]) -> Log {
     let mut fab = build_fabric::<Log>(kind, model_for(kind), nodes);
     let mut sim: Sim<Log> = Sim::new();
     for &d in dead {
-        fab.kill_node(NodeId(d as usize));
+        fab.net_mut().kill_node(NodeId(d as usize));
     }
     for (i, op) in ops.iter().enumerate() {
-        match op {
-            Op::Mcast { src, bytes, picks } => {
-                let dests = group(picks);
-                let per_dest = Rc::new(move |w: &mut Log, s: &mut Sim<Log>, d: NodeId| {
-                    w.deliveries.push((i, s.now().0, d.0));
-                });
-                fab.multicast(
-                    &mut sim,
-                    NodeId(*src as usize),
-                    &dests,
-                    *bytes as u64,
-                    Some(per_dest),
-                    move |w, s| w.completions.push((i, s.now().0)),
-                );
-            }
-            Op::Cond { src } => {
-                fab.conditional(&mut sim, NodeId(*src as usize), nodes, move |w, s| {
-                    w.completions.push((i, s.now().0))
-                });
-            }
-        }
+        issue(&mut fab, &mut sim, nodes, i, op);
     }
     let mut log = Log::default();
     sim.run(&mut log);
     log
+}
+
+/// What a fault plan injects — before a script, and again after a restore,
+/// which forgets all of it.
+#[derive(Clone, Debug)]
+struct Faults {
+    dead: Vec<u8>,
+    drops: Vec<u64>,
+    /// `(node, from µs, length µs, factor)` degradation windows.
+    windows: Vec<(u8, u64, u64, u32)>,
+}
+
+fn inject(fab: &mut Fab, faults: &Faults) {
+    let net = fab.net_mut();
+    for &d in &faults.dead {
+        net.kill_node(NodeId(d as usize));
+    }
+    net.plan_drops(faults.drops.clone());
+    for &(node, from, len, factor) in &faults.windows {
+        net.degrade_link(Degradation {
+            node: NodeId(node as usize),
+            from: SimTime(from * 1_000),
+            to: SimTime((from + len) * 1_000),
+            factor,
+        });
+    }
+}
+
+/// Op `i` of a spaced script is issued at `i * GAP_NS`, so transfers overlap
+/// and degradation windows open and close between them.
+const GAP_NS: u64 = 20_000;
+
+/// Issue `ops[range]` on their spaced instants, running the sim up to each.
+/// Returns the completion instants the fabric promised.
+fn run_spaced(
+    fab: &mut Fab,
+    sim: &mut Sim<Log>,
+    log: &mut Log,
+    nodes: usize,
+    ops: &[Op],
+    range: std::ops::Range<usize>,
+) -> Vec<u64> {
+    let mut promised = Vec::new();
+    for i in range {
+        let at = SimTime(i as u64 * GAP_NS);
+        sim.schedule_at(at, |_, _| {});
+        while sim.now() < at && sim.step(log) {}
+        promised.push(issue(fab, sim, nodes, i, &ops[i]).0);
+    }
+    promised
 }
 
 /// The `(op, dest)` delivery set, sorted — the payload-placement contract.
@@ -172,6 +230,69 @@ proplite! {
         prop_assert_eq!(a.completions, b.completions);
     }
 
+    /// The contract `Net` states once, under both sets of timing rules: one
+    /// script with one fault plan loses the same operations on both kinds
+    /// and counts the same drops and dead skips; an unchanged fabric's
+    /// snapshots are one allocation; and snapshot → suffix → restore →
+    /// suffix again is bit-identical on each kind, clocks included.
+    #[test]
+    fn one_fault_plan_means_the_same_on_both_kinds(
+        nodes in 2usize..24,
+        ops in prop::collection::vec(op_strategy(24), 2..24),
+        split in 0usize..24,
+        dead in prop::collection::vec(0u8..24, 0..3),
+        drops in prop::collection::vec(0u64..16, 0..6),
+        windows in prop::collection::vec((0u8..24, 0u64..400, 1u64..400, 2u32..9), 0..3)
+    ) {
+        let ops: Vec<Op> = ops.into_iter().map(|op| clamp(op, nodes)).collect();
+        let split = split % ops.len();
+        let faults = Faults {
+            dead: dead.into_iter().map(|d| d % nodes as u8).collect(),
+            drops,
+            windows: windows.into_iter().map(|(n, f, l, x)| (n % nodes as u8, f, l, x)).collect(),
+        };
+        let suffix_of = |log: &Log| {
+            let d: Vec<_> = log.deliveries.iter().copied().filter(|e| e.0 >= split).collect();
+            let c: Vec<_> = log.completions.iter().copied().filter(|e| e.0 >= split).collect();
+            (d, c)
+        };
+        let mut per_kind = Vec::new();
+        for kind in [FabricKind::QsNet, FabricKind::Rdma] {
+            let mut fab = build_fabric::<Log>(kind, model_for(kind), nodes);
+            inject(&mut fab, &faults);
+            let (mut sim, mut log) = (Sim::new(), Log::default());
+            run_spaced(&mut fab, &mut sim, &mut log, nodes, &ops, 0..split);
+
+            // Nothing a snapshot holds has changed: not by a second
+            // capture, not by fault injection.
+            let snap = fab.net_mut().snapshot();
+            fab.net_mut().plan_drops(faults.drops.clone());
+            prop_assert!(snap.ptr_eq(&fab.net_mut().snapshot()));
+
+            let first = run_spaced(&mut fab, &mut sim, &mut log, nodes, &ops, split..ops.len());
+            sim.run(&mut log);
+            let first_end = format!("{:?}", fab.net_mut().snapshot());
+            prop_assert!(!snap.ptr_eq(&fab.net_mut().snapshot()), "the suffix moved the clocks");
+
+            fab.net_mut().restore(&snap);
+            prop_assert!(snap.ptr_eq(&fab.net_mut().snapshot()));
+            prop_assert!(faults.dead.iter().all(|&d| !fab.net().is_dead(NodeId(d as usize))));
+            inject(&mut fab, &faults);
+            let (mut sim2, mut log2) = (Sim::new(), Log::default());
+            let again = run_spaced(&mut fab, &mut sim2, &mut log2, nodes, &ops, split..ops.len());
+            sim2.run(&mut log2);
+            prop_assert_eq!(&first, &again, "{:?}: promised instants moved", kind);
+            prop_assert_eq!(suffix_of(&log), (log2.deliveries, log2.completions));
+            prop_assert_eq!(first_end, format!("{:?}", fab.net_mut().snapshot()));
+
+            let mut lost: Vec<usize> = (0..ops.len()).collect();
+            lost.retain(|i| !log.completions.iter().any(|&(op, _)| op == *i));
+            let stats = *fab.net().stats();
+            per_kind.push((lost, placement(&log), stats.drops, stats.dead_skips, fab.net().bulk_seq()));
+        }
+        prop_assert_eq!(&per_kind[0], &per_kind[1]);
+    }
+
     /// The software tree delivers each stage's destinations from one event
     /// (`qsnet::fabric::schedule_deliveries`) without changing what one
     /// event per destination did: over random destination orders with dead
@@ -195,7 +316,7 @@ proplite! {
         dests.truncate(take.min(nodes));
         let mut fab = build_fabric::<HookLog>(FabricKind::Rdma, NetModel::infiniband(), nodes);
         for &d in &dead {
-            fab.kill_node(NodeId(d % nodes));
+            fab.net_mut().kill_node(NodeId(d % nodes));
         }
         let hook: DeliverFn<HookLog> =
             Rc::new(|log: &mut HookLog, sim: &mut Sim<HookLog>, d: NodeId| {
@@ -210,7 +331,7 @@ proplite! {
         let live: Vec<NodeId> = dests
             .iter()
             .copied()
-            .filter(|&d| !fab.is_dead(d) && !fab.is_dead(src))
+            .filter(|&d| !fab.net().is_dead(d) && !fab.net().is_dead(src))
             .collect();
         prop_assert_eq!(log.len(), live.len());
         // The reference this replaced: one event per live destination,
@@ -271,7 +392,10 @@ proplite! {
 
 /// Clamp an op's node references into `0..nodes`.
 fn clamp(op: Op, nodes: usize) -> Op {
+    let n = nodes as u8;
     match op {
+        Op::Put { src, dst, bytes } => Op::Put { src: src % n, dst: dst % n, bytes },
+        Op::Get { req, tgt, bytes } => Op::Get { req: req % n, tgt: tgt % n, bytes },
         Op::Mcast { src, bytes, picks } => Op::Mcast {
             src: src % nodes as u8,
             bytes,

@@ -103,11 +103,6 @@ impl SimRng {
         lo + self.next_f64() * (hi - lo)
     }
 
-    /// Bernoulli trial with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
-
     /// Exponentially distributed value with the given mean (for Poisson
     /// arrival processes, e.g. noise injection).
     pub fn exp_f64(&mut self, mean: f64) -> f64 {

@@ -37,11 +37,6 @@ impl Running {
         self.max = self.max.max(x);
     }
 
-    /// Record a duration in microseconds.
-    pub fn push_duration_us(&mut self, d: SimDuration) {
-        self.push(d.as_micros_f64());
-    }
-
     pub fn count(&self) -> u64 {
         self.n
     }

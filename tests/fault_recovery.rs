@@ -550,10 +550,10 @@ proplite! {
             .opts(rc.opts.clone())
             .setup(move |w, sim| {
                 w.set_recording(true);
-                let fabric = &mut w.bcs().fabric;
-                fabric.plan_drops(plan.drops.clone());
+                let net = w.bcs().fabric.net_mut();
+                net.plan_drops(plan.drops.clone());
                 for d in &plan.degradations {
-                    fabric.degrade_link(d.clone());
+                    net.degrade_link(d.clone());
                 }
                 shadow_images(w, sim, sh, timeslice);
             })
