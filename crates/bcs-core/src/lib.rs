@@ -84,6 +84,24 @@ pub struct WriteSpec {
     pub value: i64,
 }
 
+/// A destination set an in-flight operation can keep: a borrowed list
+/// (`&[NodeId]`, `&Vec<NodeId>`) is copied, an `Rc<[NodeId]>` is shared.
+pub trait NodeSet {
+    fn into_shared(self) -> Rc<[NodeId]>;
+}
+
+impl NodeSet for Rc<[NodeId]> {
+    fn into_shared(self) -> Rc<[NodeId]> {
+        self
+    }
+}
+
+impl<T: AsRef<[NodeId]> + ?Sized> NodeSet for &T {
+    fn into_shared(self) -> Rc<[NodeId]> {
+        self.as_ref().into()
+    }
+}
+
 /// Per-destination delivery hook of `Xfer-And-Signal`: higher layers use it
 /// to deposit payloads (descriptors, strobes) into NIC data structures.
 pub use qsnet::fabric::DeliverFn;
@@ -349,6 +367,12 @@ impl<W: BcsWorld> BcsCluster<W> {
         if dests.len() == 1 && dests[0] != src {
             // Single destination: plain unicast DMA.
             let d = dests[0];
+            if per_dest.is_none() && local_event.is_none() {
+                // An event that does nothing is not scheduled (DESIGN §9):
+                // the transfer is issued and accounted, and the caller has
+                // the instant.
+                return w.bcs().fabric.issue_put(sim.now(), src, d, bytes).0;
+            }
             w.bcs().fabric.put(sim, src, d, bytes, move |w, sim| {
                 if let Some(cb) = &per_dest {
                     cb(w, sim, d);
@@ -374,37 +398,23 @@ impl<W: BcsWorld> BcsCluster<W> {
     /// and fire times are totally ordered by the fabric's ordering clock, so
     /// concurrent `Compare-And-Write`s with overlapping destination sets are
     /// sequentially consistent (paper §2, point 2).
+    ///
+    /// `dests` is a borrowed list (copied into the in-flight operation) or
+    /// an `Rc<[NodeId]>` the operation shares — the strobe loop polls the
+    /// same job nodes several times per slice ([`NodeSet`]).
     #[allow(clippy::too_many_arguments)]
     pub fn compare_and_write(
         w: &mut W,
         sim: &mut Sim<W>,
         src: NodeId,
-        dests: &[NodeId],
+        dests: impl NodeSet,
         word: GlobalWord,
         op: CmpOp,
         value: i64,
         write: Option<WriteSpec>,
         cont: impl FnOnce(&mut W, &mut Sim<W>, bool) + 'static,
     ) -> SimTime {
-        Self::compare_and_write_shared(w, sim, src, dests.into(), word, op, value, write, cont)
-    }
-
-    /// [`Self::compare_and_write`] for callers that already hold their node
-    /// set behind an `Rc` (the strobe loop polls the same job nodes several
-    /// times per slice): the in-flight operation shares the list instead of
-    /// copying it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compare_and_write_shared(
-        w: &mut W,
-        sim: &mut Sim<W>,
-        src: NodeId,
-        dests: Rc<[NodeId]>,
-        word: GlobalWord,
-        op: CmpOp,
-        value: i64,
-        write: Option<WriteSpec>,
-        cont: impl FnOnce(&mut W, &mut Sim<W>, bool) + 'static,
-    ) -> SimTime {
+        let dests = dests.into_shared();
         assert!(!dests.is_empty(), "Compare-And-Write with empty destination set");
         let span = dests.len();
         w.bcs()

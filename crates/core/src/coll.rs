@@ -30,12 +30,17 @@
 //!   schedules ([`mpi_api::coll_sched::bcast_schedule`]), cached per
 //!   (communicator, block count) in [`CollState`]; reductions replay the
 //!   table in reverse with every edge flipped.
+//!
+//! The schedule executor puts in the event queue only what has an effect:
+//! a transfer is issued without a completion event, a broadcast round
+//! schedules one event per edge (a landing block may complete a node and
+//! restart its ranks), a gather round one event in all (`sched_run_round`).
 
 use crate::engine::{BW, BcsConfig, Blocked};
 use bcs_core::{BcsCluster, CmpOp};
 use mpi_api::call::MpiResp;
 use mpi_api::coll_sched::{self, CollAlgo, RoundSchedule};
-use mpi_api::comm::{CommId, Group};
+use mpi_api::comm::{CommId, Group, RoundCounters};
 use mpi_api::datatype::{Datatype, ReduceOp, combine_native};
 use mpi_api::payload::Payload;
 use mpi_api::runtime::JobLayout;
@@ -110,10 +115,8 @@ pub(crate) struct CollRound {
 /// Engine-wide collective bookkeeping.
 #[derive(Clone)]
 pub(crate) struct CollState {
-    /// Per (rank, communicator) invocation counters, one per slot. A
-    /// `BTreeMap` so describe/checkpoint walks are deterministic by
-    /// construction (no D02 waiver needed).
-    counters: BTreeMap<(usize, CommId), [u64; SLOTS_PER_COMM as usize]>,
+    /// Invocation counters per member and slot: which round a post joins.
+    counters: RoundCounters,
     /// Keyed by `(comm, slot, round)`.
     pub rounds: BTreeMap<(u32, usize, u64), CollRound>,
     compute_nodes: usize,
@@ -126,7 +129,7 @@ pub(crate) struct CollState {
 impl CollState {
     pub fn new(layout: &JobLayout) -> CollState {
         CollState {
-            counters: BTreeMap::new(),
+            counters: RoundCounters::default(),
             rounds: BTreeMap::new(),
             compute_nodes: layout.compute_nodes,
             sched_cache: BTreeMap::new(),
@@ -175,14 +178,11 @@ pub(crate) fn post_collective(
 ) {
     let e = &mut w.engine;
     let slot = kind.slot();
-    let c = e.coll.counters.entry((rank, comm)).or_insert([0; 4]);
-    let id = c[slot];
-    c[slot] += 1;
     let node = e.node_of(rank);
     let group = e.comms.group(comm);
     let size = group.size();
-    let local_rank = group.comm_rank(rank);
-    let local_members = group.ranks_on(node).len();
+    let (local_rank, local_members) = group.locate(rank);
+    let id = e.coll.counters.enter(comm, local_rank, slot);
     let compute_nodes = e.coll.compute_nodes;
 
     let round = e
@@ -273,7 +273,7 @@ pub(crate) fn msm_queries(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) -> u32 {
         }
         queries += 1;
         let member_nodes = Rc::clone(w.engine.comms.group(comm).nodes());
-        BcsCluster::compare_and_write_shared(
+        BcsCluster::compare_and_write(
             w,
             sim,
             node,
@@ -470,6 +470,23 @@ fn gather_send_up(w: &mut BW, sim: &mut Sim<BW>, run: Rc<GatherRun>, idx: usize)
     );
 }
 
+/// Which way a pipelined round-schedule run walks the table.
+enum SchedLeg {
+    /// First round to last. `on_node` fires for a position when the last of
+    /// its blocks lands — it restarts ranks, so every edge keeps its event.
+    Bcast {
+        /// Blocks received so far per position.
+        got: RefCell<Vec<usize>>,
+        on_node: NodeFn,
+    },
+    /// The reduction: last round to first with every edge flipped. Nothing
+    /// happens at a node when a block lands, so a round is one event.
+    Gather {
+        /// Charge the NIC combine cost per received block.
+        combine: bool,
+    },
+}
+
 /// Shared state of a pipelined round-schedule run.
 struct SchedRun {
     order: Vec<NodeId>,
@@ -477,18 +494,38 @@ struct SchedRun {
     /// Payload bytes being moved (split into `sched.blocks` shares).
     bytes: u64,
     desc: u64,
-    /// Charge the NIC combine cost per received block (reduction legs).
-    combine: bool,
-    /// Walk the table last-to-first with flipped edges (the reduction).
-    gather: bool,
-    /// Blocks received so far per position (broadcast legs).
-    got: RefCell<Vec<usize>>,
-    on_node: Option<NodeFn>,
+    leg: SchedLeg,
     on_done: RefCell<Option<Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>>>,
+}
+
+impl SchedRun {
+    /// Issue the transfer of block `b` from position `s` to position `d`;
+    /// returns its share of the payload and when it lands. No event: the
+    /// executor schedules what happens then (DESIGN §14).
+    // PANIC-OK: `s` and `d` come from the table built for `order.len()`
+    // positions.
+    fn issue(&self, w: &mut BW, sim: &mut Sim<BW>, s: usize, d: usize, b: usize) -> (u64, SimTime) {
+        let share = coll_sched::block_len(self.bytes, self.sched.blocks, b);
+        let landed = BcsCluster::xfer_and_signal(
+            w,
+            sim,
+            self.order[s],
+            &[self.order[d]],
+            share + self.desc,
+            bcs_core::XsOpts::default(),
+        );
+        (share, landed)
+    }
 }
 
 /// Execute one round of the table: all of the round's one-port transfers
 /// start together, and the next round starts when the slowest completes.
+///
+/// A gather round is one event, at the instant its last block is combined.
+/// It stands where the last-firing of the per-edge events it replaces
+/// stood: those were all scheduled by this one call with nothing else
+/// scheduled in between, so no other event in the queue can tell them — or
+/// the one that is left — apart by sequence number.
 // PANIC-OK: compiled schedules are validated at compile time (rounds are
 // in-range, peers exist); the run state lives until the last round.
 fn sched_run_round(w: &mut BW, sim: &mut Sim<BW>, run: Rc<SchedRun>, r: usize) {
@@ -499,51 +536,46 @@ fn sched_run_round(w: &mut BW, sim: &mut Sim<BW>, run: Rc<SchedRun>, r: usize) {
         }
         return;
     }
-    let fwd = &run.sched.rounds[if run.gather { total - 1 - r } else { r }];
-    let edges: Vec<(usize, usize, usize)> = if run.gather {
-        fwd.iter().map(|&(s, d, b)| (d, s, b)).collect()
-    } else {
-        fwd.clone()
-    };
-    let remaining = Rc::new(Cell::new(edges.len()));
-    for (s, d, b) in edges {
-        let share = coll_sched::block_len(run.bytes, run.sched.blocks, b);
-        let t = BcsCluster::xfer_and_signal(
-            w,
-            sim,
-            run.order[s],
-            &[run.order[d]],
-            share + run.desc,
-            bcs_core::XsOpts {
-                remote_event: None,
-                local_event: None,
-                on_deliver: None,
-            },
-        );
-        let extra = if run.combine {
-            reduce_delay(&w.engine.cfg, share as usize)
-        } else {
-            SimDuration::ZERO
-        };
-        let (run2, rem) = (Rc::clone(&run), Rc::clone(&remaining));
-        sim.schedule_at(t + extra, move |w: &mut BW, sim: &mut Sim<BW>| {
-            if !run2.gather {
-                let complete = {
-                    let mut g = run2.got.borrow_mut();
-                    g[d] += 1;
-                    g[d] == run2.sched.blocks
+    match run.leg {
+        SchedLeg::Gather { combine } => {
+            let mut round_done = sim.now();
+            for &(d, s, b) in &run.sched.rounds[total - 1 - r] {
+                let (share, landed) = run.issue(w, sim, s, d, b);
+                let extra = if combine {
+                    reduce_delay(&w.engine.cfg, share as usize)
+                } else {
+                    SimDuration::ZERO
                 };
-                if complete {
-                    if let Some(cb) = &run2.on_node {
-                        cb(w, sim, run2.order[d]);
+                round_done = round_done.max(landed + extra);
+            }
+            sim.schedule_at(round_done, move |w: &mut BW, sim: &mut Sim<BW>| {
+                sched_run_round(w, sim, run, r + 1);
+            });
+        }
+        SchedLeg::Bcast { .. } => {
+            let edges = &run.sched.rounds[r];
+            let remaining = Rc::new(Cell::new(edges.len()));
+            for &(s, d, b) in edges {
+                let (_, landed) = run.issue(w, sim, s, d, b);
+                let (run2, rem) = (Rc::clone(&run), Rc::clone(&remaining));
+                sim.schedule_at(landed, move |w: &mut BW, sim: &mut Sim<BW>| {
+                    if let SchedLeg::Bcast { got, on_node } = &run2.leg {
+                        let complete = {
+                            let mut g = got.borrow_mut();
+                            g[d] += 1;
+                            g[d] == run2.sched.blocks
+                        };
+                        if complete {
+                            on_node(w, sim, run2.order[d]);
+                        }
                     }
-                }
+                    rem.set(rem.get() - 1);
+                    if rem.get() == 0 {
+                        sched_run_round(w, sim, run2, r + 1);
+                    }
+                });
             }
-            rem.set(rem.get() - 1);
-            if rem.get() == 0 {
-                sched_run_round(w, sim, Rc::clone(&run2), r + 1);
-            }
-        });
+        }
     }
 }
 
@@ -562,51 +594,30 @@ fn sched_bcast(
     on_node: NodeFn,
     on_done: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>,
 ) {
-    let blocks = coll_sched::block_count(bytes);
-    let sched = sched_for(w, comm, order.len(), blocks);
-    let desc = w.engine.cfg.desc_bytes;
-    let root = order[0];
-    on_node(w, sim, root);
-    let nn = order.len();
-    let run = Rc::new(SchedRun {
-        order,
-        sched,
-        bytes,
-        desc,
-        combine: false,
-        gather: false,
-        got: RefCell::new(vec![0; nn]),
-        on_node: Some(on_node),
-        on_done: RefCell::new(Some(on_done)),
-    });
-    sched_run_round(w, sim, run, 0);
+    on_node(w, sim, order[0]);
+    let got = RefCell::new(vec![0; order.len()]);
+    sched_leg(w, sim, comm, order, bytes, SchedLeg::Bcast { got, on_node }, on_done);
 }
 
-/// Pipelined reduction (gather) leg: the broadcast table in reverse, each
-/// delivered block paying the NIC combine cost when `combine` is set.
-#[allow(clippy::too_many_arguments)]
-fn sched_gather(
+/// Run `leg` over the cached table for `comm` and `bytes` of payload: the
+/// broadcast as built, or the reduction (gather) walking it in reverse.
+fn sched_leg(
     w: &mut BW,
     sim: &mut Sim<BW>,
     comm: CommId,
     order: Vec<NodeId>,
     bytes: u64,
-    combine: bool,
+    leg: SchedLeg,
     on_done: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>,
 ) {
     let blocks = coll_sched::block_count(bytes);
     let sched = sched_for(w, comm, order.len(), blocks);
-    let desc = w.engine.cfg.desc_bytes;
-    let nn = order.len();
     let run = Rc::new(SchedRun {
         order,
         sched,
         bytes,
-        desc,
-        combine,
-        gather: true,
-        got: RefCell::new(vec![0; nn]),
-        on_node: None,
+        desc: w.engine.cfg.desc_bytes,
+        leg,
         on_done: RefCell::new(Some(on_done)),
     });
     sched_run_round(w, sim, run, 0);
@@ -965,7 +976,7 @@ fn run_gather_leg(
         }
         CollAlgo::OptimalSchedule => {
             let order = group.nodes_from(node);
-            sched_gather(w, sim, comm, order, bytes as u64, combine, finish);
+            sched_leg(w, sim, comm, order, bytes as u64, SchedLeg::Gather { combine }, finish);
         }
     }
 }

@@ -263,7 +263,7 @@ fn poll_phase_done(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
     let target = (slice * PHASES as u64 + phase as u64 + 1) as i64;
     let mgmt = w.engine.mgmt;
     let job_nodes = w.engine.job_nodes();
-    BcsCluster::compare_and_write_shared(
+    BcsCluster::compare_and_write(
         w,
         sim,
         mgmt,

@@ -258,3 +258,80 @@ fn mid_collective_crash_recovers_bit_identically_under_every_algorithm() {
         );
     }
 }
+
+/// One small allreduce (a single pipeline block) and a barrier, or the
+/// barrier alone. Every run checkpoints at every slice boundary.
+fn allreduce_then_barrier(
+    fabric: FabricKind,
+    algo: CollAlgo,
+    layout: &JobLayout,
+    allreduce: bool,
+) -> RunResult<u64, BcsMpi> {
+    let cfg = BcsConfig {
+        fabric,
+        coll_algo: algo,
+        checkpoint_every: Some(1),
+        ..BcsConfig::default()
+    };
+    run_program(BcsMpi::new(cfg, layout), layout.clone(), move |mut mpi: AsyncMpi| async move {
+        let mut acc = 0u64;
+        if allreduce {
+            let xs: Vec<f64> = (0..8).map(|i| (mpi.rank() * 8 + i) as f64).collect();
+            for v in mpi.allreduce_f64(ReduceOp::Sum, &xs).await {
+                acc = acc.rotate_left(9) ^ v.to_bits();
+            }
+        }
+        mpi.barrier().await;
+        acc
+    })
+}
+
+/// What a schedule-driven allreduce costs the event queue, read off its
+/// table: one event per edge of the broadcast leg (a landing block may
+/// complete a node, whose ranks restart), one per round of the gather leg
+/// (nothing happens where a partial lands, so the round is one
+/// continuation), and the slice the collective occupies. Nothing per gather
+/// edge and nothing per put: an executor that schedules an event per
+/// gather edge adds `edges - rounds` to the count, a put that schedules its
+/// empty completion adds `2 * edges`, and both grow with the node count
+/// while the last term does not.
+///
+/// That last term is the allreduce's slice as the barrier-only run does not
+/// have it — five strobes with their polls, the eligibility query, the
+/// restarts — and depends on the machine, not on the collective: 27 events
+/// on QsNet at any size; on the RDMA fabric the strobes go down a software
+/// tree that delivers level by level, one event per distinct instant, so
+/// the slice costs 16 events and 10 more per level of a tree over the
+/// compute nodes and the management node.
+#[test]
+fn optimal_allreduce_costs_one_event_per_bcast_edge_and_one_per_gather_round() {
+    for (nodes, ppn) in [(2usize, 1usize), (5, 1), (8, 2), (13, 1), (16, 2)] {
+        let layout = JobLayout::new(nodes, ppn, nodes * ppn);
+        let table = mpi_api::coll_sched::bcast_schedule(nodes, 1);
+        let edges = table.rounds.iter().map(Vec::len).sum::<usize>() as u64;
+        let rounds = table.rounds.len() as u64;
+        let tree_levels = (nodes + 1).next_power_of_two().trailing_zeros() as u64;
+        for (fabric, slice) in [(FabricKind::QsNet, 27), (FabricKind::Rdma, 16 + 10 * tree_levels)] {
+            let run = |algo, allreduce| allreduce_then_barrier(fabric, algo, &layout, allreduce);
+            let optimal = run(CollAlgo::OptimalSchedule, true);
+            let added = optimal.events - run(CollAlgo::OptimalSchedule, false).events;
+            assert_eq!(
+                added,
+                edges + rounds + slice,
+                "{fabric:?}, {nodes} nodes x {ppn}: {edges} broadcast edges + {rounds} gather \
+                 rounds + {slice} for the slice"
+            );
+            // The wire schedule moves nothing an application or a
+            // checkpoint can see when the collective fits its slice.
+            for algo in [CollAlgo::HwMulticast, CollAlgo::Binomial] {
+                let other = run(algo, true);
+                assert_eq!(optimal.results, other.results, "{algo:?} on {fabric:?}");
+                assert_eq!(optimal.finish_times, other.finish_times, "{algo:?} on {fabric:?}");
+                assert_eq!(
+                    optimal.engine.checkpoints, other.engine.checkpoints,
+                    "{algo:?} on {fabric:?}"
+                );
+            }
+        }
+    }
+}

@@ -115,30 +115,49 @@ impl Group {
         self.members.len()
     }
 
-    fn find(&self, world_rank: usize) -> Option<usize> {
-        let i = self.sorted.binary_search(&world_rank).ok()?;
-        Some(match &self.rank_of_sorted {
+    /// Communicator rank of the member at `sorted[i]`.
+    fn rank_at(&self, i: usize) -> usize {
+        match &self.rank_of_sorted {
             Some(rank_of) => rank_of[i] as usize,
             None => i,
-        })
+        }
     }
 
     pub fn is_member(&self, world_rank: usize) -> bool {
-        self.find(world_rank).is_some()
+        self.sorted.binary_search(&world_rank).is_ok()
     }
 
-    /// Communicator-local rank of a world rank.
+    /// Where a member sits in `sorted`.
     // PANIC-OK: asking for the rank of a non-member is a caller bug (the API
     // layer only passes communicators the calling rank holds a handle to);
     // the message names everything needed to find it.
-    pub fn comm_rank(&self, world_rank: usize) -> usize {
-        self.find(world_rank).unwrap_or_else(|| {
+    fn member_at(&self, world_rank: usize) -> usize {
+        self.sorted.binary_search(&world_rank).unwrap_or_else(|_| {
             panic!(
                 "world rank {world_rank} is not a member of {:?} ({} members)",
                 self.id,
                 self.size()
             )
         })
+    }
+
+    /// Communicator-local rank of a world rank.
+    pub fn comm_rank(&self, world_rank: usize) -> usize {
+        self.rank_at(self.member_at(world_rank))
+    }
+
+    /// What posting a collective needs to know about its caller, from one
+    /// search: the member's communicator rank and how many members its node
+    /// hosts. A node's members are adjacent in `sorted` and at most
+    /// `cpus_per_node`, so the count is read off the caller's neighbours.
+    pub fn locate(&self, world_rank: usize) -> (usize, usize) {
+        let at = self.member_at(world_rank);
+        let cpus = self.cpus_per_node;
+        let block = world_rank / cpus * cpus;
+        let near = &self.sorted[at.saturating_sub(cpus - 1)..self.sorted.len().min(at + cpus)];
+        let on_node =
+            near.partition_point(|&r| r < block + cpus) - near.partition_point(|&r| r < block);
+        (self.rank_at(at), on_node)
     }
 
     /// Distinct compute nodes hosting members, in node order.
@@ -162,6 +181,32 @@ impl Group {
         order.push(master);
         order.extend(self.nodes.iter().filter(|&&n| n != master));
         order
+    }
+}
+
+/// How many collectives of each kind every member has entered, per
+/// communicator: the id of the round a call joins (MPI's same-order rule
+/// makes the members of a communicator agree on it). Both engines key their
+/// open rounds by it. Dense, `[comm][comm_rank]`, like the registry's
+/// groups, and grown by the first call that reaches past the end.
+#[derive(Clone, Default)]
+pub struct RoundCounters(Vec<Vec<[u64; 4]>>);
+
+impl RoundCounters {
+    /// The round of kind `slot` that member `comm_rank` of `comm` enters
+    /// now; its next call of that kind enters the one after.
+    pub fn enter(&mut self, comm: CommId, comm_rank: usize, slot: usize) -> u64 {
+        let c = comm.0 as usize;
+        if self.0.len() <= c {
+            self.0.resize_with(c + 1, Vec::new);
+        }
+        let row = &mut self.0[c];
+        if row.len() <= comm_rank {
+            row.resize(comm_rank + 1, [0; 4]);
+        }
+        let id = row[comm_rank][slot];
+        row[comm_rank][slot] += 1;
+        id
     }
 }
 

@@ -529,7 +529,7 @@ impl AsyncMpi {
 
     /// MPI_Allreduce (world).
     pub async fn allreduce(&mut self, op: ReduceOp, dtype: Datatype, data: &[u8]) -> Vec<u8> {
-        self.allreduce_on_id(CommId::WORLD, op, dtype, data.into()).await
+        self.allreduce_on_id(CommId::WORLD, op, dtype, data.into()).await.into_vec()
     }
 
     /// MPI_Allreduce over a sub-communicator.
@@ -540,7 +540,7 @@ impl AsyncMpi {
         dtype: Datatype,
         data: &[u8],
     ) -> Vec<u8> {
-        self.allreduce_on_id(comm.id, op, dtype, data.into()).await
+        self.allreduce_on_id(comm.id, op, dtype, data.into()).await.into_vec()
     }
 
     async fn allreduce_on_id(
@@ -549,7 +549,7 @@ impl AsyncMpi {
         op: ReduceOp,
         dtype: Datatype,
         data: Payload,
-    ) -> Vec<u8> {
+    ) -> Payload {
         match self
             .call(MpiCall::Reduce {
                 comm,
@@ -561,7 +561,7 @@ impl AsyncMpi {
             })
             .await
         {
-            MpiResp::Data(d) => d.into_vec(),
+            MpiResp::Data(d) => d,
             other => unreachable!("allreduce -> {other:?}"),
         }
     }

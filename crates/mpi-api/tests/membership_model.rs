@@ -2,8 +2,8 @@
 //! over random nested splits (negative colours, duplicate keys, splits of
 //! sub-communicators) every question an engine asks — a world rank's
 //! communicator rank, whether it is a member, which nodes host members, how
-//! many and which members a node hosts — has the answer a search of the
-//! plain member list gives.
+//! many and which members a node hosts, both at once for the caller of a
+//! collective — has the answer a search of the plain member list gives.
 
 use mpi_api::comm::{CommId, CommRegistry};
 use mpi_api::runtime::JobLayout;
@@ -91,6 +91,9 @@ proplite! {
                 prop_assert_eq!(reg.is_member(id, r), scan.is_some());
                 if let Some(comm_rank) = scan {
                     prop_assert_eq!(reg.comm_rank(id, r), comm_rank);
+                    let on_node =
+                        layout.ranks_on(layout.node_of(r)).filter(|r| members.contains(r)).count();
+                    prop_assert_eq!(group.locate(r), (comm_rank, on_node));
                 }
             }
             let mut nodes: Vec<NodeId> = members.iter().map(|&r| layout.node_of(r)).collect();

@@ -438,6 +438,26 @@ pub trait Fabric<W: 'static> {
 /// are — no box — unless an endpoint is dead. Each returns the completion
 /// instant.
 impl<W: 'static> dyn Fabric<W> {
+    /// The issue half of [`put`](Self::put), for a caller with nothing to
+    /// run at delivery: everything a put does to the fabric — the timing
+    /// rule's reservations, the counters, the dead-endpoint accounting —
+    /// and no simulator event. Returns the completion instant and whether
+    /// the payload lands (not when dropped or an endpoint is dead).
+    pub fn issue_put(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+    ) -> (SimTime, bool) {
+        let (at, landed) = self.put_timing(now, src, dst, bytes);
+        let net = self.net_mut();
+        let stats = &mut net.ports_mut().stats;
+        stats.puts += 1;
+        stats.put_bytes += bytes;
+        (at, net.lands(src, dst, landed))
+    }
+
     pub fn put(
         &mut self,
         sim: &mut Sim<W>,
@@ -446,12 +466,8 @@ impl<W: 'static> dyn Fabric<W> {
         bytes: u64,
         on_delivered: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
     ) -> SimTime {
-        let (at, landed) = self.put_timing(sim.now(), src, dst, bytes);
-        let net = self.net_mut();
-        let stats = &mut net.ports_mut().stats;
-        stats.puts += 1;
-        stats.put_bytes += bytes;
-        if net.lands(src, dst, landed) {
+        let (at, lands) = self.issue_put(sim.now(), src, dst, bytes);
+        if lands {
             sim.schedule_at(at, on_delivered);
         }
         at

@@ -40,25 +40,50 @@ fn qsnet<W: 'static>(model: NetModel, nodes: usize) -> Box<dyn Fabric<W>> {
     Box::new(QsNetFabric::new(model, nodes))
 }
 
-/// Execute a script, returning every operation's completion time.
+/// Execute a script on a healthy fabric, returning every operation's
+/// completion time.
 fn run_script(model: NetModel, nodes: usize, ops: &[Op]) -> Vec<u64> {
-    let mut fab = qsnet(model, nodes);
-    let mut sim: Sim<()> = Sim::new();
+    run_script_faulted(model, nodes, ops, &[], &[], false).0
+}
+
+/// Execute a script under a drop plan and with fail-stopped nodes, its
+/// puts going through `put` (a counting completion) or, with `issue_only`,
+/// through the issue half alone. Returns every operation's completion
+/// time, how many puts landed, and the fabric's final port state: clocks,
+/// every counter, `bulk_seq`.
+fn run_script_faulted(
+    model: NetModel,
+    nodes: usize,
+    ops: &[Op],
+    drops: &[u64],
+    dead: &[u8],
+    issue_only: bool,
+) -> (Vec<u64>, u64, String) {
+    let mut fab: Box<dyn Fabric<u64>> = qsnet(model, nodes);
+    fab.net_mut().plan_drops(drops.to_vec());
+    for &d in dead {
+        fab.net_mut().kill_node(NodeId(d as usize));
+    }
+    let mut sim: Sim<u64> = Sim::new();
+    let mut landed = 0u64;
     let mut completions = Vec::new();
     let all: Vec<NodeId> = (0..nodes).map(NodeId).collect();
     let mut virtual_now = SimTime::ZERO;
     for op in ops {
         // Advance the sim to `virtual_now` by draining due events.
         sim.schedule_at(virtual_now, |_, _| {});
-        while sim.now() < virtual_now && sim.step(&mut ()) {}
+        while sim.now() < virtual_now && sim.step(&mut landed) {}
         let t = match *op {
-            Op::Put { src, dst, bytes } => fab.put(
-                &mut sim,
-                NodeId(src as usize),
-                NodeId(dst as usize),
-                bytes as u64,
-                |_, _| {},
-            ),
+            Op::Put { src, dst, bytes } => {
+                let (src, dst, bytes) = (NodeId(src as usize), NodeId(dst as usize), bytes as u64);
+                if issue_only {
+                    let (at, lands) = fab.issue_put(sim.now(), src, dst, bytes);
+                    landed += lands as u64;
+                    at
+                } else {
+                    fab.put(&mut sim, src, dst, bytes, |landed, _| *landed += 1)
+                }
+            }
             Op::Get { req, tgt, bytes } => fab.get(
                 &mut sim,
                 NodeId(req as usize),
@@ -82,8 +107,10 @@ fn run_script(model: NetModel, nodes: usize, ops: &[Op]) -> Vec<u64> {
         };
         completions.push(t.as_nanos());
     }
-    sim.run(&mut ());
-    completions
+    sim.run(&mut landed);
+    let puts = ops.iter().filter(|op| matches!(op, Op::Put { .. })).count() as u64;
+    assert_eq!(fab.net().stats().puts, puts);
+    (completions, landed, format!("{:?}", fab.net_mut().snapshot()))
 }
 
 /// `(instant, destination)` per hook call; a hook's same-instant follow-up
@@ -265,6 +292,22 @@ proplite! {
                 }
             }
         }
+    }
+
+    /// Eliding a put's completion event must not elide its accounting:
+    /// the issue half alone reserves, counts (`puts`, `put_bytes`, `drops`,
+    /// `dead_skips`) and consumes `bulk_seq` coordinates exactly as `put`
+    /// does, promises the same instants, and reports as landing exactly
+    /// the puts whose completion `put` runs — under a drop plan, with dead
+    /// endpoints, between gets, multicasts and conditionals.
+    #[test]
+    fn issue_half_accounts_what_put_accounts(
+        ops in prop::collection::vec(op_strategy(8), 1..40),
+        drops in prop::collection::vec(0u64..40, 0..8),
+        dead in prop::collection::vec(0u8..8, 0..3),
+    ) {
+        let run = |issue_only| run_script_faulted(NetModel::qsnet(), 8, &ops, &drops, &dead, issue_only);
+        prop_assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use crate::engine::QuadricsMpi;
 use mpi_api::call::MpiResp;
 use mpi_api::coll_sched::{self, CollAlgo, RoundSchedule};
-use mpi_api::comm::CommId;
+use mpi_api::comm::{CommId, RoundCounters};
 use mpi_api::datatype::{Datatype, ReduceOp, combine_native};
 use mpi_api::payload::Payload;
 use mpi_api::runtime::{ClusterWorld, drain, resume_at};
@@ -70,24 +70,22 @@ struct Round {
 #[derive(Default)]
 pub struct CollManager {
     rounds: BTreeMap<(CommId, Kind, u64), Round>,
-    /// Per (rank, communicator) invocation counters:
-    /// [barrier, bcast, reduce, allgather].
-    counters: BTreeMap<(usize, CommId), [u64; 4]>,
+    /// Invocation counters per member: [barrier, bcast, reduce, allgather].
+    counters: RoundCounters,
     /// Round-schedule tables keyed by (participants, block count).
     sched_cache: BTreeMap<(usize, usize), Rc<RoundSchedule>>,
 }
 
 impl CollManager {
-    fn enter(&mut self, comm: CommId, kind: Kind, rank: usize, comm_size: usize) -> u64 {
+    /// Join member `comm_rank`'s next round of `kind` on `comm`.
+    fn enter(&mut self, comm: CommId, kind: Kind, comm_rank: usize, comm_size: usize) -> u64 {
         let slot = match kind {
             Kind::Barrier => 0,
             Kind::Bcast => 1,
             Kind::Reduce => 2,
             Kind::Allgather => 3,
         };
-        let c = self.counters.entry((rank, comm)).or_insert([0; 4]);
-        let id = c[slot];
-        c[slot] += 1;
+        let id = self.counters.enter(comm, comm_rank, slot);
         let round = self.rounds.entry((comm, kind, id)).or_default();
         if round.contribs.is_empty() {
             round.contribs = vec![None; comm_size];
@@ -121,7 +119,8 @@ impl CollManager {
 
     pub fn barrier(w: &mut QW, sim: &mut Sim<QW>, rank: usize, comm: CommId) {
         let size = w.engine.comms.size_of(comm);
-        let id = w.engine.coll.enter(comm, Kind::Barrier, rank, size);
+        let local_rank = w.engine.comms.comm_rank(comm, rank);
+        let id = w.engine.coll.enter(comm, Kind::Barrier, local_rank, size);
         let round = w.engine.coll.rounds.get_mut(&(comm, Kind::Barrier, id)).unwrap();
         round.waiters.push(rank);
         if round.arrived == size {
@@ -151,7 +150,8 @@ impl CollManager {
     ) {
         let size = w.engine.comms.size_of(comm);
         let root_world = w.engine.comms.members(comm)[root];
-        let id = w.engine.coll.enter(comm, Kind::Bcast, rank, size);
+        let local_rank = w.engine.comms.comm_rank(comm, rank);
+        let id = w.engine.coll.enter(comm, Kind::Bcast, local_rank, size);
         let key = (comm, Kind::Bcast, id);
 
         if rank == root_world {
@@ -246,7 +246,7 @@ impl CollManager {
         let size = w.engine.comms.size_of(comm);
         let root_world = w.engine.comms.members(comm)[root];
         let local_rank = w.engine.comms.comm_rank(comm, rank);
-        let id = w.engine.coll.enter(comm, Kind::Reduce, rank, size);
+        let id = w.engine.coll.enter(comm, Kind::Reduce, local_rank, size);
         let key = (comm, Kind::Reduce, id);
         let host_overhead = w.engine.cfg.net.host_overhead;
         let bytes = data.len();
@@ -318,7 +318,7 @@ impl CollManager {
     pub fn allgatherv(w: &mut QW, sim: &mut Sim<QW>, rank: usize, comm: CommId, data: Payload) {
         let size = w.engine.comms.size_of(comm);
         let local_rank = w.engine.comms.comm_rank(comm, rank);
-        let id = w.engine.coll.enter(comm, Kind::Allgather, rank, size);
+        let id = w.engine.coll.enter(comm, Kind::Allgather, local_rank, size);
         let key = (comm, Kind::Allgather, id);
         {
             let round = w.engine.coll.rounds.get_mut(&key).unwrap();
@@ -496,9 +496,9 @@ fn sched_bcast_round(w: &mut QW, sim: &mut Sim<QW>, run: Rc<SchedBcast>, r: usiz
     if r == run.sched.rounds.len() {
         return;
     }
-    let edges = run.sched.rounds[r].clone();
+    let edges = &run.sched.rounds[r];
     let remaining = Rc::new(Cell::new(edges.len()));
-    for (s, d, b) in edges {
+    for &(s, d, b) in edges {
         let share = coll_sched::block_len(run.bytes, run.sched.blocks, b);
         let (run2, rem) = (Rc::clone(&run), Rc::clone(&remaining));
         let (src, dst) = (run.order[s], run.order[d]);
@@ -515,7 +515,7 @@ fn sched_bcast_round(w: &mut QW, sim: &mut Sim<QW>, run: Rc<SchedBcast>, r: usiz
                 }
                 rem.set(rem.get() - 1);
                 if rem.get() == 0 {
-                    sched_bcast_round(w, sim, Rc::clone(&run2), r + 1);
+                    sched_bcast_round(w, sim, run2, r + 1);
                 }
             });
     }

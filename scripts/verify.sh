@@ -51,7 +51,9 @@
 #      >= 5x through gate::check_speedups, its host-time ratio printed in
 #      a note and not gated; repro exits non-zero on any miss); and the
 #      collective bake-off smoke (DESIGN.md section 14). Rewrites the four
-#      CSVs under reports/ and reports/bench_wallclock.json
+#      CSVs under reports/; the run's host timings (bench_wallclock.json,
+#      untracked: the per-PR trajectory is BENCH_<pr>.json) end up in
+#      target/
 #   8. fabric selection plumbing: the fabric-matrix CSV is byte-identical
 #      at REPRO_THREADS=1 and 4; REPRO_FABRIC=qsnet is a no-op for
 #      qsnet-default experiments, REPRO_FABRIC=rdma changes the wire
@@ -142,6 +144,8 @@ done
 
 echo "== n=4096 scale smoke + fabric-matrix smoke + ablation-schedule/-reduce smokes (single sweep worker)"
 smoke_out="$(REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick scale fabric-matrix ablation-schedule ablation-reduce)"
+# repro writes its host timings beside its CSVs; they are not a report.
+mv -f reports/bench_wallclock.json target/bench_wallclock.json
 [ -s reports/scale.csv ] || { echo "verify: missing reports/scale.csv" >&2; exit 1; }
 # O(active) slices (DESIGN.md section 9): what the strobe machinery
 # dispatches per slice at n=4096 must stay under twice the smallest n.
