@@ -26,4 +26,4 @@ pub mod sage;
 pub mod sweep3d;
 pub mod synthetic;
 
-pub use runner::{AppOutcome, EngineSel, run_app};
+pub use runner::{RunReport, RunSpec, run_app};

@@ -157,14 +157,14 @@ pub fn cg_bench(cfg: CgCfg) -> impl RankProgram<Out = (u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{EngineSel, run_app};
+    use crate::runner::{RunSpec, run_app};
     use mpi_api::runtime::JobLayout;
 
     #[test]
     fn cg_converges_identically_on_both_engines() {
         let layout = JobLayout::new(4, 2, 8);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), cg_bench(CgCfg::test()));
-        let q = run_app(&EngineSel::quadrics(), layout, cg_bench(CgCfg::test()));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), cg_bench(CgCfg::test()));
+        let q = run_app(&RunSpec::quadrics(), layout, cg_bench(CgCfg::test()));
         assert_eq!(b.results, q.results, "CG must be bit-identical across engines");
         let (rho0, rho) = b.results[0];
         assert!(f64::from_bits(rho) < f64::from_bits(rho0) * 0.9);
@@ -180,8 +180,8 @@ mod tests {
             iter_compute: SimDuration::micros(10),
         };
         let layout = JobLayout::new(4, 1, 4);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), cg_bench(cfg.clone()));
-        let q = run_app(&EngineSel::quadrics(), layout, cg_bench(cfg));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), cg_bench(cfg.clone()));
+        let q = run_app(&RunSpec::quadrics(), layout, cg_bench(cfg));
         let per_iter_us = b.elapsed.as_micros_f64() / 5.0;
         assert!(
             per_iter_us > 1_500.0,

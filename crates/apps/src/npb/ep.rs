@@ -82,14 +82,14 @@ pub fn ep_bench(cfg: EpCfg) -> impl RankProgram<Out = (i64, u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{EngineSel, run_app, slowdown_pct};
+    use crate::runner::{RunSpec, run_app, slowdown_pct};
     use mpi_api::runtime::JobLayout;
 
     #[test]
     fn ep_tallies_agree_across_engines_and_ranks() {
         let layout = JobLayout::new(4, 2, 8);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), ep_bench(EpCfg::test()));
-        let q = run_app(&EngineSel::quadrics(), layout, ep_bench(EpCfg::test()));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), ep_bench(EpCfg::test()));
+        let q = run_app(&RunSpec::quadrics(), layout, ep_bench(EpCfg::test()));
         assert_eq!(b.results, q.results);
         // All ranks see the same global tallies.
         assert!(b.results.windows(2).all(|w| w[0] == w[1]));
@@ -107,8 +107,8 @@ mod tests {
             seed: 1,
         };
         let layout = JobLayout::new(4, 2, 8);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), ep_bench(cfg.clone()));
-        let q = run_app(&EngineSel::quadrics(), layout, ep_bench(cfg));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), ep_bench(cfg.clone()));
+        let q = run_app(&RunSpec::quadrics(), layout, ep_bench(cfg));
         let s = slowdown_pct(b.elapsed, q.elapsed);
         assert!(s < 8.0, "EP slowdown {s:.1}% too high");
     }

@@ -128,14 +128,14 @@ pub fn ft_bench(cfg: FtCfg) -> impl RankProgram<Out = u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{EngineSel, run_app};
+    use crate::runner::{RunSpec, run_app};
     use mpi_api::runtime::JobLayout;
 
     #[test]
     fn ft_transposes_agree_across_engines() {
         let layout = JobLayout::new(4, 2, 8);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), ft_bench(FtCfg::test()));
-        let q = run_app(&EngineSel::quadrics(), layout, ft_bench(FtCfg::test()));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), ft_bench(FtCfg::test()));
+        let q = run_app(&RunSpec::quadrics(), layout, ft_bench(FtCfg::test()));
         assert_eq!(b.results, q.results);
         assert!(b.results.windows(2).all(|w| w[0] == w[1]));
     }
@@ -143,14 +143,14 @@ mod tests {
     #[test]
     fn ft_runs_on_non_square_grids() {
         let layout = JobLayout::new(3, 2, 6); // grid (2,3)
-        let out = run_app(&EngineSel::quadrics(), layout, ft_bench(FtCfg::test()));
+        let out = run_app(&RunSpec::quadrics(), layout, ft_bench(FtCfg::test()));
         assert_eq!(out.results.len(), 6);
     }
 
     #[test]
     fn ft_single_rank_degenerate() {
         let layout = JobLayout::new(1, 1, 1);
-        let out = run_app(&EngineSel::bcs(), layout, ft_bench(FtCfg::test()));
+        let out = run_app(&RunSpec::bcs(), layout, ft_bench(FtCfg::test()));
         assert_eq!(out.results.len(), 1);
     }
 }

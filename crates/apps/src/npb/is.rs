@@ -110,14 +110,14 @@ pub fn is_bench(cfg: IsCfg) -> impl RankProgram<Out = u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{EngineSel, run_app};
+    use crate::runner::{RunSpec, run_app};
     use mpi_api::runtime::JobLayout;
 
     #[test]
     fn is_sorts_and_checksums_match_across_engines() {
         let layout = JobLayout::new(4, 2, 8);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), is_bench(IsCfg::test()));
-        let q = run_app(&EngineSel::quadrics(), layout, is_bench(IsCfg::test()));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), is_bench(IsCfg::test()));
+        let q = run_app(&RunSpec::quadrics(), layout, is_bench(IsCfg::test()));
         assert_eq!(b.results, q.results);
         assert!(b.results.iter().any(|&c| c != 0));
     }
@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn is_single_rank_degenerate() {
         let layout = JobLayout::new(1, 1, 1);
-        let out = run_app(&EngineSel::quadrics(), layout, is_bench(IsCfg::test()));
+        let out = run_app(&RunSpec::quadrics(), layout, is_bench(IsCfg::test()));
         assert_eq!(out.results.len(), 1);
     }
 }

@@ -143,14 +143,14 @@ pub fn lu_bench(cfg: LuCfg) -> impl RankProgram<Out = u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{EngineSel, run_app};
+    use crate::runner::{RunSpec, run_app};
     use mpi_api::runtime::JobLayout;
 
     #[test]
     fn lu_wavefront_agrees_across_engines() {
         let layout = JobLayout::new(4, 2, 8);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), lu_bench(LuCfg::test()));
-        let q = run_app(&EngineSel::quadrics(), layout, lu_bench(LuCfg::test()));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), lu_bench(LuCfg::test()));
+        let q = run_app(&RunSpec::quadrics(), layout, lu_bench(LuCfg::test()));
         assert_eq!(b.results, q.results);
         assert!(b.results.windows(2).all(|w| w[0] == w[1]));
     }
@@ -158,14 +158,14 @@ mod tests {
     #[test]
     fn lu_runs_on_non_square_rank_counts() {
         let layout = JobLayout::new(4, 2, 6);
-        let out = run_app(&EngineSel::quadrics(), layout, lu_bench(LuCfg::test()));
+        let out = run_app(&RunSpec::quadrics(), layout, lu_bench(LuCfg::test()));
         assert_eq!(out.results.len(), 6);
     }
 
     #[test]
     fn lu_single_rank() {
         let layout = JobLayout::new(1, 1, 1);
-        let out = run_app(&EngineSel::quadrics(), layout, lu_bench(LuCfg::test()));
+        let out = run_app(&RunSpec::quadrics(), layout, lu_bench(LuCfg::test()));
         assert_eq!(out.results.len(), 1);
     }
 }

@@ -188,14 +188,14 @@ fn level_cost(cycle: SimDuration, levels: usize, lev: usize) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{EngineSel, run_app};
+    use crate::runner::{RunSpec, run_app};
     use mpi_api::runtime::JobLayout;
 
     #[test]
     fn mg_reduces_residual_identically() {
         let layout = JobLayout::new(4, 2, 8);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), mg_bench(MgCfg::test()));
-        let q = run_app(&EngineSel::quadrics(), layout, mg_bench(MgCfg::test()));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), mg_bench(MgCfg::test()));
+        let q = run_app(&RunSpec::quadrics(), layout, mg_bench(MgCfg::test()));
         assert_eq!(b.results, q.results);
         let (n0, n1) = b.results[0];
         assert!(f64::from_bits(n1) < f64::from_bits(n0) * 0.5);

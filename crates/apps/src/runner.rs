@@ -1,158 +1,171 @@
-//! Run a workload on either MPI engine and report its runtime.
+//! What runs, as one value, and the one path that runs it: a [`RunSpec`] is
+//! an engine's full configuration plus the livelock horizon; [`run_app`]
+//! builds that engine, drives one [`mpi_api::runtime::Job`] and returns a
+//! [`RunReport`] that keeps the finished engine for its counters. Nothing
+//! here reads the process environment: `repro --fabric`/`--coll` become a
+//! default that `bench::experiments` builds its specs from.
 
 use bcs_mpi::{BcsConfig, BcsMpi};
 use mpi_api::coll_sched::CollAlgo;
 use mpi_api::RankProgram;
-use mpi_api::runtime::{Job, JobLayout, RunOpts};
-use qsnet::FabricKind;
+use mpi_api::runtime::{Engine, Job, JobLayout, RunResult};
+use qsnet::{FabricKind, FabricStats};
 use quadrics_mpi::{QuadricsConfig, QuadricsMpi};
 use simcore::SimDuration;
 use std::fmt;
 
-/// Which MPI implementation to run on.
-#[derive(Clone)]
-pub enum EngineSel {
+/// Which MPI implementation to run on, with its full configuration.
+#[derive(Clone, Debug, PartialEq)]
+pub enum EngineCfg {
     Bcs(BcsConfig),
     Quadrics(QuadricsConfig),
 }
 
-impl EngineSel {
-    pub fn bcs() -> EngineSel {
-        EngineSel::Bcs(BcsConfig::default())
+/// One run's configuration. `Display` prints its lattice cell as one line
+/// (`bcs/rdma/optimal/sched=on/coalesce=off`, `quadrics/qsnet/hw-multicast`).
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunSpec {
+    pub engine: EngineCfg,
+    /// Livelock guard: the run is declared stuck once virtual time passes
+    /// this. The default hour is longer than any experiment in the suite.
+    pub horizon: SimDuration,
+}
+
+const HORIZON: SimDuration = SimDuration::secs(3600);
+
+impl From<BcsConfig> for RunSpec {
+    fn from(cfg: BcsConfig) -> RunSpec {
+        RunSpec { engine: EngineCfg::Bcs(cfg), horizon: HORIZON }
+    }
+}
+
+impl From<QuadricsConfig> for RunSpec {
+    fn from(cfg: QuadricsConfig) -> RunSpec {
+        RunSpec { engine: EngineCfg::Quadrics(cfg), horizon: HORIZON }
+    }
+}
+
+impl RunSpec {
+    pub fn bcs() -> RunSpec {
+        BcsConfig::default().into()
     }
 
-    pub fn quadrics() -> EngineSel {
-        EngineSel::Quadrics(QuadricsConfig::default())
+    pub fn quadrics() -> RunSpec {
+        QuadricsConfig::default().into()
     }
 
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineSel::Bcs(_) => "BCS-MPI",
-            EngineSel::Quadrics(_) => "Quadrics MPI",
+    /// The two axes both engines have.
+    fn axes(&self) -> (FabricKind, CollAlgo) {
+        match &self.engine {
+            EngineCfg::Bcs(c) => (c.fabric, c.coll_algo),
+            EngineCfg::Quadrics(c) => (c.fabric, c.coll_algo),
         }
     }
+
+    fn axes_mut(&mut self) -> (&mut FabricKind, &mut CollAlgo) {
+        match &mut self.engine {
+            EngineCfg::Bcs(c) => (&mut c.fabric, &mut c.coll_algo),
+            EngineCfg::Quadrics(c) => (&mut c.fabric, &mut c.coll_algo),
+        }
+    }
+
+    pub fn fabric(&self) -> FabricKind {
+        self.axes().0
+    }
+
+    pub fn coll_algo(&self) -> CollAlgo {
+        self.axes().1
+    }
+
+    /// The same spec under `kind`'s timing rules (the `NetModel` constants
+    /// stay as configured).
+    pub fn with_fabric(mut self, kind: FabricKind) -> RunSpec {
+        *self.axes_mut().0 = kind;
+        self
+    }
+
+    pub fn with_coll_algo(mut self, algo: CollAlgo) -> RunSpec {
+        *self.axes_mut().1 = algo;
+        self
+    }
 }
 
-/// Result of one application run.
-pub struct AppOutcome<R> {
-    /// Virtual wall time of the job.
-    pub elapsed: SimDuration,
-    /// Per-rank results (verification values).
-    pub results: Vec<R>,
-    /// Discrete events executed (simulation cost diagnostic).
-    pub events: u64,
-}
-
-/// An environment variable held a value outside its accepted option set.
-/// Carried instead of silently falling back to a default, so a typo like
-/// `REPRO_FABRIC=rmda` aborts the run rather than quietly benchmarking the
-/// wrong interconnect.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EnvOptionError {
-    /// The environment variable that was set.
-    pub var: &'static str,
-    /// The rejected value.
-    pub got: String,
-    /// Every accepted spelling (unset always means the first entry).
-    pub valid: &'static [&'static str],
-}
-
-impl fmt::Display for EnvOptionError {
+impl fmt::Display for RunSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}={:?} is not a recognized option; valid values: {} (unset defaults to {:?})",
-            self.var,
-            self.got,
-            self.valid.join(", "),
-            self.valid[0]
-        )
-    }
-}
-
-impl std::error::Error for EnvOptionError {}
-
-/// Interconnect override for app runs: `REPRO_FABRIC=rdma` retargets every
-/// engine onto the RDMA-channel fabric (software-emulated collectives),
-/// `qsnet` forces the Quadrics-class fabric, and unset leaves each
-/// experiment's explicitly configured fabric untouched. Any other value is
-/// rejected with [`EnvOptionError`]. One of the sanctioned env-read sites
-/// (detlint D04).
-pub fn fabric_from_env() -> Result<Option<FabricKind>, EnvOptionError> {
-    match std::env::var("REPRO_FABRIC") {
-        Ok(v) if v == "qsnet" => Ok(Some(FabricKind::QsNet)),
-        Ok(v) if v == "rdma" => Ok(Some(FabricKind::Rdma)),
-        Ok(v) => Err(EnvOptionError {
-            var: "REPRO_FABRIC",
-            got: v,
-            valid: &["qsnet", "rdma"],
-        }),
-        Err(_) => Ok(None),
-    }
-}
-
-/// Collective-algorithm override for app runs: `REPRO_COLL=hw-multicast`,
-/// `binomial` or `optimal` forces the wire schedule on every engine
-/// ([`mpi_api::coll_sched::CollAlgo`]); unset leaves each experiment's
-/// configured algorithm untouched. Value-plane results are bit-identical
-/// under all three, so this only moves the clock. Any other value is
-/// rejected with [`EnvOptionError`]. One of the sanctioned env-read sites
-/// (detlint D04).
-pub fn coll_algo_from_env() -> Result<Option<CollAlgo>, EnvOptionError> {
-    match std::env::var("REPRO_COLL") {
-        Ok(v) => match CollAlgo::from_label(&v) {
-            Some(algo) => Ok(Some(algo)),
-            None => Err(EnvOptionError {
-                var: "REPRO_COLL",
-                got: v,
-                valid: &["hw-multicast", "binomial", "optimal"],
-            }),
-        },
-        Err(_) => Ok(None),
-    }
-}
-
-/// Execute `program` as an MPI job on the selected engine.
-pub fn run_app<P: RankProgram>(sel: &EngineSel, layout: JobLayout, program: P) -> AppOutcome<P::Out> {
-    // A generous livelock guard: no experiment in the suite runs longer
-    // than an hour of virtual time.
-    let opts = RunOpts {
-        max_virtual: Some(SimDuration::secs(3600)),
-    };
-    let fabric = fabric_from_env().unwrap_or_else(|e| panic!("{e}"));
-    let coll = coll_algo_from_env().unwrap_or_else(|e| panic!("{e}"));
-    match sel {
-        EngineSel::Bcs(cfg) => {
-            let mut cfg = cfg.clone();
-            if let Some(kind) = fabric {
-                cfg.fabric = kind;
-            }
-            if let Some(algo) = coll {
-                cfg.coll_algo = algo;
-            }
-            let engine = BcsMpi::new(cfg, &layout);
-            let out = Job::new(engine, layout).opts(opts).start(&program).expect_complete();
-            AppOutcome {
-                elapsed: out.elapsed,
-                results: out.results,
-                events: out.events,
-            }
+        let (fabric, coll) = (self.fabric().name(), self.coll_algo().label());
+        let on = |set: bool| if set { "on" } else { "off" };
+        match &self.engine {
+            EngineCfg::Bcs(c) => write!(
+                f,
+                "bcs/{fabric}/{coll}/sched={}/coalesce={}",
+                on(c.sched_compile.is_some()),
+                on(c.coalesce.is_some())
+            ),
+            EngineCfg::Quadrics(_) => write!(f, "quadrics/{fabric}/{coll}"),
         }
-        EngineSel::Quadrics(cfg) => {
-            let mut cfg = cfg.clone();
-            if let Some(kind) = fabric {
-                cfg.fabric = kind;
-            }
-            if let Some(algo) = coll {
-                cfg.coll_algo = algo;
-            }
-            let engine = QuadricsMpi::new(cfg, &layout);
-            let out = Job::new(engine, layout).opts(opts).start(&program).expect_complete();
-            AppOutcome {
-                elapsed: out.elapsed,
-                results: out.results,
-                events: out.events,
-            }
+    }
+}
+
+/// The engine a run finished on, kept for its counters.
+pub enum RanEngine {
+    Bcs(BcsMpi),
+    Quadrics(QuadricsMpi),
+}
+
+impl RanEngine {
+    /// The BCS-MPI engine (`stats`, `sched_stats()`, `gang_switches()`, …).
+    pub fn bcs(&self) -> &BcsMpi {
+        match self {
+            RanEngine::Bcs(e) => e,
+            RanEngine::Quadrics(_) => panic!("the run was on Quadrics MPI, not BCS-MPI"),
+        }
+    }
+
+    pub fn fabric_stats(&self) -> &FabricStats {
+        match self {
+            RanEngine::Bcs(e) => e.fabric_stats(),
+            RanEngine::Quadrics(e) => e.fabric.net().stats(),
+        }
+    }
+}
+
+/// Result of [`run_app`]: per-rank `results`, virtual `elapsed`,
+/// `finish_times`, simulator `events` and `heap_pushes`, and the finished
+/// `engine`.
+pub type RunReport<R> = RunResult<R, RanEngine>;
+
+/// Execute `program` as an MPI job under `spec`. Panics, naming the spec, if
+/// the job deadlocks or passes the horizon.
+pub fn run_app<P: RankProgram>(spec: &RunSpec, layout: JobLayout, program: P) -> RunReport<P::Out> {
+    fn drive<E: Engine, P: RankProgram>(
+        spec: &RunSpec,
+        engine: E,
+        layout: JobLayout,
+        program: &P,
+        keep: fn(E) -> RanEngine,
+    ) -> RunReport<P::Out> {
+        let out = Job::new(engine, layout).horizon(spec.horizon).start(program);
+        if let Some(why) = &out.diagnostic {
+            // `RunOutcome::expect_complete`'s contract, with the
+            // configuration that failed in the message.
+            panic!("{spec}: {why}");
+        }
+        let r = out.expect_complete();
+        RunResult {
+            results: r.results,
+            elapsed: r.elapsed,
+            finish_times: r.finish_times,
+            engine: keep(r.engine),
+            events: r.events,
+            heap_pushes: r.heap_pushes,
+        }
+    }
+    match &spec.engine {
+        EngineCfg::Bcs(cfg) => {
+            drive(spec, BcsMpi::new(cfg.clone(), &layout), layout, &program, RanEngine::Bcs)
+        }
+        EngineCfg::Quadrics(cfg) => {
+            drive(spec, QuadricsMpi::new(cfg.clone(), &layout), layout, &program, RanEngine::Quadrics)
         }
     }
 }
@@ -188,39 +201,6 @@ mod tests {
         assert_eq!(grid_dims(7), (1, 7));
         assert_eq!(grid_dims(12), (3, 4));
         assert_eq!(grid_dims(1), (1, 1));
-    }
-
-    #[test]
-    fn env_option_error_names_the_valid_options() {
-        let e = EnvOptionError {
-            var: "REPRO_FABRIC",
-            got: "rmda".to_string(),
-            valid: &["qsnet", "rdma"],
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("REPRO_FABRIC"));
-        assert!(msg.contains("rmda"));
-        assert!(msg.contains("qsnet, rdma"));
-        assert!(msg.contains("defaults to \"qsnet\""));
-    }
-
-    #[test]
-    fn repro_coll_error_names_every_algorithm() {
-        let e = EnvOptionError {
-            var: "REPRO_COLL",
-            got: "bogus".to_string(),
-            valid: &["hw-multicast", "binomial", "optimal"],
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("REPRO_COLL"));
-        assert!(msg.contains("hw-multicast, binomial, optimal"));
-        assert!(msg.contains("defaults to \"hw-multicast\""));
-        // The error's option list is exactly the label set `from_label`
-        // accepts.
-        for label in e.valid {
-            assert!(CollAlgo::from_label(label).is_some());
-        }
-        assert!(CollAlgo::from_label("bogus").is_none());
     }
 
     #[test]

@@ -98,14 +98,14 @@ pub fn sage_bench(cfg: SageCfg) -> impl RankProgram<Out = u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{EngineSel, run_app, slowdown_pct};
+    use crate::runner::{RunSpec, run_app, slowdown_pct};
     use mpi_api::runtime::JobLayout;
 
     #[test]
     fn sage_is_bit_identical_across_engines() {
         let layout = JobLayout::new(4, 2, 8);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), sage_bench(SageCfg::test()));
-        let q = run_app(&EngineSel::quadrics(), layout, sage_bench(SageCfg::test()));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), sage_bench(SageCfg::test()));
+        let q = run_app(&RunSpec::quadrics(), layout, sage_bench(SageCfg::test()));
         assert_eq!(b.results, q.results);
         assert!(b.results.windows(2).all(|w| w[0] == w[1]));
     }
@@ -120,8 +120,8 @@ mod tests {
             reduce_elems: 8,
         };
         let layout = JobLayout::new(4, 2, 8);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), sage_bench(cfg.clone()));
-        let q = run_app(&EngineSel::quadrics(), layout, sage_bench(cfg));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), sage_bench(cfg.clone()));
+        let q = run_app(&RunSpec::quadrics(), layout, sage_bench(cfg));
         let s = slowdown_pct(b.elapsed, q.elapsed);
         assert!(
             s.abs() < 8.0,

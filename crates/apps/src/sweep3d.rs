@@ -159,15 +159,15 @@ pub fn sweep3d_bench(cfg: SweepCfg) -> impl RankProgram<Out = u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{EngineSel, run_app, slowdown_pct};
+    use crate::runner::{RunSpec, run_app, slowdown_pct};
     use mpi_api::runtime::JobLayout;
 
     #[test]
     fn both_variants_agree_across_engines() {
         for v in [SweepVariant::Blocking, SweepVariant::NonBlocking] {
             let layout = JobLayout::new(4, 2, 8);
-            let b = run_app(&EngineSel::bcs(), layout.clone(), sweep3d_bench(SweepCfg::test(v)));
-            let q = run_app(&EngineSel::quadrics(), layout, sweep3d_bench(SweepCfg::test(v)));
+            let b = run_app(&RunSpec::bcs(), layout.clone(), sweep3d_bench(SweepCfg::test(v)));
+            let q = run_app(&RunSpec::quadrics(), layout, sweep3d_bench(SweepCfg::test(v)));
             assert_eq!(b.results, q.results, "{v:?}");
             assert!(b.results.windows(2).all(|w| w[0] == w[1]));
         }
@@ -183,19 +183,19 @@ mod tests {
             face_elems: 64,
             variant: v,
         };
-        let bb = run_app(&EngineSel::bcs(), layout(), sweep3d_bench(mk(SweepVariant::Blocking)));
+        let bb = run_app(&RunSpec::bcs(), layout(), sweep3d_bench(mk(SweepVariant::Blocking)));
         let qb = run_app(
-            &EngineSel::quadrics(),
+            &RunSpec::quadrics(),
             layout(),
             sweep3d_bench(mk(SweepVariant::Blocking)),
         );
         let bn = run_app(
-            &EngineSel::bcs(),
+            &RunSpec::bcs(),
             layout(),
             sweep3d_bench(mk(SweepVariant::NonBlocking)),
         );
         let qn = run_app(
-            &EngineSel::quadrics(),
+            &RunSpec::quadrics(),
             layout(),
             sweep3d_bench(mk(SweepVariant::NonBlocking)),
         );

@@ -270,7 +270,7 @@ pub fn particle_stress(cfg: ParticleStressCfg) -> impl RankProgram<Out = u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{EngineSel, run_app, slowdown_pct};
+    use crate::runner::{RunSpec, run_app, slowdown_pct};
     use mpi_api::runtime::JobLayout;
 
     #[test]
@@ -280,8 +280,8 @@ mod tests {
             iters: 5,
         };
         let layout = JobLayout::new(4, 2, 8);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), barrier_loop(cfg.clone()));
-        let q = run_app(&EngineSel::quadrics(), layout, barrier_loop(cfg));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), barrier_loop(cfg.clone()));
+        let q = run_app(&RunSpec::quadrics(), layout, barrier_loop(cfg));
         assert!(b.results.iter().all(|&n| n == 5));
         assert!(q.results.iter().all(|&n| n == 5));
         // BCS pays slice quantization per barrier; baseline is ~free.
@@ -292,8 +292,8 @@ mod tests {
     fn neighbor_loop_checksums_agree_across_engines() {
         let cfg = NeighborLoopCfg::paper(SimDuration::millis(3), 4);
         let layout = JobLayout::new(4, 2, 8);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), neighbor_loop(cfg.clone()));
-        let q = run_app(&EngineSel::quadrics(), layout, neighbor_loop(cfg));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), neighbor_loop(cfg.clone()));
+        let q = run_app(&RunSpec::quadrics(), layout, neighbor_loop(cfg));
         assert_eq!(b.results, q.results, "payloads must be engine-independent");
     }
 
@@ -301,8 +301,8 @@ mod tests {
     fn particle_stress_checksums_agree_across_engines() {
         let cfg = ParticleStressCfg::small(true, 4);
         let layout = JobLayout::new(4, 2, 8);
-        let b = run_app(&EngineSel::bcs(), layout.clone(), particle_stress(cfg.clone()));
-        let q = run_app(&EngineSel::quadrics(), layout, particle_stress(cfg));
+        let b = run_app(&RunSpec::bcs(), layout.clone(), particle_stress(cfg.clone()));
+        let q = run_app(&RunSpec::quadrics(), layout, particle_stress(cfg));
         assert_eq!(b.results, q.results, "payloads must be engine-independent");
     }
 
@@ -361,8 +361,8 @@ mod tests {
                 granularity: SimDuration::millis(g_ms),
                 iters: 6,
             };
-            let b = run_app(&EngineSel::bcs(), layout(), barrier_loop(cfg.clone()));
-            let q = run_app(&EngineSel::quadrics(), layout(), barrier_loop(cfg));
+            let b = run_app(&RunSpec::bcs(), layout(), barrier_loop(cfg.clone()));
+            let q = run_app(&RunSpec::quadrics(), layout(), barrier_loop(cfg));
             slowdown_pct(b.elapsed, q.elapsed)
         };
         let fine = measure(1);

@@ -11,7 +11,7 @@
 //! never copied": the bytes a rank reads out of a batched waitall are the
 //! allocation its neighbour posted.
 
-use apps::runner::{EngineSel, run_app};
+use apps::runner::{RunSpec, run_app};
 use apps::synthetic::{NeighborLoopCfg, ParticleStressCfg, neighbor_loop, particle_stress};
 use mpi_api::message::{SrcSel, TagSel};
 use mpi_api::runtime::JobLayout;
@@ -24,13 +24,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocations (and reallocations) this thread makes per message while it
 /// runs `program`, engine construction and rank boot included.
 fn allocs_per_message<P: RankProgram>(
-    engine: EngineSel,
+    spec: &RunSpec,
     layout: JobLayout,
     program: P,
     msgs: usize,
 ) -> f64 {
     let before = CountingAlloc::allocs_on_this_thread();
-    run_app(&engine, layout, program);
+    run_app(spec, layout, program);
     (CountingAlloc::allocs_on_this_thread() - before) as f64 / msgs as f64
 }
 
@@ -41,27 +41,23 @@ fn a_message_costs_at_most_two_and_a_half_allocations() {
     let particle = ParticleStressCfg::small(false, 40);
     let particle_msgs = 32 * particle.neighbors * particle.msgs_per_peer * 40;
     let crescendo = || JobLayout::crescendo(62);
-    // (workload, allocations per message now, and as this test measured
-    // them on that earlier commit)
+    let (bcs, quadrics) = (RunSpec::bcs(), RunSpec::quadrics());
+    // (workload and spec, allocations per message now, and as this test
+    // measured them on that earlier commit)
     let rows = [
         (
-            "neighbor_loop on BCS-MPI",
-            allocs_per_message(EngineSel::bcs(), crescendo(), neighbor_loop(halo.clone()), halo_msgs),
+            format!("neighbor_loop under {bcs}"),
+            allocs_per_message(&bcs, crescendo(), neighbor_loop(halo.clone()), halo_msgs),
             8.72,
         ),
         (
-            "neighbor_loop on Quadrics MPI",
-            allocs_per_message(EngineSel::quadrics(), crescendo(), neighbor_loop(halo), halo_msgs),
+            format!("neighbor_loop under {quadrics}"),
+            allocs_per_message(&quadrics, crescendo(), neighbor_loop(halo), halo_msgs),
             4.26,
         ),
         (
-            "particle_stress on BCS-MPI",
-            allocs_per_message(
-                EngineSel::bcs(),
-                JobLayout::new(16, 2, 32),
-                particle_stress(particle),
-                particle_msgs,
-            ),
+            format!("particle_stress under {bcs}"),
+            allocs_per_message(&bcs, JobLayout::new(16, 2, 32), particle_stress(particle), particle_msgs),
             4.65,
         ),
     ];
@@ -80,15 +76,15 @@ fn a_message_costs_at_most_two_and_a_half_allocations() {
 /// entries for every three events executed (it was one for one).
 #[test]
 fn same_instant_events_share_heap_entries() {
-    let layout = JobLayout::crescendo(62);
-    let out = mpi_api::runtime::run_program(
-        bcs_mpi::BcsMpi::new(bcs_mpi::BcsConfig::default(), &layout),
-        layout,
+    let spec = RunSpec::bcs();
+    let out = run_app(
+        &spec,
+        JobLayout::crescendo(62),
         neighbor_loop(NeighborLoopCfg::paper(SimDuration::micros(400), 200)),
     );
     let share = out.heap_pushes as f64 / out.events as f64;
-    println!("neighbor_loop on BCS-MPI: {} heap pushes for {} events ({share:.3})", out.heap_pushes, out.events);
-    assert!(share <= 0.65, "{share:.3} heap pushes per event");
+    println!("neighbor_loop under {spec}: {} heap pushes for {} events ({share:.3})", out.heap_pushes, out.events);
+    assert!(share <= 0.65, "{spec}: {share:.3} heap pushes per event");
 }
 
 /// Rank `r` posts one `Payload` to `r + 1` and reads what `r - 1` sent out
@@ -112,13 +108,13 @@ async fn pass_on(mut mpi: AsyncMpi) -> (Payload, Payload) {
 
 #[test]
 fn the_receiver_reads_the_allocation_the_sender_posted() {
-    for engine in [EngineSel::bcs(), EngineSel::quadrics()] {
-        let out = run_app(&engine, JobLayout::new(4, 2, 8), pass_on);
+    for spec in [RunSpec::bcs(), RunSpec::quadrics()] {
+        let out = run_app(&spec, JobLayout::new(4, 2, 8), pass_on);
         for (r, (posted, _)) in out.results.iter().enumerate() {
             let (_, received) = &out.results[(r + 1) % 8];
             assert!(
                 Payload::ptr_eq(posted, received),
-                "rank {} read a copy of what rank {r} posted",
+                "{spec}: rank {} read a copy of what rank {r} posted",
                 (r + 1) % 8
             );
         }

@@ -8,7 +8,7 @@
 //! batchable call kind: compute, barrier, isend/irecv posts, and a
 //! waitall over requests posted before the batch.
 
-use apps::runner::{EngineSel, run_app};
+use apps::runner::{RunSpec, run_app};
 use mpi_api::message::{SrcSel, TagSel};
 use mpi_api::runtime::JobLayout;
 use mpi_api::{AsyncMpi, MpiResp, RankProgram};
@@ -120,11 +120,11 @@ proplite! {
         barrier in any::<bool>()
     ) {
         let s = Script { ranks, iters, granularity_us, msg_bytes, fanout, barrier };
-        for sel in [EngineSel::bcs(), EngineSel::quadrics()] {
-            let a = run_app(&sel, layouts(s.ranks), unbatched(s));
-            let b = run_app(&sel, layouts(s.ranks), batched(s));
-            prop_assert_eq!(&a.results, &b.results);
-            prop_assert_eq!(a.elapsed, b.elapsed);
+        for spec in [RunSpec::bcs(), RunSpec::quadrics()] {
+            let a = run_app(&spec, layouts(s.ranks), unbatched(s));
+            let b = run_app(&spec, layouts(s.ranks), batched(s));
+            prop_assert_eq!(&a.results, &b.results, "{spec}: batching changed a result");
+            prop_assert_eq!(a.elapsed, b.elapsed, "{spec}: batching moved virtual time");
         }
     }
 }

@@ -27,7 +27,7 @@
 //! QsNet and the RDMA channel behave identically.
 
 /// Knobs of the coalescer (`BcsConfig::coalesce`; `None` disables).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CoalesceCfg {
     /// Transfers strictly larger than this stay individual DMAs — past a
     /// few KB the per-DMA overhead is already amortized and merging only

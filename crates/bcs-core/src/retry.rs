@@ -20,7 +20,7 @@ use std::collections::HashSet;
 use std::rc::Rc;
 
 /// Retry/backoff parameters of one reliable transfer.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Grace period past the expected delivery instant before the transfer
     /// is presumed lost.

@@ -6,7 +6,7 @@
 //! Run offline: `cargo run --release -p bench --bin apps_micro [-- --quick]`.
 //! Emits `reports/microbench_apps_micro.csv`.
 
-use apps::runner::{EngineSel, run_app};
+use apps::runner::{RunSpec, run_app};
 use apps::synthetic::{BarrierLoopCfg, NeighborLoopCfg, barrier_loop, neighbor_loop};
 use bench::micro::Micro;
 use mpi_api::runtime::JobLayout;
@@ -16,7 +16,7 @@ use std::hint::black_box;
 fn main() {
     let mut m = Micro::from_args("apps_micro");
 
-    for (name, sel) in [("bcs", EngineSel::bcs()), ("quadrics", EngineSel::quadrics())] {
+    for (name, sel) in [("bcs", RunSpec::bcs()), ("quadrics", RunSpec::quadrics())] {
         m.bench("barrier_loop_16r_10x2ms", name, || {
             let cfg = BarrierLoopCfg {
                 granularity: SimDuration::millis(2),
@@ -27,7 +27,7 @@ fn main() {
         });
     }
 
-    for (name, sel) in [("bcs", EngineSel::bcs()), ("quadrics", EngineSel::quadrics())] {
+    for (name, sel) in [("bcs", RunSpec::bcs()), ("quadrics", RunSpec::quadrics())] {
         m.bench("neighbor_loop_16r_10x2ms", name, || {
             let cfg = NeighborLoopCfg::paper(SimDuration::millis(2), 10);
             let out = run_app(&sel, JobLayout::new(8, 2, 16), neighbor_loop(cfg));

@@ -1,12 +1,18 @@
 //! `repro` — regenerate every table and figure of the BCS-MPI paper.
 //!
 //! ```text
-//! repro [--quick] [--out DIR] [--wallclock-baseline FILE] <experiment>...
+//! repro [--quick] [--fabric qsnet|rdma] [--coll hw-multicast|binomial|optimal]
+//!       [--out DIR] [--wallclock-baseline FILE] <experiment>...
 //! repro all            # everything (slow: paper-scale 62-rank runs)
 //! repro --quick all    # CI-sized sweep of every experiment
 //! repro fig9 fig11a    # selected experiments
 //! repro --list         # every registered experiment with its description
 //! ```
+//!
+//! `--fabric` and `--coll` set the interconnect timing rules and collective
+//! wire schedule every experiment starts from ([`Wire`]); an experiment that
+//! sweeps one of them itself keeps its own values. A misspelt flag, label or
+//! experiment name is a usage error (exit status 2) before anything runs.
 //!
 //! Every selected experiment is decomposed into independent sweep points
 //! (see [`bench::experiments`]) and the points of *all* experiments are
@@ -21,36 +27,70 @@
 //! gate harness performance against a previous run's file.
 
 use bench::Report;
-use bench::experiments::{Experiment, registry};
+use bench::experiments::{Experiment, Wire, registry};
 use bench::sweep::{self, PointFn};
 use bench::wallclock::{ExperimentTime, WallclockReport};
+use mpi_api::coll_sched::CollAlgo;
+use qsnet::FabricKind;
 use std::path::PathBuf;
 
+const USAGE: &str = "\
+usage: repro [--quick] [--fabric LABEL] [--coll LABEL] [--out DIR]
+             [--wallclock-baseline FILE] <experiment>... | all
+       repro --list   # every experiment with a one-line description
+  --fabric qsnet|rdma                    interconnect timing rules experiments start from
+  --coll hw-multicast|binomial|optimal   collective wire schedule experiments start from
+    (defaults: an experiment that sweeps either axis itself keeps its own values)
+REPRO_THREADS controls the sweep worker count (default: all cores)";
+
+/// Reject the command line before any point runs.
+fn usage_error(msg: String) -> ! {
+    eprintln!("repro: {msg}");
+    eprintln!("(see `repro --list` for the experiments, `repro --help` for the flags)");
+    std::process::exit(2);
+}
+
+/// The value that has to follow `flag`; `what` says what it should be.
+fn value_of(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
+    args.next().unwrap_or_else(|| usage_error(format!("{flag} needs {what}")))
+}
+
+/// The label following `flag`, which `parse` has to accept; `valid` lists
+/// the labels it does.
+fn label_of<T>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    valid: &[&str],
+    parse: fn(&str) -> Option<T>,
+) -> T {
+    let valid = format!("one of: {}", valid.join(", "));
+    let got = value_of(args, flag, &valid);
+    parse(&got).unwrap_or_else(|| usage_error(format!("{flag} {got:?} is not {valid}")))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut quick = false;
+    let mut wire = Wire::default();
     let mut out_dir = PathBuf::from("reports");
     let mut baseline: Option<PathBuf> = None;
     let mut picks: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--quick" => quick = true,
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
+            "--fabric" => {
+                wire.fabric = label_of(&mut args, &arg, &FabricKind::ALL.map(FabricKind::name), FabricKind::from_label)
             }
-            "--wallclock-baseline" => {
-                i += 1;
-                baseline = Some(PathBuf::from(
-                    args.get(i).expect("--wallclock-baseline needs a file"),
-                ));
+            "--coll" => {
+                wire.coll = label_of(&mut args, &arg, &CollAlgo::ALL.map(CollAlgo::label), CollAlgo::from_label)
             }
+            "--out" => out_dir = value_of(&mut args, &arg, "a directory").into(),
+            "--wallclock-baseline" => baseline = Some(value_of(&mut args, &arg, "a file").into()),
             "--list" => {
                 // Mark which experiments are gated beyond regeneration:
                 // `pin` = headline values checked against recorded
                 // tolerances, `speedup` = a baseline/optimized ratio floor.
-                let exps = registry(true);
+                let exps = registry(true, wire);
                 let w = exps.iter().map(|e| e.cli.len()).max().unwrap_or(0);
                 for e in exps {
                     // Gate registries key off *report* names; fig9 is the
@@ -74,35 +114,24 @@ fn main() {
                 return;
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [--quick] [--out DIR] [--wallclock-baseline FILE] <experiment>... | all"
-                );
-                println!("       repro --list   # every experiment with a one-line description");
-                println!("REPRO_THREADS controls the sweep worker count (default: all cores)");
-                println!("REPRO_FABRIC=qsnet|rdma overrides the interconnect for every run");
-                println!(
-                    "REPRO_COLL=hw-multicast|binomial|optimal overrides the collective wire schedule"
-                );
+                println!("{USAGE}");
                 return;
             }
-            other => picks.push(other.to_string()),
+            flag if flag.starts_with("--") => usage_error(format!("unknown flag `{flag}`\n{USAGE}")),
+            _ => picks.push(arg),
         }
-        i += 1;
     }
-    if picks.is_empty() {
-        picks.push("all".to_string());
-    }
-    let all = picks.iter().any(|p| p == "all");
-    let want = |name: &str| all || picks.iter().any(|p| p == name);
+    let all = picks.is_empty() || picks.iter().any(|p| p == "all");
 
-    let selected: Vec<Experiment> = registry(quick).into_iter().filter(|e| want(e.cli)).collect();
-    if !all {
-        for p in &picks {
-            if !selected.iter().any(|e| e.cli == *p) {
-                eprintln!("warning: unknown experiment `{p}` (see --help)");
-            }
+    let experiments = registry(quick, wire);
+    for p in picks.iter().filter(|p| *p != "all") {
+        if !experiments.iter().any(|e| e.cli == *p) {
+            let known: Vec<&str> = experiments.iter().map(|e| e.cli).collect();
+            usage_error(format!("unknown experiment `{p}`; valid: all, {}", known.join(", ")));
         }
     }
+    let selected: Vec<Experiment> =
+        experiments.into_iter().filter(|e| all || picks.iter().any(|p| p == e.cli)).collect();
 
     // Pool every selected experiment's points into one global sweep so a
     // straggler point of one figure overlaps with the next figure's work.

@@ -12,13 +12,20 @@
 //! `quick` mode shrinks the sweeps so the full suite can run in CI; the
 //! full mode reproduces the paper-scale configurations (62 processes on
 //! the 32-node "crescendo" layout).
+//!
+//! Every MPI job here starts through [`apps::runner::run_app`] or
+//! [`faultsim::run_with_recovery`], under a configuration built from the
+//! registry's [`Wire`] — what `repro --fabric`/`--coll` chose. It is a
+//! default: an experiment that sweeps one of those axes itself
+//! (`fabric-matrix`, `ablation-reduce`) sets it afterwards, per row.
 
 use crate::sweep::{PointFn, PointOut};
 use crate::{Report, pct, secs};
 use apps::npb::{cg, ep, ft, is, lu, mg};
-use apps::runner::{EngineSel, run_app, slowdown_pct};
+use apps::runner::{RunSpec, run_app, slowdown_pct};
 use apps::{sage, sweep3d, synthetic};
 use bcs_mpi::BcsConfig;
+use mpi_api::coll_sched::CollAlgo;
 use mpi_api::datatype::ReduceOp;
 use mpi_api::noise::NoiseConfig;
 use mpi_api::runtime::JobLayout;
@@ -42,35 +49,80 @@ pub struct Experiment {
     pub assemble: Box<dyn FnOnce(Vec<PointOut>) -> Vec<(&'static str, Report)> + Send>,
 }
 
+/// The interconnect timing rules and collective wire schedule every engine
+/// configuration in the registry starts from (`repro --fabric`, `--coll`).
+/// As with the engine configs' own `fabric` field, this picks the timing
+/// rules, not the `NetModel` constants.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Wire {
+    pub fabric: qsnet::FabricKind,
+    pub coll: CollAlgo,
+}
+
+impl Wire {
+    pub fn bcs_cfg(self) -> BcsConfig {
+        BcsConfig { fabric: self.fabric, coll_algo: self.coll, ..BcsConfig::default() }
+    }
+
+    pub fn quadrics_cfg(self) -> QuadricsConfig {
+        QuadricsConfig { fabric: self.fabric, coll_algo: self.coll, ..QuadricsConfig::default() }
+    }
+
+    pub fn bcs(self) -> RunSpec {
+        self.bcs_cfg().into()
+    }
+
+    pub fn quadrics(self) -> RunSpec {
+        self.quadrics_cfg().into()
+    }
+}
+
 /// Every experiment, in the order `repro` emits them.
-pub fn registry(quick: bool) -> Vec<Experiment> {
+pub fn registry(quick: bool, wire: Wire) -> Vec<Experiment> {
     vec![
         table1_exp(),
-        fig2_exp(),
-        fig8a_exp(quick),
-        fig8b_exp(quick),
-        fig8c_exp(quick),
-        fig8d_exp(quick),
-        fig9_exp(quick),
-        fig10_exp(quick),
-        fig11_exp(quick, sweep3d::SweepVariant::Blocking),
-        fig11_exp(quick, sweep3d::SweepVariant::NonBlocking),
-        ablation_slice_exp(quick),
-        ablation_reduce_exp(quick),
-        ablation_noise_exp(quick),
-        ablation_chunk_exp(quick),
-        ablation_multijob_exp(),
-        ablation_fault_exp(quick),
-        ablation_schedule_exp(quick),
+        fig2_exp(wire),
+        fig8a_exp(quick, wire),
+        fig8b_exp(quick, wire),
+        fig8c_exp(quick, wire),
+        fig8d_exp(quick, wire),
+        fig9_exp(quick, wire),
+        fig10_exp(quick, wire),
+        fig11_exp(quick, wire, sweep3d::SweepVariant::Blocking),
+        fig11_exp(quick, wire, sweep3d::SweepVariant::NonBlocking),
+        ablation_slice_exp(quick, wire),
+        ablation_reduce_exp(quick, wire),
+        ablation_noise_exp(quick, wire),
+        ablation_chunk_exp(quick, wire),
+        ablation_multijob_exp(wire),
+        ablation_fault_exp(quick, wire),
+        ablation_schedule_exp(quick, wire),
         storm_launch_exp(),
-        scale_exp(quick),
-        fabric_matrix_exp(quick),
+        scale_exp(quick, wire),
+        fabric_matrix_exp(quick, wire),
     ]
 }
 
 /// Paper-default cluster: 31 usable nodes × 2 CPUs for 62 ranks.
 fn layout(ranks: usize) -> JobLayout {
     JobLayout::crescendo(ranks)
+}
+
+/// The two interconnects the sweeping experiments compare: timing rules
+/// (whose name labels the rows) and Table 1 constants.
+const FABRICS: &[(qsnet::FabricKind, fn() -> qsnet::NetModel)] = &[
+    (qsnet::FabricKind::QsNet, qsnet::NetModel::qsnet),
+    (qsnet::FabricKind::Rdma, qsnet::NetModel::infiniband),
+];
+
+/// Engine 0 (BCS-MPI) or 1 (Quadrics MPI) from `wire` on the `net`
+/// constants: the shape of every sweep over Table 1 models.
+fn net_spec(wire: Wire, engine: usize, net: qsnet::NetModel) -> RunSpec {
+    if engine == 0 {
+        BcsConfig { net, ..wire.bcs_cfg() }.into()
+    } else {
+        QuadricsConfig { net, ..wire.quadrics_cfg() }.into()
+    }
 }
 
 /// Reconstruct a virtual duration a point shipped as nanoseconds.
@@ -179,18 +231,18 @@ fn measure_xs_aggregate_mbps(net: &qsnet::NetModel, n: usize) -> f64 {
 // ======================================================================
 
 /// Two points: the blocking-delay histogram run and the overlap run.
-pub fn fig2_exp() -> Experiment {
+pub fn fig2_exp(wire: Wire) -> Experiment {
     let points: Vec<PointFn> = vec![
-        Box::new(|| {
-            let h = blocking_delay_histogram();
+        Box::new(move || {
+            let h = blocking_delay_histogram(wire);
             PointOut::new(
                 vec![h.mean().as_micros_f64(), h.quantile(0.95).as_micros_f64()],
                 vec![],
             )
         }),
-        Box::new(|| {
+        Box::new(move || {
             let l = JobLayout::new(2, 1, 2);
-            let out = run_app(&EngineSel::bcs(), l, |mut mpi: mpi_api::AsyncMpi| async move {
+            let out = run_app(&wire.bcs(), l, |mut mpi: mpi_api::AsyncMpi| async move {
                 let peer = 1 - mpi.rank();
                 let t0 = mpi.now().await;
                 for _ in 0..20 {
@@ -245,27 +297,23 @@ pub fn fig2_exp() -> Experiment {
 
 /// Run a 2-rank blocking workload and return the engine's blocking-delay
 /// histogram.
-fn blocking_delay_histogram() -> simcore::stats::LogHistogram {
+fn blocking_delay_histogram(wire: Wire) -> simcore::stats::LogHistogram {
     let l = JobLayout::new(2, 1, 2);
-    let out = mpi_api::runtime::run_program(
-        bcs_mpi::BcsMpi::new(BcsConfig::default(), &l),
-        l,
-        |mut mpi: mpi_api::AsyncMpi| async move {
-            for i in 0..60u64 {
-                mpi.compute(SimDuration::micros(113 + (i * 197) % 463)).await;
-                if mpi.rank() == 0 {
-                    mpi.send(1, 1, &[0u8; 256]).await;
-                } else {
-                    mpi.recv(
-                        mpi_api::message::SrcSel::Rank(0),
-                        mpi_api::message::TagSel::Tag(1),
-                    )
-                    .await;
-                }
+    let out = run_app(&wire.bcs(), l, |mut mpi: mpi_api::AsyncMpi| async move {
+        for i in 0..60u64 {
+            mpi.compute(SimDuration::micros(113 + (i * 197) % 463)).await;
+            if mpi.rank() == 0 {
+                mpi.send(1, 1, &[0u8; 256]).await;
+            } else {
+                mpi.recv(
+                    mpi_api::message::SrcSel::Rank(0),
+                    mpi_api::message::TagSel::Tag(1),
+                )
+                .await;
             }
-        },
-    );
-    out.engine.stats.blocking_delay.clone()
+        }
+    });
+    out.engine.bcs().stats.blocking_delay.clone()
 }
 
 // ======================================================================
@@ -276,11 +324,15 @@ fn fig8_iters(g: SimDuration) -> u64 {
     (SimDuration::millis(1500).as_nanos() / g.as_nanos()).clamp(10, 300)
 }
 
-/// A (BCS, Quadrics) point pair returning each run's virtual elapsed ns.
+/// A (`bcs`, `quadrics`) point pair returning each run's virtual elapsed ns.
 /// `lay` and `make` build the layout and app program inside each point so
 /// the closures only capture plain scalars.
-fn engine_pair_points<L, F, P>(points: &mut Vec<PointFn>, bcs: EngineSel, lay: L, make: F)
-where
+fn engine_pair_points<L, F, P>(
+    points: &mut Vec<PointFn>,
+    (bcs, quadrics): (RunSpec, RunSpec),
+    lay: L,
+    make: F,
+) where
     L: Fn() -> JobLayout + Send + Clone + 'static,
     F: Fn() -> P + Send + Clone + 'static,
     P: mpi_api::RankProgram,
@@ -292,7 +344,7 @@ where
         PointOut::new(vec![], vec![out.elapsed.as_nanos()])
     }));
     points.push(Box::new(move || {
-        let out = run_app(&EngineSel::quadrics(), lay(), make());
+        let out = run_app(&quadrics, lay(), make());
         PointOut::new(vec![], vec![out.elapsed.as_nanos()])
     }));
 }
@@ -309,13 +361,13 @@ fn pair_cells(outs: &[PointOut], pair: usize) -> (Vec<String>, f64) {
     )
 }
 
-pub fn fig8a_exp(quick: bool) -> Experiment {
+pub fn fig8a_exp(quick: bool, wire: Wire) -> Experiment {
     let ranks = if quick { 16 } else { 62 };
     let gs: &'static [u64] = if quick { &[2, 10] } else { &[1, 2, 5, 10, 20, 50] };
     let mut points: Vec<PointFn> = Vec::new();
     for &g_ms in gs {
         let g = SimDuration::millis(g_ms);
-        engine_pair_points(&mut points, EngineSel::bcs(), move || layout(ranks), move || {
+        engine_pair_points(&mut points, (wire.bcs(), wire.quadrics()), move || layout(ranks), move || {
             synthetic::barrier_loop(synthetic::BarrierLoopCfg {
                 granularity: g,
                 iters: fig8_iters(g),
@@ -347,12 +399,12 @@ pub fn fig8a_exp(quick: bool) -> Experiment {
     }
 }
 
-pub fn fig8b_exp(quick: bool) -> Experiment {
+pub fn fig8b_exp(quick: bool, wire: Wire) -> Experiment {
     let ps: &'static [usize] = if quick { &[8, 16] } else { &[4, 8, 16, 32, 48, 62] };
     let g = SimDuration::millis(10);
     let mut points: Vec<PointFn> = Vec::new();
     for &p in ps {
-        engine_pair_points(&mut points, EngineSel::bcs(), move || layout(p), move || {
+        engine_pair_points(&mut points, (wire.bcs(), wire.quadrics()), move || layout(p), move || {
             synthetic::barrier_loop(synthetic::BarrierLoopCfg {
                 granularity: g,
                 iters: 100,
@@ -379,13 +431,13 @@ pub fn fig8b_exp(quick: bool) -> Experiment {
     }
 }
 
-pub fn fig8c_exp(quick: bool) -> Experiment {
+pub fn fig8c_exp(quick: bool, wire: Wire) -> Experiment {
     let ranks = if quick { 16 } else { 62 };
     let gs: &'static [u64] = if quick { &[2, 10] } else { &[1, 2, 5, 10, 20, 50] };
     let mut points: Vec<PointFn> = Vec::new();
     for &g_ms in gs {
         let g = SimDuration::millis(g_ms);
-        engine_pair_points(&mut points, EngineSel::bcs(), move || layout(ranks), move || {
+        engine_pair_points(&mut points, (wire.bcs(), wire.quadrics()), move || layout(ranks), move || {
             synthetic::neighbor_loop(synthetic::NeighborLoopCfg::paper(g, fig8_iters(g)))
         });
     }
@@ -414,12 +466,12 @@ pub fn fig8c_exp(quick: bool) -> Experiment {
     }
 }
 
-pub fn fig8d_exp(quick: bool) -> Experiment {
+pub fn fig8d_exp(quick: bool, wire: Wire) -> Experiment {
     let ps: &'static [usize] = if quick { &[8, 16] } else { &[6, 8, 16, 32, 48, 62] };
     let g = SimDuration::millis(10);
     let mut points: Vec<PointFn> = Vec::new();
     for &p in ps {
-        engine_pair_points(&mut points, EngineSel::bcs(), move || layout(p), move || {
+        engine_pair_points(&mut points, (wire.bcs(), wire.quadrics()), move || layout(p), move || {
             synthetic::neighbor_loop(synthetic::NeighborLoopCfg::paper(g, 100))
         });
     }
@@ -446,26 +498,26 @@ pub fn fig8d_exp(quick: bool) -> Experiment {
 // Figure 9 + Table 2 — NPB and SAGE
 // ======================================================================
 
-/// BCS engine configuration for the application suite: at paper scale it
+/// Engine pair for the application suite: at paper scale BCS-MPI
 /// includes the one-time runtime initialization the paper blames for IS
 /// (§5.3); quick (CI-sized) runs skip it because their total runtime is
 /// smaller than the init itself.
-fn bcs_apps(quick: bool) -> EngineSel {
-    let mut cfg = BcsConfig::default();
+fn app_pair(quick: bool, wire: Wire) -> (RunSpec, RunSpec) {
+    let mut cfg = wire.bcs_cfg();
     if !quick {
         cfg.init_delay = apps::calib::BCS_INIT;
     }
-    EngineSel::Bcs(cfg)
+    (cfg.into(), wire.quadrics())
 }
 
 /// One (BCS, Quadrics) point pair per application: 14 points.
-pub fn fig9_exp(quick: bool) -> Experiment {
+pub fn fig9_exp(quick: bool, wire: Wire) -> Experiment {
     let ranks = if quick { 8 } else { 62 };
     let mut points: Vec<PointFn> = Vec::new();
 
     macro_rules! pair {
         ($prog:expr) => {{
-            engine_pair_points(&mut points, bcs_apps(quick), move || layout(ranks), move || $prog);
+            engine_pair_points(&mut points, app_pair(quick, wire), move || layout(ranks), move || $prog);
         }};
     }
 
@@ -537,13 +589,13 @@ pub fn fig9_exp(quick: bool) -> Experiment {
 // Figure 10 — SAGE vs processes
 // ======================================================================
 
-pub fn fig10_exp(quick: bool) -> Experiment {
+pub fn fig10_exp(quick: bool, wire: Wire) -> Experiment {
     let ps: &'static [usize] = if quick { &[4, 8] } else { &[8, 16, 32, 48, 62] };
     let mut points: Vec<PointFn> = Vec::new();
     for &p in ps {
         // Per-point sweeps exclude the one-time runtime init (reported in
         // Figure 9 / Table 2); these curves compare steady-state loop time.
-        engine_pair_points(&mut points, bcs_apps(true), move || layout(p), move || {
+        engine_pair_points(&mut points, app_pair(true, wire), move || layout(p), move || {
             let cfg = if quick {
                 sage::SageCfg::test()
             } else {
@@ -581,11 +633,11 @@ pub fn fig10_exp(quick: bool) -> Experiment {
 // Figure 11 — SWEEP3D blocking vs non-blocking
 // ======================================================================
 
-pub fn fig11_exp(quick: bool, variant: sweep3d::SweepVariant) -> Experiment {
+pub fn fig11_exp(quick: bool, wire: Wire, variant: sweep3d::SweepVariant) -> Experiment {
     let ps: &'static [usize] = if quick { &[4, 8] } else { &[4, 8, 16, 32, 48, 62] };
     let mut points: Vec<PointFn> = Vec::new();
     for &p in ps {
-        engine_pair_points(&mut points, bcs_apps(true), move || layout(p), move || {
+        engine_pair_points(&mut points, app_pair(true, wire), move || layout(p), move || {
             sweep3d::sweep3d_bench(if quick {
                 sweep3d::SweepCfg::test(variant)
             } else {
@@ -634,7 +686,7 @@ pub fn fig11_exp(quick: bool, variant: sweep3d::SweepVariant) -> Experiment {
 
 /// Time-slice length ablation: the 500 µs default against alternatives.
 /// Point 0 is the Quadrics baseline; one point per slice length follows.
-pub fn ablation_slice_exp(quick: bool) -> Experiment {
+pub fn ablation_slice_exp(quick: bool, wire: Wire) -> Experiment {
     let ranks = if quick { 8 } else { 32 };
     let slices_us: &'static [u64] = if quick { &[250, 500] } else { &[100, 250, 500, 1000, 2000] };
     let cfg = move || sweep3d::SweepCfg {
@@ -645,13 +697,13 @@ pub fn ablation_slice_exp(quick: bool) -> Experiment {
     };
     let mut points: Vec<PointFn> = Vec::new();
     points.push(Box::new(move || {
-        let q = run_app(&EngineSel::quadrics(), layout(ranks), sweep3d::sweep3d_bench(cfg()));
+        let q = run_app(&wire.quadrics(), layout(ranks), sweep3d::sweep3d_bench(cfg()));
         PointOut::new(vec![], vec![q.elapsed.as_nanos()])
     }));
     for &ts in slices_us {
         points.push(Box::new(move || {
-            let bcfg = BcsConfig::default().with_timeslice(SimDuration::micros(ts));
-            let b = run_app(&EngineSel::Bcs(bcfg), layout(ranks), sweep3d::sweep3d_bench(cfg()));
+            let bcfg = wire.bcs_cfg().with_timeslice(SimDuration::micros(ts));
+            let b = run_app(&bcfg.into(), layout(ranks), sweep3d::sweep3d_bench(cfg()));
             PointOut::new(vec![], vec![b.elapsed.as_nanos()])
         }));
     }
@@ -695,8 +747,7 @@ pub fn ablation_slice_exp(quick: bool) -> Experiment {
 /// serialized relay — the optimal schedule must beat the emulated
 /// multicast at the largest n (`rdma_optimal_large_ns` vs
 /// `rdma_mcast_large_ns` in `gate::SPEEDUPS`, virtual-time pair).
-pub fn ablation_reduce_exp(quick: bool) -> Experiment {
-    use mpi_api::coll_sched::CollAlgo;
+pub fn ablation_reduce_exp(quick: bool, wire: Wire) -> Experiment {
     let small_ns: &'static [usize] = if quick { &[8] } else { &[8, 64, 512] };
     let elem_counts: &'static [usize] = if quick { &[8, 512] } else { &[8, 512, 4096] };
     // Quick mode halves the large node count: the emulated-multicast relay
@@ -705,18 +756,12 @@ pub fn ablation_reduce_exp(quick: bool) -> Experiment {
     // oversubscribed wall-clock gate on 1-core CI boxes. The
     // optimal-vs-relay speedup gate holds at either size.
     let large_n: usize = if quick { 2048 } else { 4096 };
-    // (config fabric kind, Table 1 model, row label) — same pairing as the
-    // fabric matrix.
-    let fabrics: &'static [(qsnet::FabricKind, fn() -> qsnet::NetModel, &'static str)] = &[
-        (qsnet::FabricKind::QsNet, qsnet::NetModel::qsnet, "qsnet"),
-        (qsnet::FabricKind::Rdma, qsnet::NetModel::infiniband, "rdma"),
-    ];
     // Row grid: engines × fabrics × n × elems, plus BCS-only large-n rows
     // (the Quadrics baseline's collectives are analytic — its large-n
     // behavior is already pinned by the small rows).
     let mut rows: Vec<(usize, usize, usize, usize)> = Vec::new();
     for engine in [0usize, 1] {
-        for fi in 0..fabrics.len() {
+        for fi in 0..FABRICS.len() {
             for &n in small_ns {
                 for &elems in elem_counts {
                     rows.push((engine, fi, n, elems));
@@ -724,7 +769,7 @@ pub fn ablation_reduce_exp(quick: bool) -> Experiment {
             }
         }
     }
-    for fi in 0..fabrics.len() {
+    for fi in 0..FABRICS.len() {
         rows.push((0, fi, large_n, 512));
     }
     // Large-n points are the sweep's wall-clock cost: one iteration in
@@ -740,30 +785,17 @@ pub fn ablation_reduce_exp(quick: bool) -> Experiment {
             20
         }
     };
-    let sel_for = |engine: usize, kind: qsnet::FabricKind, net: fn() -> qsnet::NetModel, algo: CollAlgo| {
-        if engine == 0 {
-            let mut c = BcsConfig::default();
-            c.net = net();
-            c.fabric = kind;
-            c.coll_algo = algo;
-            EngineSel::Bcs(c)
-        } else {
-            let mut c = QuadricsConfig::default();
-            c.net = net();
-            c.fabric = kind;
-            c.coll_algo = algo;
-            EngineSel::Quadrics(c)
-        }
-    };
 
     let mut points: Vec<PointFn> = Vec::new();
     for &(engine, fi, n, elems) in &rows {
         for algo in CollAlgo::ALL {
             points.push(Box::new(move || {
-                let (kind, net, _) = fabrics[fi];
+                let (kind, net) = FABRICS[fi];
                 let iters = iters_for(n);
                 let out = run_app(
-                    &sel_for(engine, kind, net, algo),
+                    // Every cell fixes both wire axes itself, so `wire`
+                    // never shows in this table.
+                    &net_spec(wire, engine, net()).with_fabric(kind).with_coll_algo(algo),
                     JobLayout::new(n.div_ceil(2), 2, n),
                     move |mut mpi: mpi_api::AsyncMpi| async move {
                         let data = vec![1.0f64; elems];
@@ -793,7 +825,7 @@ pub fn ablation_reduce_exp(quick: bool) -> Experiment {
                     .map(|ai| format!("{:.1}us", outs[ri * CollAlgo::ALL.len() + ai].nums[0]))
                     .collect();
                 let eng = if engine == 0 { "bcs" } else { "quadrics" };
-                let fab = fabrics[fi].2;
+                let fab = FABRICS[fi].0.name();
                 r.row(format!("{eng}/{fab} n={n} {elems}f64"), cells);
                 if engine == 0 && fab == "rdma" && n == large_n {
                     let base = ri * CollAlgo::ALL.len();
@@ -811,7 +843,7 @@ pub fn ablation_reduce_exp(quick: bool) -> Experiment {
 
 /// OS-noise ablation (§4.5, reference \[20\]): four points — Quadrics and
 /// BCS, clean and with the noise injector.
-pub fn ablation_noise_exp(quick: bool) -> Experiment {
+pub fn ablation_noise_exp(quick: bool, wire: Wire) -> Experiment {
     let ranks = if quick { 8 } else { 62 };
     let iters = if quick { 50 } else { 200 };
     let cfg = move || synthetic::BarrierLoopCfg {
@@ -823,25 +855,17 @@ pub fn ablation_noise_exp(quick: bool) -> Experiment {
         hole: SimDuration::micros(800),
         seed: 99,
     };
-    let sels: Vec<EngineSel> = vec![
-        EngineSel::quadrics(),
-        {
-            let mut qn_cfg = QuadricsConfig::default();
-            qn_cfg.noise = Some(noise());
-            EngineSel::Quadrics(qn_cfg)
-        },
-        EngineSel::bcs(),
-        {
-            let mut bn_cfg = BcsConfig::default();
-            bn_cfg.noise = Some(noise());
-            EngineSel::Bcs(bn_cfg)
-        },
+    let specs: [RunSpec; 4] = [
+        wire.quadrics(),
+        QuadricsConfig { noise: Some(noise()), ..wire.quadrics_cfg() }.into(),
+        wire.bcs(),
+        BcsConfig { noise: Some(noise()), ..wire.bcs_cfg() }.into(),
     ];
-    let points: Vec<PointFn> = sels
+    let points: Vec<PointFn> = specs
         .into_iter()
-        .map(|sel| {
+        .map(|spec| {
             Box::new(move || {
-                let out = run_app(&sel, layout(ranks), synthetic::barrier_loop(cfg()));
+                let out = run_app(&spec, layout(ranks), synthetic::barrier_loop(cfg()));
                 PointOut::new(vec![], vec![out.elapsed.as_nanos()])
             }) as PointFn
         })
@@ -869,16 +893,16 @@ pub fn ablation_noise_exp(quick: bool) -> Experiment {
 }
 
 /// Chunking ablation: one point per (message size, engine).
-pub fn ablation_chunk_exp(quick: bool) -> Experiment {
+pub fn ablation_chunk_exp(quick: bool, wire: Wire) -> Experiment {
     let sizes: &'static [usize] = if quick {
         &[16 * 1024, 1024 * 1024]
     } else {
         &[4 * 1024, 64 * 1024, 256 * 1024, 1024 * 1024, 4 * 1024 * 1024]
     };
-    let measure = |sel: EngineSel, sz: usize| -> PointFn {
+    let measure = |spec: RunSpec, sz: usize| -> PointFn {
         Box::new(move || {
             let l = JobLayout::new(2, 1, 2);
-            let out = run_app(&sel, l, move |mut mpi: mpi_api::AsyncMpi| async move {
+            let out = run_app(&spec, l, move |mut mpi: mpi_api::AsyncMpi| async move {
                 let reps = 4;
                 mpi.barrier().await;
                 let t0 = mpi.now().await;
@@ -897,8 +921,8 @@ pub fn ablation_chunk_exp(quick: bool) -> Experiment {
     };
     let mut points: Vec<PointFn> = Vec::new();
     for &sz in sizes {
-        points.push(measure(EngineSel::bcs(), sz));
-        points.push(measure(EngineSel::quadrics(), sz));
+        points.push(measure(wire.bcs(), sz));
+        points.push(measure(wire.quadrics(), sz));
     }
     Experiment {
         name: "ablation_chunk",
@@ -935,7 +959,7 @@ pub fn ablation_chunk_exp(quick: bool) -> Experiment {
 ///
 /// Three points: the analytic solo/duo schedules, the dedicated-CPU engine
 /// run, and the gang-shared engine run.
-pub fn ablation_multijob_exp() -> Experiment {
+pub fn ablation_multijob_exp(wire: Wire) -> Experiment {
     // Two jobs of blocking ring exchanges, gang-scheduled on shared nodes.
     let steps = 60u64;
     let compute = SimDuration::micros(1_300);
@@ -986,15 +1010,11 @@ pub fn ablation_multijob_exp() -> Experiment {
             )
         }),
         Box::new(move || {
-            let dedicated = mpi_api::runtime::run_program(
-                bcs_mpi::BcsMpi::new(BcsConfig::default(), &lay()),
-                lay(),
-                program,
-            );
+            let dedicated = run_app(&wire.bcs(), lay(), program);
             PointOut::new(vec![], vec![dedicated.elapsed.as_nanos()])
         }),
         Box::new(move || {
-            let mut gcfg = BcsConfig::default();
+            let mut gcfg = wire.bcs_cfg();
             let mut jobs = vec![Vec::new(), Vec::new()];
             for rank in 0..16 {
                 jobs[(rank % 4) / 2].push(rank);
@@ -1003,11 +1023,10 @@ pub fn ablation_multijob_exp() -> Experiment {
                 jobs,
                 switch_cost: SimDuration::micros(25),
             });
-            let gang =
-                mpi_api::runtime::run_program(bcs_mpi::BcsMpi::new(gcfg, &lay()), lay(), program);
+            let gang = run_app(&gcfg.into(), lay(), program);
             PointOut::new(
                 vec![],
-                vec![gang.elapsed.as_nanos(), gang.engine.gang_switches()],
+                vec![gang.elapsed.as_nanos(), gang.engine.bcs().gang_switches()],
             )
         }),
     ];
@@ -1079,18 +1098,19 @@ pub fn ablation_multijob_exp() -> Experiment {
 /// Point layout: `[baseline, {clean(k), faulted(k, mtbf)...}..., cost...]`.
 /// Faulted points ship their per-rank checksums so `assemble` can verify
 /// them against the baseline's without rerunning anything.
-pub fn ablation_fault_exp(quick: bool) -> Experiment {
+pub fn ablation_fault_exp(quick: bool, wire: Wire) -> Experiment {
     use faultsim::{FaultPlan, FaultProfile, RecoveryCfg, fault_free_reference, run_with_recovery};
-    use mpi_api::runtime::RunOpts;
 
     let (nodes, cpus, iters) = if quick { (4usize, 1usize, 5u64) } else { (8, 2, 10) };
     let ranks = nodes * cpus;
     let lay = move || JobLayout::new(nodes, cpus, ranks);
     let intervals: &'static [u64] = if quick { &[2, 8] } else { &[2, 8, 32] };
     let mtbfs: &'static [f64] = if quick { &[6.0] } else { &[12.0, 50.0] };
-    let ckpt_cost = SimDuration::micros(50);
-    let opts = move || RunOpts {
-        max_virtual: Some(SimDuration::secs(60)),
+    // Checkpoint every `k` slices, each image costing `cost_us` to serialize.
+    let recovery = move |k: u64, cost_us: u64| {
+        let mut rc = RecoveryCfg::new(wire.bcs_cfg(), k);
+        rc.bcs.checkpoint_cost = SimDuration::micros(cost_us);
+        rc
     };
 
     // Deterministic ring workload (specific receives, mixed chunked/small
@@ -1128,19 +1148,17 @@ pub fn ablation_fault_exp(quick: bool) -> Experiment {
     };
 
     let mut points: Vec<PointFn> = Vec::new();
-    // Baseline: elapsed ns followed by the per-rank checksums.
+    // Baseline: elapsed ns followed by the per-rank checksums. The reference
+    // run drops the images and their cost, so the interval does not matter.
     points.push(Box::new(move || {
-        let base = fault_free_reference(&BcsConfig::default(), lay(), program, opts());
+        let base = fault_free_reference(&recovery(intervals[0], 0), lay(), program);
         let mut words = vec![base.elapsed.as_nanos()];
         words.extend(base.results.iter().copied());
         PointOut::new(vec![], words)
     }));
     for &k in intervals {
         points.push(Box::new(move || {
-            let mut rc = RecoveryCfg::new(BcsConfig::default(), k);
-            rc.bcs.checkpoint_cost = ckpt_cost;
-            rc.opts = opts();
-            let clean = run_with_recovery(&rc, lay(), &FaultPlan::none(), program);
+            let clean = run_with_recovery(&recovery(k, 50), lay(), &FaultPlan::none(), program);
             assert!(clean.completed, "clean checkpointed run failed: {:?}", clean.abort);
             let last = clean.engine.images.last().expect("a checkpointed run leaves images");
             PointOut::new(
@@ -1154,9 +1172,7 @@ pub fn ablation_fault_exp(quick: bool) -> Experiment {
         }));
         for &mtbf in mtbfs {
             points.push(Box::new(move || {
-                let mut rc = RecoveryCfg::new(BcsConfig::default(), k);
-                rc.bcs.checkpoint_cost = ckpt_cost;
-                rc.opts = opts();
+                let rc = recovery(k, 50);
                 let horizon = iters * 4;
                 let plan = FaultPlan::generate(
                     0xBC5 + k * 31 + mtbf as u64,
@@ -1204,10 +1220,7 @@ pub fn ablation_fault_exp(quick: bool) -> Experiment {
     const COSTS_US: [u64; 3] = [50, 200, 400];
     for cost_us in COSTS_US {
         points.push(Box::new(move || {
-            let mut rc = RecoveryCfg::new(BcsConfig::default(), 2);
-            rc.bcs.checkpoint_cost = SimDuration::micros(cost_us);
-            rc.opts = opts();
-            let clean = run_with_recovery(&rc, lay(), &FaultPlan::none(), program);
+            let clean = run_with_recovery(&recovery(2, cost_us), lay(), &FaultPlan::none(), program);
             assert!(clean.completed, "cost sweep failed: {:?}", clean.abort);
             PointOut::new(vec![], vec![clean.elapsed.as_nanos()])
         }));
@@ -1322,7 +1335,7 @@ pub fn ablation_fault_exp(quick: bool) -> Experiment {
 /// issues, which feed the `gate::check_speedup` ≥5x gate through report
 /// metrics; their host times are reported in a note, never gated, and
 /// neither reaches CSV rows.
-pub fn ablation_schedule_exp(quick: bool) -> Experiment {
+pub fn ablation_schedule_exp(quick: bool, wire: Wire) -> Experiment {
     let ns: &'static [usize] = if quick { &[4, 16] } else { &[16, 64, 256] };
     let sizes: &'static [usize] = if quick { &[32, 128] } else { &[32, 128, 1024] };
     let iters: u64 = 6;
@@ -1348,19 +1361,18 @@ pub fn ablation_schedule_exp(quick: bool) -> Experiment {
             for &n in ns {
                 for variant in 0..3usize {
                     points.push(Box::new(move || {
-                        let mut bcfg = BcsConfig::default();
+                        let mut bcfg = wire.bcs_cfg();
                         bcfg.sched_compile =
                             if variant == 0 { None } else { Some(Default::default()) };
                         bcfg.coalesce =
                             if variant == 2 { Some(Default::default()) } else { None };
-                        let lay = || JobLayout::new(n, 2, 2 * n);
-                        let out = mpi_api::runtime::run_program(
-                            bcs_mpi::BcsMpi::new(bcfg, &lay()),
-                            lay(),
+                        let out = run_app(
+                            &bcfg.into(),
+                            JobLayout::new(n, 2, 2 * n),
                             synthetic::particle_stress(cfg(stable, sz)),
                         );
-                        let s = out.engine.sched_stats();
-                        let st = &out.engine.stats;
+                        let s = out.engine.bcs().sched_stats();
+                        let st = &out.engine.bcs().stats;
                         PointOut::new(
                             vec![],
                             vec![
@@ -1604,7 +1616,7 @@ fn machinery_min_ns(msgs: usize, compiled: bool) -> (f64, u64) {
 /// thread regardless of n and the sweep's peak thread count stays bounded
 /// by `REPRO_THREADS`; each point records the process's live OS-thread
 /// count so the assembled report can state the observed peak.
-pub fn scale_exp(quick: bool) -> Experiment {
+pub fn scale_exp(quick: bool, wire: Wire) -> Experiment {
     let ns: &'static [usize] = if quick {
         &[64, 1024, 4096]
     } else {
@@ -1625,26 +1637,17 @@ pub fn scale_exp(quick: bool) -> Experiment {
         }
     };
     let bgl_layout = |n: usize| JobLayout::new(n.div_ceil(2), 2, n);
-    let bgl_bcs = || {
-        let mut c = BcsConfig::default();
-        c.net = qsnet::NetModel::bluegene_l();
-        EngineSel::Bcs(c)
-    };
-    let bgl_quadrics = || {
-        let mut c = QuadricsConfig::default();
-        c.net = qsnet::NetModel::bluegene_l();
-        EngineSel::Quadrics(c)
-    };
+    let bgl = move |engine: usize| net_spec(wire, engine, qsnet::NetModel::bluegene_l());
 
     let mut points: Vec<PointFn> = Vec::new();
     for &n in ns {
-        for mk_sel in [bgl_bcs as fn() -> EngineSel, bgl_quadrics as fn() -> EngineSel] {
+        for engine in [0usize, 1] {
             points.push(Box::new(move || {
                 let cfg = synthetic::BarrierLoopCfg {
                     granularity: g,
                     iters: iters(n),
                 };
-                let out = run_app(&mk_sel(), bgl_layout(n), synthetic::barrier_loop(cfg));
+                let out = run_app(&bgl(engine), bgl_layout(n), synthetic::barrier_loop(cfg));
                 PointOut::new(
                     vec![],
                     vec![out.elapsed.as_nanos(), crate::sweep::os_thread_count(), out.events],
@@ -1653,10 +1656,10 @@ pub fn scale_exp(quick: bool) -> Experiment {
         }
     }
     for &n in ns {
-        for mk_sel in [bgl_bcs as fn() -> EngineSel, bgl_quadrics as fn() -> EngineSel] {
+        for engine in [0usize, 1] {
             points.push(Box::new(move || {
                 let cfg = synthetic::NeighborLoopCfg::paper(g, iters(n));
-                let out = run_app(&mk_sel(), bgl_layout(n), synthetic::neighbor_loop(cfg));
+                let out = run_app(&bgl(engine), bgl_layout(n), synthetic::neighbor_loop(cfg));
                 PointOut::new(
                     vec![],
                     vec![out.elapsed.as_nanos(), crate::sweep::os_thread_count()],
@@ -1777,38 +1780,24 @@ pub fn storm_launch_exp() -> Experiment {
 /// kernel (CG) runs at a fixed rank count. Each row is a (BCS, Quadrics)
 /// pair on one fabric, so the headline is how well BCS-MPI's primitives
 /// survive losing the hardware collectives.
-pub fn fabric_matrix_exp(quick: bool) -> Experiment {
+pub fn fabric_matrix_exp(quick: bool, wire: Wire) -> Experiment {
     let ns: &'static [usize] = if quick { &[16, 62] } else { &[16, 62, 256] };
     let g = SimDuration::millis(10);
     let iters: u64 = if quick { 10 } else { 40 };
     let cg_ranks = if quick { 8 } else { 62 };
-    // (config fabric kind, Table 1 model, row label)
-    let fabrics: &'static [(qsnet::FabricKind, fn() -> qsnet::NetModel, &'static str)] = &[
-        (qsnet::FabricKind::QsNet, qsnet::NetModel::qsnet, "qsnet"),
-        (qsnet::FabricKind::Rdma, qsnet::NetModel::infiniband, "rdma"),
-    ];
-    let sel_for = |kind: qsnet::FabricKind, net: fn() -> qsnet::NetModel, engine: usize| {
-        if engine == 0 {
-            let mut c = BcsConfig::default();
-            c.net = net();
-            c.fabric = kind;
-            EngineSel::Bcs(c)
-        } else {
-            let mut c = QuadricsConfig::default();
-            c.net = net();
-            c.fabric = kind;
-            EngineSel::Quadrics(c)
-        }
+    // Each row fixes its fabric; `wire` supplies the collective algorithm.
+    let spec_for = move |kind, net: fn() -> qsnet::NetModel, engine: usize| {
+        net_spec(wire, engine, net()).with_fabric(kind)
     };
 
     let mut points: Vec<PointFn> = Vec::new();
-    for &(kind, net, _) in fabrics {
+    for &(kind, net) in FABRICS {
         for &n in ns {
             for engine in [0usize, 1] {
                 points.push(Box::new(move || {
                     let cfg = synthetic::BarrierLoopCfg { granularity: g, iters };
                     let out = run_app(
-                        &sel_for(kind, net, engine),
+                        &spec_for(kind, net, engine),
                         JobLayout::new(n.div_ceil(2), 2, n),
                         synthetic::barrier_loop(cfg),
                     );
@@ -1821,7 +1810,7 @@ pub fn fabric_matrix_exp(quick: bool) -> Experiment {
                 points.push(Box::new(move || {
                     let cfg = synthetic::NeighborLoopCfg::paper(g, iters);
                     let out = run_app(
-                        &sel_for(kind, net, engine),
+                        &spec_for(kind, net, engine),
                         JobLayout::new(n.div_ceil(2), 2, n),
                         synthetic::neighbor_loop(cfg),
                     );
@@ -1833,7 +1822,7 @@ pub fn fabric_matrix_exp(quick: bool) -> Experiment {
             points.push(Box::new(move || {
                 let cfg = if quick { cg::CgCfg::test() } else { cg::CgCfg::class_c() };
                 let out = run_app(
-                    &sel_for(kind, net, engine),
+                    &spec_for(kind, net, engine),
                     layout(cg_ranks),
                     cg::cg_bench(cfg),
                 );
@@ -1855,7 +1844,8 @@ pub fn fabric_matrix_exp(quick: bool) -> Experiment {
             // Per fabric: ns.len() barrier pairs, ns.len() neighbor pairs,
             // then one CG pair.
             let block = 2 * ns.len() + 1;
-            for (fi, &(_, _, label)) in fabrics.iter().enumerate() {
+            for (fi, &(kind, _)) in FABRICS.iter().enumerate() {
+                let label = kind.name();
                 for (ni, &n) in ns.iter().enumerate() {
                     let (cells, sd) = pair_cells(&outs, fi * block + ni);
                     if n == *ns.last().unwrap() {

@@ -5,13 +5,14 @@
 //! all formatting happens after the sweep).
 
 use bench::Report;
-use bench::experiments::{Experiment, registry};
+use bench::experiments::{Experiment, Wire, registry};
 use bench::sweep::{self, PointFn};
 
 /// Quick-mode experiments cheap enough for a debug-build tier-1 test but
 /// representative of every point shape: multi-report assembly (fig2),
 /// engine pairs (fig8c, ablation_slice), pure-model grids (table1,
-/// storm_launch), and word-payload points (ablation_fault).
+/// storm_launch), word-payload points (ablation_fault), and both sets of
+/// fabric timing rules (fabric_matrix).
 const PICKS: &[&str] = &[
     "table1",
     "fig2",
@@ -19,12 +20,13 @@ const PICKS: &[&str] = &[
     "ablation-slice",
     "ablation-fault",
     "storm-launch",
+    "fabric-matrix",
 ];
 
 /// Run the picked experiments pooled on `threads` workers, returning every
 /// emitted report's CSV bytes in emit order.
 fn csvs_at(threads: usize) -> Vec<(String, String)> {
-    let selected: Vec<Experiment> = registry(true)
+    let selected: Vec<Experiment> = registry(true, Wire::default())
         .into_iter()
         .filter(|e| PICKS.contains(&e.cli))
         .collect();

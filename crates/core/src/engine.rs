@@ -25,7 +25,7 @@ use simcore::{Sim, SimDuration, SimTime};
 pub(crate) type BW = ClusterWorld<BcsMpi>;
 
 /// Tuning knobs of BCS-MPI.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BcsConfig {
     pub net: NetModel,
     /// Which interconnect implementation carries the wire traffic: QsNet
@@ -100,8 +100,8 @@ pub struct BcsConfig {
     /// [`mpi_api::coll_sched`]): the fabric's native multicast (the paper's
     /// path and the default), a binomial tree of point-to-point DMAs, or
     /// the pipelined round-schedule. Value-plane results are bit-identical
-    /// across all three; only the modeled wire traffic changes. Overridable
-    /// per run with `REPRO_COLL` (see `apps::runner`).
+    /// across all three; only the modeled wire traffic changes.
+    /// `repro --coll <label>` sets the default experiments start from.
     pub coll_algo: mpi_api::coll_sched::CollAlgo,
 }
 

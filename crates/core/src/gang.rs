@@ -20,7 +20,7 @@
 use simcore::SimDuration;
 
 /// Partition of the world's ranks into gang-scheduled jobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GangConfig {
     /// World ranks of each job. Must partition `0..ranks`.
     pub jobs: Vec<Vec<usize>>,

@@ -41,7 +41,7 @@ use crate::match_index::{RecvSel, SendKey};
 use mpi_api::message::{SrcSel, TagSel};
 
 /// Knobs of the pattern detector (`BcsConfig::sched_compile`).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SchedCompileCfg {
     /// Consecutive identical slice fingerprints required before the next
     /// matching pass is recorded into a compiled schedule.

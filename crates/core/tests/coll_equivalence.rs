@@ -240,13 +240,8 @@ fn mid_collective_crash_recovers_bit_identically_under_every_algorithm() {
         bcs.coll_algo = algo;
         let rc = RecoveryCfg::new(bcs, 2);
         let layout = JobLayout::new(4, 1, 4);
-        let reference = fault_free_reference(
-            &rc.bcs,
-            layout.clone(),
-            |mpi: AsyncMpi| coll_program(mpi, 6),
-            rc.opts.clone(),
-        )
-        .results;
+        let reference =
+            fault_free_reference(&rc, layout.clone(), |mpi: AsyncMpi| coll_program(mpi, 6)).results;
         let plan = FaultPlan::single_crash(&rc.bcs, NodeId(2), 5);
         let out = run_with_recovery(&rc, layout, &plan, |mpi: AsyncMpi| coll_program(mpi, 6));
         assert!(out.completed, "{algo:?}: recovery failed: {:?}", out.abort);

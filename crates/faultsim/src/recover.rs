@@ -19,7 +19,7 @@ use crate::plan::{CrashEvent, FaultPlan};
 use bcs_core::BcsWorld;
 use bcs_mpi::{BcsConfig, BcsMpi, CheckpointImage, FailureInfo};
 use mpi_api::RankProgram;
-use mpi_api::runtime::{ClusterWorld, Job, JobLayout, RunOpts};
+use mpi_api::runtime::{ClusterWorld, Job, JobLayout};
 use qsnet::NodeId;
 use simcore::{Sim, SimDuration, SimTime};
 use std::rc::Rc;
@@ -38,8 +38,8 @@ pub struct RecoveryCfg {
     pub heartbeat_period: SimDuration,
     /// Restarts allowed before the machine aborts.
     pub max_restarts: usize,
-    /// Per-segment run options (virtual-time horizon).
-    pub opts: RunOpts,
+    /// Virtual-time horizon of every segment (see `Job::horizon`).
+    pub horizon: SimDuration,
 }
 
 impl RecoveryCfg {
@@ -56,9 +56,7 @@ impl RecoveryCfg {
             heartbeat_period: bcs.timeslice * 4,
             bcs,
             max_restarts: 8,
-            opts: RunOpts {
-                max_virtual: Some(SimDuration::secs(60)),
-            },
+            horizon: SimDuration::secs(60),
         }
     }
 }
@@ -144,7 +142,7 @@ where
 
     // Segment 0: fresh run with the full plan armed.
     let mut outcome = Job::new(BcsMpi::new(cfg.bcs.clone(), &layout), layout.clone())
-        .opts(cfg.opts.clone())
+        .horizon(cfg.horizon)
         .setup(|w, sim| {
             w.set_recording(true);
             inject(w, sim, &plan.crashes, plan, cfg.heartbeat_period, SimTime::ZERO);
@@ -224,7 +222,7 @@ where
         let remaining = plan.crashes_after(fail.at);
         let engine = BcsMpi::restore_from_image(cfg.bcs.clone(), &layout, img);
         outcome = Job::new(engine, layout.clone())
-            .opts(cfg.opts.clone())
+            .horizon(cfg.horizon)
             .resume_from(&img.rt, bcs_mpi::resume_from_boundary)
             .setup(|w, sim| inject(w, sim, &remaining, plan, cfg.heartbeat_period, img.captured_at))
             .start(&program);
@@ -313,19 +311,18 @@ fn aborted<R>(
 
 /// Helper for experiments and tests: the fault-free reference run of the
 /// same program (no monitor, no recording, no faults) under `cfg`'s engine
-/// configuration with images disabled — the timing baseline against which
-/// checkpoint overhead and recovery cost are measured.
+/// configuration and horizon with images disabled — the timing baseline
+/// against which checkpoint overhead and recovery cost are measured.
 pub fn fault_free_reference<P>(
-    bcs: &BcsConfig,
+    cfg: &RecoveryCfg,
     layout: JobLayout,
     program: P,
-    opts: RunOpts,
 ) -> mpi_api::runtime::RunResult<P::Out, BcsMpi>
 where
     P: RankProgram,
 {
-    let mut cfg = bcs.clone();
-    cfg.checkpoint_images = false;
-    cfg.checkpoint_cost = SimDuration::ZERO;
-    Job::new(BcsMpi::new(cfg, &layout), layout).opts(opts).start(&program).expect_complete()
+    let mut bcs = cfg.bcs.clone();
+    bcs.checkpoint_images = false;
+    bcs.checkpoint_cost = SimDuration::ZERO;
+    Job::new(BcsMpi::new(bcs, &layout), layout).horizon(cfg.horizon).start(&program).expect_complete()
 }

@@ -18,7 +18,7 @@
 use simcore::{SimDuration, SimRng, SimTime};
 
 /// Configuration of per-node noise.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NoiseConfig {
     /// Mean interval between dæmon activations on one node.
     pub mean_interval: SimDuration,

@@ -7,8 +7,8 @@
 //! futures, so job size is bounded by memory, not by the host's thread
 //! limit.
 //!
-//! A run is described once as a [`Job`] value — engine, layout, options, an
-//! optional setup hook, an optional checkpoint to resume from — and then
+//! A run is described once as a [`Job`] value — engine, layout, an optional
+//! horizon, setup hook and checkpoint to resume from — and then
 //! started; [`run_program`] is the shorthand for the common case.
 //!
 //! Every [`MpiCall`] a rank issues is dispatched to the engine, which
@@ -459,14 +459,6 @@ pub struct RunResult<R, E> {
     pub heap_pushes: u64,
 }
 
-/// Options for [`Job::opts`].
-#[derive(Clone, Debug, Default)]
-pub struct RunOpts {
-    /// Stop the run (incomplete, with a diagnostic) if virtual time exceeds
-    /// this bound — catches protocol livelock in tests.
-    pub max_virtual: Option<SimDuration>,
-}
-
 /// Outcome of [`Job::start`]: like [`RunResult`] but non-panicking, so a
 /// halted run (node failure, horizon) can be inspected and recovered instead
 /// of aborting the process.
@@ -525,26 +517,27 @@ type Hook<'a, E> = Box<dyn FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>
 pub struct Job<'a, E: Engine> {
     engine: E,
     layout: JobLayout,
-    opts: RunOpts,
+    horizon: Option<SimDuration>,
     setup: Hook<'a, E>,
     resume: Option<(&'a RuntimeImage, Hook<'static, E>)>,
 }
 
 impl<'a, E: Engine> Job<'a, E> {
-    /// A fresh run with default options and no setup hook.
+    /// A fresh run with no horizon and no setup hook.
     pub fn new(engine: E, layout: JobLayout) -> Job<'a, E> {
         Job {
             engine,
             layout,
-            opts: RunOpts::default(),
+            horizon: None,
             setup: Box::new(|_, _| {}),
             resume: None,
         }
     }
 
-    /// Run under `opts` (the default sets no virtual-time horizon).
-    pub fn opts(mut self, opts: RunOpts) -> Self {
-        self.opts = opts;
+    /// Stop the run (incomplete, with a diagnostic) once virtual time
+    /// exceeds `max_virtual` — catches protocol livelock.
+    pub fn horizon(mut self, max_virtual: SimDuration) -> Self {
+        self.horizon = Some(max_virtual);
         self
     }
 
@@ -586,7 +579,7 @@ impl<'a, E: Engine> Job<'a, E> {
     /// order of the steps below is part of the result.
     pub fn start<P: RankProgram>(self, program: &P) -> RunOutcome<P::Out, E> {
         let mut sim: Sim<ClusterWorld<E>> = Sim::new();
-        if let Some(mv) = self.opts.max_virtual {
+        if let Some(mv) = self.horizon {
             sim.set_horizon(SimTime::ZERO + mv);
         }
         let size = self.layout.ranks;
@@ -910,9 +903,7 @@ mod tests {
     fn overrun() -> RunOutcome<(), NullEngine> {
         let layout = JobLayout::new(1, 2, 2);
         Job::new(NullEngine::default(), layout)
-            .opts(RunOpts {
-                max_virtual: Some(SimDuration::secs(1)),
-            })
+            .horizon(SimDuration::secs(1))
             .start(&|mut mpi: AsyncMpi| async move {
                 if mpi.rank() == 1 {
                     mpi.compute(SimDuration::secs(10)).await;

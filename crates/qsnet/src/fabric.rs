@@ -68,8 +68,8 @@ pub struct Degradation {
 }
 
 /// Which timing rules back a cluster. Selected per engine config
-/// (`BcsConfig::fabric`, `QuadricsConfig::fabric`) and, at the CLI, via
-/// `REPRO_FABRIC` (see `apps::runner::fabric_from_env`).
+/// (`BcsConfig::fabric`, `QuadricsConfig::fabric`); `repro --fabric <label>`
+/// sets the default every experiment builds its configs from.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FabricKind {
     /// Quadrics QsNet: hardware ordered multicast + network conditionals,
@@ -84,11 +84,20 @@ pub enum FabricKind {
 }
 
 impl FabricKind {
+    /// Every kind, default first.
+    pub const ALL: [FabricKind; 2] = [FabricKind::QsNet, FabricKind::Rdma];
+
+    /// Stable CLI / CSV label.
     pub fn name(self) -> &'static str {
         match self {
             FabricKind::QsNet => "qsnet",
             FabricKind::Rdma => "rdma",
         }
+    }
+
+    /// Parse a [`FabricKind::name`] back into the kind.
+    pub fn from_label(s: &str) -> Option<FabricKind> {
+        FabricKind::ALL.iter().copied().find(|k| k.name() == s)
     }
 }
 

@@ -46,7 +46,7 @@ pub enum CondImpl {
 /// Complete timing model of one interconnect. All fields are scalar
 /// constants, so the model is `Copy` — pass it by value or borrow it, but
 /// never `.clone()` it per measurement point.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetModel {
     pub name: &'static str,
     /// Point-to-point wire latency excluding switch hops (first-bit).

@@ -18,7 +18,7 @@ use simcore::{Sim, SimDuration, SimTime};
 type QW = ClusterWorld<QuadricsMpi>;
 
 /// Tuning knobs of the baseline.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QuadricsConfig {
     pub net: NetModel,
     /// Which interconnect implementation carries the wire traffic (see
@@ -32,8 +32,7 @@ pub struct QuadricsConfig {
     pub reduce_ns_per_byte: f64,
     /// Wire algorithm for broadcast and the result-return legs of
     /// allreduce/allgatherv (see `BcsConfig::coll_algo`); values are
-    /// bit-identical across all three. Overridable per run with
-    /// `REPRO_COLL`.
+    /// bit-identical across all three.
     pub coll_algo: mpi_api::coll_sched::CollAlgo,
     /// Optional OS-noise injection (uncoordinated dæmons).
     pub noise: Option<NoiseConfig>,

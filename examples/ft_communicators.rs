@@ -10,7 +10,7 @@
 //! the two engines.
 
 use bcs_repro::apps::npb::ft::{FtCfg, ft_bench};
-use bcs_repro::apps::runner::{EngineSel, run_app, slowdown_pct};
+use bcs_repro::apps::runner::{RunSpec, run_app, slowdown_pct};
 use bcs_repro::mpi_api::datatype::ReduceOp;
 use bcs_repro::mpi_api::runtime::JobLayout;
 use bcs_repro::simcore::SimDuration;
@@ -19,7 +19,7 @@ fn main() {
     // First, a tiny hand-written demo of the comm API.
     let layout = JobLayout::new(4, 2, 8);
     let out = run_app(
-        &EngineSel::bcs(),
+        &RunSpec::bcs(),
         layout,
         |mut mpi: bcs_repro::mpi_api::AsyncMpi| async move {
             let me = mpi.rank();
@@ -43,8 +43,8 @@ fn main() {
         iter_compute: SimDuration::millis(50),
     };
     let mk = || JobLayout::new(8, 2, 16);
-    let b = run_app(&EngineSel::bcs(), mk(), ft_bench(cfg.clone()));
-    let q = run_app(&EngineSel::quadrics(), mk(), ft_bench(cfg));
+    let b = run_app(&RunSpec::bcs(), mk(), ft_bench(cfg.clone()));
+    let q = run_app(&RunSpec::quadrics(), mk(), ft_bench(cfg));
     assert_eq!(b.results, q.results, "FT checksums must be engine-invariant");
     println!(
         "\nFT skeleton, 16 ranks: BCS-MPI {:.3}s vs baseline {:.3}s ({:+.2}%)",

@@ -10,7 +10,7 @@
 //! closure runs unmodified on BCS-MPI (the paper's buffered-coscheduled
 //! implementation) and on the production-style baseline.
 
-use bcs_repro::apps::runner::{EngineSel, run_app, slowdown_pct};
+use bcs_repro::apps::runner::{RunSpec, run_app, slowdown_pct};
 use bcs_repro::mpi_api::datatype::ReduceOp;
 use bcs_repro::mpi_api::runtime::JobLayout;
 use bcs_repro::simcore::SimDuration;
@@ -47,7 +47,7 @@ fn main() {
     };
 
     println!("running 16 ranks on BCS-MPI (500us time slices)...");
-    let bcs = run_app(&EngineSel::bcs(), layout(), program);
+    let bcs = run_app(&RunSpec::bcs(), layout(), program);
     println!(
         "  virtual runtime {:.3} ms, {} discrete events",
         bcs.elapsed.as_millis_f64(),
@@ -55,7 +55,7 @@ fn main() {
     );
 
     println!("running the same program on the Quadrics-style baseline...");
-    let quad = run_app(&EngineSel::quadrics(), layout(), program);
+    let quad = run_app(&RunSpec::quadrics(), layout(), program);
     println!(
         "  virtual runtime {:.3} ms, {} discrete events",
         quad.elapsed.as_millis_f64(),

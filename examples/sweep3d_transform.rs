@@ -7,7 +7,7 @@
 //! cargo run --release --example sweep3d_transform
 //! ```
 
-use bcs_repro::apps::runner::{EngineSel, run_app, slowdown_pct};
+use bcs_repro::apps::runner::{RunSpec, run_app, slowdown_pct};
 use bcs_repro::apps::sweep3d::{SweepCfg, SweepVariant, sweep3d_bench};
 use bcs_repro::mpi_api::runtime::JobLayout;
 use bcs_repro::simcore::SimDuration;
@@ -23,8 +23,8 @@ fn main() {
 
     println!("SWEEP3D wavefront, 16 ranks, 3.5 ms compute steps\n");
     for variant in [SweepVariant::Blocking, SweepVariant::NonBlocking] {
-        let b = run_app(&EngineSel::bcs(), layout(), sweep3d_bench(cfg(variant)));
-        let q = run_app(&EngineSel::quadrics(), layout(), sweep3d_bench(cfg(variant)));
+        let b = run_app(&RunSpec::bcs(), layout(), sweep3d_bench(cfg(variant)));
+        let q = run_app(&RunSpec::quadrics(), layout(), sweep3d_bench(cfg(variant)));
         assert_eq!(b.results, q.results, "flux must be engine-independent");
         println!(
             "{variant:?}: BCS-MPI {:.3}s  baseline {:.3}s  slowdown {:+.1}%",

@@ -10,7 +10,10 @@
 #      in reports/detlint_graph.dot, and detlint self-hosting (its own
 #      sources are part of the scanned tree)
 #   1. tier-1: cargo build --release && cargo test -q   (covers the whole
-#      workspace via workspace.default-members)
+#      workspace via workspace.default-members, the `repro` command line
+#      included: crates/bench/tests/cli.rs drives --fabric/--coll and the
+#      usage errors, wire_defaults.rs that they are defaults an experiment's
+#      own axis overrides)
 #   2. explicit --workspace test pass, then a compile-only build of the
 #      standalone benchmark package: perf/ is outside the workspace, so
 #      nothing above notices when a change breaks the product surface
@@ -54,17 +57,6 @@
 #      CSVs under reports/; the run's host timings (bench_wallclock.json,
 #      untracked: the per-PR trajectory is BENCH_<pr>.json) end up in
 #      target/
-#   8. fabric selection plumbing: the fabric-matrix CSV is byte-identical
-#      at REPRO_THREADS=1 and 4; REPRO_FABRIC=qsnet is a no-op for
-#      qsnet-default experiments, REPRO_FABRIC=rdma changes the wire
-#      timing, and an unrecognized REPRO_FABRIC value aborts with an error
-#      naming the valid options
-#   9. collective algorithm plumbing (DESIGN.md section 14): the
-#      bake-off itself runs in step 7 — reports/ablation_reduce.csv with
-#      all three algorithm columns, its optimal-vs-emulated-multicast
-#      pair gated >= 1.4x in virtual time; here REPRO_COLL=hw-multicast
-#      must be a no-op for default runs and an unrecognized REPRO_COLL
-#      value must abort naming the valid algorithms
 #
 # Any compile warning in any workspace crate is a failure (-D warnings).
 set -euo pipefail
@@ -172,43 +164,5 @@ echo "$smoke_out" | grep -q "rdma_optimal_large_ns" \
   || { echo "verify: ablation-reduce bake-off speedup pair did not run" >&2; exit 1; }
 head -1 reports/ablation_reduce.csv | grep -q "hw-multicast.*binomial.*optimal" \
   || { echo "verify: ablation_reduce.csv lacks the three algorithm columns" >&2; exit 1; }
-
-echo "== fabric selection plumbing (REPRO_THREADS, REPRO_FABRIC)"
-fab_dir="$(mktemp -d)"
-REPRO_THREADS=4 cargo run --release -q -p bench --bin repro -- --quick fabric-matrix --out "$fab_dir" >/dev/null
-cmp -s reports/fabric_matrix.csv "$fab_dir/fabric_matrix.csv" \
-  || { echo "verify: fabric_matrix.csv differs between REPRO_THREADS=1 and 4" >&2; exit 1; }
-# REPRO_FABRIC=qsnet must reproduce a qsnet-default experiment exactly;
-# =rdma must change the wire timing; a typo must die naming the options.
-REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick fig8b --out "$fab_dir" >/dev/null
-REPRO_FABRIC=qsnet REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick fig8b --out "$fab_dir/qs" >/dev/null
-cmp -s "$fab_dir/fig8b.csv" "$fab_dir/qs/fig8b.csv" \
-  || { echo "verify: REPRO_FABRIC=qsnet changed a qsnet-default run" >&2; exit 1; }
-REPRO_FABRIC=rdma REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick fig8b --out "$fab_dir/rd" >/dev/null
-cmp -s "$fab_dir/fig8b.csv" "$fab_dir/rd/fig8b.csv" \
-  && { echo "verify: REPRO_FABRIC=rdma did not change the wire timing" >&2; exit 1; }
-if REPRO_FABRIC=bogus REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick fig8b --out "$fab_dir/bad" >/dev/null 2>"$fab_dir/err.txt"; then
-  echo "verify: REPRO_FABRIC=bogus was silently accepted" >&2; exit 1
-fi
-grep -q "valid values: qsnet, rdma" "$fab_dir/err.txt" \
-  || { echo "verify: REPRO_FABRIC error does not name the valid options" >&2; exit 1; }
-rm -rf "$fab_dir"
-echo "   fabric-matrix deterministic across thread counts; REPRO_FABRIC plumbing OK"
-
-echo "== collective algorithm plumbing (REPRO_COLL)"
-coll_dir="$(mktemp -d)"
-# Forcing the default algorithm must be a no-op; a typo must die naming
-# the three labels (the bake-off itself ran, gated, in the smoke above).
-REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick fig8b --out "$coll_dir" >/dev/null
-REPRO_COLL=hw-multicast REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick fig8b --out "$coll_dir/hw" >/dev/null
-cmp -s "$coll_dir/fig8b.csv" "$coll_dir/hw/fig8b.csv" \
-  || { echo "verify: REPRO_COLL=hw-multicast changed a default run" >&2; exit 1; }
-if REPRO_COLL=bogus REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick fig8b --out "$coll_dir/bad" >/dev/null 2>"$coll_dir/err.txt"; then
-  echo "verify: REPRO_COLL=bogus was silently accepted" >&2; exit 1
-fi
-grep -q "valid values: hw-multicast, binomial, optimal" "$coll_dir/err.txt" \
-  || { echo "verify: REPRO_COLL error does not name the valid algorithms" >&2; exit 1; }
-rm -rf "$coll_dir"
-echo "   REPRO_COLL plumbing OK (no-op default, typo aborts naming the algorithms)"
 
 echo "verify: OK"

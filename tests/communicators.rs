@@ -1,7 +1,7 @@
 //! Communicator (MPI group) tests — the functionality the paper's §4.5
 //! lists as unimplemented, now working on both engines.
 
-use bcs_repro::apps::runner::{EngineSel, run_app};
+use bcs_repro::apps::runner::{RunSpec, run_app};
 use bcs_repro::mpi_api::datatype::ReduceOp;
 use bcs_repro::mpi_api::runtime::JobLayout;
 use bcs_repro::mpi_api::{AsyncMpi, RankProgram};
@@ -11,8 +11,8 @@ where
     P: RankProgram + Copy,
 {
     let layout = JobLayout::crescendo(ranks);
-    let b = run_app(&EngineSel::bcs(), layout.clone(), f);
-    let q = run_app(&EngineSel::quadrics(), layout, f);
+    let b = run_app(&RunSpec::bcs(), layout.clone(), f);
+    let q = run_app(&RunSpec::quadrics(), layout, f);
     (b.results, q.results)
 }
 
@@ -125,7 +125,7 @@ fn ft_kernel_class_runs_on_62_ranks() {
     use bcs_repro::apps::npb::ft;
     let layout = JobLayout::crescendo(62);
     let out = run_app(
-        &EngineSel::quadrics(),
+        &RunSpec::quadrics(),
         layout,
         ft::ft_bench(ft::FtCfg::test()),
     );

@@ -4,7 +4,7 @@
 //! the two engines share no protocol code.
 
 use bcs_repro::apps::npb::{cg, ep, is, lu, mg};
-use bcs_repro::apps::runner::{EngineSel, run_app};
+use bcs_repro::apps::runner::{RunSpec, run_app};
 use bcs_repro::apps::{sage, sweep3d, synthetic};
 use bcs_repro::mpi_api::datatype::ReduceOp;
 use bcs_repro::mpi_api::message::{SrcSel, TagSel};
@@ -18,8 +18,8 @@ where
     G: Fn() -> P,
 {
     let layout = JobLayout::crescendo(ranks);
-    let b = run_app(&EngineSel::bcs(), layout.clone(), make());
-    let q = run_app(&EngineSel::quadrics(), layout, make());
+    let b = run_app(&RunSpec::bcs(), layout.clone(), make());
+    let q = run_app(&RunSpec::quadrics(), layout, make());
     (b.results, q.results)
 }
 

@@ -196,7 +196,7 @@ fn fault_free_results(rc: &RecoveryCfg, iters: u64) -> Vec<u64> {
 }
 
 fn reference_results(rc: &RecoveryCfg, program: Workload) -> Vec<u64> {
-    fault_free_reference(&rc.bcs, layout(), program, rc.opts.clone()).results
+    fault_free_reference(rc, layout(), program).results
 }
 
 /// Satellite 1 + acceptance: the heartbeat monitor (first real consumer of
@@ -253,8 +253,7 @@ fn cg_proxy_recovers_bit_identically() {
         iters: 8,
         iter_compute: SimDuration::micros(300),
     };
-    let reference =
-        fault_free_reference(&rc.bcs, layout(), cg_bench(cfg.clone()), rc.opts.clone()).results;
+    let reference = fault_free_reference(&rc, layout(), cg_bench(cfg.clone())).results;
     let plan = FaultPlan::single_crash(&rc.bcs, NodeId(3), 4);
     let out = run_with_recovery(&rc, layout(), &plan, cg_bench(cfg));
     assert!(out.completed, "recovery failed: {:?}", out.abort);
@@ -547,7 +546,7 @@ proplite! {
         let sh = shadow.clone();
         let timeslice = rc.bcs.timeslice;
         let out = Job::new(BcsMpi::new(rc.bcs.clone(), &layout()), layout())
-            .opts(rc.opts.clone())
+            .horizon(rc.horizon)
             .setup(move |w, sim| {
                 w.set_recording(true);
                 let net = w.bcs().fabric.net_mut();
@@ -584,7 +583,7 @@ proplite! {
         for img in [&out.engine.images[mid], &shadow[mid]] {
             let engine = BcsMpi::restore_from_image(rc.bcs.clone(), &layout(), img);
             let o = Job::new(engine, layout())
-                .opts(rc.opts.clone())
+                .horizon(rc.horizon)
                 .resume_from(&img.rt, bcs_repro::bcs_mpi::resume_from_boundary)
                 .start(&Workload::of(seed));
             prop_assert!(o.completed, "resume from slice {} failed", img.slice);

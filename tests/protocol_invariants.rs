@@ -6,7 +6,7 @@
 //! and intact, (3) respect MPI non-overtaking per channel, and (4) replay
 //! deterministically, on *both* engines.
 
-use bcs_repro::apps::runner::{EngineSel, run_app};
+use bcs_repro::apps::runner::{RunSpec, run_app};
 use bcs_repro::mpi_api::message::{SrcSel, TagSel};
 use bcs_repro::mpi_api::runtime::JobLayout;
 use bcs_repro::simcore::{SimDuration, SimRng};
@@ -36,10 +36,10 @@ fn round_strategy(ranks: usize) -> impl Strategy<Value = Round> {
 
 /// Execute the round on one engine and return, per rank, the received
 /// payload checksums per (src, msg-index) channel.
-fn execute(sel: &EngineSel, ranks: usize, round: Round) -> Vec<Vec<(usize, usize, u64)>> {
+fn execute(spec: &RunSpec, ranks: usize, round: Round) -> Vec<Vec<(usize, usize, u64)>> {
     let layout = JobLayout::new(ranks, 1, ranks);
     let round = std::sync::Arc::new(round);
-    let out = run_app(sel, layout, move |mut mpi: bcs_repro::mpi_api::AsyncMpi| {
+    let out = run_app(spec, layout, move |mut mpi: bcs_repro::mpi_api::AsyncMpi| {
         let round = std::sync::Arc::clone(&round);
         async move {
             let me = mpi.rank();
@@ -95,16 +95,18 @@ proplite! {
 
     #[test]
     fn random_rounds_complete_and_agree(round in round_strategy(5)) {
-        let b = execute(&EngineSel::bcs(), 5, round.clone());
-        let q = execute(&EngineSel::quadrics(), 5, round);
-        prop_assert_eq!(b, q);
+        let (bcs, quadrics) = (RunSpec::bcs(), RunSpec::quadrics());
+        let b = execute(&bcs, 5, round.clone());
+        let q = execute(&quadrics, 5, round);
+        prop_assert_eq!(b, q, "{bcs} and {quadrics} received different payloads");
     }
 
     #[test]
     fn replay_is_deterministic(round in round_strategy(4)) {
-        let a = execute(&EngineSel::bcs(), 4, round.clone());
-        let b = execute(&EngineSel::bcs(), 4, round);
-        prop_assert_eq!(a, b);
+        let spec = RunSpec::bcs();
+        let a = execute(&spec, 4, round.clone());
+        let b = execute(&spec, 4, round);
+        prop_assert_eq!(a, b, "{spec} ran the same round twice and differed");
     }
 }
 
@@ -143,7 +145,8 @@ fn randomized_long_mix_with_seeded_rng() {
         checksum
     };
     let layout = JobLayout::new(6, 1, 6);
-    let b = run_app(&EngineSel::bcs(), layout.clone(), script);
-    let q = run_app(&EngineSel::quadrics(), layout, script);
-    assert_eq!(b.results, q.results);
+    let (bcs, quadrics) = (RunSpec::bcs(), RunSpec::quadrics());
+    let b = run_app(&bcs, layout.clone(), script);
+    let q = run_app(&quadrics, layout, script);
+    assert_eq!(b.results, q.results, "{bcs} and {quadrics} disagree");
 }
