@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--quick] [--fabric qsnet|rdma] [--coll hw-multicast|binomial|optimal]
-//!       [--out DIR] [--wallclock-baseline FILE] <experiment>...
+//!       [--out DIR] <experiment>...
 //! repro all            # everything (slow: paper-scale 62-rank runs)
 //! repro --quick all    # CI-sized sweep of every experiment
 //! repro fig9 fig11a    # selected experiments
@@ -17,31 +17,29 @@
 //! Every selected experiment is decomposed into independent sweep points
 //! (see [`bench::experiments`]) and the points of *all* experiments are
 //! pooled onto one work-stealing scheduler ([`bench::sweep`]) with
-//! `REPRO_THREADS` workers (default: all cores). Reports and CSVs are
-//! byte-identical at any thread count; only wall-clock time changes.
+//! `REPRO_THREADS` workers (unset: all cores; anything but an integer of
+//! at least 1 is a usage error). Standard output is a function of the
+//! arguments: reports and CSVs are byte-identical across runs and thread
+//! counts, and only the `sweep:` line carries a host time.
 //!
 //! After writing the CSVs, every regenerated headline value is compared
 //! against the tolerances recorded in EXPERIMENTS.md (see [`bench::gate`]);
-//! the process exits non-zero if any figure deviates. Wall-clock cost is
-//! recorded in `bench_wallclock.json`; pass `--wallclock-baseline` to also
-//! gate harness performance against a previous run's file.
+//! the process exits non-zero if any figure deviates or any CSV could not
+//! be written. What the harness costs in host time is measured by `perf/`.
 
-use bench::Report;
-use bench::experiments::{Experiment, Wire, registry};
-use bench::sweep::{self, PointFn};
-use bench::wallclock::{ExperimentTime, WallclockReport};
+use bench::experiments::{Experiment, Wire, registry, run_pooled};
+use bench::sweep;
 use mpi_api::coll_sched::CollAlgo;
 use qsnet::FabricKind;
 use std::path::PathBuf;
 
 const USAGE: &str = "\
-usage: repro [--quick] [--fabric LABEL] [--coll LABEL] [--out DIR]
-             [--wallclock-baseline FILE] <experiment>... | all
+usage: repro [--quick] [--fabric LABEL] [--coll LABEL] [--out DIR] <experiment>... | all
        repro --list   # every experiment with a one-line description
   --fabric qsnet|rdma                    interconnect timing rules experiments start from
   --coll hw-multicast|binomial|optimal   collective wire schedule experiments start from
     (defaults: an experiment that sweeps either axis itself keeps its own values)
-REPRO_THREADS controls the sweep worker count (default: all cores)";
+REPRO_THREADS sets the sweep worker count: an integer of at least 1 (unset: all cores)";
 
 /// Reject the command line before any point runs.
 fn usage_error(msg: String) -> ! {
@@ -73,7 +71,6 @@ fn main() {
     let mut quick = false;
     let mut wire = Wire::default();
     let mut out_dir = PathBuf::from("reports");
-    let mut baseline: Option<PathBuf> = None;
     let mut picks: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -85,7 +82,6 @@ fn main() {
                 wire.coll = label_of(&mut args, &arg, &CollAlgo::ALL.map(CollAlgo::label), CollAlgo::from_label)
             }
             "--out" => out_dir = value_of(&mut args, &arg, "a directory").into(),
-            "--wallclock-baseline" => baseline = Some(value_of(&mut args, &arg, "a file").into()),
             "--list" => {
                 // Mark which experiments are gated beyond regeneration:
                 // `pin` = headline values checked against recorded
@@ -133,59 +129,22 @@ fn main() {
     let selected: Vec<Experiment> =
         experiments.into_iter().filter(|e| all || picks.iter().any(|p| p == e.cli)).collect();
 
-    // Pool every selected experiment's points into one global sweep so a
-    // straggler point of one figure overlaps with the next figure's work.
-    let mut pool: Vec<PointFn> = Vec::new();
-    let mut pending = Vec::new(); // (name, point span, assemble)
-    for e in selected {
-        let start = pool.len();
-        let count = e.points.len();
-        pool.extend(e.points);
-        pending.push((e.name, start..start + count, e.assemble));
-    }
-    let threads = sweep::threads_from_env();
-    let (outs, stats) = sweep::run_points(pool, threads);
-
-    let mut emitted: Vec<(&'static str, Report)> = Vec::new();
-    let mut experiment_times: Vec<ExperimentTime> = Vec::new();
-    for (name, span, assemble) in pending {
-        experiment_times.push(ExperimentTime {
-            name: name.to_string(),
-            points: span.len(),
-            busy_secs: stats.point_secs[span.clone()].iter().sum(),
-        });
-        for (rname, r) in assemble(outs[span].to_vec()) {
-            println!("{}", r.render());
-            emitted.push((rname, r));
-        }
+    let threads = sweep::threads_from_env().unwrap_or_else(|e| usage_error(e));
+    let points: usize = selected.iter().map(|e| e.points.len()).sum();
+    let (emitted, stats) = run_pooled(selected, threads);
+    for (_, r) in &emitted {
+        println!("{}", r.render());
     }
 
+    let mut written = 0usize;
     for (name, r) in &emitted {
-        if let Err(e) = r.write_csv(&out_dir, name) {
-            eprintln!("warning: failed to write {name}.csv: {e}");
+        match r.write_csv(&out_dir, name) {
+            Ok(()) => written += 1,
+            Err(e) => eprintln!("repro: failed to write {name}.csv to {}: {e}", out_dir.display()),
         }
     }
-    println!("wrote {} CSV file(s) to {}", emitted.len(), out_dir.display());
-
-    let wallclock = WallclockReport {
-        quick,
-        threads: stats.threads,
-        wall_secs: stats.wall_secs,
-        worker_busy_secs: stats.worker_busy_secs.clone(),
-        experiments: experiment_times,
-    };
-    let wc_path = out_dir.join("bench_wallclock.json");
-    if let Err(e) = std::fs::write(&wc_path, wallclock.to_json()) {
-        eprintln!("warning: failed to write {}: {e}", wc_path.display());
-    }
-    println!(
-        "sweep: {} point(s) on {} thread(s) in {:.2}s wall ({:.2}s busy, {:.0}% utilization)",
-        stats.point_secs.len(),
-        stats.threads,
-        wallclock.wall_secs,
-        wallclock.total_busy_secs(),
-        wallclock.utilization() * 100.0
-    );
+    println!("wrote {written} CSV file(s) to {}", out_dir.display());
+    println!("sweep: {points} point(s) on {} thread(s) in {:.2}s", stats.threads, stats.wall_secs);
 
     let mut checked = 0usize;
     let mut violations: Vec<String> = Vec::new();
@@ -197,22 +156,6 @@ fn main() {
         checked += c;
         violations.extend(v);
     }
-    if let Some(path) = baseline {
-        match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| WallclockReport::from_json(&t))
-        {
-            Ok(base) => {
-                let (c, v) = bench::gate::check_wallclock(&base, &wallclock);
-                checked += c;
-                violations.extend(v);
-            }
-            Err(e) => violations.push(format!(
-                "wallclock baseline {} unreadable: {e}",
-                path.display()
-            )),
-        }
-    }
     if violations.is_empty() {
         println!("tolerance gate: {checked} headline value(s) within recorded tolerances");
     } else {
@@ -220,6 +163,10 @@ fn main() {
         for v in &violations {
             eprintln!("  {v}");
         }
+    }
+    // An unwritten CSV fails the run like a violation does, but only here:
+    // every report has been printed and every gate evaluated by now.
+    if !violations.is_empty() || written < emitted.len() {
         std::process::exit(1);
     }
 }

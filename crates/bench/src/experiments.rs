@@ -4,10 +4,12 @@
 //! *points* (one simulation run each — every granularity × engine pair,
 //! every Table 1 (model, n) cell, every fault-injection configuration)
 //! plus an `assemble` step that folds the point outputs into [`Report`]s.
-//! The `repro` binary pools the points of every selected experiment onto
-//! the work-stealing scheduler in [`crate::sweep`]; because points return
-//! plain numbers and all formatting happens in `assemble` in point order,
-//! the emitted reports and CSVs are byte-identical at any thread count.
+//! [`run_pooled`] — what the `repro` binary calls — pools the points of
+//! every selected experiment onto the work-stealing scheduler in
+//! [`crate::sweep`]; because points return plain numbers, none of them a
+//! host observation, and all formatting happens in `assemble` in point
+//! order, the emitted reports (rows, notes, metrics) and CSVs are
+//! byte-identical across runs and at any thread count.
 //!
 //! `quick` mode shrinks the sweeps so the full suite can run in CI; the
 //! full mode reproduces the paper-scale configurations (62 processes on
@@ -19,7 +21,7 @@
 //! default: an experiment that sweeps one of those axes itself
 //! (`fabric-matrix`, `ablation-reduce`) sets it afterwards, per row.
 
-use crate::sweep::{PointFn, PointOut};
+use crate::sweep::{self, PointFn, PointOut, SweepStats};
 use crate::{Report, pct, secs};
 use apps::npb::{cg, ep, ft, is, lu, mg};
 use apps::runner::{RunSpec, run_app, slowdown_pct};
@@ -35,8 +37,8 @@ use storm::StormWorld;
 
 /// A figure/table decomposed for the parallel sweep scheduler.
 pub struct Experiment {
-    /// Experiment key: wall-clock accounting name and (for single-report
-    /// experiments) the CSV stem / gate key of its report.
+    /// Experiment key: for single-report experiments, the CSV stem / gate
+    /// key of its report.
     pub name: &'static str,
     /// Name accepted on the `repro` command line (`ablation-fault` style).
     pub cli: &'static str,
@@ -101,6 +103,28 @@ pub fn registry(quick: bool, wire: Wire) -> Vec<Experiment> {
         scale_exp(quick, wire),
         fabric_matrix_exp(quick, wire),
     ]
+}
+
+/// Pool the points of every experiment in `selected` into one sweep on
+/// `threads` workers, so a straggler point of one figure overlaps with the
+/// next figure's work, then assemble each experiment's reports in order.
+pub fn run_pooled(
+    selected: Vec<Experiment>,
+    threads: usize,
+) -> (Vec<(&'static str, Report)>, SweepStats) {
+    let mut pool: Vec<PointFn> = Vec::new();
+    let mut pending = Vec::new(); // (point span, assemble)
+    for e in selected {
+        let span = pool.len()..pool.len() + e.points.len();
+        pool.extend(e.points);
+        pending.push((span, e.assemble));
+    }
+    let (outs, stats) = sweep::run_points(pool, threads);
+    let reports = pending
+        .into_iter()
+        .flat_map(|(span, assemble)| assemble(outs[span].to_vec()))
+        .collect();
+    (reports, stats)
 }
 
 /// Paper-default cluster: 31 usable nodes × 2 CPUs for 62 ranks.
@@ -739,8 +763,8 @@ pub fn ablation_slice_exp(quick: bool, wire: Wire) -> Experiment {
 /// wire schedules of `mpi_api::coll_sched::CollAlgo` — the fabric's native
 /// multicast, the explicit binomial tree, and Träff-style pipelined
 /// optimal round schedules — on both engines × both fabrics, across node
-/// counts (the large-n rows ride the stackless VM backend) and element
-/// sizes. Value-plane results are bit-identical across the three columns
+/// counts and element sizes. Value-plane results are bit-identical across
+/// the three columns
 /// (see `coll_equivalence`); only the modeled wire time moves.
 ///
 /// Gate: on rdmanet — where "multicast" is software-emulated through a
@@ -752,9 +776,8 @@ pub fn ablation_reduce_exp(quick: bool, wire: Wire) -> Experiment {
     let elem_counts: &'static [usize] = if quick { &[8, 512] } else { &[8, 512, 4096] };
     // Quick mode halves the large node count: the emulated-multicast relay
     // row costs O(n) simulator events per broadcast, and n = 4096 points
-    // dominate the pooled quick sweep enough to flake verify.sh's
-    // oversubscribed wall-clock gate on 1-core CI boxes. The
-    // optimal-vs-relay speedup gate holds at either size.
+    // would dominate the pooled quick sweep. The optimal-vs-relay speedup
+    // gate holds at either size.
     let large_n: usize = if quick { 2048 } else { 4096 };
     // Row grid: engines × fabrics × n × elems, plus BCS-only large-n rows
     // (the Quadrics baseline's collectives are analytic — its large-n
@@ -772,10 +795,9 @@ pub fn ablation_reduce_exp(quick: bool, wire: Wire) -> Experiment {
     for fi in 0..FABRICS.len() {
         rows.push((0, fi, large_n, 512));
     }
-    // Large-n points are the sweep's wall-clock cost: one iteration in
-    // quick mode keeps the experiment inside the verify.sh oversubscribed
-    // wall-clock gate on small CI boxes (per-op cost is slice-quantized,
-    // so fewer iterations do not move the metric's scale).
+    // Large-n points are what the sweep costs the host: quick mode runs
+    // one iteration of them (per-op cost is slice-quantized, so fewer
+    // iterations do not move the metric's scale).
     let iters_for = move |n: usize| -> u64 {
         if n >= 1024 {
             if quick { 1 } else { 4 }
@@ -835,7 +857,7 @@ pub fn ablation_reduce_exp(quick: bool, wire: Wire) -> Experiment {
             }
             r.note("columns are wire-schedule algorithms; results are bit-identical across all three (coll_equivalence)");
             r.note("rdmanet has no hardware multicast: the hw-multicast column there is the software-emulated relay");
-            r.note("layout: 2 CPUs per node, n/2 compute nodes; large-n rows run BCS on the VM backend");
+            r.note("layout: 2 CPUs per node, n/2 compute nodes; the large-n rows are BCS-MPI only");
             vec![("ablation_reduce", r)]
         }),
     }
@@ -1333,8 +1355,7 @@ pub fn ablation_fault_exp(quick: bool, wire: Wire) -> Experiment {
 /// machinery in isolation (indexed matching + per-message DMA vs digest
 /// validation + pair replay + gathered DMA) and count the DMA gets each
 /// issues, which feed the `gate::check_speedup` ≥5x gate through report
-/// metrics; their host times are reported in a note, never gated, and
-/// neither reaches CSV rows.
+/// metrics and never reach CSV rows.
 pub fn ablation_schedule_exp(quick: bool, wire: Wire) -> Experiment {
     let ns: &'static [usize] = if quick { &[4, 16] } else { &[16, 64, 256] };
     let sizes: &'static [usize] = if quick { &[32, 128] } else { &[32, 128, 1024] };
@@ -1388,13 +1409,10 @@ pub fn ablation_schedule_exp(quick: bool, wire: Wire) -> Experiment {
             }
         }
     }
-    // Machinery pair: gets issued feed the >=5x gate, host time a note.
+    // Machinery pair: the gets each variant issues feed the >=5x gate.
     let msgs = if quick { 65_536usize } else { 262_144 };
     for compiled in [false, true] {
-        points.push(Box::new(move || {
-            let (min_ns, gets) = machinery_min_ns(msgs, compiled);
-            PointOut::new(vec![min_ns], vec![gets])
-        }));
+        points.push(Box::new(move || PointOut::new(vec![], vec![machinery_gets(msgs, compiled)])));
     }
     Experiment {
         name: "ablation_schedule",
@@ -1459,7 +1477,7 @@ pub fn ablation_schedule_exp(quick: bool, wire: Wire) -> Experiment {
             r.metric("pattern_behavior_ok", if behavior_ok { 1.0 } else { 0.0 });
             r.metric("stable_cells_replayed", stable_replayed as f64);
             // The machinery pair: its exact work count is gated (metrics
-            // only, never rows), its host time only reported.
+            // only, never rows).
             let (base, comp) = (&outs[idx], &outs[idx + 1]);
             r.metric("stress_baseline_gets", base.words[0] as f64);
             r.metric("stress_compiled_gets", comp.words[0] as f64);
@@ -1467,24 +1485,20 @@ pub fn ablation_schedule_exp(quick: bool, wire: Wire) -> Experiment {
             r.note(format!(
                 "speedup gate compares the DMA gets of one {msgs}-message matching slice \
                  of pure MSM+P2P machinery: {} indexed vs {} compiled (see \
-                 gate::check_speedups); host time, min of 5, not gated: {:.2} ms vs {:.2} ms = {:.1}x",
+                 gate::check_speedups); what the two paths cost the host is perf/'s \
+                 core.probe_ns_per_match vs core.probe_ns_per_replay_msg",
                 base.words[0],
                 comp.words[0],
-                base.nums[0] / 1e6,
-                comp.nums[0] / 1e6,
-                base.nums[0] / comp.nums[0],
             ));
             vec![("ablation_schedule", r)]
         }),
     }
 }
 
-/// Minimum host-ns over `reps` runs, and the DMA gets one run issues, for
-/// one "matching slice" of the MSM+P2P machinery over `msgs` small messages
-/// converging on one node from 16 sources, on a live QsNet fabric +
-/// simulator. The get count is exact at any load and is what the paired
-/// ratio gate compares; the time is reported beside it, min-of-reps because
-/// scheduler preemption and cache pollution only ever *add* time.
+/// The DMA gets one "matching slice" of the MSM+P2P machinery issues over
+/// `msgs` small messages converging on one node from 16 sources, on a live
+/// QsNet fabric + simulator: an exact count at any load, and what the
+/// paired ratio gate compares.
 ///
 /// * baseline: indexed matching per message (`RecvIndex::match_first_seq`),
 ///   budget accounting, and one DMA get per message;
@@ -1492,9 +1506,8 @@ pub fn ablation_schedule_exp(quick: bool, wire: Wire) -> Experiment {
 ///   index's cached receive-side digest (`RecvIndex::shape_digest`), bulk
 ///   recv drain, pre-paired replay, and one coalesced gather get per source
 ///   (the pairing *and* the gather plan are part of the persistent
-///   schedule, so building them is amortized across the streak and sits
-///   outside the timed region).
-fn machinery_min_ns(msgs: usize, compiled: bool) -> (f64, u64) {
+///   schedule, built once when the streak compiles).
+fn machinery_gets(msgs: usize, compiled: bool) -> u64 {
     use bcs_mpi::match_index::{LazyBudget, RecvIndex, RecvSel, SendIndex, SendKey};
     use bcs_mpi::schedule::FpBuilder;
     use mpi_api::message::{SrcSel, TagSel};
@@ -1515,107 +1528,95 @@ fn machinery_min_ns(msgs: usize, compiled: bool) -> (f64, u64) {
         tag: TagSel::Tag((i / srcs % 64) as i32),
     };
 
-    let reps = 5usize;
-    let mut times: Vec<f64> = Vec::with_capacity(reps);
-    let mut gets = 0;
-    for _ in 0..reps {
-        let mut fab: Box<dyn qsnet::Fabric<W>> =
-            Box::new(qsnet::QsNetFabric::new(qsnet::NetModel::qsnet(), srcs + 1));
-        let mut sim: simcore::Sim<W> = simcore::Sim::new();
-        let mut w = W;
-        let mut budget = LazyBudget::new(srcs + 1);
-        budget.refill(u64::MAX / 2);
-        let mut recvs: RecvIndex<u64> = RecvIndex::new();
-        for i in 0..msgs {
-            recvs.post(sel(i), i as u64);
-        }
-        let mut sends: SendIndex<u64> = SendIndex::new();
-        for i in 0..msgs {
-            sends.push(key(i), bytes);
-        }
-        // The persistent schedule: fingerprint, arrival->recv pairing
-        // (identity here — arrivals match posted recvs in order), and the
-        // coalesced DMA plan.
-        let expected_fp = {
-            let mut fp = FpBuilder::new();
-            fp.word(msgs as u64);
-            for i in 0..msgs {
-                fp.arrival(&key(i), bytes);
-            }
-            fp.word(recvs.shape_digest());
-            fp.finish()
-        };
-        let ccfg = bcs_core::coalesce::CoalesceCfg::default();
-        let plan_items: Vec<(usize, u64)> = (0..msgs).map(|i| (i % srcs, bytes)).collect();
-        let (plan_singles, plan_gathers) = bcs_core::coalesce::plan(&plan_items, &ccfg);
-        // Per-source/destination budget needs, aggregated at compile time
-        // exactly like `schedule::Compiled::new`.
-        let mut src_need = vec![0u64; srcs];
-        for i in 0..msgs {
-            src_need[i % srcs] += bytes;
-        }
-        let dst_need = msgs as u64 * bytes;
-
-        let (ns, matched) = crate::sweep::time_ns(|| {
-            let incoming = sends.drain_new();
-            let mut sched: Vec<(u64, u64)> = Vec::with_capacity(msgs);
-            if compiled {
-                let mut fp = FpBuilder::new();
-                fp.word(incoming.len() as u64);
-                for (k, b) in &incoming {
-                    fp.arrival(k, *b);
-                }
-                fp.word(recvs.shape_digest());
-                assert_eq!(fp.finish(), expected_fp, "digest must validate");
-                // Budget validation + debit from the schedule's precomputed
-                // per-source aggregates (O(sources), not O(msgs)).
-                for (s, need) in src_need.iter().enumerate() {
-                    assert!(*need <= budget.get(1 + s), "src budget must hold");
-                    budget.sub(1 + s, *need);
-                }
-                assert!(dst_need <= budget.get(0), "dst budget must hold");
-                budget.sub(0, dst_need);
-                let drained = recvs.take_all();
-                for (i, (_k, b)) in incoming.iter().enumerate() {
-                    sched.push((drained[i].1, *b));
-                }
-                for &i in &plan_singles {
-                    let (src, b) = plan_items[i];
-                    fab.get(&mut sim, NodeId(0), NodeId(1 + src), b + hdr, |_, _| {});
-                }
-                for g in &plan_gathers {
-                    fab.get(&mut sim, NodeId(0), NodeId(1 + g.peer), g.wire_bytes(&ccfg), |_, _| {});
-                }
-            } else {
-                for (k, b) in incoming {
-                    let (_, _, item) = recvs.match_first_seq(&k).expect("recv posted");
-                    budget.sub(1 + k.src_rank, b);
-                    budget.sub(0, b);
-                    sched.push((item, b));
-                    fab.get(&mut sim, NodeId(0), NodeId(1 + k.src_rank), b + hdr, |_, _| {});
-                }
-            }
-            sim.run(&mut w);
-            sched.len()
-        });
-        assert_eq!(matched, msgs);
-        times.push(ns);
-        gets = fab.net().stats().gets;
+    let mut fab: Box<dyn qsnet::Fabric<W>> =
+        Box::new(qsnet::QsNetFabric::new(qsnet::NetModel::qsnet(), srcs + 1));
+    let mut sim: simcore::Sim<W> = simcore::Sim::new();
+    let mut w = W;
+    let mut budget = LazyBudget::new(srcs + 1);
+    budget.refill(u64::MAX / 2);
+    let mut recvs: RecvIndex<u64> = RecvIndex::new();
+    for i in 0..msgs {
+        recvs.post(sel(i), i as u64);
     }
-    (times.iter().copied().fold(f64::INFINITY, f64::min), gets)
+    let mut sends: SendIndex<u64> = SendIndex::new();
+    for i in 0..msgs {
+        sends.push(key(i), bytes);
+    }
+    // The persistent schedule: fingerprint, arrival->recv pairing
+    // (identity here — arrivals match posted recvs in order), and the
+    // coalesced DMA plan.
+    let expected_fp = {
+        let mut fp = FpBuilder::new();
+        fp.word(msgs as u64);
+        for i in 0..msgs {
+            fp.arrival(&key(i), bytes);
+        }
+        fp.word(recvs.shape_digest());
+        fp.finish()
+    };
+    let ccfg = bcs_core::coalesce::CoalesceCfg::default();
+    let plan_items: Vec<(usize, u64)> = (0..msgs).map(|i| (i % srcs, bytes)).collect();
+    let (plan_singles, plan_gathers) = bcs_core::coalesce::plan(&plan_items, &ccfg);
+    // Per-source/destination budget needs, aggregated at compile time
+    // exactly like `schedule::Compiled::new`.
+    let mut src_need = vec![0u64; srcs];
+    for i in 0..msgs {
+        src_need[i % srcs] += bytes;
+    }
+    let dst_need = msgs as u64 * bytes;
+
+    let incoming = sends.drain_new();
+    let mut sched: Vec<(u64, u64)> = Vec::with_capacity(msgs);
+    if compiled {
+        let mut fp = FpBuilder::new();
+        fp.word(incoming.len() as u64);
+        for (k, b) in &incoming {
+            fp.arrival(k, *b);
+        }
+        fp.word(recvs.shape_digest());
+        assert_eq!(fp.finish(), expected_fp, "digest must validate");
+        // Budget validation + debit from the schedule's precomputed
+        // per-source aggregates (O(sources), not O(msgs)).
+        for (s, need) in src_need.iter().enumerate() {
+            assert!(*need <= budget.get(1 + s), "src budget must hold");
+            budget.sub(1 + s, *need);
+        }
+        assert!(dst_need <= budget.get(0), "dst budget must hold");
+        budget.sub(0, dst_need);
+        let drained = recvs.take_all();
+        for (i, (_k, b)) in incoming.iter().enumerate() {
+            sched.push((drained[i].1, *b));
+        }
+        for &i in &plan_singles {
+            let (src, b) = plan_items[i];
+            fab.get(&mut sim, NodeId(0), NodeId(1 + src), b + hdr, |_, _| {});
+        }
+        for g in &plan_gathers {
+            fab.get(&mut sim, NodeId(0), NodeId(1 + g.peer), g.wire_bytes(&ccfg), |_, _| {});
+        }
+    } else {
+        for (k, b) in incoming {
+            let (_, _, item) = recvs.match_first_seq(&k).expect("recv posted");
+            budget.sub(1 + k.src_rank, b);
+            budget.sub(0, b);
+            sched.push((item, b));
+            fab.get(&mut sim, NodeId(0), NodeId(1 + k.src_rank), b + hdr, |_, _| {});
+        }
+    }
+    sim.run(&mut w);
+    assert_eq!(sched.len(), msgs);
+    fab.net().stats().gets
 }
 
 // ======================================================================
-// Scale — BlueGene/L sweeps past the thread-per-rank ceiling
+// Scale — BlueGene/L sweeps to thousands of ranks
 // ======================================================================
 
 /// Figure 8-style synthetic sweeps on the BlueGene/L interconnect model
 /// (Table 1's largest machine), extended to n=65536 in full mode — three
 /// orders of magnitude past the paper's 62-process Quadrics cluster. Rank
-/// programs run on the stackless VM backend, so the job needs one OS
-/// thread regardless of n and the sweep's peak thread count stays bounded
-/// by `REPRO_THREADS`; each point records the process's live OS-thread
-/// count so the assembled report can state the observed peak.
+/// programs are stackless state machines on the simulator's own thread, so
+/// a point is one OS thread whatever n is.
 pub fn scale_exp(quick: bool, wire: Wire) -> Experiment {
     let ns: &'static [usize] = if quick {
         &[64, 1024, 4096]
@@ -1648,10 +1649,7 @@ pub fn scale_exp(quick: bool, wire: Wire) -> Experiment {
                     iters: iters(n),
                 };
                 let out = run_app(&bgl(engine), bgl_layout(n), synthetic::barrier_loop(cfg));
-                PointOut::new(
-                    vec![],
-                    vec![out.elapsed.as_nanos(), crate::sweep::os_thread_count(), out.events],
-                )
+                PointOut::new(vec![], vec![out.elapsed.as_nanos(), out.events])
             }));
         }
     }
@@ -1660,21 +1658,21 @@ pub fn scale_exp(quick: bool, wire: Wire) -> Experiment {
             points.push(Box::new(move || {
                 let cfg = synthetic::NeighborLoopCfg::paper(g, iters(n));
                 let out = run_app(&bgl(engine), bgl_layout(n), synthetic::neighbor_loop(cfg));
-                PointOut::new(
-                    vec![],
-                    vec![out.elapsed.as_nanos(), crate::sweep::os_thread_count()],
-                )
+                PointOut::new(vec![], vec![out.elapsed.as_nanos()])
             }));
         }
     }
     Experiment {
         name: "scale",
         cli: "scale",
-        desc: "BlueGene/L synthetic sweeps past the thread-per-rank ceiling",
+        desc: "BlueGene/L synthetic sweeps to thousands of ranks (65536 at paper scale)",
         points,
         assemble: Box::new(move |outs| {
             let mut r = Report::new(
-                "Scale: synthetic benchmarks on BlueGene/L to n=4096 (10 ms granularity)",
+                format!(
+                    "Scale: synthetic benchmarks on BlueGene/L to n={} (10 ms granularity)",
+                    ns[ns.len() - 1]
+                ),
                 &["BCS-MPI", "Quadrics", "slowdown"],
             );
             for (ni, &n) in ns.iter().enumerate() {
@@ -1702,7 +1700,7 @@ pub fn scale_exp(quick: bool, wire: Wire) -> Experiment {
                 .enumerate()
                 .map(|(ni, &n)| {
                     let bcs = &outs[ni * 2];
-                    let machine = bcs.words[2] - iters(n) * n as u64;
+                    let machine = bcs.words[1] - iters(n) * n as u64;
                     let slices = bcs.words[0].div_ceil(BcsConfig::default().timeslice.as_nanos());
                     format!("n={n} {:.1}", machine as f64 / slices as f64)
                 })
@@ -1711,13 +1709,7 @@ pub fn scale_exp(quick: bool, wire: Wire) -> Experiment {
                 "BCS-MPI barrier loop, machine dispatches per slice: {}",
                 per_slice.join(" ")
             ));
-            r.note("rank programs execute on the stackless VM backend: one OS thread per point, any n");
-            // Host observation, deliberately a note (not a CSV row): the
-            // value depends on REPRO_THREADS and the platform.
-            let peak = outs.iter().filter_map(|o| o.words.get(1)).max().copied().unwrap_or(0);
-            r.note(format!(
-                "peak OS threads observed in-process during the sweep: {peak}"
-            ));
+            r.note("rank programs are stackless state machines: one OS thread per point, any n");
             vec![("scale", r)]
         }),
     }

@@ -14,7 +14,6 @@
 //! cross-platform float noise — the simulation itself is deterministic).
 
 use crate::Report;
-use crate::wallclock::WallclockReport;
 
 /// One recorded headline value.
 pub struct Expectation {
@@ -130,57 +129,6 @@ pub fn check(name: &str, report: &Report, quick_mode: bool) -> (usize, Vec<Strin
     (checked, violations)
 }
 
-/// Wall-clock regression mode: harness cost must not explode.
-///
-/// The gated quantity is each experiment's `busy_secs` — the real time its
-/// sweep points took, summed across workers — which is independent of the
-/// thread count the run happened to use. Because the comparison is between
-/// two runs (typically on the same machine within one CI job), the
-/// threshold is deliberately tolerant: a regression must exceed
-/// `WALLCLOCK_FACTOR`× the baseline plus `WALLCLOCK_SLACK_SECS` of
-/// absolute slack before it fails, so scheduler jitter and small sweeps
-/// never flake. An experiment present in the baseline but missing from the
-/// current run is a violation (dropped coverage must not pass); the gate
-/// refuses to compare a quick run against a paper-scale baseline.
-pub const WALLCLOCK_FACTOR: f64 = 5.0;
-pub const WALLCLOCK_SLACK_SECS: f64 = 2.0;
-
-pub fn check_wallclock(base: &WallclockReport, cur: &WallclockReport) -> (usize, Vec<String>) {
-    let mut violations = Vec::new();
-    if base.quick != cur.quick {
-        violations.push(format!(
-            "wallclock: baseline is a {} run but current is a {} run — not comparable",
-            mode(base.quick),
-            mode(cur.quick)
-        ));
-        return (1, violations);
-    }
-    let mut checked = 0usize;
-    for b in &base.experiments {
-        checked += 1;
-        match cur.experiment(&b.name) {
-            None => violations.push(format!(
-                "wallclock: experiment `{}` in baseline but missing from current run",
-                b.name
-            )),
-            Some(c) => {
-                let limit = b.busy_secs * WALLCLOCK_FACTOR + WALLCLOCK_SLACK_SECS;
-                if c.busy_secs > limit {
-                    violations.push(format!(
-                        "wallclock: `{}` took {:.2}s busy vs {:.2}s baseline (limit {:.2}s = {WALLCLOCK_FACTOR}x + {WALLCLOCK_SLACK_SECS}s)",
-                        b.name, c.busy_secs, b.busy_secs, limit
-                    ));
-                }
-            }
-        }
-    }
-    (checked, violations)
-}
-
-fn mode(quick: bool) -> &'static str {
-    if quick { "quick" } else { "full" }
-}
-
 /// Outcome of a speedup gate: the achieved factor plus both raw
 /// measurements (nanoseconds, or a work count), so CI log lines — pass
 /// *and* fail — carry them, not just a verdict.
@@ -204,11 +152,10 @@ impl std::fmt::Display for Speedup {
 
 /// Paired speedup gate: the optimized variant's cost per iteration must
 /// beat the baseline variant's by at least `min_factor`. The cost is
-/// whatever the caller measured on both — virtual nanoseconds, a work
-/// count, or (in `engine_throughput` only) a host time, where both
-/// measurements come from the same process seconds apart so the ratio is
-/// steadier than either. Returns the full measurement, or a human-readable
-/// violation that includes the measured ratio and both raw values.
+/// whatever the caller measured on both, as long as it is exact — virtual
+/// nanoseconds or a work count, never a host time. Returns the full
+/// measurement, or a human-readable violation that includes the measured
+/// ratio and both raw values.
 pub fn check_speedup(
     name: &str,
     baseline_ns: f64,
@@ -232,14 +179,12 @@ pub fn check_speedup(
 /// Speedup gates keyed by experiment: the named report metrics hold a
 /// baseline/optimized pair, pinned as a *ratio* through [`check_speedup`].
 /// Every pair is exact — a work count or the deterministic simulation
-/// clock — so it repeats under any load and any worker count; host times
-/// are reported in notes, never gated here. The metrics never reach CSV
-/// rows.
+/// clock — so it repeats under any load and any worker count. The metrics
+/// never reach CSV rows.
 const SPEEDUPS: &[(&str, &str, &str, &str, f64)] = &[
     // One matching slice issues a DMA get per message when matched through
     // the index and one per coalesced block when replayed from a compiled
-    // schedule (65 536 vs 16 in quick mode). The host-time ratio of the same
-    // pair, 5-8x depending on load, is printed in the experiment's note.
+    // schedule (65 536 vs 16 in quick mode).
     (
         "ablation_schedule",
         "stress_baseline_gets",
@@ -302,7 +247,6 @@ pub fn check_speedups(name: &str, report: &Report) -> (usize, Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wallclock::ExperimentTime;
 
     #[test]
     fn registry_has_no_duplicate_keys_and_sane_tolerances() {
@@ -337,47 +281,6 @@ mod tests {
         assert!(v.is_empty(), "{v:?}");
         let (checked, v) = check("unknown_experiment", &ok, false);
         assert_eq!(checked, 0);
-        assert!(v.is_empty());
-    }
-
-    fn wc(quick: bool, entries: &[(&str, f64)]) -> WallclockReport {
-        WallclockReport {
-            quick,
-            threads: 1,
-            wall_secs: 1.0,
-            worker_busy_secs: vec![1.0],
-            experiments: entries
-                .iter()
-                .map(|(n, b)| ExperimentTime {
-                    name: n.to_string(),
-                    points: 1,
-                    busy_secs: *b,
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn wallclock_gate_flags_regressions_and_missing_experiments() {
-        let base = wc(true, &[("fig2", 1.0), ("fig9", 4.0)]);
-        // Within factor*base + slack: passes.
-        let ok = wc(true, &[("fig2", 6.9), ("fig9", 21.9)]);
-        let (checked, v) = check_wallclock(&base, &ok);
-        assert_eq!(checked, 2);
-        assert!(v.is_empty(), "{v:?}");
-        // Past the limit: flagged.
-        let slow = wc(true, &[("fig2", 7.1), ("fig9", 4.0)]);
-        let (_, v) = check_wallclock(&base, &slow);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("fig2"));
-        // Dropped experiment: flagged.
-        let missing = wc(true, &[("fig2", 1.0)]);
-        let (_, v) = check_wallclock(&base, &missing);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("missing"));
-        // Extra experiments in the current run are fine.
-        let extra = wc(true, &[("fig2", 1.0), ("fig9", 4.0), ("fig10", 99.0)]);
-        let (_, v) = check_wallclock(&base, &extra);
         assert!(v.is_empty());
     }
 
@@ -458,15 +361,5 @@ mod tests {
         // The bake-off is gated by a speedup ratio, not a tolerance pin.
         assert!(!has_pin_gates("ablation_reduce"));
         assert!(!has_pin_gates("unknown_experiment"));
-    }
-
-    #[test]
-    fn wallclock_gate_refuses_mode_mixing() {
-        let base = wc(false, &[("fig2", 1.0)]);
-        let cur = wc(true, &[("fig2", 1.0)]);
-        let (checked, v) = check_wallclock(&base, &cur);
-        assert_eq!(checked, 1);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("not comparable"));
     }
 }

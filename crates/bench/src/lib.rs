@@ -1,16 +1,16 @@
 #![forbid(unsafe_code)]
 //! # bench — experiment harness utilities
 //!
-//! Table/series formatting and CSV emission shared by the `repro` binary
-//! (which regenerates every table and figure of the paper) and the
-//! std-only micro-benchmarks in [`micro`] (run as ordinary binaries:
-//! `primitives`, `engine_throughput`, `softfloat_ops`, `apps_micro`).
+//! Table/series formatting and CSV emission for the `repro` binary, which
+//! regenerates every table and figure of the paper ([`experiments`]) on a
+//! deterministic parallel sweep ([`sweep`]) and checks the headline values
+//! against the recorded tolerances ([`gate`]). Nothing a [`Report`] renders
+//! depends on the host; what the harness and each layer under it cost in
+//! host time is measured by the standalone `perf/` package.
 
 pub mod experiments;
 pub mod gate;
-pub mod micro;
 pub mod sweep;
-pub mod wallclock;
 
 use std::fmt::Write as _;
 use std::io::Write as _;

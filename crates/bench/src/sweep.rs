@@ -10,10 +10,15 @@
 //! a point executes, never *what* it computes or where its output lands.
 //!
 //! The thread count comes from the `REPRO_THREADS` environment variable
-//! (default: `std::thread::available_parallelism`). `REPRO_THREADS=1`
-//! takes a no-thread sequential fast path, which is also the reference
-//! the determinism test in `tests/parallel_determinism.rs` compares
-//! against.
+//! (unset: `std::thread::available_parallelism`; set: an integer of at
+//! least 1, anything else is a usage error). `REPRO_THREADS=1` takes a
+//! no-thread sequential fast path, which is also the reference the
+//! determinism test in `tests/parallel_determinism.rs` compares against.
+//!
+//! This is also the one module of the workspace that reads the host clock
+//! (detlint D01): one `Instant` pair around a sweep, for the `sweep:` line
+//! `repro` prints. Host time is *measured* by the standalone `perf/`
+//! package, per PR, in `BENCH_<pr>.json`.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -39,101 +44,55 @@ impl PointOut {
 /// One schedulable unit of simulation work.
 pub type PointFn = Box<dyn FnOnce() -> PointOut + Send>;
 
-/// Wall-clock accounting for one sweep.
+/// What one sweep ran on and how long it took: the one host observation
+/// in the workspace outside `perf/`, for the `sweep:` line `repro` prints.
 #[derive(Clone, Debug)]
 pub struct SweepStats {
     /// Workers the sweep actually ran with.
     pub threads: usize,
     /// Wall-clock seconds from first point issued to last point merged.
     pub wall_secs: f64,
-    /// Seconds each worker spent executing points (excludes idle/steal
-    /// time); `busy_secs[i] / wall_secs` is worker `i`'s utilization.
-    pub worker_busy_secs: Vec<f64>,
-    /// Seconds each point took, indexed like the input list.
-    pub point_secs: Vec<f64>,
 }
 
-impl SweepStats {
-    /// Mean worker utilization in `[0, 1]`. A sweep that measured no wall
-    /// time or ran no workers did zero useful work, so it reports 0.0 —
-    /// not the 1.0 a naive busy/wall ratio would degenerate to.
-    pub fn utilization(&self) -> f64 {
-        if self.wall_secs <= 0.0 || self.worker_busy_secs.is_empty() {
-            return 0.0;
-        }
-        let busy: f64 = self.worker_busy_secs.iter().sum();
-        busy / (self.wall_secs * self.worker_busy_secs.len() as f64)
+/// Worker count from the text of `REPRO_THREADS`: unset means every core
+/// the machine offers, anything else has to be an integer of at least 1.
+fn parse_threads(var: Option<&str>) -> Result<usize, String> {
+    let Some(text) = var else {
+        return Ok(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+    };
+    match text.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("REPRO_THREADS={text:?} is not an integer of at least 1")),
     }
 }
 
-/// Thread count from `REPRO_THREADS`, falling back to the machine's
-/// available parallelism. Values of 0 or unparsable text fall back too.
-pub fn threads_from_env() -> usize {
-    match std::env::var("REPRO_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => default_threads(),
-        },
-        Err(_) => default_threads(),
-    }
+/// [`parse_threads`] of the process environment.
+pub fn threads_from_env() -> Result<usize, String> {
+    let var = std::env::var_os("REPRO_THREADS");
+    parse_threads(var.as_ref().map(|v| v.to_string_lossy()).as_deref())
 }
 
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+/// Run every point and return the outputs **in input order**, plus what
+/// the sweep ran on and how long it took.
+pub fn run_points(points: Vec<PointFn>, threads: usize) -> (Vec<PointOut>, SweepStats) {
+    let threads = threads.clamp(1, points.len().max(1));
+    let t0 = Instant::now();
+    let outs = if threads == 1 {
+        // Sequential fast path: no pool, no locks — the byte-identity
+        // reference for any parallel run.
+        points.into_iter().map(|p| p()).collect()
+    } else {
+        run_on_pool(points, threads)
+    };
+    (outs, SweepStats { threads, wall_secs: t0.elapsed().as_secs_f64() })
 }
 
-/// Wall-clock nanoseconds one closure invocation took, plus its result.
-/// A host observation for speedup-gated machinery points: the number may
-/// feed report *metrics* (consumed by `gate::check_speedup`) but never CSV
-/// rows, so regenerated CSVs stay byte-identical across machines.
-pub fn time_ns<R>(f: impl FnOnce() -> R) -> (f64, R) {
-    let t = Instant::now();
-    let r = f();
-    (t.elapsed().as_nanos() as f64, r)
-}
-
-/// Number of OS threads currently alive in this process, from
-/// `/proc/self/task` (0 where procfs is unavailable). A host observation,
-/// not a simulation quantity: it feeds report *notes* only (e.g. the scale
-/// sweep's peak-thread record), never CSV rows, so regenerated CSVs stay
-/// byte-identical across thread counts and platforms.
-pub fn os_thread_count() -> u64 {
-    std::fs::read_dir("/proc/self/task").map(|d| d.count() as u64).unwrap_or(0)
-}
-
-/// Run every point and return the outputs **in input order** plus timing.
-///
 /// Points are sharded round-robin across `threads` workers; an idle
 /// worker steals from the back of the busiest-looking peer queue. Because
 /// no point ever enqueues further points, "every queue is empty" is a
 /// sound termination condition.
-pub fn run_points(points: Vec<PointFn>, threads: usize) -> (Vec<PointOut>, SweepStats) {
+fn run_on_pool(points: Vec<PointFn>, threads: usize) -> Vec<PointOut> {
     let n = points.len();
-    let threads = threads.clamp(1, n.max(1));
-    let t0 = Instant::now();
-
-    if threads == 1 {
-        // Sequential fast path: no pool, no locks — the byte-identity
-        // reference for any parallel run.
-        let mut outs = Vec::with_capacity(n);
-        let mut point_secs = Vec::with_capacity(n);
-        let mut busy = 0.0f64;
-        for p in points {
-            let s = Instant::now();
-            outs.push(p());
-            let d = s.elapsed().as_secs_f64();
-            point_secs.push(d);
-            busy += d;
-        }
-        let stats = SweepStats {
-            threads: 1,
-            wall_secs: t0.elapsed().as_secs_f64(),
-            worker_busy_secs: vec![busy],
-            point_secs,
-        };
-        return (outs, stats);
-    }
-
     // Task slots: a worker claims point `i` by take()ing slot `i`. The
     // index queues below only ever hold each index once, but the take()
     // guard makes double-execution structurally impossible.
@@ -146,8 +105,6 @@ pub fn run_points(points: Vec<PointFn>, threads: usize) -> (Vec<PointOut>, Sweep
         .collect();
 
     let mut outs: Vec<Option<PointOut>> = (0..n).map(|_| None).collect();
-    let mut point_secs = vec![0.0f64; n];
-    let mut worker_busy_secs = vec![0.0f64; threads];
 
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
@@ -155,8 +112,7 @@ pub fn run_points(points: Vec<PointFn>, threads: usize) -> (Vec<PointOut>, Sweep
                 let tasks = &tasks;
                 let queues = &queues;
                 s.spawn(move || {
-                    let mut done: Vec<(usize, PointOut, f64)> = Vec::new();
-                    let mut busy = 0.0f64;
+                    let mut done: Vec<(usize, PointOut)> = Vec::new();
                     loop {
                         // Own queue first (front), then steal from the
                         // back of the other queues.
@@ -172,39 +128,24 @@ pub fn run_points(points: Vec<PointFn>, threads: usize) -> (Vec<PointOut>, Sweep
                         }
                         let Some(i) = idx else { break };
                         if let Some(p) = tasks[i].lock().unwrap().take() {
-                            let t = Instant::now();
-                            let out = p();
-                            let d = t.elapsed().as_secs_f64();
-                            busy += d;
-                            done.push((i, out, d));
+                            done.push((i, p()));
                         }
                     }
-                    (done, busy)
+                    done
                 })
             })
             .collect();
-        for (wid, h) in handles.into_iter().enumerate() {
-            let (done, busy) = h.join().expect("sweep worker panicked");
-            worker_busy_secs[wid] = busy;
-            for (i, out, d) in done {
+        for h in handles {
+            for (i, out) in h.join().expect("sweep worker panicked") {
                 outs[i] = Some(out);
-                point_secs[i] = d;
             }
         }
     });
 
-    let outs: Vec<PointOut> = outs
-        .into_iter()
+    outs.into_iter()
         .enumerate()
         .map(|(i, o)| o.unwrap_or_else(|| panic!("point {i} never executed")))
-        .collect();
-    let stats = SweepStats {
-        threads,
-        wall_secs: t0.elapsed().as_secs_f64(),
-        worker_busy_secs,
-        point_secs,
-    };
-    (outs, stats)
+        .collect()
 }
 
 #[cfg(test)]
@@ -229,8 +170,7 @@ mod tests {
                 assert_eq!(o.nums, vec![(i * i) as f64]);
                 assert_eq!(o.words, vec![i as u64]);
             }
-            assert!(stats.threads <= 8);
-            assert_eq!(stats.point_secs.len(), 37);
+            assert_eq!(stats.threads, threads);
         }
     }
 
@@ -240,7 +180,6 @@ mod tests {
         let (par, stats) = run_points(squares(64), 4);
         assert_eq!(seq, par);
         assert_eq!(stats.threads, 4);
-        assert_eq!(stats.worker_busy_secs.len(), 4);
     }
 
     #[test]
@@ -266,47 +205,23 @@ mod tests {
             PointOut::new(vec![-1.0], vec![])
         })];
         points.extend(squares(40));
-        let (outs, stats) = run_points(points, 4);
+        let (outs, _) = run_points(points, 4);
         assert_eq!(outs.len(), 41);
         assert_eq!(outs[0].nums, vec![-1.0]);
         assert_eq!(outs[40].nums, vec![(39 * 39) as f64]);
-        // The slow worker was busy ~30ms; the others must have drained
-        // everything else meanwhile (utilization sanity, not a timing
-        // assertion that could flake).
-        assert!(stats.worker_busy_secs.iter().sum::<f64>() >= 0.03);
-    }
-
-    #[test]
-    fn utilization_is_zero_for_degenerate_sweeps() {
-        // Zero wall clock: no time passed, so nothing was utilized.
-        let zero_wall = SweepStats {
-            threads: 4,
-            wall_secs: 0.0,
-            worker_busy_secs: vec![0.0; 4],
-            point_secs: vec![],
-        };
-        assert_eq!(zero_wall.utilization(), 0.0);
-        // Empty sweep: no workers recorded any busy time.
-        let no_workers = SweepStats {
-            threads: 1,
-            wall_secs: 1.0,
-            worker_busy_secs: vec![],
-            point_secs: vec![],
-        };
-        assert_eq!(no_workers.utilization(), 0.0);
-        // Sanity: a real ratio still comes through.
-        let half = SweepStats {
-            threads: 2,
-            wall_secs: 1.0,
-            worker_busy_secs: vec![0.5, 0.5],
-            point_secs: vec![0.5, 0.5],
-        };
-        assert!((half.utilization() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn env_parsing_defaults_sanely() {
-        // Not set / garbage / zero all fall back to a positive count.
-        assert!(threads_from_env() >= 1);
+        // Unset: every core. Set: an integer of at least 1, or an error
+        // that names the variable and the value.
+        assert!(parse_threads(None).unwrap() >= 1);
+        for (text, want) in [("1", 1), ("4", 4), (" 12 ", 12)] {
+            assert_eq!(parse_threads(Some(text)), Ok(want), "{text:?}");
+        }
+        for text in ["0", "four", "", " ", "-1", "2.5", "4x"] {
+            let err = parse_threads(Some(text)).unwrap_err();
+            assert!(err.contains("REPRO_THREADS") && err.contains(&format!("{text:?}")), "{err}");
+        }
     }
 }

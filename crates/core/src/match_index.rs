@@ -42,10 +42,10 @@
 //! Determinism: all iteration that can reach an observable result (matching,
 //! probing, checkpoint capture) goes through the sequence-ordered tables or
 //! takes numeric minima; the interior `HashMap`s are reached only by exact
-//! key. [`reference`] keeps the original linear-scan matcher alive as the
-//! executable specification; `crates/core/tests/match_equivalence.rs`
-//! property-checks the two against each other, and the `engine_throughput`
-//! microbench races them (`matching gate` in `scripts/verify.sh`).
+//! key. The original linear-scan matcher lives on as the executable
+//! specification in test support (`crates/core/tests/reference/`), where
+//! `match_equivalence.rs` property-checks the two against each other; what
+//! a match costs the host is `perf/`'s `core.probe_ns_per_match`.
 
 use mpi_api::idtable::IdTable;
 use mpi_api::message::{SrcSel, TagSel};
@@ -626,112 +626,6 @@ impl LazyBudget {
     }
 }
 
-// ----------------------------------------------------------------------
-// Reference matcher (the executable specification)
-// ----------------------------------------------------------------------
-
-/// The original linear-scan matcher, kept as the executable specification
-/// the indexed structures are property-tested and benchmarked against.
-pub mod reference {
-    use super::{RecvSel, SendKey};
-    use mpi_api::message::{SrcSel, TagSel};
-
-    /// Posted receives as a flat list in post order; every operation is the
-    /// literal scan the BR used to perform.
-    #[derive(Clone, Default)]
-    pub struct LinearRecvList<T> {
-        entries: Vec<(u64, RecvSel, T)>,
-        next_seq: u64,
-    }
-
-    impl<T> LinearRecvList<T> {
-        pub fn new() -> Self {
-            LinearRecvList {
-                entries: Vec::new(),
-                next_seq: 0,
-            }
-        }
-
-        pub fn post(&mut self, sel: RecvSel, item: T) -> u64 {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.entries.push((seq, sel, item));
-            seq
-        }
-
-        pub fn match_first(&mut self, key: &SendKey) -> Option<(RecvSel, T)> {
-            self.match_first_seq(key).map(|(_, sel, item)| (sel, item))
-        }
-
-        pub fn match_first_seq(&mut self, key: &SendKey) -> Option<(u64, RecvSel, T)> {
-            let pos = self.entries.iter().position(|(_, sel, _)| sel.accepts(key))?;
-            let (seq, sel, item) = self.entries.remove(pos);
-            Some((seq, sel, item))
-        }
-
-        /// Every live receive in post order, literally the list itself.
-        pub fn take_all(&mut self) -> Vec<(RecvSel, T)> {
-            std::mem::take(&mut self.entries)
-                .into_iter()
-                .map(|(_, sel, item)| (sel, item))
-                .collect()
-        }
-
-        pub fn cancel(&mut self, seq: u64) -> Option<(RecvSel, T)> {
-            let pos = self.entries.iter().position(|(s, _, _)| *s == seq)?;
-            let (_, sel, item) = self.entries.remove(pos);
-            Some((sel, item))
-        }
-
-        pub fn len(&self) -> usize {
-            self.entries.len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.entries.is_empty()
-        }
-
-        pub fn iter(&self) -> impl Iterator<Item = (u64, &RecvSel, &T)> {
-            self.entries.iter().map(|(seq, sel, item)| (*seq, sel, item))
-        }
-    }
-
-    /// Unmatched sends as a flat list in arrival order.
-    #[derive(Clone, Default)]
-    pub struct LinearSendList<T> {
-        entries: Vec<(SendKey, T)>,
-    }
-
-    impl<T> LinearSendList<T> {
-        pub fn new() -> Self {
-            LinearSendList { entries: Vec::new() }
-        }
-
-        pub fn push(&mut self, key: SendKey, item: T) {
-            self.entries.push((key, item));
-        }
-
-        pub fn probe(&self, dst_rank: usize, src: SrcSel, tag: TagSel) -> Option<(&SendKey, &T)> {
-            self.entries
-                .iter()
-                .find(|(k, _)| k.dst_rank == dst_rank && src.matches(k.src_rank) && tag.matches(k.tag))
-                .map(|(k, item)| (k, item))
-        }
-
-        pub fn drain_all(&mut self) -> Vec<(SendKey, T)> {
-            std::mem::take(&mut self.entries)
-        }
-
-        pub fn len(&self) -> usize {
-            self.entries.len()
-        }
-
-        pub fn iter(&self) -> impl Iterator<Item = (&SendKey, &T)> {
-            self.entries.iter().map(|(k, item)| (k, item))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,21 +660,15 @@ mod tests {
     #[test]
     fn match_first_seq_reports_the_post_sequence_and_take_all_drains() {
         let mut idx = RecvIndex::new();
-        let mut linear = reference::LinearRecvList::new();
         for (i, s) in [SrcSel::Any, SrcSel::Rank(1), SrcSel::Rank(2)].into_iter().enumerate() {
             idx.post(sel(0, s, TagSel::Tag(3)), i);
-            linear.post(sel(0, s, TagSel::Tag(3)), i);
         }
         let (seq, _, item) = idx.match_first_seq(&key(0, 2, 3)).unwrap();
-        let (lseq, _, litem) = linear.match_first_seq(&key(0, 2, 3)).unwrap();
         assert_eq!((seq, item), (0, 0), "wildcard posted first wins");
-        assert_eq!((lseq, litem), (seq, item), "reference agrees");
-        // take_all returns the survivors in post order, and empties both.
+        // take_all returns the survivors in post order, and empties the index.
         let rest: Vec<usize> = idx.take_all().into_iter().map(|(_, i)| i).collect();
-        let lrest: Vec<usize> = linear.take_all().into_iter().map(|(_, i)| i).collect();
         assert_eq!(rest, vec![1, 2]);
-        assert_eq!(lrest, rest);
-        assert!(idx.is_empty() && linear.is_empty());
+        assert!(idx.is_empty());
         // The index is still usable after a take_all.
         idx.post(sel(0, SrcSel::Rank(9), TagSel::Tag(1)), 7);
         assert_eq!(idx.match_first(&key(0, 9, 1)).unwrap().1, 7);

@@ -19,7 +19,7 @@
 //! The BR's queues are held in the [`crate::match_index`] structures, so
 //! matching, probing and chunk bookkeeping stay sub-linear at large
 //! descriptor counts while producing bit-identical results to the
-//! list-scan specification (`match_index::reference`).
+//! list-scan specification (`crates/core/tests/reference/`).
 
 use crate::engine::{BW, Blocked, BcsMpi};
 use crate::match_index::{RecvIndex, RecvSel, SendIndex, SendKey};

@@ -18,7 +18,7 @@
 //! * replay is observably transparent — match results, budget arithmetic,
 //!   NIC-cost accounting, virtual timings and checkpoint digests are
 //!   bit-identical to the indexed path (which itself is bit-identical to
-//!   `match_index::reference`, the executable specification);
+//!   `crates/core/tests/reference/`, the executable specification);
 //! * any deviation — digest mismatch, insufficient budget, a pattern the
 //!   compiler refused (unmatched arrivals, zero-byte messages, chunked
 //!   messages, leftover receives) — falls back to the indexed path for

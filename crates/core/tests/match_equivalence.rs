@@ -1,5 +1,5 @@
 //! The indexed matcher (`match_index::{RecvIndex, SendIndex}`) must be
-//! *bit-identical* to the linear scans it replaced (`match_index::reference`)
+//! *bit-identical* to the linear scans it replaced (`reference/mod.rs` here)
 //! — same match winners, same probe answers, same retained backlog in the
 //! same order — over arbitrary interleavings of posts, arrivals, probes,
 //! cancels and MSM sweeps, including the `drain_new` fast path the engine
@@ -11,10 +11,12 @@
 //! included: two sends with the same envelope must match in arrival order,
 //! which the seq-ordered comparison checks for free).
 
-use bcs_mpi::match_index::reference::{LinearRecvList, LinearSendList};
+mod reference;
+
 use bcs_mpi::match_index::{RecvIndex, RecvSel, SendIndex, SendKey};
 use mpi_api::message::{SrcSel, TagSel};
 use proplite::prelude::*;
+use reference::{LinearRecvList, LinearSendList};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -190,6 +192,28 @@ proplite! {
     ) {
         check_script(&ops)?;
     }
+}
+
+/// The sequence a match reports is the post sequence on both sides, the
+/// wildcard posted first wins on both, and `take_all` leaves both empty with
+/// the survivors in post order.
+#[test]
+fn match_first_seq_and_take_all_agree_with_the_reference() {
+    let mut idx = RecvIndex::new();
+    let mut linear = LinearRecvList::new();
+    for (i, src) in [None, Some(1), Some(2)].into_iter().enumerate() {
+        idx.post(sel(0, src, Some(3)), i);
+        linear.post(sel(0, src, Some(3)), i);
+    }
+    let (seq, _, item) = idx.match_first_seq(&key(0, 2, 3)).unwrap();
+    let (lseq, _, litem) = linear.match_first_seq(&key(0, 2, 3)).unwrap();
+    assert_eq!((seq, item), (0, 0), "wildcard posted first wins");
+    assert_eq!((lseq, litem), (seq, item), "reference agrees");
+    let rest: Vec<usize> = idx.take_all().into_iter().map(|(_, i)| i).collect();
+    let lrest: Vec<usize> = linear.take_all().into_iter().map(|(_, i)| i).collect();
+    assert_eq!(rest, vec![1, 2]);
+    assert_eq!(lrest, rest);
+    assert!(idx.is_empty() && linear.is_empty());
 }
 
 /// Buckets that empty and refill — one receive per rotating tag, as the halo

@@ -181,7 +181,6 @@ pub const CRATES: &[CrateSpec] = &[
             "simcore",
             "qsnet",
             "bcs-core",
-            "softfloat",
             "mpi-api",
             "bcs-mpi",
             "quadrics-mpi",

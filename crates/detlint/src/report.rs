@@ -33,8 +33,7 @@ pub fn summary_line(scan: &Scan, elapsed_secs: f64) -> String {
 }
 
 /// Serialize a scan as the `reports/detlint.json` document (hand-rolled
-/// JSON — the workspace is offline and serde-free, same as
-/// `bench_wallclock.json`).
+/// JSON — the workspace is offline and serde-free).
 ///
 /// Schema v2: the v1 `elapsed_secs` key is gone — the report is a pure
 /// function of the scanned sources, so two consecutive runs emit

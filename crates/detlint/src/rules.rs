@@ -4,7 +4,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | D01  | no host clocks (`Instant`, `SystemTime`) outside `bench::{sweep,micro,wallclock}` |
+//! | D01  | no host clocks (`Instant`, `SystemTime`) outside `bench::sweep` |
 //! | D02  | no iteration over `HashMap`/`HashSet` in sim crates (order is seeded per-process) |
 //! | D03  | no `thread::spawn`/`thread::scope`/`thread::Builder` outside `bench::sweep` |
 //! | D04  | no `std::env` reads outside `bench` and `detlint` |
@@ -52,12 +52,10 @@ pub fn crate_of(rel: &str) -> &str {
         .unwrap_or("root")
 }
 
-/// D01: host clocks are the business of the wall-clock harness only.
+/// D01: the one host clock is the sweep's, for the line `repro` prints
+/// (host time is measured by `perf/`, which is outside the scanned tree).
 fn d01_allowed(rel: &str) -> bool {
-    matches!(
-        rel,
-        "crates/bench/src/sweep.rs" | "crates/bench/src/micro.rs" | "crates/bench/src/wallclock.rs"
-    )
+    rel == "crates/bench/src/sweep.rs"
 }
 
 /// D03: real threads exist only inside the sweep worker pool.
@@ -200,8 +198,8 @@ pub fn check_file(
                     "D01",
                     t,
                     &format!(
-                        "host clock (`{}`) outside bench::{{sweep,micro,wallclock}} — wall time \
-                         is never a simulation input",
+                        "host clock (`{}`) outside bench::sweep — wall time is never a \
+                         simulation input",
                         t.text
                     ),
                 ));
@@ -464,10 +462,9 @@ mod tests {
         let src = "let t = Instant::now();";
         assert_eq!(run("crates/core/src/engine.rs", src).len(), 1);
         assert_eq!(run("crates/bench/src/sweep.rs", src).len(), 0);
-        assert_eq!(run("crates/bench/src/micro.rs", src).len(), 0);
-        assert_eq!(run("crates/bench/src/wallclock.rs", src).len(), 0);
-        // But not in other bench files:
+        // But not in other bench files, the binary included:
         assert_eq!(run("crates/bench/src/gate.rs", src).len(), 1);
+        assert_eq!(run("crates/bench/src/bin/repro.rs", src).len(), 1);
     }
 
     #[test]

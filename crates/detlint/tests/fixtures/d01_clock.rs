@@ -1,5 +1,5 @@
 //@ path: crates/qsnet/src/clock.rs
-// Known-bad: host clocks outside bench::{sweep,micro,wallclock}.
+// Known-bad: host clocks outside bench::sweep.
 use std::time::{Instant, SystemTime}; //~ D01 D01
 
 pub fn now_pair() {

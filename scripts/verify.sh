@@ -24,23 +24,17 @@
 #      number and the replay log retains no message bytes; a message costs
 #      at most 2.5 host allocations, no copy and under two heap entries per
 #      three events; the run-chained event queue equals its (time, seq)
-#      model
+#      model; two `repro` runs print the same standard output except the
+#      `sweep:` line and write nothing but CSVs (release-only in cli.rs)
 #   4. the fault ablation (quick), tolerance-gated, emitting
 #      reports/ablation_fault.csv; its note on what the replay log retains
 #      by value must name fewer bytes than were moved point to point
 #   5. the quick repro sequentially and with REPRO_THREADS=4: the CSVs
-#      must be byte-identical across thread counts, and the parallel run
-#      is gated against the sequential run's wall-clock baseline (the
-#      gate's 5x + 2s threshold is deliberately tolerant of CI noise);
-#      repro's speedup pairs are exact (a work count or virtual time), so
-#      they are ratio-gated at any worker count and any load
-#   6. the four microbenches (quick mode), emitting reports/microbench_*.csv;
-#      engine_throughput additionally self-gates its two paired rows
-#      (indexed matching vs the linear-scan reference, incremental image
-#      capture vs a deep clone, both >= 5x) and exits non-zero on a miss,
-#      and records two exact counts beside its timings (heap pushes per
-#      event for lock-step timers, allocations per halo message)
-#   7. one `repro --quick` run on one sweep worker of four experiments:
+#      must be byte-identical across thread counts; repro's speedup pairs
+#      are exact (a work count or virtual time), so they are ratio-gated at
+#      any worker count and any load. No step reads a host clock: host time
+#      is measured by perf/run.sh, per PR, in BENCH_<pr>.json
+#   6. one `repro --quick` run on one sweep worker of four experiments:
 #      the n=4096 scale smoke (barrier + neighbor sweeps on the BlueGene/L
 #      model, DESIGN.md section 11), with
 #      the two n=4096 headline slowdowns tolerance-gated and the slice
@@ -51,12 +45,9 @@
 #      (DESIGN.md section 13: replay transparency pinned to exactly 0 ns,
 #      pattern behavior flags pinned, and the stress pair's DMA gets —
 #      one per message indexed, one per coalesced block compiled — gated
-#      >= 5x through gate::check_speedups, its host-time ratio printed in
-#      a note and not gated; repro exits non-zero on any miss); and the
-#      collective bake-off smoke (DESIGN.md section 14). Rewrites the four
-#      CSVs under reports/; the run's host timings (bench_wallclock.json,
-#      untracked: the per-PR trajectory is BENCH_<pr>.json) end up in
-#      target/
+#      >= 5x through gate::check_speedups; repro exits non-zero on any
+#      miss); and the collective bake-off smoke (DESIGN.md section 14).
+#      Rewrites the four CSVs under reports/
 #
 # Any compile warning in any workspace crate is a failure (-D warnings).
 set -euo pipefail
@@ -88,11 +79,12 @@ cargo test --workspace -q
 echo "== benchmark package compiles against the product surface (perf/, build only)"
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
-echo "== fault-recovery property suite + count-based tests (capture flatness, per-message host cost, event-queue model)"
+echo "== fault-recovery property suite + count-based tests (capture flatness, per-message host cost, event-queue model, repro output repeats)"
 cargo test --release -q --test fault_recovery
 cargo test --release -q -p bcs-mpi --test capture_flatness
 cargo test --release -q -p apps --test alloc_per_message
 cargo test --release -q --test sim_queue_model
+cargo test --release -q -p bench --test cli
 
 echo "== fault ablation (quick, tolerance-gated) -> reports/ablation_fault.csv"
 fault_out="$(cargo run --release -q -p bench --bin repro -- ablation-fault --quick)"
@@ -109,12 +101,11 @@ echo "$fault_out" | awk '
     }
   }'
 
-echo "== parallel repro determinism (quick, REPRO_THREADS=1 vs 4) + wall-clock gate"
+echo "== parallel repro determinism (quick, REPRO_THREADS=1 vs 4)"
 seq_dir="$(mktemp -d)"; par_dir="$(mktemp -d)"
 trap 'rm -rf "$seq_dir" "$par_dir"' EXIT
 REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick all --out "$seq_dir" >/dev/null
-REPRO_THREADS=4 cargo run --release -q -p bench --bin repro -- --quick all --out "$par_dir" \
-  --wallclock-baseline "$seq_dir/bench_wallclock.json" >/dev/null
+REPRO_THREADS=4 cargo run --release -q -p bench --bin repro -- --quick all --out "$par_dir" >/dev/null
 n=0
 for f in "$seq_dir"/*.csv; do
   cmp -s "$f" "$par_dir/$(basename "$f")" \
@@ -122,22 +113,10 @@ for f in "$seq_dir"/*.csv; do
   n=$((n + 1))
 done
 [ "$n" -gt 0 ] || { echo "verify: quick repro emitted no CSVs" >&2; exit 1; }
-echo "   $n CSVs byte-identical across thread counts; wall-clock gate passed"
-
-echo "== offline microbenches (quick mode, engine_throughput 5x-gated) -> reports/microbench_*.csv"
-for b in primitives engine_throughput softfloat_ops apps_micro; do
-  MICROBENCH_QUICK=1 cargo run --release -q -p bench --bin "$b"
-done
-
-for b in primitives engine_throughput softfloat_ops apps_micro; do
-  csv="reports/microbench_$b.csv"
-  [ -s "$csv" ] || { echo "verify: missing $csv" >&2; exit 1; }
-done
+echo "   $n CSVs byte-identical across thread counts"
 
 echo "== n=4096 scale smoke + fabric-matrix smoke + ablation-schedule/-reduce smokes (single sweep worker)"
 smoke_out="$(REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick scale fabric-matrix ablation-schedule ablation-reduce)"
-# repro writes its host timings beside its CSVs; they are not a report.
-mv -f reports/bench_wallclock.json target/bench_wallclock.json
 [ -s reports/scale.csv ] || { echo "verify: missing reports/scale.csv" >&2; exit 1; }
 # O(active) slices (DESIGN.md section 9): what the strobe machinery
 # dispatches per slice at n=4096 must stay under twice the smallest n.
