@@ -34,7 +34,7 @@ pub mod retry;
 
 use qsnet::{Fabric, NodeId};
 use simcore::{Sim, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 /// Accessor implemented by every simulation world that embeds a BCS cluster.
@@ -102,8 +102,9 @@ impl<T: AsRef<[NodeId]> + ?Sized> NodeSet for &T {
     }
 }
 
-/// Per-destination delivery hook of `Xfer-And-Signal`: higher layers use it
-/// to deposit payloads (descriptors, strobes) into NIC data structures.
+/// Delivery hook of `Xfer-And-Signal`, called once per delivery instant
+/// with the destinations reached at it: higher layers use it to deposit
+/// payloads (descriptors, strobes) into NIC data structures.
 pub use qsnet::fabric::DeliverFn;
 
 /// Options of one `Xfer-And-Signal` invocation.
@@ -112,7 +113,8 @@ pub struct XsOpts<W> {
     pub remote_event: Option<EventWord>,
     /// Event signalled on the source node once all deliveries completed.
     pub local_event: Option<EventWord>,
-    /// Arbitrary per-destination delivery action.
+    /// Arbitrary delivery action, run before `remote_event` is signalled
+    /// on the same destinations.
     pub on_deliver: Option<DeliverFn<W>>,
 }
 
@@ -128,14 +130,15 @@ impl<W> Default for XsOpts<W> {
 
 struct EventState<W> {
     pending: u32,
-    waiters: Vec<Box<dyn FnOnce(&mut W, &mut Sim<W>)>>,
+    /// Parked continuations, woken in park order.
+    waiters: VecDeque<Box<dyn FnOnce(&mut W, &mut Sim<W>)>>,
 }
 
 impl<W> Default for EventState<W> {
     fn default() -> Self {
         EventState {
             pending: 0,
-            waiters: Vec::new(),
+            waiters: VecDeque::new(),
         }
     }
 }
@@ -232,7 +235,7 @@ impl<W: BcsWorld> BcsCluster<W> {
                     ev,
                     EventState {
                         pending,
-                        waiters: Vec::new(),
+                        waiters: VecDeque::new(),
                     },
                 );
             }
@@ -274,6 +277,15 @@ impl<W: BcsWorld> BcsCluster<W> {
         self.column_mut(addr)[node.0] = value;
     }
 
+    /// [`set_word`](Self::set_word) on every node of `nodes`: one column
+    /// look-up for all of them.
+    pub fn set_word_many(&mut self, nodes: &[NodeId], addr: GlobalWord, value: i64) {
+        let vals = self.column_mut(addr);
+        for &n in nodes {
+            vals[n.0] = value;
+        }
+    }
+
     /// Add to a global word locally, returning the new value.
     pub fn add_word(&mut self, node: NodeId, addr: GlobalWord, delta: i64) -> i64 {
         let w = &mut self.column_mut(addr)[node.0];
@@ -289,7 +301,7 @@ impl<W: BcsWorld> BcsCluster<W> {
     /// increments the pending count (Elan events are counters).
     pub fn signal_event(w: &mut W, sim: &mut Sim<W>, node: NodeId, ev: EventWord) {
         let st = w.bcs().events[node.0].entry(ev).or_default();
-        if let Some(waiter) = pop_waiter(st) {
+        if let Some(waiter) = st.waiters.pop_front() {
             waiter(w, sim);
         } else {
             st.pending += 1;
@@ -322,7 +334,7 @@ impl<W: BcsWorld> BcsCluster<W> {
             st.pending -= 1;
             cont(w, sim);
         } else {
-            st.waiters.push(Box::new(cont));
+            st.waiters.push_back(Box::new(cont));
         }
     }
 
@@ -331,7 +343,7 @@ impl<W: BcsWorld> BcsCluster<W> {
     // ------------------------------------------------------------------
 
     /// Atomic PUT of `bytes` from `src` to every node in `dests`, with
-    /// optional event signalling and a per-destination delivery hook.
+    /// optional event signalling and a delivery hook.
     /// Returns the completion time (last delivery).
     pub fn xfer_and_signal(
         w: &mut W,
@@ -344,19 +356,17 @@ impl<W: BcsWorld> BcsCluster<W> {
         assert!(!dests.is_empty(), "Xfer-And-Signal with empty destination set");
         let remote_event = opts.remote_event;
         let user_deliver = opts.on_deliver;
-        let per_dest: Option<DeliverFn<W>> =
-            if remote_event.is_some() || user_deliver.is_some() {
-                Some(Rc::new(move |w: &mut W, sim: &mut Sim<W>, d: NodeId| {
-                    if let Some(cb) = &user_deliver {
-                        cb(w, sim, d);
-                    }
-                    if let Some(ev) = remote_event {
-                        BcsCluster::signal_event(w, sim, d, ev);
-                    }
-                }))
-            } else {
-                None
-            };
+        let on_deliver: Option<DeliverFn<W>> = match remote_event {
+            None => user_deliver,
+            Some(ev) => Some(Rc::new(move |w: &mut W, sim: &mut Sim<W>, reached: &[NodeId]| {
+                if let Some(cb) = &user_deliver {
+                    cb(w, sim, reached);
+                }
+                for &d in reached {
+                    BcsCluster::signal_event(w, sim, d, ev);
+                }
+            })),
+        };
         let local_event = opts.local_event;
         let on_complete = move |w: &mut W, sim: &mut Sim<W>| {
             if let Some(ev) = local_event {
@@ -367,22 +377,22 @@ impl<W: BcsWorld> BcsCluster<W> {
         if dests.len() == 1 && dests[0] != src {
             // Single destination: plain unicast DMA.
             let d = dests[0];
-            if per_dest.is_none() && local_event.is_none() {
+            if on_deliver.is_none() && local_event.is_none() {
                 // An event that does nothing is not scheduled (DESIGN §9):
                 // the transfer is issued and accounted, and the caller has
                 // the instant.
                 return w.bcs().fabric.issue_put(sim.now(), src, d, bytes).0;
             }
             w.bcs().fabric.put(sim, src, d, bytes, move |w, sim| {
-                if let Some(cb) = &per_dest {
-                    cb(w, sim, d);
+                if let Some(cb) = &on_deliver {
+                    cb(w, sim, &[d]);
                 }
                 on_complete(w, sim);
             })
         } else {
             w.bcs()
                 .fabric
-                .multicast(sim, src, dests, bytes, per_dest, on_complete)
+                .multicast(sim, src, dests, bytes, on_deliver, on_complete)
         }
     }
 
@@ -428,23 +438,11 @@ impl<W: BcsWorld> BcsCluster<W> {
                 };
                 if ok {
                     if let Some(ws) = write {
-                        let vals = bcs.column_mut(ws.word);
-                        for &d in dests.iter() {
-                            vals[d.0] = ws.value;
-                        }
+                        bcs.set_word_many(&dests, ws.word, ws.value);
                     }
                 }
                 cont(w, sim, ok);
             })
-    }
-}
-
-/// Split out so the borrow of the event map ends before the waiter runs.
-fn pop_waiter<W>(st: &mut EventState<W>) -> Option<Box<dyn FnOnce(&mut W, &mut Sim<W>)>> {
-    if st.waiters.is_empty() {
-        None
-    } else {
-        Some(st.waiters.remove(0))
     }
 }
 
@@ -489,8 +487,8 @@ mod tests {
             XsOpts {
                 remote_event: Some(7),
                 local_event: Some(9),
-                on_deliver: Some(Rc::new(|w: &mut TestWorld, s: &mut Sim<TestWorld>, d| {
-                    w.log.push((s.now().0, format!("deliver@{d}")));
+                on_deliver: Some(Rc::new(|w: &mut TestWorld, s: &mut Sim<TestWorld>, ds: &[NodeId]| {
+                    w.log.extend(ds.iter().map(|d| (s.now().0, format!("deliver@{d}"))));
                 })),
             },
         );
@@ -557,6 +555,23 @@ mod tests {
         sim.run(&mut w);
         assert_eq!(w.log.len(), 1);
         assert!(w.log[0].0 > 0, "wake must happen at delivery time");
+    }
+
+    #[test]
+    fn waiters_on_one_event_wake_in_park_order() {
+        let (mut w, mut sim) = setup(2);
+        for name in ["first", "second", "third"] {
+            BcsCluster::wait_event(&mut w, &mut sim, NodeId(1), 4, move |w, s| {
+                w.log.push((s.now().0, name.into()));
+            });
+        }
+        for woken in 1..=3 {
+            BcsCluster::signal_event(&mut w, &mut sim, NodeId(1), 4);
+            assert_eq!(w.log.len(), woken, "one waiter per signal");
+        }
+        let order: Vec<&str> = w.log.iter().map(|(_, name)| name.as_str()).collect();
+        assert_eq!(order, ["first", "second", "third"]);
+        assert!(!w.bcs.test_event(NodeId(1), 4), "every signal went to a waiter");
     }
 
     #[test]

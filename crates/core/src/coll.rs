@@ -36,8 +36,8 @@
 //! schedules one event per edge (a landing block may complete a node and
 //! restart its ranks), a gather round one event in all (`sched_run_round`).
 
-use crate::engine::{BW, BcsConfig, Blocked};
-use bcs_core::{BcsCluster, CmpOp};
+use crate::engine::{BW, BcsConfig, BcsMpi, Blocked};
+use bcs_core::{BcsCluster, CmpOp, DeliverFn};
 use mpi_api::call::MpiResp;
 use mpi_api::coll_sched::{self, CollAlgo, RoundSchedule};
 use mpi_api::comm::{CommId, Group, RoundCounters};
@@ -236,6 +236,35 @@ pub(crate) fn post_collective(
 // MSM: eligibility queries from the master node
 // ----------------------------------------------------------------------
 
+/// The node hosting a round's master process.
+// PANIC-OK: a round's root is a communicator rank validated by the API
+// layer when the round was posted.
+fn master_node(e: &BcsMpi, r: &CollRound) -> NodeId {
+    e.node_of(e.comms.members(r.comm)[r.root])
+}
+
+/// The rounds `node`'s BR would query in an MSM starting now: the lowest
+/// round of each (comm, slot) — rounds of one communicator and kind are
+/// globally ordered, so only the head can be eligible — if it is not
+/// scheduled yet, has no query in flight and its master lives on `node`.
+fn msm_query_heads(
+    e: &BcsMpi,
+    node: NodeId,
+) -> impl Iterator<Item = ((u32, usize, u64), CommId)> + '_ {
+    let mut seen: Option<(u32, usize)> = None;
+    e.coll
+        .rounds
+        .iter()
+        .filter(move |((comm, slot, _), _)| seen.replace((*comm, *slot)) != Some((*comm, *slot)))
+        .filter(move |(_, r)| !r.scheduled && !r.query_inflight && master_node(e, r) == node)
+        .map(|(key, r)| (*key, r.comm))
+}
+
+/// Whether [`msm_queries`] would issue anything for `node`.
+pub(crate) fn has_msm_query(e: &BcsMpi, node: NodeId) -> bool {
+    msm_query_heads(e, node).next().is_some()
+}
+
 /// Issue `Compare-And-Write` queries for unscheduled rounds whose master
 /// process lives on `node`. Returns the number of in-flight queries (they
 /// count toward the node's MSM outstanding work).
@@ -243,34 +272,10 @@ pub(crate) fn post_collective(
 // on this node; per-node tables are sized by the fixed topology.
 pub(crate) fn msm_queries(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) -> u32 {
     let mut queries = 0u32;
-    // Lowest unscheduled round per (comm, slot): rounds of one communicator
-    // and kind are globally ordered, so only the head can be eligible.
-    let mut candidates: Vec<(u32, usize, u64, CommId)> = Vec::new();
-    {
-        let mut seen: Option<(u32, usize)> = None;
-        for ((comm, slot, id), r) in &w.engine.coll.rounds {
-            if seen == Some((*comm, *slot)) {
-                continue;
-            }
-            seen = Some((*comm, *slot));
-            if !r.scheduled {
-                candidates.push((*comm, *slot, *id, r.comm));
-            }
-        }
-    }
-    for (comm_raw, slot, id, comm) in candidates {
-        let root_world = {
-            let round = w.engine.coll.rounds.get(&(comm_raw, slot, id)).unwrap();
-            w.engine.comms.members(comm)[round.root]
-        };
-        let master_node = w.engine.node_of(root_world);
-        {
-            let round = w.engine.coll.rounds.get_mut(&(comm_raw, slot, id)).unwrap();
-            if round.query_inflight || master_node != node {
-                continue;
-            }
-            round.query_inflight = true;
-        }
+    let heads: Vec<_> = msm_query_heads(&w.engine, node).collect();
+    for ((comm_raw, slot, id), comm) in heads {
+        let round = w.engine.coll.rounds.get_mut(&(comm_raw, slot, id)).unwrap();
+        round.query_inflight = true;
         queries += 1;
         let member_nodes = Rc::clone(w.engine.comms.group(comm).nodes());
         BcsCluster::compare_and_write(
@@ -351,7 +356,7 @@ fn binomial_arrived(
             Rc::clone(&on_node),
             Rc::clone(&on_done),
         );
-        let deliver: NodeFn = Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, _d: NodeId| {
+        let deliver: DeliverFn<BW> = Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, _: &[NodeId]| {
             binomial_arrived(
                 w,
                 sim,
@@ -437,7 +442,7 @@ fn binomial_gather(
 fn gather_send_up(w: &mut BW, sim: &mut Sim<BW>, run: Rc<GatherRun>, idx: usize) {
     let parent = coll_sched::binomial_parent(idx);
     let run2 = Rc::clone(&run);
-    let deliver: NodeFn = Rc::new(move |_w: &mut BW, sim: &mut Sim<BW>, _d: NodeId| {
+    let deliver: DeliverFn<BW> = Rc::new(move |_w: &mut BW, sim: &mut Sim<BW>, _: &[NodeId]| {
         let run3 = Rc::clone(&run2);
         sim.schedule_in(run2.combine, move |w: &mut BW, sim: &mut Sim<BW>| {
             let left = {
@@ -627,29 +632,43 @@ fn sched_leg(
 // BBM: broadcast & barrier (CH)
 // ----------------------------------------------------------------------
 
+/// The scheduled rounds of the kinds in `slots` whose master lives on
+/// `node`: what its CH (barrier, broadcast) or RH (reduce, allgather) has to
+/// perform in the microphase now being strobed.
+fn rooted_rounds(
+    e: &BcsMpi,
+    node: NodeId,
+    slots: [usize; 2],
+) -> impl Iterator<Item = (u32, usize, u64)> + '_ {
+    e.coll
+        .rounds
+        .iter()
+        .filter(move |((_, slot, _), r)| {
+            slots.contains(slot) && r.scheduled && master_node(e, r) == node
+        })
+        .map(|(key, _)| *key)
+}
+
+const BBM_SLOTS: [usize; 2] = [0, 1];
+const RM_SLOTS: [usize; 2] = [2, 3];
+
+/// Whether `node`'s CH has a barrier or broadcast to perform.
+pub(crate) fn bbm_has_work(e: &BcsMpi, node: NodeId) -> bool {
+    rooted_rounds(e, node, BBM_SLOTS).next().is_some()
+}
+
+/// Whether `node`'s RH has a reduce or allgather to perform.
+pub(crate) fn rm_has_work(e: &BcsMpi, node: NodeId) -> bool {
+    rooted_rounds(e, node, RM_SLOTS).next().is_some()
+}
+
 /// CH work for one node: perform every scheduled barrier/broadcast whose
 /// master lives here. Other nodes have no BBM work.
 // PANIC-OK: BBM walks collective rounds installed on this node by
 // post_collective; queue entries it unwraps were inserted by that path.
 pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
-    let todo: Vec<(u32, usize, u64)> = w
-        .engine
-        .coll
-        .rounds
-        .iter()
-        .filter(|((_, slot, _), r)| {
-            (*slot == 0 || *slot == 1) && r.scheduled && {
-                let root_world = w.engine.comms.members(r.comm)[r.root];
-                w.engine.node_of(root_world) == node
-            }
-        })
-        .map(|(k, _)| *k)
-        .collect();
-
-    if todo.is_empty() {
-        crate::protocol::idle_phase(w, sim, node);
-        return;
-    }
+    let todo: Vec<(u32, usize, u64)> = rooted_rounds(&w.engine, node, BBM_SLOTS).collect();
+    debug_assert!(!todo.is_empty());
     w.engine.outstanding[node.0] = todo.len() as u32;
     for key in todo {
         let round = w.engine.coll.rounds.get(&key).unwrap();
@@ -714,6 +733,12 @@ fn bcast_leg(
     let bytes = payload_bytes + w.engine.cfg.desc_bytes;
     match w.engine.cfg.coll_algo {
         CollAlgo::HwMulticast => {
+            let per_instant: DeliverFn<BW> =
+                Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, reached: &[NodeId]| {
+                    for &d in reached {
+                        per_dest(w, sim, d);
+                    }
+                });
             let done_at = BcsCluster::xfer_and_signal(
                 w,
                 sim,
@@ -723,7 +748,7 @@ fn bcast_leg(
                 bcs_core::XsOpts {
                     remote_event: None,
                     local_event: None,
-                    on_deliver: Some(per_dest),
+                    on_deliver: Some(per_instant),
                 },
             );
             // The leg ends when the multicast completes (last delivery);
@@ -754,23 +779,8 @@ fn bcast_leg(
 // PANIC-OK: reduce/multicast rounds are installed before the strobe
 // schedules this phase; per-node tables are sized by the topology.
 pub(crate) fn node_begin_rm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
-    let todo: Vec<(u32, usize, u64)> = w
-        .engine
-        .coll
-        .rounds
-        .iter()
-        .filter(|((_, slot, _), r)| {
-            (*slot == 2 || *slot == 3) && r.scheduled && {
-                let root_world = w.engine.comms.members(r.comm)[r.root];
-                w.engine.node_of(root_world) == node
-            }
-        })
-        .map(|(k, _)| *k)
-        .collect();
-    if todo.is_empty() {
-        crate::protocol::idle_phase(w, sim, node);
-        return;
-    }
+    let todo: Vec<(u32, usize, u64)> = rooted_rounds(&w.engine, node, RM_SLOTS).collect();
+    debug_assert!(!todo.is_empty());
     w.engine.outstanding[node.0] = todo.len() as u32;
 
     for key in todo {

@@ -167,6 +167,10 @@ pub struct BcsStats {
     pub allgathers: u64,
     /// Slices whose work overran the nominal boundary (drift events).
     pub overruns: u64,
+    /// Per-node microphase bodies run (`node_begin_*`): a node that a
+    /// microstrobe finds with nothing to do is not one (DESIGN §9), so a
+    /// machine's idle nodes do not show here.
+    pub node_passes: u64,
     /// Coalesced DEM descriptor blocks issued, and the descriptors they
     /// carried (zero unless `cfg.coalesce`).
     pub dem_blocks: u64,
@@ -214,10 +218,10 @@ pub struct BcsMpi {
     /// Outstanding async work items of the current microphase, per node
     /// (protocol transient — zero at every slice boundary).
     pub(crate) outstanding: Vec<u32>,
-    /// Nodes whose NIC-thread work item ends at the keyed instant, grouped
-    /// by the simulator dispatch that started them (protocol transient —
-    /// empty at every boundary; see `protocol::work_item_done_in`).
-    pub(crate) due: std::collections::BTreeMap<(SimTime, u64), Vec<NodeId>>,
+    /// Nodes whose NIC-thread work ends at the keyed instant, grouped by the
+    /// simulator dispatch that started them (protocol transient — empty at
+    /// every boundary; see `protocol::due_group`).
+    pub(crate) due: std::collections::BTreeMap<(SimTime, u64), crate::protocol::DueGroup>,
     /// The send descriptors each node is exchanging in this slice's DEM,
     /// which the deliveries in flight name by index (protocol transient —
     /// whatever it still holds at a boundary has been delivered).

@@ -306,6 +306,15 @@ pub(crate) fn check_blocked_probes(w: &mut BW, _sim: &mut Sim<BW>, node: qsnet::
 // DEM — descriptor exchange (BS)
 // ----------------------------------------------------------------------
 
+/// Whether `node`'s BS has anything to exchange in the DEM now being
+/// strobed: a send descriptor in its input FIFO. Without one the microphase
+/// is the NIC thread's look at an empty queue (`protocol::on_microstrobe`).
+// PANIC-OK: per-node NIC state is sized by the layout at startup; node ids
+// come from the fixed topology.
+pub(crate) fn dem_has_work(e: &BcsMpi, node: qsnet::NodeId) -> bool {
+    !e.nic[node.0].send_posted.is_empty()
+}
+
 /// BS work for one node: deliver every snapshot descriptor to its
 /// destination BR. The node's DEM is done when the NIC thread has processed
 /// the queue and every descriptor has landed.
@@ -317,19 +326,23 @@ pub(crate) fn check_blocked_probes(w: &mut BW, _sim: &mut Sim<BW>, node: qsnet::
 // posting path before the strobe schedules this DEM; indices are node ids
 // from the fixed topology.
 pub(crate) fn node_begin_dem(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId) {
+    debug_assert!(dem_has_work(&w.engine, node));
     let e = &mut w.engine;
+    // Slice strobe: the BS snapshots its input FIFO — every send descriptor
+    // present when the strobe arrives is exchanged in this slice's DEM
+    // (descriptors posted by processes the NM just restarted therefore make
+    // the current slice, like in the real runtime).
+    let nic = Arc::make_mut(&mut e.nic[node.0]);
+    debug_assert!(nic.send_exchanging.is_empty());
+    std::mem::swap(&mut nic.send_exchanging, &mut nic.send_posted);
     e.dem_out[node.0].clear();
-    if !e.nic[node.0].send_exchanging.is_empty() {
-        // (an idle node's state is not unshared)
-        let nic = Arc::make_mut(&mut e.nic[node.0]);
-        std::mem::swap(&mut e.dem_out[node.0], &mut nic.send_exchanging);
-    }
+    std::mem::swap(&mut e.dem_out[node.0], &mut nic.send_exchanging);
     let n = e.dem_out[node.0].len();
     e.stats.descriptors_exchanged += n as u64;
     let desc_cost = e.cfg.desc_cost;
     let desc_bytes = e.cfg.desc_bytes;
 
-    if e.cfg.coalesce.is_some() && n > 0 {
+    if e.cfg.coalesce.is_some() {
         node_begin_dem_coalesced(w, sim, node);
     } else {
         // One work item per descriptor delivery, plus one for the NIC
@@ -344,7 +357,7 @@ pub(crate) fn node_begin_dem(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
     }
     // NIC thread processing time for the whole queue, per descriptor
     // regardless of how the wire operations are batched.
-    crate::protocol::work_item_done_in(w, sim, node, desc_cost * (n.max(1) as u64));
+    crate::protocol::work_item_done_in(w, sim, node, desc_cost * n as u64);
 }
 
 /// One DEM wire operation, raw or under the retry layer; `deliver` runs at
@@ -439,6 +452,22 @@ fn node_begin_dem_coalesced(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId) 
 // MSM — matching and chunk scheduling (BR)
 // ----------------------------------------------------------------------
 
+/// Whether `node`'s BR has anything to do in the MSM now being strobed: a
+/// transfer to grant budget to, a receive posted since its last pass, a
+/// remote send descriptor (new ones are matched, examined ones still cost
+/// the walk), or an eligibility query to issue. A rank blocked in a probe
+/// needs no term of its own: it is satisfied by a remote send descriptor,
+/// and there is none.
+// PANIC-OK: per-node NIC state is sized by the layout at startup; node ids
+// come from the fixed topology.
+pub(crate) fn msm_has_work(e: &BcsMpi, node: qsnet::NodeId) -> bool {
+    let nic = &e.nic[node.0];
+    !nic.inflight.is_empty()
+        || nic.recvs_since_msm
+        || !nic.remote_sends.is_empty()
+        || crate::coll::has_msm_query(e, node)
+}
+
 /// BR work for one node: allocate budget to in-flight transfers, match new
 /// remote send descriptors against eligible local receives, schedule chunks,
 /// and kick off collective eligibility queries.
@@ -446,6 +475,7 @@ fn node_begin_dem_coalesced(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId) 
 // node's BR; every queue entry it unwraps was inserted by that exchange and
 // per-rank/per-node tables are sized by the fixed layout.
 pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId) {
+    debug_assert!(msm_has_work(&w.engine, node));
     let mut work_items = 1u32; // the matching pass itself
     let mut processed = 0u64;
 
@@ -696,14 +726,18 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
 // P2P microphase — data transmission (DH)
 // ----------------------------------------------------------------------
 
+/// Whether this slice's MSM scheduled a chunk for `node`'s DH to fetch.
+// PANIC-OK: per-node tables are sized by the layout at startup; node ids
+// come from the fixed topology.
+pub(crate) fn p2p_has_work(e: &BcsMpi, node: qsnet::NodeId) -> bool {
+    !e.sched[node.0].is_empty()
+}
+
 /// DH work for one node: one one-sided get per scheduled chunk.
 // PANIC-OK: per-node tables are sized by the layout at startup; node ids
 // come from the fixed topology.
 pub(crate) fn node_begin_p2p(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId) {
-    if w.engine.sched[node.0].is_empty() {
-        crate::protocol::idle_phase(w, sim, node);
-        return;
-    }
+    debug_assert!(p2p_has_work(&w.engine, node));
     let mut sched = std::mem::take(&mut w.engine.sched[node.0]);
     if w.engine.cfg.coalesce.is_some() {
         node_begin_p2p_coalesced(w, sim, node, &sched);

@@ -20,7 +20,7 @@
 
 use crate::engine::{BW, BcsMpi};
 use crate::words;
-use bcs_core::{BcsCluster, CmpOp, XsOpts};
+use bcs_core::{BcsCluster, CmpOp, DeliverFn, XsOpts};
 use mpi_api::runtime::drain;
 use qsnet::NodeId;
 use simcore::{Sim, SimTime};
@@ -147,10 +147,9 @@ fn strobe_phase(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
     let mgmt = w.engine.mgmt;
     let job_nodes = w.engine.job_nodes();
     let desc = w.engine.cfg.desc_bytes;
-    let per_dest: Rc<dyn Fn(&mut BW, &mut Sim<BW>, NodeId)> =
-        Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, node: NodeId| {
-            on_microstrobe(w, sim, slice, phase, node);
-            drain(w, sim);
+    let on_deliver: DeliverFn<BW> =
+        Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, reached: &[NodeId]| {
+            on_microstrobe(w, sim, slice, phase, reached);
         });
     BcsCluster::xfer_and_signal(
         w,
@@ -161,7 +160,7 @@ fn strobe_phase(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
         XsOpts {
             remote_event: None,
             local_event: None,
-            on_deliver: Some(per_dest),
+            on_deliver: Some(on_deliver),
         },
     );
     // First completion check after one poll interval.
@@ -172,29 +171,48 @@ fn strobe_phase(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
     });
 }
 
-/// SR: a microstrobe arrived at `node` — wake the NIC threads of `phase`.
-fn on_microstrobe(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32, node: NodeId) {
+/// A microphase as the SRs see it: whether a node has anything to do in it,
+/// judged from the engine's state without touching it, and the NIC-thread
+/// work the node then starts. The predicate is true exactly when the work
+/// would be more than one look at empty queues — one work item of
+/// `desc_cost` that leaves nothing behind (DESIGN §9).
+type Microphase = (fn(&BcsMpi, NodeId) -> bool, fn(&mut BW, &mut Sim<BW>, NodeId));
+
+const MICROPHASES: [Microphase; PHASES as usize] = [
+    (crate::p2p::dem_has_work, crate::p2p::node_begin_dem),
+    (crate::p2p::msm_has_work, crate::p2p::node_begin_msm),
+    (crate::p2p::p2p_has_work, crate::p2p::node_begin_p2p),
+    (crate::coll::bbm_has_work, crate::coll::node_begin_bbm),
+    (crate::coll::rm_has_work, crate::coll::node_begin_rm),
+];
+
+/// SRs: a microstrobe arrived at the nodes of `reached` — wake the NIC
+/// threads of `phase` on those that have work, at each one's turn in
+/// `reached`, where it used to be looked at. The others wake, look and
+/// finish `desc_cost` later, all in one group.
+// PANIC-OK: `phase` is below `PHASES`: `advance_phase` starts a new slice
+// instead of strobing a sixth.
+fn on_microstrobe(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32, reached: &[NodeId]) {
     debug_assert_eq!(w.engine.slice, slice);
-    match phase {
-        0 => {
-            // Slice strobe: the BS snapshots its input FIFO — every send
-            // descriptor present when the strobe arrives is exchanged in
-            // this slice's DEM (descriptors posted by processes the NM just
-            // restarted therefore make the current slice, like in the real
-            // runtime).
-            debug_assert!(w.engine.nic[node.0].send_exchanging.is_empty());
-            if !w.engine.nic[node.0].send_posted.is_empty() {
-                let nic = std::sync::Arc::make_mut(&mut w.engine.nic[node.0]);
-                std::mem::swap(&mut nic.send_exchanging, &mut nic.send_posted);
-            }
-            crate::p2p::node_begin_dem(w, sim, node);
+    let (has_work, begin) = MICROPHASES[phase as usize];
+    let mut idle = Vec::new();
+    for &node in reached {
+        if has_work(&w.engine, node) {
+            w.engine.stats.node_passes += 1;
+            begin(w, sim, node);
+            drain(w, sim);
+        } else {
+            idle.push(node);
         }
-        1 => crate::p2p::node_begin_msm(w, sim, node),
-        2 => crate::p2p::node_begin_p2p(w, sim, node),
-        3 => crate::coll::node_begin_bbm(w, sim, node),
-        4 => crate::coll::node_begin_rm(w, sim, node),
-        _ => unreachable!("phase {phase}"),
     }
+    if !idle.is_empty() {
+        idle_nodes_done_in(w, sim, idle);
+    }
+}
+
+/// The `MP_DONE` value that says the current microphase is complete.
+fn mp_done_target(e: &BcsMpi) -> i64 {
+    (e.slice * PHASES as u64 + e.phase as u64 + 1) as i64
 }
 
 /// One of a node's outstanding work items for the current microphase
@@ -207,51 +225,74 @@ pub(crate) fn work_item_done(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
     debug_assert!(*outstanding > 0, "work_item_done underflow on {node}");
     *outstanding -= 1;
     if *outstanding == 0 {
-        let target = (e.slice * PHASES as u64 + e.phase as u64 + 1) as i64;
+        let target = mp_done_target(e);
         e.bcs.set_word(node, words::MP_DONE, target);
     }
 }
 
-/// The NIC thread of `node` finishes one work item of the current
-/// microphase `delay` from now. On an idle machine every node's item ends
-/// at the same instant, so nodes started by the same simulator dispatch (one
-/// microstrobe delivery, see `qsnet::fabric::schedule_deliveries`) and due
-/// at the same instant complete in one event, in the order they were
-/// started.
+/// What one simulator event completes (`BcsMpi::due`): NIC-thread work
+/// items of nodes that may have more outstanding, and nodes that had
+/// nothing to do and are done with the microphase outright.
+#[derive(Default)]
+pub(crate) struct DueGroup {
+    work_items: Vec<NodeId>,
+    idle: Vec<NodeId>,
+}
+
+/// The group of NIC-thread completions started by the current simulator
+/// dispatch (one microstrobe delivery, see
+/// `qsnet::fabric::schedule_deliveries`) and due `delay` from now, created
+/// with its one event if this is its first member. On an idle machine every
+/// node's item ends at the same instant, so they complete in one event.
 ///
-/// Moving a node's completion up to the group's first position is not
-/// observable (DESIGN §9): what the same dispatch scheduled in between is
-/// per-node NIC work that commutes with a decrement of another counter, and
-/// the one reader of other nodes' `MP_DONE`, the SS poll, is never issued
-/// from inside a delivery.
+/// Where in the group a node's completion runs is not observable (DESIGN
+/// §9): what the same dispatch scheduled in between is per-node NIC work that
+/// commutes with a decrement of another counter and with a write of another
+/// node's `MP_DONE`, and the one reader of other nodes' `MP_DONE`, the SS
+/// poll, is never issued from inside a delivery.
 // PANIC-OK: the event scheduled with a group is the only remover of its key.
+fn due_group<'a>(
+    w: &'a mut BW,
+    sim: &mut Sim<BW>,
+    delay: simcore::SimDuration,
+) -> &'a mut DueGroup {
+    let key = (sim.now() + delay, sim.events_executed());
+    w.engine.due.entry(key).or_insert_with(|| {
+        sim.schedule_at(key.0, move |w: &mut BW, sim| {
+            let group = w.engine.due.remove(&key).expect("due group fired twice");
+            for node in group.work_items {
+                work_item_done(w, sim, node);
+            }
+            if !group.idle.is_empty() {
+                let target = mp_done_target(&w.engine);
+                w.engine.bcs.set_word_many(&group.idle, words::MP_DONE, target);
+            }
+            drain(w, sim);
+        });
+        DueGroup::default()
+    })
+}
+
+/// The NIC thread of `node` finishes one work item of the current
+/// microphase `delay` from now.
 pub(crate) fn work_item_done_in(
     w: &mut BW,
     sim: &mut Sim<BW>,
     node: NodeId,
     delay: simcore::SimDuration,
 ) {
-    let key = (sim.now() + delay, sim.events_executed());
-    if let Some(nodes) = w.engine.due.get_mut(&key) {
-        nodes.push(node);
-        return;
-    }
-    w.engine.due.insert(key, vec![node]);
-    sim.schedule_at(key.0, move |w: &mut BW, sim| {
-        let nodes = w.engine.due.remove(&key).expect("due group fired twice");
-        for node in nodes {
-            work_item_done(w, sim, node);
-        }
-        drain(w, sim);
-    });
+    due_group(w, sim, delay).work_items.push(node);
 }
 
-/// A node with nothing to do in this microphase: its NIC thread still wakes
-/// and looks, which is one work item of one descriptor's cost.
-pub(crate) fn idle_phase(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
-    w.engine.outstanding[node.0] = 1;
+/// Nodes with nothing to do in this microphase: each NIC thread still wakes
+/// and looks, which is one descriptor's cost, and nothing else is
+/// outstanding — so there is no count to keep, only `MP_DONE` to write when
+/// the look is over. One call per dispatch.
+fn idle_nodes_done_in(w: &mut BW, sim: &mut Sim<BW>, nodes: Vec<NodeId>) {
     let cost = w.engine.cfg.desc_cost;
-    work_item_done_in(w, sim, node, cost);
+    let group = due_group(w, sim, cost);
+    debug_assert!(group.idle.is_empty());
+    group.idle = nodes;
 }
 
 /// SS: check whether all nodes completed the current microphase; if so,
@@ -260,7 +301,7 @@ fn poll_phase_done(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
     if w.engine.slice != slice || w.engine.phase != phase {
         return; // stale poll
     }
-    let target = (slice * PHASES as u64 + phase as u64 + 1) as i64;
+    let target = mp_done_target(&w.engine);
     let mgmt = w.engine.mgmt;
     let job_nodes = w.engine.job_nodes();
     BcsCluster::compare_and_write(

@@ -354,11 +354,14 @@ impl Net {
     }
 }
 
-/// Per-destination delivery hook of a multicast.
-pub type DeliverFn<W> = Rc<dyn Fn(&mut W, &mut Sim<W>, NodeId)>;
+/// Delivery hook of a multicast: called once per delivery instant with the
+/// live destinations reached at it, in `dests` order. A caller that acts per
+/// destination loops over the slice; one whose destinations mostly need
+/// nothing (a microstrobe on an idle machine) does not pay a call each.
+pub type DeliverFn<W> = Rc<dyn Fn(&mut W, &mut Sim<W>, &[NodeId])>;
 
 /// Schedule the hook calls of one multicast: one simulator event per
-/// distinct delivery instant, which runs `hook` for that instant's
+/// distinct delivery instant, which hands `hook` that instant's
 /// destinations in the order they appear in `deliveries` (`dests` order).
 ///
 /// This is the order one event per destination would give (DESIGN §9): a
@@ -376,11 +379,7 @@ pub fn schedule_deliveries<W: 'static>(
     for run in deliveries.chunk_by(|a, b| a.0 == b.0) {
         let hook = Rc::clone(hook);
         let nodes: Vec<NodeId> = run.iter().map(|&(_, d)| d).collect();
-        sim.schedule_at(run[0].0, move |w, sim| {
-            for d in nodes {
-                hook(w, sim, d);
-            }
-        });
+        sim.schedule_at(run[0].0, move |w, sim| hook(w, sim, &nodes));
     }
 }
 
@@ -501,17 +500,17 @@ impl<W: 'static> dyn Fabric<W> {
         at
     }
 
-    /// `per_dest` runs at each live destination's delivery instant, in
-    /// `dests` order, destinations sharing an instant sharing one simulator
-    /// event ([`schedule_deliveries`]); `on_complete` runs once, when the
-    /// last destination has been reached.
+    /// `on_deliver` runs once per delivery instant with the live destinations
+    /// reached at it, in `dests` order, one simulator event per instant
+    /// ([`schedule_deliveries`]); `on_complete` runs once, when the last
+    /// destination has been reached.
     pub fn multicast(
         &mut self,
         sim: &mut Sim<W>,
         src: NodeId,
         dests: &[NodeId],
         bytes: u64,
-        per_dest: Option<DeliverFn<W>>,
+        on_deliver: Option<DeliverFn<W>>,
         on_complete: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
     ) -> SimTime {
         assert!(!dests.is_empty(), "multicast needs at least one destination");
@@ -523,7 +522,7 @@ impl<W: 'static> dyn Fabric<W> {
         stats.multicast_bytes += bytes * dests.len() as u64;
         // A dead endpoint is counted whether or not anyone listens.
         deliveries.retain(|&(_, d)| net.lands(src, d, true));
-        if let Some(hook) = &per_dest {
+        if let Some(hook) = &on_deliver {
             schedule_deliveries(sim, hook, deliveries);
         }
         sim.schedule_at(last, on_complete);
@@ -759,8 +758,8 @@ mod tests {
             NodeId(0),
             &dests,
             CTRL_BYTES,
-            Some(Rc::new(|w: &mut W, s: &mut Sim<W>, d: NodeId| {
-                w.per_dest.push((s.now().0, d.0));
+            Some(Rc::new(|w: &mut W, s: &mut Sim<W>, ds: &[NodeId]| {
+                w.per_dest.extend(ds.iter().map(|d| (s.now().0, d.0)));
             })),
             |w, s| w.delivered.push((s.now().0, "done")),
         );
@@ -849,8 +848,8 @@ mod tests {
             NodeId(0),
             &dests,
             CTRL_BYTES,
-            Some(Rc::new(|w: &mut W, s: &mut Sim<W>, d: NodeId| {
-                w.per_dest.push((s.now().0, d.0));
+            Some(Rc::new(|w: &mut W, s: &mut Sim<W>, ds: &[NodeId]| {
+                w.per_dest.extend(ds.iter().map(|d| (s.now().0, d.0)));
             })),
             |_, _| {},
         );

@@ -113,24 +113,29 @@ fn run_script_faulted(
     (completions, landed, format!("{:?}", fab.net_mut().snapshot()))
 }
 
-/// `(instant, destination)` per hook call; a hook's same-instant follow-up
-/// event logs its destination + [`FOLLOW_UP`].
+/// `(instant, destination)` per destination a hook call was handed, slices
+/// flattened in order; a destination's same-instant follow-up event logs it
+/// + [`FOLLOW_UP`].
 type HookLog = Vec<(u64, usize)>;
 const FOLLOW_UP: usize = 1000;
 
-/// A delivery hook that logs, and (with `follow`) schedules an event for
-/// the same instant — the way a microstrobe's hook starts NIC work.
+/// A delivery hook that logs every destination of its slice, and (with
+/// `follow`) schedules an event per destination for the same instant — the
+/// way a microstrobe's hook starts NIC work.
 fn logging_hook(follow: bool) -> DeliverFn<HookLog> {
-    Rc::new(move |log: &mut HookLog, sim: &mut Sim<HookLog>, d: NodeId| {
-        log.push((sim.now().0, d.0));
-        if follow {
-            sim.schedule_now(move |log: &mut HookLog, sim| log.push((sim.now().0, d.0 + FOLLOW_UP)));
+    Rc::new(move |log: &mut HookLog, sim: &mut Sim<HookLog>, reached: &[NodeId]| {
+        for &d in reached {
+            log.push((sim.now().0, d.0));
+            if follow {
+                sim.schedule_now(move |log: &mut HookLog, sim| log.push((sim.now().0, d.0 + FOLLOW_UP)));
+            }
         }
     })
 }
 
-/// The reference `schedule_deliveries` replaced: one event per destination,
-/// scheduled in `dests` order.
+/// The reference the per-instant hook is held to: one event per
+/// destination, scheduled in `dests` order, each handing the hook a slice
+/// of one.
 fn one_event_per_destination(
     sim: &mut Sim<HookLog>,
     hook: &DeliverFn<HookLog>,
@@ -138,7 +143,7 @@ fn one_event_per_destination(
 ) {
     for &(at, d) in deliveries {
         let hook = Rc::clone(hook);
-        sim.schedule_at(at, move |log, sim| hook(log, sim, d));
+        sim.schedule_at(at, move |log, sim| hook(log, sim, &[d]));
     }
 }
 
@@ -153,9 +158,9 @@ proplite! {
     #![config(cases = 64)]
 
     /// Any list of deliveries — ties in any position, other events queued
-    /// for the same instants before and after — produces the hook calls of
-    /// one event per destination, in the same order, from one event per
-    /// distinct instant.
+    /// for the same instants before and after — hands the hook, one call
+    /// and one event per distinct instant, slices that flattened are the
+    /// hook calls of one event per destination, in the same order.
     #[test]
     fn batched_deliveries_match_one_event_per_destination(
         deliveries in prop::collection::vec((0u64..6, 0usize..32), 0..40),
@@ -189,17 +194,19 @@ proplite! {
         prop_assert_eq!(events as usize, 12 + distinct_instants(&deliveries) + follow_ups);
     }
 
-    /// A multicast over a random destination order with dead nodes, the
-    /// source's own loopback and receive ports busy with earlier puts: the
-    /// hooks run as one event per destination would run them, and the call
-    /// schedules one event per distinct delivery instant plus completion.
+    /// A multicast over a random destination order with dead nodes, a drop
+    /// plan that loses some of the earlier puts, the source's own loopback
+    /// and receive ports busy with those puts: the hook's slices flattened
+    /// are what one event per destination would run, no slice holds a dead
+    /// destination, and the call schedules one event per distinct delivery
+    /// instant plus completion.
     #[test]
     fn multicast_hooks_keep_per_destination_order(
         nodes in 2usize..12,
         src in 0usize..12,
         order in prop::collection::vec(0u8..255, 12..13),
         take in 1usize..13,
-        dead in prop::collection::vec(0usize..12, 0..3),
+        faults in (prop::collection::vec(0usize..12, 0..3), prop::collection::vec(0u64..6, 0..4)),
         warm in prop::collection::vec((0usize..12, 1u32..400_000), 0..6),
         bytes in prop_oneof![Just(64u64), 65u64..200_000],
         follow in any::<bool>()
@@ -208,7 +215,9 @@ proplite! {
         let mut dests: Vec<NodeId> = (0..nodes).map(NodeId).collect();
         dests.sort_by_key(|d| order[d.0]);
         dests.truncate(take.min(nodes));
+        let (dead, drops) = faults;
         let mut fab = qsnet(NetModel::qsnet(), nodes);
+        fab.net_mut().plan_drops(drops);
         let mut sim: Sim<HookLog> = Sim::new();
         for &(d, b) in &warm {
             // Distinct receive-port clocks make bulk deliveries land apart.
@@ -228,7 +237,8 @@ proplite! {
         let mut log = HookLog::new();
         sim.run(&mut log);
 
-        // Every live destination exactly once (nothing if the source died).
+        // Every live destination exactly once, a dead one in no slice
+        // (nothing at all if the source died).
         let live: Vec<NodeId> = dests
             .iter()
             .copied()

@@ -312,8 +312,8 @@ mod tests {
             NodeId(0),
             &dests,
             CTRL_BYTES,
-            Some(Rc::new(|w: &mut W, s: &mut Sim<W>, d: NodeId| {
-                w.per_dest.push((s.now().0, d.0));
+            Some(Rc::new(|w: &mut W, s: &mut Sim<W>, ds: &[NodeId]| {
+                w.per_dest.extend(ds.iter().map(|d| (s.now().0, d.0)));
             })),
             |w, s| w.delivered.push((s.now().0, "done")),
         );

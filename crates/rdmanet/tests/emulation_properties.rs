@@ -82,8 +82,8 @@ fn issue(fab: &mut Fab, sim: &mut Sim<Log>, nodes: usize, i: usize, op: &Op) -> 
         Op::Put { src, dst, bytes } => fab.put(sim, node(src), node(dst), *bytes as u64, done),
         Op::Get { req, tgt, bytes } => fab.get(sim, node(req), node(tgt), *bytes as u64, done),
         Op::Mcast { src, bytes, picks } => {
-            let per_dest = Rc::new(move |w: &mut Log, s: &mut Sim<Log>, d: NodeId| {
-                w.deliveries.push((i, s.now().0, d.0));
+            let per_dest = Rc::new(move |w: &mut Log, s: &mut Sim<Log>, reached: &[NodeId]| {
+                w.deliveries.extend(reached.iter().map(|d| (i, s.now().0, d.0)));
             });
             fab.multicast(sim, node(src), &group(picks), *bytes as u64, Some(per_dest), done)
         }
@@ -293,13 +293,14 @@ proplite! {
         prop_assert_eq!(&per_kind[0], &per_kind[1]);
     }
 
-    /// The software tree delivers each stage's destinations from one event
-    /// (`qsnet::fabric::schedule_deliveries`) without changing what one
-    /// event per destination did: over random destination orders with dead
-    /// nodes and the source's own loopback, the `(instant, destination)`
-    /// hook calls equal the per-destination reference in the same order,
-    /// and the call schedules one event per distinct instant plus
-    /// completion.
+    /// The software tree hands each stage's destinations to the hook as one
+    /// slice from one event (`qsnet::fabric::schedule_deliveries`) without
+    /// changing what one event per destination did: over random destination
+    /// orders with dead nodes, a drop plan and the source's own loopback,
+    /// the slices flattened to `(instant, destination)` equal the
+    /// per-destination reference in the same order, a dead destination is
+    /// in no slice, and the call schedules one event per distinct instant
+    /// plus completion.
     #[test]
     fn staged_deliveries_match_one_event_per_destination(
         nodes in 2usize..40,
@@ -307,6 +308,7 @@ proplite! {
         order in prop::collection::vec(0u8..255, 40..41),
         take in 1usize..41,
         dead in prop::collection::vec(0usize..40, 0..3),
+        drops in prop::collection::vec(0u64..40, 0..4),
         bytes in prop_oneof![Just(64u64), 65u64..200_000]
     ) {
         type HookLog = Vec<(u64, usize)>;
@@ -315,12 +317,13 @@ proplite! {
         dests.sort_by_key(|d| order[d.0]);
         dests.truncate(take.min(nodes));
         let mut fab = build_fabric::<HookLog>(FabricKind::Rdma, NetModel::infiniband(), nodes);
+        fab.net_mut().plan_drops(drops);
         for &d in &dead {
             fab.net_mut().kill_node(NodeId(d % nodes));
         }
         let hook: DeliverFn<HookLog> =
-            Rc::new(|log: &mut HookLog, sim: &mut Sim<HookLog>, d: NodeId| {
-                log.push((sim.now().0, d.0));
+            Rc::new(|log: &mut HookLog, sim: &mut Sim<HookLog>, reached: &[NodeId]| {
+                log.extend(reached.iter().map(|d| (sim.now().0, d.0)));
             });
         let mut sim: Sim<HookLog> = Sim::new();
         fab.multicast(&mut sim, src, &dests, bytes, Some(Rc::clone(&hook)), |_, _| {});
@@ -334,15 +337,16 @@ proplite! {
             .filter(|&d| !fab.net().is_dead(d) && !fab.net().is_dead(src))
             .collect();
         prop_assert_eq!(log.len(), live.len());
-        // The reference this replaced: one event per live destination,
-        // scheduled in `dests` order at the instant its hook observed.
+        prop_assert!(log.iter().all(|&(_, d)| !fab.net().is_dead(NodeId(d))));
+        // The reference: one event per live destination, scheduled in
+        // `dests` order at the instant its hook observed, a slice of one.
         let mut ref_sim: Sim<HookLog> = Sim::new();
         let mut instants = Vec::new();
         for &d in &live {
             let at = log.iter().find(|&&(_, who)| who == d.0).expect("live destination reached").0;
             instants.push(at);
             let hook = Rc::clone(&hook);
-            ref_sim.schedule_at(SimTime(at), move |log, sim| hook(log, sim, d));
+            ref_sim.schedule_at(SimTime(at), move |log, sim| hook(log, sim, &[d]));
         }
         let mut reference = HookLog::new();
         ref_sim.run(&mut reference);

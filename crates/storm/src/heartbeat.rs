@@ -126,12 +126,13 @@ fn beat<W: BcsWorld>(
     // node never receives the strobe (the delivery is suppressed), so its
     // ack word freezes — no NM cooperation needed for fail-stop detection.
     let m_ack = Rc::clone(&m);
-    let per_dest: Rc<dyn Fn(&mut W, &mut Sim<W>, NodeId)> =
-        Rc::new(move |w: &mut W, _sim, node| {
+    let per_dest: bcs_core::DeliverFn<W> = Rc::new(move |w: &mut W, _sim, reached| {
+        for &node in reached {
             if !m_ack.borrow().silenced.contains(&node) {
                 w.bcs().add_word(node, WORD_ACK, 1);
             }
-        });
+        }
+    });
     BcsCluster::xfer_and_signal(
         w,
         sim,

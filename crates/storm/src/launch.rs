@@ -71,14 +71,16 @@ pub fn launch_job(
     // Step 1+2: image multicast; on delivery each NM writes + forks, then
     // bumps the global ready word.
     let cost2 = cost.clone();
-    let per_dest: Rc<dyn Fn(&mut StormWorld, &mut Sim<StormWorld>, qsnet::NodeId)> =
-        Rc::new(move |_w: &mut StormWorld, sim: &mut Sim<StormWorld>, node| {
+    let per_dest: bcs_core::DeliverFn<StormWorld> =
+        Rc::new(move |_w: &mut StormWorld, sim: &mut Sim<StormWorld>, reached| {
             let local = SimDuration::nanos(
                 (image_bytes as f64 * cost2.write_ns_per_byte) as u64,
             ) + cost2.fork * procs_per_node as u64;
-            sim.schedule_in(local, move |w: &mut StormWorld, _sim| {
-                w.bcs.add_word(node, WORD_READY, 1);
-            });
+            for &node in reached {
+                sim.schedule_in(local, move |w: &mut StormWorld, _sim| {
+                    w.bcs.add_word(node, WORD_READY, 1);
+                });
+            }
         });
     BcsCluster::xfer_and_signal(
         w,

@@ -24,8 +24,10 @@
 #      number and the replay log retains no message bytes; a message costs
 #      at most 2.5 host allocations, no copy and under two heap entries per
 #      three events; the run-chained event queue equals its (time, seq)
-#      model; two `repro` runs print the same standard output except the
-#      `sweep:` line and write nothing but CSVs (release-only in cli.rs)
+#      model; an idle barrier loop runs the same six per-node microphase
+#      bodies on 1024 nodes as on 64; two `repro` runs print the same
+#      standard output except the `sweep:` line and write nothing but CSVs
+#      (release-only in cli.rs)
 #   4. the fault ablation (quick), tolerance-gated, emitting
 #      reports/ablation_fault.csv; its note on what the replay log retains
 #      by value must name fewer bytes than were moved point to point
@@ -79,11 +81,12 @@ cargo test --workspace -q
 echo "== benchmark package compiles against the product surface (perf/, build only)"
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
-echo "== fault-recovery property suite + count-based tests (capture flatness, per-message host cost, event-queue model, repro output repeats)"
+echo "== fault-recovery property suite + count-based tests (capture flatness, per-message host cost, event-queue model, idle scaling, repro output repeats)"
 cargo test --release -q --test fault_recovery
 cargo test --release -q -p bcs-mpi --test capture_flatness
 cargo test --release -q -p apps --test alloc_per_message
 cargo test --release -q --test sim_queue_model
+cargo test --release -q -p bcs-mpi --test idle_scaling
 cargo test --release -q -p bench --test cli
 
 echo "== fault ablation (quick, tolerance-gated) -> reports/ablation_fault.csv"

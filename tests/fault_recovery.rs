@@ -363,6 +363,50 @@ fn rdma_fabric_recovery_is_bit_identical_to_fault_free() {
     assert_eq!(got, reference, "recovered results diverged from fault-free RDMA run");
 }
 
+/// A node that dies in the middle of an all-idle stretch is never swept up
+/// with the idle nodes of a microphase (DESIGN §9): the fabric hands the
+/// strobe's hook only the destinations it reached, so the dead node's
+/// `MP_DONE` stays behind, the poll keeps failing and the strobe loop
+/// stands still until the heartbeat declares the node. Barrier loop, 19
+/// idle slices of compute per iteration, an image at every boundary; the
+/// crash is 40 % into slice 25, when that slice's five microphases are
+/// over, so the slice that stalls is the next. Were the node marked done,
+/// the loop would run on and the newest image would be a later slice.
+/// Values recorded at PR 23 (`bfb1eff`), before idle nodes were completed
+/// in bulk.
+#[test]
+fn a_node_that_dies_while_the_machine_idles_is_not_marked_done() {
+    let program = |mut mpi: AsyncMpi| async move {
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            mpi.compute_then_barrier(SimDuration::micros(9_800)).await;
+            seen.push(mpi.now().await.as_nanos());
+        }
+        seen
+    };
+    let layout = JobLayout::new(8, 2, 16);
+    let rc = RecoveryCfg::new(BcsConfig::default(), 1);
+    let plan = FaultPlan::single_crash(&rc.bcs, NodeId(5), 25);
+    let out = run_with_recovery(&rc, layout, &plan, program);
+    assert!(out.completed, "recovery failed: {:?}", out.abort);
+    assert_eq!(out.restarts, 1);
+    let d = &out.detections[0];
+    assert_eq!(d.node, NodeId(5));
+    let ts = rc.bcs.timeslice.as_nanos();
+    assert_eq!(d.crashed_at.map(|t| t.as_nanos()), Some(25 * ts + ts * 2 / 5));
+    // No boundary between the crash and the declaration but the one the
+    // crash slice ended on.
+    assert_eq!(d.restored_from_slice, Some(26));
+    assert_eq!(d.restored_from_at.map(|t| t.as_nanos()), Some(26 * ts));
+    assert_eq!(d.latency().map(|l| l.as_nanos()), Some(IDLE_CRASH_LATENCY_NS));
+    for seen in &out.results {
+        assert_eq!(seen.as_deref(), Some(&IDLE_CRASH_BARRIERS_NS[..]));
+    }
+}
+
+const IDLE_CRASH_LATENCY_NS: u64 = 1_339_200;
+const IDLE_CRASH_BARRIERS_NS: [u64; 3] = [10_500_000, 21_000_000, 31_500_000];
+
 type CW = ClusterWorld<BcsMpi>;
 
 /// Shadow every checkpoint image the engine captures with an eager
