@@ -254,22 +254,19 @@ pub struct BcsMpi {
     pub(crate) sched_detect: Vec<crate::schedule::Detector>,
     pub(crate) noise: Option<NoiseModel>,
     pub stats: BcsStats,
-    /// `(slice, digest)` stream captured by the checkpoint hook.
-    pub checkpoints: Vec<(u64, u64)>,
+    /// `(slice, digest)` stream captured by the checkpoint hook. A chunk
+    /// log, so an image shares what earlier images hold of it.
+    pub checkpoints: ChunkLog<(u64, u64)>,
     /// Full restorable images (when `cfg.checkpoint_images`).
     pub images: Vec<crate::checkpoint::CheckpointImage>,
     /// Set when the machine declared a node failure (heartbeat detection or
     /// a data-channel transfer abort); [`Engine::halted`] reports it so the
     /// run driver stops instead of spinning on a stalled protocol.
     pub failed: Option<FailureInfo>,
-    /// Per-slice activity records (when `cfg.trace_slices`).
-    pub trace: Vec<crate::trace::SliceRecord>,
+    /// Per-slice activity records (when `cfg.trace_slices`), kept like
+    /// `checkpoints`.
+    pub trace: ChunkLog<crate::trace::SliceRecord>,
     pub(crate) trace_cursor: crate::trace::TraceCursor,
-    /// What the images hold of `checkpoints` and `trace`: each capture
-    /// copies in the records since the previous one and shares the rest
-    /// (`ChunkLog::snapshot_of`).
-    pub(crate) checkpoints_log: ChunkLog<(u64, u64)>,
-    pub(crate) trace_log: ChunkLog<crate::trace::SliceRecord>,
     pub(crate) gang: Option<crate::gang::GangState>,
 }
 
@@ -314,13 +311,11 @@ impl BcsMpi {
                 .collect(),
             noise,
             stats: BcsStats::default(),
-            checkpoints: Vec::new(),
+            checkpoints: ChunkLog::new(),
             images: Vec::new(),
             failed: None,
-            trace: Vec::new(),
+            trace: ChunkLog::new(),
             trace_cursor: crate::trace::TraceCursor::default(),
-            checkpoints_log: ChunkLog::new(),
-            trace_log: ChunkLog::new(),
             gang: cfg
                 .gang
                 .clone()

@@ -340,7 +340,7 @@ fn slice_trace_records_activity() {
         }
         mpi.barrier().await;
     });
-    let trace = &out.engine.trace;
+    let trace = &out.engine.trace.to_vec();
     assert!(!trace.is_empty());
     // Slice numbers are dense from 0.
     for (i, r) in trace.iter().enumerate() {

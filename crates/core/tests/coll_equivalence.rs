@@ -154,7 +154,7 @@ fn observables(out: &RunResult<u64, BcsMpi>) -> (Vec<u64>, u128, u64, Vec<(u64, 
         out.results.clone(),
         out.elapsed.as_nanos() as u128,
         out.events,
-        out.engine.checkpoints.clone(),
+        out.engine.checkpoints.to_vec(),
         format!("{:?}", out.engine.stats),
     )
 }
@@ -323,7 +323,8 @@ fn optimal_allreduce_costs_one_event_per_bcast_edge_and_one_per_gather_round() {
                 assert_eq!(optimal.results, other.results, "{algo:?} on {fabric:?}");
                 assert_eq!(optimal.finish_times, other.finish_times, "{algo:?} on {fabric:?}");
                 assert_eq!(
-                    optimal.engine.checkpoints, other.engine.checkpoints,
+                    optimal.engine.checkpoints.to_vec(),
+                    other.engine.checkpoints.to_vec(),
                     "{algo:?} on {fabric:?}"
                 );
             }

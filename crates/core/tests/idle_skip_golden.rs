@@ -190,7 +190,7 @@ fn cell(fabric: FabricKind, coalesce: bool, compile: bool) -> (u64, u64, u64) {
         let mut mix = |x: u64| h = (h ^ x).wrapping_mul(0x0000_0100_0000_01B3);
         out.results.iter().for_each(|&r| mix(r));
         out.finish_times.iter().for_each(|t| mix(t.as_nanos()));
-        for &(slice, digest) in &out.engine.checkpoints {
+        for &(slice, digest) in out.engine.checkpoints.iter() {
             mix(slice);
             mix(digest);
         }

@@ -136,7 +136,7 @@ fn observables(out: &RunResult<u64, BcsMpi>) -> (Vec<u64>, u128, u64, Vec<(u64, 
         out.results.clone(),
         out.elapsed.as_nanos() as u128,
         out.events,
-        out.engine.checkpoints.clone(),
+        out.engine.checkpoints.to_vec(),
         format!("{:?}", out.engine.stats),
     )
 }
@@ -328,7 +328,7 @@ proplite! {
         let shuffled = bcs(WaitForm::AllShuffled, cost);
         prop_assert_eq!(&sorted.finish_times, &shuffled.finish_times);
         prop_assert_eq!(sorted.events, shuffled.events);
-        prop_assert_eq!(&sorted.engine.checkpoints, &shuffled.engine.checkpoints);
+        prop_assert_eq!(sorted.engine.checkpoints.to_vec(), shuffled.engine.checkpoints.to_vec());
         prop_assert_eq!(format!("{:?}", sorted.engine.stats), format!("{:?}", shuffled.engine.stats));
     }
 }

@@ -5,11 +5,21 @@
 //! monitor installed. When the monitor declares a node dead (or a
 //! data-channel transfer exhausts its retries), the machine halts; the
 //! driver then restores every survivor from the last slice-boundary
-//! [`CheckpointImage`], replays each rank's recorded responses to park it
-//! exactly where the checkpoint caught it, and resumes the slice protocol
-//! on the original absolute timeline. Crashed nodes are modeled as
-//! repaired-by-reboot: the fabric restore revives them, and only crashes
-//! scheduled *after* the detection instant remain armed.
+//! [`CheckpointImage`] and resumes the slice protocol on the original
+//! absolute timeline. Crashed nodes are modeled as repaired-by-reboot: the
+//! fabric restore revives them, and only crashes scheduled *after* the
+//! detection instant remain armed.
+//!
+//! The restore re-runs the rework, not the history. The halted segment's
+//! rank coroutines are handed over ([`mpi_api::runtime::LiveRanks`]): each
+//! has been delivered the image's history and then its lookahead, and the
+//! restored segment checks every lookahead response it re-delivers before
+//! crediting the rank with the step it took after it. A response can
+//! differ only if the halted segment delivered it after the fault; the
+//! restored segment then stops as diverged, is discarded, and the image is
+//! restored again with each rank re-booted and replayed through the
+//! recorded responses ([`RecoveryOutcome::replayed_responses`] counts
+//! them).
 //!
 //! Recovery is impossible when no image exists yet or the restart budget is
 //! spent; the driver then performs a clean machine-wide abort, returning a
@@ -19,7 +29,7 @@ use crate::plan::{CrashEvent, FaultPlan};
 use bcs_core::BcsWorld;
 use bcs_mpi::{BcsConfig, BcsMpi, CheckpointImage, FailureInfo};
 use mpi_api::RankProgram;
-use mpi_api::runtime::{ClusterWorld, Job, JobLayout};
+use mpi_api::runtime::{ClusterWorld, Job, JobLayout, LiveRanks, RunOutcome};
 use qsnet::NodeId;
 use simcore::{Sim, SimDuration, SimTime};
 use std::rc::Rc;
@@ -108,8 +118,13 @@ pub struct RecoveryOutcome<R> {
     pub detections: Vec<Detection>,
     /// The final segment's engine (stats, checkpoints, trace).
     pub engine: BcsMpi,
-    /// Discrete events executed across all segments.
+    /// Discrete events executed across all segments (a restore attempt
+    /// that diverged and was discarded is not counted).
     pub events: u64,
+    /// Responses re-fed to re-booted rank programs over every restore: a
+    /// restore that takes over the halted segment's ranks re-feeds none,
+    /// one that falls back to the full replay the image's whole log.
+    pub replayed_responses: u64,
 }
 
 /// Run `program` under `plan`, recovering from failures at slice-boundary
@@ -138,6 +153,7 @@ where
     let mut detections: Vec<Detection> = Vec::new();
     let mut restarts = 0usize;
     let mut events = 0u64;
+    let mut replayed_responses = 0u64;
     let mut latest: Option<CheckpointImage> = None;
 
     // Segment 0: fresh run with the full plan armed.
@@ -161,6 +177,7 @@ where
                 detections,
                 engine: outcome.engine,
                 events,
+                replayed_responses,
             };
         }
         let Some(fail) = outcome.engine.failed.clone() else {
@@ -170,7 +187,7 @@ where
                 .diagnostic
                 .clone()
                 .unwrap_or_else(|| "run stopped without a declared failure".into());
-            return aborted(outcome, restarts, detections, events, why);
+            return aborted(outcome, restarts, detections, events, replayed_responses, why);
         };
         let crashed_at = planned_crash_instant(plan, &fail);
         if restarts >= cfg.max_restarts {
@@ -186,7 +203,7 @@ where
                  was declared dead at {} ({})",
                 restarts, cfg.max_restarts, fail.node.0, fail.at, fail.reason
             );
-            return aborted(outcome, restarts, detections, events, why);
+            return aborted(outcome, restarts, detections, events, replayed_responses, why);
         }
         // The halted engine is about to be dropped: take its newest image
         // rather than copy it. A segment that died before its first capture
@@ -206,7 +223,7 @@ where
                 "no checkpoint image to restore from: node {} declared dead at {} ({})",
                 fail.node.0, fail.at, fail.reason
             );
-            return aborted(outcome, restarts, detections, events, why);
+            return aborted(outcome, restarts, detections, events, replayed_responses, why);
         };
         detections.push(Detection {
             node: fail.node,
@@ -220,12 +237,31 @@ where
         // Crashes at or before the detection are repaired by the restore
         // (the fabric snapshot revives every node); later ones stay armed.
         let remaining = plan.crashes_after(fail.at);
-        let engine = BcsMpi::restore_from_image(cfg.bcs.clone(), &layout, img);
-        outcome = Job::new(engine, layout.clone())
-            .horizon(cfg.horizon)
-            .resume_from(&img.rt, bcs_mpi::resume_from_boundary)
-            .setup(|w, sim| inject(w, sim, &remaining, plan, cfg.heartbeat_period, img.captured_at))
-            .start(&program);
+        let restore = |live: Option<LiveRanks>| {
+            let engine = BcsMpi::restore_from_image(cfg.bcs.clone(), &layout, img);
+            let job = Job::new(engine, layout.clone())
+                .horizon(cfg.horizon)
+                .resume_from(&img.rt, bcs_mpi::resume_from_boundary)
+                .setup(|w, sim| inject(w, sim, &remaining, plan, cfg.heartbeat_period, img.captured_at));
+            match live {
+                Some(live) => job.ranks(live),
+                None => job,
+            }
+            .start(&program)
+        };
+        // The halted segment's ranks have been delivered the image's
+        // history and then their lookahead: the restore takes them over.
+        // It re-delivers the lookahead and stops, diverged, at the first
+        // response that differs — only possible for one the halted segment
+        // delivered after the fault. That attempt is discarded, events and
+        // all, and the same image restored again by the full replay.
+        outcome = match outcome.live.take().map(|live| restore(Some(live))) {
+            Some(reused) if !reused.diverged => reused,
+            _ => {
+                replayed_responses += img.rt.log.len() as u64;
+                restore(None)
+            }
+        };
     }
 }
 
@@ -290,22 +326,30 @@ fn planned_crash_instant(plan: &FaultPlan, fail: &FailureInfo) -> Option<SimTime
         .max()
 }
 
-fn aborted<R>(
-    outcome: mpi_api::runtime::RunOutcome<R, BcsMpi>,
+/// The machine gives up on a halted segment. The ranks that had finished
+/// keep their results; a recording segment holds them with its live ranks.
+fn aborted<R: 'static>(
+    outcome: RunOutcome<R, BcsMpi>,
     restarts: usize,
     detections: Vec<Detection>,
     events: u64,
+    replayed_responses: u64,
     why: String,
 ) -> RecoveryOutcome<R> {
+    let results = match outcome.live {
+        Some(live) => live.take_results(&outcome.finish_times),
+        None => outcome.results,
+    };
     RecoveryOutcome {
         completed: false,
         abort: Some(why),
-        results: outcome.results,
+        results,
         elapsed: outcome.elapsed,
         restarts,
         detections,
         engine: outcome.engine,
         events,
+        replayed_responses,
     }
 }
 

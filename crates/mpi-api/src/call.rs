@@ -111,8 +111,10 @@ pub enum MpiCall {
 
 /// Response from the engine to a rank program. `Clone` so the runtime can
 /// record delivered responses for deterministic replay after a checkpoint
-/// restore (see `runtime::RuntimeImage`).
-#[derive(Clone, Debug)]
+/// restore (see `runtime::RuntimeImage`), `PartialEq` so a restore that
+/// takes over a halted run's ranks can check what it re-delivers against
+/// what was logged (`runtime::Job::ranks`).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MpiResp {
     /// Generic completion (Compute, blocking Send, Barrier, ...).
     Ok,

@@ -36,17 +36,12 @@ impl<T> Drop for Chunk<T> {
 pub struct LogWork {
     /// Chunk handles cloned into snapshots (one per [`ChunkLog::snapshot`]).
     pub handles_cloned: u64,
-    /// Records copied into the log by [`ChunkLog::snapshot_of`].
-    pub records_copied: u64,
 }
 
 impl std::ops::Add for LogWork {
     type Output = LogWork;
     fn add(self, o: LogWork) -> LogWork {
-        LogWork {
-            handles_cloned: self.handles_cloned + o.handles_cloned,
-            records_copied: self.records_copied + o.records_copied,
-        }
+        LogWork { handles_cloned: self.handles_cloned + o.handles_cloned }
     }
 }
 
@@ -144,6 +139,17 @@ impl<T> ChunkLog<T> {
         self.len() == 0
     }
 
+    /// Every record, sealed or not, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.sealed.iter().chain(&self.tail)
+    }
+
+    /// The records appended since the last snapshot, in order: what no
+    /// snapshot holds.
+    pub fn into_unsealed(self) -> Vec<T> {
+        self.tail
+    }
+
     /// Seal what was appended since the last snapshot and return a handle
     /// on the whole log. O(1): the tail is moved into its chunk, not
     /// copied, and the handle is one reference count.
@@ -161,14 +167,11 @@ impl<T> ChunkLog<T> {
 }
 
 impl<T: Clone> ChunkLog<T> {
-    /// Snapshot of a history the owner keeps as a plain vector that only
-    /// grows: copy in the records of `live` this log does not hold yet,
-    /// then [`Self::snapshot`].
-    pub fn snapshot_of(&mut self, live: &[T]) -> LogSnapshot<T> {
-        let fresh = &live[self.len()..];
-        self.sealed.work.records_copied += fresh.len() as u64;
-        self.tail.extend_from_slice(fresh);
-        self.snapshot()
+    /// The records as one flat vector, oldest first.
+    pub fn to_vec(&self) -> Vec<T> {
+        let mut v = Vec::with_capacity(self.len());
+        v.extend(self.iter().cloned());
+        v
     }
 }
 
@@ -200,16 +203,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_of_copies_only_the_delta() {
-        let mut live = vec![10, 11];
+    fn the_live_log_reads_its_sealed_chunks_then_its_tail() {
         let mut log = ChunkLog::new();
-        let a = log.snapshot_of(&live);
-        live.extend([12, 13, 14]);
-        let b = log.snapshot_of(&live);
-        assert_eq!(a.to_vec(), vec![10, 11]);
-        assert_eq!(b.to_vec(), live);
-        assert_eq!(a.work(), LogWork { handles_cloned: 1, records_copied: 2 });
-        assert_eq!(b.work(), LogWork { handles_cloned: 2, records_copied: 5 });
+        log.push(10);
+        log.push(11);
+        let a = log.snapshot();
+        log.push(12);
+        log.snapshot();
+        log.push(13);
+        log.push(14);
+        assert_eq!(log.to_vec(), vec![10, 11, 12, 13, 14]);
+        assert_eq!(log.iter().count(), log.len());
+        assert_eq!(log.snapshot().work(), LogWork { handles_cloned: 3 });
+        log.push(15);
+        assert_eq!(ChunkLog::resume(&a).to_vec(), vec![10, 11]);
+        assert_eq!(log.into_unsealed(), vec![15], "only what no snapshot holds");
     }
 
     #[test]

@@ -18,13 +18,18 @@
 //! runtime stamps every point-to-point send payload with its [`Origin`] as
 //! the rank yields it, and logs a delivered response with each stamped
 //! payload replaced by [`Payload::hollow`]: the origin and no bytes. A
-//! rollback replays every rank, so the replayed sender regenerates the
-//! bytes and the reference is filled from them (`runtime::Job::resume_from`);
-//! the receiving rank holds the only reference to what it received and its
-//! `into_vec` moves. Payloads nobody stamped — collective results, whatever
-//! an engine re-buffers — are logged by value. The stamp lives inside the
-//! shared allocation, so the handle stays one pointer wide and
-//! `MpiCall`/`MpiResp` do not grow.
+//! rollback rebuilds every rank, sender included: a full replay
+//! regenerates the bytes and fills the reference from them
+//! (`runtime::Job::resume_from`), and a restore that takes over the halted
+//! run's ranks re-dispatches the very sends they yielded
+//! (`runtime::Job::ranks`). For that, a recording runtime keeps the calls
+//! yielded since the last capture, sends by reference, so a receiver whose
+//! send is still kept copies in `into_vec`; in a run that does not record
+//! it holds the only reference and `into_vec` moves. Payloads nobody
+//! stamped — collective results, whatever an engine re-buffers — are logged
+//! by value. The stamp lives inside the shared allocation, so the handle
+//! stays one pointer wide and `MpiCall`/`MpiResp` do not grow. Equality is
+//! stamp and bytes, which is how a restore compares logged responses.
 //!
 //! `Arc` (not `Rc`) keeps a payload `Send + Sync`. One simulation runs on
 //! one thread, but a checkpoint image may leave the thread that captured
@@ -133,6 +138,19 @@ impl From<&[u8]> for Payload {
     }
 }
 
+/// Equal stamps and equal bytes. Between logged responses, where a stamped
+/// payload is hollow, that compares point-to-point messages by origin and
+/// everything else by value; a hollow reference never equals the bytes it
+/// stands for.
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        Payload::ptr_eq(self, other)
+            || (self.origin() == other.origin() && self.as_slice() == other.as_slice())
+    }
+}
+
+impl Eq for Payload {}
+
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Payload({} bytes)", self.len())
@@ -179,5 +197,28 @@ mod tests {
         let h = Payload::hollow(o(1));
         assert!(h.is_empty());
         assert_eq!(h.origin(), q.origin());
+    }
+
+    #[test]
+    fn a_hollow_reference_differs_from_the_payload_it_stands_for() {
+        let o = Origin { rank: 1, ordinal: 4 };
+        let mut full = Payload::from_vec(vec![5; 32]);
+        full.stamp(o);
+        assert_eq!(full.origin(), Payload::hollow(o).origin());
+        assert_ne!(full, Payload::hollow(o));
+        assert_eq!(Payload::hollow(o), Payload::hollow(o));
+        assert_ne!(Payload::hollow(o), Payload::hollow(Origin { ordinal: 5, ..o }));
+    }
+
+    #[test]
+    fn unstamped_payloads_compare_by_bytes() {
+        let a = Payload::from_vec(vec![1, 2, 3]);
+        let b = Payload::from(&[1u8, 2, 3][..]);
+        assert!(!Payload::ptr_eq(&a, &b));
+        assert_eq!(a, b);
+        assert_ne!(a, Payload::from_vec(vec![1, 2, 4]));
+        let mut stamped = b.clone();
+        stamped.stamp(Origin { rank: 0, ordinal: 0 });
+        assert_ne!(a, stamped, "same bytes, but only one is stamped");
     }
 }

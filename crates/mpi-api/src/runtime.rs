@@ -8,8 +8,9 @@
 //! limit.
 //!
 //! A run is described once as a [`Job`] value — engine, layout, an optional
-//! horizon, setup hook and checkpoint to resume from — and then
-//! started; [`run_program`] is the shorthand for the common case.
+//! horizon, setup hook, checkpoint to resume from and the halted run's
+//! ranks to take over ([`LiveRanks`]) — and then started; [`run_program`]
+//! is the shorthand for the common case.
 //!
 //! Every [`MpiCall`] a rank issues is dispatched to the engine, which
 //! completes it immediately or later by scheduling a resume. The drain loop
@@ -143,12 +144,30 @@ pub struct ClusterWorld<E: Engine> {
     /// raw material of deterministic replay.
     record_resps: bool,
     log: ChunkLog<Delivery>,
+    /// For each delivery `log` has not sealed yet, what the rank did next:
+    /// the call it yielded, stamped, or `None` if its program returned.
+    /// Paired with the unsealed log it is the lookahead a halted run hands
+    /// to the restore that follows ([`LiveRanks`]).
+    tape: Vec<Option<MpiCall>>,
+    /// Per rank, steps its coroutine took in a run that halted and that
+    /// this run has not re-delivered yet ([`Job::ranks`]). A rank with any
+    /// left is not resumed: [`drain`] checks each response against the
+    /// next step and credits the rank with the call it holds. Empty, not
+    /// one empty queue per rank, in a run that took over no ranks.
+    lookahead: Vec<VecDeque<Step>>,
+    /// The rank whose re-delivered response differed from its lookahead's:
+    /// the run stops there ([`RunOutcome::diverged`]).
+    diverged: Option<usize>,
     /// Point-to-point sends each rank has yielded while recording: the
     /// ordinal of its next one.
     sends_yielded: Vec<u64>,
     /// Payload bytes `log` holds by value (see [`RuntimeImage`]).
     logged_payload_bytes: u64,
 }
+
+/// One step of a rank's lookahead: a response a halted run delivered to
+/// it, in its logged form, and what the rank did next.
+type Step = (MpiResp, Option<MpiCall>);
 
 /// One entry of the replay log: a response and the world rank it was
 /// delivered to. Payloads stamped with an [`Origin`] are logged hollow
@@ -171,6 +190,9 @@ impl<E: Engine> ClusterWorld<E> {
             pending_resumes: IdTable::new(),
             record_resps: false,
             log: ChunkLog::new(),
+            tape: Vec::new(),
+            lookahead: Vec::new(),
+            diverged: None,
             sends_yielded: vec![0; ranks],
             logged_payload_bytes: 0,
         }
@@ -214,12 +236,54 @@ impl<E: Engine> ClusterWorld<E> {
         self.record_resps
     }
 
-    /// Append `resp`, about to be delivered to `rank`, to the replay log.
-    /// A stamped payload is a point-to-point message whose sender will
-    /// regenerate it on replay, so only its origin is kept and the rank
-    /// receives the sole reference to the bytes; anything else is kept by
-    /// value.
-    fn record(&mut self, rank: usize, resp: &MpiResp) {
+    /// Deliver `resp` to `rank` and return what the rank does next: its
+    /// next call, or `None` if its program returned.
+    fn step(&mut self, rank: usize, resp: MpiResp) -> Option<MpiCall> {
+        match self.harness.resume(ProcId(rank), resp) {
+            ProcYield::Request(call) => Some(call),
+            ProcYield::Finished => None,
+        }
+    }
+
+    /// [`Self::step`] in a recording run: log `resp`, take the rank's next
+    /// step — from its lookahead if it has one, else by resuming it and
+    /// stamping the sends it yields — and put that step on the tape. When
+    /// the lookahead's response is not the one delivered, the coroutine
+    /// holds a history this run does not and cannot be credited with
+    /// anything: the run is marked diverged instead.
+    fn step_recorded(&mut self, rank: usize, resp: MpiResp) -> Option<MpiCall> {
+        let logged = self.logged(&resp);
+        let next = match self.lookahead.get_mut(rank).and_then(VecDeque::pop_front) {
+            None => self
+                .step(rank, resp)
+                .map(|call| stamp_sends(&mut self.sends_yielded[rank], rank, call)),
+            Some((expected, _)) if expected != logged => {
+                self.diverged = Some(rank);
+                return None;
+            }
+            Some((_, mut next)) => {
+                // Stamped when the halted run yielded it, with the ordinals
+                // this run has reached: count them, do not stamp again
+                // (stamping a payload someone else holds copies it).
+                let ordinal = &mut self.sends_yielded[rank];
+                if let Some(call) = next.as_mut() {
+                    call.for_each_send_payload(&mut |p| {
+                        assert_eq!(p.origin(), Some(Origin { rank: rank as u32, ordinal: *ordinal }));
+                        *ordinal += 1;
+                    });
+                }
+                next
+            }
+        };
+        self.log.push((rank as u32, logged));
+        self.tape.push(next.clone());
+        next
+    }
+
+    /// The form `resp` takes in the replay log. A stamped payload is a
+    /// point-to-point message whose sender regenerates it on replay, so
+    /// only its origin is kept; anything else is kept by value.
+    fn logged(&mut self, resp: &MpiResp) -> MpiResp {
         let mut logged = resp.clone();
         let mut kept = 0usize;
         logged.for_each_payload(&mut |p| match p.origin() {
@@ -227,7 +291,17 @@ impl<E: Engine> ClusterWorld<E> {
             None => kept += p.len(),
         });
         self.logged_payload_bytes += kept as u64;
-        self.log.push((rank as u32, logged));
+        logged
+    }
+
+    /// What `rank` is parked in, as replay names it: the call it last
+    /// yielded. A rank inside a batch yielded the batch; any other had its
+    /// call issued as it was.
+    fn yielded_op(&self, rank: usize) -> Option<&'static str> {
+        match self.batches[rank] {
+            Some(_) => Some(MpiCall::Batch { calls: Vec::new() }.op_name()),
+            None => self.pending_call[rank].map(|(op, _)| op),
+        }
     }
 
     /// Capture the runtime half of a checkpoint at a quiescent instant:
@@ -238,7 +312,7 @@ impl<E: Engine> ClusterWorld<E> {
     ///
     /// Takes `&mut self` because capturing seals the log's tail into a
     /// chunk the image shares ([`ChunkLog::snapshot`]) — O(1) whatever the
-    /// length of the history.
+    /// length of the history — and starts a new tape.
     pub fn runtime_image(&mut self, captured_at: SimTime) -> RuntimeImage {
         assert!(
             self.record_resps,
@@ -248,15 +322,67 @@ impl<E: Engine> ClusterWorld<E> {
             self.pending.is_empty(),
             "runtime_image at a non-quiescent instant: completion queue not drained"
         );
+        self.tape.clear();
         RuntimeImage {
             log: self.log.snapshot(),
             logged_payload_bytes: self.logged_payload_bytes,
             pending_resumes: self.pending_resumes.iter().map(|(_, r)| r.clone()).collect(),
             finish_times: self.finish_times.clone(),
             batches: self.batches.clone(),
+            sends_yielded: self.sends_yielded.clone(),
+            parked_in: (0..self.layout.ranks).map(|r| self.yielded_op(r)).collect(),
             captured_at,
         }
     }
+
+    /// The ranks of a recording run that stopped short of completion, for
+    /// the restore from its newest image: the harness, and per rank the
+    /// steps since that image — the unsealed log paired with the tape —
+    /// followed by whatever this run left of its own lookahead.
+    fn take_live(&mut self) -> LiveRanks {
+        let unsealed = std::mem::replace(&mut self.log, ChunkLog::new()).into_unsealed();
+        let tape = std::mem::take(&mut self.tape);
+        assert_eq!(unsealed.len(), tape.len(), "the tape has one step per unsealed delivery");
+        let mut lookahead: Vec<VecDeque<Step>> = (0..self.layout.ranks).map(|_| VecDeque::new()).collect();
+        for ((rank, resp), next) in unsealed.into_iter().zip(tape) {
+            lookahead[rank as usize].push_back((resp, next));
+        }
+        for (steps, left) in lookahead.iter_mut().zip(std::mem::take(&mut self.lookahead)) {
+            steps.extend(left);
+        }
+        LiveRanks { harness: std::mem::take(&mut self.harness), lookahead }
+    }
+}
+
+/// The rank coroutines of a recording run that halted short of
+/// completion ([`RunOutcome::live`]), for the restore that follows it
+/// ([`Job::ranks`]): each rank has been delivered the newest image's
+/// history and then its *lookahead*, the steps it took after the capture.
+/// Only the program the halted run started can resume them.
+pub struct LiveRanks {
+    harness: VmHarness<MpiCall, MpiResp>,
+    lookahead: Vec<VecDeque<Step>>,
+}
+
+impl LiveRanks {
+    /// Steps the ranks took past the image, over all lookaheads.
+    pub fn steps(&self) -> usize {
+        self.lookahead.iter().map(VecDeque::len).sum()
+    }
+
+    /// The results of the ranks `finish_times` has finished (a halted
+    /// run's [`RunOutcome::finish_times`]); `None` for the others.
+    pub fn take_results<R: 'static>(mut self, finish_times: &[Option<SimTime>]) -> Vec<Option<R>> {
+        take_results(&mut self.harness, finish_times)
+    }
+}
+
+fn take_results<R: 'static>(
+    harness: &mut VmHarness<MpiCall, MpiResp>,
+    finish_times: &[Option<SimTime>],
+) -> Vec<Option<R>> {
+    let finished = finish_times.iter().enumerate();
+    finished.map(|(r, at)| at.and_then(|_| harness.take_result(ProcId(r)))).collect()
 }
 
 /// Runtime half of a restorable checkpoint (the engine half is captured by
@@ -284,6 +410,14 @@ pub struct RuntimeImage {
     /// are folded into the eventual [`MpiResp::Batch`] (which is what the
     /// response log records).
     pub batches: Vec<Option<BatchState>>,
+    /// Per-rank point-to-point sends yielded by the capture: the ordinal
+    /// the rank's next send is stamped with. The full replay recomputes it
+    /// and checks it against this.
+    pub sends_yielded: Vec<u64>,
+    /// Per-rank op name of the call each unfinished rank had last yielded
+    /// (the batch, for a rank inside one): what a restore reports it parked
+    /// in until it issues another.
+    pub parked_in: Vec<Option<&'static str>>,
     /// Absolute virtual time of the capture (a slice boundary in BCS-MPI).
     pub captured_at: SimTime,
 }
@@ -325,7 +459,7 @@ fn stamp_sends(ordinal: &mut u64, rank: usize, mut call: MpiCall) -> MpiCall {
 
 /// Route one rank-yielded call: [`MpiCall::Batch`] is unpacked by the
 /// runtime (the engine only ever sees ordinary calls); everything else goes
-/// straight to the engine. A recording runtime first stamps the sends the
+/// straight to the engine. A recording runtime has stamped the sends the
 /// call carries, so whoever receives them can be logged by reference.
 fn dispatch_call<E: Engine>(
     w: &mut ClusterWorld<E>,
@@ -333,7 +467,6 @@ fn dispatch_call<E: Engine>(
     rank: usize,
     call: MpiCall,
 ) {
-    let call = if w.record_resps { stamp_sends(&mut w.sends_yielded[rank], rank, call) } else { call };
     match call {
         MpiCall::Batch { calls } => {
             assert!(
@@ -398,12 +531,19 @@ pub fn drain<E: Engine>(w: &mut ClusterWorld<E>, sim: &mut Sim<ClusterWorld<E>>)
         } else {
             resp
         };
-        if w.record_resps {
-            w.record(rank, &resp);
-        }
-        match w.harness.resume(ProcId(rank), resp) {
-            ProcYield::Request(call) => dispatch_call(w, sim, rank, call),
-            ProcYield::Finished => w.mark_finished(rank, sim.now()),
+        let next = if w.record_resps {
+            let next = w.step_recorded(rank, resp);
+            if w.diverged.is_some() {
+                w.pending.clear();
+                break;
+            }
+            next
+        } else {
+            w.step(rank, resp)
+        };
+        match next {
+            Some(call) => dispatch_call(w, sim, rank, call),
+            None => w.mark_finished(rank, sim.now()),
         }
     }
     w.draining = false;
@@ -465,7 +605,9 @@ pub struct RunResult<R, E> {
 pub struct RunOutcome<R, E> {
     /// True when every rank's program returned.
     pub completed: bool,
-    /// Per-rank results (`None` for ranks that never finished).
+    /// Per-rank results (`None` for ranks that never finished). When
+    /// `live` is `Some`, the finished ranks' results stay with it
+    /// ([`LiveRanks::take_results`]) and every entry here is `None`.
     pub results: Vec<Option<R>>,
     /// Virtual time of the last finish (completed) or of the stop instant.
     pub elapsed: SimDuration,
@@ -479,6 +621,14 @@ pub struct RunOutcome<R, E> {
     pub heap_pushes: u64,
     /// Human-readable reason when `completed` is false.
     pub diagnostic: Option<String>,
+    /// True when the run stopped because a rank it took over
+    /// ([`Job::ranks`]) was re-delivered a response other than the one its
+    /// lookahead holds. Nothing in such a run is a result; restore the
+    /// image again without the ranks.
+    pub diverged: bool,
+    /// The ranks of a recording run that stopped short of completion
+    /// without diverging, for the restore from its newest image.
+    pub live: Option<LiveRanks>,
 }
 
 impl<R, E> RunOutcome<R, E> {
@@ -520,6 +670,7 @@ pub struct Job<'a, E: Engine> {
     horizon: Option<SimDuration>,
     setup: Hook<'a, E>,
     resume: Option<(&'a RuntimeImage, Hook<'static, E>)>,
+    live: Option<LiveRanks>,
 }
 
 impl<'a, E: Engine> Job<'a, E> {
@@ -531,6 +682,7 @@ impl<'a, E: Engine> Job<'a, E> {
             horizon: None,
             setup: Box::new(|_, _| {}),
             resume: None,
+            live: None,
         }
     }
 
@@ -555,21 +707,40 @@ impl<'a, E: Engine> Job<'a, E> {
     /// must already be restored to the image's state, `rt` is the matching
     /// [`RuntimeImage`], and `kickoff` is scheduled at the capture instant
     /// to restart the protocol (in BCS-MPI, the slice-boundary resume) —
-    /// which is why it alone must be `'static`. Rank programs are re-booted
-    /// and silently replayed through the recorded responses, all ranks
-    /// interleaved in the order the responses were delivered. The calls
-    /// they yield are discarded, because every effect of those calls is
-    /// already part of the restored engine state — except the payloads of
-    /// their sends, which are what the log's hollow references are filled
-    /// from. Each rank ends up parked exactly where the checkpoint caught
-    /// it, and the simulation continues on the original absolute timeline.
-    /// A setup hook, if any, runs once all of that is in place.
+    /// which is why it alone must be `'static`. The simulation continues on
+    /// the original absolute timeline, and a setup hook, if any, runs once
+    /// the ranks are in place.
+    ///
+    /// Without [`Self::ranks`] the ranks are rebuilt by the *full replay*:
+    /// rank programs are re-booted and silently fed the recorded
+    /// responses, all ranks interleaved in the order the responses were
+    /// delivered. The calls they yield are discarded, because every effect
+    /// of those calls is already part of the restored engine state — except
+    /// the payloads of their sends, which are what the log's hollow
+    /// references are filled from. Each rank ends up parked exactly where
+    /// the checkpoint caught it.
     pub fn resume_from(
         mut self,
         rt: &'a RuntimeImage,
         kickoff: impl FnOnce(&mut ClusterWorld<E>, &mut Sim<ClusterWorld<E>>) + 'static,
     ) -> Self {
         self.resume = Some((rt, Box::new(kickoff)));
+        self
+    }
+
+    /// Take over the ranks of the run that halted after the image passed
+    /// to [`Self::resume_from`] was captured, instead of replaying them:
+    /// nothing is booted or re-fed. A rank's state is a function of the
+    /// responses it was delivered, and each of these has been delivered
+    /// the image's history plus its lookahead. The run re-delivers the
+    /// lookahead's responses itself; each one is checked against the
+    /// logged response before the rank is credited with the step it took
+    /// after it, so a credited rank holds exactly what a full replay would
+    /// have built, and the engine sees the same calls at the same instants.
+    /// A response that differs — one the halted run delivered after a
+    /// fault, say — stops the run as [`RunOutcome::diverged`].
+    pub fn ranks(mut self, live: LiveRanks) -> Self {
+        self.live = Some(live);
         self
     }
 
@@ -586,11 +757,17 @@ impl<'a, E: Engine> Job<'a, E> {
         let mut w = ClusterWorld::new(self.engine, self.layout);
         match self.resume {
             None => {
+                assert!(self.live.is_none(), "Job::ranks takes over ranks for a restore (Job::resume_from)");
                 E::bootstrap(&mut w, &mut sim);
                 (self.setup)(&mut w, &mut sim);
                 for rank in 0..size {
                     match w.boot_rank(program, rank) {
-                        ProcYield::Request(call) => dispatch_call(&mut w, &mut sim, rank, call),
+                        ProcYield::Request(mut call) => {
+                            if w.record_resps {
+                                call = stamp_sends(&mut w.sends_yielded[rank], rank, call);
+                            }
+                            dispatch_call(&mut w, &mut sim, rank, call)
+                        }
                         ProcYield::Finished => w.mark_finished(rank, SimTime::ZERO),
                     }
                 }
@@ -600,7 +777,10 @@ impl<'a, E: Engine> Job<'a, E> {
                 // No bootstrap: the restored engine state already contains
                 // the protocol's standing state; `kickoff` restarts its
                 // event loop.
-                replay(&mut w, program, rt);
+                match self.live {
+                    Some(live) => reuse(&mut w, live, rt),
+                    None => replay(&mut w, program, rt),
+                }
                 // Re-create the delivery schedule (scheduling order =
                 // original issue order, so same-instant events keep their
                 // relative order), then the protocol kickoff at the capture
@@ -616,17 +796,34 @@ impl<'a, E: Engine> Job<'a, E> {
             }
         }
 
-        let done = sim.run_until(&mut w, |w| w.all_finished() || E::halted(w));
+        let done = sim.run_until(&mut w, |w| {
+            w.all_finished() || w.diverged.is_some() || E::halted(w)
+        });
         let completed = w.all_finished();
         let end = match w.finish_times.iter().flatten().max() {
             Some(&last_finish) if completed => last_finish,
             _ => sim.now(),
         };
+        let diagnostic = (!completed).then(|| match w.diverged {
+            Some(rank) => format!(
+                "restore diverged at t={}: rank {rank} was re-delivered a response other than \
+                 the one its coroutine took in the halted run",
+                sim.now()
+            ),
+            None => stuck_report(&w, sim.now(), done),
+        });
+        let live = (!completed && w.diverged.is_none() && w.record_resps).then(|| w.take_live());
+        let results = match live {
+            Some(_) => (0..size).map(|_| None).collect(),
+            None => take_results(&mut w.harness, &w.finish_times),
+        };
         RunOutcome {
             completed,
-            results: (0..size).map(|r| w.harness.take_result(ProcId(r))).collect(),
+            results,
             elapsed: end.since(SimTime::ZERO),
-            diagnostic: (!completed).then(|| stuck_report(&w, sim.now(), done)),
+            diagnostic,
+            diverged: w.diverged.is_some(),
+            live,
             finish_times: w.finish_times,
             engine: w.engine,
             events: sim.events_executed(),
@@ -652,7 +849,6 @@ where
 fn replay<E: Engine, P: RankProgram>(w: &mut ClusterWorld<E>, program: &P, rt: &RuntimeImage) {
     let size = w.layout.ranks;
     assert_eq!(rt.batches.len(), size, "image rank count mismatch");
-    w.batches = rt.batches.clone();
 
     // What each rank has sent and nobody has received yet, by send ordinal.
     // In the original run a receive completed only after its sender had
@@ -697,6 +893,7 @@ fn replay<E: Engine, P: RankProgram>(w: &mut ClusterWorld<E>, program: &P, rt: &
             // the rank is parked in; the capture instant stands in for
             // the original issue time.
             (ProcYield::Request(call), None) => {
+                debug_assert_eq!(Some(call.op_name()), rt.parked_in[rank]);
                 w.pending_call[rank] = Some((call.op_name(), rt.captured_at));
             }
             (ProcYield::Finished, Some(at)) => w.mark_finished(rank, at),
@@ -707,12 +904,41 @@ fn replay<E: Engine, P: RankProgram>(w: &mut ClusterWorld<E>, program: &P, rt: &
                 replay_diverged(rt, rank, rt.log.len(), y, "was still running at the capture")
             }
         }
+        let (replayed, recorded) = (sent[rank].next_id(), rt.sends_yielded[rank]);
+        if replayed != recorded {
+            let what = format!("has yielded {replayed} sends where the recorded run had yielded {recorded}");
+            replay_diverged(rt, rank, rt.log.len(), y, &what)
+        }
     }
-    // Recording continues where the image's log and send counts end.
+    resume_recording(w, rt);
+}
+
+/// Take over the ranks of a halted run instead of replaying them (see
+/// [`Job::ranks`]): every rank has been delivered `rt`'s history, and
+/// [`drain`] checks the rest of what it was delivered as the run re-delivers
+/// it. A rank is parked in the call it had yielded at the capture until it
+/// issues another, as after a replay.
+fn reuse<E: Engine>(w: &mut ClusterWorld<E>, live: LiveRanks, rt: &RuntimeImage) {
+    assert_eq!(live.lookahead.len(), w.layout.ranks, "live rank count mismatch");
+    w.harness = live.harness;
+    w.lookahead = live.lookahead;
+    for (rank, finished) in rt.finish_times.iter().enumerate() {
+        match finished {
+            Some(at) => w.mark_finished(rank, *at),
+            None => w.pending_call[rank] = rt.parked_in[rank].map(|op| (op, rt.captured_at)),
+        }
+    }
+    resume_recording(w, rt);
+}
+
+/// Recording continues where the image's log, send counts and batches end.
+fn resume_recording<E: Engine>(w: &mut ClusterWorld<E>, rt: &RuntimeImage) {
+    assert_eq!(rt.batches.len(), w.layout.ranks, "image rank count mismatch");
+    w.batches = rt.batches.clone();
     w.record_resps = true;
     w.log = ChunkLog::resume(&rt.log);
     w.logged_payload_bytes = rt.logged_payload_bytes;
-    w.sends_yielded = sent.iter().map(IdTable::next_id).collect();
+    w.sends_yielded = rt.sends_yielded.clone();
 }
 
 /// Keep the payloads of the sends a replayed rank just yielded, under the

@@ -1,9 +1,9 @@
 //! `ChunkLog` against a plain `Vec` model: whatever sequence of pushes,
-//! snapshots, snapshot drops and resumes a run makes, every snapshot reads
-//! back exactly the prefix that existed when it was taken — nothing
-//! appended later shows through, and dropping other snapshots (or the log)
-//! takes nothing away — and `materialize` is the same records in chunks of
-//! its own.
+//! snapshots, snapshot drops and resumes a run makes, the live log reads
+//! back the model and every snapshot exactly the prefix that existed when
+//! it was taken — nothing appended later shows through, and dropping other
+//! snapshots (or the log) takes nothing away — and `materialize` is the
+//! same records in chunks of its own.
 
 use mpi_api::chunklog::{ChunkLog, LogSnapshot};
 use proplite::prelude::*;
@@ -13,8 +13,6 @@ enum Op {
     Push(u8),
     /// `snapshot()`.
     Snapshot,
-    /// `snapshot_of(live)` after `live` grew by this many records.
-    SnapshotOf(u8),
     /// Drop the held snapshot at this position (modulo the count).
     Drop(usize),
     /// Abandon the log and continue from the held snapshot at this
@@ -27,8 +25,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![
             6 => (0..3u8).prop_map(Op::Push),
             3 => Just(Op::Snapshot),
-            2 => (0..4u8).prop_map(Op::SnapshotOf),
-            2 => (0..64usize).prop_map(Op::Drop),
+            2 =>(0..64usize).prop_map(Op::Drop),
             1 => (0..64usize).prop_map(Op::Resume),
         ],
         0..160,
@@ -66,18 +63,6 @@ proplite! {
                     }
                 }
                 Op::Snapshot => held.push((log.snapshot(), model.clone())),
-                Op::SnapshotOf(n) => {
-                    let copied = log.snapshot().work().records_copied;
-                    model.extend((0..n as u64).map(|i| next + i));
-                    next += n as u64;
-                    let snap = log.snapshot_of(&model);
-                    prop_assert_eq!(
-                        snap.work().records_copied,
-                        copied + n as u64,
-                        "snapshot_of copies the records the log lacks and no others"
-                    );
-                    held.push((snap, model.clone()));
-                }
                 Op::Drop(pos) => {
                     if !held.is_empty() {
                         held.swap_remove(pos % held.len());
@@ -92,6 +77,7 @@ proplite! {
                 }
             }
             prop_assert_eq!(log.len(), model.len());
+            prop_assert_eq!(&log.to_vec(), &model);
             check_all(&held)?;
         }
         // Materialized copies read the same and outlive everything else.

@@ -39,7 +39,7 @@ fn run_once() -> (Vec<u64>, bcs_repro::bcs_mpi::BcsStats, Vec<bcs_repro::bcs_mpi
             mpi.now().await.as_nanos()
         },
     );
-    (out.results, out.engine.stats, out.engine.trace)
+    (out.results, out.engine.stats, out.engine.trace.to_vec())
 }
 
 fn main() {

@@ -19,7 +19,11 @@
 #      nothing above notices when a change breaks the product surface
 #      perf/README.md pins
 #   3. the fault-recovery property suite (random fault plans: bit-identical
-#      recovery + same-seed replay) and, in release next to it, the
+#      recovery + same-seed replay; the golden recovery table, in which
+#      every restore takes over the halted segment's ranks and re-feeds no
+#      response; the polling ring whose restore falls back to the full
+#      replay; a lookahead carried across two restores) with the payload
+#      equality a restore checks with, and, in release next to it, the
 #      count-based tests: a capture's work does not grow with the image
 #      number and the replay log retains no message bytes; a message costs
 #      at most 2.5 host allocations, no copy and under two heap entries per
@@ -83,6 +87,7 @@ cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
 echo "== fault-recovery property suite + count-based tests (capture flatness, per-message host cost, event-queue model, idle scaling, repro output repeats)"
 cargo test --release -q --test fault_recovery
+cargo test --release -q -p mpi-api --lib payload::
 cargo test --release -q -p bcs-mpi --test capture_flatness
 cargo test --release -q -p apps --test alloc_per_message
 cargo test --release -q --test sim_queue_model

@@ -30,7 +30,7 @@ fn run_with_checkpoints(every: u64) -> (Vec<(u64, u64)>, Vec<u64>) {
         }
         mpi.now().await.as_nanos()
     });
-    (out.engine.checkpoints.clone(), out.results)
+    (out.engine.checkpoints.to_vec(), out.results)
 }
 
 #[test]

@@ -14,7 +14,7 @@ use bcs_repro::faultsim::{
     FaultPlan, FaultProfile, RecoveryCfg, fault_free_reference, run_with_recovery,
 };
 use bcs_repro::mpi_api::message::{SrcSel, TagSel};
-use bcs_repro::mpi_api::runtime::{ClusterWorld, Job, JobLayout};
+use bcs_repro::mpi_api::runtime::{ClusterWorld, Job, JobLayout, RunOutcome};
 use bcs_repro::mpi_api::{AsyncMpi, MpiCall, MpiResp, Payload, RankProgram, ReduceOp};
 use bcs_repro::qsnet::NodeId;
 use bcs_repro::simcore::{Sim, SimDuration};
@@ -335,6 +335,7 @@ fn abort_is_clean_when_restart_budget_is_exhausted() {
     assert!(why.contains("restart budget"), "unexpected reason: {why}");
     assert_eq!(out.detections.len(), 1);
     assert!(out.detections[0].restored_from_slice.is_none());
+    assert_eq!(out.results, [None; 4]);
 }
 
 /// The same machine, retargeted onto the RDMA-channel fabric: InfiniBand
@@ -500,6 +501,275 @@ fn replay_names_the_rank_that_returned_early() {
     restore_after_lapse(&LAPSED, Lapse::ReturnsEarly);
 }
 
+/// A ring whose ranks poll their receive with `MPI_Test`, 50 µs of compute
+/// between polls: how many polls come back empty depends on when the
+/// message lands, and that differs between a timeline in which a node is
+/// dead and one in which it is not.
+async fn polling_ring(mut mpi: AsyncMpi) -> u64 {
+    let (me, n) = (mpi.rank(), mpi.size());
+    let mut acc = (me as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for it in 0..40i32 {
+        let s = mpi.isend((me + 1) % n, it, &[(acc as u8) ^ it as u8; 256]).await;
+        let r = mpi.irecv(SrcSel::Rank((me + n - 1) % n), TagSel::Tag(it)).await;
+        let data = loop {
+            mpi.compute(SimDuration::micros(50)).await;
+            if let Some((data, _)) = mpi.test(r).await {
+                break data.expect("recv payload");
+            }
+        };
+        mpi.wait(s).await;
+        acc = acc.wrapping_mul(31).wrapping_add(digest(me, &data));
+    }
+    acc
+}
+
+/// The halted segment's survivors polled in vain while node 2 was dead;
+/// the restored run delivers their messages sooner, so a re-delivered
+/// `MPI_Test` differs from the one a reused rank took. That attempt is
+/// discarded and the image restored again by the full replay, which ends
+/// where the run always ended (values recorded before restores reused
+/// ranks: 19.610 ms, 4044 events, one restart).
+#[test]
+fn polling_ring_recovers_through_the_full_replay() {
+    let rc = recovery_cfg();
+    let reference = fault_free_reference(&rc, layout(), polling_ring).results;
+    let plan = FaultPlan::single_crash(&rc.bcs, NodeId(2), 12);
+    let out = run_with_recovery(&rc, layout(), &plan, polling_ring);
+    assert!(out.completed, "recovery failed: {:?}", out.abort);
+    assert!(out.replayed_responses > 0, "the restore did not fall back to the full replay");
+    let got: Vec<u64> = out.results.iter().map(|r| r.unwrap()).collect();
+    assert_eq!(got, reference);
+    assert_eq!((out.elapsed.as_nanos(), out.events, out.restarts), (19_610_000, 4044, 1));
+}
+
+/// Rank 3 waits, inside a batch, for a message nobody sends; the other
+/// three ring among themselves and return.
+async fn ring_beside_a_stuck_rank(mut mpi: AsyncMpi) -> u64 {
+    let me = mpi.rank();
+    if me == 3 {
+        let r = mpi.irecv(SrcSel::Rank(0), TagSel::Tag(999)).await;
+        let calls = vec![mpi.compute_desc(SimDuration::micros(10)), mpi.waitall_desc(&[r])];
+        return mpi.batch(calls).await.len() as u64;
+    }
+    let mut acc = me as u64;
+    for it in 0..8i32 {
+        mpi.compute(SimDuration::micros(300)).await;
+        let s = mpi.isend((me + 1) % 3, it, &[me as u8; 4096]).await;
+        let r = mpi.irecv(SrcSel::Rank((me + 2) % 3), TagSel::Tag(it)).await;
+        let res = mpi.waitall(&[s, r]).await;
+        let data = res[1].0.as_ref().expect("recv payload");
+        acc = acc.wrapping_mul(31).wrapping_add(digest(it as usize, data));
+    }
+    acc
+}
+
+/// A restored segment that deadlocks reports its stuck ranks as it did
+/// when every restore re-ran every rank, and the ranks that finished keep
+/// their results through the abort.
+#[test]
+fn a_deadlock_after_a_restore_is_reported_as_before() {
+    let mut rc = recovery_cfg();
+    rc.horizon = SimDuration::millis(30);
+    let plan = FaultPlan::single_crash(&rc.bcs, NodeId(1), 4);
+    let out = run_with_recovery(&rc, layout(), &plan, ring_beside_a_stuck_rank);
+    assert!(!out.completed);
+    assert_eq!(out.restarts, 1);
+    assert_eq!(
+        out.results,
+        [Some(5150196803093129348), Some(6146117277640841093), Some(13858669624911480454), None]
+    );
+    assert_eq!(out.abort.as_deref(), Some(STUCK_AFTER_RESTORE));
+    assert_eq!(out.replayed_responses, 0);
+}
+
+/// What the restored segment's horizon reports: rank 3 is named with the
+/// call it yielded before the capture (the batch, not the sub-call the
+/// engine holds), at the capture instant.
+const STUCK_AFTER_RESTORE: &str = "MPI job did not complete at t=30.000ms (3 of 4 ranks finished).\n\
+    Stuck ranks:\n  rank 3: parked in batch since t=2.000ms\n\
+    Either the program deadlocked, a failure halted the machine, or the\n\
+    virtual-time horizon was hit (run_until=false).\n\
+    Engine state:\n  slice 60 phase 0 started at 30.000ms\n  rank 3: waitall 1 reqs (1 outstanding)\n  \
+    node 3: 0 sends posted, 1 recvs posted, 0 remote sends, 0 in flight\n";
+
+/// A restore that stops before it has re-delivered its whole lookahead
+/// hands the rest on: the next restore's ranks take the stopped run's
+/// steps and then what was left of the lookahead before. A planned crash
+/// cannot stop a restored segment that early (only crashes after the
+/// declaration stay armed), so horizons do it here: the first run stops
+/// 0.9 ms past its last capture, the restore from that image stops 0.3 ms
+/// past it, before it has re-delivered what the first run delivered later,
+/// and the second restore from the same image ends the job exactly as an
+/// uninterrupted run does.
+#[test]
+fn an_unconsumed_lookahead_is_carried_into_the_next_restore() {
+    let cfg = recovery_cfg().bcs;
+    let program = Workload::Ring(5);
+    let start = |horizon_ns: Option<u64>| {
+        let job = Job::new(BcsMpi::new(cfg.clone(), &layout()), layout()).setup(|w, _| w.set_recording(true));
+        match horizon_ns {
+            Some(ns) => job.horizon(SimDuration::nanos(ns)),
+            None => job,
+        }
+        .start(&program)
+    };
+    let whole = start(None);
+    assert!(whole.completed, "{:?}", whole.diagnostic);
+
+    let first = start(Some(4_900_000));
+    let img = first.engine.images.last().expect("the first run captured images").clone();
+    let early = img.captured_at.as_nanos() + 300_000;
+    let taken = |out: &RunOutcome<u64, BcsMpi>| {
+        out.live.as_ref().expect("a halted recording run hands over its ranks").steps()
+    };
+    let first_steps = taken(&first);
+    assert!(taken(&start(Some(early))) < first_steps, "the ranks step between the two horizons");
+    let resume = |horizon: Option<u64>, live| {
+        let job = Job::new(BcsMpi::restore_from_image(cfg.clone(), &layout(), &img), layout())
+            .resume_from(&img.rt, bcs_repro::bcs_mpi::resume_from_boundary)
+            .ranks(live);
+        match horizon {
+            Some(ns) => job.horizon(SimDuration::nanos(ns)),
+            None => job,
+        }
+        .start(&program)
+    };
+    let second = resume(Some(early), first.live.expect("a halted recording run hands over its ranks"));
+    assert!(!second.completed && !second.diverged);
+    assert!(
+        second.engine.images.iter().all(|i| i.captured_at == img.captured_at),
+        "the restore captured no image past the one it started from"
+    );
+    assert_eq!(taken(&second), first_steps, "what was re-delivered, then what was left");
+    let third = resume(None, second.live.expect("a halted recording run hands over its ranks"));
+    assert!(third.completed, "{:?}", third.diagnostic);
+    assert_eq!(third.results, whole.results);
+    assert_eq!(third.finish_times, whole.finish_times);
+    assert_eq!(third.engine.checkpoints.to_vec(), whole.engine.checkpoints.to_vec());
+}
+
+/// `(node, detected_at ns, restored_from_slice)` of one detection.
+type Detected = (usize, u64, Option<u64>);
+/// `(run, completed, restarts, elapsed ns, events, detections, FNV-1a of the
+/// per-rank results, FNV-1a of the (slice, digest) stream)`.
+type Row<'a> = (&'a str, bool, usize, u64, u64, &'a [Detected], u64, u64);
+
+fn fnv(xs: impl IntoIterator<Item = u64>) -> u64 {
+    xs.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| (h ^ x).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+const GOLDEN_SEEDS: [u64; 12] = [3, 17, 29, 101, 977, 4242, 31337, 65_521, 123_457, 271_828, 500_009, 999_983];
+
+/// Every run of the golden recovery table with its name, its plan and its
+/// program: twelve seeded plans (crashes, drops, degradations and a crash
+/// in the restored segment) on both fabrics and both workloads, then one
+/// plan whose second crash strikes the first restored segment before it
+/// captures an image of its own, so the second restore starts from the
+/// first one's image again.
+fn golden_runs() -> Vec<(String, RecoveryCfg, FaultPlan, Workload)> {
+    let profile = FaultProfile { mtbf_slices: Some(6.0), drops: 4, degradations: 1 };
+    let mut runs = Vec::new();
+    for (fabric, rc) in [("qsnet", recovery_cfg()), ("rdma", rdma_recovery_cfg())] {
+        for (name, program) in [("ring", Workload::Ring(5)), ("mixed", Workload::Mixed(4))] {
+            for seed in GOLDEN_SEEDS {
+                let plan = with_crash_after_restore(FaultPlan::generate(seed, &rc.bcs, 4, 12, &profile), &rc, seed);
+                runs.push((format!("{fabric}/{name}/seed={seed}"), rc.clone(), plan, program));
+            }
+        }
+    }
+    let rc = RecoveryCfg::new(BcsConfig::default(), 16);
+    let mut plan = FaultPlan::single_crash(&rc.bcs, NodeId(1), 17);
+    plan.crashes.extend(FaultPlan::single_crash(&rc.bcs, NodeId(2), 27).crashes);
+    runs.push(("qsnet/ring/same-image".into(), rc, plan, Workload::Ring(12)));
+    runs
+}
+
+/// Recorded before restores kept their ranks' coroutines, when every
+/// restore re-ran every rank from its entry point.
+const GOLDEN: &[Row<'static>] = &[
+    ("qsnet/ring/seed=3", true, 1, 7000000, 759, &[(3, 6016800, Some(8))], 0x8bd81d31fadbca15, 0x0af666b51d578c39),
+    ("qsnet/ring/seed=17", true, 2, 7000000, 866, &[(1, 2005600, Some(0)), (0, 6016800, Some(10))], 0x8bd81d31fadbca15, 0x0af666b51d578c39),
+    ("qsnet/ring/seed=29", true, 1, 7000000, 635, &[(0, 6016800, Some(12))], 0x8bd81d31fadbca15, 0x0af666b51d578c39),
+    ("qsnet/ring/seed=101", true, 1, 7000000, 618, &[(1, 2005600, Some(4))], 0x8bd81d31fadbca15, 0x0af666b51d578c39),
+    ("qsnet/ring/seed=977", true, 2, 8500000, 1092, &[(3, 4011200, Some(4)), (2, 8016800, Some(14))], 0x8bd81d31fadbca15, 0xad478ca3de6d9c29),
+    ("qsnet/ring/seed=4242", true, 2, 8000000, 877, &[(2, 2005600, Some(4)), (3, 8016800, Some(14))], 0x8bd81d31fadbca15, 0x4de75b627c482bf1),
+    ("qsnet/ring/seed=31337", true, 1, 7550400, 774, &[(1, 4011200, Some(6))], 0x8bd81d31fadbca15, 0x0af666b51d578c39),
+    ("qsnet/ring/seed=65521", true, 2, 7000000, 961, &[(0, 2005600, Some(0)), (0, 6016800, Some(8))], 0x8bd81d31fadbca15, 0x0af666b51d578c39),
+    ("qsnet/ring/seed=123457", true, 2, 7000000, 904, &[(1, 2005600, Some(0)), (0, 6016800, Some(10))], 0x8bd81d31fadbca15, 0x0af666b51d578c39),
+    ("qsnet/ring/seed=271828", true, 1, 7000000, 636, &[(2, 2005600, Some(4))], 0x8bd81d31fadbca15, 0x0af666b51d578c39),
+    ("qsnet/ring/seed=500009", true, 4, 9769600, 1145, &[(2, 2005600, Some(2)), (0, 5011200, Some(8)), (1, 6005600, Some(12)), (1, 8005600, Some(12))], 0x8bd81d31fadbca15, 0x0af666b51d578c39),
+    ("qsnet/ring/seed=999983", true, 2, 7000000, 809, &[(2, 2005600, Some(2)), (1, 7016800, Some(12))], 0x8bd81d31fadbca15, 0x0af666b51d578c39),
+    ("qsnet/mixed/seed=3", true, 2, 13000000, 1552, &[(3, 6016800, Some(8)), (0, 10016800, Some(18))], 0x5f905803668772cd, 0xc6921e95fe1b8351),
+    ("qsnet/mixed/seed=17", true, 3, 14000000, 1758, &[(1, 2005600, Some(2)), (3, 5011200, Some(10)), (0, 7005600, Some(10))], 0x5f905803668772cd, 0x0ec58bc9f06f330c),
+    ("qsnet/mixed/seed=29", true, 2, 13000000, 1442, &[(0, 6016800, Some(10)), (3, 11016800, Some(22))], 0x5f905803668772cd, 0xdfaea2bced3a9a9d),
+    ("qsnet/mixed/seed=101", true, 2, 13000000, 1412, &[(1, 2005600, Some(4)), (0, 8016800, Some(14))], 0x5f905803668772cd, 0x9b343faeb2d91e33),
+    ("qsnet/mixed/seed=977", true, 2, 14000000, 1704, &[(3, 4011200, Some(4)), (2, 8016800, Some(14))], 0x5f905803668772cd, 0x01c3516e9e4d3eb8),
+    ("qsnet/mixed/seed=4242", true, 2, 13000000, 1431, &[(2, 2005600, Some(2)), (3, 7016800, Some(14))], 0x5f905803668772cd, 0xe4b2108eb1fce3e3),
+    ("qsnet/mixed/seed=31337", true, 2, 13500000, 1718, &[(1, 4011200, Some(4)), (0, 8016800, Some(12))], 0x5f905803668772cd, 0x0b66d3deb1edf61d),
+    ("qsnet/mixed/seed=65521", true, 3, 14000000, 1779, &[(0, 2005600, Some(2)), (0, 5011200, Some(8)), (2, 6005600, Some(10))], 0x5f905803668772cd, 0xff3b56dbf470109e),
+    ("qsnet/mixed/seed=123457", true, 2, 13000000, 1596, &[(1, 2005600, Some(0)), (0, 6016800, Some(10))], 0x5f905803668772cd, 0xb3738e0af4d4b449),
+    ("qsnet/mixed/seed=271828", true, 2, 13000000, 1405, &[(2, 2005600, Some(4)), (0, 8016800, Some(14))], 0x5f905803668772cd, 0x0112868605fa5349),
+    ("qsnet/mixed/seed=500009", true, 4, 14000000, 2000, &[(2, 2005600, Some(2)), (0, 5011200, Some(8)), (1, 6005600, Some(10)), (1, 7005600, Some(10))], 0x5f905803668772cd, 0x76427bde4f10cf16),
+    ("qsnet/mixed/seed=999983", true, 2, 13000000, 1497, &[(2, 2005600, Some(2)), (1, 7016800, Some(12))], 0x5f905803668772cd, 0x52aa9a05bf79ba93),
+    ("rdma/ring/seed=3", true, 1, 7605000, 1002, &[(3, 6148800, Some(8))], 0x8bd81d31fadbca15, 0xcf5760f9b7fe0cf2),
+    ("rdma/ring/seed=17", true, 2, 7180479, 1070, &[(1, 2049600, Some(0)), (0, 6148800, Some(10))], 0x8bd81d31fadbca15, 0x62a1bc2c780d9ade),
+    ("rdma/ring/seed=29", true, 1, 7540000, 1039, &[(0, 6148800, Some(10))], 0x8bd81d31fadbca15, 0xc2c6c87a437aa7ba),
+    ("rdma/ring/seed=101", true, 2, 7105000, 1095, &[(1, 2049600, Some(2)), (0, 7433800, Some(12))], 0x8bd81d31fadbca15, 0x62a1bc2c780d9ade),
+    ("rdma/ring/seed=977", true, 2, 8600479, 1259, &[(3, 4099200, Some(4)), (2, 8148800, Some(12))], 0x8bd81d31fadbca15, 0x17cefbbda93b7869),
+    ("rdma/ring/seed=4242", true, 2, 8570000, 1214, &[(2, 2049600, Some(2)), (3, 7428800, Some(12))], 0x8bd81d31fadbca15, 0x04c379df4886f031),
+    ("rdma/ring/seed=31337", true, 1, 7560000, 932, &[(1, 4099200, Some(6))], 0x8bd81d31fadbca15, 0x62a1bc2c780d9ade),
+    ("rdma/ring/seed=65521", true, 2, 7605000, 1261, &[(0, 2049600, Some(0)), (0, 6153400, Some(6))], 0x8bd81d31fadbca15, 0x6433d875e5b5a525),
+    ("rdma/ring/seed=123457", true, 2, 7605000, 1142, &[(1, 2049600, Some(0)), (0, 6148800, Some(10))], 0x8bd81d31fadbca15, 0xc2c6c87a437aa7ba),
+    ("rdma/ring/seed=271828", true, 2, 7605000, 1106, &[(2, 2049600, Some(2)), (0, 7623800, Some(12))], 0x8bd81d31fadbca15, 0x6433d875e5b5a525),
+    ("rdma/ring/seed=500009", true, 3, 9380000, 1182, &[(2, 2049600, Some(2)), (0, 5379200, Some(6)), (1, 7099200, Some(12))], 0x8bd81d31fadbca15, 0x62a1bc2c780d9ade),
+    ("rdma/ring/seed=999983", true, 2, 7300000, 983, &[(2, 2049600, Some(2)), (1, 7433800, Some(12))], 0x8bd81d31fadbca15, 0x62a1bc2c780d9ade),
+    ("rdma/mixed/seed=3", true, 2, 13255000, 1929, &[(3, 6105674, Some(8)), (0, 10228800, Some(18))], 0x5f905803668772cd, 0xc6921e95fe1b8351),
+    ("rdma/mixed/seed=17", true, 3, 13329279, 2055, &[(1, 2049600, Some(2)), (3, 5099200, Some(8)), (0, 6140079, Some(10))], 0x5f905803668772cd, 0x4dfb0bd8f8b29399),
+    ("rdma/mixed/seed=29", true, 2, 13255000, 1947, &[(0, 6148800, Some(10)), (3, 11148800, Some(20))], 0x5f905803668772cd, 0xdfaea2bced3a9a9d),
+    ("rdma/mixed/seed=101", true, 2, 13255000, 1876, &[(1, 2049600, Some(4)), (0, 8148800, Some(12))], 0x5f905803668772cd, 0x9b343faeb2d91e33),
+    ("rdma/mixed/seed=977", true, 2, 13710158, 2046, &[(3, 4099200, Some(4)), (2, 8148800, Some(10))], 0x5f905803668772cd, 0x4dfb0bd8f8b29399),
+    ("rdma/mixed/seed=4242", true, 2, 13255000, 2040, &[(2, 2049600, Some(2)), (3, 7148800, Some(10))], 0x5f905803668772cd, 0xe4b2108eb1fce3e3),
+    ("rdma/mixed/seed=31337", true, 2, 13455079, 2005, &[(1, 4099200, Some(4)), (0, 8148800, Some(12))], 0x5f905803668772cd, 0x01659d91f1619fbd),
+    ("rdma/mixed/seed=65521", true, 3, 13524279, 1986, &[(0, 2049600, Some(2)), (0, 5099200, Some(8)), (2, 6140079, Some(10))], 0x5f905803668772cd, 0xc79d91999ccb8995),
+    ("rdma/mixed/seed=123457", true, 2, 13264279, 1985, &[(1, 2049600, Some(0)), (0, 6148800, Some(10))], 0x5f905803668772cd, 0x12b00bc09a3c5469),
+    ("rdma/mixed/seed=271828", true, 2, 13255000, 1960, &[(2, 2049600, Some(2)), (0, 7148800, Some(12))], 0x5f905803668772cd, 0xc3feaf9a4fbcd6b3),
+    ("rdma/mixed/seed=500009", true, 3, 14889279, 2197, &[(2, 2049600, Some(2)), (0, 5099200, Some(6)), (1, 7539679, Some(10))], 0x5f905803668772cd, 0x99eb8fc98fbf3df7),
+    ("rdma/mixed/seed=999983", true, 2, 13264279, 2005, &[(2, 2049600, Some(2)), (1, 7148800, Some(10))], 0x5f905803668772cd, 0x9b343faeb2d91e33),
+    ("qsnet/ring/same-image", true, 2, 17000000, 2085, &[(1, 10028000, Some(16)), (2, 14016800, Some(16))], 0x6a278c23efa10a15, 0x4659611f1ae12b94),
+];
+
+/// Every restore of the table takes over the halted segment's ranks and
+/// re-feeds no response to a re-booted program, yet every run ends as it
+/// did when every restore re-ran every rank from its entry point.
+#[test]
+fn every_recovery_reproduces_the_golden_table() {
+    let mut actual = Vec::new();
+    for (name, rc, plan, program) in golden_runs() {
+        let out = run_with_recovery(&rc, layout(), &plan, program);
+        assert_eq!(out.replayed_responses, 0, "{name} fell back to the full replay");
+        let detections: Vec<Detected> = out
+            .detections
+            .iter()
+            .map(|d| (d.node.0, d.detected_at.as_nanos(), d.restored_from_slice))
+            .collect();
+        let results = fnv(out.results.iter().map(|r| r.unwrap_or(u64::MAX)));
+        let checkpoints = fnv(out.engine.checkpoints.iter().flat_map(|&(slice, digest)| [slice, digest]));
+        let elapsed = out.elapsed.as_nanos();
+        actual.push((name, (out.completed, out.restarts, elapsed, out.events, detections, results, checkpoints)));
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, (c, r, ns, ev, d, res, ck))| {
+            format!("    ({name:?}, {c}, {r}, {ns}, {ev}, &{d:?}, {res:#018x}, {ck:#018x}),\n")
+        })
+        .collect();
+    for ((name, (c, r, ns, ev, d, res, ck)), want) in actual.iter().zip(GOLDEN) {
+        let got: Row = (name, *c, *r, *ns, *ev, d, *res, *ck);
+        assert_eq!(got, *want, "the whole table is now:\n{table}");
+    }
+    assert_eq!(actual.len(), GOLDEN.len(), "the whole table is now:\n{table}");
+}
+
 // Satellite 3: property suite over random fault plans.
 proplite! {
     // Every case runs 2–3 full machine simulations; keep the counts tight.
@@ -549,7 +819,7 @@ proplite! {
         prop_assert_eq!(a.restarts, b.restarts);
         prop_assert_eq!(a.elapsed.as_nanos(), b.elapsed.as_nanos());
         prop_assert_eq!(a.results, b.results);
-        prop_assert_eq!(&a.engine.checkpoints, &b.engine.checkpoints);
+        prop_assert_eq!(a.engine.checkpoints.to_vec(), b.engine.checkpoints.to_vec());
     }
 
     /// (b) The whole fault experiment is deterministic: the same seed
@@ -566,7 +836,7 @@ proplite! {
         prop_assert_eq!(a.restarts, b.restarts);
         prop_assert_eq!(a.elapsed.as_nanos(), b.elapsed.as_nanos());
         prop_assert_eq!(a.results, b.results);
-        prop_assert_eq!(&a.engine.checkpoints, &b.engine.checkpoints);
+        prop_assert_eq!(a.engine.checkpoints.to_vec(), b.engine.checkpoints.to_vec());
         let da: Vec<_> = a.detections.iter()
             .map(|d| (d.node.0, d.detected_at.as_nanos(), d.restored_from_slice)).collect();
         let db: Vec<_> = b.detections.iter()
@@ -631,7 +901,7 @@ proplite! {
                 .resume_from(&img.rt, bcs_repro::bcs_mpi::resume_from_boundary)
                 .start(&Workload::of(seed));
             prop_assert!(o.completed, "resume from slice {} failed", img.slice);
-            outs.push((o.results, o.elapsed.as_nanos(), o.engine.checkpoints.clone()));
+            outs.push((o.results, o.elapsed.as_nanos(), o.engine.checkpoints.to_vec()));
         }
         prop_assert_eq!(&outs[0], &outs[1]);
     }
