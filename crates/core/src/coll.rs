@@ -308,13 +308,17 @@ pub(crate) fn msm_queries(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) -> u32 {
 
 /// Per-node completion hook of a broadcast leg.
 type NodeFn = Rc<dyn Fn(&mut BW, &mut Sim<BW>, NodeId)>;
-/// Whole-collective completion hook (taken exactly once).
-type DoneFn = Rc<RefCell<Option<Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>>>>;
+/// Whole-leg completion hook.
+type DoneFn = Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>;
 
-fn take_done(w: &mut BW, sim: &mut Sim<BW>, done: &DoneFn) {
-    if let Some(f) = done.borrow_mut().take() {
-        f(w, sim);
-    }
+/// Shared state of a binomial broadcast leg.
+struct BcastRun {
+    order: Vec<NodeId>,
+    bytes: u64,
+    /// Positions the payload has not reached yet.
+    remaining: Cell<usize>,
+    on_node: NodeFn,
+    on_done: RefCell<Option<DoneFn>>,
 }
 
 /// Binomial broadcast: `order[0]` holds `bytes`; every node forwards to its
@@ -324,66 +328,32 @@ fn take_done(w: &mut BW, sim: &mut Sim<BW>, done: &DoneFn) {
 fn binomial_bcast(
     w: &mut BW,
     sim: &mut Sim<BW>,
-    order: Rc<Vec<NodeId>>,
+    order: Vec<NodeId>,
     bytes: u64,
     on_node: NodeFn,
     on_done: DoneFn,
 ) {
-    let remaining = Rc::new(Cell::new(order.len()));
-    binomial_arrived(w, sim, order, bytes, remaining, 0, on_node, on_done);
+    let remaining = Cell::new(order.len());
+    let run = BcastRun { order, bytes, remaining, on_node, on_done: RefCell::new(Some(on_done)) };
+    binomial_arrived(w, sim, Rc::new(run), 0);
 }
 
-#[allow(clippy::too_many_arguments)]
-// PANIC-OK: binomial-tree arrivals reference the round state created when
-// the collective was posted; parent/child indices are derived from the
-// comm size the tree was built for.
-fn binomial_arrived(
-    w: &mut BW,
-    sim: &mut Sim<BW>,
-    order: Rc<Vec<NodeId>>,
-    bytes: u64,
-    remaining: Rc<Cell<usize>>,
-    idx: usize,
-    on_node: NodeFn,
-    on_done: DoneFn,
-) {
-    on_node(w, sim, order[idx]);
-    let children = coll_sched::binomial_children(idx, order.len());
-    for &c in children.iter().rev() {
-        let (order2, rem2, on_node2, on_done2) = (
-            Rc::clone(&order),
-            Rc::clone(&remaining),
-            Rc::clone(&on_node),
-            Rc::clone(&on_done),
-        );
-        let deliver: DeliverFn<BW> = Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, _: &[NodeId]| {
-            binomial_arrived(
-                w,
-                sim,
-                Rc::clone(&order2),
-                bytes,
-                Rc::clone(&rem2),
-                c,
-                Rc::clone(&on_node2),
-                Rc::clone(&on_done2),
-            );
+// PANIC-OK: parent/child indices are derived from the comm size the tree
+// was built for.
+fn binomial_arrived(w: &mut BW, sim: &mut Sim<BW>, run: Rc<BcastRun>, idx: usize) {
+    (run.on_node)(w, sim, run.order[idx]);
+    for &c in coll_sched::binomial_children(idx, run.order.len()).iter().rev() {
+        let next = Rc::clone(&run);
+        let (from, to) = (run.order[idx], run.order[c]);
+        crate::p2p::wire_put(w, sim, from, to, run.bytes, "binomial broadcast put", move |w, sim| {
+            binomial_arrived(w, sim, Rc::clone(&next), c)
         });
-        BcsCluster::xfer_and_signal(
-            w,
-            sim,
-            order[idx],
-            &[order[c]],
-            bytes,
-            bcs_core::XsOpts {
-                remote_event: None,
-                local_event: None,
-                on_deliver: Some(deliver),
-            },
-        );
     }
-    remaining.set(remaining.get() - 1);
-    if remaining.get() == 0 {
-        take_done(w, sim, &on_done);
+    run.remaining.set(run.remaining.get() - 1);
+    if run.remaining.get() == 0 {
+        if let Some(f) = run.on_done.borrow_mut().take() {
+            f(w, sim);
+        }
     }
 }
 
@@ -395,7 +365,7 @@ struct GatherRun {
     combine: SimDuration,
     /// Children still outstanding per tree position.
     pending: RefCell<Vec<usize>>,
-    on_done: RefCell<Option<Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>>>,
+    on_done: RefCell<Option<DoneFn>>,
 }
 
 /// Binomial gather: the mirrored broadcast tree walked leaf-to-root. Every
@@ -409,7 +379,7 @@ fn binomial_gather(
     order: Vec<NodeId>,
     bytes: u64,
     combine: SimDuration,
-    on_done: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>,
+    on_done: DoneFn,
 ) {
     let nn = order.len();
     let pending: Vec<usize> = (0..nn)
@@ -436,13 +406,11 @@ fn binomial_gather(
 }
 
 // PANIC-OK: the gather run holds per-child slots allocated at post time;
-
 // `idx` enumerates that same slot vector.
-
 fn gather_send_up(w: &mut BW, sim: &mut Sim<BW>, run: Rc<GatherRun>, idx: usize) {
     let parent = coll_sched::binomial_parent(idx);
     let run2 = Rc::clone(&run);
-    let deliver: DeliverFn<BW> = Rc::new(move |_w: &mut BW, sim: &mut Sim<BW>, _: &[NodeId]| {
+    let deliver = move |_w: &mut BW, sim: &mut Sim<BW>| {
         let run3 = Rc::clone(&run2);
         sim.schedule_in(run2.combine, move |w: &mut BW, sim: &mut Sim<BW>| {
             let left = {
@@ -460,19 +428,9 @@ fn gather_send_up(w: &mut BW, sim: &mut Sim<BW>, run: Rc<GatherRun>, idx: usize)
                 }
             }
         });
-    });
-    BcsCluster::xfer_and_signal(
-        w,
-        sim,
-        run.order[idx],
-        &[run.order[parent]],
-        run.bytes,
-        bcs_core::XsOpts {
-            remote_event: None,
-            local_event: None,
-            on_deliver: Some(deliver),
-        },
-    );
+    };
+    let (from, to) = (run.order[idx], run.order[parent]);
+    crate::p2p::wire_put(w, sim, from, to, run.bytes, "binomial gather put", deliver);
 }
 
 /// Which way a pipelined round-schedule run walks the table.
@@ -500,7 +458,7 @@ struct SchedRun {
     bytes: u64,
     desc: u64,
     leg: SchedLeg,
-    on_done: RefCell<Option<Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>>>,
+    on_done: RefCell<Option<DoneFn>>,
 }
 
 impl SchedRun {
@@ -597,7 +555,7 @@ fn sched_bcast(
     order: Vec<NodeId>,
     bytes: u64,
     on_node: NodeFn,
-    on_done: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>,
+    on_done: DoneFn,
 ) {
     on_node(w, sim, order[0]);
     let got = RefCell::new(vec![0; order.len()]);
@@ -613,7 +571,7 @@ fn sched_leg(
     order: Vec<NodeId>,
     bytes: u64,
     leg: SchedLeg,
-    on_done: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>,
+    on_done: DoneFn,
 ) {
     let blocks = coll_sched::block_count(bytes);
     let sched = sched_for(w, comm, order.len(), blocks);
@@ -728,13 +686,20 @@ fn bcast_leg(
     group: &Group,
     payload_bytes: u64,
     per_dest: NodeFn,
-    on_done: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>,
+    on_done: DoneFn,
 ) {
     let bytes = payload_bytes + w.engine.cfg.desc_bytes;
     match w.engine.cfg.coll_algo {
         CollAlgo::HwMulticast => {
+            // A node the multicast cannot reach (a dead one) holds the leg
+            // open, as it holds a strobe it cannot ack, until the heartbeat
+            // declares it: a boundary past the leg would capture its ranks
+            // blocked in a collective that no longer exists.
+            let unreached = Rc::new(Cell::new(group.nodes().len()));
+            let left = Rc::clone(&unreached);
             let per_instant: DeliverFn<BW> =
                 Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, reached: &[NodeId]| {
+                    left.set(left.get() - reached.len());
                     for &d in reached {
                         per_dest(w, sim, d);
                     }
@@ -754,16 +719,13 @@ fn bcast_leg(
             // The leg ends when the multicast completes (last delivery);
             // deliveries were scheduled earlier at the same instants, so
             // they run first.
-            sim.schedule_at(done_at, on_done);
+            sim.schedule_at(done_at, move |w: &mut BW, sim: &mut Sim<BW>| {
+                if unreached.get() == 0 {
+                    on_done(w, sim);
+                }
+            });
         }
-        CollAlgo::Binomial => binomial_bcast(
-            w,
-            sim,
-            Rc::new(group.nodes_from(node)),
-            bytes,
-            per_dest,
-            Rc::new(RefCell::new(Some(on_done))),
-        ),
+        CollAlgo::Binomial => binomial_bcast(w, sim, group.nodes_from(node), bytes, per_dest, on_done),
         CollAlgo::OptimalSchedule => {
             sched_bcast(w, sim, comm, group.nodes_from(node), payload_bytes, per_dest, on_done)
         }
@@ -794,9 +756,7 @@ pub(crate) fn node_begin_rm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
 }
 
 // PANIC-OK: reduction buffers were allocated at post time for exactly the
-
 // contributing members walked here; byte lanes are sized by the dtype.
-
 fn rm_reduce(
     w: &mut BW,
     sim: &mut Sim<BW>,
@@ -827,7 +787,7 @@ fn rm_reduce(
     let nn = group.nodes().len();
 
     // What happens once the gather leg completes at the root.
-    let finish: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)> = if all && nn > 1 {
+    let finish: DoneFn = if all && nn > 1 {
         // Allreduce: the RH broadcasts the result within the reduce
         // microphase, under the active algorithm.
         let group = Rc::clone(&group);
@@ -876,9 +836,7 @@ fn rm_reduce(
 }
 
 // PANIC-OK: allgather segments were sized at post time from the same
-
 // member counts used to index them here.
-
 fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRound) {
     w.engine.stats.allgathers += 1;
     let comm = round.comm;
@@ -914,7 +872,7 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
     // Gather to the root, then broadcast the concatenation back — both
     // legs under the active algorithm. The gather leg's wire model charges
     // every edge the full result size (a stated upper bound; DESIGN §14).
-    let finish: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)> = if nn > 1 {
+    let finish: DoneFn = if nn > 1 {
         let group = Rc::clone(&group);
         Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
             let item_done = Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
@@ -951,7 +909,7 @@ fn run_gather_leg(
     group: &Group,
     bytes: usize,
     combine: bool,
-    finish: Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>,
+    finish: DoneFn,
 ) {
     let nn = group.nodes().len();
     match w.engine.cfg.coll_algo {

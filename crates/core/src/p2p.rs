@@ -339,20 +339,47 @@ pub(crate) fn node_begin_dem(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
     std::mem::swap(&mut e.dem_out[node.0], &mut nic.send_exchanging);
     let n = e.dem_out[node.0].len();
     e.stats.descriptors_exchanged += n as u64;
-    let desc_cost = e.cfg.desc_cost;
-    let desc_bytes = e.cfg.desc_bytes;
-
-    if e.cfg.coalesce.is_some() {
-        node_begin_dem_coalesced(w, sim, node);
-    } else {
-        // One work item per descriptor delivery, plus one for the NIC
-        // thread's own processing pass.
-        e.outstanding[node.0] = n as u32 + 1;
-        for i in 0..n {
-            let dst_node = w.engine.node_of(w.engine.dem_out[node.0][i].dst_rank);
-            dem_put(w, sim, node, dst_node, desc_bytes, "DEM descriptor put", move |w, sim| {
-                deliver_desc(w, sim, node, i)
-            });
+    let (desc_cost, desc_bytes, ccfg) = (e.cfg.desc_cost, e.cfg.desc_bytes, e.cfg.coalesce);
+    let plan = Plan::new(ccfg, n, || {
+        let e = &w.engine;
+        e.dem_out[node.0].iter().map(|d| (e.node_of(d.dst_rank).0, desc_bytes)).collect()
+    });
+    // One work item per wire operation, plus one for the NIC thread's own
+    // processing pass.
+    w.engine.outstanding[node.0] = plan.wire_ops() as u32 + 1;
+    for i in plan.singles() {
+        let dst_node = w.engine.node_of(w.engine.dem_out[node.0][i].dst_rank);
+        wire_put(w, sim, node, dst_node, desc_bytes, "DEM descriptor put", move |w, sim| {
+            deliver_desc(w, sim, node, i)
+        });
+    }
+    // All send descriptors bound for one node travel as *one* block: a
+    // single control packet whose scatter header the receiving BR unpacks
+    // into its arrival list (`bcs_core::coalesce` models the wire layout).
+    // Descriptors keep their posting order inside a block, so MPI
+    // non-overtaking per (src, dst) pair is preserved.
+    if let Some(ccfg) = ccfg {
+        for g in plan.gathers {
+            let dst_node = qsnet::NodeId(g.peer);
+            let msgs = g.entries.len() as u64;
+            w.engine.stats.dem_blocks += 1;
+            w.engine.stats.dem_block_msgs += msgs;
+            w.engine.bcs.fabric.net_mut().note_gather(msgs, msgs * desc_bytes);
+            let deliver = move |w: &mut BW, sim: &mut Sim<BW>| {
+                let e = &mut w.engine;
+                let nic = Arc::make_mut(&mut e.nic[dst_node.0]);
+                for &i in &g.entries {
+                    let (key, remote) = e.dem_out[node.0][i].arrival();
+                    nic.remote_sends.push(key, remote);
+                }
+                crate::protocol::work_item_done(w, sim, node);
+                mpi_api::runtime::drain(w, sim);
+            };
+            // The packed descriptors are NIC metadata, not payload: the
+            // block rides the wire as one header-sized control packet,
+            // exactly like a microstrobe — that is the whole point.
+            let hdr = ccfg.block_hdr_bytes;
+            wire_put(w, sim, node, dst_node, hdr, "DEM descriptor block put", deliver);
         }
     }
     // NIC thread processing time for the whole queue, per descriptor
@@ -360,9 +387,52 @@ pub(crate) fn node_begin_dem(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
     crate::protocol::work_item_done_in(w, sim, node, desc_cost * n as u64);
 }
 
-/// One DEM wire operation, raw or under the retry layer; `deliver` runs at
-/// most once either way (a drop means it never fires).
-fn dem_put(
+/// The wire operations of one DEM or P2P microphase (`cfg.coalesce`, see
+/// `bcs_core::coalesce`): the transfers issued on their own, in index
+/// order, and the blocks that merge small same-peer transfers. Without
+/// coalescing every transfer is a single and nothing is allocated — the
+/// coalescing axis chooses which transfers merge, not which code runs.
+struct Plan {
+    /// `None`: all `n` transfers are singles.
+    singles: Option<Vec<usize>>,
+    n: usize,
+    gathers: Vec<bcs_core::coalesce::Gather<usize>>,
+}
+
+impl Plan {
+    /// `items` — `(peer node, bytes)` per transfer — is only built when
+    /// there is a plan to make.
+    fn new(
+        ccfg: Option<bcs_core::coalesce::CoalesceCfg>,
+        n: usize,
+        items: impl FnOnce() -> Vec<(usize, u64)>,
+    ) -> Plan {
+        match ccfg {
+            None => Plan { singles: None, n, gathers: Vec::new() },
+            Some(c) => {
+                let (singles, gathers) = bcs_core::coalesce::plan(&items(), &c);
+                Plan { singles: Some(singles), n, gathers }
+            }
+        }
+    }
+
+    /// Transfer indices to issue on their own, ascending.
+    // PANIC-OK: `k` ranges over the plan's own single list.
+    fn singles(&self) -> impl Iterator<Item = usize> + '_ {
+        let count = self.singles.as_ref().map_or(self.n, Vec::len);
+        (0..count).map(move |k| self.singles.as_ref().map_or(k, |s| s[k]))
+    }
+
+    fn wire_ops(&self) -> usize {
+        self.singles.as_ref().map_or(self.n, Vec::len) + self.gathers.len()
+    }
+}
+
+/// One wire put of the data channel — a DEM descriptor or block, a binomial
+/// collective edge — raw or under the retry layer; `deliver` runs at most
+/// once either way (a drop means it never fires, and exhausted retries
+/// declare the peer failed).
+pub(crate) fn wire_put(
     w: &mut BW,
     sim: &mut Sim<BW>,
     node: qsnet::NodeId,
@@ -398,54 +468,6 @@ fn deliver_desc(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId, i: usize) {
     Arc::make_mut(&mut e.nic[dst_node.0]).remote_sends.push(key, remote);
     crate::protocol::work_item_done(w, sim, node);
     mpi_api::runtime::drain(w, sim);
-}
-
-/// DEM with descriptor coalescing (`cfg.coalesce`): all send descriptors
-/// bound for the same destination node travel as *one* block — a single
-/// control packet whose scatter header the receiving BR unpacks into its
-/// arrival list (see `bcs_core::coalesce` for the modeled wire layout).
-/// Descriptors keep their posting order inside a block, so MPI
-/// non-overtaking per (src, dst) pair is preserved.
-// PANIC-OK: coalesce runs exist exactly for the descriptors staged by the
-// caller; per-destination bins are non-empty by construction.
-fn node_begin_dem_coalesced(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId) {
-    let ccfg = w.engine.cfg.coalesce.expect("coalesced DEM without coalesce cfg");
-    let desc_bytes = w.engine.cfg.desc_bytes;
-    let items: Vec<(usize, u64)> = w.engine.dem_out[node.0]
-        .iter()
-        .map(|d| (w.engine.node_of(d.dst_rank).0, desc_bytes))
-        .collect();
-    let (singles, gathers) = bcs_core::coalesce::plan(&items, &ccfg);
-    // One work item per wire operation, plus the NIC processing pass the
-    // caller schedules.
-    w.engine.outstanding[node.0] = (singles.len() + gathers.len() + 1) as u32;
-    for i in singles {
-        let dst_node = qsnet::NodeId(items[i].0);
-        dem_put(w, sim, node, dst_node, desc_bytes, "DEM descriptor put", move |w, sim| {
-            deliver_desc(w, sim, node, i)
-        });
-    }
-    for g in gathers {
-        let dst_node = qsnet::NodeId(g.peer);
-        let msgs = g.entries.len() as u64;
-        w.engine.stats.dem_blocks += 1;
-        w.engine.stats.dem_block_msgs += msgs;
-        w.engine.bcs.fabric.net_mut().note_gather(msgs, msgs * desc_bytes);
-        let deliver = move |w: &mut BW, sim: &mut Sim<BW>| {
-            let e = &mut w.engine;
-            let nic = Arc::make_mut(&mut e.nic[dst_node.0]);
-            for &i in &g.entries {
-                let (key, remote) = e.dem_out[node.0][i].arrival();
-                nic.remote_sends.push(key, remote);
-            }
-            crate::protocol::work_item_done(w, sim, node);
-            mpi_api::runtime::drain(w, sim);
-        };
-        // The packed descriptors are NIC metadata, not payload: the block
-        // rides the wire as one header-sized control packet, exactly like
-        // a microstrobe — that is the whole point of the batching.
-        dem_put(w, sim, node, dst_node, ccfg.block_hdr_bytes, "DEM descriptor block put", deliver);
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -733,19 +755,52 @@ pub(crate) fn p2p_has_work(e: &BcsMpi, node: qsnet::NodeId) -> bool {
     !e.sched[node.0].is_empty()
 }
 
-/// DH work for one node: one one-sided get per scheduled chunk.
+/// DH work for one node: one one-sided get per scheduled chunk, or — with
+/// coalescing — per source node for its small chunks: block header + packed
+/// payloads + one scatter-header entry per chunk (`bcs_core::coalesce`).
+/// Large chunks keep their individual DMA: past the threshold the
+/// per-operation overhead is already amortized.
 // PANIC-OK: per-node tables are sized by the layout at startup; node ids
-// come from the fixed topology.
+// come from the fixed topology; coalesced blocks index this slice's
+// schedule.
 pub(crate) fn node_begin_p2p(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId) {
     debug_assert!(p2p_has_work(&w.engine, node));
     let mut sched = std::mem::take(&mut w.engine.sched[node.0]);
-    if w.engine.cfg.coalesce.is_some() {
-        node_begin_p2p_coalesced(w, sim, node, &sched);
-    } else {
-        w.engine.outstanding[node.0] = sched.len() as u32;
-        for &(slot, chunk) in &sched {
-            let src_node = chunk_source(w, node, slot, chunk);
-            get_chunk(w, sim, node, src_node, slot, chunk);
+    let stats = &mut w.engine.stats;
+    for &(_, chunk) in &sched {
+        stats.chunks += 1;
+        stats.p2p_bytes += chunk;
+    }
+    let ccfg = w.engine.cfg.coalesce;
+    let plan = Plan::new(ccfg, sched.len(), || {
+        sched.iter().map(|&(slot, chunk)| (chunk_source(&w.engine, node, slot).0, chunk)).collect()
+    });
+    w.engine.outstanding[node.0] = plan.wire_ops() as u32;
+    for i in plan.singles() {
+        let (slot, chunk) = sched[i];
+        let src_node = chunk_source(&w.engine, node, slot);
+        let wire = chunk + w.engine.cfg.desc_bytes;
+        p2p_get(w, sim, node, src_node, wire, "P2P chunk get", move |w, sim| {
+            chunk_arrived(w, sim, node, slot, chunk);
+            crate::protocol::work_item_done(w, sim, node);
+            mpi_api::runtime::drain(w, sim);
+        });
+    }
+    if let Some(ccfg) = ccfg {
+        for g in plan.gathers {
+            let src_node = qsnet::NodeId(g.peer);
+            let wire = g.wire_bytes(&ccfg);
+            let batch: Vec<(XferSlot, u64)> = g.entries.iter().map(|&i| sched[i]).collect();
+            w.engine.stats.p2p_gathers += 1;
+            w.engine.stats.p2p_gather_msgs += batch.len() as u64;
+            w.engine.bcs.fabric.net_mut().note_gather(batch.len() as u64, g.payload_bytes);
+            p2p_get(w, sim, node, src_node, wire, "P2P gather get", move |w, sim| {
+                for &(slot, chunk) in &batch {
+                    chunk_arrived(w, sim, node, slot, chunk);
+                }
+                crate::protocol::work_item_done(w, sim, node);
+                mpi_api::runtime::drain(w, sim);
+            });
         }
     }
     // The buffer goes back empty, for the next slice's MSM to fill.
@@ -753,14 +808,11 @@ pub(crate) fn node_begin_p2p(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
     w.engine.sched[node.0] = sched;
 }
 
-/// Count one scheduled chunk and look up the node it comes from.
+/// The node a scheduled chunk comes from.
 // PANIC-OK: transmissions scheduled by the MSM reference messages recorded
 // in the same slice; the in-flight table entry exists until chunk_arrived
 // retires it.
-fn chunk_source(w: &mut BW, node: qsnet::NodeId, slot: XferSlot, chunk: u64) -> qsnet::NodeId {
-    let e = &mut w.engine;
-    e.stats.chunks += 1;
-    e.stats.p2p_bytes += chunk;
+fn chunk_source(e: &BcsMpi, node: qsnet::NodeId, slot: XferSlot) -> qsnet::NodeId {
     e.nic[node.0].inflight.get(slot).expect("scheduled chunk without match item").src_node
 }
 
@@ -789,68 +841,6 @@ fn p2p_get(
             std::rc::Rc::new(deliver),
             transfer_abort(src_node, what),
         ),
-    }
-}
-
-/// The DMA get of one chunk on its own.
-fn get_chunk(
-    w: &mut BW,
-    sim: &mut Sim<BW>,
-    node: qsnet::NodeId,
-    src_node: qsnet::NodeId,
-    slot: XferSlot,
-    chunk: u64,
-) {
-    let wire = chunk + w.engine.cfg.desc_bytes;
-    p2p_get(w, sim, node, src_node, wire, "P2P chunk get", move |w, sim| {
-        chunk_arrived(w, sim, node, slot, chunk);
-        crate::protocol::work_item_done(w, sim, node);
-        mpi_api::runtime::drain(w, sim);
-    });
-}
-
-/// P2P with chunk coalescing (`cfg.coalesce`): all small chunks this DH
-/// must fetch from the same source node merge into *one* one-sided get —
-/// block header + packed payloads + one scatter-header entry per chunk
-/// (see `bcs_core::coalesce`). Large chunks keep their individual DMA:
-/// past the threshold the per-operation overhead is already amortized.
-// PANIC-OK: coalesced frames were built by this slice's MSM from live
-// messages; per-frame member lists are non-empty by construction.
-fn node_begin_p2p_coalesced(
-    w: &mut BW,
-    sim: &mut Sim<BW>,
-    node: qsnet::NodeId,
-    sched: &[(XferSlot, u64)],
-) {
-    let ccfg = w.engine.cfg.coalesce.expect("coalesced P2P without coalesce cfg");
-    let items: Vec<(usize, u64)> = sched
-        .iter()
-        .map(|&(slot, chunk)| (chunk_source(w, node, slot, chunk).0, chunk))
-        .collect();
-    let (singles, gathers) = bcs_core::coalesce::plan(&items, &ccfg);
-    w.engine.outstanding[node.0] = (singles.len() + gathers.len()) as u32;
-    for i in singles {
-        let (slot, chunk) = sched[i];
-        get_chunk(w, sim, node, qsnet::NodeId(items[i].0), slot, chunk);
-    }
-    for g in gathers {
-        let src_node = qsnet::NodeId(g.peer);
-        let wire = g.wire_bytes(&ccfg);
-        let batch: Vec<(XferSlot, u64)> = g.entries.iter().map(|&i| sched[i]).collect();
-        w.engine.stats.p2p_gathers += 1;
-        w.engine.stats.p2p_gather_msgs += batch.len() as u64;
-        w.engine
-            .bcs
-            .fabric
-            .net_mut()
-            .note_gather(batch.len() as u64, g.payload_bytes);
-        p2p_get(w, sim, node, src_node, wire, "P2P gather get", move |w, sim| {
-            for &(slot, chunk) in &batch {
-                chunk_arrived(w, sim, node, slot, chunk);
-            }
-            crate::protocol::work_item_done(w, sim, node);
-            mpi_api::runtime::drain(w, sim);
-        });
     }
 }
 

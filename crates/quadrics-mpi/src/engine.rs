@@ -14,6 +14,7 @@ use mpi_api::request::{CallSite, ReqKind, ReqTable};
 use mpi_api::runtime::{ClusterWorld, Engine, JobLayout, drain, resume_at};
 use qsnet::{Fabric, FabricKind, NetModel, NodeId};
 use simcore::{Sim, SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 type QW = ClusterWorld<QuadricsMpi>;
 
@@ -89,6 +90,8 @@ struct RankComm {
     /// The blocking probe the rank is suspended in, if any (request
     /// conditions are tracked by [`QuadricsMpi::reqs`]).
     probing: Option<(SrcSel, TagSel)>,
+    /// When the latest message from each sender arrives here.
+    due_from: BTreeMap<usize, SimTime>,
 }
 
 /// The baseline MPI engine.
@@ -124,6 +127,7 @@ impl QuadricsMpi {
                     posted: Vec::new(),
                     unexpected: Vec::new(),
                     probing: None,
+                    due_from: BTreeMap::new(),
                 })
                 .collect(),
             coll: CollManager::default(),
@@ -166,8 +170,7 @@ impl QuadricsMpi {
             // Eager: inject now, complete locally.
             e.stats.eager_msgs += 1;
             let wire = data.len() as u64 + e.cfg.header_bytes;
-            let (src_node, dst_node) = (e.node_of(rank), e.node_of(dest));
-            e.fabric.put(sim, src_node, dst_node, wire, move |w, sim| {
+            Self::send_envelope(w, sim, env, wire, move |w, sim| {
                 QuadricsMpi::arrive_message(w, sim, env, Payload::Eager(data));
                 drain(w, sim);
             });
@@ -183,9 +186,8 @@ impl QuadricsMpi {
             // Rendezvous: park the payload, send RTS.
             e.stats.rndv_msgs += 1;
             e.reqs.req_mut(req).data = Some(data);
-            let (src_node, dst_node) = (e.node_of(rank), e.node_of(dest));
             let hdr = e.cfg.header_bytes;
-            e.fabric.put(sim, src_node, dst_node, hdr, move |w, sim| {
+            Self::send_envelope(w, sim, env, hdr, move |w, sim| {
                 QuadricsMpi::arrive_message(w, sim, env, Payload::Rts { send_req: req });
                 drain(w, sim);
             });
@@ -194,6 +196,27 @@ impl QuadricsMpi {
             } else {
                 w.resume(rank, MpiResp::Req(req));
             }
+        }
+    }
+
+    /// Put `wire` bytes of `env` on the fabric. The fabric lets a
+    /// control-sized packet pass bulk data still on the wire; MPI does not
+    /// let a message overtake an earlier one from the same sender, so it
+    /// arrives no earlier than that one.
+    fn send_envelope(
+        w: &mut QW,
+        sim: &mut Sim<QW>,
+        env: Envelope,
+        wire: u64,
+        arrive: impl FnOnce(&mut QW, &mut Sim<QW>) + 'static,
+    ) {
+        let e = &mut w.engine;
+        let (src, dst) = (e.node_of(env.src), e.node_of(env.dst));
+        let (at, lands) = e.fabric.issue_put(sim.now(), src, dst, wire);
+        let due = e.ranks[env.dst].due_from.entry(env.src).or_insert(at);
+        *due = at.max(*due);
+        if lands {
+            sim.schedule_at(*due, arrive);
         }
     }
 

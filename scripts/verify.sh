@@ -18,13 +18,16 @@
 #      standalone benchmark package: perf/ is outside the workspace, so
 #      nothing above notices when a change breaks the product surface
 #      perf/README.md pins
-#   3. the fault-recovery property suite (random fault plans: bit-identical
-#      recovery + same-seed replay; the golden recovery table, in which
-#      every restore takes over the halted segment's ranks and re-feeds no
-#      response; the polling ring whose restore falls back to the full
-#      replay; a lookahead carried across two restores) with the payload
-#      equality a restore checks with, and, in release next to it, the
-#      count-based tests: a capture's work does not grow with the image
+#   3. the conformance lattice at four times its default case count (one
+#      generated program in all 30 engine x fabric x collective x schedule
+#      x coalescing cells, every form, seeded fault plans; DESIGN.md
+#      section 16), the fault-recovery scenarios (the golden recovery
+#      table, in which every restore takes over the halted segment's ranks
+#      and re-feeds no response; the polling ring whose restore falls back
+#      to the full replay; a lookahead carried across two restores; copy-
+#      on-write images against deep clones) with the payload equality a
+#      restore checks with, and, in release next to it, the count-based
+#      tests: a capture's work does not grow with the image
 #      number and the replay log retains no message bytes; a message costs
 #      at most 2.5 host allocations, no copy and under two heap entries per
 #      three events; the run-chained event queue equals its (time, seq)
@@ -85,7 +88,8 @@ cargo test --workspace -q
 echo "== benchmark package compiles against the product surface (perf/, build only)"
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
-echo "== fault-recovery property suite + count-based tests (capture flatness, per-message host cost, event-queue model, idle scaling, repro output repeats)"
+echo "== conformance lattice (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, event-queue model, idle scaling, repro output repeats)"
+PROPLITE_CASES=48 cargo test --release -q --test conformance
 cargo test --release -q --test fault_recovery
 cargo test --release -q -p mpi-api --lib payload::
 cargo test --release -q -p bcs-mpi --test capture_flatness
