@@ -35,6 +35,7 @@ pub mod retry;
 use qsnet::{Fabric, NodeId};
 use simcore::{Sim, SimTime};
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Accessor implemented by every simulation world that embeds a BCS cluster.
@@ -84,28 +85,14 @@ pub struct WriteSpec {
     pub value: i64,
 }
 
-/// A destination set an in-flight operation can keep: a borrowed list
-/// (`&[NodeId]`, `&Vec<NodeId>`) is copied, an `Rc<[NodeId]>` is shared.
-pub trait NodeSet {
-    fn into_shared(self) -> Rc<[NodeId]>;
-}
-
-impl NodeSet for Rc<[NodeId]> {
-    fn into_shared(self) -> Rc<[NodeId]> {
-        self
-    }
-}
-
-impl<T: AsRef<[NodeId]> + ?Sized> NodeSet for &T {
-    fn into_shared(self) -> Rc<[NodeId]> {
-        self.as_ref().into()
-    }
-}
+/// A destination set an in-flight operation keeps, and what the two
+/// collective primitives accept as one (see [`qsnet::NodeSet`]).
+pub use qsnet::{IntoNodeSet, NodeSet};
 
 /// Delivery hook of `Xfer-And-Signal`, called once per delivery instant
 /// with the destinations reached at it: higher layers use it to deposit
 /// payloads (descriptors, strobes) into NIC data structures.
-pub use qsnet::fabric::DeliverFn;
+pub use qsnet::fabric::{DeliverFn, Reached};
 
 /// Options of one `Xfer-And-Signal` invocation.
 pub struct XsOpts<W> {
@@ -279,11 +266,16 @@ impl<W: BcsWorld> BcsCluster<W> {
 
     /// [`set_word`](Self::set_word) on every node of `nodes`: one column
     /// look-up for all of them.
-    pub fn set_word_many(&mut self, nodes: &[NodeId], addr: GlobalWord, value: i64) {
+    pub fn set_word_many(&mut self, nodes: &NodeSet, addr: GlobalWord, value: i64) {
         let vals = self.column_mut(addr);
-        for &n in nodes {
+        for &n in nodes.iter() {
             vals[n.0] = value;
         }
+    }
+
+    /// [`set_word`](Self::set_word) on the nodes `nodes.start..nodes.end`.
+    pub fn set_word_range(&mut self, nodes: Range<usize>, addr: GlobalWord, value: i64) {
+        self.column_mut(addr)[nodes].fill(value);
     }
 
     /// Add to a global word locally, returning the new value.
@@ -345,24 +337,27 @@ impl<W: BcsWorld> BcsCluster<W> {
     /// Atomic PUT of `bytes` from `src` to every node in `dests`, with
     /// optional event signalling and a delivery hook.
     /// Returns the completion time (last delivery).
+    ///
+    /// `dests` is a borrowed list (copied if the operation is a multicast)
+    /// or a [`NodeSet`] the multicast shares with its delivery hook.
     pub fn xfer_and_signal(
         w: &mut W,
         sim: &mut Sim<W>,
         src: NodeId,
-        dests: &[NodeId],
+        dests: impl IntoNodeSet,
         bytes: u64,
         opts: XsOpts<W>,
     ) -> SimTime {
-        assert!(!dests.is_empty(), "Xfer-And-Signal with empty destination set");
+        assert!(!dests.as_nodes().is_empty(), "Xfer-And-Signal with empty destination set");
         let remote_event = opts.remote_event;
         let user_deliver = opts.on_deliver;
         let on_deliver: Option<DeliverFn<W>> = match remote_event {
             None => user_deliver,
-            Some(ev) => Some(Rc::new(move |w: &mut W, sim: &mut Sim<W>, reached: &[NodeId]| {
+            Some(ev) => Some(Rc::new(move |w: &mut W, sim: &mut Sim<W>, reached: Reached<'_>| {
                 if let Some(cb) = &user_deliver {
                     cb(w, sim, reached);
                 }
-                for &d in reached {
+                for d in reached.nodes() {
                     BcsCluster::signal_event(w, sim, d, ev);
                 }
             })),
@@ -374,9 +369,12 @@ impl<W: BcsWorld> BcsCluster<W> {
             }
         };
 
-        if dests.len() == 1 && dests[0] != src {
+        let unicast = match *dests.as_nodes() {
+            [d] if d != src => Some(d),
+            _ => None,
+        };
+        if let Some(d) = unicast {
             // Single destination: plain unicast DMA.
-            let d = dests[0];
             if on_deliver.is_none() && local_event.is_none() {
                 // An event that does nothing is not scheduled (DESIGN §9):
                 // the transfer is issued and accounted, and the caller has
@@ -385,7 +383,7 @@ impl<W: BcsWorld> BcsCluster<W> {
             }
             w.bcs().fabric.put(sim, src, d, bytes, move |w, sim| {
                 if let Some(cb) = &on_deliver {
-                    cb(w, sim, &[d]);
+                    cb(w, sim, Reached::one(&d));
                 }
                 on_complete(w, sim);
             })
@@ -410,21 +408,23 @@ impl<W: BcsWorld> BcsCluster<W> {
     /// sequentially consistent (paper §2, point 2).
     ///
     /// `dests` is a borrowed list (copied into the in-flight operation) or
-    /// an `Rc<[NodeId]>` the operation shares — the strobe loop polls the
-    /// same job nodes several times per slice ([`NodeSet`]).
+    /// a [`NodeSet`] the operation shares — the strobe loop polls the same
+    /// job nodes several times per slice. Over a set that is one ascending
+    /// run of node ids the comparison is a scan of adjacent words; any other
+    /// set is walked node by node.
     #[allow(clippy::too_many_arguments)]
     pub fn compare_and_write(
         w: &mut W,
         sim: &mut Sim<W>,
         src: NodeId,
-        dests: impl NodeSet,
+        dests: impl IntoNodeSet,
         word: GlobalWord,
         op: CmpOp,
         value: i64,
         write: Option<WriteSpec>,
         cont: impl FnOnce(&mut W, &mut Sim<W>, bool) + 'static,
     ) -> SimTime {
-        let dests = dests.into_shared();
+        let dests = dests.into_node_set();
         assert!(!dests.is_empty(), "Compare-And-Write with empty destination set");
         let span = dests.len();
         w.bcs()
@@ -432,9 +432,10 @@ impl<W: BcsWorld> BcsCluster<W> {
             .conditional(sim, src, span, move |w: &mut W, sim: &mut Sim<W>| {
                 let bcs = w.bcs();
                 // A never-written word reads zero everywhere.
-                let ok = match bcs.column(word) {
-                    Some(vals) => dests.iter().all(|&d| op.eval(vals[d.0], value)),
-                    None => op.eval(0, value),
+                let ok = match (bcs.column(word), dests.span()) {
+                    (Some(vals), Some(run)) => vals[run].iter().all(|&v| op.eval(v, value)),
+                    (Some(vals), None) => dests.iter().all(|&d| op.eval(vals[d.0], value)),
+                    (None, _) => op.eval(0, value),
                 };
                 if ok {
                     if let Some(ws) = write {
@@ -487,8 +488,8 @@ mod tests {
             XsOpts {
                 remote_event: Some(7),
                 local_event: Some(9),
-                on_deliver: Some(Rc::new(|w: &mut TestWorld, s: &mut Sim<TestWorld>, ds: &[NodeId]| {
-                    w.log.extend(ds.iter().map(|d| (s.now().0, format!("deliver@{d}"))));
+                on_deliver: Some(Rc::new(|w: &mut TestWorld, s: &mut Sim<TestWorld>, ds: Reached<'_>| {
+                    w.log.extend(ds.nodes().map(|d| (s.now().0, format!("deliver@{d}"))));
                 })),
             },
         );
@@ -615,6 +616,39 @@ mod tests {
         for n in 0..4 {
             assert_eq!(w.bcs.word(NodeId(n), 12), 99, "write must reach all nodes");
         }
+    }
+
+    #[test]
+    fn compare_and_write_reads_and_writes_only_its_set() {
+        // Node 0 fails the test, so only a set without it succeeds: a run
+        // of node ids (1, 2) is scanned as a slice, an unordered set with a
+        // gap (3, 1) node by node; each writes exactly its own nodes.
+        let (mut w, mut sim) = setup(5);
+        const FLAG: GlobalWord = 11;
+        for n in 1..5 {
+            w.bcs.set_word(NodeId(n), FLAG, 1);
+        }
+        for (dests, word) in [(vec![1, 2], 20), (vec![3, 1], 21), (vec![4, 0], 22)] {
+            let dests: Vec<NodeId> = dests.into_iter().map(NodeId).collect();
+            BcsCluster::compare_and_write(
+                &mut w,
+                &mut sim,
+                NodeId(0),
+                &dests,
+                FLAG,
+                CmpOp::Ge,
+                1,
+                Some(WriteSpec { word, value: 7 }),
+                move |w, s, ok| w.log.push((s.now().0, format!("cw{word}={ok}"))),
+            );
+            sim.run(&mut w);
+        }
+        let results: Vec<&str> = w.log.iter().map(|(_, m)| m.as_str()).collect();
+        assert_eq!(results, ["cw20=true", "cw21=true", "cw22=false"]);
+        let written = |word| (0..5).filter(|&n| w.bcs.word(NodeId(n), word) == 7).collect::<Vec<_>>();
+        assert_eq!(written(20), [1, 2]);
+        assert_eq!(written(21), [1, 3]);
+        assert_eq!(written(22), Vec::<usize>::new());
     }
 
     #[test]

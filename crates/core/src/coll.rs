@@ -37,7 +37,8 @@
 //! restart its ranks), a gather round one event in all (`sched_run_round`).
 
 use crate::engine::{BW, BcsConfig, BcsMpi, Blocked};
-use bcs_core::{BcsCluster, CmpOp, DeliverFn};
+use crate::p2p::Nics;
+use bcs_core::{BcsCluster, CmpOp, DeliverFn, Reached};
 use mpi_api::call::MpiResp;
 use mpi_api::coll_sched::{self, CollAlgo, RoundSchedule};
 use mpi_api::comm::{CommId, Group, RoundCounters};
@@ -50,6 +51,7 @@ use simcore::{Sim, SimDuration, SimTime};
 use softfloat::{F32, F64};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
 use std::rc::Rc;
 
 /// Collective kind. `slot` indexes the per-rank round counters and the
@@ -99,6 +101,8 @@ pub(crate) struct CollRound {
     pub comm: CommId,
     /// Communicator-rank of the root.
     pub root: usize,
+    /// The node hosting the root, the round's master process.
+    pub master: NodeId,
     pub params: Option<(ReduceOp, Datatype)>,
     /// Reduce/allgather contributions / the bcast payload (by communicator
     /// rank).
@@ -112,13 +116,16 @@ pub(crate) struct CollRound {
     pub query_inflight: bool,
 }
 
+/// A collective round's key: `(comm, slot, round)`.
+type RoundKey = (u32, usize, u64);
+
 /// Engine-wide collective bookkeeping.
 #[derive(Clone)]
 pub(crate) struct CollState {
     /// Invocation counters per member and slot: which round a post joins.
     counters: RoundCounters,
-    /// Keyed by `(comm, slot, round)`.
-    pub rounds: BTreeMap<(u32, usize, u64), CollRound>,
+    /// Changed only through [`CollState::edit_round`].
+    rounds: BTreeMap<RoundKey, CollRound>,
     compute_nodes: usize,
     /// Round-schedule tables keyed by `(comm, block count)` — pure
     /// functions of the communicator's node count and the block count, so
@@ -134,6 +141,31 @@ impl CollState {
             compute_nodes: layout.compute_nodes,
             sched_cache: BTreeMap::new(),
         }
+    }
+
+    /// The rounds in progress, in key order.
+    pub fn rounds(&self) -> &BTreeMap<RoundKey, CollRound> {
+        &self.rounds
+    }
+
+    /// The one mutable access to the rounds: `f` inserts, changes or
+    /// removes the round `key`, and then the master of every round left in
+    /// its `(comm, slot)` is touched. What the MSM, BBM and RM predicates
+    /// read of the rounds is the rounds' own state and which of them heads
+    /// its `(comm, slot)` (`msm_query_heads`, `rooted_rounds`), so an
+    /// untouched node stays idle (`p2p::Nics`).
+    pub fn edit_round<R>(
+        &mut self,
+        nic: &mut Nics,
+        key: RoundKey,
+        f: impl FnOnce(Entry<'_, RoundKey, CollRound>) -> R,
+    ) -> R {
+        let out = f(self.rounds.entry(key));
+        let (comm, slot, _) = key;
+        for (_, r) in self.rounds.range((comm, slot, 0)..=(comm, slot, u64::MAX)) {
+            nic.touch(r.master);
+        }
+        out
     }
 
     pub fn describe(&self) -> String {
@@ -184,15 +216,14 @@ pub(crate) fn post_collective(
     let (local_rank, local_members) = group.locate(rank);
     let id = e.coll.counters.enter(comm, local_rank, slot);
     let compute_nodes = e.coll.compute_nodes;
+    let master = e.layout.node_of(group.members()[root]);
 
-    let round = e
-        .coll
-        .rounds
-        .entry((comm.0, slot, id))
-        .or_insert_with(|| CollRound {
+    let all_local_posted = e.coll.edit_round(&mut e.nic, (comm.0, slot, id), |entry| {
+        let round = entry.or_insert_with(|| CollRound {
             kind,
             comm,
             root,
+            master,
             params,
             contribs: vec![None; size],
             arrived: 0,
@@ -200,28 +231,29 @@ pub(crate) fn post_collective(
             scheduled: false,
             query_inflight: false,
         });
-    assert_eq!(round.kind, kind, "mismatched collective kinds across ranks");
-    assert_eq!(round.root, root, "mismatched collective roots across ranks");
-    if params.is_some() {
-        assert_eq!(round.params, params, "mismatched reduce parameters");
-    }
-    match kind {
-        CollKind::Reduce { .. } => {
-            round.contribs[local_rank] = Some(data.expect("reduce needs a contribution"));
+        assert_eq!(round.kind, kind, "mismatched collective kinds across ranks");
+        assert_eq!(round.root, root, "mismatched collective roots across ranks");
+        if params.is_some() {
+            assert_eq!(round.params, params, "mismatched reduce parameters");
         }
-        CollKind::Allgather => {
-            round.contribs[local_rank] = Some(data.expect("allgather needs a contribution"));
-        }
-        CollKind::Bcast => {
-            if local_rank == root {
-                round.contribs[local_rank] = Some(data.expect("bcast root needs data"));
+        match kind {
+            CollKind::Reduce { .. } => {
+                round.contribs[local_rank] = Some(data.expect("reduce needs a contribution"));
             }
+            CollKind::Allgather => {
+                round.contribs[local_rank] = Some(data.expect("allgather needs a contribution"));
+            }
+            CollKind::Bcast => {
+                if local_rank == root {
+                    round.contribs[local_rank] = Some(data.expect("bcast root needs data"));
+                }
+            }
+            CollKind::Barrier => {}
         }
-        CollKind::Barrier => {}
-    }
-    round.arrived += 1;
-    round.arrived_on_node[node.0] += 1;
-    let all_local_posted = round.arrived_on_node[node.0] == local_members;
+        round.arrived += 1;
+        round.arrived_on_node[node.0] += 1;
+        round.arrived_on_node[node.0] == local_members
+    });
     if all_local_posted {
         // BR pre-processing (§4.4): all local member ranks have invoked the
         // collective — set the per-(comm, kind) flag word the master's
@@ -236,13 +268,6 @@ pub(crate) fn post_collective(
 // MSM: eligibility queries from the master node
 // ----------------------------------------------------------------------
 
-/// The node hosting a round's master process.
-// PANIC-OK: a round's root is a communicator rank validated by the API
-// layer when the round was posted.
-fn master_node(e: &BcsMpi, r: &CollRound) -> NodeId {
-    e.node_of(e.comms.members(r.comm)[r.root])
-}
-
 /// The rounds `node`'s BR would query in an MSM starting now: the lowest
 /// round of each (comm, slot) — rounds of one communicator and kind are
 /// globally ordered, so only the head can be eligible — if it is not
@@ -256,7 +281,7 @@ fn msm_query_heads(
         .rounds
         .iter()
         .filter(move |((comm, slot, _), _)| seen.replace((*comm, *slot)) != Some((*comm, *slot)))
-        .filter(move |(_, r)| !r.scheduled && !r.query_inflight && master_node(e, r) == node)
+        .filter(move |(_, r)| !r.scheduled && !r.query_inflight && r.master == node)
         .map(|(key, r)| (*key, r.comm))
 }
 
@@ -274,10 +299,12 @@ pub(crate) fn msm_queries(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) -> u32 {
     let mut queries = 0u32;
     let heads: Vec<_> = msm_query_heads(&w.engine, node).collect();
     for ((comm_raw, slot, id), comm) in heads {
-        let round = w.engine.coll.rounds.get_mut(&(comm_raw, slot, id)).unwrap();
-        round.query_inflight = true;
+        let e = &mut w.engine;
+        e.coll.edit_round(&mut e.nic, (comm_raw, slot, id), |round| {
+            round.and_modify(|round| round.query_inflight = true);
+        });
         queries += 1;
-        let member_nodes = Rc::clone(w.engine.comms.group(comm).nodes());
+        let member_nodes = w.engine.comms.group(comm).nodes().clone();
         BcsCluster::compare_and_write(
             w,
             sim,
@@ -288,12 +315,15 @@ pub(crate) fn msm_queries(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) -> u32 {
             (id + 1) as i64,
             None,
             move |w: &mut BW, sim: &mut Sim<BW>, ok| {
-                if let Some(round) = w.engine.coll.rounds.get_mut(&(comm_raw, slot, id)) {
-                    round.query_inflight = false;
-                    if ok {
-                        round.scheduled = true;
-                    }
-                }
+                let e = &mut w.engine;
+                e.coll.edit_round(&mut e.nic, (comm_raw, slot, id), |round| {
+                    round.and_modify(|round| {
+                        round.query_inflight = false;
+                        if ok {
+                            round.scheduled = true;
+                        }
+                    });
+                });
                 crate::protocol::work_item_done(w, sim, node);
                 mpi_api::runtime::drain(w, sim);
             },
@@ -602,7 +632,7 @@ fn rooted_rounds(
         .rounds
         .iter()
         .filter(move |((_, slot, _), r)| {
-            slots.contains(slot) && r.scheduled && master_node(e, r) == node
+            slots.contains(slot) && r.scheduled && r.master == node
         })
         .map(|(key, _)| *key)
 }
@@ -629,7 +659,7 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
     debug_assert!(!todo.is_empty());
     w.engine.outstanding[node.0] = todo.len() as u32;
     for key in todo {
-        let round = w.engine.coll.rounds.get(&key).unwrap();
+        let round = &w.engine.coll.rounds()[&key];
         let kind = round.kind;
         let comm = round.comm;
         let payload: Payload = if kind == CollKind::Bcast {
@@ -666,7 +696,12 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
             })
         };
         let on_done = Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-            let _ = w.engine.coll.rounds.remove(&key);
+            let e = &mut w.engine;
+            e.coll.edit_round(&mut e.nic, key, |round| {
+                if let Entry::Occupied(round) = round {
+                    round.remove();
+                }
+            });
             crate::protocol::work_item_done(w, sim, node);
             mpi_api::runtime::drain(w, sim);
         });
@@ -698,9 +733,9 @@ fn bcast_leg(
             let unreached = Rc::new(Cell::new(group.nodes().len()));
             let left = Rc::clone(&unreached);
             let per_instant: DeliverFn<BW> =
-                Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, reached: &[NodeId]| {
+                Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, reached: Reached<'_>| {
                     left.set(left.get() - reached.len());
-                    for &d in reached {
+                    for d in reached.nodes() {
                         per_dest(w, sim, d);
                     }
                 });
@@ -708,7 +743,7 @@ fn bcast_leg(
                 w,
                 sim,
                 node,
-                group.nodes(),
+                group.nodes().clone(),
                 bytes,
                 bcs_core::XsOpts {
                     remote_event: None,
@@ -746,7 +781,11 @@ pub(crate) fn node_begin_rm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
     w.engine.outstanding[node.0] = todo.len() as u32;
 
     for key in todo {
-        let round = w.engine.coll.rounds.remove(&key).unwrap();
+        let e = &mut w.engine;
+        let round = e.coll.edit_round(&mut e.nic, key, |round| match round {
+            Entry::Occupied(round) => round.remove(),
+            Entry::Vacant(_) => unreachable!("a rooted round is in the table"),
+        });
         match round.kind {
             CollKind::Reduce { all } => rm_reduce(w, sim, node, round, all),
             CollKind::Allgather => rm_allgather(w, sim, node, round),

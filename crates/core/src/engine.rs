@@ -7,7 +7,7 @@
 //! `p2p.rs` and `coll.rs`.
 
 use crate::coll::{CollKind, CollState};
-use crate::p2p::{MsgId, NicState};
+use crate::p2p::MsgId;
 use bcs_core::BcsCluster;
 use mpi_api::call::{MpiCall, MpiResp, ReqId};
 use mpi_api::chunklog::ChunkLog;
@@ -171,6 +171,9 @@ pub struct BcsStats {
     /// microstrobe finds with nothing to do is not one (DESIGN §9), so a
     /// machine's idle nodes do not show here.
     pub node_passes: u64,
+    /// Nodes a microstrobe's walk looked at: the touched ones (DESIGN §9).
+    /// An untouched node is completed as part of a range, unseen.
+    pub strobe_visits: u64,
     /// Coalesced DEM descriptor blocks issued, and the descriptors they
     /// carried (zero unless `cfg.coalesce`).
     pub dem_blocks: u64,
@@ -211,10 +214,9 @@ pub struct BcsMpi {
     pub(crate) bcs: BcsCluster<BW>,
     /// The management node hosting the MM/SS (last fabric node).
     pub(crate) mgmt: NodeId,
-    /// Per-node NIC state, shared copy-on-write with checkpoint images: a
-    /// capture clones the `Arc`s; a node's state is deep-copied only on its
-    /// first mutation afterwards.
-    pub(crate) nic: Vec<std::sync::Arc<NicState>>,
+    /// Per-node NIC state, shared copy-on-write with checkpoint images, and
+    /// the nodes a microstrobe has to look at.
+    pub(crate) nic: crate::p2p::Nics,
     /// Outstanding async work items of the current microphase, per node
     /// (protocol transient — zero at every slice boundary).
     pub(crate) outstanding: Vec<u32>,
@@ -288,9 +290,7 @@ impl BcsMpi {
         BcsMpi {
             bcs: BcsCluster::new(fabric),
             mgmt,
-            nic: (0..layout.compute_nodes)
-                .map(|_| std::sync::Arc::new(NicState::default()))
-                .collect(),
+            nic: crate::p2p::Nics::new(layout.compute_nodes),
             outstanding: vec![0; layout.compute_nodes],
             due: Default::default(),
             dem_out: vec![Vec::new(); layout.compute_nodes],
@@ -355,8 +355,8 @@ impl BcsMpi {
 
     /// All compute nodes used by the job (the SS strobes exactly these):
     /// the world communicator's member nodes.
-    pub(crate) fn job_nodes(&self) -> std::rc::Rc<[NodeId]> {
-        std::rc::Rc::clone(self.comms.group(CommId::WORLD).nodes())
+    pub(crate) fn job_nodes(&self) -> bcs_core::NodeSet {
+        self.comms.group(CommId::WORLD).nodes().clone()
     }
 
     // ------------------------------------------------------------------

@@ -30,7 +30,7 @@ use mpi_api::payload::Payload;
 use mpi_api::request::ReqKind;
 use mpi_api::runtime::resume_at;
 use simcore::Sim;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Identifier of one in-flight message (sender-assigned).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -107,8 +107,8 @@ pub(crate) struct MatchItem {
 
 /// Per-node NIC-thread state (BS + BR + DH queues).
 ///
-/// Held in the engine behind an `Arc` and mutated through
-/// `Arc::make_mut`: a checkpoint capture clones only the `Arc`s, and a
+/// Held in the engine behind an `Rc` and mutated through `Rc::make_mut`
+/// ([`Nics::make_mut`]): a checkpoint capture clones only the `Rc`s, and a
 /// node's state is deep-copied lazily, the first time it changes after a
 /// capture — so checkpointing an idle node is a refcount bump regardless
 /// of how deep its queues are. Per-microphase transients (`outstanding`
@@ -174,6 +174,143 @@ impl NicState {
     }
 }
 
+/// A set of nodes, one bit each, walked in ascending order.
+pub(crate) struct NodeBits(Vec<u64>);
+
+impl NodeBits {
+    pub fn new(nodes: usize) -> NodeBits {
+        NodeBits(vec![0; nodes.div_ceil(64)])
+    }
+
+    #[inline]
+    pub fn insert(&mut self, node: usize) {
+        self.0[node / 64] |= 1 << (node % 64);
+    }
+
+    #[inline]
+    pub fn remove(&mut self, node: usize) {
+        self.0[node / 64] &= !(1 << (node % 64));
+    }
+
+    pub fn contains(&self, node: usize) -> bool {
+        self.0[node / 64] >> (node % 64) & 1 == 1
+    }
+
+    /// Every node (and the unused bits of the last word: walks are bounded).
+    pub fn insert_all(&mut self) {
+        self.0.fill(!0);
+    }
+
+    /// The smallest member in `from..to`.
+    #[inline]
+    pub fn next_in(&self, from: usize, to: usize) -> Option<usize> {
+        let mut at = from;
+        while at < to {
+            let bits = self.0[at / 64] >> (at % 64);
+            if bits != 0 {
+                let node = at + bits.trailing_zeros() as usize;
+                return (node < to).then_some(node);
+            }
+            at = (at / 64 + 1) * 64;
+        }
+        None
+    }
+}
+
+/// Every node's NIC state, and the nodes a microstrobe has to look at.
+///
+/// A node is *touched* from any mutable access to its NIC state
+/// ([`Nics::make_mut`]) or to a collective round it roots
+/// ([`Nics::touch`], `coll::CollState::edit_round`) until a strobe walk finds every
+/// microphase predicate false for it (`protocol::on_microstrobe`). An
+/// untouched node therefore has nothing to do in any microphase, and the
+/// walk skips it without a look (DESIGN §9).
+pub(crate) struct Nics {
+    /// Shared copy-on-write with checkpoint images: a capture clones the
+    /// `Rc`s; a node's state is deep-copied only on its first mutation
+    /// afterwards.
+    state: Vec<Rc<NicState>>,
+    touched: NodeBits,
+}
+
+impl std::ops::Index<usize> for Nics {
+    type Output = NicState;
+    // PANIC-OK: node ids come from the fixed topology; the table is sized
+    // by the layout at startup.
+    #[inline]
+    fn index(&self, node: usize) -> &NicState {
+        &self.state[node]
+    }
+}
+
+impl Nics {
+    pub fn new(nodes: usize) -> Nics {
+        Nics {
+            state: (0..nodes).map(|_| Rc::new(NicState::default())).collect(),
+            touched: NodeBits::new(nodes),
+        }
+    }
+
+    /// `node`'s state, unshared from any image that holds it, and the node
+    /// touched.
+    // PANIC-OK: node ids come from the fixed topology; the table is sized
+    // by the layout at startup.
+    #[inline]
+    pub fn make_mut(&mut self, node: qsnet::NodeId) -> &mut NicState {
+        self.touched.insert(node.0);
+        Rc::make_mut(&mut self.state[node.0])
+    }
+
+    /// Something `node`'s microphase predicates read changed outside its
+    /// NIC state.
+    #[inline]
+    pub fn touch(&mut self, node: qsnet::NodeId) {
+        self.touched.insert(node.0);
+    }
+
+    /// A strobe walk found nothing for `node` to do in any microphase.
+    #[inline]
+    pub fn untouch(&mut self, node: qsnet::NodeId) {
+        self.touched.remove(node.0);
+    }
+
+    pub fn is_touched(&self, node: qsnet::NodeId) -> bool {
+        self.touched.contains(node.0)
+    }
+
+    /// The first touched node in `from..to`.
+    #[inline]
+    pub fn next_touched(&self, from: usize, to: usize) -> Option<usize> {
+        self.touched.next_in(from, to)
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &NicState> {
+        self.state.iter().map(|n| &**n)
+    }
+
+    /// The states, shared with whoever keeps them.
+    pub fn share(&self) -> Vec<Rc<NicState>> {
+        self.state.clone()
+    }
+
+    /// Replace every state with `state` (a restored image's): every node
+    /// is touched, since the walk knows nothing of what it holds.
+    pub fn restore(&mut self, state: Vec<Rc<NicState>>) {
+        assert_eq!(state.len(), self.state.len(), "image node count");
+        self.state = state;
+        self.touched.insert_all();
+    }
+
+    /// Compact the states no image shares yet (see `NicState::shrink_to_fit`).
+    pub fn shrink_unshared(&mut self) {
+        for nic in &mut self.state {
+            if let Some(nic) = Rc::get_mut(nic) {
+                nic.shrink_to_fit();
+            }
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Descriptor posting (application side)
 // ----------------------------------------------------------------------
@@ -195,7 +332,7 @@ pub(crate) fn post_send(
     let node = e.node_of(rank);
     let bytes = data.len();
     let msg = e.payloads.push(data);
-    Arc::make_mut(&mut e.nic[node.0]).send_posted.push(SendDesc {
+    e.nic.make_mut(node).send_posted.push(SendDesc {
         msg,
         src_rank: rank,
         dst_rank: dest,
@@ -225,7 +362,7 @@ pub(crate) fn post_recv(
     let now = sim.now();
     let req = e.reqs.post(rank, ReqKind::Recv, now);
     let node = e.node_of(rank);
-    let nic = Arc::make_mut(&mut e.nic[node.0]);
+    let nic = e.nic.make_mut(node);
     nic.recv_posted.post(
         RecvSel {
             dst_rank: rank,
@@ -332,7 +469,7 @@ pub(crate) fn node_begin_dem(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
     // present when the strobe arrives is exchanged in this slice's DEM
     // (descriptors posted by processes the NM just restarted therefore make
     // the current slice, like in the real runtime).
-    let nic = Arc::make_mut(&mut e.nic[node.0]);
+    let nic = e.nic.make_mut(node);
     debug_assert!(nic.send_exchanging.is_empty());
     std::mem::swap(&mut nic.send_exchanging, &mut nic.send_posted);
     e.dem_out[node.0].clear();
@@ -367,7 +504,7 @@ pub(crate) fn node_begin_dem(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
             w.engine.bcs.fabric.net_mut().note_gather(msgs, msgs * desc_bytes);
             let deliver = move |w: &mut BW, sim: &mut Sim<BW>| {
                 let e = &mut w.engine;
-                let nic = Arc::make_mut(&mut e.nic[dst_node.0]);
+                let nic = e.nic.make_mut(dst_node);
                 for &i in &g.entries {
                     let (key, remote) = e.dem_out[node.0][i].arrival();
                     nic.remote_sends.push(key, remote);
@@ -465,7 +602,7 @@ fn deliver_desc(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId, i: usize) {
     let e = &mut w.engine;
     let (key, remote) = e.dem_out[node.0][i].arrival();
     let dst_node = e.layout.node_of(key.dst_rank);
-    Arc::make_mut(&mut e.nic[dst_node.0]).remote_sends.push(key, remote);
+    e.nic.make_mut(dst_node).remote_sends.push(key, remote);
     crate::protocol::work_item_done(w, sim, node);
     mpi_api::runtime::drain(w, sim);
 }
@@ -541,7 +678,7 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
     // already current.)
     if fresh_recvs || has_new {
         // The one unsharing of this pass; `e`'s other fields borrow beside it.
-        let nic = Arc::make_mut(&mut e.nic[node.0]);
+        let nic = e.nic.make_mut(node);
         let incoming = if fresh_recvs {
             nic.recvs_since_msm = false;
             nic.remote_sends.drain_all()
@@ -863,7 +1000,7 @@ fn transfer_abort(peer: qsnet::NodeId, what: &'static str) -> bcs_core::retry::R
 // in-flight table; the entry lives until the final chunk retires it here.
 fn chunk_arrived(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId, slot: XferSlot, chunk: u64) {
     let e = &mut w.engine;
-    let nic = Arc::make_mut(&mut e.nic[node.0]);
+    let nic = e.nic.make_mut(node);
     let item = nic.inflight.get_mut(slot).expect("chunk for unknown match item");
     item.moved += chunk;
     debug_assert!(item.moved <= item.total);

@@ -20,10 +20,11 @@
 
 use crate::engine::{BW, BcsMpi};
 use crate::words;
-use bcs_core::{BcsCluster, CmpOp, DeliverFn, XsOpts};
+use bcs_core::{BcsCluster, CmpOp, DeliverFn, Reached, XsOpts};
 use mpi_api::runtime::drain;
 use qsnet::NodeId;
 use simcore::{Sim, SimTime};
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Number of microphases per slice.
@@ -148,14 +149,14 @@ fn strobe_phase(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
     let job_nodes = w.engine.job_nodes();
     let desc = w.engine.cfg.desc_bytes;
     let on_deliver: DeliverFn<BW> =
-        Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, reached: &[NodeId]| {
+        Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, reached: Reached<'_>| {
             on_microstrobe(w, sim, slice, phase, reached);
         });
     BcsCluster::xfer_and_signal(
         w,
         sim,
         mgmt,
-        &job_nodes,
+        job_nodes,
         desc,
         XsOpts {
             remote_event: None,
@@ -190,24 +191,61 @@ const MICROPHASES: [Microphase; PHASES as usize] = [
 /// threads of `phase` on those that have work, at each one's turn in
 /// `reached`, where it used to be looked at. The others wake, look and
 /// finish `desc_cost` later, all in one group.
+///
+/// Only touched nodes are looked at (`p2p::Nics`): the walk visits the
+/// touched bits inside each run in ascending node order, which is `dests`
+/// order, re-reading the set after every body it runs. A visited node
+/// found with nothing to do in any microphase is untouched. What is left
+/// of a run once the busy nodes are taken out is idle, as node ranges.
 // PANIC-OK: `phase` is below `PHASES`: `advance_phase` starts a new slice
-// instead of strobing a sixth.
-fn on_microstrobe(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32, reached: &[NodeId]) {
+// instead of strobing a sixth; the job's nodes are `0..nodes_used` (ranks
+// are block-distributed), one run of node ids.
+fn on_microstrobe(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32, reached: Reached<'_>) {
     debug_assert_eq!(w.engine.slice, slice);
+    debug_assert!(untouched_nodes_are_idle(&w.engine));
     let (has_work, begin) = MICROPHASES[phase as usize];
+    let runs = reached.node_ranges().expect("the job's nodes are one run of node ids");
     let mut idle = Vec::new();
-    for &node in reached {
-        if has_work(&w.engine, node) {
-            w.engine.stats.node_passes += 1;
-            begin(w, sim, node);
-            drain(w, sim);
-        } else {
-            idle.push(node);
+    for run in runs {
+        let (mut idle_from, mut next) = (run.start, run.start);
+        while let Some(n) = w.engine.nic.next_touched(next, run.end) {
+            let node = NodeId(n);
+            next = n + 1;
+            w.engine.stats.strobe_visits += 1;
+            if has_work(&w.engine, node) {
+                if idle_from < n {
+                    idle.push(idle_from..n);
+                }
+                idle_from = next;
+                w.engine.stats.node_passes += 1;
+                begin(w, sim, node);
+                drain(w, sim);
+            } else if !MICROPHASES.iter().any(|(has_work, _)| has_work(&w.engine, node)) {
+                w.engine.nic.untouch(node);
+            }
+        }
+        if idle_from < run.end {
+            idle.push(idle_from..run.end);
         }
     }
     if !idle.is_empty() {
         idle_nodes_done_in(w, sim, idle);
     }
+}
+
+/// The walk's invariant: a node outside the touched set has nothing to do
+/// in any microphase. Checked before every walk in debug builds, so the
+/// test suites run the whole lattice under it.
+fn untouched_nodes_are_idle(e: &BcsMpi) -> bool {
+    for n in 0..e.layout.compute_nodes {
+        let node = NodeId(n);
+        if !e.nic.is_touched(node) {
+            for (phase, (has_work, _)) in MICROPHASES.iter().enumerate() {
+                assert!(!has_work(e, node), "untouched {node} has work in microphase {phase}");
+            }
+        }
+    }
+    true
 }
 
 /// The `MP_DONE` value that says the current microphase is complete.
@@ -232,11 +270,11 @@ pub(crate) fn work_item_done(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
 
 /// What one simulator event completes (`BcsMpi::due`): NIC-thread work
 /// items of nodes that may have more outstanding, and nodes that had
-/// nothing to do and are done with the microphase outright.
+/// nothing to do and are done with the microphase outright, as node ranges.
 #[derive(Default)]
 pub(crate) struct DueGroup {
     work_items: Vec<NodeId>,
-    idle: Vec<NodeId>,
+    idle: Vec<Range<usize>>,
 }
 
 /// The group of NIC-thread completions started by the current simulator
@@ -263,9 +301,9 @@ fn due_group<'a>(
             for node in group.work_items {
                 work_item_done(w, sim, node);
             }
-            if !group.idle.is_empty() {
-                let target = mp_done_target(&w.engine);
-                w.engine.bcs.set_word_many(&group.idle, words::MP_DONE, target);
+            let target = mp_done_target(&w.engine);
+            for nodes in group.idle {
+                w.engine.bcs.set_word_range(nodes, words::MP_DONE, target);
             }
             drain(w, sim);
         });
@@ -287,8 +325,8 @@ pub(crate) fn work_item_done_in(
 /// Nodes with nothing to do in this microphase: each NIC thread still wakes
 /// and looks, which is one descriptor's cost, and nothing else is
 /// outstanding — so there is no count to keep, only `MP_DONE` to write when
-/// the look is over. One call per dispatch.
-fn idle_nodes_done_in(w: &mut BW, sim: &mut Sim<BW>, nodes: Vec<NodeId>) {
+/// the look is over, a range fill per range. One call per dispatch.
+fn idle_nodes_done_in(w: &mut BW, sim: &mut Sim<BW>, nodes: Vec<Range<usize>>) {
     let cost = w.engine.cfg.desc_cost;
     let group = due_group(w, sim, cost);
     debug_assert!(group.idle.is_empty());

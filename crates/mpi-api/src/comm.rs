@@ -18,7 +18,7 @@
 //! block-distributed over nodes, so that one order is also grouped by node.
 
 use crate::runtime::JobLayout;
-use qsnet::NodeId;
+use qsnet::{NodeId, NodeSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -64,8 +64,9 @@ pub struct Group {
     /// Communicator rank of `sorted[i]`; `None` when it is `i` (`sorted` is
     /// `members`).
     rank_of_sorted: Option<Box<[u32]>>,
-    /// Distinct nodes hosting members, ascending.
-    nodes: Rc<[NodeId]>,
+    /// Distinct nodes hosting members, ascending; for the world, one run
+    /// of node ids from 0.
+    nodes: NodeSet,
     /// Ranks are block-distributed (`node = rank / cpus_per_node`), so a
     /// node's members are adjacent in `sorted`.
     cpus_per_node: usize,
@@ -101,7 +102,7 @@ impl Group {
             members,
             sorted,
             rank_of_sorted,
-            nodes: nodes.into(),
+            nodes: NodeSet::new(nodes.into()),
             cpus_per_node: layout.cpus_per_node,
         }
     }
@@ -161,7 +162,7 @@ impl Group {
     }
 
     /// Distinct compute nodes hosting members, in node order.
-    pub fn nodes(&self) -> &Rc<[NodeId]> {
+    pub fn nodes(&self) -> &NodeSet {
         &self.nodes
     }
 

@@ -1,6 +1,6 @@
 //! A dense table keyed by ids the table itself hands out in ascending order.
 //!
-//! Request ids, message ids and scheduled-resume ids are all allocated
+//! Request ids, message ids and match sequences are all allocated
 //! monotonically and retired roughly in allocation order, so a hash or tree
 //! map pays for generality nothing here uses. [`IdTable`] is a
 //! `VecDeque<Option<V>>` window over the id space: slot `i` holds id

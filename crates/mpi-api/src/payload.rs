@@ -31,10 +31,11 @@
 //! stays one pointer wide and `MpiCall`/`MpiResp` do not grow. Equality is
 //! stamp and bytes, which is how a restore compares logged responses.
 //!
-//! `Arc` (not `Rc`) keeps a payload `Send + Sync`. One simulation runs on
-//! one thread, but a checkpoint image may leave the thread that captured
-//! it, and sharding a simulation (ROADMAP item 6) moves payloads between
-//! shards.
+//! `Arc` (not `Rc`) keeps a payload `Send + Sync`, for sharding a
+//! simulation (ROADMAP item 6), which would move payloads between shards.
+//! Nothing else needs it: one simulation runs on one thread, and a
+//! checkpoint image never leaves the thread that captured it — it holds
+//! `Rc`s (the fabric snapshot, the communicator groups, the NIC state).
 
 use std::fmt;
 use std::sync::Arc;

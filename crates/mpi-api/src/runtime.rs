@@ -135,10 +135,13 @@ pub struct ClusterWorld<E: Engine> {
     /// it was issued. Pure diagnostic state — at n = 4096 a deadlock report
     /// that does not name the stuck calls is undebuggable.
     pending_call: Vec<Option<(&'static str, SimTime)>>,
-    /// Scheduled-but-undelivered completions ([`resume_at`]), in scheduling
-    /// order. Tracked in the world (not closures) so checkpoints can
-    /// capture them.
-    pending_resumes: IdTable<u64, (SimTime, usize, MpiResp)>,
+    /// Scheduled-but-undelivered completions ([`resume_at`]), one slot per
+    /// rank — the call/response protocol is lock-step, so a rank has at
+    /// most one response in flight — each with its scheduling number.
+    /// Tracked in the world (not closures) so checkpoints can capture them.
+    pending_resumes: Vec<Option<(u64, SimTime, MpiResp)>>,
+    /// Completions scheduled so far: the next one's scheduling number.
+    resumes_scheduled: u64,
     /// When set, every response delivered to a rank is appended to `log`
     /// and every send a rank yields is stamped with its [`Origin`] — the
     /// raw material of deterministic replay.
@@ -187,7 +190,8 @@ impl<E: Engine> ClusterWorld<E> {
             draining: false,
             batches: (0..ranks).map(|_| None).collect(),
             pending_call: vec![None; ranks],
-            pending_resumes: IdTable::new(),
+            pending_resumes: vec![None; ranks],
+            resumes_scheduled: 0,
             record_resps: false,
             log: ChunkLog::new(),
             tape: Vec::new(),
@@ -323,10 +327,15 @@ impl<E: Engine> ClusterWorld<E> {
             "runtime_image at a non-quiescent instant: completion queue not drained"
         );
         self.tape.clear();
+        let mut pending: Vec<(u64, (SimTime, usize, MpiResp))> = (self.pending_resumes.iter())
+            .enumerate()
+            .filter_map(|(rank, p)| p.as_ref().map(|(seq, at, resp)| (*seq, (*at, rank, resp.clone()))))
+            .collect();
+        pending.sort_unstable_by_key(|&(seq, _)| seq);
         RuntimeImage {
             log: self.log.snapshot(),
             logged_payload_bytes: self.logged_payload_bytes,
-            pending_resumes: self.pending_resumes.iter().map(|(_, r)| r.clone()).collect(),
+            pending_resumes: pending.into_iter().map(|(_, r)| r).collect(),
             finish_times: self.finish_times.clone(),
             batches: self.batches.clone(),
             sends_yielded: self.sends_yielded.clone(),
@@ -552,8 +561,11 @@ pub fn drain<E: Engine>(w: &mut ClusterWorld<E>, sim: &mut Sim<ClusterWorld<E>>)
 /// Schedule `resp` to be delivered to `rank` at virtual time `at`.
 ///
 /// The pending completion is tracked in the world (see
-/// [`ClusterWorld::runtime_image`]); the scheduled event only carries its
-/// id, so a checkpoint restore can re-create the exact delivery schedule.
+/// [`ClusterWorld::runtime_image`]); the scheduled event only carries the
+/// rank and its scheduling number, so a checkpoint restore can re-create
+/// the exact delivery schedule.
+// PANIC-OK: a rank yields its next call only after its response arrives,
+// so an engine that schedules a second one for it is broken, not loaded.
 pub fn resume_at<E: Engine>(
     w: &mut ClusterWorld<E>,
     sim: &mut Sim<ClusterWorld<E>>,
@@ -561,9 +573,15 @@ pub fn resume_at<E: Engine>(
     rank: usize,
     resp: MpiResp,
 ) {
-    let id = w.pending_resumes.push((at, rank, resp));
+    let seq = w.resumes_scheduled;
+    w.resumes_scheduled += 1;
+    let slot = &mut w.pending_resumes[rank];
+    assert!(slot.is_none(), "rank {rank} has a response in flight already");
+    *slot = Some((seq, at, resp));
     sim.schedule_at(at, move |w: &mut ClusterWorld<E>, sim| {
-        if let Some((_, rank, resp)) = w.pending_resumes.remove(id) {
+        let slot = &mut w.pending_resumes[rank];
+        if slot.as_ref().is_some_and(|&(s, _, _)| s == seq) {
+            let (_, _, resp) = slot.take().expect("checked just above");
             w.resume(rank, resp);
             drain(w, sim);
         }

@@ -24,8 +24,9 @@
 //! unboxed, so a small completion lives inline in its simulator event.
 
 use crate::model::NetModel;
-use crate::topology::{NodeId, Topology};
+use crate::topology::{IntoNodeSet, NodeId, NodeSet, Topology};
 use simcore::{Sim, SimTime};
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Wire-level size of a control packet (descriptors, get requests,
@@ -166,6 +167,9 @@ pub struct Net {
     /// (its delivery was scheduled at issue) — matching a NIC whose DMA
     /// completed before the crash.
     dead: Vec<bool>,
+    /// How many of `dead` are set: a multicast looks for dead destinations
+    /// only when some node is.
+    dead_count: usize,
     degradations: Vec<Degradation>,
     /// Sorted bulk-DMA sequence numbers to drop (transient data-channel
     /// faults): the wire time is still consumed but the payload never
@@ -190,6 +194,7 @@ impl Net {
                 bulk_seq: 0,
             },
             dead: vec![false; nodes],
+            dead_count: 0,
             degradations: Vec::new(),
             drop_seqs: Vec::new(),
             snap_cache: None,
@@ -240,6 +245,7 @@ impl Net {
     /// on it. Timing reservations still account for its traffic already in
     /// the FIFOs, keeping the model deterministic.
     pub fn kill_node(&mut self, node: NodeId) {
+        self.dead_count += !self.dead[node.0] as usize;
         self.dead[node.0] = true;
     }
     pub fn is_dead(&self, node: NodeId) -> bool {
@@ -288,6 +294,7 @@ impl Net {
         ports.rx_free.copy_from_slice(&s.0.rx_free);
         (ports.order_free, ports.stats, ports.bulk_seq) = (s.0.order_free, s.0.stats, s.0.bulk_seq);
         self.dead.fill(false);
+        self.dead_count = 0;
         self.degradations.clear();
         self.drop_seqs.clear();
         self.snap_cache = Some(s.clone());
@@ -305,8 +312,6 @@ impl Net {
 
     /// Whether an operation between `a` and `b` completes: not when the
     /// payload was dropped, and not (counted) when an endpoint is dead.
-    /// Runs once per multicast destination, from wrappers instantiated in
-    /// other crates.
     #[inline]
     fn lands(&mut self, a: NodeId, b: NodeId, landed: bool) -> bool {
         let dead = self.dead[a.0] || self.dead[b.0];
@@ -352,17 +357,139 @@ impl Net {
         ports.rx_free[dst.0] = deliver;
         (deliver, !dropped)
     }
+
+    /// The runs of a multicast from `src` that reach a live destination,
+    /// each dead destination cut out and counted in `dead_skips` (every
+    /// one, when `src` is dead). Looks at no destination while every node
+    /// is alive.
+    fn live_runs(&mut self, src: NodeId, dests: &[NodeId], runs: Runs) -> Runs {
+        if self.dead_count == 0 {
+            return runs;
+        }
+        let (mut live, mut skips) = (Vec::with_capacity(runs.0.len()), 0);
+        let src_dead = self.dead[src.0];
+        for (at, start, end) in runs.0 {
+            let mut from = start;
+            for i in start..end {
+                if src_dead || self.dead[dests[i as usize].0] {
+                    skips += 1;
+                    if from < i {
+                        live.push((at, from, i));
+                    }
+                    from = i + 1;
+                }
+            }
+            if from < end {
+                live.push((at, from, end));
+            }
+        }
+        if skips > 0 {
+            self.ports_mut().stats.dead_skips += skips;
+        }
+        Runs(live)
+    }
+}
+
+/// One run of a multicast's deliveries: `dests[start..end]`, reached at
+/// the instant.
+type Run = (SimTime, u32, u32);
+
+/// When a multicast reaches its destinations, run-length encoded over
+/// `dests`: what a [`Fabric::multicast_timing`] rule reports (and, once
+/// dead destinations are cut out, what its hook is handed). A hardware
+/// control multicast is one run (three when the source is a destination),
+/// a software tree one per depth; only a bulk multicast, whose receive
+/// ports each have their own clock, computes an instant per destination.
+#[derive(Debug, Default)]
+pub struct Runs(Vec<Run>);
+
+impl Runs {
+    /// The destinations from where the last run ended up to index `end`
+    /// are reached at `at`. Pushing no destination is nothing; a run at the
+    /// instant of the one before extends it.
+    #[inline]
+    pub fn push(&mut self, at: SimTime, end: usize) {
+        let (start, end) = (self.end(), end as u32);
+        if end <= start {
+            return;
+        }
+        match self.0.last_mut() {
+            Some(last) if last.0 == at => last.2 = end,
+            _ => self.0.push((at, start, end)),
+        }
+    }
+
+    /// Index one past the last destination reported so far.
+    #[inline]
+    fn end(&self) -> u32 {
+        self.0.last().map_or(0, |r| r.2)
+    }
+}
+
+/// The destinations one delivery event reaches: one or more runs of the
+/// multicast's destination set, in `dests` order, all at the event's
+/// instant.
+#[derive(Clone, Copy, Debug)]
+pub struct Reached<'a> {
+    dests: &'a [NodeId],
+    /// `lo` when `dests` is the node run `lo..lo + dests.len()`.
+    run_from: Option<usize>,
+    runs: &'a [Run],
+}
+
+impl<'a> Reached<'a> {
+    fn new(dests: &'a NodeSet, runs: &'a [Run]) -> Reached<'a> {
+        Reached { dests, run_from: dests.span().map(|run| run.start), runs }
+    }
+
+    /// One destination, reached by a unicast.
+    pub fn one(node: &'a NodeId) -> Reached<'a> {
+        const WHOLE: &[Run] = &[(SimTime::ZERO, 0, 1)];
+        Reached { dests: std::slice::from_ref(node), run_from: Some(node.0), runs: WHOLE }
+    }
+
+    /// Every destination reached, in `dests` order: the runs, as
+    /// sub-slices of the destination set, one after the other.
+    pub fn nodes(self) -> impl Iterator<Item = NodeId> + 'a {
+        let dests = self.dests;
+        self.runs.iter().flat_map(move |&(_, start, end)| &dests[start as usize..end as usize]).copied()
+    }
+
+    /// Each run as the node range it is, when the destination set is one
+    /// ascending run of node ids ([`NodeSet::span`]).
+    pub fn node_ranges(self) -> Option<impl Iterator<Item = Range<usize>> + 'a> {
+        let lo = self.run_from?;
+        Some(self.runs.iter().map(move |&(_, start, end)| lo + start as usize..lo + end as usize))
+    }
+
+    pub fn len(self) -> usize {
+        self.runs.iter().map(|&(_, start, end)| (end - start) as usize).sum()
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.runs.is_empty()
+    }
 }
 
 /// Delivery hook of a multicast: called once per delivery instant with the
-/// live destinations reached at it, in `dests` order. A caller that acts per
-/// destination loops over the slice; one whose destinations mostly need
-/// nothing (a microstrobe on an idle machine) does not pay a call each.
-pub type DeliverFn<W> = Rc<dyn Fn(&mut W, &mut Sim<W>, &[NodeId])>;
+/// live destinations reached at it, in `dests` order, as runs of the
+/// destination set ([`Reached`]). A caller that acts per destination loops
+/// over [`Reached::nodes`]; one whose destinations mostly need nothing (a
+/// microstrobe on an idle machine) pays neither a call nor a look each.
+pub type DeliverFn<W> = Rc<dyn Fn(&mut W, &mut Sim<W>, Reached<'_>)>;
 
-/// Schedule the hook calls of one multicast: one simulator event per
-/// distinct delivery instant, which hands `hook` that instant's
-/// destinations in the order they appear in `deliveries` (`dests` order).
+/// What the delivery events of one multicast share: one allocation however
+/// many instants it has.
+struct Deliveries<W> {
+    hook: DeliverFn<W>,
+    dests: NodeSet,
+    /// By instant, runs of one instant in `dests` order.
+    runs: Vec<Run>,
+}
+
+/// Schedule the hook calls of one multicast whose live deliveries are
+/// `runs` of `dests`: one simulator event per distinct delivery instant,
+/// which hands `hook` that instant's runs in `dests` order.
 ///
 /// This is the order one event per destination would give (DESIGN §9): a
 /// multicast schedules all its deliveries in one call, so their sequence
@@ -371,15 +498,28 @@ pub type DeliverFn<W> = Rc<dyn Fn(&mut W, &mut Sim<W>, &[NodeId])>;
 /// numbered after all of them either way.
 pub fn schedule_deliveries<W: 'static>(
     sim: &mut Sim<W>,
-    hook: &DeliverFn<W>,
-    mut deliveries: Vec<(SimTime, NodeId)>,
+    hook: DeliverFn<W>,
+    dests: NodeSet,
+    runs: Runs,
 ) {
-    // Stable, so destinations sharing an instant keep their `dests` order.
-    deliveries.sort_by_key(|&(at, _)| at);
-    for run in deliveries.chunk_by(|a, b| a.0 == b.0) {
-        let hook = Rc::clone(hook);
-        let nodes: Vec<NodeId> = run.iter().map(|&(_, d)| d).collect();
-        sim.schedule_at(run[0].0, move |w, sim| hook(w, sim, &nodes));
+    let mut runs = runs.0;
+    if runs.is_empty() {
+        return;
+    }
+    // Stable, so runs sharing an instant keep their `dests` order. A rule
+    // reports most multicasts in instant order already.
+    if !runs.is_sorted_by_key(|r| r.0) {
+        runs.sort_by_key(|r| r.0);
+    }
+    let shared = Rc::new(Deliveries { hook, dests, runs });
+    let mut lo = 0u32;
+    for group in shared.runs.chunk_by(|a, b| a.0 == b.0) {
+        let (at, hi) = (group[0].0, lo + group.len() as u32);
+        let d = Rc::clone(&shared);
+        sim.schedule_at(at, move |w, sim| {
+            (d.hook)(w, sim, Reached::new(&d.dests, &d.runs[lo as usize..hi as usize]))
+        });
+        lo = hi;
     }
 }
 
@@ -428,16 +568,17 @@ pub trait Fabric<W: 'static> {
     /// the returned fire time.
     fn conditional_timing(&mut self, now: SimTime, src: NodeId, span: usize) -> SimTime;
     /// Ordered, reliable, atomic multicast of `bytes` from `src` to `dests`
-    /// (self-delivery permitted). Pushes each destination's delivery
-    /// instant onto `deliveries`, in `dests` order, and returns the last.
+    /// (self-delivery permitted). Reports every destination's delivery
+    /// instant, in `dests` order, as runs of destinations that share one
+    /// ([`Runs::push`]).
     fn multicast_timing(
         &mut self,
         now: SimTime,
         src: NodeId,
-        dests: &[NodeId],
+        dests: &NodeSet,
         bytes: u64,
-        deliveries: &mut Vec<(SimTime, NodeId)>,
-    ) -> SimTime;
+        runs: &mut Runs,
+    );
 }
 
 /// The wire operations as call sites write them, on trait objects
@@ -503,27 +644,31 @@ impl<W: 'static> dyn Fabric<W> {
     /// `on_deliver` runs once per delivery instant with the live destinations
     /// reached at it, in `dests` order, one simulator event per instant
     /// ([`schedule_deliveries`]); `on_complete` runs once, when the last
-    /// destination has been reached.
+    /// destination has been reached. The hook sees runs of `dests` itself:
+    /// a [`NodeSet`] is shared, not copied.
     pub fn multicast(
         &mut self,
         sim: &mut Sim<W>,
         src: NodeId,
-        dests: &[NodeId],
+        dests: impl IntoNodeSet,
         bytes: u64,
         on_deliver: Option<DeliverFn<W>>,
         on_complete: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
     ) -> SimTime {
+        let dests = dests.into_node_set();
         assert!(!dests.is_empty(), "multicast needs at least one destination");
-        let mut deliveries = Vec::with_capacity(dests.len());
-        let last = self.multicast_timing(sim.now(), src, dests, bytes, &mut deliveries);
+        let mut runs = Runs::default();
+        self.multicast_timing(sim.now(), src, &dests, bytes, &mut runs);
+        debug_assert_eq!(runs.end() as usize, dests.len(), "a timing rule skipped destinations");
+        let last = runs.0.iter().map(|r| r.0).max().unwrap_or(SimTime::ZERO);
         let net = self.net_mut();
         let stats = &mut net.ports_mut().stats;
         stats.multicasts += 1;
         stats.multicast_bytes += bytes * dests.len() as u64;
         // A dead endpoint is counted whether or not anyone listens.
-        deliveries.retain(|&(_, d)| net.lands(src, d, true));
-        if let Some(hook) = &on_deliver {
-            schedule_deliveries(sim, hook, deliveries);
+        let live = net.live_runs(src, &dests, runs);
+        if let Some(hook) = on_deliver {
+            schedule_deliveries(sim, hook, dests, live);
         }
         sim.schedule_at(last, on_complete);
         last
@@ -624,10 +769,10 @@ impl<W: 'static> Fabric<W> for QsNetFabric {
         &mut self,
         now: SimTime,
         src: NodeId,
-        dests: &[NodeId],
+        dests: &NodeSet,
         bytes: u64,
-        deliveries: &mut Vec<(SimTime, NodeId)>,
-    ) -> SimTime {
+        runs: &mut Runs,
+    ) {
         let m = self.net.model();
         let (tx, nic_op) = (m.mcast_tx_time(bytes), m.nic_op);
         let latency = m.mcast_latency(dests.len(), self.net.topology().levels());
@@ -644,23 +789,27 @@ impl<W: 'static> Fabric<W> for QsNetFabric {
         };
         ports.order_free = start + tx;
         let first_bit = start + latency;
-
-        let mut last = SimTime::ZERO;
-        for &d in dests {
+        // Loopback through the NIC, no wire.
+        let loopback = start + nic_op;
+        if ctrl {
+            // No receive-port clock: one instant for every wire delivery.
+            for i in dests.positions(src) {
+                runs.push(first_bit + tx, i);
+                runs.push(loopback, i + 1);
+            }
+            runs.push(first_bit + tx, dests.len());
+            return;
+        }
+        for (i, &d) in dests.iter().enumerate() {
             let deliver = if d == src {
-                // Loopback through the NIC, no wire.
-                start + nic_op
-            } else if ctrl {
-                first_bit + tx
+                loopback
             } else {
                 let deliver = first_bit.max(ports.rx_free[d.0]) + tx;
                 ports.rx_free[d.0] = deliver;
                 deliver
             };
-            last = last.max(deliver);
-            deliveries.push((deliver, d));
+            runs.push(deliver, i + 1);
         }
-        last
     }
 }
 
@@ -758,8 +907,8 @@ mod tests {
             NodeId(0),
             &dests,
             CTRL_BYTES,
-            Some(Rc::new(|w: &mut W, s: &mut Sim<W>, ds: &[NodeId]| {
-                w.per_dest.extend(ds.iter().map(|d| (s.now().0, d.0)));
+            Some(Rc::new(|w: &mut W, s: &mut Sim<W>, ds: Reached<'_>| {
+                w.per_dest.extend(ds.nodes().map(|d| (s.now().0, d.0)));
             })),
             |w, s| w.delivered.push((s.now().0, "done")),
         );
@@ -848,8 +997,8 @@ mod tests {
             NodeId(0),
             &dests,
             CTRL_BYTES,
-            Some(Rc::new(|w: &mut W, s: &mut Sim<W>, ds: &[NodeId]| {
-                w.per_dest.extend(ds.iter().map(|d| (s.now().0, d.0)));
+            Some(Rc::new(|w: &mut W, s: &mut Sim<W>, ds: Reached<'_>| {
+                w.per_dest.extend(ds.nodes().map(|d| (s.now().0, d.0)));
             })),
             |_, _| {},
         );

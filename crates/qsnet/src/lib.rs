@@ -30,7 +30,7 @@ pub mod model;
 pub mod topology;
 
 pub use fabric::{
-    Degradation, Fabric, FabricKind, FabricSnapshot, FabricStats, Net, QsNetFabric,
+    Degradation, Fabric, FabricKind, FabricSnapshot, FabricStats, Net, QsNetFabric, Reached, Runs,
 };
 pub use model::{CondImpl, McastImpl, NetModel};
-pub use topology::{NodeId, Topology};
+pub use topology::{IntoNodeSet, NodeId, NodeSet, Topology};

@@ -8,10 +8,91 @@
 //! and the route is `2k` hops (k up, k down).
 
 use std::fmt;
+use std::ops::{Deref, Range};
+use std::rc::Rc;
 
 /// A compute or management node. Dense, 0-based.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
+
+/// A destination set an operation keeps while it is in flight: shared by
+/// refcount, and told once, when built, whether it is one ascending run of
+/// node ids `lo, lo + 1, ..`. For such a set the destinations `a..b` are
+/// the nodes `lo + a..lo + b`, so a walk over per-node state is a slice of
+/// it and finding a node is one subtraction. A job's node set is one (ranks
+/// are block-distributed), which is what the strobe, its `Compare-And-Write`
+/// and the idle `MP_DONE` stores rely on.
+#[derive(Clone, Debug)]
+pub struct NodeSet {
+    nodes: Rc<[NodeId]>,
+    /// `lo` when `nodes` is the run `lo..lo + nodes.len()`.
+    run_from: Option<usize>,
+}
+
+impl NodeSet {
+    pub fn new(nodes: Rc<[NodeId]>) -> NodeSet {
+        let run_from = nodes
+            .first()
+            .map(|n| n.0)
+            .filter(|&lo| nodes.iter().enumerate().all(|(i, n)| n.0 == lo + i));
+        NodeSet { nodes, run_from }
+    }
+
+    /// The node range the set is, when it is one ascending run.
+    #[inline]
+    pub fn span(&self) -> Option<Range<usize>> {
+        self.run_from.map(|lo| lo..lo + self.nodes.len())
+    }
+
+    /// Every index at which `node` sits in the set, ascending: a subtraction
+    /// for a run, a scan otherwise.
+    pub fn positions(&self, node: NodeId) -> impl Iterator<Item = usize> + '_ {
+        let (hit, scan) = match self.span() {
+            Some(run) => (run.contains(&node.0).then(|| node.0 - run.start), None),
+            None => (None, Some(self.nodes.iter().enumerate())),
+        };
+        let scan = scan.into_iter().flatten().filter(move |&(_, &d)| d == node).map(|(i, _)| i);
+        hit.into_iter().chain(scan)
+    }
+}
+
+impl Deref for NodeSet {
+    type Target = [NodeId];
+    #[inline]
+    fn deref(&self) -> &[NodeId] {
+        &self.nodes
+    }
+}
+
+/// What a multicast or a conditional takes as its destinations: a borrowed
+/// list (`&[NodeId]`, `&Vec<NodeId>`), copied into a [`NodeSet`] if the
+/// operation keeps it, or a `NodeSet`, shared. Callers
+/// that address the same nodes again and again (the strobe loop, a
+/// communicator's collectives) keep a `NodeSet`, so nothing is copied or
+/// re-examined per operation.
+pub trait IntoNodeSet {
+    /// The destinations, for an operation that needs only to look.
+    fn as_nodes(&self) -> &[NodeId];
+    fn into_node_set(self) -> NodeSet;
+}
+
+impl IntoNodeSet for NodeSet {
+    fn as_nodes(&self) -> &[NodeId] {
+        self
+    }
+    fn into_node_set(self) -> NodeSet {
+        self
+    }
+}
+
+impl<T: AsRef<[NodeId]> + ?Sized> IntoNodeSet for &T {
+    fn as_nodes(&self) -> &[NodeId] {
+        self.as_ref()
+    }
+    fn into_node_set(self) -> NodeSet {
+        NodeSet::new(self.as_ref().into())
+    }
+}
 
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -3,8 +3,8 @@
 //! sequences.
 
 use proplite::prelude::*;
-use qsnet::fabric::{DeliverFn, schedule_deliveries};
-use qsnet::{Fabric, NetModel, NodeId, QsNetFabric};
+use qsnet::fabric::{CTRL_BYTES, DeliverFn, schedule_deliveries};
+use qsnet::{Fabric, NetModel, NodeId, NodeSet, QsNetFabric, Reached, Runs};
 use simcore::{Sim, SimDuration, SimTime};
 use std::rc::Rc;
 
@@ -113,18 +113,18 @@ fn run_script_faulted(
     (completions, landed, format!("{:?}", fab.net_mut().snapshot()))
 }
 
-/// `(instant, destination)` per destination a hook call was handed, slices
+/// `(instant, destination)` per destination a hook call was handed, runs
 /// flattened in order; a destination's same-instant follow-up event logs it
 /// + [`FOLLOW_UP`].
 type HookLog = Vec<(u64, usize)>;
 const FOLLOW_UP: usize = 1000;
 
-/// A delivery hook that logs every destination of its slice, and (with
+/// A delivery hook that logs every destination it reaches, and (with
 /// `follow`) schedules an event per destination for the same instant — the
 /// way a microstrobe's hook starts NIC work.
 fn logging_hook(follow: bool) -> DeliverFn<HookLog> {
-    Rc::new(move |log: &mut HookLog, sim: &mut Sim<HookLog>, reached: &[NodeId]| {
-        for &d in reached {
+    Rc::new(move |log: &mut HookLog, sim: &mut Sim<HookLog>, reached: Reached<'_>| {
+        for d in reached.nodes() {
             log.push((sim.now().0, d.0));
             if follow {
                 sim.schedule_now(move |log: &mut HookLog, sim| log.push((sim.now().0, d.0 + FOLLOW_UP)));
@@ -134,8 +134,8 @@ fn logging_hook(follow: bool) -> DeliverFn<HookLog> {
 }
 
 /// The reference the per-instant hook is held to: one event per
-/// destination, scheduled in `dests` order, each handing the hook a slice
-/// of one.
+/// destination, scheduled in `dests` order, each handing the hook that one
+/// destination.
 fn one_event_per_destination(
     sim: &mut Sim<HookLog>,
     hook: &DeliverFn<HookLog>,
@@ -143,8 +143,54 @@ fn one_event_per_destination(
 ) {
     for &(at, d) in deliveries {
         let hook = Rc::clone(hook);
-        sim.schedule_at(at, move |log, sim| hook(log, sim, &[d]));
+        sim.schedule_at(at, move |log, sim| hook(log, sim, Reached::one(&d)));
     }
+}
+
+/// The QsNet multicast rule as it was written before its deliveries were
+/// run-encoded, kept as the reference: every destination's instant, in
+/// `dests` order, reserved against `fab`'s clocks exactly as it reserved.
+fn per_destination_rule<W: 'static>(
+    fab: &mut Box<dyn Fabric<W>>,
+    now: SimTime,
+    src: NodeId,
+    dests: &[NodeId],
+    bytes: u64,
+) -> Vec<(SimTime, NodeId)> {
+    let m = *fab.net().model();
+    let (tx, nic_op) = (m.mcast_tx_time(bytes), m.nic_op);
+    let latency = m.mcast_latency(dests.len(), fab.net().topology().levels());
+    let ports = fab.net_mut().ports_mut();
+    let ctrl = bytes <= CTRL_BYTES;
+    let start = if ctrl {
+        now.max(ports.order_free)
+    } else {
+        let s = now.max(ports.tx_free[src.0]).max(ports.order_free);
+        ports.tx_free[src.0] = s + tx;
+        s
+    };
+    ports.order_free = start + tx;
+    let first_bit = start + latency;
+    let mut deliveries = Vec::new();
+    for &d in dests {
+        let at = if d == src {
+            start + nic_op
+        } else if ctrl {
+            first_bit + tx
+        } else {
+            let at = first_bit.max(ports.rx_free[d.0]) + tx;
+            ports.rx_free[d.0] = at;
+            at
+        };
+        deliveries.push((at, d));
+    }
+    deliveries
+}
+
+/// The clocks of `fab`'s port state.
+fn clocks<W: 'static>(fab: &mut Box<dyn Fabric<W>>) -> (Vec<SimTime>, Vec<SimTime>, SimTime) {
+    let ports = fab.net_mut().ports_mut();
+    (ports.tx_free.clone(), ports.rx_free.clone(), ports.order_free)
 }
 
 fn distinct_instants(deliveries: &[(SimTime, NodeId)]) -> usize {
@@ -158,9 +204,10 @@ proplite! {
     #![config(cases = 64)]
 
     /// Any list of deliveries — ties in any position, other events queued
-    /// for the same instants before and after — hands the hook, one call
-    /// and one event per distinct instant, slices that flattened are the
-    /// hook calls of one event per destination, in the same order.
+    /// for the same instants before and after — run-length encoded over
+    /// its destinations hands the hook, one call and one event per distinct
+    /// instant, runs that flattened are the hook calls of one event per
+    /// destination, in the same order.
     #[test]
     fn batched_deliveries_match_one_event_per_destination(
         deliveries in prop::collection::vec((0u64..6, 0usize..32), 0..40),
@@ -178,7 +225,12 @@ proplite! {
             };
             foreign(&mut sim, 2000);
             if batched {
-                schedule_deliveries(&mut sim, &hook, deliveries.clone());
+                let dests = NodeSet::new(deliveries.iter().map(|&(_, d)| d).collect());
+                let mut runs = Runs::default();
+                for (i, &(at, _)) in deliveries.iter().enumerate() {
+                    runs.push(at, i + 1);
+                }
+                schedule_deliveries(&mut sim, Rc::clone(&hook), dests, runs);
             } else {
                 one_event_per_destination(&mut sim, &hook, &deliveries);
             }
@@ -265,6 +317,66 @@ proplite! {
         ref_sim.run(&mut reference);
         prop_assert_eq!(log, reference);
         prop_assert_eq!(scheduled, distinct_instants(&deliveries) + 1);
+    }
+
+    /// Run-encoded deliveries are the per-destination rule's: a few
+    /// multicasts over random destination orders (the source inside them
+    /// or not), control and bulk sizes, after puts that leave the receive
+    /// clocks apart, under a drop plan and with dead nodes, against a twin
+    /// fabric that runs the per-destination rule and one event per live
+    /// destination. The hook log is the same in the same order, each
+    /// multicast schedules one event per distinct live instant plus its
+    /// completion, and the two fabrics end with the same clocks, dead skips
+    /// and `bulk_seq`.
+    #[test]
+    fn run_encoded_multicasts_equal_the_per_destination_rule(
+        nodes in 2usize..24,
+        casts in prop::collection::vec(
+            (0usize..24, prop::collection::vec(0u8..255, 24..25), 1usize..25, prop_oneof![1u64..65, 65u64..200_000]),
+            1..4
+        ),
+        faults in (prop::collection::vec(0usize..24, 0..3), prop::collection::vec(0u64..6, 0..4)),
+        warm in prop::collection::vec((0usize..24, 1u32..400_000), 0..6),
+        follow in any::<bool>()
+    ) {
+        let (dead, drops) = faults;
+        let mut fab = qsnet::<HookLog>(NetModel::qsnet(), nodes);
+        let mut twin = qsnet::<HookLog>(NetModel::qsnet(), nodes);
+        let (mut sim, mut ref_sim) = (Sim::new(), Sim::new());
+        for (f, sim) in [(&mut fab, &mut sim), (&mut twin, &mut ref_sim)] {
+            f.net_mut().plan_drops(drops.clone());
+            for &(d, b) in &warm {
+                let d = NodeId(d % nodes);
+                f.put(sim, NodeId((d.0 + 1) % nodes), d, b as u64, |_, _| {});
+            }
+            for &d in &dead {
+                f.net_mut().kill_node(NodeId(d % nodes));
+            }
+        }
+        let hook = logging_hook(follow);
+        let mut want_skips = fab.net().stats().dead_skips;
+        for (src, order, take, bytes) in &casts {
+            let src = NodeId(src % nodes);
+            let mut dests: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+            dests.sort_by_key(|d| order[d.0]);
+            dests.truncate((*take).min(nodes));
+            let pending = sim.pending();
+            fab.multicast(&mut sim, src, &dests, *bytes, Some(Rc::clone(&hook)), |_, _| {});
+            let mut live = per_destination_rule(&mut twin, ref_sim.now(), src, &dests, *bytes);
+            let before = live.len();
+            let net = twin.net();
+            live.retain(|&(_, d)| !net.is_dead(d) && !net.is_dead(src));
+            want_skips += (before - live.len()) as u64;
+            prop_assert_eq!(sim.pending() - pending, distinct_instants(&live) + 1);
+            one_event_per_destination(&mut ref_sim, &hook, &live);
+        }
+        let (mut log, mut reference) = (HookLog::new(), HookLog::new());
+        sim.run(&mut log);
+        ref_sim.run(&mut reference);
+        prop_assert_eq!(log, reference);
+        prop_assert_eq!(fab.net().stats().dead_skips, want_skips);
+        prop_assert_eq!(clocks(&mut fab), clocks(&mut twin));
+        prop_assert_eq!(fab.net().bulk_seq(), twin.net().bulk_seq());
     }
 
     #[test]

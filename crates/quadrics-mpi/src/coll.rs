@@ -178,14 +178,14 @@ impl CollManager {
             match w.engine.cfg.coll_algo {
                 CollAlgo::HwMulticast => {
                     let per_instant: qsnet::fabric::DeliverFn<QW> =
-                        Rc::new(move |w: &mut QW, sim: &mut Sim<QW>, reached: &[NodeId]| {
-                            for &node in reached {
+                        Rc::new(move |w: &mut QW, sim: &mut Sim<QW>, reached: qsnet::Reached<'_>| {
+                            for node in reached.nodes() {
                                 per_node(w, sim, node);
                             }
                         });
                     w.engine
                         .fabric
-                        .multicast(sim, src, group.nodes(), bytes, Some(per_instant), |_, _| {});
+                        .multicast(sim, src, group.nodes().clone(), bytes, Some(per_instant), |_, _| {});
                 }
                 CollAlgo::Binomial => {
                     let order = Rc::new(group.nodes_from(src));

@@ -39,7 +39,7 @@
 
 use qsnet::fabric::{CTRL_BYTES, Net};
 use qsnet::model::log2_ceil;
-use qsnet::{CondImpl, Fabric, FabricKind, McastImpl, NetModel, NodeId, QsNetFabric};
+use qsnet::{CondImpl, Fabric, FabricKind, McastImpl, NetModel, NodeId, NodeSet, QsNetFabric, Runs};
 use simcore::{SimDuration, SimTime};
 
 /// Build the fabric selected by `kind` — the one construction point both
@@ -165,17 +165,19 @@ impl<W: 'static> Fabric<W> for RdmaFabric {
     /// each stage the set of reached nodes doubles as every holder
     /// forwards one copy. The whole operation acquires the software
     /// sequencer for its first stage, so concurrent multicasts inject in a
-    /// total order, exactly like QsNet's root serializer — `per_dest`
-    /// hooks then fire in deterministic (stage, argument-order) order, one
-    /// simulator event per stage.
+    /// total order, exactly like QsNet's root serializer — delivery hooks
+    /// then fire in deterministic (stage, argument-order) order, one
+    /// simulator event per stage. Stage `k` reaches relays `2^(k-1) - 1 ..
+    /// 2^k - 1`, so a control multicast is one run per depth (split where
+    /// the source's own copy sits).
     fn multicast_timing(
         &mut self,
         now: SimTime,
         src: NodeId,
-        dests: &[NodeId],
+        dests: &NodeSet,
         bytes: u64,
-        deliveries: &mut Vec<(SimTime, NodeId)>,
-    ) -> SimTime {
+        runs: &mut Runs,
+    ) {
         let stage_cost = self.mcast_stage(bytes);
         let m = self.net.model();
         let (tx, nic_op, base_latency) = (m.mcast_tx_time(bytes), m.nic_op, m.base_latency);
@@ -188,28 +190,43 @@ impl<W: 'static> Fabric<W> for RdmaFabric {
         ports.tx_free[src.0] = start + tx;
         ports.order_free = start + stage_cost;
 
-        let mut last = SimTime::ZERO;
-        let mut relay = 0u64; // index among non-self destinations
-        for &d in dests {
-            let deliver = if d == src {
-                start + nic_op
-            } else {
-                let depth = log2_ceil((relay + 2) as usize) as u64; // floor(log2(relay+1))+1
-                relay += 1;
-                let base = start + base_latency + stage_cost * depth;
-                if ctrl {
-                    base
-                } else {
-                    // Bulk copies additionally FIFO through the receive QP.
-                    let deliver = (base - tx).max(ports.rx_free[d.0]) + tx;
-                    ports.rx_free[d.0] = deliver;
-                    deliver
+        let loopback = start + nic_op;
+        // Relay `r` (index among non-self destinations) is reached after
+        // floor(log2(r + 1)) + 1 stages.
+        let depth = |relay: usize| log2_ceil(relay + 2) as u64;
+        let reached = |depth: u64| start + base_latency + stage_cost * depth;
+        if ctrl {
+            let mut selfs = dests.positions(src).peekable();
+            let (mut i, mut relay) = (0, 0);
+            while i < dests.len() {
+                if selfs.next_if_eq(&i).is_some() {
+                    runs.push(loopback, i + 1);
+                    i += 1;
+                    continue;
                 }
-            };
-            last = last.max(deliver);
-            deliveries.push((deliver, d));
+                let k = depth(relay);
+                let stage_end = i + ((1 << k) - 1 - relay);
+                let end = stage_end.min(dests.len()).min(selfs.peek().copied().unwrap_or(usize::MAX));
+                runs.push(reached(k), end);
+                relay += end - i;
+                i = end;
+            }
+            return;
         }
-        last
+        let mut relay = 0;
+        for (i, &d) in dests.iter().enumerate() {
+            let deliver = if d == src {
+                loopback
+            } else {
+                let base = reached(depth(relay));
+                relay += 1;
+                // Bulk copies additionally FIFO through the receive QP.
+                let deliver = (base - tx).max(ports.rx_free[d.0]) + tx;
+                ports.rx_free[d.0] = deliver;
+                deliver
+            };
+            runs.push(deliver, i + 1);
+        }
     }
 }
 
@@ -312,8 +329,8 @@ mod tests {
             NodeId(0),
             &dests,
             CTRL_BYTES,
-            Some(Rc::new(|w: &mut W, s: &mut Sim<W>, ds: &[NodeId]| {
-                w.per_dest.extend(ds.iter().map(|d| (s.now().0, d.0)));
+            Some(Rc::new(|w: &mut W, s: &mut Sim<W>, ds: qsnet::Reached<'_>| {
+                w.per_dest.extend(ds.nodes().map(|d| (s.now().0, d.0)));
             })),
             |w, s| w.delivered.push((s.now().0, "done")),
         );

@@ -9,8 +9,9 @@
 //! transfers a fault plan loses, the counters, snapshot sharing, restore.
 
 use proplite::prelude::*;
-use qsnet::fabric::DeliverFn;
-use qsnet::{Degradation, Fabric, FabricKind, NetModel, NodeId};
+use qsnet::fabric::{CTRL_BYTES, DeliverFn};
+use qsnet::model::log2_ceil;
+use qsnet::{Degradation, Fabric, FabricKind, McastImpl, NetModel, NodeId, Reached};
 use rdmanet::build_fabric;
 use simcore::{Sim, SimTime};
 use std::rc::Rc;
@@ -82,8 +83,8 @@ fn issue(fab: &mut Fab, sim: &mut Sim<Log>, nodes: usize, i: usize, op: &Op) -> 
         Op::Put { src, dst, bytes } => fab.put(sim, node(src), node(dst), *bytes as u64, done),
         Op::Get { req, tgt, bytes } => fab.get(sim, node(req), node(tgt), *bytes as u64, done),
         Op::Mcast { src, bytes, picks } => {
-            let per_dest = Rc::new(move |w: &mut Log, s: &mut Sim<Log>, reached: &[NodeId]| {
-                w.deliveries.extend(reached.iter().map(|d| (i, s.now().0, d.0)));
+            let per_dest = Rc::new(move |w: &mut Log, s: &mut Sim<Log>, reached: Reached<'_>| {
+                w.deliveries.extend(reached.nodes().map(|d| (i, s.now().0, d.0)));
             });
             fab.multicast(sim, node(src), &group(picks), *bytes as u64, Some(per_dest), done)
         }
@@ -155,6 +156,55 @@ fn run_spaced(
         promised.push(issue(fab, sim, nodes, i, &ops[i]).0);
     }
     promised
+}
+
+/// The software-tree multicast rule as it was written before its deliveries
+/// were run-encoded, kept as the reference: every destination's instant, in
+/// `dests` order, reserved against `fab`'s clocks exactly as it reserved.
+fn per_destination_rule<W: 'static>(
+    fab: &mut Box<dyn Fabric<W>>,
+    now: SimTime,
+    src: NodeId,
+    dests: &[NodeId],
+    bytes: u64,
+) -> Vec<(SimTime, NodeId)> {
+    let m = *fab.net().model();
+    let stage = match m.mcast {
+        McastImpl::SoftwareTree { stage, .. } => stage,
+        McastImpl::Hardware { .. } => m.base_latency + m.nic_op,
+    };
+    let stage_cost = stage + m.mcast_tx_time(bytes);
+    let (tx, ctrl) = (m.mcast_tx_time(bytes), bytes <= CTRL_BYTES);
+    let ports = fab.net_mut().ports_mut();
+    let start = now.max(ports.order_free).max(ports.tx_free[src.0]);
+    ports.tx_free[src.0] = start + tx;
+    ports.order_free = start + stage_cost;
+    let mut relay = 0;
+    let mut deliveries = Vec::new();
+    for &d in dests {
+        let at = if d == src {
+            start + m.nic_op
+        } else {
+            let depth = log2_ceil(relay + 2) as u64;
+            relay += 1;
+            let base = start + m.base_latency + stage_cost * depth;
+            if ctrl {
+                base
+            } else {
+                let at = (base - tx).max(ports.rx_free[d.0]) + tx;
+                ports.rx_free[d.0] = at;
+                at
+            }
+        };
+        deliveries.push((at, d));
+    }
+    deliveries
+}
+
+/// The clocks of `fab`'s port state.
+fn clocks<W: 'static>(fab: &mut Box<dyn Fabric<W>>) -> (Vec<SimTime>, Vec<SimTime>, SimTime) {
+    let ports = fab.net_mut().ports_mut();
+    (ports.tx_free.clone(), ports.rx_free.clone(), ports.order_free)
 }
 
 /// The `(op, dest)` delivery set, sorted — the payload-placement contract.
@@ -294,7 +344,7 @@ proplite! {
     }
 
     /// The software tree hands each stage's destinations to the hook as one
-    /// slice from one event (`qsnet::fabric::schedule_deliveries`) without
+    /// run from one event (`qsnet::fabric::schedule_deliveries`) without
     /// changing what one event per destination did: over random destination
     /// orders with dead nodes, a drop plan and the source's own loopback,
     /// the slices flattened to `(instant, destination)` equal the
@@ -322,8 +372,8 @@ proplite! {
             fab.net_mut().kill_node(NodeId(d % nodes));
         }
         let hook: DeliverFn<HookLog> =
-            Rc::new(|log: &mut HookLog, sim: &mut Sim<HookLog>, reached: &[NodeId]| {
-                log.extend(reached.iter().map(|d| (sim.now().0, d.0)));
+            Rc::new(|log: &mut HookLog, sim: &mut Sim<HookLog>, reached: Reached<'_>| {
+                log.extend(reached.nodes().map(|d| (sim.now().0, d.0)));
             });
         let mut sim: Sim<HookLog> = Sim::new();
         fab.multicast(&mut sim, src, &dests, bytes, Some(Rc::clone(&hook)), |_, _| {});
@@ -346,7 +396,7 @@ proplite! {
             let at = log.iter().find(|&&(_, who)| who == d.0).expect("live destination reached").0;
             instants.push(at);
             let hook = Rc::clone(&hook);
-            ref_sim.schedule_at(SimTime(at), move |log, sim| hook(log, sim, &[d]));
+            ref_sim.schedule_at(SimTime(at), move |log, sim| hook(log, sim, Reached::one(&d)));
         }
         let mut reference = HookLog::new();
         ref_sim.run(&mut reference);
@@ -354,6 +404,75 @@ proplite! {
         instants.sort_unstable();
         instants.dedup();
         prop_assert_eq!(scheduled, instants.len() + 1);
+    }
+
+    /// Run-encoded software-tree deliveries are the per-destination rule's:
+    /// a few multicasts over random destination orders (the source inside
+    /// them or not), control and bulk sizes, after puts that leave the
+    /// receive clocks apart, under a drop plan and with dead nodes, against
+    /// a twin fabric that runs the per-destination rule and one event per
+    /// live destination. The hook log is the same in the same order, each
+    /// multicast schedules one event per distinct live instant plus its
+    /// completion, and the two fabrics end with the same port state, dead
+    /// skips and `bulk_seq`.
+    #[test]
+    fn run_encoded_multicasts_equal_the_per_destination_rule(
+        nodes in 2usize..40,
+        casts in prop::collection::vec(
+            (0usize..40, prop::collection::vec(0u8..255, 40..41), 1usize..41, prop_oneof![1u64..65, 65u64..200_000]),
+            1..4
+        ),
+        faults in (prop::collection::vec(0usize..40, 0..3), prop::collection::vec(0u64..6, 0..4)),
+        warm in prop::collection::vec((0usize..40, 1u32..400_000), 0..6)
+    ) {
+        type HookLog = Vec<(u64, usize)>;
+        let (dead, drops) = faults;
+        let hook: DeliverFn<HookLog> =
+            Rc::new(|log: &mut HookLog, sim: &mut Sim<HookLog>, reached: Reached<'_>| {
+                log.extend(reached.nodes().map(|d| (sim.now().0, d.0)));
+            });
+        let mut fab = build_fabric::<HookLog>(FabricKind::Rdma, NetModel::infiniband(), nodes);
+        let mut twin = build_fabric::<HookLog>(FabricKind::Rdma, NetModel::infiniband(), nodes);
+        let (mut sim, mut ref_sim) = (Sim::new(), Sim::new());
+        for (f, sim) in [(&mut fab, &mut sim), (&mut twin, &mut ref_sim)] {
+            f.net_mut().plan_drops(drops.clone());
+            for &(d, b) in &warm {
+                let d = NodeId(d % nodes);
+                f.put(sim, NodeId((d.0 + 1) % nodes), d, b as u64, |_, _| {});
+            }
+            for &d in &dead {
+                f.net_mut().kill_node(NodeId(d % nodes));
+            }
+        }
+        let mut want_skips = fab.net().stats().dead_skips;
+        for (src, order, take, bytes) in &casts {
+            let src = NodeId(src % nodes);
+            let mut dests: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+            dests.sort_by_key(|d| order[d.0]);
+            dests.truncate((*take).min(nodes));
+            let pending = sim.pending();
+            fab.multicast(&mut sim, src, &dests, *bytes, Some(Rc::clone(&hook)), |_, _| {});
+            let mut live = per_destination_rule(&mut twin, ref_sim.now(), src, &dests, *bytes);
+            let before = live.len();
+            let net = twin.net();
+            live.retain(|&(_, d)| !net.is_dead(d) && !net.is_dead(src));
+            want_skips += (before - live.len()) as u64;
+            let mut instants: Vec<SimTime> = live.iter().map(|&(at, _)| at).collect();
+            instants.sort_unstable();
+            instants.dedup();
+            prop_assert_eq!(sim.pending() - pending, instants.len() + 1);
+            for &(at, d) in &live {
+                let hook = Rc::clone(&hook);
+                ref_sim.schedule_at(at, move |log, sim| hook(log, sim, Reached::one(&d)));
+            }
+        }
+        let (mut log, mut reference) = (HookLog::new(), HookLog::new());
+        sim.run(&mut log);
+        ref_sim.run(&mut reference);
+        prop_assert_eq!(log, reference);
+        prop_assert_eq!(fab.net().stats().dead_skips, want_skips);
+        prop_assert_eq!(clocks(&mut fab), clocks(&mut twin));
+        prop_assert_eq!(fab.net().bulk_seq(), twin.net().bulk_seq());
     }
 
     /// Multicasts are totally ordered on both fabrics: two multicasts from

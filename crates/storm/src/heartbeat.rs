@@ -127,7 +127,7 @@ fn beat<W: BcsWorld>(
     // ack word freezes — no NM cooperation needed for fail-stop detection.
     let m_ack = Rc::clone(&m);
     let per_dest: bcs_core::DeliverFn<W> = Rc::new(move |w: &mut W, _sim, reached| {
-        for &node in reached {
+        for node in reached.nodes() {
             if !m_ack.borrow().silenced.contains(&node) {
                 w.bcs().add_word(node, WORD_ACK, 1);
             }

@@ -76,7 +76,7 @@ pub fn launch_job(
             let local = SimDuration::nanos(
                 (image_bytes as f64 * cost2.write_ns_per_byte) as u64,
             ) + cost2.fork * procs_per_node as u64;
-            for &node in reached {
+            for node in reached.nodes() {
                 sim.schedule_in(local, move |w: &mut StormWorld, _sim| {
                     w.bcs.add_word(node, WORD_READY, 1);
                 });

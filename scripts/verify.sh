@@ -32,7 +32,8 @@
 #      at most 2.5 host allocations, no copy and under two heap entries per
 #      three events; the run-chained event queue equals its (time, seq)
 #      model; an idle barrier loop runs the same six per-node microphase
-#      bodies on 1024 nodes as on 64; two `repro` runs print the same
+#      bodies, and its strobes look at the same 15 nodes, on 1024 and on
+#      8192 nodes as on 64 (BcsStats::strobe_visits); two `repro` runs print the same
 #      standard output except the `sweep:` line and write nothing but CSVs
 #      (release-only in cli.rs)
 #   4. the fault ablation (quick), tolerance-gated, emitting
