@@ -11,7 +11,7 @@
 //! complex values so results are verifiable and engine-invariant.
 
 use crate::runner::grid_dims;
-use mpi_api::datatype::{ReduceOp, from_bytes_f64, to_bytes_f64};
+use mpi_api::datatype::{ReduceOp, from_chunks_f64, to_bytes_f64};
 use mpi_api::{AsyncMpi, RankProgram};
 use simcore::SimDuration;
 
@@ -99,7 +99,7 @@ pub fn ft_bench(cfg: FtCfg) -> impl RankProgram<Out = u64> {
                     .map(to_bytes_f64)
                     .collect();
                 let got = mpi.alltoallv_on(&row, &send).await;
-                data = got.iter().flat_map(|c| from_bytes_f64(c)).collect();
+                data = from_chunks_f64(&got);
                 fft_pass(&mut data, 0.55);
 
                 // Transpose across the column communicator.
@@ -109,7 +109,7 @@ pub fn ft_bench(cfg: FtCfg) -> impl RankProgram<Out = u64> {
                     .map(to_bytes_f64)
                     .collect();
                 let got = mpi.alltoallv_on(&col, &send).await;
-                data = got.iter().flat_map(|c| from_bytes_f64(c)).collect();
+                data = from_chunks_f64(&got);
                 mpi.compute(cfg.iter_compute / 2).await;
 
                 // Row-level partial checksum, then the world checksum (the

@@ -8,7 +8,7 @@
 //! initializing the BCS-MPI runtime system" (§5.3).
 
 use mpi_api::datatype::ReduceOp;
-use mpi_api::datatype::{from_bytes_i32, to_bytes_i32};
+use mpi_api::datatype::{from_chunks_i32, to_bytes_i32};
 use mpi_api::{AsyncMpi, RankProgram};
 use simcore::{SimDuration, SimRng};
 
@@ -81,11 +81,8 @@ pub fn is_bench(cfg: IsCfg) -> impl RankProgram<Out = u64> {
                 }
                 let chunks: Vec<Vec<u8>> = outgoing.iter().map(|c| to_bytes_i32(c)).collect();
                 let incoming = mpi.alltoallv(&chunks).await;
-                let mut mine: Vec<u32> = incoming
-                    .iter()
-                    .flat_map(|c| from_bytes_i32(c))
-                    .map(|k| k as u32)
-                    .collect();
+                let mut mine: Vec<u32> =
+                    from_chunks_i32(&incoming).into_iter().map(|k| k as u32).collect();
                 mine.sort_unstable();
 
                 // Verification 1: local count matches the global histogram.

@@ -124,7 +124,8 @@ type RoundKey = (u32, usize, u64);
 pub(crate) struct CollState {
     /// Invocation counters per member and slot: which round a post joins.
     counters: RoundCounters,
-    /// Changed only through [`CollState::edit_round`].
+    /// Changed through [`CollState::edit_round`]; a member's arrival
+    /// through [`CollState::joining`].
     rounds: BTreeMap<RoundKey, CollRound>,
     compute_nodes: usize,
     /// Round-schedule tables keyed by `(comm, block count)` — pure
@@ -148,12 +149,12 @@ impl CollState {
         &self.rounds
     }
 
-    /// The one mutable access to the rounds: `f` inserts, changes or
-    /// removes the round `key`, and then the master of every round left in
-    /// its `(comm, slot)` is touched. What the MSM, BBM and RM predicates
-    /// read of the rounds is the rounds' own state and which of them heads
-    /// its `(comm, slot)` (`msm_query_heads`, `rooted_rounds`), so an
-    /// untouched node stays idle (`p2p::Nics`).
+    /// The one way to make a change the predicates read: `f` inserts,
+    /// changes or removes the round `key`, and then the master of every
+    /// round left in its `(comm, slot)` is touched. What the MSM, BBM and
+    /// RM predicates read of the rounds is the rounds' own state and which
+    /// of them heads its `(comm, slot)` (`msm_query_heads`,
+    /// `rooted_rounds`), so an untouched node stays idle (`p2p::Nics`).
     pub fn edit_round<R>(
         &mut self,
         nic: &mut Nics,
@@ -166,6 +167,15 @@ impl CollState {
             nic.touch(r.master);
         }
         out
+    }
+
+    /// The open round `key`, for a member joining it. A join changes only
+    /// the round's contributions and arrival counts, which no predicate
+    /// reads, so unlike the four edits [`CollState::edit_round`] makes —
+    /// creating, querying, scheduling and retiring a round — it touches no
+    /// node.
+    pub fn joining(&mut self, key: RoundKey) -> Option<&mut CollRound> {
+        self.rounds.get_mut(&key)
     }
 
     pub fn describe(&self) -> String {
@@ -218,19 +228,7 @@ pub(crate) fn post_collective(
     let compute_nodes = e.coll.compute_nodes;
     let master = e.layout.node_of(group.members()[root]);
 
-    let all_local_posted = e.coll.edit_round(&mut e.nic, (comm.0, slot, id), |entry| {
-        let round = entry.or_insert_with(|| CollRound {
-            kind,
-            comm,
-            root,
-            master,
-            params,
-            contribs: vec![None; size],
-            arrived: 0,
-            arrived_on_node: vec![0; compute_nodes],
-            scheduled: false,
-            query_inflight: false,
-        });
+    let join = move |round: &mut CollRound| {
         assert_eq!(round.kind, kind, "mismatched collective kinds across ranks");
         assert_eq!(round.root, root, "mismatched collective roots across ranks");
         if params.is_some() {
@@ -253,7 +251,27 @@ pub(crate) fn post_collective(
         round.arrived += 1;
         round.arrived_on_node[node.0] += 1;
         round.arrived_on_node[node.0] == local_members
-    });
+    };
+    // The first arrival creates the round and touches its master; the
+    // others join it in place.
+    let key = (comm.0, slot, id);
+    let all_local_posted = match e.coll.joining(key) {
+        Some(round) => join(round),
+        None => e.coll.edit_round(&mut e.nic, key, |entry| {
+            join(entry.or_insert_with(|| CollRound {
+                kind,
+                comm,
+                root,
+                master,
+                params,
+                contribs: vec![None; size],
+                arrived: 0,
+                arrived_on_node: vec![0; compute_nodes],
+                scheduled: false,
+                query_inflight: false,
+            }))
+        }),
+    };
     if all_local_posted {
         // BR pre-processing (§4.4): all local member ranks have invoked the
         // collective — set the per-(comm, kind) flag word the master's

@@ -16,9 +16,13 @@
 //! is answered from one [`Group`] built when the communicator is created
 //! (DESIGN §9): the member list sorted by world rank. Ranks are
 //! block-distributed over nodes, so that one order is also grouped by node.
+//! When the sorted list is one ascending run of world ranks — the world,
+//! FT's row communicators, any block split — every answer is a subtraction;
+//! other groups (FT's strided columns) binary-search the list.
 
 use crate::runtime::JobLayout;
 use qsnet::{NodeId, NodeSet};
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -67,9 +71,15 @@ pub struct Group {
     /// Distinct nodes hosting members, ascending; for the world, one run
     /// of node ids from 0.
     nodes: NodeSet,
+    /// `lo` when `sorted` is the run `lo..lo + sorted.len()`: positions in
+    /// it are then subtractions, as in `NodeSet::positions`.
+    run_from: Option<usize>,
     /// Ranks are block-distributed (`node = rank / cpus_per_node`), so a
     /// node's members are adjacent in `sorted`.
     cpus_per_node: usize,
+    /// Binary searches of `sorted` made, for complexity tests.
+    #[cfg(test)]
+    searches: std::cell::Cell<u64>,
 }
 
 impl Group {
@@ -97,13 +107,20 @@ impl Group {
                 nodes.push(node);
             }
         }
+        let run_from = sorted
+            .first()
+            .copied()
+            .filter(|&lo| sorted.iter().enumerate().all(|(i, &r)| r == lo + i));
         Group {
             id,
             members,
             sorted,
             rank_of_sorted,
             nodes: NodeSet::new(nodes.into()),
+            run_from,
             cpus_per_node: layout.cpus_per_node,
+            #[cfg(test)]
+            searches: Default::default(),
         }
     }
 
@@ -124,8 +141,40 @@ impl Group {
         }
     }
 
+    #[inline]
+    fn searched(&self) {
+        #[cfg(test)]
+        self.searches.set(self.searches.get() + 1);
+    }
+
+    /// Where `world_rank` sits in `sorted`, if it is a member.
+    fn position(&self, world_rank: usize) -> Option<usize> {
+        match self.run_from {
+            Some(lo) => world_rank.checked_sub(lo).filter(|&i| i < self.sorted.len()),
+            None => {
+                self.searched();
+                self.sorted.binary_search(&world_rank).ok()
+            }
+        }
+    }
+
+    /// The positions in `sorted` of the members among world ranks `ranks`.
+    fn span_of(&self, ranks: Range<usize>) -> Range<usize> {
+        match self.run_from {
+            Some(lo) => {
+                let clamp = |r: usize| r.saturating_sub(lo).min(self.sorted.len());
+                clamp(ranks.start)..clamp(ranks.end)
+            }
+            None => {
+                self.searched();
+                let pos = |r: usize| self.sorted.partition_point(|&m| m < r);
+                pos(ranks.start)..pos(ranks.end)
+            }
+        }
+    }
+
     pub fn is_member(&self, world_rank: usize) -> bool {
-        self.sorted.binary_search(&world_rank).is_ok()
+        self.position(world_rank).is_some()
     }
 
     /// Where a member sits in `sorted`.
@@ -133,7 +182,7 @@ impl Group {
     // layer only passes communicators the calling rank holds a handle to);
     // the message names everything needed to find it.
     fn member_at(&self, world_rank: usize) -> usize {
-        self.sorted.binary_search(&world_rank).unwrap_or_else(|_| {
+        self.position(world_rank).unwrap_or_else(|| {
             panic!(
                 "world rank {world_rank} is not a member of {:?} ({} members)",
                 self.id,
@@ -147,17 +196,21 @@ impl Group {
         self.rank_at(self.member_at(world_rank))
     }
 
-    /// What posting a collective needs to know about its caller, from one
-    /// search: the member's communicator rank and how many members its node
-    /// hosts. A node's members are adjacent in `sorted` and at most
-    /// `cpus_per_node`, so the count is read off the caller's neighbours.
+    /// What posting a collective needs to know about its caller: the
+    /// member's communicator rank and how many members its node hosts. For
+    /// a run both are subtractions; otherwise one search finds the caller,
+    /// and as a node's members are adjacent in `sorted` and at most
+    /// `cpus_per_node`, the count is read off the caller's neighbours.
     pub fn locate(&self, world_rank: usize) -> (usize, usize) {
         let at = self.member_at(world_rank);
         let cpus = self.cpus_per_node;
         let block = world_rank / cpus * cpus;
-        let near = &self.sorted[at.saturating_sub(cpus - 1)..self.sorted.len().min(at + cpus)];
-        let on_node =
-            near.partition_point(|&r| r < block + cpus) - near.partition_point(|&r| r < block);
+        let on_node = if self.run_from.is_some() {
+            self.span_of(block..block + cpus).len()
+        } else {
+            let near = &self.sorted[at.saturating_sub(cpus - 1)..self.sorted.len().min(at + cpus)];
+            near.partition_point(|&r| r < block + cpus) - near.partition_point(|&r| r < block)
+        };
         (self.rank_at(at), on_node)
     }
 
@@ -169,9 +222,7 @@ impl Group {
     /// Member world ranks hosted on `node`, ascending (empty if none).
     pub fn ranks_on(&self, node: NodeId) -> &[usize] {
         let block = node.0 * self.cpus_per_node;
-        let lo = self.sorted.partition_point(|&r| r < block);
-        let hi = self.sorted.partition_point(|&r| r < block + self.cpus_per_node);
-        &self.sorted[lo..hi]
+        &self.sorted[self.span_of(block..block + self.cpus_per_node)]
     }
 
     /// The member nodes with `master` rotated to the front — position 0 of
@@ -436,6 +487,47 @@ mod tests {
         assert_eq!(out2.assignments.len(), 3);
         let s0 = out2.assignments.iter().find(|(r, _)| *r == 0).unwrap().1.clone().unwrap();
         assert_eq!(*s0.members, [0, 1]);
+    }
+
+    #[test]
+    fn runs_are_answered_without_searching() {
+        // NPB FT's 4 x 4 process grid, two ranks per node: a row
+        // communicator (colour `r / 4`) is a run of world ranks, a column
+        // (colour `r % 4`) is strided.
+        let (n, pc) = (16, 4);
+        let mut reg = registry(n);
+        let mut split = |colour: fn(usize, usize) -> usize| {
+            let mut out = None;
+            for r in 0..n {
+                out = reg.arrive_split(CommId::WORLD, r, colour(r, pc) as i64, r as i64);
+            }
+            let mut ids: Vec<CommId> =
+                out.unwrap().assignments.iter().map(|(_, h)| h.as_ref().unwrap().id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        let rows = split(|r, pc| r / pc);
+        let cols = split(|r, pc| r % pc);
+        assert_eq!((rows.len(), cols.len()), (4, 4));
+        let searches = |id: CommId| {
+            let group = reg.group(id);
+            let before = group.searches.get();
+            for &r in group.members().iter() {
+                group.locate(r);
+            }
+            for node in 0..n / 2 {
+                group.ranks_on(NodeId(node));
+            }
+            group.searches.get() - before
+        };
+        assert_eq!(searches(CommId::WORLD), 0);
+        for row in rows {
+            assert_eq!(searches(row), 0, "row {row:?} searched");
+        }
+        for col in cols {
+            assert!(searches(col) > 0, "column {col:?} took the run path");
+        }
     }
 
     #[test]

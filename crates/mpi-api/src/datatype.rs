@@ -131,43 +131,52 @@ pub fn identity(op: ReduceOp, dtype: Datatype, elems: usize) -> Vec<u8> {
 // Typed slice <-> bytes helpers, used throughout the workloads.
 // ----------------------------------------------------------------------
 
-/// View a typed slice as little-endian bytes.
-pub fn to_bytes_f64(xs: &[f64]) -> Vec<u8> {
-    xs.iter().flat_map(|x| x.to_le_bytes()).collect()
+macro_rules! le_codec {
+    ($ty:ty, $to:ident, $from:ident, $from_chunks:ident) => {
+        /// `xs` as little-endian bytes, written into one buffer sized up
+        /// front.
+        pub fn $to(xs: &[$ty]) -> Vec<u8> {
+            const SIZE: usize = size_of::<$ty>();
+            let mut out = vec![0; xs.len() * SIZE];
+            for (bytes, x) in out.chunks_exact_mut(SIZE).zip(xs) {
+                bytes.copy_from_slice(&x.to_le_bytes());
+            }
+            out
+        }
+
+        /// The inverse of the encoding above, bit for bit.
+        pub fn $from(b: &[u8]) -> Vec<$ty> {
+            $from_chunks(&[b])
+        }
+
+        /// Byte chunks laid end to end — the pieces an all-to-all or a
+        /// gather returns — decoded into one vector sized up front.
+        pub fn $from_chunks<B: AsRef<[u8]>>(chunks: &[B]) -> Vec<$ty> {
+            const SIZE: usize = size_of::<$ty>();
+            let bytes: usize = chunks.iter().map(|c| c.as_ref().len()).sum();
+            let mut out = Vec::with_capacity(bytes / SIZE);
+            for chunk in chunks {
+                let chunk = chunk.as_ref();
+                assert_eq!(chunk.len() % SIZE, 0, "buffer not a multiple of element size");
+                out.extend(
+                    chunk
+                        .chunks_exact(SIZE)
+                        .map(|c| <$ty>::from_le_bytes(c.try_into().unwrap())),
+                );
+            }
+            out
+        }
+    };
 }
 
-pub fn from_bytes_f64(b: &[u8]) -> Vec<f64> {
-    assert_eq!(b.len() % 8, 0);
-    b.chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
-pub fn to_bytes_i64(xs: &[i64]) -> Vec<u8> {
-    xs.iter().flat_map(|x| x.to_le_bytes()).collect()
-}
-
-pub fn from_bytes_i64(b: &[u8]) -> Vec<i64> {
-    assert_eq!(b.len() % 8, 0);
-    b.chunks_exact(8)
-        .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
-pub fn to_bytes_i32(xs: &[i32]) -> Vec<u8> {
-    xs.iter().flat_map(|x| x.to_le_bytes()).collect()
-}
-
-pub fn from_bytes_i32(b: &[u8]) -> Vec<i32> {
-    assert_eq!(b.len() % 4, 0);
-    b.chunks_exact(4)
-        .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
+le_codec!(f64, to_bytes_f64, from_bytes_f64, from_chunks_f64);
+le_codec!(i64, to_bytes_i64, from_bytes_i64, from_chunks_i64);
+le_codec!(i32, to_bytes_i32, from_bytes_i32, from_chunks_i32);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proplite::prelude::*;
 
     #[test]
     fn sizes() {
@@ -246,6 +255,57 @@ mod tests {
             let b = to_bytes_i32(&[37, -12]);
             combine_native(op, Datatype::I32, &mut id, &b);
             assert_eq!(from_bytes_i32(&id), vec![37, -12], "{op:?}");
+        }
+    }
+
+    /// Doubles with the awkward bit patterns weighted up: NaNs with
+    /// payloads, ±0, subnormals and ±∞.
+    fn f64_bits() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            3 => any::<u64>(),
+            1 => any::<u64>().prop_map(|b| b | 0x7FF0_0000_0000_0001), // NaNs
+            1 => any::<u64>().prop_map(|b| b & 0x800F_FFFF_FFFF_FFFF), // ±0, subnormals
+            1 => prop_oneof![
+                Just(0u64),
+                Just(1 << 63),
+                Just(f64::INFINITY.to_bits()),
+                Just(f64::NEG_INFINITY.to_bits()),
+            ],
+        ]
+    }
+
+    proplite! {
+        #![config(cases = 256)]
+
+        #[test]
+        fn encodings_are_le_concatenations_and_invert(
+            f in prop::collection::vec(f64_bits(), 0..12),
+            l in prop::collection::vec(any::<i64>(), 0..12),
+            i in prop::collection::vec(any::<i32>(), 0..12),
+            cut in 0..13usize,
+        ) {
+            // The reference is the per-element `flat_map` the one-pass
+            // encoders replaced; decoding, whole or from two chunks cut at
+            // an element boundary, gives back every bit.
+            let f: Vec<f64> = f.into_iter().map(f64::from_bits).collect();
+            let bytes = to_bytes_f64(&f);
+            prop_assert_eq!(&bytes, &f.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>());
+            let bits = |xs: Vec<f64>| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(from_bytes_f64(&bytes)), bits(f.clone()));
+            let at = cut.min(f.len()) * 8;
+            prop_assert_eq!(bits(from_chunks_f64(&[&bytes[..at], &bytes[at..]])), bits(f));
+
+            let bytes = to_bytes_i64(&l);
+            prop_assert_eq!(&bytes, &l.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>());
+            prop_assert_eq!(&from_bytes_i64(&bytes), &l);
+            let at = cut.min(l.len()) * 8;
+            prop_assert_eq!(&from_chunks_i64(&[&bytes[..at], &bytes[at..]]), &l);
+
+            let bytes = to_bytes_i32(&i);
+            prop_assert_eq!(&bytes, &i.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>());
+            prop_assert_eq!(&from_bytes_i32(&bytes), &i);
+            let at = cut.min(i.len()) * 4;
+            prop_assert_eq!(&from_chunks_i32(&[&bytes[..at], &bytes[at..]]), &i);
         }
     }
 

@@ -4,6 +4,9 @@
 //! communicator rank, whether it is a member, which nodes host members, how
 //! many and which members a node hosts, both at once for the caller of a
 //! collective — has the answer a search of the plain member list gives.
+//! Run-shaped splits (blocks of consecutive ranks, one run, one member, the
+//! whole parent) are mixed in, so that groups answered by arithmetic rather
+//! than by search meet the same model, on 1 to 4 ranks per node.
 
 use mpi_api::comm::{CommId, CommRegistry};
 use mpi_api::runtime::JobLayout;
@@ -17,13 +20,25 @@ const MAX_RANKS: usize = 24;
 type Split = (usize, Vec<(i64, i64)>);
 
 fn splits() -> impl Strategy<Value = Vec<Split>> {
-    prop::collection::vec(
-        (
-            0..8usize,
-            prop::collection::vec((-1..3i64, -2..3i64), MAX_RANKS..MAX_RANKS + 1),
-        ),
-        0..6,
-    )
+    let random = prop::collection::vec((-1..3i64, -2..3i64), MAX_RANKS..MAX_RANKS + 1);
+    let runs = (0..5usize, 1..9usize, 0..8usize).prop_map(|(shape, k, lo)| run_args(shape, k, lo));
+    prop::collection::vec((0..8usize, prop_oneof![random, runs]), 0..6)
+}
+
+/// `comm_split` arguments whose groups are runs of world ranks when the
+/// parent is one: blocks of `k` consecutive ranks (colour `r / k`) with
+/// ascending keys and with descending keys, the one run `lo..lo + k`, the
+/// one member `lo`, and the whole parent again.
+fn run_args(shape: usize, k: usize, lo: usize) -> Vec<(i64, i64)> {
+    (0..MAX_RANKS)
+        .map(|r| match shape {
+            0 => ((r / k) as i64, 0),
+            1 => ((r / k) as i64, -(r as i64)),
+            2 => (if (lo..lo + k).contains(&r) { 0 } else { -1 }, 0),
+            3 => (if r == lo { 0 } else { -1 }, 0),
+            _ => (0, 0),
+        })
+        .collect()
 }
 
 /// `MPI_Comm_split` on plain lists: one new list per non-negative colour in
@@ -49,7 +64,7 @@ proplite! {
     #[test]
     fn index_agrees_with_linear_scans(
         ranks in 1..MAX_RANKS + 1,
-        cpus in 1..4usize,
+        cpus in 1..5usize,
         splits in splits(),
     ) {
         let layout = JobLayout::new(ranks.div_ceil(cpus) + 1, cpus, ranks);

@@ -21,7 +21,10 @@
 #   3. the conformance lattice at four times its default case count (one
 #      generated program in all 30 engine x fabric x collective x schedule
 #      x coalescing cells, every form, seeded fault plans; DESIGN.md
-#      section 16), the fault-recovery scenarios (the golden recovery
+#      section 16) and, beside it at four times its case count too,
+#      membership_model (communicator membership against plain member
+#      lists, run-shaped splits included: it guards the arithmetic that
+#      answers a run of world ranks without a search), the fault-recovery scenarios (the golden recovery
 #      table, in which every restore takes over the halted segment's ranks
 #      and re-feeds no response; the polling ring whose restore falls back
 #      to the full replay; a lookahead carried across two restores; copy-
@@ -89,8 +92,9 @@ cargo test --workspace -q
 echo "== benchmark package compiles against the product surface (perf/, build only)"
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
-echo "== conformance lattice (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, event-queue model, idle scaling, repro output repeats)"
+echo "== conformance lattice + membership model (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, event-queue model, idle scaling, repro output repeats)"
 PROPLITE_CASES=48 cargo test --release -q --test conformance
+PROPLITE_CASES=512 cargo test --release -q -p mpi-api --test membership_model
 cargo test --release -q --test fault_recovery
 cargo test --release -q -p mpi-api --lib payload::
 cargo test --release -q -p bcs-mpi --test capture_flatness
