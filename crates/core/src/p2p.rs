@@ -28,7 +28,7 @@ use mpi_api::idtable::IdTable;
 use mpi_api::message::{SrcSel, Status, TagSel};
 use mpi_api::payload::Payload;
 use mpi_api::request::ReqKind;
-use mpi_api::runtime::resume_at;
+use mpi_api::runtime::{resume_at, resume_req_at};
 use simcore::Sim;
 use std::rc::Rc;
 
@@ -344,7 +344,7 @@ pub(crate) fn post_send(
         e.reqs.block_on_send(rank, req);
     } else {
         let at = now + e.cfg.post_cost;
-        resume_at(w, sim, at, rank, MpiResp::Req(req));
+        resume_req_at(w, sim, at, rank, req);
     }
 }
 
@@ -376,7 +376,7 @@ pub(crate) fn post_recv(
         e.reqs.block_on_recv(rank, req);
     } else {
         let at = now + e.cfg.post_cost;
-        resume_at(w, sim, at, rank, MpiResp::Req(req));
+        resume_req_at(w, sim, at, rank, req);
     }
 }
 

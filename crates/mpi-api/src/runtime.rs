@@ -19,7 +19,7 @@
 //! Completions therefore go through a queue ([`ClusterWorld::resume`])
 //! drained at the top level ([`drain`]) rather than recursing.
 
-use crate::call::{MpiCall, MpiResp};
+use crate::call::{MpiCall, MpiResp, ReqId};
 use crate::chunklog::{ChunkLog, LogSnapshot};
 use crate::ctx::{AsyncMpi, RankProgram};
 use crate::idtable::IdTable;
@@ -139,7 +139,7 @@ pub struct ClusterWorld<E: Engine> {
     /// rank — the call/response protocol is lock-step, so a rank has at
     /// most one response in flight — each with its scheduling number.
     /// Tracked in the world (not closures) so checkpoints can capture them.
-    pending_resumes: Vec<Option<(u64, SimTime, MpiResp)>>,
+    pending_resumes: Vec<PendingResume>,
     /// Completions scheduled so far: the next one's scheduling number.
     resumes_scheduled: u64,
     /// When set, every response delivered to a rank is appended to `log`
@@ -190,7 +190,7 @@ impl<E: Engine> ClusterWorld<E> {
             draining: false,
             batches: (0..ranks).map(|_| None).collect(),
             pending_call: vec![None; ranks],
-            pending_resumes: vec![None; ranks],
+            pending_resumes: vec![PendingResume::NONE; ranks],
             resumes_scheduled: 0,
             record_resps: false,
             log: ChunkLog::new(),
@@ -329,7 +329,8 @@ impl<E: Engine> ClusterWorld<E> {
         self.tape.clear();
         let mut pending: Vec<(u64, (SimTime, usize, MpiResp))> = (self.pending_resumes.iter())
             .enumerate()
-            .filter_map(|(rank, p)| p.as_ref().map(|(seq, at, resp)| (*seq, (*at, rank, resp.clone()))))
+            .filter(|(_, p)| !p.is_empty())
+            .map(|(rank, p)| (p.seq, (p.at, rank, p.resp.clone())))
             .collect();
         pending.sort_unstable_by_key(|&(seq, _)| seq);
         RuntimeImage {
@@ -519,43 +520,79 @@ pub fn drain<E: Engine>(w: &mut ClusterWorld<E>, sim: &mut Sim<ClusterWorld<E>>)
     if w.draining {
         return; // the outer drain loop will pick up new completions
     }
+    if let Some((rank, resp)) = w.pending.pop_front() {
+        drain_from(w, sim, rank, resp);
+    }
+}
+
+/// [`drain`], its first completion handed over instead of queued: a
+/// response moves from its pending-resume slot to the rank without a stop
+/// in the queue (see [`resume_at`]). Nothing may be queued ahead of it.
+#[inline]
+fn drain_from<E: Engine>(
+    w: &mut ClusterWorld<E>,
+    sim: &mut Sim<ClusterWorld<E>>,
+    mut rank: usize,
+    mut resp: MpiResp,
+) {
+    debug_assert!(!w.draining, "drain_from inside a drain");
     w.draining = true;
-    while let Some((rank, resp)) = w.pending.pop_front() {
-        // A rank inside a batch is not resumed per sub-response: the
-        // response is accumulated and the next sub-call issued in its
-        // place, at the same virtual instant.
-        let resp = if w.batches[rank].is_some() {
-            let st = w.batches[rank].as_mut().expect("checked above");
-            st.resps.push(resp);
-            match st.queue.pop_front() {
-                Some(next) => {
-                    issue_call(w, sim, rank, next);
-                    continue;
-                }
-                None => {
-                    let st = w.batches[rank].take().expect("checked above");
-                    MpiResp::Batch { resps: st.resps }
-                }
-            }
-        } else {
-            resp
-        };
-        let next = if w.record_resps {
-            let next = w.step_recorded(rank, resp);
-            if w.diverged.is_some() {
-                w.pending.clear();
-                break;
-            }
-            next
-        } else {
-            w.step(rank, resp)
-        };
-        match next {
-            Some(call) => dispatch_call(w, sim, rank, call),
-            None => w.mark_finished(rank, sim.now()),
+    loop {
+        if !deliver(w, sim, rank, resp) {
+            w.pending.clear();
+            break;
+        }
+        match w.pending.pop_front() {
+            Some((r, x)) => (rank, resp) = (r, x),
+            None => break,
         }
     }
     w.draining = false;
+}
+
+/// Hand one completion to `rank` and route what it yields. A rank inside a
+/// batch is not resumed per sub-response: the response is accumulated and
+/// the next sub-call issued in its place, at the same virtual instant.
+/// Returns `false` when a recording run has diverged from its log.
+#[inline]
+fn deliver<E: Engine>(
+    w: &mut ClusterWorld<E>,
+    sim: &mut Sim<ClusterWorld<E>>,
+    rank: usize,
+    resp: MpiResp,
+) -> bool {
+    let resp = if let Some(st) = w.batches[rank].as_mut() {
+        st.resps.push(resp);
+        if let Some(next) = st.queue.front_mut() {
+            // `issue_call` spelled out. The sub-call is moved out whole and
+            // its placeholder dropped where it lies: `pop_front` would test
+            // for `None` first and copy the call out in pieces, which the
+            // engine then reads back slower than it was written.
+            let call = std::mem::replace(next, MpiCall::Now);
+            st.queue.drain(..1);
+            w.pending_call[rank] = Some((call.op_name(), sim.now()));
+            E::on_call(w, sim, rank, call);
+            return true;
+        }
+        let st = w.batches[rank].take().expect("checked above");
+        MpiResp::Batch { resps: st.resps }
+    } else {
+        resp
+    };
+    let next = if w.record_resps {
+        let next = w.step_recorded(rank, resp);
+        if w.diverged.is_some() {
+            return false;
+        }
+        next
+    } else {
+        w.step(rank, resp)
+    };
+    match next {
+        Some(call) => dispatch_call(w, sim, rank, call),
+        None => w.mark_finished(rank, sim.now()),
+    }
+    true
 }
 
 /// Schedule `resp` to be delivered to `rank` at virtual time `at`.
@@ -564,8 +601,6 @@ pub fn drain<E: Engine>(w: &mut ClusterWorld<E>, sim: &mut Sim<ClusterWorld<E>>)
 /// [`ClusterWorld::runtime_image`]); the scheduled event only carries the
 /// rank and its scheduling number, so a checkpoint restore can re-create
 /// the exact delivery schedule.
-// PANIC-OK: a rank yields its next call only after its response arrives,
-// so an engine that schedules a second one for it is broken, not loaded.
 pub fn resume_at<E: Engine>(
     w: &mut ClusterWorld<E>,
     sim: &mut Sim<ClusterWorld<E>>,
@@ -573,19 +608,52 @@ pub fn resume_at<E: Engine>(
     rank: usize,
     resp: MpiResp,
 ) {
+    let (seq, slot) = claim_resume(w, sim, at, rank);
+    *slot = PendingResume { seq, at, resp };
+}
+
+/// [`resume_at`] with the handle of a freshly posted non-blocking
+/// operation, the response of every `isend`/`irecv`: the
+/// [`MpiResp::Req`] is built once, in the rank's pending-resume slot.
+pub fn resume_req_at<E: Engine>(
+    w: &mut ClusterWorld<E>,
+    sim: &mut Sim<ClusterWorld<E>>,
+    at: SimTime,
+    rank: usize,
+    req: ReqId,
+) {
+    let (seq, slot) = claim_resume(w, sim, at, rank);
+    *slot = PendingResume { seq, at, resp: MpiResp::Req(req) };
+}
+
+/// Schedule the delivery event of `rank`'s next resume, at `at`, and return
+/// its scheduling number and the empty slot its response goes in.
+// PANIC-OK: a rank yields its next call only after its response arrives,
+// so an engine that schedules a second one for it is broken, not loaded.
+#[inline]
+fn claim_resume<'w, E: Engine>(
+    w: &'w mut ClusterWorld<E>,
+    sim: &mut Sim<ClusterWorld<E>>,
+    at: SimTime,
+    rank: usize,
+) -> (u64, &'w mut PendingResume) {
     let seq = w.resumes_scheduled;
     w.resumes_scheduled += 1;
-    let slot = &mut w.pending_resumes[rank];
-    assert!(slot.is_none(), "rank {rank} has a response in flight already");
-    *slot = Some((seq, at, resp));
     sim.schedule_at(at, move |w: &mut ClusterWorld<E>, sim| {
         let slot = &mut w.pending_resumes[rank];
-        if slot.as_ref().is_some_and(|&(s, _, _)| s == seq) {
-            let (_, _, resp) = slot.take().expect("checked just above");
-            w.resume(rank, resp);
-            drain(w, sim);
+        if slot.seq == seq {
+            let resp = slot.take();
+            if w.draining || !w.pending.is_empty() {
+                w.resume(rank, resp);
+                drain(w, sim);
+            } else {
+                drain_from(w, sim, rank, resp);
+            }
         }
     });
+    let slot = &mut w.pending_resumes[rank];
+    assert!(slot.is_empty(), "rank {rank} has a response in flight already");
+    (seq, slot)
 }
 
 /// Worlds whose engine hosts a BCS cluster expose it as [`bcs_core::BcsWorld`].
@@ -595,6 +663,34 @@ where
 {
     fn bcs(&mut self) -> &mut bcs_core::BcsCluster<Self> {
         self.engine.bcs_cluster()
+    }
+}
+
+/// A rank's scheduled-but-undelivered completion: its scheduling number,
+/// instant and response. Not an `Option`: the delivery checks the number
+/// alone, so the response is moved out whole, never first taken apart to
+/// test its variant.
+#[derive(Clone)]
+struct PendingResume {
+    seq: u64,
+    at: SimTime,
+    resp: MpiResp,
+}
+
+impl PendingResume {
+    /// The empty slot (no scheduling number is `u64::MAX`).
+    const NONE: PendingResume = PendingResume { seq: u64::MAX, at: SimTime::ZERO, resp: MpiResp::Ok };
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.seq == Self::NONE.seq
+    }
+
+    /// The response, leaving the slot empty.
+    #[inline]
+    fn take(&mut self) -> MpiResp {
+        self.seq = Self::NONE.seq;
+        std::mem::replace(&mut self.resp, MpiResp::Ok)
     }
 }
 
@@ -612,8 +708,8 @@ pub struct RunResult<R, E> {
     /// dispatch is not a delivery: one event may run the hooks of every
     /// destination a multicast reaches at one instant (DESIGN §9).
     pub events: u64,
-    /// Heap entries the simulator's queue pushed for them: one per run of
-    /// events scheduled back to back for one instant (DESIGN §9).
+    /// Queue entries the simulator pushed for them: one per run of events
+    /// scheduled back to back for one instant (DESIGN §9).
     pub heap_pushes: u64,
 }
 
@@ -633,9 +729,10 @@ pub struct RunOutcome<R, E> {
     pub finish_times: Vec<Option<SimTime>>,
     /// The engine, for stats/checkpoint inspection.
     pub engine: E,
-    /// Simulator dispatches executed (see [`RunResult::events`]) and the
-    /// heap entries pushed for them.
+    /// Simulator dispatches executed (see [`RunResult::events`]).
     pub events: u64,
+    /// Queue entries pushed for them, one per run (see
+    /// [`RunResult::heap_pushes`]).
     pub heap_pushes: u64,
     /// Human-readable reason when `completed` is false.
     pub diagnostic: Option<String>,

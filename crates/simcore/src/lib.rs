@@ -34,3 +34,8 @@ pub use vm::{ProcId, ProcYield, VmChannel, VmHarness};
 pub use rng::SimRng;
 pub use sim::Sim;
 pub use time::{SimDuration, SimTime};
+
+/// Unit tests count their allocations (`sim`'s steady-state test).
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;

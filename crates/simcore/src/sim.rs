@@ -9,15 +9,15 @@
 //! follow-up events. The engine takes an event out of the queue *before*
 //! invoking it, so the handler holds the only mutable borrow.
 //!
-//! ## An event is a closure, a heap entry is a run
+//! ## An event is a closure, a queue entry is a run
 //!
 //! Lock-step ranks and fan-out loops schedule long stretches of events for
 //! one instant back to back, so the queue stores *runs*: `schedule_at` links
 //! a new event behind the one the previous `schedule_*` call created when
 //! both are for the same instant and that one has not begun executing, and
-//! only otherwise pushes a heap entry. [`Sim::step`] still executes exactly
+//! only otherwise pushes a queue entry. [`Sim::step`] still executes exactly
 //! one closure; while the run it took it from has members left, the run's
-//! entry simply stays at the root.
+//! entry simply stays first.
 //!
 //! This is the `(time, schedule order)` order, not an approximation of it:
 //! the members of a run were created by consecutive calls for one instant,
@@ -28,8 +28,24 @@
 //!
 //! ## Storage layout
 //!
-//! * a manual binary min-heap of [`HeapEntry`] — `(time, seq, slot)`, 24
-//!   bytes, no drop glue — one per run, ordered by `(time, seq)`;
+//! * a monotone radix queue of runs, each an instant and the arena slot
+//!   of the run's first pending cell (no drop glue, no sequence number).
+//!   Nothing is ever scheduled before `now`, so the queue keeps `last`, the
+//!   instant of its latest refill (the instant the simulator is at), and 65
+//!   buckets: bucket 0 is a FIFO of the slots of the runs at `last`; bucket
+//!   `b >= 1` holds the runs whose time's highest bit differing from `last`
+//!   is bit `b - 1`, as a chain of 504-byte blocks of 31 `(time, slot)`
+//!   pairs drawn from one pool, so the queue holds what is queued now
+//!   rather than every bucket's own peak. A push is one `leading_zeros` and
+//!   one append; a `u64` occupancy mask of buckets 1 to 64 names the lowest
+//!   non-empty one. When bucket 0 runs dry, that bucket's minimum becomes
+//!   `last` and its runs are redistributed in order, each to a lower
+//!   bucket, so a run moves at most 64 times in its life (a bucket of one
+//!   run, the common case of a shallow queue, hands it straight to bucket
+//!   0). Every bucket stays in push order, which is why equal times leave
+//!   bucket 0 in `(time, push order)` (DESIGN §9). Blocks return to a free
+//!   list and bucket 0 keeps its capacity, so steady state allocates
+//!   nothing;
 //! * a slot arena of [`EventCell`]s, the run's members chained through
 //!   `next`, with a vacant-slot free list threaded through the same field so
 //!   steady-state scheduling recycles slots instead of growing.
@@ -69,18 +85,202 @@ struct EventCell<W> {
 // Six words of capture, the glue pointer, the link: one cache line.
 const _: () = assert!(size_of::<EventCell<()>>() == 64);
 
-/// POD heap node, one per run; ordered by `(time, seq)`, pointing at the
-/// run's first pending cell.
-#[derive(Clone, Copy)]
-struct HeapEntry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
+/// One bucket per possible highest differing bit of two `u64` times, plus
+/// bucket 0 for "no differing bit".
+const BUCKETS: usize = 65;
+
+/// Entries per block: with its fill count and link, a block is 504 bytes.
+const BLOCK: usize = 31;
+
+/// A piece of a bucket `b >= 1`: queued runs in push order, each an
+/// instant and the arena slot of the run's first pending cell. The header
+/// and the first entries share a cache line, which is all a bucket of a
+/// shallow queue touches.
+#[repr(C)]
+struct Block {
+    len: u32,
+    /// The bucket's next block, or the next free block.
+    next: u32,
+    runs: [(SimTime, u32); BLOCK],
 }
 
-#[inline]
-fn heap_less(a: &HeapEntry, b: &HeapEntry) -> bool {
-    (a.time, a.seq) < (b.time, b.seq)
+const _: () = assert!(size_of::<Block>() == 504 && std::mem::offset_of!(Block, runs) == 8);
+
+/// A bucket's chain of blocks, first to last.
+#[derive(Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+/// A monotone radix queue of runs (see "Storage layout").
+///
+/// Invariants: no queued run is before `last`; bucket 0 holds the runs at
+/// `last`, bucket `b >= 1` those whose time is in bucket
+/// [`RadixQueue::bucket_of`]; each bucket is in push order; bucket 0 holds
+/// a run exactly when `head < at_last.len()`; for `b >= 1`, bit `b - 1`
+/// of `occupied` is set exactly when bucket `b` holds a run, and then
+/// `chains[b]` is valid; every block before a chain's tail is full.
+struct RadixQueue {
+    /// Instant of the latest refill (`SimTime::ZERO` before any): the
+    /// instant the simulator is at.
+    last: SimTime,
+    /// Bucket 0: the slots of the runs at `last`, a FIFO whose entries
+    /// before `head` have been taken out.
+    at_last: Vec<u32>,
+    head: usize,
+    /// Buckets `1..BUCKETS` (entry 0 unused), their blocks drawn from
+    /// `blocks`, whose vacant ones are chained from `free`.
+    chains: [Chain; BUCKETS],
+    blocks: Vec<Block>,
+    free: u32,
+    occupied: u64,
+}
+
+impl RadixQueue {
+    fn new() -> Self {
+        RadixQueue {
+            last: SimTime::ZERO,
+            at_last: Vec::new(),
+            head: 0,
+            chains: [Chain { head: NIL, tail: NIL }; BUCKETS],
+            blocks: Vec::new(),
+            free: NIL,
+            occupied: 0,
+        }
+    }
+
+    /// 0 when `t == last`, else one more than the index of the highest bit
+    /// in which `t` differs from `last`.
+    #[inline]
+    fn bucket_of(&self, t: SimTime) -> usize {
+        (u64::BITS - (t.0 ^ self.last.0).leading_zeros()) as usize
+    }
+
+    /// An empty block: the first free one, or a new one.
+    #[inline]
+    fn new_block(&mut self) -> u32 {
+        if self.free != NIL {
+            let i = self.free;
+            let block = &mut self.blocks[i as usize];
+            self.free = block.next;
+            (block.len, block.next) = (0, NIL);
+            i
+        } else {
+            let i = u32::try_from(self.blocks.len()).expect("event queue exceeds u32 blocks");
+            self.blocks.push(Block { len: 0, next: NIL, runs: [(SimTime::ZERO, NIL); BLOCK] });
+            i
+        }
+    }
+
+    #[inline]
+    fn free_block(&mut self, i: u32) {
+        self.blocks[i as usize].next = self.free;
+        self.free = i;
+    }
+
+    /// Queue the run starting at cell `slot`, at `t` (not before `last`).
+    #[inline]
+    fn push(&mut self, t: SimTime, slot: u32) {
+        debug_assert!(t >= self.last);
+        let b = self.bucket_of(t);
+        if b == 0 {
+            self.at_last.push(slot);
+            return;
+        }
+        if self.occupied & (1 << (b - 1)) == 0 {
+            let i = self.new_block();
+            self.chains[b] = Chain { head: i, tail: i };
+            self.occupied |= 1 << (b - 1);
+        } else if self.blocks[self.chains[b].tail as usize].len as usize == BLOCK {
+            let i = self.new_block();
+            self.blocks[self.chains[b].tail as usize].next = i;
+            self.chains[b].tail = i;
+        }
+        let tail = &mut self.blocks[self.chains[b].tail as usize];
+        tail.runs[tail.len as usize] = (t, slot);
+        tail.len += 1;
+    }
+
+    /// The earliest run, `(time, push order)`-first, at the head of bucket
+    /// 0: its instant and its slot — or `None` when the queue is empty or
+    /// that run lies past `horizon`. Checking before a refill keeps `last`
+    /// from moving past a run that stays pending.
+    #[inline]
+    fn first(&mut self, horizon: Option<SimTime>) -> Option<(SimTime, &mut u32)> {
+        if self.head == self.at_last.len() {
+            if self.occupied == 0 {
+                return None;
+            }
+            let b = self.occupied.trailing_zeros() as usize + 1;
+            let Chain { head, tail } = self.chains[b];
+            let block = &self.blocks[head as usize];
+            if head == tail && block.len == 1 {
+                // A bucket of one run, the common case of a shallow queue:
+                // that run is the minimum and moves to bucket 0 alone.
+                let (t, slot) = block.runs[0];
+                if horizon.is_some_and(|h| t > h) {
+                    return None;
+                }
+                self.occupied &= !(1 << (b - 1));
+                self.last = t;
+                self.at_last.push(slot);
+                self.free_block(head);
+            } else {
+                let min = self.bucket_min(b);
+                if horizon.is_some_and(|h| min > h) {
+                    return None;
+                }
+                self.refill(b, min);
+            }
+        } else if horizon.is_some_and(|h| self.last > h) {
+            return None;
+        }
+        Some((self.last, &mut self.at_last[self.head]))
+    }
+
+    #[inline]
+    fn bucket_min(&self, b: usize) -> SimTime {
+        let (mut i, mut min) = (self.chains[b].head, SimTime(u64::MAX));
+        while i != NIL {
+            let block = &self.blocks[i as usize];
+            min = (block.runs[..block.len as usize].iter()).fold(min, |m, &(t, _)| m.min(t));
+            i = block.next;
+        }
+        min
+    }
+
+    /// Bucket 0 is empty: make `min`, the earliest time in bucket `b` (the
+    /// lowest occupied one), the new `last`, and redistribute `b` in order.
+    /// Every run of `b` lands in a lower bucket, at least those at `min`
+    /// in bucket 0; runs of higher buckets agree with `min` on the bits
+    /// that placed them, so they stay where they are.
+    #[inline]
+    fn refill(&mut self, b: usize, min: SimTime) {
+        debug_assert!(self.head == 0 && self.at_last.is_empty());
+        self.occupied &= !(1 << (b - 1));
+        self.last = min;
+        let mut i = self.chains[b].head;
+        while i != NIL {
+            let Block { len, next, .. } = self.blocks[i as usize];
+            for k in 0..len as usize {
+                let (t, slot) = self.blocks[i as usize].runs[k];
+                self.push(t, slot);
+            }
+            self.free_block(i); // only now: the pushes above cannot be handed it
+            i = next;
+        }
+    }
+
+    /// Take out the run [`RadixQueue::first`] returned.
+    #[inline]
+    fn pop_first(&mut self) {
+        self.head += 1;
+        if self.head == self.at_last.len() {
+            self.at_last.clear();
+            self.head = 0;
+        }
+    }
 }
 
 // SAFETY: callers must pass a `buf` that holds an initialized `F` the
@@ -103,24 +303,29 @@ const fn fits_inline<F>() -> bool {
     size_of::<F>() <= size_of::<InlineBuf>() && align_of::<F>() <= align_of::<InlineBuf>()
 }
 
-fn inline_cell<W, F: FnOnce(&mut W, &mut Sim<W>) + 'static>(f: F) -> EventCell<W> {
-    assert!(fits_inline::<F>());
-    let mut cell = EventCell {
-        buf: MaybeUninit::uninit(),
-        op: Some(consume_inline::<W, F> as EventOp<W>),
-        next: NIL,
-    };
-    // SAFETY: size and alignment asserted above; the buffer is exclusively
-    // owned by this fresh cell.
-    unsafe { (cell.buf.as_mut_ptr() as *mut F).write(f) };
-    cell
-}
+impl<W> EventCell<W> {
+    fn vacant() -> Self {
+        EventCell { buf: MaybeUninit::uninit(), op: None, next: NIL }
+    }
 
-fn make_cell<W, F: FnOnce(&mut W, &mut Sim<W>) + 'static>(f: F) -> EventCell<W> {
-    if fits_inline::<F>() {
-        inline_cell(f)
-    } else {
-        inline_cell(Box::new(f)) // a `Box<F>` is itself the closure, one word wide
+    /// Store `f` in this vacant cell, in place: a closure is written once,
+    /// into the arena, not built beside it and copied in.
+    fn fill<F: FnOnce(&mut W, &mut Sim<W>) + 'static>(&mut self, f: F) {
+        if fits_inline::<F>() {
+            self.fill_inline(f)
+        } else {
+            self.fill_inline(Box::new(f)) // a `Box<F>` is itself the closure, one word wide
+        }
+    }
+
+    fn fill_inline<F: FnOnce(&mut W, &mut Sim<W>) + 'static>(&mut self, f: F) {
+        assert!(fits_inline::<F>());
+        debug_assert!(self.op.is_none(), "filling an occupied slot");
+        // SAFETY: size and alignment asserted above; the cell is vacant, so
+        // its buffer holds nothing live, and `op` claims it only after this.
+        unsafe { (self.buf.as_mut_ptr() as *mut F).write(f) };
+        self.op = Some(consume_inline::<W, F> as EventOp<W>);
+        self.next = NIL;
     }
 }
 
@@ -129,7 +334,7 @@ const NIL: u32 = u32::MAX;
 /// A deterministic discrete-event simulator over a world `W`.
 pub struct Sim<W> {
     now: SimTime,
-    heap: Vec<HeapEntry>,
+    queue: RadixQueue,
     slots: Vec<EventCell<W>>,
     free_head: u32,
     /// The cell the latest `schedule_*` call created and its instant, while
@@ -138,7 +343,7 @@ pub struct Sim<W> {
     tail: u32,
     tail_time: SimTime,
     pending: usize,
-    /// Heap entries pushed so far; also the tie-breaking `seq` of the next.
+    /// Queue entries pushed so far, one per run.
     heap_pushes: u64,
     events_executed: u64,
     /// Optional hard cap on virtual time; events beyond it are not executed.
@@ -170,7 +375,7 @@ impl<W> Sim<W> {
     pub fn new() -> Self {
         Sim {
             now: SimTime::ZERO,
-            heap: Vec::new(),
+            queue: RadixQueue::new(),
             slots: Vec::new(),
             free_head: NIL,
             tail: NIL,
@@ -194,7 +399,7 @@ impl<W> Sim<W> {
         self.events_executed
     }
 
-    /// Number of heap entries pushed so far (diagnostic): one per run of
+    /// Number of queue entries pushed so far (diagnostic): one per run of
     /// events scheduled back to back for one instant, so at most the number
     /// of events scheduled.
     #[inline]
@@ -213,51 +418,18 @@ impl<W> Sim<W> {
         self.horizon = Some(t);
     }
 
-    fn alloc_slot(&mut self, cell: EventCell<W>) -> u32 {
+    /// A vacant slot: the head of the free list, or a new one.
+    fn vacant_slot(&mut self) -> u32 {
         if self.free_head != NIL {
             let slot = self.free_head;
-            let vacant = &mut self.slots[slot as usize];
+            let vacant = &self.slots[slot as usize];
             debug_assert!(vacant.op.is_none(), "free list points at an occupied slot");
             self.free_head = vacant.next;
-            *vacant = cell;
             slot
         } else {
             let slot = u32::try_from(self.slots.len()).expect("event arena exceeds u32 slots");
-            self.slots.push(cell);
+            self.slots.push(EventCell::vacant());
             slot
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if heap_less(&self.heap[i], &self.heap[parent]) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
-        loop {
-            let left = 2 * i + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let mut min = left;
-            if right < len && heap_less(&self.heap[right], &self.heap[left]) {
-                min = right;
-            }
-            if heap_less(&self.heap[min], &self.heap[i]) {
-                self.heap.swap(i, min);
-                i = min;
-            } else {
-                break;
-            }
         }
     }
 
@@ -273,15 +445,14 @@ impl<W> Sim<W> {
             self.now,
             t
         );
-        let slot = self.alloc_slot(make_cell(f));
+        let slot = self.vacant_slot();
+        self.slots[slot as usize].fill(f);
         if self.tail != NIL && self.tail_time == t {
             // Same instant as the call before: extend that run.
             self.slots[self.tail as usize].next = slot;
         } else {
-            let seq = self.heap_pushes;
             self.heap_pushes += 1;
-            self.heap.push(HeapEntry { time: t, seq, slot });
-            self.sift_up(self.heap.len() - 1);
+            self.queue.push(t, slot);
         }
         self.tail = slot;
         self.tail_time = t;
@@ -308,37 +479,30 @@ impl<W> Sim<W> {
     /// Execute a single event if one is pending (and within the horizon).
     /// Returns `false` when the queue is exhausted or the horizon reached.
     pub fn step(&mut self, world: &mut W) -> bool {
-        let Some(&root) = self.heap.first() else {
+        let Some((time, first)) = self.queue.first(self.horizon) else {
             return false;
         };
-        if let Some(h) = self.horizon {
-            if root.time > h {
-                return false;
-            }
-        }
-        // Take the first cell of the root run and vacate its slot (returning
+        let slot = *first;
+        // Take the first cell of the first run and vacate its slot (returning
         // it to the free list) *before* invoking the handler, so the handler
         // can schedule freely into the recycled capacity.
-        let cell = &mut self.slots[root.slot as usize];
-        let op = cell.op.take().expect("heap entry points at a vacant slot");
+        let cell = &mut self.slots[slot as usize];
+        let op = cell.op.take().expect("queue entry points at a vacant slot");
         let mut buf = cell.buf;
         let next = std::mem::replace(&mut cell.next, self.free_head);
-        self.free_head = root.slot;
+        self.free_head = slot;
         if next != NIL {
             // The run goes on, and its key still precedes every other
-            // entry's: the entry stays at the root, one cell further.
-            self.heap[0].slot = next;
+            // entry's: the entry stays first, one cell further.
+            *first = next;
         } else {
-            self.heap.swap_remove(0);
-            if !self.heap.is_empty() {
-                self.sift_down(0);
-            }
-            if self.tail == root.slot {
+            self.queue.pop_first();
+            if self.tail == slot {
                 self.tail = NIL; // began executing: nothing may chain behind it
             }
         }
-        debug_assert!(root.time >= self.now);
-        self.now = root.time;
+        debug_assert!(time >= self.now);
+        self.now = time;
         self.pending -= 1;
         self.events_executed += 1;
         // SAFETY: `op` was set, so the bytes copied out of the cell are a
@@ -372,6 +536,7 @@ impl<W> Sim<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CountingAlloc;
     use std::rc::Rc;
 
     #[derive(Default)]
@@ -529,5 +694,39 @@ mod tests {
         assert_eq!(sim.events_executed(), 10_000);
         // One live event at a time: the arena never needs a second slot.
         assert_eq!(sim.slots.len(), 1);
+    }
+
+    #[test]
+    fn wide_delays_allocate_nothing_in_steady_state() {
+        const CHAINS: u32 = 16;
+        const PER_CHAIN: u32 = 625; // 10 000 events a round
+        /// `2^k - 1`, `2^k` and `2^k + 1` for `k` in `0..40`, in turn.
+        fn delay(i: u32) -> u64 {
+            (1u64 << (i * 7 % 40)) + u64::from(i % 3) - 1
+        }
+        fn chain(s: &mut Sim<World>, left: u32, i: u32) {
+            if left > 0 {
+                s.schedule_in(SimDuration::nanos(delay(i)), move |_w, s| chain(s, left - 1, i + 1));
+            }
+        }
+        fn round(_w: &mut World, s: &mut Sim<World>) {
+            for c in 0..CHAINS {
+                chain(s, PER_CHAIN, c * 13);
+            }
+        }
+        let mut sim: Sim<World> = Sim::new();
+        let mut w = World::default();
+        sim.schedule_at(SimTime::ZERO, round);
+        sim.run(&mut w);
+        // A round spans less than 2^50 ns, so one started at 2^50 meets
+        // every instant with the bits the warm-up met it with: the same
+        // buckets, the same refills, the same peaks.
+        assert!(sim.now() < SimTime(1 << 50));
+        sim.schedule_at(SimTime(1 << 50), round);
+        let before = CountingAlloc::allocs_on_this_thread();
+        sim.run(&mut w);
+        let allocs = CountingAlloc::allocs_on_this_thread() - before;
+        assert_eq!(sim.events_executed(), 2 * (u64::from(CHAINS * PER_CHAIN) + 1));
+        assert_eq!(allocs, 0, "a warmed-up queue allocated");
     }
 }

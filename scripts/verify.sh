@@ -32,9 +32,11 @@
 #      restore checks with, and, in release next to it, the count-based
 #      tests: a capture's work does not grow with the image
 #      number and the replay log retains no message bytes; a message costs
-#      at most 2.5 host allocations, no copy and under two heap entries per
-#      three events; the run-chained event queue equals its (time, seq)
-#      model; an idle barrier loop runs the same six per-node microphase
+#      at most 2.5 host allocations, no copy and under two queue entries per
+#      three events; the run-chained radix event queue equals its (time,
+#      seq) model (sim_queue_model, at four times its case count: short
+#      delays and delays spread over 40 bits, resumed past a horizon stop);
+#      an idle barrier loop runs the same six per-node microphase
 #      bodies, and its strobes look at the same 15 nodes, on 1024 and on
 #      8192 nodes as on 64 (BcsStats::strobe_visits); two `repro` runs print the same
 #      standard output except the `sweep:` line and write nothing but CSVs
@@ -92,14 +94,14 @@ cargo test --workspace -q
 echo "== benchmark package compiles against the product surface (perf/, build only)"
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
-echo "== conformance lattice + membership model (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, event-queue model, idle scaling, repro output repeats)"
+echo "== conformance lattice + membership model + event-queue model (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, idle scaling, repro output repeats)"
 PROPLITE_CASES=48 cargo test --release -q --test conformance
 PROPLITE_CASES=512 cargo test --release -q -p mpi-api --test membership_model
 cargo test --release -q --test fault_recovery
 cargo test --release -q -p mpi-api --lib payload::
 cargo test --release -q -p bcs-mpi --test capture_flatness
 cargo test --release -q -p apps --test alloc_per_message
-cargo test --release -q --test sim_queue_model
+PROPLITE_CASES=1024 cargo test --release -q --test sim_queue_model
 cargo test --release -q -p bcs-mpi --test idle_scaling
 cargo test --release -q -p bench --test cli
 
