@@ -19,15 +19,18 @@
 //!
 //! The BCS runtime-initialization delay (`BCS_INIT`) models what §5.3 blames
 //! for IS: "pays a relatively high price for the overhead of initializing
-//! the BCS-MPI runtime system". It is charged identically to every BCS run.
+//! the BCS-MPI runtime system". Only the paper-scale Figure 9 / Table 2
+//! runs charge it (`repro fig9` without `--quick`); quick runs, the
+//! Figure 10/11 sweeps and every other experiment start at t = 0.
 
 use simcore::SimDuration;
 
 /// One-time BCS-MPI runtime bring-up (STORM launch integration, NIC thread
-/// setup). Charged at the start of every BCS run of the Figure 9 suite.
+/// setup). Charged at the start of every BCS run of the paper-scale Figure 9
+/// suite.
 pub const BCS_INIT: SimDuration = SimDuration::millis(900);
 
-/// The paper's Table 2, for report generation.
+/// The paper's Table 2: the reference column of the regenerated Table 2.
 pub const PAPER_SLOWDOWNS: &[(&str, f64)] = &[
     ("SAGE", -0.42),
     ("SWEEP3D", -2.23),

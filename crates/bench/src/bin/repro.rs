@@ -89,16 +89,11 @@ fn main() {
                 let exps = registry(true, wire);
                 let w = exps.iter().map(|e| e.cli.len()).max().unwrap_or(0);
                 for e in exps {
-                    // Gate registries key off *report* names; fig9 is the
-                    // only experiment whose reports are named differently
-                    // from the experiment itself.
-                    let reports: &[&str] = match e.name {
-                        "fig9" => &["fig9_runtimes", "table2"],
-                        _ => std::slice::from_ref(&e.name),
-                    };
+                    // Gate registries key off the names of the reports an
+                    // experiment emits.
                     let gates = match (
-                        reports.iter().any(|r| bench::gate::has_pin_gates(r)),
-                        reports.iter().any(|r| bench::gate::has_speedup_gates(r)),
+                        e.reports.iter().any(|r| bench::gate::has_pin_gates(r)),
+                        e.reports.iter().any(|r| bench::gate::has_speedup_gates(r)),
                     ) {
                         (true, true) => " [gates: pin, speedup]",
                         (true, false) => " [gates: pin]",

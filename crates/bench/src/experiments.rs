@@ -11,6 +11,12 @@
 //! order, the emitted reports (rows, notes, metrics) and CSVs are
 //! byte-identical across runs and at any thread count.
 //!
+//! Most of the paper's evaluation (Figures 8–11, Table 2) is one
+//! measurement: the same program on BCS-MPI and on Quadrics MPI, reported
+//! as a slowdown. Those experiments, and the `scale` and `fabric-matrix`
+//! sweeps beyond the paper, are lists of [`Pair`] rows turned into an
+//! experiment by [`pair_exp`].
+//!
 //! `quick` mode shrinks the sweeps so the full suite can run in CI; the
 //! full mode reproduces the paper-scale configurations (62 processes on
 //! the 32-node "crescendo" layout).
@@ -29,17 +35,19 @@ use apps::{sage, sweep3d, synthetic};
 use bcs_mpi::BcsConfig;
 use mpi_api::coll_sched::CollAlgo;
 use mpi_api::datatype::ReduceOp;
+use mpi_api::message::{SrcSel, TagSel};
 use mpi_api::noise::NoiseConfig;
 use mpi_api::runtime::JobLayout;
 use quadrics_mpi::QuadricsConfig;
 use simcore::{Sim, SimDuration, SimTime};
+use std::sync::Arc;
 use storm::StormWorld;
 
 /// A figure/table decomposed for the parallel sweep scheduler.
 pub struct Experiment {
-    /// Experiment key: for single-report experiments, the CSV stem / gate
-    /// key of its report.
-    pub name: &'static str,
+    /// The reports `assemble` emits, in order: each name is a CSV stem and
+    /// the key of the report's gates in [`crate::gate`].
+    pub reports: &'static [&'static str],
     /// Name accepted on the `repro` command line (`ablation-fault` style).
     pub cli: &'static str,
     /// One-line description for `repro --list`.
@@ -81,13 +89,9 @@ impl Wire {
 
 /// Every experiment, in the order `repro` emits them.
 pub fn registry(quick: bool, wire: Wire) -> Vec<Experiment> {
-    vec![
-        table1_exp(),
-        fig2_exp(wire),
-        fig8a_exp(quick, wire),
-        fig8b_exp(quick, wire),
-        fig8c_exp(quick, wire),
-        fig8d_exp(quick, wire),
+    let mut exps = vec![table1_exp(), fig2_exp(wire)];
+    exps.extend(FIG8.iter().map(|panel| fig8_exp(panel, quick, wire)));
+    exps.extend([
         fig9_exp(quick, wire),
         fig10_exp(quick, wire),
         fig11_exp(quick, wire, sweep3d::SweepVariant::Blocking),
@@ -102,27 +106,34 @@ pub fn registry(quick: bool, wire: Wire) -> Vec<Experiment> {
         storm_launch_exp(),
         scale_exp(quick, wire),
         fabric_matrix_exp(quick, wire),
-    ]
+    ]);
+    exps
 }
 
 /// Pool the points of every experiment in `selected` into one sweep on
 /// `threads` workers, so a straggler point of one figure overlaps with the
 /// next figure's work, then assemble each experiment's reports in order.
+/// Panics if an experiment emits other reports than it declares.
 pub fn run_pooled(
     selected: Vec<Experiment>,
     threads: usize,
 ) -> (Vec<(&'static str, Report)>, SweepStats) {
     let mut pool: Vec<PointFn> = Vec::new();
-    let mut pending = Vec::new(); // (point span, assemble)
+    let mut pending = Vec::new(); // (point span, declared reports, assemble)
     for e in selected {
         let span = pool.len()..pool.len() + e.points.len();
         pool.extend(e.points);
-        pending.push((span, e.assemble));
+        pending.push((span, e.reports, e.assemble));
     }
     let (outs, stats) = sweep::run_points(pool, threads);
     let reports = pending
         .into_iter()
-        .flat_map(|(span, assemble)| assemble(outs[span].to_vec()))
+        .flat_map(|(span, declared, assemble)| {
+            let emitted = assemble(outs[span].to_vec());
+            let names: Vec<&str> = emitted.iter().map(|(name, _)| *name).collect();
+            assert_eq!(names, declared, "an experiment emitted other reports than it declares");
+            emitted
+        })
         .collect();
     (reports, stats)
 }
@@ -132,6 +143,12 @@ fn layout(ranks: usize) -> JobLayout {
     JobLayout::crescendo(ranks)
 }
 
+/// `n` ranks, two per node on as many nodes as they need: the layout of
+/// the sweeps that outgrow the paper's 32-node cluster.
+fn two_per_node(n: usize) -> JobLayout {
+    JobLayout::new(n.div_ceil(2), 2, n)
+}
+
 /// The two interconnects the sweeping experiments compare: timing rules
 /// (whose name labels the rows) and Table 1 constants.
 const FABRICS: &[(qsnet::FabricKind, fn() -> qsnet::NetModel)] = &[
@@ -139,19 +156,113 @@ const FABRICS: &[(qsnet::FabricKind, fn() -> qsnet::NetModel)] = &[
     (qsnet::FabricKind::Rdma, qsnet::NetModel::infiniband),
 ];
 
-/// Engine 0 (BCS-MPI) or 1 (Quadrics MPI) from `wire` on the `net`
-/// constants: the shape of every sweep over Table 1 models.
-fn net_spec(wire: Wire, engine: usize, net: qsnet::NetModel) -> RunSpec {
-    if engine == 0 {
-        BcsConfig { net, ..wire.bcs_cfg() }.into()
-    } else {
-        QuadricsConfig { net, ..wire.quadrics_cfg() }.into()
-    }
+/// Both engines from `wire` on the `net` constants: the shape of every
+/// sweep over Table 1 models.
+fn net_pair(wire: Wire, net: qsnet::NetModel) -> (RunSpec, RunSpec) {
+    (BcsConfig { net, ..wire.bcs_cfg() }.into(), QuadricsConfig { net, ..wire.quadrics_cfg() }.into())
 }
 
 /// Reconstruct a virtual duration a point shipped as nanoseconds.
 fn dur(ns: u64) -> SimDuration {
     SimDuration::nanos(ns)
+}
+
+// ======================================================================
+// The engine pair — one program on BCS-MPI and on Quadrics MPI
+// ======================================================================
+
+/// A rank program behind one type: runs under a spec on a layout and
+/// returns the run's `[virtual elapsed ns, simulator events]`.
+type Program = Arc<dyn Fn(&RunSpec, JobLayout) -> [u64; 2] + Send + Sync>;
+
+/// `make` as a [`Program`]. Each run builds its own rank program, so a
+/// row captures only plain configuration.
+fn program<P: mpi_api::RankProgram>(make: impl Fn() -> P + Send + Sync + 'static) -> Program {
+    Arc::new(move |spec, layout| {
+        let out = run_app(spec, layout, make());
+        [out.elapsed.as_nanos(), out.events]
+    })
+}
+
+/// One row of a BCS-vs-Quadrics comparison ([`pair`] builds one): `program`
+/// on `layout` under both `specs`, reported as `[BCS-MPI, Quadrics, slowdown]`.
+struct Pair {
+    label: String,
+    specs: (RunSpec, RunSpec),
+    layout: JobLayout,
+    program: Program,
+    /// Also report the row's slowdown as this headline metric.
+    metric: Option<String>,
+}
+
+fn pair(
+    label: String,
+    specs: &(RunSpec, RunSpec),
+    layout: JobLayout,
+    program: &Program,
+    metric: Option<String>,
+) -> Pair {
+    Pair { label, specs: specs.clone(), layout, program: program.clone(), metric }
+}
+
+/// One run of `program` as a sweep point: `words = [elapsed ns, events]`.
+fn run_point(spec: RunSpec, layout: JobLayout, program: &Program) -> PointFn {
+    let program = program.clone();
+    Box::new(move || PointOut::new(vec![], program(&spec, layout).to_vec()))
+}
+
+/// What one [`Pair`] measured.
+struct Measured {
+    label: String,
+    slowdown: f64,
+    bcs_elapsed: SimDuration,
+    bcs_events: u64,
+}
+
+/// The experiment a list of [`Pair`]s makes: each row's two points, BCS-MPI
+/// first, in row order; then the `[BCS-MPI, Quadrics, slowdown]` report
+/// `reports[0]` titled `title`, one row and at most one metric per pair.
+/// `finish` adds notes and aggregate metrics from the measured rows and
+/// returns the experiment's further reports.
+fn pair_exp(
+    cli: &'static str,
+    desc: &'static str,
+    reports: &'static [&'static str],
+    title: String,
+    rows: Vec<Pair>,
+    finish: impl FnOnce(&mut Report, &[Measured]) -> Vec<(&'static str, Report)> + Send + 'static,
+) -> Experiment {
+    let mut points: Vec<PointFn> = Vec::new();
+    let mut heads = Vec::new(); // (label, metric) per row
+    for row in rows {
+        points.push(run_point(row.specs.0, row.layout.clone(), &row.program));
+        points.push(run_point(row.specs.1, row.layout, &row.program));
+        heads.push((row.label, row.metric));
+    }
+    Experiment {
+        reports,
+        cli,
+        desc,
+        points,
+        assemble: Box::new(move |outs| {
+            let mut r = Report::new(title, &["BCS-MPI", "Quadrics", "slowdown"]);
+            let measured: Vec<Measured> = heads
+                .into_iter()
+                .zip(outs.chunks_exact(2))
+                .map(|((label, metric), runs)| {
+                    let (b, q) = (dur(runs[0].words[0]), dur(runs[1].words[0]));
+                    let slowdown = slowdown_pct(b, q);
+                    r.row(label.clone(), vec![secs(b.as_secs_f64()), secs(q.as_secs_f64()), pct(slowdown)]);
+                    if let Some(m) = metric {
+                        r.metric(m, slowdown);
+                    }
+                    Measured { label, slowdown, bcs_elapsed: b, bcs_events: runs[0].words[1] }
+                })
+                .collect();
+            let more = finish(&mut r, &measured);
+            [(reports[0], r)].into_iter().chain(more).collect()
+        }),
+    }
 }
 
 // ======================================================================
@@ -175,7 +286,7 @@ pub fn table1_exp() -> Experiment {
         }
     }
     Experiment {
-        name: "table1",
+        reports: &["table1"],
         cli: "table1",
         desc: "BCS core primitive latency/bandwidth per interconnect model (Table 1)",
         points,
@@ -191,17 +302,11 @@ pub fn table1_exp() -> Experiment {
                 ("QsNet", "< 10 us", "> 150n MB/s"),
                 ("BlueGene/L", "< 2 us", "700n MB/s"),
             ];
-            for (mi, (model, (_, pcw, pxs))) in models.into_iter().zip(paper).enumerate() {
-                let mut cells = Vec::new();
-                for ni in 0..ns.len() {
-                    cells.push(format!("{:.1}us", outs[mi * ns.len() + ni].nums[0]));
-                }
-                for ni in 0..ns.len() {
-                    cells.push(format!("{:.0}MB/s", outs[mi * ns.len() + ni].nums[1]));
-                }
-                cells.push(pcw.to_string());
-                cells.push(pxs.to_string());
-                r.row(model.name, cells);
+            let cells = outs.chunks_exact(ns.len()); // per model, one point per `ns`
+            for ((model, (_, pcw, pxs)), cell) in models.into_iter().zip(paper).zip(cells) {
+                let cw = cell.iter().map(|o| format!("{:.1}us", o.nums[0]));
+                let xs = cell.iter().map(|o| format!("{:.0}MB/s", o.nums[1]));
+                r.row(model.name, cw.chain(xs).chain([pcw.to_string(), pxs.to_string()]).collect());
             }
             r.note("X&S aggregate bandwidth = n x bytes / completion time of a 1 MB multicast");
             vec![("table1", r)]
@@ -209,45 +314,37 @@ pub fn table1_exp() -> Experiment {
     }
 }
 
-/// Completion latency of one Compare-And-Write over `n` nodes.
-fn measure_cw_us(net: &qsnet::NetModel, n: usize) -> f64 {
+/// How long `op`, issued from the management node of a fresh `n`-node
+/// STORM world on `net` to every compute node, takes to complete.
+fn storm_op(
+    net: &qsnet::NetModel,
+    n: usize,
+    op: impl FnOnce(&mut StormWorld, &mut Sim<StormWorld>, qsnet::NodeId, &[qsnet::NodeId]) -> SimTime,
+) -> SimDuration {
     let mut w = StormWorld::new(*net, n);
     let mut sim: Sim<StormWorld> = Sim::new();
-    let nodes = w.nodes();
-    let mgmt = w.mgmt;
-    let t = bcs_core::BcsCluster::compare_and_write(
-        &mut w,
-        &mut sim,
-        mgmt,
-        &nodes,
-        1,
-        bcs_core::CmpOp::Ge,
-        0,
-        None,
-        |_, _, _| {},
-    );
+    let (nodes, mgmt) = (w.nodes(), w.mgmt);
+    let t = op(&mut w, &mut sim, mgmt, &nodes);
     sim.run(&mut w);
-    t.since(SimTime::ZERO).as_micros_f64()
+    t.since(SimTime::ZERO)
+}
+
+/// Completion latency of one Compare-And-Write over `n` nodes.
+fn measure_cw_us(net: &qsnet::NetModel, n: usize) -> f64 {
+    use bcs_core::{BcsCluster, CmpOp};
+    storm_op(net, n, |w, sim, mgmt, nodes| {
+        BcsCluster::compare_and_write(w, sim, mgmt, nodes, 1, CmpOp::Ge, 0, None, |_, _, _| {})
+    })
+    .as_micros_f64()
 }
 
 /// Aggregate Xfer-And-Signal bandwidth: 1 MB multicast to `n` nodes.
 fn measure_xs_aggregate_mbps(net: &qsnet::NetModel, n: usize) -> f64 {
     let bytes = 1_048_576u64;
-    let mut w = StormWorld::new(*net, n);
-    let mut sim: Sim<StormWorld> = Sim::new();
-    let nodes = w.nodes();
-    let mgmt = w.mgmt;
-    let t = bcs_core::BcsCluster::xfer_and_signal(
-        &mut w,
-        &mut sim,
-        mgmt,
-        &nodes,
-        bytes,
-        bcs_core::XsOpts::default(),
-    );
-    sim.run(&mut w);
-    let secs = t.since(SimTime::ZERO).as_secs_f64();
-    (n as u64 * bytes) as f64 / secs / 1e6
+    let t = storm_op(net, n, |w, sim, mgmt, nodes| {
+        bcs_core::BcsCluster::xfer_and_signal(w, sim, mgmt, nodes, bytes, bcs_core::XsOpts::default())
+    });
+    (n as u64 * bytes) as f64 / t.as_secs_f64() / 1e6
 }
 
 // ======================================================================
@@ -271,12 +368,7 @@ pub fn fig2_exp(wire: Wire) -> Experiment {
                 let t0 = mpi.now().await;
                 for _ in 0..20 {
                     let s = mpi.isend(peer, 1, &[0u8; 4096]).await;
-                    let q = mpi
-                        .irecv(
-                            mpi_api::message::SrcSel::Rank(peer),
-                            mpi_api::message::TagSel::Tag(1),
-                        )
-                        .await;
+                    let q = mpi.irecv(SrcSel::Rank(peer), TagSel::Tag(1)).await;
                     mpi.compute(SimDuration::millis(5)).await;
                     mpi.waitall(&[s, q]).await;
                 }
@@ -286,7 +378,7 @@ pub fn fig2_exp(wire: Wire) -> Experiment {
         }),
     ];
     Experiment {
-        name: "fig2",
+        reports: &["fig2"],
         cli: "fig2",
         desc: "blocking vs non-blocking send/receive timing (Figure 2)",
         points,
@@ -329,11 +421,7 @@ fn blocking_delay_histogram(wire: Wire) -> simcore::stats::LogHistogram {
             if mpi.rank() == 0 {
                 mpi.send(1, 1, &[0u8; 256]).await;
             } else {
-                mpi.recv(
-                    mpi_api::message::SrcSel::Rank(0),
-                    mpi_api::message::TagSel::Tag(1),
-                )
-                .await;
+                mpi.recv_from(0, 1).await;
             }
         }
     });
@@ -348,265 +436,151 @@ fn fig8_iters(g: SimDuration) -> u64 {
     (SimDuration::millis(1500).as_nanos() / g.as_nanos()).clamp(10, 300)
 }
 
-/// A (`bcs`, `quadrics`) point pair returning each run's virtual elapsed ns.
-/// `lay` and `make` build the layout and app program inside each point so
-/// the closures only capture plain scalars.
-fn engine_pair_points<L, F, P>(
-    points: &mut Vec<PointFn>,
-    (bcs, quadrics): (RunSpec, RunSpec),
-    lay: L,
-    make: F,
-) where
-    L: Fn() -> JobLayout + Send + Clone + 'static,
-    F: Fn() -> P + Send + Clone + 'static,
-    P: mpi_api::RankProgram,
-{
-    let mk = make.clone();
-    let l = lay.clone();
-    points.push(Box::new(move || {
-        let out = run_app(&bcs, l(), mk());
-        PointOut::new(vec![], vec![out.elapsed.as_nanos()])
-    }));
-    points.push(Box::new(move || {
-        let out = run_app(&quadrics, lay(), make());
-        PointOut::new(vec![], vec![out.elapsed.as_nanos()])
-    }));
-}
-
-/// Assemble the shared Figure 8/10/11 row shape from a (bcs, quadrics)
-/// point pair: `[elapsed_b, elapsed_q, slowdown]`.
-fn pair_cells(outs: &[PointOut], pair: usize) -> (Vec<String>, f64) {
-    let b = dur(outs[pair * 2].words[0]);
-    let q = dur(outs[pair * 2 + 1].words[0]);
-    let sd = slowdown_pct(b, q);
-    (
-        vec![secs(b.as_secs_f64()), secs(q.as_secs_f64()), pct(sd)],
-        sd,
-    )
-}
-
-pub fn fig8a_exp(quick: bool, wire: Wire) -> Experiment {
-    let ranks = if quick { 16 } else { 62 };
-    let gs: &'static [u64] = if quick { &[2, 10] } else { &[1, 2, 5, 10, 20, 50] };
-    let mut points: Vec<PointFn> = Vec::new();
-    for &g_ms in gs {
-        let g = SimDuration::millis(g_ms);
-        engine_pair_points(&mut points, (wire.bcs(), wire.quadrics()), move || layout(ranks), move || {
-            synthetic::barrier_loop(synthetic::BarrierLoopCfg {
-                granularity: g,
-                iters: fig8_iters(g),
-            })
-        });
+/// Figure 8's loops: `g` of compute, then a barrier or the paper's
+/// 4-neighbour exchange.
+fn synthetic_loop(neighbor: bool, g: SimDuration, iters: u64) -> Program {
+    if neighbor {
+        program(move || synthetic::neighbor_loop(synthetic::NeighborLoopCfg::paper(g, iters)))
+    } else {
+        program(move || synthetic::barrier_loop(synthetic::BarrierLoopCfg { granularity: g, iters }))
     }
-    Experiment {
+}
+
+/// One panel of Figure 8: a synthetic loop swept over granularity at a
+/// fixed process count, or over process counts at 10 ms.
+struct Fig8Panel {
+    name: &'static str,
+    desc: &'static str,
+    /// The workload, as the title names it.
+    what: &'static str,
+    neighbor: bool,
+    /// The process counts swept at paper scale; `None` sweeps granularity.
+    procs: Option<&'static [usize]>,
+    note: Option<&'static str>,
+}
+
+static FIG8: [Fig8Panel; 4] = [
+    Fig8Panel {
         name: "fig8a",
-        cli: "fig8a",
         desc: "computation+barrier slowdown vs granularity (Figure 8a)",
-        points,
-        assemble: Box::new(move |outs| {
-            let mut r = Report::new(
-                format!(
-                    "Figure 8(a): computation+barrier, {ranks} processes — slowdown vs granularity"
-                ),
-                &["BCS-MPI", "Quadrics", "slowdown"],
-            );
-            for (gi, &g_ms) in gs.iter().enumerate() {
-                let (cells, sd) = pair_cells(&outs, gi);
-                if g_ms == 10 {
-                    r.metric("slowdown_10ms_pct", sd);
-                }
-                r.row(format!("{g_ms} ms"), cells);
-            }
-            r.note("paper: slowdown < 7.5% at 10 ms granularity on the full machine");
-            vec![("fig8a", r)]
-        }),
-    }
-}
-
-pub fn fig8b_exp(quick: bool, wire: Wire) -> Experiment {
-    let ps: &'static [usize] = if quick { &[8, 16] } else { &[4, 8, 16, 32, 48, 62] };
-    let g = SimDuration::millis(10);
-    let mut points: Vec<PointFn> = Vec::new();
-    for &p in ps {
-        engine_pair_points(&mut points, (wire.bcs(), wire.quadrics()), move || layout(p), move || {
-            synthetic::barrier_loop(synthetic::BarrierLoopCfg {
-                granularity: g,
-                iters: 100,
-            })
-        });
-    }
-    Experiment {
+        what: "computation+barrier",
+        neighbor: false,
+        procs: None,
+        note: Some("paper: slowdown < 7.5% at 10 ms granularity on the full machine"),
+    },
+    Fig8Panel {
         name: "fig8b",
-        cli: "fig8b",
         desc: "computation+barrier slowdown vs process count (Figure 8b)",
-        points,
-        assemble: Box::new(move |outs| {
-            let mut r = Report::new(
-                "Figure 8(b): computation+barrier, 10 ms granularity — slowdown vs processes",
-                &["BCS-MPI", "Quadrics", "slowdown"],
-            );
-            for (pi, &p) in ps.iter().enumerate() {
-                let (cells, _) = pair_cells(&outs, pi);
-                r.row(format!("{p} procs"), cells);
-            }
-            r.note("paper: almost insensitive to the number of processors");
-            vec![("fig8b", r)]
-        }),
-    }
-}
-
-pub fn fig8c_exp(quick: bool, wire: Wire) -> Experiment {
-    let ranks = if quick { 16 } else { 62 };
-    let gs: &'static [u64] = if quick { &[2, 10] } else { &[1, 2, 5, 10, 20, 50] };
-    let mut points: Vec<PointFn> = Vec::new();
-    for &g_ms in gs {
-        let g = SimDuration::millis(g_ms);
-        engine_pair_points(&mut points, (wire.bcs(), wire.quadrics()), move || layout(ranks), move || {
-            synthetic::neighbor_loop(synthetic::NeighborLoopCfg::paper(g, fig8_iters(g)))
-        });
-    }
-    Experiment {
+        what: "computation+barrier",
+        neighbor: false,
+        procs: Some(&[4, 8, 16, 32, 48, 62]),
+        note: Some("paper: almost insensitive to the number of processors"),
+    },
+    Fig8Panel {
         name: "fig8c",
-        cli: "fig8c",
         desc: "computation+nearest-neighbour slowdown vs granularity (Figure 8c)",
-        points,
-        assemble: Box::new(move |outs| {
-            let mut r = Report::new(
-                format!(
-                    "Figure 8(c): computation+nearest-neighbour (4 neighbours, 4 KB), {ranks} processes — slowdown vs granularity"
-                ),
-                &["BCS-MPI", "Quadrics", "slowdown"],
-            );
-            for (gi, &g_ms) in gs.iter().enumerate() {
-                let (cells, sd) = pair_cells(&outs, gi);
-                if g_ms == 10 {
-                    r.metric("slowdown_10ms_pct", sd);
-                }
-                r.row(format!("{g_ms} ms"), cells);
-            }
-            r.note("paper: below 8% for granularities larger than 10 ms");
-            vec![("fig8c", r)]
-        }),
-    }
-}
-
-pub fn fig8d_exp(quick: bool, wire: Wire) -> Experiment {
-    let ps: &'static [usize] = if quick { &[8, 16] } else { &[6, 8, 16, 32, 48, 62] };
-    let g = SimDuration::millis(10);
-    let mut points: Vec<PointFn> = Vec::new();
-    for &p in ps {
-        engine_pair_points(&mut points, (wire.bcs(), wire.quadrics()), move || layout(p), move || {
-            synthetic::neighbor_loop(synthetic::NeighborLoopCfg::paper(g, 100))
-        });
-    }
-    Experiment {
+        what: "computation+nearest-neighbour (4 neighbours, 4 KB)",
+        neighbor: true,
+        procs: None,
+        note: Some("paper: below 8% for granularities larger than 10 ms"),
+    },
+    Fig8Panel {
         name: "fig8d",
-        cli: "fig8d",
         desc: "computation+nearest-neighbour slowdown vs process count (Figure 8d)",
-        points,
-        assemble: Box::new(move |outs| {
-            let mut r = Report::new(
-                "Figure 8(d): computation+nearest-neighbour, 10 ms granularity — slowdown vs processes",
-                &["BCS-MPI", "Quadrics", "slowdown"],
-            );
-            for (pi, &p) in ps.iter().enumerate() {
-                let (cells, _) = pair_cells(&outs, pi);
-                r.row(format!("{p} procs"), cells);
-            }
-            vec![("fig8d", r)]
-        }),
-    }
+        what: "computation+nearest-neighbour",
+        neighbor: true,
+        procs: Some(&[6, 8, 16, 32, 48, 62]),
+        note: None,
+    },
+];
+
+fn fig8_exp(panel: &'static Fig8Panel, quick: bool, wire: Wire) -> Experiment {
+    let specs = (wire.bcs(), wire.quadrics());
+    let fig = format!("Figure 8({})", &panel.name[4..]);
+    let (title, rows) = match panel.procs {
+        None => {
+            let ranks = if quick { 16 } else { 62 };
+            let gs: &[u64] = if quick { &[2, 10] } else { &[1, 2, 5, 10, 20, 50] };
+            let rows = gs.iter().map(|&g_ms| {
+                let g = SimDuration::millis(g_ms);
+                let prog = synthetic_loop(panel.neighbor, g, fig8_iters(g));
+                let metric = (g_ms == 10).then(|| "slowdown_10ms_pct".into());
+                pair(format!("{g_ms} ms"), &specs, layout(ranks), &prog, metric)
+            });
+            (format!("{fig}: {}, {ranks} processes — slowdown vs granularity", panel.what), rows.collect())
+        }
+        Some(procs) => {
+            let ps: &[usize] = if quick { &[8, 16] } else { procs };
+            let prog = synthetic_loop(panel.neighbor, SimDuration::millis(10), 100);
+            let rows = ps.iter().map(|&p| pair(format!("{p} procs"), &specs, layout(p), &prog, None));
+            (format!("{fig}: {}, 10 ms granularity — slowdown vs processes", panel.what), rows.collect())
+        }
+    };
+    pair_exp(panel.name, panel.desc, std::slice::from_ref(&panel.name), title, rows, |r, _| {
+        if let Some(note) = panel.note {
+            r.note(note);
+        }
+        vec![]
+    })
 }
 
 // ======================================================================
 // Figure 9 + Table 2 — NPB and SAGE
 // ======================================================================
 
-/// Engine pair for the application suite: at paper scale BCS-MPI
-/// includes the one-time runtime initialization the paper blames for IS
-/// (§5.3); quick (CI-sized) runs skip it because their total runtime is
-/// smaller than the init itself.
-fn app_pair(quick: bool, wire: Wire) -> (RunSpec, RunSpec) {
-    let mut cfg = wire.bcs_cfg();
-    if !quick {
-        cfg.init_delay = apps::calib::BCS_INIT;
-    }
-    (cfg.into(), wire.quadrics())
-}
-
-/// One (BCS, Quadrics) point pair per application: 14 points.
+/// One (BCS, Quadrics) pair per application; Table 2 is their slowdowns
+/// beside the paper's (`apps::calib::PAPER_SLOWDOWNS`).
 pub fn fig9_exp(quick: bool, wire: Wire) -> Experiment {
+    use apps::calib::{BCS_INIT, PAPER_SLOWDOWNS};
+    use sage::SageCfg;
     let ranks = if quick { 8 } else { 62 };
-    let mut points: Vec<PointFn> = Vec::new();
-
-    macro_rules! pair {
-        ($prog:expr) => {{
-            engine_pair_points(&mut points, app_pair(quick, wire), move || layout(ranks), move || $prog);
-        }};
-    }
-
-    pair!(sage::sage_bench(if quick {
-        sage::SageCfg::test()
-    } else {
-        sage::SageCfg::timing_input()
-    }));
-    pair!(is::is_bench(if quick { is::IsCfg::test() } else { is::IsCfg::class_c() }));
-    pair!(ep::ep_bench(if quick { ep::EpCfg::test() } else { ep::EpCfg::class_c() }));
-    pair!(mg::mg_bench(if quick { mg::MgCfg::test() } else { mg::MgCfg::class_c() }));
-    pair!(cg::cg_bench(if quick { cg::CgCfg::test() } else { cg::CgCfg::class_c() }));
-    pair!(lu::lu_bench(if quick { lu::LuCfg::test() } else { lu::LuCfg::class_c() }));
-    // Beyond the paper: FT needs the MPI-group support the prototype
-    // lacked (§4.5).
-    pair!(ft::ft_bench(if quick { ft::FtCfg::test() } else { ft::FtCfg::class_c() }));
-
-    // name, paper pct — row order matches the point-pair order above.
-    let entries: &'static [(&'static str, f64)] = &[
-        ("SAGE", -0.42),
-        ("IS", 10.14),
-        ("EP", 5.35),
-        ("MG", 4.37),
-        ("CG", 10.83),
-        ("LU", 15.04),
-        ("FT*", f64::NAN),
+    // At paper scale BCS-MPI includes the one-time runtime initialization
+    // the paper blames for IS (§5.3); quick (CI-sized) runs skip it because
+    // their total runtime is smaller than the init itself.
+    let init_delay = if quick { SimDuration::ZERO } else { BCS_INIT };
+    let specs = (BcsConfig { init_delay, ..wire.bcs_cfg() }.into(), wire.quadrics());
+    let apps = [
+        ("SAGE", program(move || sage::sage_bench(if quick { SageCfg::test() } else { SageCfg::timing_input() }))),
+        ("IS", program(move || is::is_bench(if quick { is::IsCfg::test() } else { is::IsCfg::class_c() }))),
+        ("EP", program(move || ep::ep_bench(if quick { ep::EpCfg::test() } else { ep::EpCfg::class_c() }))),
+        ("MG", program(move || mg::mg_bench(if quick { mg::MgCfg::test() } else { mg::MgCfg::class_c() }))),
+        ("CG", program(move || cg::cg_bench(if quick { cg::CgCfg::test() } else { cg::CgCfg::class_c() }))),
+        ("LU", program(move || lu::lu_bench(if quick { lu::LuCfg::test() } else { lu::LuCfg::class_c() }))),
+        // Beyond the paper: FT needs the MPI-group support the prototype
+        // lacked (§4.5).
+        ("FT*", program(move || ft::ft_bench(if quick { ft::FtCfg::test() } else { ft::FtCfg::class_c() }))),
     ];
-
-    Experiment {
-        name: "fig9",
-        cli: "fig9",
-        desc: "NPB + SAGE runtimes and Table 2 application slowdowns",
-        points,
-        assemble: Box::new(move |outs| {
-            let mut runtimes = Report::new(
-                format!("Figure 9: NPB + SAGE runtimes, {ranks} processes"),
-                &["BCS-MPI", "Quadrics", "slowdown"],
-            );
+    let rows = apps.iter().map(|(app, prog)| pair(app.to_string(), &specs, layout(ranks), prog, None));
+    pair_exp(
+        "fig9",
+        "NPB + SAGE runtimes and Table 2 application slowdowns",
+        &["fig9_runtimes", "table2"],
+        format!("Figure 9: NPB + SAGE runtimes, {ranks} processes"),
+        rows.collect(),
+        move |runtimes, measured| {
+            runtimes.note(if quick {
+                "BCS-MPI runs skip the one-time runtime initialization, which is longer than \
+                 these CI-sized runs (see apps::calib)"
+            } else {
+                "BCS-MPI runs include the one-time runtime initialization (see apps::calib)"
+            });
             let mut table2 = Report::new(
                 "Table 2: application slowdown (BCS-MPI vs Quadrics MPI)",
                 &["measured", "paper"],
             );
-            for (i, (name, paper)) in entries.iter().enumerate() {
-                let b = dur(outs[i * 2].words[0]).as_secs_f64();
-                let q = dur(outs[i * 2 + 1].words[0]).as_secs_f64();
-                let sd = (b / q - 1.0) * 100.0;
-                runtimes.row(*name, vec![secs(b), secs(q), pct(sd)]);
-                let paper_cell = if paper.is_nan() {
-                    "n/a (no groups)".to_string()
-                } else {
-                    pct(*paper)
-                };
-                if matches!(*name, "SAGE" | "CG" | "LU") {
-                    table2.metric(format!("slowdown_{name}_pct"), sd);
+            for m in measured {
+                let name = m.label.as_str();
+                let paper = PAPER_SLOWDOWNS.iter().find(|(app, _)| *app == name);
+                if matches!(name, "SAGE" | "CG" | "LU") {
+                    table2.metric(format!("slowdown_{name}_pct"), m.slowdown);
                 }
-                table2.row(*name, vec![pct(sd), paper_cell]);
+                let paper = paper.map_or("n/a (no groups)".into(), |&(_, p)| pct(p));
+                table2.row(name, vec![pct(m.slowdown), paper]);
             }
-            runtimes
-                .note("BCS-MPI runs include the one-time runtime initialization (see apps::calib)");
-            table2.note(
-                "FT*: requires MPI groups, unimplemented in the paper's prototype; enabled here",
-            );
-            vec![("fig9_runtimes", runtimes), ("table2", table2)]
-        }),
-    }
+            table2.note("FT*: requires MPI groups, unimplemented in the paper's prototype; enabled here");
+            vec![("table2", table2)]
+        },
+    )
 }
 
 // ======================================================================
@@ -614,43 +588,31 @@ pub fn fig9_exp(quick: bool, wire: Wire) -> Experiment {
 // ======================================================================
 
 pub fn fig10_exp(quick: bool, wire: Wire) -> Experiment {
-    let ps: &'static [usize] = if quick { &[4, 8] } else { &[8, 16, 32, 48, 62] };
-    let mut points: Vec<PointFn> = Vec::new();
-    for &p in ps {
-        // Per-point sweeps exclude the one-time runtime init (reported in
-        // Figure 9 / Table 2); these curves compare steady-state loop time.
-        engine_pair_points(&mut points, app_pair(true, wire), move || layout(p), move || {
-            let cfg = if quick {
-                sage::SageCfg::test()
-            } else {
-                let mut c = sage::SageCfg::timing_input();
-                c.steps = 15; // per-point sweep uses shorter runs
-                c
-            };
-            sage::sage_bench(cfg)
-        });
-    }
-    Experiment {
-        name: "fig10",
-        cli: "fig10",
-        desc: "SAGE runtime vs process count (Figure 10)",
-        points,
-        assemble: Box::new(move |outs| {
-            let mut r = Report::new(
-                "Figure 10: SAGE runtime vs processes",
-                &["BCS-MPI", "Quadrics", "slowdown"],
-            );
-            let mut max_abs = 0.0f64;
-            for (pi, &p) in ps.iter().enumerate() {
-                let (cells, sd) = pair_cells(&outs, pi);
-                max_abs = sd.abs().max(max_abs);
-                r.row(format!("{p} procs"), cells);
-            }
+    let ps: &[usize] = if quick { &[4, 8] } else { &[8, 16, 32, 48, 62] };
+    // No runtime init here (it is reported in Figure 9 / Table 2): these
+    // curves compare steady-state loop time.
+    let specs = (wire.bcs(), wire.quadrics());
+    // Per-point sweeps use shorter runs than Figure 9.
+    let cfg = if quick {
+        sage::SageCfg::test()
+    } else {
+        sage::SageCfg { steps: 15, ..sage::SageCfg::timing_input() }
+    };
+    let sage = program(move || sage::sage_bench(cfg.clone()));
+    let rows = ps.iter().map(|&p| pair(format!("{p} procs"), &specs, layout(p), &sage, None)).collect();
+    pair_exp(
+        "fig10",
+        "SAGE runtime vs process count (Figure 10)",
+        &["fig10"],
+        "Figure 10: SAGE runtime vs processes".into(),
+        rows,
+        |r, measured| {
+            let max_abs = measured.iter().fold(0.0f64, |max, m| m.slowdown.abs().max(max));
             r.metric("max_abs_slowdown_pct", max_abs);
             r.note("paper: -0.42% (parity; BCS-MPI marginally faster)");
-            vec![("fig10", r)]
-        }),
-    }
+            vec![]
+        },
+    )
 }
 
 // ======================================================================
@@ -658,50 +620,32 @@ pub fn fig10_exp(quick: bool, wire: Wire) -> Experiment {
 // ======================================================================
 
 pub fn fig11_exp(quick: bool, wire: Wire, variant: sweep3d::SweepVariant) -> Experiment {
-    let ps: &'static [usize] = if quick { &[4, 8] } else { &[4, 8, 16, 32, 48, 62] };
-    let mut points: Vec<PointFn> = Vec::new();
-    for &p in ps {
-        engine_pair_points(&mut points, app_pair(true, wire), move || layout(p), move || {
-            sweep3d::sweep3d_bench(if quick {
-                sweep3d::SweepCfg::test(variant)
-            } else {
-                sweep3d::SweepCfg::paper(variant)
-            })
-        });
-    }
-    let (name, title, note, desc): (&'static str, &'static str, &'static str, &'static str) =
+    let ps: &[usize] = if quick { &[4, 8] } else { &[4, 8, 16, 32, 48, 62] };
+    let cfg = if quick { sweep3d::SweepCfg::test(variant) } else { sweep3d::SweepCfg::paper(variant) };
+    let sweep = program(move || sweep3d::sweep3d_bench(cfg.clone()));
+    let (reports, title, note, desc): (&'static [&'static str], &str, &'static str, &'static str) =
         match variant {
             sweep3d::SweepVariant::Blocking => (
-                "fig11a",
+                &["fig11a"],
                 "Figure 11(a): SWEEP3D with blocking send/receive — runtime vs processes",
                 "paper: ~30% slower in all configurations",
                 "SWEEP3D with blocking send/receive vs process count (Figure 11a)",
             ),
             sweep3d::SweepVariant::NonBlocking => (
-                "fig11b",
+                &["fig11b"],
                 "Figure 11(b): SWEEP3D transformed to Isend/Irecv+Waitall — runtime vs processes",
                 "paper: -2.23% (BCS-MPI slightly outperforms)",
                 "SWEEP3D transformed to Isend/Irecv+Waitall vs process count (Figure 11b)",
             ),
         };
-    Experiment {
-        name,
-        cli: name,
-        desc,
-        points,
-        assemble: Box::new(move |outs| {
-            let mut r = Report::new(title, &["BCS-MPI", "Quadrics", "slowdown"]);
-            let mut max_sd = f64::NEG_INFINITY;
-            for (pi, &p) in ps.iter().enumerate() {
-                let (cells, sd) = pair_cells(&outs, pi);
-                max_sd = max_sd.max(sd);
-                r.row(format!("{p} procs"), cells);
-            }
-            r.metric("max_slowdown_pct", max_sd);
-            r.note(note);
-            vec![(name, r)]
-        }),
-    }
+    let specs = (wire.bcs(), wire.quadrics());
+    let rows = ps.iter().map(|&p| pair(format!("{p} procs"), &specs, layout(p), &sweep, None)).collect();
+    pair_exp(reports[0], desc, reports, title.into(), rows, move |r, measured| {
+        let max_sd = measured.iter().fold(f64::NEG_INFINITY, |max, m| max.max(m.slowdown));
+        r.metric("max_slowdown_pct", max_sd);
+        r.note(note);
+        vec![]
+    })
 }
 
 // ======================================================================
@@ -713,26 +657,20 @@ pub fn fig11_exp(quick: bool, wire: Wire, variant: sweep3d::SweepVariant) -> Exp
 pub fn ablation_slice_exp(quick: bool, wire: Wire) -> Experiment {
     let ranks = if quick { 8 } else { 32 };
     let slices_us: &'static [u64] = if quick { &[250, 500] } else { &[100, 250, 500, 1000, 2000] };
-    let cfg = move || sweep3d::SweepCfg {
+    let cfg = sweep3d::SweepCfg {
         steps: if quick { 20 } else { 100 },
         step_compute: SimDuration::micros(3_500),
         face_elems: 128,
         variant: sweep3d::SweepVariant::Blocking,
     };
-    let mut points: Vec<PointFn> = Vec::new();
-    points.push(Box::new(move || {
-        let q = run_app(&wire.quadrics(), layout(ranks), sweep3d::sweep3d_bench(cfg()));
-        PointOut::new(vec![], vec![q.elapsed.as_nanos()])
-    }));
+    let sweep = program(move || sweep3d::sweep3d_bench(cfg.clone()));
+    let mut points = vec![run_point(wire.quadrics(), layout(ranks), &sweep)];
     for &ts in slices_us {
-        points.push(Box::new(move || {
-            let bcfg = wire.bcs_cfg().with_timeslice(SimDuration::micros(ts));
-            let b = run_app(&bcfg.into(), layout(ranks), sweep3d::sweep3d_bench(cfg()));
-            PointOut::new(vec![], vec![b.elapsed.as_nanos()])
-        }));
+        let bcs = wire.bcs_cfg().with_timeslice(SimDuration::micros(ts));
+        points.push(run_point(bcs.into(), layout(ranks), &sweep));
     }
     Experiment {
-        name: "ablation_slice",
+        reports: &["ablation_slice"],
         cli: "ablation-slice",
         desc: "time-slice length ablation on fine-grained SWEEP3D",
         points,
@@ -742,8 +680,8 @@ pub fn ablation_slice_exp(quick: bool, wire: Wire) -> Experiment {
                 &["BCS-MPI", "slowdown vs Quadrics"],
             );
             let q = dur(outs[0].words[0]);
-            for (i, &ts) in slices_us.iter().enumerate() {
-                let b = dur(outs[1 + i].words[0]);
+            for (&ts, out) in slices_us.iter().zip(&outs[1..]) {
+                let b = dur(out.words[0]);
                 let sd = slowdown_pct(b, q);
                 if ts == 500 {
                     r.metric("slowdown_500us_pct", sd);
@@ -781,19 +719,23 @@ pub fn ablation_reduce_exp(quick: bool, wire: Wire) -> Experiment {
     let large_n: usize = if quick { 2048 } else { 4096 };
     // Row grid: engines × fabrics × n × elems, plus BCS-only large-n rows
     // (the Quadrics baseline's collectives are analytic — its large-n
-    // behavior is already pinned by the small rows).
-    let mut rows: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for engine in [0usize, 1] {
-        for fi in 0..FABRICS.len() {
+    // behavior is already pinned by the small rows). Every cell fixes
+    // both wire axes itself, so `wire` never shows in this table.
+    let mut rows: Vec<(String, RunSpec, usize, usize)> = Vec::new(); // (engine/fabric, spec, n, elems)
+    for engine in ["bcs", "quadrics"] {
+        for &(kind, net) in FABRICS {
+            let (bcs, quadrics) = net_pair(Wire { fabric: kind, ..wire }, net());
+            let spec = if engine == "bcs" { bcs } else { quadrics };
             for &n in small_ns {
                 for &elems in elem_counts {
-                    rows.push((engine, fi, n, elems));
+                    rows.push((format!("{engine}/{}", kind.name()), spec.clone(), n, elems));
                 }
             }
         }
     }
-    for fi in 0..FABRICS.len() {
-        rows.push((0, fi, large_n, 512));
+    for &(kind, net) in FABRICS {
+        let bcs = net_pair(Wire { fabric: kind, ..wire }, net()).0;
+        rows.push((format!("bcs/{}", kind.name()), bcs, large_n, 512));
     }
     // Large-n points are what the sweep costs the host: quick mode runs
     // one iteration of them (per-op cost is slice-quantized, so fewer
@@ -809,16 +751,14 @@ pub fn ablation_reduce_exp(quick: bool, wire: Wire) -> Experiment {
     };
 
     let mut points: Vec<PointFn> = Vec::new();
-    for &(engine, fi, n, elems) in &rows {
+    for &(_, ref spec, n, elems) in &rows {
         for algo in CollAlgo::ALL {
+            let spec = spec.clone().with_coll_algo(algo);
             points.push(Box::new(move || {
-                let (kind, net) = FABRICS[fi];
                 let iters = iters_for(n);
                 let out = run_app(
-                    // Every cell fixes both wire axes itself, so `wire`
-                    // never shows in this table.
-                    &net_spec(wire, engine, net()).with_fabric(kind).with_coll_algo(algo),
-                    JobLayout::new(n.div_ceil(2), 2, n),
+                    &spec,
+                    two_per_node(n),
                     move |mut mpi: mpi_api::AsyncMpi| async move {
                         let data = vec![1.0f64; elems];
                         let t0 = mpi.now().await;
@@ -833,7 +773,7 @@ pub fn ablation_reduce_exp(quick: bool, wire: Wire) -> Experiment {
         }
     }
     Experiment {
-        name: "ablation_reduce",
+        reports: &["ablation_reduce"],
         cli: "ablation-reduce",
         desc: "collective-algorithm bake-off: hw multicast vs binomial vs optimal schedule",
         points,
@@ -842,17 +782,15 @@ pub fn ablation_reduce_exp(quick: bool, wire: Wire) -> Experiment {
                 "Bake-off: allreduce us/op under hw-multicast vs binomial vs optimal schedule",
                 &["hw-multicast", "binomial", "optimal"],
             );
-            for (ri, &(engine, fi, n, elems)) in rows.iter().enumerate() {
-                let cells = (0..CollAlgo::ALL.len())
-                    .map(|ai| format!("{:.1}us", outs[ri * CollAlgo::ALL.len() + ai].nums[0]))
-                    .collect();
-                let eng = if engine == 0 { "bcs" } else { "quadrics" };
-                let fab = FABRICS[fi].0.name();
-                r.row(format!("{eng}/{fab} n={n} {elems}f64"), cells);
-                if engine == 0 && fab == "rdma" && n == large_n {
-                    let base = ri * CollAlgo::ALL.len();
-                    r.metric("rdma_mcast_large_ns", outs[base].nums[0] * 1000.0);
-                    r.metric("rdma_optimal_large_ns", outs[base + 2].nums[0] * 1000.0);
+            for ((cell, spec, n, elems), us) in rows.iter().zip(outs.chunks_exact(CollAlgo::ALL.len())) {
+                r.row(
+                    format!("{cell} n={n} {elems}f64"),
+                    us.iter().map(|o| format!("{:.1}us", o.nums[0])).collect(),
+                );
+                // Only BCS-MPI has large-n rows.
+                if spec.fabric() == qsnet::FabricKind::Rdma && *n == large_n {
+                    r.metric("rdma_mcast_large_ns", us[0].nums[0] * 1000.0);
+                    r.metric("rdma_optimal_large_ns", us[2].nums[0] * 1000.0);
                 }
             }
             r.note("columns are wire-schedule algorithms; results are bit-identical across all three (coll_equivalence)");
@@ -867,11 +805,7 @@ pub fn ablation_reduce_exp(quick: bool, wire: Wire) -> Experiment {
 /// BCS, clean and with the noise injector.
 pub fn ablation_noise_exp(quick: bool, wire: Wire) -> Experiment {
     let ranks = if quick { 8 } else { 62 };
-    let iters = if quick { 50 } else { 200 };
-    let cfg = move || synthetic::BarrierLoopCfg {
-        granularity: SimDuration::millis(1),
-        iters,
-    };
+    let barrier = synthetic_loop(false, SimDuration::millis(1), if quick { 50 } else { 200 });
     let noise = || NoiseConfig {
         mean_interval: SimDuration::millis(10),
         hole: SimDuration::micros(800),
@@ -883,17 +817,9 @@ pub fn ablation_noise_exp(quick: bool, wire: Wire) -> Experiment {
         wire.bcs(),
         BcsConfig { noise: Some(noise()), ..wire.bcs_cfg() }.into(),
     ];
-    let points: Vec<PointFn> = specs
-        .into_iter()
-        .map(|spec| {
-            Box::new(move || {
-                let out = run_app(&spec, layout(ranks), synthetic::barrier_loop(cfg()));
-                PointOut::new(vec![], vec![out.elapsed.as_nanos()])
-            }) as PointFn
-        })
-        .collect();
+    let points = specs.into_iter().map(|spec| run_point(spec, layout(ranks), &barrier)).collect();
     Experiment {
-        name: "ablation_noise",
+        reports: &["ablation_noise"],
         cli: "ablation-noise",
         desc: "OS-noise injection on a fine-grained barrier loop",
         points,
@@ -947,7 +873,7 @@ pub fn ablation_chunk_exp(quick: bool, wire: Wire) -> Experiment {
         points.push(measure(wire.quadrics(), sz));
     }
     Experiment {
-        name: "ablation_chunk",
+        reports: &["ablation_chunk"],
         cli: "ablation-chunk",
         desc: "effective bandwidth vs message size (chunking over slices)",
         points,
@@ -956,9 +882,8 @@ pub fn ablation_chunk_exp(quick: bool, wire: Wire) -> Experiment {
                 "Ablation: effective bandwidth vs message size (chunking over slices)",
                 &["BCS-MPI", "Quadrics", "BCS/link", "notes"],
             );
-            for (i, &sz) in sizes.iter().enumerate() {
-                let b = outs[i * 2].nums[0];
-                let q = outs[i * 2 + 1].nums[0];
+            for (&sz, runs) in sizes.iter().zip(outs.chunks_exact(2)) {
+                let (b, q) = (runs[0].nums[0], runs[1].nums[0]);
                 r.row(
                     format!("{} KiB", sz / 1024),
                     vec![
@@ -985,7 +910,7 @@ pub fn ablation_multijob_exp(wire: Wire) -> Experiment {
     // Two jobs of blocking ring exchanges, gang-scheduled on shared nodes.
     let steps = 60u64;
     let compute = SimDuration::micros(1_300);
-    let program = move |mut mpi: mpi_api::AsyncMpi| async move {
+    let ring = move |mut mpi: mpi_api::AsyncMpi| async move {
         let me = mpi.rank();
         let job = ((me % 4) / 2) as i64;
         let comm = mpi.comm_split(None, job, 0).await.expect("job comm");
@@ -1000,8 +925,8 @@ pub fn ablation_multijob_exp(wire: Wire) -> Experiment {
                 right,
                 tag,
                 &[my as u8; 64],
-                mpi_api::message::SrcSel::Rank(left),
-                mpi_api::message::TagSel::Tag(tag),
+                SrcSel::Rank(left),
+                TagSel::Tag(tag),
             )
             .await;
         }
@@ -1031,10 +956,7 @@ pub fn ablation_multijob_exp(wire: Wire) -> Experiment {
                 vec![solo.switches, duo.switches],
             )
         }),
-        Box::new(move || {
-            let dedicated = run_app(&wire.bcs(), lay(), program);
-            PointOut::new(vec![], vec![dedicated.elapsed.as_nanos()])
-        }),
+        run_point(wire.bcs(), lay(), &program(move || ring)),
         Box::new(move || {
             let mut gcfg = wire.bcs_cfg();
             let mut jobs = vec![Vec::new(), Vec::new()];
@@ -1045,7 +967,7 @@ pub fn ablation_multijob_exp(wire: Wire) -> Experiment {
                 jobs,
                 switch_cost: SimDuration::micros(25),
             });
-            let gang = run_app(&gcfg.into(), lay(), program);
+            let gang = run_app(&gcfg.into(), lay(), ring);
             PointOut::new(
                 vec![],
                 vec![gang.elapsed.as_nanos(), gang.engine.bcs().gang_switches()],
@@ -1053,7 +975,7 @@ pub fn ablation_multijob_exp(wire: Wire) -> Experiment {
         }),
     ];
     Experiment {
-        name: "ablation_multijob",
+        reports: &["ablation_multijob"],
         cli: "ablation-multijob",
         desc: "gang-scheduling a second job into blocked slices (STORM)",
         points,
@@ -1147,12 +1069,7 @@ pub fn ablation_fault_exp(quick: bool, wire: Wire) -> Experiment {
             let sz = if it % 2 == 0 { 64 * 1024 } else { 512 };
             let payload: Vec<u8> = (0..sz).map(|i| (acc ^ (i as u64)) as u8).collect();
             let s = mpi.isend((me + 1) % n, it as i32, &payload).await;
-            let q = mpi
-                .irecv(
-                    mpi_api::message::SrcSel::Rank((me + n - 1) % n),
-                    mpi_api::message::TagSel::Tag(it as i32),
-                )
-                .await;
+            let q = mpi.irecv(SrcSel::Rank((me + n - 1) % n), TagSel::Tag(it as i32)).await;
             let res = mpi.waitall(&[s, q]).await;
             for (i, b) in res[1].0.as_ref().expect("payload").iter().enumerate() {
                 acc = acc.wrapping_mul(31).wrapping_add(*b as u64 ^ (i as u64 & 0xFF));
@@ -1249,7 +1166,7 @@ pub fn ablation_fault_exp(quick: bool, wire: Wire) -> Experiment {
     }
 
     Experiment {
-        name: "ablation_fault",
+        reports: &["ablation_fault"],
         cli: "ablation-fault",
         desc: "checkpoint interval x MTBF fault-tolerance ablation",
         points,
@@ -1270,28 +1187,25 @@ pub fn ablation_fault_exp(quick: bool, wire: Wire) -> Experiment {
             let rework_cell = |ms: f64| format!("{ms:.2}ms ({})", pct(ms / base_ms * 100.0));
             let mut all_identical = true;
             let mut max_latency_ms = 0.0f64;
-            let mut i = 1usize;
-            let (logged_bytes, p2p_bytes) = (outs[1].words[1], outs[1].words[2]);
-            for &k in intervals {
-                let clean_elapsed = dur(outs[i].words[0]);
-                i += 1;
+            // A fault-free checkpointed run's row; returns its spill in ms.
+            let clean_row = |r: &mut Report, label: String, o: &PointOut| {
+                let elapsed = dur(o.words[0]);
                 // Slices start on a fixed global grid, so serialization
                 // that fits in slice slack costs nothing; spill shows up
                 // as whole slices.
-                let spill_ms = clean_elapsed.as_millis_f64() - base_ms;
+                let spill_ms = elapsed.as_millis_f64() - base_ms;
+                let cells = vec![secs(elapsed.as_secs_f64()), rework_cell(spill_ms), "0".into(), "-".into()];
+                r.row(label, cells);
+                spill_ms
+            };
+            let mut runs = outs[1..].iter();
+            let (logged_bytes, p2p_bytes) = (outs[1].words[1], outs[1].words[2]);
+            for &k in intervals {
+                let label = format!("every {k} slices, no faults");
+                let spill_ms = clean_row(&mut r, label, runs.next().unwrap());
                 r.metric(format!("ckpt_overhead_every{k}_pct"), spill_ms / base_ms * 100.0);
-                r.row(
-                    format!("every {k} slices, no faults"),
-                    vec![
-                        secs(clean_elapsed.as_secs_f64()),
-                        rework_cell(spill_ms),
-                        "0".into(),
-                        "-".into(),
-                    ],
-                );
                 for &mtbf in mtbfs {
-                    let o = &outs[i];
-                    i += 1;
+                    let o = runs.next().unwrap();
                     let [rework_ms, mean_lat, max_lat] = o.nums[..] else {
                         panic!("faulted point shape");
                     };
@@ -1315,18 +1229,8 @@ pub fn ablation_fault_exp(quick: bool, wire: Wire) -> Experiment {
                 }
             }
             for cost_us in COSTS_US {
-                let clean_elapsed = dur(outs[i].words[0]);
-                i += 1;
-                let spill_ms = clean_elapsed.as_millis_f64() - base_ms;
-                r.row(
-                    format!("every 2 slices, {cost_us} us serialization, no faults"),
-                    vec![
-                        secs(clean_elapsed.as_secs_f64()),
-                        rework_cell(spill_ms),
-                        "0".into(),
-                        "-".into(),
-                    ],
-                );
+                let label = format!("every 2 slices, {cost_us} us serialization, no faults");
+                clean_row(&mut r, label, runs.next().unwrap());
             }
             r.metric("recovered_bit_identical", if all_identical { 1.0 } else { 0.0 });
             r.metric("max_detect_latency_ms", max_latency_ms);
@@ -1376,37 +1280,30 @@ pub fn ablation_schedule_exp(quick: bool, wire: Wire) -> Experiment {
         msg_bytes,
         stable,
     };
+    // (stable, message size, nodes) per row, each run three ways.
+    let cells: Vec<(bool, usize, usize)> = [true, false]
+        .into_iter()
+        .flat_map(|stable| sizes.iter().flat_map(move |&sz| ns.iter().map(move |&n| (stable, sz, n))))
+        .collect();
     let mut points: Vec<PointFn> = Vec::new();
-    for &stable in &[true, false] {
-        for &sz in sizes {
-            for &n in ns {
-                for variant in 0..3usize {
-                    points.push(Box::new(move || {
-                        let mut bcfg = wire.bcs_cfg();
-                        bcfg.sched_compile =
-                            if variant == 0 { None } else { Some(Default::default()) };
-                        bcfg.coalesce =
-                            if variant == 2 { Some(Default::default()) } else { None };
-                        let out = run_app(
-                            &bcfg.into(),
-                            JobLayout::new(n, 2, 2 * n),
-                            synthetic::particle_stress(cfg(stable, sz)),
-                        );
-                        let s = out.engine.bcs().sched_stats();
-                        let st = &out.engine.bcs().stats;
-                        PointOut::new(
-                            vec![],
-                            vec![
-                                out.elapsed.as_nanos(),
-                                s.compiled,
-                                s.replays,
-                                st.dem_blocks,
-                                st.p2p_gathers,
-                            ],
-                        )
-                    }));
-                }
-            }
+    for &(stable, sz, n) in &cells {
+        for variant in 0..3usize {
+            points.push(Box::new(move || {
+                let mut bcfg = wire.bcs_cfg();
+                bcfg.sched_compile = if variant == 0 { None } else { Some(Default::default()) };
+                bcfg.coalesce = if variant == 2 { Some(Default::default()) } else { None };
+                let out = run_app(
+                    &bcfg.into(),
+                    JobLayout::new(n, 2, 2 * n),
+                    synthetic::particle_stress(cfg(stable, sz)),
+                );
+                let s = out.engine.bcs().sched_stats();
+                let st = &out.engine.bcs().stats;
+                PointOut::new(
+                    vec![],
+                    vec![out.elapsed.as_nanos(), s.compiled, s.replays, st.dem_blocks, st.p2p_gathers],
+                )
+            }));
         }
     }
     // Machinery pair: the gets each variant issues feed the >=5x gate.
@@ -1415,7 +1312,7 @@ pub fn ablation_schedule_exp(quick: bool, wire: Wire) -> Experiment {
         points.push(Box::new(move || PointOut::new(vec![], vec![machinery_gets(msgs, compiled)])));
     }
     Experiment {
-        name: "ablation_schedule",
+        reports: &["ablation_schedule"],
         cli: "ablation-schedule",
         desc: "persistent schedule compilation + coalescing on the particle stress workload",
         points,
@@ -1430,55 +1327,36 @@ pub fn ablation_schedule_exp(quick: bool, wire: Wire) -> Experiment {
             let mut delta_ns = 0u64;
             let mut behavior_ok = true;
             let mut stable_replayed = 0u32;
-            let mut idx = 0usize;
-            for &stable in &[true, false] {
-                for &sz in sizes {
-                    for &n in ns {
-                        let base = &outs[idx];
-                        let comp = &outs[idx + 1];
-                        let coal = &outs[idx + 2];
-                        idx += 3;
-                        // Compilation must not move virtual time at all.
-                        delta_ns += base.words[0].abs_diff(comp.words[0]);
-                        let replays = comp.words[2];
-                        // A perturbed pattern must never replay. A stable one
-                        // compiles and replays when an iteration meets the
-                        // slices the same way every time; how many cells do
-                        // is pinned per mode (see EXPERIMENTS.md: at paper
-                        // scale the 128 B cells overrun the slice in DEM and
-                        // alternate between two splits).
-                        if stable {
-                            stable_replayed += u32::from(comp.words[1] > 0 && replays > 0);
-                        } else {
-                            behavior_ok &= replays == 0;
-                        }
-                        behavior_ok &= coal.words[4] > 0; // gathers engaged
-                        let ms = |o: &PointOut| {
-                            format!("{:.2}ms", dur(o.words[0]).as_millis_f64())
-                        };
-                        r.row(
-                            format!(
-                                "{} {sz}B x{} n={n}",
-                                if stable { "stable" } else { "perturbed" },
-                                mpp(sz),
-                            ),
-                            vec![
-                                ms(base),
-                                ms(comp),
-                                ms(coal),
-                                replays.to_string(),
-                                coal.words[4].to_string(),
-                            ],
-                        );
-                    }
+            let (cell_outs, machinery) = outs.split_at(3 * cells.len());
+            for (&(stable, sz, n), runs) in cells.iter().zip(cell_outs.chunks_exact(3)) {
+                let (base, comp, coal) = (&runs[0], &runs[1], &runs[2]);
+                // Compilation must not move virtual time at all.
+                delta_ns += base.words[0].abs_diff(comp.words[0]);
+                let replays = comp.words[2];
+                // A perturbed pattern must never replay. A stable one
+                // compiles and replays when an iteration meets the
+                // slices the same way every time; how many cells do
+                // is pinned per mode (see EXPERIMENTS.md: at paper
+                // scale the 128 B cells overrun the slice in DEM and
+                // alternate between two splits).
+                if stable {
+                    stable_replayed += u32::from(comp.words[1] > 0 && replays > 0);
+                } else {
+                    behavior_ok &= replays == 0;
                 }
+                behavior_ok &= coal.words[4] > 0; // gathers engaged
+                let ms = |o: &PointOut| format!("{:.2}ms", dur(o.words[0]).as_millis_f64());
+                r.row(
+                    format!("{} {sz}B x{} n={n}", if stable { "stable" } else { "perturbed" }, mpp(sz)),
+                    vec![ms(base), ms(comp), ms(coal), replays.to_string(), coal.words[4].to_string()],
+                );
             }
             r.metric("replay_elapsed_delta_ns", delta_ns as f64);
             r.metric("pattern_behavior_ok", if behavior_ok { 1.0 } else { 0.0 });
             r.metric("stable_cells_replayed", stable_replayed as f64);
             // The machinery pair: its exact work count is gated (metrics
             // only, never rows).
-            let (base, comp) = (&outs[idx], &outs[idx + 1]);
+            let (base, comp) = (&machinery[0], &machinery[1]);
             r.metric("stress_baseline_gets", base.words[0] as f64);
             r.metric("stress_compiled_gets", comp.words[0] as f64);
             r.note("compiled column must equal baseline exactly: replay is bit-transparent");
@@ -1510,7 +1388,6 @@ pub fn ablation_schedule_exp(quick: bool, wire: Wire) -> Experiment {
 fn machinery_gets(msgs: usize, compiled: bool) -> u64 {
     use bcs_mpi::match_index::{LazyBudget, RecvIndex, RecvSel, SendIndex, SendKey};
     use bcs_mpi::schedule::FpBuilder;
-    use mpi_api::message::{SrcSel, TagSel};
     use qsnet::NodeId;
 
     struct W;
@@ -1637,58 +1514,22 @@ pub fn scale_exp(quick: bool, wire: Wire) -> Experiment {
             base
         }
     };
-    let bgl_layout = |n: usize| JobLayout::new(n.div_ceil(2), 2, n);
-    let bgl = move |engine: usize| net_spec(wire, engine, qsnet::NetModel::bluegene_l());
-
-    let mut points: Vec<PointFn> = Vec::new();
-    for &n in ns {
-        for engine in [0usize, 1] {
-            points.push(Box::new(move || {
-                let cfg = synthetic::BarrierLoopCfg {
-                    granularity: g,
-                    iters: iters(n),
-                };
-                let out = run_app(&bgl(engine), bgl_layout(n), synthetic::barrier_loop(cfg));
-                PointOut::new(vec![], vec![out.elapsed.as_nanos(), out.events])
-            }));
+    let specs = net_pair(wire, qsnet::NetModel::bluegene_l());
+    let mut rows = Vec::new();
+    for (what, neighbor) in [("barrier", false), ("neighbor", true)] {
+        for &n in ns {
+            let prog = synthetic_loop(neighbor, g, iters(n));
+            let metric = (n == 4096).then(|| format!("{what}_n4096_slowdown_pct"));
+            rows.push(pair(format!("{what} n={n}"), &specs, two_per_node(n), &prog, metric));
         }
     }
-    for &n in ns {
-        for engine in [0usize, 1] {
-            points.push(Box::new(move || {
-                let cfg = synthetic::NeighborLoopCfg::paper(g, iters(n));
-                let out = run_app(&bgl(engine), bgl_layout(n), synthetic::neighbor_loop(cfg));
-                PointOut::new(vec![], vec![out.elapsed.as_nanos()])
-            }));
-        }
-    }
-    Experiment {
-        name: "scale",
-        cli: "scale",
-        desc: "BlueGene/L synthetic sweeps to thousands of ranks (65536 at paper scale)",
-        points,
-        assemble: Box::new(move |outs| {
-            let mut r = Report::new(
-                format!(
-                    "Scale: synthetic benchmarks on BlueGene/L to n={} (10 ms granularity)",
-                    ns[ns.len() - 1]
-                ),
-                &["BCS-MPI", "Quadrics", "slowdown"],
-            );
-            for (ni, &n) in ns.iter().enumerate() {
-                let (cells, sd) = pair_cells(&outs, ni);
-                if n == 4096 {
-                    r.metric("barrier_n4096_slowdown_pct", sd);
-                }
-                r.row(format!("barrier n={n}"), cells);
-            }
-            for (ni, &n) in ns.iter().enumerate() {
-                let (cells, sd) = pair_cells(&outs, ns.len() + ni);
-                if n == 4096 {
-                    r.metric("neighbor_n4096_slowdown_pct", sd);
-                }
-                r.row(format!("neighbor n={n}"), cells);
-            }
+    pair_exp(
+        "scale",
+        "BlueGene/L synthetic sweeps to thousands of ranks (65536 at paper scale)",
+        &["scale"],
+        format!("Scale: synthetic benchmarks on BlueGene/L to n={} (10 ms granularity)", ns[ns.len() - 1]),
+        rows,
+        move |r, measured| {
             r.note("layout: 2 CPUs per node, n/2 compute nodes; net = Table 1 BlueGene/L");
             // Simulator cost, a note because it is not a result: what the
             // slice machinery dispatches per slice must not grow with n
@@ -1697,22 +1538,18 @@ pub fn scale_exp(quick: bool, wire: Wire) -> Experiment {
             // compute phase is the rank's own work and is left out.
             let per_slice: Vec<String> = ns
                 .iter()
-                .enumerate()
-                .map(|(ni, &n)| {
-                    let bcs = &outs[ni * 2];
-                    let machine = bcs.words[1] - iters(n) * n as u64;
-                    let slices = bcs.words[0].div_ceil(BcsConfig::default().timeslice.as_nanos());
+                .zip(measured) // the barrier rows
+                .map(|(&n, m)| {
+                    let machine = m.bcs_events - iters(n) * n as u64;
+                    let slices = m.bcs_elapsed.as_nanos().div_ceil(BcsConfig::default().timeslice.as_nanos());
                     format!("n={n} {:.1}", machine as f64 / slices as f64)
                 })
                 .collect();
-            r.note(format!(
-                "BCS-MPI barrier loop, machine dispatches per slice: {}",
-                per_slice.join(" ")
-            ));
+            r.note(format!("BCS-MPI barrier loop, machine dispatches per slice: {}", per_slice.join(" ")));
             r.note("rank programs are stackless state machines: one OS thread per point, any n");
-            vec![("scale", r)]
-        }),
-    }
+            vec![]
+        },
+    )
 }
 
 /// STORM job-launch scaling (the substrate's flagship behavior):
@@ -1734,7 +1571,7 @@ pub fn storm_launch_exp() -> Experiment {
         }
     }
     Experiment {
-        name: "storm_launch",
+        reports: &["storm_launch"],
         cli: "storm-launch",
         desc: "STORM job-launch time vs node count and network",
         points,
@@ -1743,10 +1580,10 @@ pub fn storm_launch_exp() -> Experiment {
                 "STORM: job launch time (8 MB image, 2 procs/node)",
                 &["QsNet", "Myrinet", "GigE"],
             );
-            for (ni, nodes) in NODES.into_iter().enumerate() {
+            for (nodes, launches) in NODES.into_iter().zip(outs.chunks_exact(3)) {
                 let mut cells = Vec::new();
-                for (mi, net) in nets().into_iter().enumerate() {
-                    let ms = outs[ni * 3 + mi].nums[0];
+                for (net, launch) in nets().into_iter().zip(launches) {
+                    let ms = launch.nums[0];
                     if nodes == 64 && net.name == "QsNet" {
                         r.metric("qsnet_launch_64nodes_ms", ms);
                     }
@@ -1777,91 +1614,36 @@ pub fn fabric_matrix_exp(quick: bool, wire: Wire) -> Experiment {
     let g = SimDuration::millis(10);
     let iters: u64 = if quick { 10 } else { 40 };
     let cg_ranks = if quick { 8 } else { 62 };
-    // Each row fixes its fabric; `wire` supplies the collective algorithm.
-    let spec_for = move |kind, net: fn() -> qsnet::NetModel, engine: usize| {
-        net_spec(wire, engine, net()).with_fabric(kind)
-    };
-
-    let mut points: Vec<PointFn> = Vec::new();
+    let cg = program(move || cg::cg_bench(if quick { cg::CgCfg::test() } else { cg::CgCfg::class_c() }));
+    let mut rows = Vec::new();
     for &(kind, net) in FABRICS {
-        for &n in ns {
-            for engine in [0usize, 1] {
-                points.push(Box::new(move || {
-                    let cfg = synthetic::BarrierLoopCfg { granularity: g, iters };
-                    let out = run_app(
-                        &spec_for(kind, net, engine),
-                        JobLayout::new(n.div_ceil(2), 2, n),
-                        synthetic::barrier_loop(cfg),
-                    );
-                    PointOut::new(vec![], vec![out.elapsed.as_nanos()])
-                }));
+        // Each row fixes its fabric; `wire` supplies the collective algorithm.
+        let specs = net_pair(Wire { fabric: kind, ..wire }, net());
+        let label = kind.name();
+        for (what, neighbor) in [("barrier", false), ("neighbor", true)] {
+            let prog = synthetic_loop(neighbor, g, iters);
+            for &n in ns {
+                let metric = (n == ns[ns.len() - 1]).then(|| format!("{what}_{label}_sd_pct"));
+                rows.push(pair(format!("{label} {what} n={n}"), &specs, two_per_node(n), &prog, metric));
             }
         }
-        for &n in ns {
-            for engine in [0usize, 1] {
-                points.push(Box::new(move || {
-                    let cfg = synthetic::NeighborLoopCfg::paper(g, iters);
-                    let out = run_app(
-                        &spec_for(kind, net, engine),
-                        JobLayout::new(n.div_ceil(2), 2, n),
-                        synthetic::neighbor_loop(cfg),
-                    );
-                    PointOut::new(vec![], vec![out.elapsed.as_nanos()])
-                }));
-            }
-        }
-        for engine in [0usize, 1] {
-            points.push(Box::new(move || {
-                let cfg = if quick { cg::CgCfg::test() } else { cg::CgCfg::class_c() };
-                let out = run_app(
-                    &spec_for(kind, net, engine),
-                    layout(cg_ranks),
-                    cg::cg_bench(cfg),
-                );
-                PointOut::new(vec![], vec![out.elapsed.as_nanos()])
-            }));
-        }
+        let metric = Some(format!("cg_{label}_sd_pct"));
+        rows.push(pair(format!("{label} CG ({cg_ranks} procs)"), &specs, layout(cg_ranks), &cg, metric));
     }
-
-    Experiment {
-        name: "fabric_matrix",
-        cli: "fabric-matrix",
-        desc: "both engines on QsNet hardware vs RDMA-emulated collectives",
-        points,
-        assemble: Box::new(move |outs| {
-            let mut r = Report::new(
-                "Fabric matrix: BCS-MPI slowdown on hardware (QsNet) vs software-emulated (RDMA/IB) collectives",
-                &["BCS-MPI", "Quadrics", "slowdown"],
-            );
-            // Per fabric: ns.len() barrier pairs, ns.len() neighbor pairs,
-            // then one CG pair.
-            let block = 2 * ns.len() + 1;
-            for (fi, &(kind, _)) in FABRICS.iter().enumerate() {
-                let label = kind.name();
-                for (ni, &n) in ns.iter().enumerate() {
-                    let (cells, sd) = pair_cells(&outs, fi * block + ni);
-                    if n == *ns.last().unwrap() {
-                        r.metric(format!("barrier_{label}_sd_pct"), sd);
-                    }
-                    r.row(format!("{label} barrier n={n}"), cells);
-                }
-                for (ni, &n) in ns.iter().enumerate() {
-                    let (cells, sd) = pair_cells(&outs, fi * block + ns.len() + ni);
-                    if n == *ns.last().unwrap() {
-                        r.metric(format!("neighbor_{label}_sd_pct"), sd);
-                    }
-                    r.row(format!("{label} neighbor n={n}"), cells);
-                }
-                let (cells, sd) = pair_cells(&outs, fi * block + 2 * ns.len());
-                r.metric(format!("cg_{label}_sd_pct"), sd);
-                r.row(format!("{label} CG ({cg_ranks} procs)"), cells);
-            }
+    pair_exp(
+        "fabric-matrix",
+        "both engines on QsNet hardware vs RDMA-emulated collectives",
+        &["fabric_matrix"],
+        "Fabric matrix: BCS-MPI slowdown on hardware (QsNet) vs software-emulated (RDMA/IB) collectives"
+            .into(),
+        rows,
+        |r, _| {
             r.note("qsnet rows: Table 1 QsNet model, hardware multicast + network conditionals");
             r.note(
                 "rdma rows: Table 1 InfiniBand model, binomial-tree multicast and \
                  gather-to-root conditionals emulated in software (crates/rdmanet)",
             );
-            vec![("fabric_matrix", r)]
-        }),
-    }
+            vec![]
+        },
+    )
 }

@@ -41,9 +41,9 @@
 #      8192 nodes as on 64 (BcsStats::strobe_visits); two `repro` runs print the same
 #      standard output except the `sweep:` line and write nothing but CSVs
 #      (release-only in cli.rs)
-#   4. the fault ablation (quick), tolerance-gated, emitting
-#      reports/ablation_fault.csv; its note on what the replay log retains
-#      by value must name fewer bytes than were moved point to point
+#   4. the fault ablation (quick), tolerance-gated; its note on what the
+#      replay log retains by value must name fewer bytes than were moved
+#      point to point
 #   5. the quick repro sequentially and with REPRO_THREADS=4: the CSVs
 #      must be byte-identical across thread counts; repro's speedup pairs
 #      are exact (a work count or virtual time), so they are ratio-gated at
@@ -61,8 +61,14 @@
 #      pattern behavior flags pinned, and the stress pair's DMA gets —
 #      one per message indexed, one per coalesced block compiled — gated
 #      >= 5x through gate::check_speedups; repro exits non-zero on any
-#      miss); and the collective bake-off smoke (DESIGN.md section 14).
-#      Rewrites the four CSVs under reports/
+#      miss); and the collective bake-off smoke (DESIGN.md section 14)
+#   7. the paper-scale repro (all experiments, tolerance-gated): every CSV
+#      it writes must equal, byte for byte, the copy committed under
+#      reports/, so the committed reports cannot drift from the sources
+#      (about a minute on two cores)
+#
+# Steps 4 to 7 write their CSVs to a temporary directory: nothing under
+# reports/ is rewritten except detlint's two files.
 #
 # Any compile warning in any workspace crate is a failure (-D warnings).
 set -euo pipefail
@@ -105,9 +111,12 @@ PROPLITE_CASES=1024 cargo test --release -q --test sim_queue_model
 cargo test --release -q -p bcs-mpi --test idle_scaling
 cargo test --release -q -p bench --test cli
 
-echo "== fault ablation (quick, tolerance-gated) -> reports/ablation_fault.csv"
-fault_out="$(cargo run --release -q -p bench --bin repro -- ablation-fault --quick)"
-[ -s reports/ablation_fault.csv ] || { echo "verify: missing reports/ablation_fault.csv" >&2; exit 1; }
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+echo "== fault ablation (quick, tolerance-gated)"
+fault_out="$(cargo run --release -q -p bench --bin repro -- ablation-fault --quick --out "$tmp/fault")"
+[ -s "$tmp/fault/ablation_fault.csv" ] || { echo "verify: missing ablation_fault.csv" >&2; exit 1; }
 # The replay log holds point-to-point payloads by reference (DESIGN.md
 # section 9): what it retains by value must stay below the bytes moved.
 echo "$fault_out" | awk '
@@ -121,8 +130,7 @@ echo "$fault_out" | awk '
   }'
 
 echo "== parallel repro determinism (quick, REPRO_THREADS=1 vs 4)"
-seq_dir="$(mktemp -d)"; par_dir="$(mktemp -d)"
-trap 'rm -rf "$seq_dir" "$par_dir"' EXIT
+seq_dir="$tmp/seq"; par_dir="$tmp/par"
 REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick all --out "$seq_dir" >/dev/null
 REPRO_THREADS=4 cargo run --release -q -p bench --bin repro -- --quick all --out "$par_dir" >/dev/null
 n=0
@@ -135,8 +143,9 @@ done
 echo "   $n CSVs byte-identical across thread counts"
 
 echo "== n=4096 scale smoke + fabric-matrix smoke + ablation-schedule/-reduce smokes (single sweep worker)"
-smoke_out="$(REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick scale fabric-matrix ablation-schedule ablation-reduce)"
-[ -s reports/scale.csv ] || { echo "verify: missing reports/scale.csv" >&2; exit 1; }
+smoke="$tmp/smoke"
+smoke_out="$(REPRO_THREADS=1 cargo run --release -q -p bench --bin repro -- --quick scale fabric-matrix ablation-schedule ablation-reduce --out "$smoke")"
+[ -s "$smoke/scale.csv" ] || { echo "verify: missing scale.csv" >&2; exit 1; }
 # O(active) slices (DESIGN.md section 9): what the strobe machinery
 # dispatches per slice at n=4096 must stay under twice the smallest n.
 echo "$smoke_out" | awk '
@@ -150,9 +159,9 @@ echo "$smoke_out" | awk '
       exit 1
     }
   }'
-[ -s reports/fabric_matrix.csv ] || { echo "verify: missing reports/fabric_matrix.csv" >&2; exit 1; }
-[ -s reports/ablation_schedule.csv ] || { echo "verify: missing reports/ablation_schedule.csv" >&2; exit 1; }
-[ -s reports/ablation_reduce.csv ] || { echo "verify: missing reports/ablation_reduce.csv" >&2; exit 1; }
+for f in fabric_matrix ablation_schedule ablation_reduce; do
+  [ -s "$smoke/$f.csv" ] || { echo "verify: missing $f.csv" >&2; exit 1; }
+done
 # The schedule-machinery stress pair must have been counted and gated
 # (a repro that silently skipped it would still exit 0).
 echo "$smoke_out" | grep -q "stress_compiled_gets" \
@@ -160,7 +169,19 @@ echo "$smoke_out" | grep -q "stress_compiled_gets" \
 # Same for the bake-off's optimal-vs-multicast pair (virtual-time gated).
 echo "$smoke_out" | grep -q "rdma_optimal_large_ns" \
   || { echo "verify: ablation-reduce bake-off speedup pair did not run" >&2; exit 1; }
-head -1 reports/ablation_reduce.csv | grep -q "hw-multicast.*binomial.*optimal" \
+head -1 "$smoke/ablation_reduce.csv" | grep -q "hw-multicast.*binomial.*optimal" \
   || { echo "verify: ablation_reduce.csv lacks the three algorithm columns" >&2; exit 1; }
+
+echo "== paper-scale repro (tolerance-gated): every CSV equals its committed copy under reports/"
+cargo run --release -q -p bench --bin repro -- all --out "$tmp/full" >/dev/null
+n=0
+for f in "$tmp/full"/*.csv; do
+  cmp -s "$f" "reports/$(basename "$f")" \
+    || { echo "verify: reports/$(basename "$f") differs from what paper-scale repro writes; regenerate with \`repro all --out reports\`" >&2; exit 1; }
+  n=$((n + 1))
+done
+committed="$(ls reports/*.csv | wc -l)"
+[ "$n" -eq "$committed" ] || { echo "verify: paper-scale repro wrote $n CSVs, reports/ holds $committed" >&2; exit 1; }
+echo "   $n CSVs equal to reports/"
 
 echo "verify: OK"
