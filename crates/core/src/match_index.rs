@@ -49,6 +49,7 @@
 
 use mpi_api::idtable::IdTable;
 use mpi_api::message::{SrcSel, TagSel};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// Cheap, deterministic 64-bit hasher (FxHash-style rotate-xor-multiply)
@@ -338,6 +339,9 @@ impl<T> RecvIndex<T> {
     /// the schedule compiler records it to pin a send↔recv pairing to recv
     /// *positions* (see `crate::schedule`).
     pub fn match_first_seq(&mut self, key: &SendKey) -> Option<(u64, RecvSel, T)> {
+        if self.wild_queued == 0 {
+            return self.match_exact(key);
+        }
         let candidates = [
             ClassKey::Exact {
                 dst: key.dst_rank,
@@ -362,7 +366,7 @@ impl<T> RecvIndex<T> {
                 }
             }
             if self.wild_queued == 0 {
-                break; // the other three buckets are empty
+                break; // pruning emptied the wildcard buckets
             }
         }
         let (seq, ck) = best?;
@@ -377,6 +381,37 @@ impl<T> RecvIndex<T> {
         let (sel, item) = self.master.remove(seq).expect("bucket head is live");
         self.note_removed();
         Some((seq, sel, item))
+    }
+
+    /// [`Self::match_first_seq`] while no wildcard receive is queued: the
+    /// exact bucket is the only candidate, and one probe of its key finds
+    /// the queue, pops it past cancelled heads and retires it if it empties.
+    fn match_exact(&mut self, key: &SendKey) -> Option<(u64, RecvSel, T)> {
+        let ck = ClassKey::Exact {
+            dst: key.dst_rank,
+            src: key.src_rank,
+            tag: key.tag,
+        };
+        let Buckets { map, spare } = self.classes.as_deref_mut()?;
+        let Entry::Occupied(mut bucket) = map.entry(ck) else {
+            return None;
+        };
+        let q = bucket.get_mut();
+        let found = loop {
+            let Some(seq) = q.pop_front() else {
+                break None; // every receive queued here was cancelled
+            };
+            if let Some((sel, item)) = self.master.remove(seq) {
+                break Some((seq, sel, item));
+            }
+        };
+        if q.is_empty() {
+            keep_spare(spare, bucket.remove());
+        }
+        if found.is_some() {
+            self.note_removed();
+        }
+        found
     }
 
     /// Remove and return every live receive, in post order. Used by the
