@@ -3,6 +3,7 @@
 
 use apps::runner::{RunSpec, run_app};
 use bcs_mpi::BcsConfig;
+use mpi_api::MpiCall;
 use mpi_api::coll_sched::CollAlgo;
 use mpi_api::runtime::JobLayout;
 use qsnet::FabricKind;
@@ -56,6 +57,35 @@ fn a_stuck_run_names_its_spec_and_its_stuck_ranks() {
     let msg = payload.downcast_ref::<String>().expect("panic message");
     assert!(msg.starts_with("bcs/qsnet/hw-multicast/sched=on/coalesce=off: "), "{msg}");
     assert!(msg.contains("rank 1: parked in recv since t="), "{msg}");
+}
+
+/// A rank stuck inside a batch is parked in the sub-call it is stuck in,
+/// since the instant that sub-call was issued, not in the batch: the batch
+/// path names each sub-call as it issues it, on both engines. Each rank
+/// computes for 1 ms and then sends its peer a rendezvous-sized message
+/// (blocking on either engine) that the peer never receives.
+#[test]
+fn a_rank_stuck_inside_a_batch_is_parked_in_its_sub_call() {
+    for base in [RunSpec::bcs(), RunSpec::quadrics()] {
+        let spec = RunSpec { horizon: SimDuration::millis(20), ..base };
+        let hung = std::panic::catch_unwind(|| {
+            run_app(&spec, JobLayout::new(2, 1, 2), |mut mpi: mpi_api::AsyncMpi| async move {
+                let send = MpiCall::Send {
+                    dest: 1 - mpi.rank(),
+                    tag: 0,
+                    data: vec![1u8; 64 * 1024].into(),
+                    blocking: true,
+                };
+                mpi.batch(vec![mpi.compute_desc(SimDuration::millis(1)), send]).await;
+            })
+        });
+        let Err(payload) = hung else { panic!("{spec}: a deadlocked job completed") };
+        let msg = payload.downcast_ref::<String>().expect("panic message");
+        for rank in 0..2 {
+            let line = format!("rank {rank}: parked in send since t=1.000ms");
+            assert!(msg.contains(&line), "{spec}: {msg}");
+        }
+    }
 }
 
 /// The report keeps the engine the run finished on: one 4 KiB message shows

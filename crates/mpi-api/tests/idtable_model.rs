@@ -1,9 +1,9 @@
 //! `IdTable` against a `BTreeMap` model: whatever sequence of pushes,
-//! removals and tail drains a caller makes, both hold the same entries under
-//! the same ids, iterate in the same (id) order, and the table's window
-//! never spans more than `next id - oldest live id` slots — in particular it
-//! is empty again once everything is removed, however long one entry pinned
-//! the front.
+//! removals, set removals and tail drains a caller makes, both hold the
+//! same entries under the same ids, iterate in the same (id) order, and the
+//! table's window never spans more than `next id - oldest live id` slots —
+//! in particular it is empty again once everything is removed, however long
+//! one entry pinned the front.
 
 use mpi_api::idtable::IdTable;
 use proplite::prelude::*;
@@ -19,6 +19,9 @@ enum Op {
     /// Take out everything from an id on, which may be live, retired or not
     /// handed out yet (0 without a pinned entry: the whole table).
     DrainFrom(u64),
+    /// Take out a set of ids in the order given — live, retired, not handed
+    /// out yet, or named twice — with one compaction after the last.
+    RemoveAll(Vec<u64>),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -28,6 +31,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             2 => (0..64usize).prop_map(Op::RemoveLive),
             1 => (0..96u64).prop_map(Op::RemoveId),
             1 => (0..96u64).prop_map(Op::DrainFrom),
+            1 => prop::collection::vec(0..96u64, 0..12).prop_map(Op::RemoveAll),
         ],
         0..200,
     )
@@ -77,6 +81,12 @@ proplite! {
                     let id = id + pin as u64;
                     prop_assert_eq!(table.get(id), model.get(&id));
                     prop_assert_eq!(table.remove(id), model.remove(&id));
+                }
+                Op::RemoveAll(ref ids) => {
+                    // Never the pinned entry: it is not in the model.
+                    let ids: Vec<u64> = ids.iter().map(|id| id + pin as u64).collect();
+                    let want: Vec<Option<u64>> = ids.iter().map(|id| model.remove(id)).collect();
+                    prop_assert_eq!(table.remove_all(&ids, |v| v), want);
                 }
                 Op::DrainFrom(id) => {
                     // Never the pinned entry: it is not in the model.

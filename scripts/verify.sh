@@ -24,7 +24,13 @@
 #      section 16) and, beside it at four times its case count too,
 #      membership_model (communicator membership against plain member
 #      lists, run-shaped splits included: it guards the arithmetic that
-#      answers a run of world ranks without a search), the fault-recovery scenarios (the golden recovery
+#      answers a run of world ranks without a search) and the three models
+#      of the structures a call passes through on its way to an engine
+#      handler: idtable_model (the request window against a BTreeMap, set
+#      removals with one compaction included), match_equivalence (indexed
+#      matching, its one-probe exact path included, against the linear
+#      scan) and batch_equivalence (batched against one-by-one calls, on
+#      both engines), the fault-recovery scenarios (the golden recovery
 #      table, in which every restore takes over the halted segment's ranks
 #      and re-feeds no response; the polling ring whose restore falls back
 #      to the full replay; a lookahead carried across two restores; copy-
@@ -100,9 +106,12 @@ cargo test --workspace -q
 echo "== benchmark package compiles against the product surface (perf/, build only)"
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
-echo "== conformance lattice + membership model + event-queue model (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, idle scaling, repro output repeats)"
+echo "== conformance lattice + membership, request-window, matching, batching and event-queue models (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, idle scaling, repro output repeats)"
 PROPLITE_CASES=48 cargo test --release -q --test conformance
 PROPLITE_CASES=512 cargo test --release -q -p mpi-api --test membership_model
+PROPLITE_CASES=1024 cargo test --release -q -p mpi-api --test idtable_model
+PROPLITE_CASES=512 cargo test --release -q -p bcs-mpi --test match_equivalence
+PROPLITE_CASES=96 cargo test --release -q -p apps --test batch_equivalence
 cargo test --release -q --test fault_recovery
 cargo test --release -q -p mpi-api --lib payload::
 cargo test --release -q -p bcs-mpi --test capture_flatness

@@ -171,7 +171,9 @@ fn collective_semantics_hold_on_both_engines() {
     });
 }
 
-/// Request misuse `case` by rank 0 (rank 1 in case 2).
+/// Request misuse `case` by rank 0 (rank 1 in case 2). Each of the four
+/// calls that take program-supplied ids — waitall, test, wait, testall —
+/// names itself in the diagnostic.
 async fn misuse(mut mpi: AsyncMpi, case: usize) {
     match (case, mpi.rank()) {
         (0, 0) => {
@@ -190,6 +192,10 @@ async fn misuse(mut mpi: AsyncMpi, case: usize) {
             mpi.wait(ReqId(0)).await;
         }
         (3, 0) => drop(mpi.wait(ReqId(7)).await),
+        (4, 0) => {
+            let r = mpi.isend(1, 0, &[1u8; 8]).await;
+            mpi.testall(&[r, r]).await;
+        }
         _ => {}
     }
 }
@@ -203,6 +209,7 @@ fn request_misuse_is_diagnosed_on_both_engines() {
         ("rank 0 called test at t=", "on ReqId(0), which is already retired"),
         ("rank 1 called wait at t=", "on ReqId(0), which belongs to rank 0"),
         ("rank 0 called wait at t=0ns", "on ReqId(7), which was never posted"),
+        ("rank 0 called testall at t=", "on ReqId(0), which appears twice in the request list"),
     ];
     for (case, (who, what)) in diagnostics.into_iter().enumerate() {
         for spec in [RunSpec::bcs(), RunSpec::quadrics()] {
