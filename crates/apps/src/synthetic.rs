@@ -82,14 +82,12 @@ fn ring_peers(me: usize, n: usize, count: usize) -> Vec<usize> {
 }
 
 /// Fold each exchange's received payloads into a checksum; the recv
-/// results follow the `sends` send results in request order. Generic over
-/// the payload representation: the batched path yields shared `Payload`s,
-/// the trailing waitall yields owned `Vec<u8>`s.
-fn absorb<P: std::ops::Deref<Target = [u8]>>(
+/// results follow the `sends` send results in request order.
+fn absorb(
     checksum: &mut u64,
     sends: usize,
     msg_bytes: usize,
-    results: &[(Option<P>, Option<Status>)],
+    results: &[(Option<Payload>, Option<Status>)],
 ) {
     for (data, _) in &results[sends..] {
         let data = data.as_ref().expect("recv payload");

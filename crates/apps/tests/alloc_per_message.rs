@@ -7,9 +7,10 @@
 //! allocations per message, and at most half of what this same test
 //! measured on the commit before payloads went by reference and the event
 //! queue, the match index and the fabric completions stopped allocating per
-//! message. The second test checks the other half of "a message body is
-//! never copied": the bytes a rank reads out of a batched waitall are the
-//! allocation its neighbour posted.
+//! message. The last test checks the other half of "a message body is
+//! never copied": the bytes a rank reads out of a batched waitall, a
+//! `waitall`, a `wait` or a blocking `recv` are the allocation its
+//! neighbour posted.
 
 use apps::runner::{RunSpec, run_app};
 use apps::synthetic::{NeighborLoopCfg, ParticleStressCfg, neighbor_loop, particle_stress};
@@ -87,36 +88,61 @@ fn same_instant_events_share_heap_entries() {
     assert!(share <= 0.65, "{spec}: {share:.3} heap pushes per event");
 }
 
-/// Rank `r` posts one `Payload` to `r + 1` and reads what `r - 1` sent out
-/// of a batched waitall; returns both handles.
-async fn pass_on(mut mpi: AsyncMpi) -> (Payload, Payload) {
+/// The receive forms, in the order [`pass_on`] uses them.
+const FORMS: [&str; 4] = ["batched waitall", "waitall", "wait", "recv"];
+
+/// Rank `r` posts one `Payload` per receive form to `r + 1` and reads what
+/// `r - 1` sent through that form: a batched waitall, `waitall`, `wait` and
+/// a blocking `recv`. Returns, per form, the handle it posted and the one it
+/// received.
+async fn pass_on(mut mpi: AsyncMpi) -> Vec<(Payload, Payload)> {
     let (me, n) = (mpi.rank(), mpi.size());
-    let mine: Payload = vec![me as u8; 4096].into();
-    let posts = vec![
-        mpi.isend_desc((me + 1) % n, 7, mine.clone()),
-        mpi.irecv_desc(SrcSel::Rank((me + n - 1) % n), TagSel::Tag(7)),
-    ];
-    let reqs = mpi.post_batch(posts).await;
-    let wait = mpi.waitall_desc(&reqs);
-    match mpi.batch(vec![wait]).await.pop() {
-        Some(MpiResp::WaitallDone { mut results }) => {
-            (mine, results.pop().and_then(|(data, _)| data).expect("recv payload"))
-        }
-        other => unreachable!("batched waitall -> {other:?}"),
+    let (next, prev) = ((me + 1) % n, SrcSel::Rank((me + n - 1) % n));
+    let mut out = Vec::with_capacity(FORMS.len());
+    for form in 0..FORMS.len() {
+        let tag = form as i32;
+        let mine: Payload = vec![(me + form) as u8; 4096].into();
+        let send = mpi.post_batch(vec![mpi.isend_desc(next, tag, mine.clone())]).await;
+        let received = match form {
+            0 => {
+                let r = mpi.irecv(prev, TagSel::Tag(tag)).await;
+                match mpi.batch(vec![mpi.waitall_desc(&[r])]).await.pop() {
+                    Some(MpiResp::WaitallDone { mut results }) => results.pop().and_then(|(d, _)| d),
+                    other => unreachable!("batched waitall -> {other:?}"),
+                }
+            }
+            1 => {
+                let r = mpi.irecv(prev, TagSel::Tag(tag)).await;
+                mpi.waitall(&[r]).await.pop().and_then(|(d, _)| d)
+            }
+            2 => {
+                let r = mpi.irecv(prev, TagSel::Tag(tag)).await;
+                mpi.wait(r).await.0
+            }
+            _ => Some(mpi.recv(prev, TagSel::Tag(tag)).await.0),
+        };
+        mpi.wait(send[0]).await;
+        out.push((mine, received.expect("recv payload")));
     }
+    out
 }
 
+/// Every receive form hands the rank the payload the engine delivered. A
+/// recorded run, where the tape still holds the sender's handle, is checked
+/// by `bcs-mpi`'s `recorded_sharing`.
 #[test]
 fn the_receiver_reads_the_allocation_the_sender_posted() {
     for spec in [RunSpec::bcs(), RunSpec::quadrics()] {
         let out = run_app(&spec, JobLayout::new(4, 2, 8), pass_on);
-        for (r, (posted, _)) in out.results.iter().enumerate() {
-            let (_, received) = &out.results[(r + 1) % 8];
-            assert!(
-                Payload::ptr_eq(posted, received),
-                "{spec}: rank {} read a copy of what rank {r} posted",
-                (r + 1) % 8
-            );
+        for (r, sent) in out.results.iter().enumerate() {
+            let got = &out.results[(r + 1) % 8];
+            for (form, name) in FORMS.iter().enumerate() {
+                assert!(
+                    Payload::ptr_eq(&sent[form].0, &got[form].1),
+                    "{spec}, {name}: rank {} read a copy of what rank {r} posted",
+                    (r + 1) % 8
+                );
+            }
         }
     }
 }

@@ -28,7 +28,7 @@ struct Script {
     barrier: bool,
 }
 
-fn checksum_of(results: &[(Option<Vec<u8>>, Option<mpi_api::Status>)], fanout: usize) -> u64 {
+fn checksum_of(results: &[(Option<mpi_api::Payload>, Option<mpi_api::Status>)], fanout: usize) -> u64 {
     let mut c = 0u64;
     for (data, _) in &results[fanout..] {
         let d = data.as_ref().expect("recv payload");

@@ -100,7 +100,7 @@ fn run_scenario(cfg: BcsConfig, s: &Scenario) -> RunResult<u64, BcsMpi> {
                 .map(|i| (s.root + it + i) as u8)
                 .collect();
             let got = mpi.bcast(s.root, if me == s.root { Some(&bytes) } else { None }).await;
-            for b in &got {
+            for b in got.iter() {
                 acc = acc.wrapping_mul(31).wrapping_add(*b as u64);
             }
             // NIC reduce + allreduce: values exercise the softfloat fold.
@@ -121,7 +121,7 @@ fn run_scenario(cfg: BcsConfig, s: &Scenario) -> RunResult<u64, BcsMpi> {
                 .collect();
             for (src, part) in mpi.allgatherv_coll(&mine).await.iter().enumerate() {
                 acc = acc.wrapping_add((src as u64 + 1).wrapping_mul(1 + part.len() as u64));
-                for b in part {
+                for b in part.iter() {
                     acc = acc.wrapping_mul(31).wrapping_add(*b as u64);
                 }
             }
@@ -129,14 +129,14 @@ fn run_scenario(cfg: BcsConfig, s: &Scenario) -> RunResult<u64, BcsMpi> {
             if let Some(h) = &sub {
                 mpi.barrier_on(h).await;
                 let sb = mpi.bcast_on(h, 0, if h.rank == 0 { Some(&mine) } else { None }).await;
-                for b in &sb {
+                for b in sb.iter() {
                     acc = acc.wrapping_mul(29).wrapping_add(*b as u64);
                 }
                 for v in mpi.allreduce_f64_on(h, s.op, &xs).await {
                     acc = acc.rotate_left(3) ^ v.to_bits();
                 }
                 for part in mpi.allgatherv_coll_on(h, &mine).await {
-                    for b in part {
+                    for &b in part.iter() {
                         acc = acc.wrapping_mul(27).wrapping_add(b as u64);
                     }
                 }
@@ -219,12 +219,12 @@ async fn coll_program(mut mpi: AsyncMpi, iters: u64) -> u64 {
         let got = mpi
             .bcast(root, if me == root { Some(&bytes) } else { None })
             .await;
-        for b in &got {
+        for b in got.iter() {
             acc = acc.wrapping_mul(31).wrapping_add(*b as u64);
         }
         let mine: Vec<u8> = (0..1 + (me + it as usize) % 9).map(|i| (me + i) as u8).collect();
         for part in mpi.allgatherv_coll(&mine).await {
-            for b in part {
+            for &b in part.iter() {
                 acc = acc.wrapping_mul(29).wrapping_add(b as u64);
             }
         }

@@ -14,7 +14,11 @@
 //! bytes passes them on as they are — the typed helpers the `Vec` they just
 //! encoded, `allgatherv*` one shared buffer for all peers, and
 //! [`AsyncMpi::isend_desc`] whatever `Into<Payload>` the program hands it,
-//! so a buffer kept as a `Payload` is posted by reference count.
+//! so a buffer kept as a `Payload` is posted by reference count. Receive
+//! data comes back the same way: every receive returns the `Payload` the
+//! engine delivered, so no call on the receive path copies it; only the
+//! composed collectives whose result is an owned `Vec<u8>` take the bytes
+//! out ([`Payload::into_vec`]).
 //!
 //! Every `async` method suspends at each engine handoff: awaiting a call on
 //! the rank's [`simcore::VmChannel`] parks its state machine
@@ -278,8 +282,8 @@ impl AsyncMpi {
         }
     }
 
-    /// MPI_Recv (blocking). Returns the payload and its status.
-    pub async fn recv(&mut self, src: SrcSel, tag: TagSel) -> (Vec<u8>, Status) {
+    /// MPI_Recv (blocking). Returns the delivered payload and its status.
+    pub async fn recv(&mut self, src: SrcSel, tag: TagSel) -> (Payload, Status) {
         match self
             .call(MpiCall::Recv {
                 src,
@@ -291,13 +295,13 @@ impl AsyncMpi {
             MpiResp::WaitDone {
                 data: Some(d),
                 status: Some(s),
-            } => (d.into_vec(), s),
+            } => (d, s),
             other => unreachable!("recv -> {other:?}"),
         }
     }
 
     /// Blocking receive from an exact source/tag (the common case).
-    pub async fn recv_from(&mut self, src: usize, tag: i32) -> Vec<u8> {
+    pub async fn recv_from(&mut self, src: usize, tag: i32) -> Payload {
         self.recv(SrcSel::Rank(src), TagSel::Tag(tag)).await.0
     }
 
@@ -322,7 +326,7 @@ impl AsyncMpi {
         let mut results = self.waitall(&reqs).await;
         let (payload, status) = results.swap_remove(0);
         (
-            payload.expect("sendrecv recv payload"),
+            payload.expect("sendrecv recv payload").into_vec(),
             status.expect("sendrecv recv status"),
         )
     }
@@ -343,15 +347,15 @@ impl AsyncMpi {
     }
 
     /// MPI_Wait: returns the receive payload (None for a send request).
-    pub async fn wait(&mut self, req: ReqId) -> (Option<Vec<u8>>, Option<Status>) {
+    pub async fn wait(&mut self, req: ReqId) -> (Option<Payload>, Option<Status>) {
         match self.call(MpiCall::Wait { req }).await {
-            MpiResp::WaitDone { data, status } => (data.map(|d| d.into_vec()), status),
+            MpiResp::WaitDone { data, status } => (data, status),
             other => unreachable!("wait -> {other:?}"),
         }
     }
 
     /// Wait on a receive request, unwrapping the payload.
-    pub async fn wait_recv(&mut self, req: ReqId) -> (Vec<u8>, Status) {
+    pub async fn wait_recv(&mut self, req: ReqId) -> (Payload, Status) {
         let (d, s) = self.wait(req).await;
         (
             d.expect("wait_recv on a send request"),
@@ -360,15 +364,16 @@ impl AsyncMpi {
     }
 
     /// MPI_Test: `None` if the request is still in flight.
-    pub async fn test(&mut self, req: ReqId) -> Option<(Option<Vec<u8>>, Option<Status>)> {
+    pub async fn test(&mut self, req: ReqId) -> Option<(Option<Payload>, Option<Status>)> {
         match self.call(MpiCall::Test { req }).await {
-            MpiResp::TestDone { result } => result.map(|(d, s)| (d.map(|d| d.into_vec()), s)),
+            MpiResp::TestDone { result } => result,
             other => unreachable!("test -> {other:?}"),
         }
     }
 
-    /// MPI_Waitall: results in the order of `reqs`.
-    pub async fn waitall(&mut self, reqs: &[ReqId]) -> Vec<(Option<Vec<u8>>, Option<Status>)> {
+    /// MPI_Waitall: results in the order of `reqs`, as the engine delivered
+    /// them.
+    pub async fn waitall(&mut self, reqs: &[ReqId]) -> Vec<(Option<Payload>, Option<Status>)> {
         if reqs.is_empty() {
             return vec![];
         }
@@ -378,10 +383,7 @@ impl AsyncMpi {
             })
             .await
         {
-            MpiResp::WaitallDone { results } => results
-                .into_iter()
-                .map(|(d, s)| (d.map(|d| d.into_vec()), s))
-                .collect(),
+            MpiResp::WaitallDone { results } => results,
             other => unreachable!("waitall -> {other:?}"),
         }
     }
@@ -390,15 +392,14 @@ impl AsyncMpi {
     pub async fn testall(
         &mut self,
         reqs: &[ReqId],
-    ) -> Option<Vec<(Option<Vec<u8>>, Option<Status>)>> {
+    ) -> Option<Vec<(Option<Payload>, Option<Status>)>> {
         match self
             .call(MpiCall::Testall {
                 reqs: reqs.to_vec(),
             })
             .await
         {
-            MpiResp::TestallDone { results } => results
-                .map(|rs| rs.into_iter().map(|(d, s)| (d.map(|d| d.into_vec()), s)).collect()),
+            MpiResp::TestallDone { results } => results,
             other => unreachable!("testall -> {other:?}"),
         }
     }
@@ -456,7 +457,7 @@ impl AsyncMpi {
 
     /// MPI_Bcast: `data` is read on the root, ignored elsewhere; every rank
     /// (including the root) receives the broadcast payload.
-    pub async fn bcast(&mut self, root: usize, data: Option<&[u8]>) -> Vec<u8> {
+    pub async fn bcast(&mut self, root: usize, data: Option<&[u8]>) -> Payload {
         assert!(root < self.size);
         if self.rank == root {
             assert!(data.is_some(), "bcast root must supply data");
@@ -470,7 +471,7 @@ impl AsyncMpi {
         comm: &CommHandle,
         root: usize,
         data: Option<&[u8]>,
-    ) -> Vec<u8> {
+    ) -> Payload {
         assert!(root < comm.size());
         if comm.rank == root {
             assert!(data.is_some(), "bcast root must supply data");
@@ -478,7 +479,7 @@ impl AsyncMpi {
         self.bcast_on_id(comm.id, root, data).await
     }
 
-    async fn bcast_on_id(&mut self, comm: CommId, root: usize, data: Option<&[u8]>) -> Vec<u8> {
+    async fn bcast_on_id(&mut self, comm: CommId, root: usize, data: Option<&[u8]>) -> Payload {
         match self
             .call(MpiCall::Bcast {
                 comm,
@@ -487,7 +488,7 @@ impl AsyncMpi {
             })
             .await
         {
-            MpiResp::Data(d) => d.into_vec(),
+            MpiResp::Data(d) => d,
             other => unreachable!("bcast -> {other:?}"),
         }
     }
@@ -499,7 +500,7 @@ impl AsyncMpi {
         op: ReduceOp,
         dtype: Datatype,
         data: &[u8],
-    ) -> Option<Vec<u8>> {
+    ) -> Option<Payload> {
         self.reduce_payload(root, op, dtype, data.into()).await
     }
 
@@ -509,7 +510,7 @@ impl AsyncMpi {
         op: ReduceOp,
         dtype: Datatype,
         data: Payload,
-    ) -> Option<Vec<u8>> {
+    ) -> Option<Payload> {
         assert!(root < self.size);
         match self
             .call(MpiCall::Reduce {
@@ -522,14 +523,14 @@ impl AsyncMpi {
             })
             .await
         {
-            MpiResp::RootData(d) => d.map(|d| d.into_vec()),
+            MpiResp::RootData(d) => d,
             other => unreachable!("reduce -> {other:?}"),
         }
     }
 
     /// MPI_Allreduce (world).
-    pub async fn allreduce(&mut self, op: ReduceOp, dtype: Datatype, data: &[u8]) -> Vec<u8> {
-        self.allreduce_on_id(CommId::WORLD, op, dtype, data.into()).await.into_vec()
+    pub async fn allreduce(&mut self, op: ReduceOp, dtype: Datatype, data: &[u8]) -> Payload {
+        self.allreduce_on_id(CommId::WORLD, op, dtype, data.into()).await
     }
 
     /// MPI_Allreduce over a sub-communicator.
@@ -539,8 +540,8 @@ impl AsyncMpi {
         op: ReduceOp,
         dtype: Datatype,
         data: &[u8],
-    ) -> Vec<u8> {
-        self.allreduce_on_id(comm.id, op, dtype, data.into()).await.into_vec()
+    ) -> Payload {
+        self.allreduce_on_id(comm.id, op, dtype, data.into()).await
     }
 
     async fn allreduce_on_id(
@@ -602,16 +603,16 @@ impl AsyncMpi {
     /// and broadcast back under the active collective algorithm, instead of
     /// the point-to-point composition of [`AsyncMpi::allgatherv_on`].
     /// Returns every member's contribution by communicator rank.
-    pub async fn allgatherv_coll(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
+    pub async fn allgatherv_coll(&mut self, data: &[u8]) -> Vec<Payload> {
         self.allgatherv_coll_on_id(CommId::WORLD, data).await
     }
 
     /// Engine-collective MPI_Allgatherv over a sub-communicator.
-    pub async fn allgatherv_coll_on(&mut self, comm: &CommHandle, data: &[u8]) -> Vec<Vec<u8>> {
+    pub async fn allgatherv_coll_on(&mut self, comm: &CommHandle, data: &[u8]) -> Vec<Payload> {
         self.allgatherv_coll_on_id(comm.id, data).await
     }
 
-    async fn allgatherv_coll_on_id(&mut self, comm: CommId, data: &[u8]) -> Vec<Vec<u8>> {
+    async fn allgatherv_coll_on_id(&mut self, comm: CommId, data: &[u8]) -> Vec<Payload> {
         match self
             .call(MpiCall::Allgatherv {
                 comm,
@@ -619,7 +620,7 @@ impl AsyncMpi {
             })
             .await
         {
-            MpiResp::Gathered { parts } => parts.into_iter().map(|p| p.into_vec()).collect(),
+            MpiResp::Gathered { parts } => parts,
             other => unreachable!("allgatherv -> {other:?}"),
         }
     }
@@ -674,7 +675,7 @@ impl AsyncMpi {
         out[me] = own;
         let results = self.waitall(recvs).await;
         for (i, (payload, _)) in peers.zip(results) {
-            out[i] = payload.expect("all-pairs recv payload");
+            out[i] = payload.expect("all-pairs recv payload").into_vec();
         }
         self.waitall(sends).await;
         out
@@ -698,7 +699,7 @@ impl AsyncMpi {
             chunks[root].clone()
         } else {
             let req = self.irecv(SrcSel::Rank(root), TagSel::Tag(tag)).await;
-            self.wait_recv(req).await.0
+            self.wait_recv(req).await.0.into_vec()
         }
     }
 
@@ -733,7 +734,7 @@ impl AsyncMpi {
                 if r == root {
                     out.push(data.to_vec());
                 } else {
-                    out.push(it.next().unwrap().0.expect("gather recv payload"));
+                    out.push(it.next().unwrap().0.expect("gather recv payload").into_vec());
                 }
             }
             Some(out)

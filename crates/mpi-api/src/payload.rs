@@ -9,10 +9,13 @@
 //! enter as a borrow and nowhere else: `From<&[u8]>` copies once,
 //! `From<Vec<u8>>` and a clone of an existing `Payload` never do — a rank
 //! that posts one buffer to many peers, or every iteration, keeps it as a
-//! `Payload` and posts clones (`AsyncMpi::isend_desc`). On the way out the
-//! single copy-on-write point is [`Payload::into_vec`]: the last holder
-//! takes the allocation back for free, while a shared holder pays the one
-//! clone that mutation actually requires.
+//! `Payload` and posts clones (`AsyncMpi::isend_desc`). A receive hands the
+//! rank the delivered `Payload` itself (`AsyncMpi::recv`, `wait`,
+//! `waitall`, …), which reads as a `&[u8]` and compares with bytes by bytes
+//! alone, so a rank reads the allocation its sender posted. The one
+//! copy-on-write point is [`Payload::into_vec`], for a rank that wants to
+//! own the bytes: the last holder takes the allocation back for free, while
+//! a shared holder pays the one clone that mutation actually requires.
 //!
 //! The runtime's replay log does **not** hold message bytes. A recording
 //! runtime stamps every point-to-point send payload with its [`Origin`] as
@@ -23,13 +26,16 @@
 //! (`runtime::Job::resume_from`), and a restore that takes over the halted
 //! run's ranks re-dispatches the very sends they yielded
 //! (`runtime::Job::ranks`). For that, a recording runtime keeps the calls
-//! yielded since the last capture, sends by reference, so a receiver whose
-//! send is still kept copies in `into_vec`; in a run that does not record
-//! it holds the only reference and `into_vec` moves. Payloads nobody
-//! stamped — collective results, whatever an engine re-buffers — are logged
-//! by value. The stamp lives inside the shared allocation, so the handle
-//! stays one pointer wide and `MpiCall`/`MpiResp` do not grow. Equality is
-//! stamp and bytes, which is how a restore compares logged responses.
+//! yielded since the last capture, sends by reference: a receiver then
+//! shares the message with that tape, and copies it only if it asks for
+//! the bytes with `into_vec`. Payloads nobody stamped — collective results,
+//! whatever an engine re-buffers — are logged by value. The stamp lives
+//! inside the shared allocation, so the handle stays one pointer wide and
+//! `MpiCall`/`MpiResp` do not grow. `Payload == Payload` is stamp and
+//! bytes, which is how a restore compares logged responses; a payload
+//! compared with `[u8]`, `Vec<u8>` or a byte array is equal on bytes alone,
+//! because the same receive is stamped in a recording run and not
+//! otherwise.
 //!
 //! `Arc` (not `Rc`) keeps a payload `Send + Sync`, for sharding a
 //! simulation (ROADMAP item 6), which would move payloads between shards.
@@ -127,6 +133,12 @@ impl std::ops::Deref for Payload {
     }
 }
 
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::empty()
+    }
+}
+
 impl From<Vec<u8>> for Payload {
     fn from(data: Vec<u8>) -> Self {
         Payload::from_vec(data)
@@ -151,6 +163,39 @@ impl PartialEq for Payload {
 }
 
 impl Eq for Payload {}
+
+/// Bytes only, stamp ignored: what a rank or a test compares received data
+/// with. A delivered payload is stamped in a recording run and not
+/// otherwise, so comparing two `Payload`s would tell the runs apart.
+impl PartialEq<[u8]> for Payload {
+    fn eq(&self, other: &[u8]) -> bool {
+        self.as_slice() == other
+    }
+}
+
+impl PartialEq<&[u8]> for Payload {
+    fn eq(&self, other: &&[u8]) -> bool {
+        self.as_slice() == *other
+    }
+}
+
+impl PartialEq<Vec<u8>> for Payload {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<const N: usize> PartialEq<[u8; N]> for Payload {
+    fn eq(&self, other: &[u8; N]) -> bool {
+        self.as_slice() == other
+    }
+}
+
+impl<const N: usize> PartialEq<&[u8; N]> for Payload {
+    fn eq(&self, other: &&[u8; N]) -> bool {
+        self.as_slice() == *other
+    }
+}
 
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -221,5 +266,20 @@ mod tests {
         let mut stamped = b.clone();
         stamped.stamp(Origin { rank: 0, ordinal: 0 });
         assert_ne!(a, stamped, "same bytes, but only one is stamped");
+    }
+
+    #[test]
+    fn received_bytes_compare_without_the_stamp() {
+        let plain = Payload::from_vec(vec![4, 5, 6]);
+        let mut stamped = Payload::from_vec(vec![4, 5, 6]);
+        stamped.stamp(Origin { rank: 2, ordinal: 7 });
+        let bytes: &[u8] = &[4, 5, 6];
+        for p in [&plain, &stamped] {
+            assert!(*p == *bytes);
+            assert_eq!(*p, bytes);
+            assert_eq!(*p, bytes.to_vec());
+            assert_ne!(*p, vec![4, 5]);
+        }
+        assert_ne!(plain, stamped, "as payloads the stamp still counts");
     }
 }

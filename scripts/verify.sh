@@ -39,7 +39,9 @@
 #      tests: a capture's work does not grow with the image
 #      number and the replay log retains no message bytes; a message costs
 #      at most 2.5 host allocations, no copy and under two queue entries per
-#      three events; the run-chained radix event queue equals its (time,
+#      three events; a recorded run's receiver reads the allocation its
+#      sender posted, in every receive form on both engines, although the
+#      tape still holds the send (recorded_sharing); the run-chained radix event queue equals its (time,
 #      seq) model (sim_queue_model, at four times its case count: short
 #      delays and delays spread over 40 bits, resumed past a horizon stop);
 #      an idle barrier loop runs the same six per-node microphase
@@ -106,7 +108,7 @@ cargo test --workspace -q
 echo "== benchmark package compiles against the product surface (perf/, build only)"
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
-echo "== conformance lattice + membership, request-window, matching, batching and event-queue models (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, idle scaling, repro output repeats)"
+echo "== conformance lattice + membership, request-window, matching, batching and event-queue models (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, recorded receives share the sender's bytes, idle scaling, repro output repeats)"
 PROPLITE_CASES=48 cargo test --release -q --test conformance
 PROPLITE_CASES=512 cargo test --release -q -p mpi-api --test membership_model
 PROPLITE_CASES=1024 cargo test --release -q -p mpi-api --test idtable_model
@@ -115,6 +117,7 @@ PROPLITE_CASES=96 cargo test --release -q -p apps --test batch_equivalence
 cargo test --release -q --test fault_recovery
 cargo test --release -q -p mpi-api --lib payload::
 cargo test --release -q -p bcs-mpi --test capture_flatness
+cargo test --release -q -p bcs-mpi --test recorded_sharing
 cargo test --release -q -p apps --test alloc_per_message
 PROPLITE_CASES=1024 cargo test --release -q --test sim_queue_model
 cargo test --release -q -p bcs-mpi --test idle_scaling

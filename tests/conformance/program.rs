@@ -148,7 +148,7 @@ const BIG_SEND: usize = 160 * 1024;
 const STEADY_BYTES: usize = 32;
 const LONG: usize = 1 << 20;
 
-type Got = (Option<Vec<u8>>, Option<Status>);
+type Got = (Option<Payload>, Option<Status>);
 
 struct Rank {
     mpi: AsyncMpi,

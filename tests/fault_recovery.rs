@@ -336,9 +336,9 @@ fn a_dropped_binomial_collective_edge_is_retried() {
         let program = move |mut mpi: AsyncMpi| async move {
             let me = mpi.rank();
             match kind {
-                0 => mpi.bcast(1, (me == 1).then(|| vec![7u8; 300]).as_deref()).await,
+                0 => mpi.bcast(1, (me == 1).then(|| vec![7u8; 300]).as_deref()).await.to_vec(),
                 1 => mpi.allreduce_f64(ReduceOp::Sum, &[me as f64 * 0.5]).await[0].to_le_bytes().to_vec(),
-                _ => mpi.allgatherv_coll(&[me as u8; 40]).await.concat(),
+                _ => mpi.allgatherv_coll(&[me as u8; 40]).await.iter().flat_map(|p| p.iter().copied()).collect(),
             }
         };
         let reference = fault_free_reference(&rc, layout(), program).results;
