@@ -282,6 +282,23 @@ pub(crate) fn post_collective(
     e.blocked[rank] = Some(Blocked::Collective);
 }
 
+/// `MPI_Comm_split`: a collective, so everyone blocks; once the last member
+/// arrives the membership agreement is complete, and all participants
+/// restart at the next slice boundary (the NM treats it like any other
+/// collective completion).
+// PANIC-OK: `blocked` is sized per rank at startup; ranks come from the
+// harness layout and the parent communicator's members.
+pub(crate) fn post_comm_split(w: &mut BW, rank: usize, parent: CommId, color: i64, key: i64) {
+    let e = &mut w.engine;
+    e.blocked[rank] = Some(Blocked::Collective);
+    if let Some(outcome) = e.comms.arrive_split(parent, rank, color, key) {
+        for (r, handle) in outcome.assignments {
+            e.blocked[r] = None;
+            e.restart_queue.push((r, MpiResp::CommSplitDone { handle }));
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // MSM: eligibility queries from the master node
 // ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-//! Engine state and the [`Engine`] implementation (application-facing side).
+//! Engine state and the [`Engine`] and [`Protocol`] implementations
+//! (application-facing side).
 //!
 //! Application processes interact with BCS-MPI only by posting descriptors
 //! (cheap — a write into a shared-memory FIFO, no system call, §4.5) and by
@@ -6,18 +7,19 @@
 //! real work happens in the NIC-thread state machines of `protocol.rs`,
 //! `p2p.rs` and `coll.rs`.
 
-use crate::coll::{CollKind, CollState};
+use crate::coll::{CollKind, CollState, post_collective};
 use crate::p2p::MsgId;
 use bcs_core::BcsCluster;
-use mpi_api::call::{MpiCall, MpiResp, ReqId};
+use mpi_api::call::{MpiResp, ReqId};
 use mpi_api::chunklog::ChunkLog;
 use mpi_api::comm::{CommId, CommRegistry};
+use mpi_api::datatype::{Datatype, ReduceOp};
 use mpi_api::idtable::IdTable;
-use mpi_api::message::{SrcSel, TagSel};
+use mpi_api::message::{SrcSel, Status, TagSel};
 use mpi_api::noise::{NoiseConfig, NoiseModel};
 use mpi_api::payload::Payload;
-use mpi_api::request::{CallSite, ReqKind, ReqTable, Wake};
-use mpi_api::runtime::{ClusterWorld, Engine, JobLayout, resume_at};
+use mpi_api::request::{ReqKind, ReqTable, Wake};
+use mpi_api::runtime::{ClusterWorld, Engine, JobLayout, Protocol};
 use qsnet::{FabricKind, NetModel, NodeId};
 use simcore::stats::LogHistogram;
 use simcore::{Sim, SimDuration, SimTime};
@@ -411,133 +413,6 @@ impl Engine for BcsMpi {
         w.engine.failed.is_some()
     }
 
-    fn on_call(w: &mut BW, sim: &mut Sim<BW>, rank: usize, call: MpiCall) {
-        match call {
-            MpiCall::Compute { ns } => {
-                if w.engine.gang.is_some() {
-                    // Gang mode: compute advances only while this rank's job
-                    // holds the node (noise not modelled here).
-                    crate::protocol::gang_compute(w, sim, rank, ns);
-                    return;
-                }
-                let mut d = SimDuration::nanos(ns);
-                let node = w.engine.node_of(rank).0;
-                // Processes cannot run before the runtime is up (MPI_Init
-                // returns only once the NM has scheduled them).
-                let start = sim.now().max(SimTime::ZERO + w.engine.cfg.init_delay);
-                if let Some(noise) = &mut w.engine.noise {
-                    d = noise.inflate(node, start, d);
-                }
-                resume_at(w, sim, start + d, rank, MpiResp::Ok);
-            }
-            MpiCall::Now => {
-                w.resume(rank, MpiResp::Time(sim.now().as_nanos()));
-            }
-            MpiCall::Send {
-                dest,
-                tag,
-                data,
-                blocking,
-            } => crate::p2p::post_send(w, sim, rank, dest, tag, data, blocking),
-            MpiCall::Recv { src, tag, blocking } => {
-                crate::p2p::post_recv(w, sim, rank, src, tag, blocking)
-            }
-            // A wait whose condition already holds is the §3.2 fast path
-            // ("verify that the communication has been performed and
-            // continue"); otherwise the rank stays suspended in `reqs`. These
-            // four calls pass ids the program supplied, so they alone name
-            // their call site for the misuse diagnostic.
-            MpiCall::Wait { req } => {
-                let site = CallSite::new(rank, "wait", sim.now());
-                if let Some(wake) = w.engine.reqs.wait(site, req) {
-                    let at = site.now + w.engine.cfg.post_cost;
-                    resume_at(w, sim, at, rank, wake.into_resp());
-                }
-            }
-            MpiCall::Waitall { reqs } => {
-                let site = CallSite::new(rank, "waitall", sim.now());
-                if let Some(wake) = w.engine.reqs.wait_all(site, reqs) {
-                    let at = site.now + w.engine.cfg.post_cost;
-                    resume_at(w, sim, at, rank, wake.into_resp());
-                }
-            }
-            MpiCall::Test { req } => {
-                let site = CallSite::new(rank, "test", sim.now());
-                let result = w.engine.reqs.test(site, req);
-                w.resume(rank, MpiResp::TestDone { result });
-            }
-            MpiCall::Testall { reqs } => {
-                let site = CallSite::new(rank, "testall", sim.now());
-                let results = w.engine.reqs.test_all(site, &reqs);
-                w.resume(rank, MpiResp::TestallDone { results });
-            }
-            MpiCall::Probe { src, tag, blocking } => {
-                crate::p2p::probe(w, sim, rank, src, tag, blocking)
-            }
-            MpiCall::Barrier { comm } => crate::coll::post_collective(
-                w,
-                rank,
-                comm,
-                CollKind::Barrier,
-                0,
-                None,
-                None,
-            ),
-            MpiCall::Bcast { comm, root, data } => crate::coll::post_collective(
-                w,
-                rank,
-                comm,
-                CollKind::Bcast,
-                root,
-                data,
-                None,
-            ),
-            MpiCall::Reduce {
-                comm,
-                root,
-                op,
-                dtype,
-                data,
-                all,
-            } => crate::coll::post_collective(
-                w,
-                rank,
-                comm,
-                CollKind::Reduce { all },
-                root,
-                Some(data),
-                Some((op, dtype)),
-            ),
-            MpiCall::Allgatherv { comm, data } => crate::coll::post_collective(
-                w,
-                rank,
-                comm,
-                CollKind::Allgather,
-                0,
-                Some(data),
-                None,
-            ),
-            MpiCall::CommSplit { parent, color, key } => {
-                // A collective: everyone blocks; once the last member
-                // arrives, the membership agreement is complete and all
-                // participants restart at the next slice boundary (the NM
-                // treats it like any other collective completion).
-                w.engine.blocked[rank] = Some(Blocked::Collective);
-                if let Some(outcome) = w.engine.comms.arrive_split(parent, rank, color, key) {
-                    for (r, handle) in outcome.assignments {
-                        w.engine.blocked[r] = None;
-                        w.engine
-                            .restart_queue
-                            .push((r, MpiResp::CommSplitDone { handle }));
-                    }
-                }
-            }
-            MpiCall::Batch { .. } => {
-                unreachable!("MpiCall::Batch is unpacked by the runtime, never seen by engines")
-            }
-        }
-    }
-
     fn describe_pending(&self) -> String {
         let mut out = format!(
             "  slice {} phase {} started at {}\n",
@@ -566,5 +441,65 @@ impl Engine for BcsMpi {
         }
         out.push_str(&self.coll.describe());
         out
+    }
+}
+
+/// Where each primitive lives: compute in the Node Manager's scheduling
+/// (`protocol`), point-to-point and probe in the NIC threads' DEM/MSM/P2P
+/// machinery (`p2p`), collectives in their BBM/RM machinery (`coll`). A
+/// call only posts; the NM restarts the rank at a slice boundary (§3.1).
+impl Protocol for BcsMpi {
+    fn reqs(&mut self) -> &mut ReqTable {
+        &mut self.reqs
+    }
+
+    /// A wait that already holds is the §3.2 fast path ("verify that the
+    /// communication has been performed and continue"), and a probe that
+    /// finds its message reads the BR: each costs the rank a post.
+    fn answer_cost(&self) -> Option<SimDuration> {
+        Some(self.cfg.post_cost)
+    }
+
+    fn compute(w: &mut BW, sim: &mut Sim<BW>, rank: usize, ns: u64) {
+        crate::protocol::compute(w, sim, rank, ns)
+    }
+
+    fn post_send(w: &mut BW, sim: &mut Sim<BW>, rank: usize, dest: usize, tag: i32, data: Payload, blocking: bool) {
+        crate::p2p::post_send(w, sim, rank, dest, tag, data, blocking)
+    }
+    fn post_recv(w: &mut BW, sim: &mut Sim<BW>, rank: usize, src: SrcSel, tag: TagSel, blocking: bool) {
+        crate::p2p::post_recv(w, sim, rank, src, tag, blocking)
+    }
+    fn probe_match(&self, rank: usize, src: SrcSel, tag: TagSel) -> Option<Status> {
+        crate::p2p::probe_match(self, rank, src, tag)
+    }
+    fn park_probe(&mut self, rank: usize, src: SrcSel, tag: TagSel) {
+        self.blocked[rank] = Some(Blocked::Probe { src, tag });
+    }
+
+    fn barrier(w: &mut BW, _: &mut Sim<BW>, rank: usize, comm: CommId) {
+        post_collective(w, rank, comm, CollKind::Barrier, 0, None, None)
+    }
+    fn bcast(w: &mut BW, _: &mut Sim<BW>, rank: usize, comm: CommId, root: usize, data: Option<Payload>) {
+        post_collective(w, rank, comm, CollKind::Bcast, root, data, None)
+    }
+    fn reduce(
+        w: &mut BW,
+        _: &mut Sim<BW>,
+        rank: usize,
+        comm: CommId,
+        root: usize,
+        op: ReduceOp,
+        dtype: Datatype,
+        data: Payload,
+        all: bool,
+    ) {
+        post_collective(w, rank, comm, CollKind::Reduce { all }, root, Some(data), Some((op, dtype)))
+    }
+    fn allgatherv(w: &mut BW, _: &mut Sim<BW>, rank: usize, comm: CommId, data: Payload) {
+        post_collective(w, rank, comm, CollKind::Allgather, 0, Some(data), None)
+    }
+    fn comm_split(w: &mut BW, _: &mut Sim<BW>, rank: usize, parent: CommId, color: i64, key: i64) {
+        crate::coll::post_comm_split(w, rank, parent, color, key)
     }
 }

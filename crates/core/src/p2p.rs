@@ -28,7 +28,7 @@ use mpi_api::idtable::IdTable;
 use mpi_api::message::{SrcSel, Status, TagSel};
 use mpi_api::payload::Payload;
 use mpi_api::request::ReqKind;
-use mpi_api::runtime::{resume_at, resume_req_at};
+use mpi_api::runtime::resume_req_at;
 use simcore::Sim;
 use std::rc::Rc;
 
@@ -382,31 +382,6 @@ pub(crate) fn post_recv(
 
 /// MPI_Probe / MPI_Iprobe: a message is visible once its send descriptor
 /// has reached this node's BR and is not yet matched.
-// PANIC-OK: `blocked` is sized per rank at startup; ranks come from the
-// harness layout.
-pub(crate) fn probe(
-    w: &mut BW,
-    sim: &mut Sim<BW>,
-    rank: usize,
-    src: SrcSel,
-    tag: TagSel,
-    blocking: bool,
-) {
-    let status = probe_match(&w.engine, rank, src, tag);
-    match (status, blocking) {
-        (Some(st), _) => {
-            let at = sim.now() + w.engine.cfg.post_cost;
-            resume_at(w, sim, at, rank, MpiResp::ProbeDone { status: Some(st) });
-        }
-        (None, false) => {
-            w.resume(rank, MpiResp::ProbeDone { status: None });
-        }
-        (None, true) => {
-            w.engine.blocked[rank] = Some(Blocked::Probe { src, tag });
-        }
-    }
-}
-
 // PANIC-OK: nic/remote_sends are sized per node at startup; node ids come
 // from the fixed topology.
 pub(crate) fn probe_match(e: &BcsMpi, rank: usize, src: SrcSel, tag: TagSel) -> Option<Status> {
@@ -425,7 +400,7 @@ pub(crate) fn probe_match(e: &BcsMpi, rank: usize, src: SrcSel, tag: TagSel) -> 
 /// at the next slice boundary like every blocking primitive).
 // PANIC-OK: `blocked` is sized per rank at startup; ranks come from the
 // layout iterator over the same table.
-pub(crate) fn check_blocked_probes(w: &mut BW, _sim: &mut Sim<BW>, node: qsnet::NodeId) {
+pub(crate) fn check_blocked_probes(w: &mut BW, node: qsnet::NodeId) {
     for rank in w.engine.layout.ranks_on(node) {
         if let Some(Blocked::Probe { src, tag }) = &w.engine.blocked[rank] {
             let (src, tag) = (*src, *tag);
@@ -872,7 +847,7 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
     work_items += crate::coll::msm_queries(w, sim, node);
 
     // 4. Blocking probes see the still-unmatched descriptors.
-    check_blocked_probes(w, sim, node);
+    check_blocked_probes(w, node);
 
     // The matching pass costs NIC-thread time proportional to the
     // descriptors examined.

@@ -405,10 +405,29 @@ impl BcsMpi {
     }
 }
 
+/// A rank's `Compute` call: it runs for `ns`, inflated by the node's noise,
+/// but not before the runtime is up (MPI_Init returns only once the NM has
+/// scheduled it). In gang mode it advances only while its job holds the
+/// node (noise not modelled there).
+pub(crate) fn compute(w: &mut BW, sim: &mut Sim<BW>, rank: usize, ns: u64) {
+    use mpi_api::call::MpiResp;
+    use mpi_api::runtime::resume_at;
+    if w.engine.gang.is_some() {
+        return gang_compute(w, sim, rank, ns);
+    }
+    let mut d = simcore::SimDuration::nanos(ns);
+    let node = w.engine.node_of(rank).0;
+    let start = sim.now().max(SimTime::ZERO + w.engine.cfg.init_delay);
+    if let Some(noise) = &mut w.engine.noise {
+        d = noise.inflate(node, start, d);
+    }
+    resume_at(w, sim, start + d, rank, MpiResp::Ok);
+}
+
 /// Gang mode: handle a `Compute` call. If the caller's job currently holds
 /// its node, it computes until the next boundary (possibly finishing
 /// mid-slice); the residue is carried by `gang_on_boundary`.
-pub(crate) fn gang_compute(w: &mut BW, sim: &mut Sim<BW>, rank: usize, ns: u64) {
+fn gang_compute(w: &mut BW, sim: &mut Sim<BW>, rank: usize, ns: u64) {
     use mpi_api::call::MpiResp;
     use mpi_api::runtime::resume_at;
     let now = sim.now().max(SimTime::ZERO + w.engine.cfg.init_delay);

@@ -25,11 +25,15 @@
 //! * [`payload`] / [`chunklog`] — refcounted message buffers, and the
 //!   persistent append-only log (O(1) snapshots) that checkpoint images
 //!   keep their histories in;
-//! * [`runtime`] — [`runtime::Engine`] (the trait an MPI implementation
-//!   provides), [`runtime::ClusterWorld`] (harness + engine world) and
-//!   the job driver: a [`runtime::Job`] steps each rank as a stackless
-//!   state machine, so job size scales to thousands of ranks;
-//!   [`runtime::run_program`] is its one-line common case.
+//! * [`runtime`] — the engine seam: an MPI implementation provides its
+//!   [`runtime::Protocol`] (the primitives that carry a call, its request
+//!   table, what an answer from its own state costs) and [`runtime::Engine`]
+//!   (bootstrap, halt, deadlock dump); the request arms (`wait`,
+//!   `waitall`, `test`, `testall`), `now`, the probe answer, batches and
+//!   the misuse call site live once here, beside [`runtime::ClusterWorld`] (harness +
+//!   engine world) and the job driver: a [`runtime::Job`] steps each rank
+//!   as a stackless state machine, so job size scales to thousands of
+//!   ranks; [`runtime::run_program`] is its one-line common case.
 
 pub mod call;
 pub mod chunklog;
@@ -51,4 +55,4 @@ pub use comm::{CommHandle, CommId, CommRegistry};
 pub use ctx::{AsyncMpi, RankProgram};
 pub use datatype::{Datatype, ReduceOp};
 pub use message::{Envelope, SrcSel, Status, TagSel};
-pub use runtime::{ClusterWorld, Engine, Job, JobLayout, RunResult, run_program};
+pub use runtime::{ClusterWorld, Engine, Job, JobLayout, Protocol, RunResult, run_program};

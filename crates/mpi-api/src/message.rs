@@ -3,8 +3,10 @@
 //! A receive selects messages by source and tag, each either exact or a
 //! wildcard (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`). Matching must respect MPI's
 //! *non-overtaking* rule: between one (sender, receiver) pair, messages match
-//! receives in the order the sends were posted. Both engines drive their
-//! matching through [`match_first`] so the rule is enforced uniformly.
+//! receives in the order the sends were posted: a search takes the first
+//! match in post order ([`match_first`], which the baseline searches its
+//! unexpected-message queue with; BCS-MPI's indexed matcher answers as
+//! that linear search would).
 
 /// Source selector of a receive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

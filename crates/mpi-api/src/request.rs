@@ -19,8 +19,12 @@
 //! * retiring removes the requests and hands their results back as a
 //!   [`Wake`].
 //!
-//! What the engines keep to themselves is *when* a woken rank resumes:
-//! BCS-MPI restarts it at the next slice boundary, the baseline at once.
+//! The runtime serves the four request calls from the engine's table, the
+//! same on every engine (`runtime::world`); the engine posts and completes
+//! the requests. What the engines keep to themselves is *when* a rank
+//! resumes: a woken one at the next slice boundary in BCS-MPI, at once in
+//! the baseline; one whose wait already holds after a descriptor post in
+//! BCS-MPI, at once in the baseline (`runtime::Protocol::answer_cost`).
 
 use crate::call::{MpiResp, ReqId};
 use crate::idtable::IdTable;
@@ -119,8 +123,9 @@ impl Wake {
     }
 }
 
-/// Who is asking, for the misuse diagnostic. Built by the engine's arm for
-/// the call being served, the only calls that pass program-supplied ids.
+/// Who is asking, for the misuse diagnostic. Built only by the runtime's
+/// request arms (`runtime::world`), for the call being served: the only
+/// calls that pass program-supplied ids.
 #[derive(Clone, Copy, Debug)]
 pub struct CallSite {
     pub rank: usize,

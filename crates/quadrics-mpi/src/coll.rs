@@ -138,6 +138,24 @@ impl CollManager {
         }
     }
 
+    /// `MPI_Comm_split`: a collective over the parent that completes at
+    /// the last arrival plus one hardware conditional (membership
+    /// agreement rides the same control exchange as a barrier).
+    pub fn comm_split(w: &mut QW, sim: &mut Sim<QW>, rank: usize, parent: CommId, color: i64, key: i64) {
+        // Every caller but the last stays blocked until the round closes.
+        let Some(outcome) = w.engine.comms.arrive_split(parent, rank, color, key) else {
+            return;
+        };
+        let span = w.engine.comms.group(parent).nodes().len();
+        let src = w.engine.layout.node_of(rank);
+        w.engine.fabric.conditional(sim, src, span, move |w: &mut QW, sim| {
+            for (r, handle) in outcome.assignments {
+                w.resume(r, MpiResp::CommSplitDone { handle });
+            }
+            drain(w, sim);
+        });
+    }
+
     // ------------------------------------------------------------------
 
     pub fn bcast(

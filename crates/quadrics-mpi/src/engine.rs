@@ -1,4 +1,5 @@
-//! Point-to-point machinery and the [`Engine`] implementation.
+//! Point-to-point machinery and the [`Engine`] and [`Protocol`]
+//! implementations.
 //!
 //! Every rank has a posted-receive queue and an unexpected-message queue —
 //! the two classic MPICH matching structures. Eager messages carry their
@@ -6,12 +7,14 @@
 //! matching receive arrives, then pull the payload with a CTS/DATA exchange.
 
 use crate::coll::CollManager;
-use mpi_api::call::{MpiCall, MpiResp, ReqId};
-use mpi_api::comm::CommRegistry;
-use mpi_api::message::{Envelope, SrcSel, Status, TagSel};
+use mpi_api::call::{MpiResp, ReqId};
+use mpi_api::comm::{CommId, CommRegistry};
+use mpi_api::datatype::{Datatype, ReduceOp};
+use mpi_api::message::{Envelope, SrcSel, Status, TagSel, match_first};
 use mpi_api::noise::{NoiseConfig, NoiseModel};
-use mpi_api::request::{CallSite, ReqKind, ReqTable};
-use mpi_api::runtime::{ClusterWorld, Engine, JobLayout, drain, resume_at};
+use mpi_api::payload::Payload;
+use mpi_api::request::{ReqKind, ReqTable};
+use mpi_api::runtime::{ClusterWorld, Engine, JobLayout, Protocol, drain, resume_at};
 use qsnet::{Fabric, FabricKind, NetModel, NodeId};
 use simcore::{Sim, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -68,14 +71,16 @@ pub struct QuadricsStats {
     pub allgathers: u64,
 }
 
-enum Payload {
-    Eager(mpi_api::Payload),
+/// What a message puts on the wire: the payload itself (eager) or a
+/// request to send (rendezvous).
+enum Wire {
+    Eager(Payload),
     Rts { send_req: ReqId },
 }
 
 struct Unexpected {
     env: Envelope,
-    payload: Payload,
+    payload: Wire,
 }
 
 struct PostedRecv {
@@ -151,7 +156,7 @@ impl QuadricsMpi {
         rank: usize,
         dest: usize,
         tag: i32,
-        data: mpi_api::Payload,
+        data: Payload,
         blocking: bool,
     ) {
         let e = &mut w.engine;
@@ -171,7 +176,7 @@ impl QuadricsMpi {
             e.stats.eager_msgs += 1;
             let wire = data.len() as u64 + e.cfg.header_bytes;
             Self::send_envelope(w, sim, env, wire, move |w, sim| {
-                QuadricsMpi::arrive_message(w, sim, env, Payload::Eager(data));
+                QuadricsMpi::arrive_message(w, sim, env, Wire::Eager(data));
                 drain(w, sim);
             });
             // Nobody can be waiting on a request whose id is not out yet.
@@ -188,7 +193,7 @@ impl QuadricsMpi {
             e.reqs.req_mut(req).data = Some(data);
             let hdr = e.cfg.header_bytes;
             Self::send_envelope(w, sim, env, hdr, move |w, sim| {
-                QuadricsMpi::arrive_message(w, sim, env, Payload::Rts { send_req: req });
+                QuadricsMpi::arrive_message(w, sim, env, Wire::Rts { send_req: req });
                 drain(w, sim);
             });
             if blocking {
@@ -224,7 +229,7 @@ impl QuadricsMpi {
     // Arrivals and matching
     // ------------------------------------------------------------------
 
-    fn arrive_message(w: &mut QW, sim: &mut Sim<QW>, env: Envelope, payload: Payload) {
+    fn arrive_message(w: &mut QW, sim: &mut Sim<QW>, env: Envelope, payload: Wire) {
         let rc = &mut w.engine.ranks[env.dst];
         // First posted receive whose selectors accept this envelope
         // (post order ⇒ MPI non-overtaking).
@@ -235,20 +240,24 @@ impl QuadricsMpi {
         match pos {
             Some(i) => {
                 let posted = rc.posted.remove(i);
-                match payload {
-                    Payload::Eager(data) => {
-                        let at = sim.now() + w.engine.cfg.net.host_overhead;
-                        Self::finish_recv(w, sim, posted.req, env, data, at);
-                    }
-                    Payload::Rts { send_req } => {
-                        Self::start_rendezvous(w, sim, send_req, posted.req, env);
-                    }
-                }
+                Self::matched(w, sim, posted.req, env, payload);
             }
             None => {
                 rc.unexpected.push(Unexpected { env, payload });
-                Self::check_blocked_probe(w, sim, env.dst);
+                Self::check_blocked_probe(w, env.dst);
             }
+        }
+    }
+
+    /// Receive `req` met the message `env`: an eager one is received after
+    /// the host overhead, a rendezvous one starts its CTS/DATA exchange.
+    fn matched(w: &mut QW, sim: &mut Sim<QW>, req: ReqId, env: Envelope, payload: Wire) {
+        match payload {
+            Wire::Eager(data) => {
+                let at = sim.now() + w.engine.cfg.net.host_overhead;
+                Self::finish_recv(w, sim, req, env, data, at);
+            }
+            Wire::Rts { send_req } => Self::start_rendezvous(w, sim, send_req, req, env),
         }
     }
 
@@ -290,7 +299,7 @@ impl QuadricsMpi {
         sim: &mut Sim<QW>,
         req: ReqId,
         env: Envelope,
-        data: mpi_api::Payload,
+        data: Payload,
         at: SimTime,
     ) {
         w.engine.reqs.deliver(req, data, Status::of(&env));
@@ -312,25 +321,11 @@ impl QuadricsMpi {
         }
     }
 
-    fn probe_match(&self, rank: usize, src: SrcSel, tag: TagSel) -> Option<Status> {
-        self.ranks[rank]
-            .unexpected
-            .iter()
-            .find(|u| src.matches(u.env.src) && tag.matches(u.env.tag))
-            .map(|u| Status::of(&u.env))
-    }
-
-    fn check_blocked_probe(w: &mut QW, sim: &mut Sim<QW>, rank: usize) {
-        let _ = sim;
+    fn check_blocked_probe(w: &mut QW, rank: usize) {
         if let Some((src, tag)) = w.engine.ranks[rank].probing {
             if let Some(status) = w.engine.probe_match(rank, src, tag) {
                 w.engine.ranks[rank].probing = None;
-                w.resume(
-                    rank,
-                    MpiResp::ProbeDone {
-                        status: Some(status),
-                    },
-                );
+                w.resume(rank, MpiResp::ProbeDone { status: Some(status) });
             }
         }
     }
@@ -355,22 +350,10 @@ impl QuadricsMpi {
             w.engine.reqs.block_on_recv(rank, req);
         }
         // Match against already-arrived messages first (in arrival order).
-        let pos = w.engine.ranks[rank]
-            .unexpected
-            .iter()
-            .position(|u| src.matches(u.env.src) && tag.matches(u.env.tag));
-        if let Some(i) = pos {
+        if let Some(i) = match_first(&w.engine.ranks[rank].unexpected, |u| u.env, src, tag) {
             w.engine.stats.unexpected_hits += 1;
             let u = w.engine.ranks[rank].unexpected.remove(i);
-            match u.payload {
-                Payload::Eager(data) => {
-                    let at = sim.now() + w.engine.cfg.net.host_overhead;
-                    Self::finish_recv(w, sim, req, u.env, data, at);
-                }
-                Payload::Rts { send_req } => {
-                    Self::start_rendezvous(w, sim, send_req, req, u.env);
-                }
-            }
+            Self::matched(w, sim, req, u.env, u.payload);
         } else {
             w.engine.ranks[rank].posted.push(PostedRecv { req, src, tag });
         }
@@ -380,106 +363,6 @@ impl QuadricsMpi {
 impl Engine for QuadricsMpi {
     fn bootstrap(_w: &mut QW, _sim: &mut Sim<QW>) {
         // No global machinery: the baseline is fully asynchronous.
-    }
-
-    fn on_call(w: &mut QW, sim: &mut Sim<QW>, rank: usize, call: MpiCall) {
-        match call {
-            MpiCall::Compute { ns } => {
-                let mut d = SimDuration::nanos(ns);
-                let node = w.engine.node_of(rank).0;
-                if let Some(noise) = &mut w.engine.noise {
-                    d = noise.inflate(node, sim.now(), d);
-                }
-                resume_at(w, sim, sim.now() + d, rank, MpiResp::Ok);
-            }
-            MpiCall::Now => {
-                w.resume(rank, MpiResp::Time(sim.now().as_nanos()));
-            }
-            MpiCall::Send {
-                dest,
-                tag,
-                data,
-                blocking,
-            } => Self::start_send(w, sim, rank, dest, tag, data, blocking),
-            MpiCall::Recv { src, tag, blocking } => {
-                Self::start_recv(w, sim, rank, src, tag, blocking)
-            }
-            // The four calls that pass program-supplied ids name their call
-            // site for the misuse diagnostic.
-            MpiCall::Wait { req } => {
-                let site = CallSite::new(rank, "wait", sim.now());
-                if let Some(wake) = w.engine.reqs.wait(site, req) {
-                    w.resume(rank, wake.into_resp());
-                }
-            }
-            MpiCall::Waitall { reqs } => {
-                let site = CallSite::new(rank, "waitall", sim.now());
-                if let Some(wake) = w.engine.reqs.wait_all(site, reqs) {
-                    w.resume(rank, wake.into_resp());
-                }
-            }
-            MpiCall::Test { req } => {
-                let site = CallSite::new(rank, "test", sim.now());
-                let result = w.engine.reqs.test(site, req);
-                w.resume(rank, MpiResp::TestDone { result });
-            }
-            MpiCall::Testall { reqs } => {
-                let site = CallSite::new(rank, "testall", sim.now());
-                let results = w.engine.reqs.test_all(site, &reqs);
-                w.resume(rank, MpiResp::TestallDone { results });
-            }
-            MpiCall::Probe { src, tag, blocking } => {
-                let found = w.engine.probe_match(rank, src, tag);
-                match (found, blocking) {
-                    (Some(status), _) => w.resume(
-                        rank,
-                        MpiResp::ProbeDone {
-                            status: Some(status),
-                        },
-                    ),
-                    (None, false) => w.resume(rank, MpiResp::ProbeDone { status: None }),
-                    (None, true) => {
-                        w.engine.ranks[rank].probing = Some((src, tag));
-                    }
-                }
-            }
-            MpiCall::Barrier { comm } => CollManager::barrier(w, sim, rank, comm),
-            MpiCall::Bcast { comm, root, data } => {
-                CollManager::bcast(w, sim, rank, comm, root, data)
-            }
-            MpiCall::Reduce {
-                comm,
-                root,
-                op,
-                dtype,
-                data,
-                all,
-            } => CollManager::reduce(w, sim, rank, comm, root, op, dtype, data, all),
-            MpiCall::Allgatherv { comm, data } => {
-                CollManager::allgatherv(w, sim, rank, comm, data)
-            }
-            MpiCall::CommSplit { parent, color, key } => {
-                // A collective over the parent: completes at the last
-                // arrival plus one hardware conditional (membership
-                // agreement rides the same control exchange as a barrier).
-                match w.engine.comms.arrive_split(parent, rank, color, key) {
-                    None => {} // caller stays blocked until the round closes
-                    Some(outcome) => {
-                        let span = w.engine.comms.group(parent).nodes().len();
-                        let src = w.engine.node_of(rank);
-                        w.engine.fabric.conditional(sim, src, span, move |w: &mut QW, sim| {
-                            for (r, handle) in outcome.assignments {
-                                w.resume(r, MpiResp::CommSplitDone { handle });
-                            }
-                            drain(w, sim);
-                        });
-                    }
-                }
-            }
-            MpiCall::Batch { .. } => {
-                unreachable!("MpiCall::Batch is unpacked by the runtime, never seen by engines")
-            }
-        }
     }
 
     fn describe_pending(&self) -> String {
@@ -498,6 +381,63 @@ impl Engine for QuadricsMpi {
         }
         out.push_str(&self.coll.describe());
         out
+    }
+}
+
+/// Every primitive answers as soon as its own messages allow: there is no
+/// global schedule to wait for.
+impl Protocol for QuadricsMpi {
+    fn reqs(&mut self) -> &mut ReqTable {
+        &mut self.reqs
+    }
+
+    fn compute(w: &mut QW, sim: &mut Sim<QW>, rank: usize, ns: u64) {
+        let mut d = SimDuration::nanos(ns);
+        let node = w.engine.node_of(rank).0;
+        if let Some(noise) = &mut w.engine.noise {
+            d = noise.inflate(node, sim.now(), d);
+        }
+        resume_at(w, sim, sim.now() + d, rank, MpiResp::Ok);
+    }
+
+    fn post_send(w: &mut QW, sim: &mut Sim<QW>, rank: usize, dest: usize, tag: i32, data: Payload, blocking: bool) {
+        Self::start_send(w, sim, rank, dest, tag, data, blocking)
+    }
+    fn post_recv(w: &mut QW, sim: &mut Sim<QW>, rank: usize, src: SrcSel, tag: TagSel, blocking: bool) {
+        Self::start_recv(w, sim, rank, src, tag, blocking)
+    }
+    fn probe_match(&self, rank: usize, src: SrcSel, tag: TagSel) -> Option<Status> {
+        let unexpected = &self.ranks[rank].unexpected;
+        match_first(unexpected, |u| u.env, src, tag).map(|i| Status::of(&unexpected[i].env))
+    }
+    fn park_probe(&mut self, rank: usize, src: SrcSel, tag: TagSel) {
+        self.ranks[rank].probing = Some((src, tag));
+    }
+
+    fn barrier(w: &mut QW, sim: &mut Sim<QW>, rank: usize, comm: CommId) {
+        CollManager::barrier(w, sim, rank, comm)
+    }
+    fn bcast(w: &mut QW, sim: &mut Sim<QW>, rank: usize, comm: CommId, root: usize, data: Option<Payload>) {
+        CollManager::bcast(w, sim, rank, comm, root, data)
+    }
+    fn reduce(
+        w: &mut QW,
+        sim: &mut Sim<QW>,
+        rank: usize,
+        comm: CommId,
+        root: usize,
+        op: ReduceOp,
+        dtype: Datatype,
+        data: Payload,
+        all: bool,
+    ) {
+        CollManager::reduce(w, sim, rank, comm, root, op, dtype, data, all)
+    }
+    fn allgatherv(w: &mut QW, sim: &mut Sim<QW>, rank: usize, comm: CommId, data: Payload) {
+        CollManager::allgatherv(w, sim, rank, comm, data)
+    }
+    fn comm_split(w: &mut QW, sim: &mut Sim<QW>, rank: usize, parent: CommId, color: i64, key: i64) {
+        CollManager::comm_split(w, sim, rank, parent, color, key)
     }
 }
 

@@ -8,7 +8,8 @@
 #      act: bump --max-waivers here with the new waiver's justification),
 #      a well-formed reports/detlint.json, the layer-DAG/call-graph dump
 #      in reports/detlint_graph.dot, and detlint self-hosting (its own
-#      sources are part of the scanned tree)
+#      sources are part of the scanned tree); then the line budget: no
+#      file under crates/mpi-api/src/ over 600 lines
 #   1. tier-1: cargo build --release && cargo test -q   (covers the whole
 #      workspace via workspace.default-members, the `repro` command line
 #      included: crates/bench/tests/cli.rs drives --fabric/--coll and the
@@ -97,6 +98,15 @@ cargo run --release -q -p detlint -- --quiet --check-json reports/detlint.json \
 # waived D01, the driver's self-timing, must appear in the ledger).
 grep -q "crates/detlint/src/main.rs" reports/detlint.json \
   || { echo "verify: detlint is not linting its own sources" >&2; exit 1; }
+
+echo "== line budget: no file under crates/mpi-api/src/ over 600 lines"
+# Every call and every response crosses mpi-api, so each host-time fast
+# path on that route was added to the runtime file: the replay tape, the
+# pending-resume slot and the answered-in-place checks took it past 1300
+# lines before it was split into world, record and job. A file that
+# outgrows the budget is split along its seams, not granted more lines.
+over="$(find crates/mpi-api/src -name '*.rs' -print0 | xargs -0 wc -l | awk '$2 != "total" && $1 > 600')"
+[ -z "$over" ] || { echo "verify: over the 600-line budget of crates/mpi-api/src/:" >&2; echo "$over" >&2; exit 1; }
 
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
