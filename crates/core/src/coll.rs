@@ -28,26 +28,28 @@
 //!   softfloat delay.
 //! * [`CollAlgo::OptimalSchedule`]: precomputed round-synchronized block
 //!   schedules ([`mpi_api::coll_sched::bcast_schedule`]), cached per
-//!   (communicator, block count) in [`CollState`]; reductions replay the
+//!   (node count, block count) in [`CollState`]; reductions replay the
 //!   table in reverse with every edge flipped.
 //!
-//! The schedule executor puts in the event queue only what has an effect:
-//! a transfer is issued without a completion event, a broadcast round
-//! schedules one event per edge (a landing block may complete a node and
-//! restart its ranks), a gather round one event in all (`sched_run_round`).
+//! Broadcast legs run `mpi_api::coll_sched`'s executors, shared with the
+//! baseline, over this engine's issue primitives ([`BcsEdge`]); the gather
+//! executors are this engine's own, as only it runs an explicit gather. A
+//! schedule transfer is issued without a completion event: a broadcast
+//! round schedules one event per edge (a landing block may complete a node
+//! and restart its ranks), a gather round one event in all
+//! (`sched_gather_round`).
 
 use crate::engine::{BW, BcsConfig, BcsMpi, Blocked};
 use crate::p2p::Nics;
 use bcs_core::{BcsCluster, CmpOp, DeliverFn, Reached};
 use mpi_api::call::MpiResp;
-use mpi_api::coll_sched::{self, CollAlgo, RoundSchedule};
+use mpi_api::coll_sched::{self, CollAlgo, DoneHook, EdgePut, NodeHook, RoundSchedule, SchedCache};
 use mpi_api::comm::{CommId, Group, RoundCounters};
-use mpi_api::datatype::{Datatype, ReduceOp, combine_native};
+use mpi_api::datatype::{Datatype, ReduceOp, combine_native, fold_ascending};
 use mpi_api::payload::Payload;
 use mpi_api::runtime::JobLayout;
 use qsnet::NodeId;
-use qsnet::model::log2_ceil;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{Sim, SimDuration};
 use softfloat::{F32, F64};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -128,10 +130,7 @@ pub(crate) struct CollState {
     /// through [`CollState::joining`].
     rounds: BTreeMap<RoundKey, CollRound>,
     compute_nodes: usize,
-    /// Round-schedule tables keyed by `(comm, block count)` — pure
-    /// functions of the communicator's node count and the block count, so
-    /// a restored checkpoint rebuilds identical tables on demand.
-    sched_cache: BTreeMap<(u32, usize), Rc<RoundSchedule>>,
+    scheds: SchedCache,
 }
 
 impl CollState {
@@ -140,7 +139,7 @@ impl CollState {
             counters: RoundCounters::default(),
             rounds: BTreeMap::new(),
             compute_nodes: layout.compute_nodes,
-            sched_cache: BTreeMap::new(),
+            scheds: SchedCache::default(),
         }
     }
 
@@ -188,19 +187,6 @@ impl CollState {
         }
         out
     }
-}
-
-/// The cached broadcast schedule for `comm` (`nodes` member nodes) and
-/// `blocks` pipeline blocks. Reductions walk the same table in reverse.
-fn sched_for(w: &mut BW, comm: CommId, nodes: usize, blocks: usize) -> Rc<RoundSchedule> {
-    let entry = w
-        .engine
-        .coll
-        .sched_cache
-        .entry((comm.0, blocks))
-        .or_insert_with(|| Rc::new(coll_sched::bcast_schedule(nodes, blocks)));
-    debug_assert_eq!(entry.nodes, nodes, "communicator changed size");
-    Rc::clone(entry)
 }
 
 // ----------------------------------------------------------------------
@@ -368,56 +354,39 @@ pub(crate) fn msm_queries(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) -> u32 {
 }
 
 // ----------------------------------------------------------------------
-// Schedule-based wire executors (CollAlgo::Binomial / ::OptimalSchedule)
+// Wire primitives and gather executors (CollAlgo::Binomial / ::OptimalSchedule)
 // ----------------------------------------------------------------------
 
-/// Per-node completion hook of a broadcast leg.
-type NodeFn = Rc<dyn Fn(&mut BW, &mut Sim<BW>, NodeId)>;
-/// Whole-leg completion hook.
-type DoneFn = Box<dyn FnOnce(&mut BW, &mut Sim<BW>)>;
-
-/// Shared state of a binomial broadcast leg.
-struct BcastRun {
-    order: Vec<NodeId>,
-    bytes: u64,
-    /// Positions the payload has not reached yet.
-    remaining: Cell<usize>,
-    on_node: NodeFn,
-    on_done: RefCell<Option<DoneFn>>,
+/// This engine's issue primitives, both carrying the payload and its
+/// descriptor: a retry-aware put on binomial-tree edges; on round-schedule
+/// edges an `Xfer-And-Signal` issued without an event of its own — the
+/// landing is the one event per edge, and a planned drop on such an edge is
+/// modelled as delivered.
+enum BcsEdge {
+    Tree,
+    Sched,
 }
 
-/// Binomial broadcast: `order[0]` holds `bytes`; every node forwards to its
-/// subtree children (largest subtree first) the instant the payload lands.
-/// `on_node` fires per node at its arrival instant; `on_done` once, at the
-/// last arrival.
-fn binomial_bcast(
-    w: &mut BW,
-    sim: &mut Sim<BW>,
-    order: Vec<NodeId>,
-    bytes: u64,
-    on_node: NodeFn,
-    on_done: DoneFn,
-) {
-    let remaining = Cell::new(order.len());
-    let run = BcastRun { order, bytes, remaining, on_node, on_done: RefCell::new(Some(on_done)) };
-    binomial_arrived(w, sim, Rc::new(run), 0);
-}
-
-// PANIC-OK: parent/child indices are derived from the comm size the tree
-// was built for.
-fn binomial_arrived(w: &mut BW, sim: &mut Sim<BW>, run: Rc<BcastRun>, idx: usize) {
-    (run.on_node)(w, sim, run.order[idx]);
-    for &c in coll_sched::binomial_children(idx, run.order.len()).iter().rev() {
-        let next = Rc::clone(&run);
-        let (from, to) = (run.order[idx], run.order[c]);
-        crate::p2p::wire_put(w, sim, from, to, run.bytes, "binomial broadcast put", move |w, sim| {
-            binomial_arrived(w, sim, Rc::clone(&next), c)
-        });
-    }
-    run.remaining.set(run.remaining.get() - 1);
-    if run.remaining.get() == 0 {
-        if let Some(f) = run.on_done.borrow_mut().take() {
-            f(w, sim);
+impl EdgePut<BW> for BcsEdge {
+    fn put(
+        &self,
+        w: &mut BW,
+        sim: &mut Sim<BW>,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+        landed: impl Fn(&mut BW, &mut Sim<BW>) + 'static,
+    ) {
+        let wire = bytes + w.engine.cfg.desc_bytes;
+        match self {
+            BcsEdge::Tree => {
+                crate::p2p::wire_put(w, sim, from, to, wire, "binomial broadcast put", landed)
+            }
+            BcsEdge::Sched => {
+                let opts = bcs_core::XsOpts::default();
+                let at = BcsCluster::xfer_and_signal(w, sim, from, &[to], wire, opts);
+                sim.schedule_at(at, landed);
+            }
         }
     }
 }
@@ -430,7 +399,7 @@ struct GatherRun {
     combine: SimDuration,
     /// Children still outstanding per tree position.
     pending: RefCell<Vec<usize>>,
-    on_done: RefCell<Option<DoneFn>>,
+    on_done: RefCell<Option<DoneHook<BW>>>,
 }
 
 /// Binomial gather: the mirrored broadcast tree walked leaf-to-root. Every
@@ -444,25 +413,15 @@ fn binomial_gather(
     order: Vec<NodeId>,
     bytes: u64,
     combine: SimDuration,
-    on_done: DoneFn,
+    on_done: DoneHook<BW>,
 ) {
     let nn = order.len();
-    let pending: Vec<usize> = (0..nn)
-        .map(|i| coll_sched::binomial_children(i, nn).len())
-        .collect();
-    let run = Rc::new(GatherRun {
-        order,
-        bytes,
-        combine,
-        pending: RefCell::new(pending),
-        on_done: RefCell::new(Some(on_done)),
-    });
     if nn <= 1 {
-        if let Some(f) = run.on_done.borrow_mut().take() {
-            f(w, sim);
-        }
-        return;
+        return on_done(w, sim);
     }
+    let pending = (0..nn).map(|i| coll_sched::binomial_children(i, nn).len()).collect();
+    let (pending, on_done) = (RefCell::new(pending), RefCell::new(Some(on_done)));
+    let run = Rc::new(GatherRun { order, bytes, combine, pending, on_done });
     for i in 1..nn {
         if run.pending.borrow()[i] == 0 {
             gather_send_up(w, sim, Rc::clone(&run), i);
@@ -498,157 +457,54 @@ fn gather_send_up(w: &mut BW, sim: &mut Sim<BW>, run: Rc<GatherRun>, idx: usize)
     crate::p2p::wire_put(w, sim, from, to, run.bytes, "binomial gather put", deliver);
 }
 
-/// Which way a pipelined round-schedule run walks the table.
-enum SchedLeg {
-    /// First round to last. `on_node` fires for a position when the last of
-    /// its blocks lands — it restarts ranks, so every edge keeps its event.
-    Bcast {
-        /// Blocks received so far per position.
-        got: RefCell<Vec<usize>>,
-        on_node: NodeFn,
-    },
-    /// The reduction: last round to first with every edge flipped. Nothing
-    /// happens at a node when a block lands, so a round is one event.
-    Gather {
-        /// Charge the NIC combine cost per received block.
-        combine: bool,
-    },
-}
-
-/// Shared state of a pipelined round-schedule run.
-struct SchedRun {
+/// Shared state of a reduction over a round table.
+struct SchedGather {
     order: Vec<NodeId>,
     sched: Rc<RoundSchedule>,
     /// Payload bytes being moved (split into `sched.blocks` shares).
     bytes: u64,
-    desc: u64,
-    leg: SchedLeg,
-    on_done: RefCell<Option<DoneFn>>,
+    /// Charge the NIC combine cost per received block.
+    combine: bool,
+    on_done: DoneHook<BW>,
 }
 
-impl SchedRun {
-    /// Issue the transfer of block `b` from position `s` to position `d`;
-    /// returns its share of the payload and when it lands. No event: the
-    /// executor schedules what happens then (DESIGN §14).
-    // PANIC-OK: `s` and `d` come from the table built for `order.len()`
-    // positions.
-    fn issue(&self, w: &mut BW, sim: &mut Sim<BW>, s: usize, d: usize, b: usize) -> (u64, SimTime) {
-        let share = coll_sched::block_len(self.bytes, self.sched.blocks, b);
+/// Execute round `r` of the reduction: the broadcast table's rounds last to
+/// first with every edge flipped. All of a round's one-port transfers start
+/// together, and the next round starts when the slowest is combined.
+///
+/// A round is one event, at the instant its last block is combined: nothing
+/// happens at a node when a block lands, and no other event in the queue
+/// can tell that one event from one per edge scheduled by this call
+/// (DESIGN §14).
+// PANIC-OK: compiled schedules are validated at compile time (rounds are
+// in-range, peers exist).
+fn sched_gather_round(w: &mut BW, sim: &mut Sim<BW>, run: Box<SchedGather>, r: usize) {
+    let total = run.sched.rounds.len();
+    if r == total {
+        return (run.on_done)(w, sim);
+    }
+    let mut round_done = sim.now();
+    for &(d, s, b) in &run.sched.rounds[total - 1 - r] {
+        let share = coll_sched::block_len(run.bytes, run.sched.blocks, b);
+        let wire = share + w.engine.cfg.desc_bytes;
         let landed = BcsCluster::xfer_and_signal(
             w,
             sim,
-            self.order[s],
-            &[self.order[d]],
-            share + self.desc,
+            run.order[s],
+            &[run.order[d]],
+            wire,
             bcs_core::XsOpts::default(),
         );
-        (share, landed)
+        let extra = if run.combine {
+            reduce_delay(&w.engine.cfg, share as usize)
+        } else {
+            SimDuration::ZERO
+        };
+        round_done = round_done.max(landed + extra);
     }
-}
-
-/// Execute one round of the table: all of the round's one-port transfers
-/// start together, and the next round starts when the slowest completes.
-///
-/// A gather round is one event, at the instant its last block is combined.
-/// It stands where the last-firing of the per-edge events it replaces
-/// stood: those were all scheduled by this one call with nothing else
-/// scheduled in between, so no other event in the queue can tell them — or
-/// the one that is left — apart by sequence number.
-// PANIC-OK: compiled schedules are validated at compile time (rounds are
-// in-range, peers exist); the run state lives until the last round.
-fn sched_run_round(w: &mut BW, sim: &mut Sim<BW>, run: Rc<SchedRun>, r: usize) {
-    let total = run.sched.rounds.len();
-    if r == total {
-        if let Some(f) = run.on_done.borrow_mut().take() {
-            f(w, sim);
-        }
-        return;
-    }
-    match run.leg {
-        SchedLeg::Gather { combine } => {
-            let mut round_done = sim.now();
-            for &(d, s, b) in &run.sched.rounds[total - 1 - r] {
-                let (share, landed) = run.issue(w, sim, s, d, b);
-                let extra = if combine {
-                    reduce_delay(&w.engine.cfg, share as usize)
-                } else {
-                    SimDuration::ZERO
-                };
-                round_done = round_done.max(landed + extra);
-            }
-            sim.schedule_at(round_done, move |w: &mut BW, sim: &mut Sim<BW>| {
-                sched_run_round(w, sim, run, r + 1);
-            });
-        }
-        SchedLeg::Bcast { .. } => {
-            let edges = &run.sched.rounds[r];
-            let remaining = Rc::new(Cell::new(edges.len()));
-            for &(s, d, b) in edges {
-                let (_, landed) = run.issue(w, sim, s, d, b);
-                let (run2, rem) = (Rc::clone(&run), Rc::clone(&remaining));
-                sim.schedule_at(landed, move |w: &mut BW, sim: &mut Sim<BW>| {
-                    if let SchedLeg::Bcast { got, on_node } = &run2.leg {
-                        let complete = {
-                            let mut g = got.borrow_mut();
-                            g[d] += 1;
-                            g[d] == run2.sched.blocks
-                        };
-                        if complete {
-                            on_node(w, sim, run2.order[d]);
-                        }
-                    }
-                    rem.set(rem.get() - 1);
-                    if rem.get() == 0 {
-                        sched_run_round(w, sim, run2, r + 1);
-                    }
-                });
-            }
-        }
-    }
-}
-
-/// Pipelined broadcast leg: `on_node` fires for the root immediately and
-/// for every other node when its last block lands; `on_done` after the
-/// final round.
-#[allow(clippy::too_many_arguments)]
-// PANIC-OK: schedule rounds address peers inside the comm the schedule was
-// compiled for; payload slots were allocated at post time.
-fn sched_bcast(
-    w: &mut BW,
-    sim: &mut Sim<BW>,
-    comm: CommId,
-    order: Vec<NodeId>,
-    bytes: u64,
-    on_node: NodeFn,
-    on_done: DoneFn,
-) {
-    on_node(w, sim, order[0]);
-    let got = RefCell::new(vec![0; order.len()]);
-    sched_leg(w, sim, comm, order, bytes, SchedLeg::Bcast { got, on_node }, on_done);
-}
-
-/// Run `leg` over the cached table for `comm` and `bytes` of payload: the
-/// broadcast as built, or the reduction (gather) walking it in reverse.
-fn sched_leg(
-    w: &mut BW,
-    sim: &mut Sim<BW>,
-    comm: CommId,
-    order: Vec<NodeId>,
-    bytes: u64,
-    leg: SchedLeg,
-    on_done: DoneFn,
-) {
-    let blocks = coll_sched::block_count(bytes);
-    let sched = sched_for(w, comm, order.len(), blocks);
-    let run = Rc::new(SchedRun {
-        order,
-        sched,
-        bytes,
-        desc: w.engine.cfg.desc_bytes,
-        leg,
-        on_done: RefCell::new(Some(on_done)),
+    sim.schedule_at(round_done, move |w: &mut BW, sim: &mut Sim<BW>| {
+        sched_gather_round(w, sim, run, r + 1);
     });
-    sched_run_round(w, sim, run, 0);
 }
 
 // ----------------------------------------------------------------------
@@ -708,26 +564,11 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
             _ => unreachable!(),
         }
         let group = Rc::clone(w.engine.comms.group(comm));
-        let per_dest: NodeFn = {
+        let per_dest = {
             let payload = payload.clone();
-            let group = Rc::clone(&group);
-            Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, d: NodeId| {
-                // Delivery at node d completes the collective for its local
-                // member ranks; they restart at the next slice boundary.
-                for &rank in group.ranks_on(d) {
-                    let resp = match kind {
-                        CollKind::Barrier => MpiResp::Ok,
-                        CollKind::Bcast => MpiResp::Data(payload.clone()),
-                        _ => unreachable!(),
-                    };
-                    debug_assert!(matches!(
-                        w.engine.blocked[rank],
-                        Some(Blocked::Collective)
-                    ));
-                    w.engine.blocked[rank] = None;
-                    w.engine.restart_queue.push((rank, resp));
-                }
-                mpi_api::runtime::drain(w, sim);
+            restart_on(&group, move || match kind {
+                CollKind::Barrier => MpiResp::Ok,
+                _ => MpiResp::Data(payload.clone()),
             })
         };
         let on_done = Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
@@ -740,25 +581,46 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
             crate::protocol::work_item_done(w, sim, node);
             mpi_api::runtime::drain(w, sim);
         });
-        bcast_leg(w, sim, node, comm, &group, payload.len() as u64, per_dest, on_done);
+        bcast_leg(w, sim, node, &group, payload.len() as u64, per_dest, on_done);
     }
+}
+
+/// The hook that completes a collective at each node the result reaches:
+/// `group`'s ranks there restart at the next slice boundary with `resp()`.
+// PANIC-OK: `blocked` is sized per rank at startup; the ranks come from the
+// communicator's group.
+fn restart_on(group: &Rc<Group>, resp: impl Fn() -> MpiResp + 'static) -> NodeHook<BW> {
+    let group = Rc::clone(group);
+    Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, d: NodeId| {
+        for &rank in group.ranks_on(d) {
+            debug_assert!(matches!(w.engine.blocked[rank], Some(Blocked::Collective)));
+            w.engine.blocked[rank] = None;
+            w.engine.restart_queue.push((rank, resp()));
+        }
+        mpi_api::runtime::drain(w, sim);
+    })
+}
+
+/// The end of a microphase work item at `node`.
+fn item_done(node: NodeId) -> DoneHook<BW> {
+    Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
+        crate::protocol::work_item_done(w, sim, node);
+        mpi_api::runtime::drain(w, sim);
+    })
 }
 
 /// One broadcast leg from `node` to every node of `group` under the active
 /// algorithm, carrying `payload_bytes` plus a descriptor: `per_dest` fires
 /// per node at its arrival instant, `on_done` once, at the last arrival.
-#[allow(clippy::too_many_arguments)]
 fn bcast_leg(
     w: &mut BW,
     sim: &mut Sim<BW>,
     node: NodeId,
-    comm: CommId,
     group: &Group,
     payload_bytes: u64,
-    per_dest: NodeFn,
-    on_done: DoneFn,
+    per_dest: NodeHook<BW>,
+    on_done: DoneHook<BW>,
 ) {
-    let bytes = payload_bytes + w.engine.cfg.desc_bytes;
     match w.engine.cfg.coll_algo {
         CollAlgo::HwMulticast => {
             // A node the multicast cannot reach (a dead one) holds the leg
@@ -779,7 +641,7 @@ fn bcast_leg(
                 sim,
                 node,
                 group.nodes().clone(),
-                bytes,
+                payload_bytes + w.engine.cfg.desc_bytes,
                 bcs_core::XsOpts {
                     remote_event: None,
                     local_event: None,
@@ -795,9 +657,14 @@ fn bcast_leg(
                 }
             });
         }
-        CollAlgo::Binomial => binomial_bcast(w, sim, group.nodes_from(node), bytes, per_dest, on_done),
+        CollAlgo::Binomial => {
+            let (order, put) = (group.nodes_from(node), BcsEdge::Tree);
+            coll_sched::binomial_bcast(w, sim, put, order, payload_bytes, per_dest, on_done)
+        }
         CollAlgo::OptimalSchedule => {
-            sched_bcast(w, sim, comm, group.nodes_from(node), payload_bytes, per_dest, on_done)
+            let (order, put) = (group.nodes_from(node), BcsEdge::Sched);
+            let sched = w.engine.coll.scheds.table(order.len(), payload_bytes);
+            coll_sched::sched_bcast(w, sim, put, order, sched, payload_bytes, per_dest, on_done)
         }
     }
 }
@@ -847,43 +714,20 @@ fn rm_reduce(
     // ascending communicator-rank order for cross-engine (and
     // cross-algorithm) bit-identity. The wire schedule below only
     // determines *when* the result is ready.
-    let mut acc: Option<Vec<u8>> = None;
-    for c in round.contribs.iter_mut() {
-        let c = c.take().expect("missing reduce contribution");
-        match &mut acc {
-            None => acc = Some(c.into_vec()),
-            Some(a) => combine_nic(op, dtype, a, &c),
-        }
-    }
-    let value = Payload::from_vec(acc.unwrap_or_default());
+    let value = fold_ascending(&mut round.contribs, op, dtype, combine_nic);
     let bytes = value.len();
 
     let nn = group.nodes().len();
 
     // What happens once the gather leg completes at the root.
-    let finish: DoneFn = if all && nn > 1 {
+    let finish: DoneHook<BW> = if all && nn > 1 {
         // Allreduce: the RH broadcasts the result within the reduce
         // microphase, under the active algorithm.
         let group = Rc::clone(&group);
         Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
             let payload_bytes = value.len() as u64;
-            let per_dest: NodeFn = {
-                let group = Rc::clone(&group);
-                Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, d: NodeId| {
-                    for &rank in group.ranks_on(d) {
-                        w.engine.blocked[rank] = None;
-                        w.engine
-                            .restart_queue
-                            .push((rank, MpiResp::Data(value.clone())));
-                    }
-                    mpi_api::runtime::drain(w, sim);
-                })
-            };
-            let item_done = Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-                crate::protocol::work_item_done(w, sim, node);
-                mpi_api::runtime::drain(w, sim);
-            });
-            bcast_leg(w, sim, node, comm, &group, payload_bytes, per_dest, item_done);
+            let per_dest = restart_on(&group, move || MpiResp::Data(value.clone()));
+            bcast_leg(w, sim, node, &group, payload_bytes, per_dest, item_done(node));
         })
     } else {
         // Plain reduce (result only on the root) or a degenerate one-node
@@ -906,7 +750,7 @@ fn rm_reduce(
         })
     };
 
-    run_gather_leg(w, sim, node, comm, &group, bytes, true, finish);
+    run_gather_leg(w, sim, node, &group, bytes, true, finish);
 }
 
 // PANIC-OK: allgather segments were sized at post time from the same
@@ -926,34 +770,15 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
 
     let nn = group.nodes().len();
 
-    let per_dest: NodeFn = {
-        let group = Rc::clone(&group);
-        let parts = parts.clone();
-        Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, d: NodeId| {
-            for &rank in group.ranks_on(d) {
-                w.engine.blocked[rank] = None;
-                w.engine.restart_queue.push((
-                    rank,
-                    MpiResp::Gathered {
-                        parts: parts.clone(),
-                    },
-                ));
-            }
-            mpi_api::runtime::drain(w, sim);
-        })
-    };
+    let per_dest = restart_on(&group, move || MpiResp::Gathered { parts: parts.clone() });
 
     // Gather to the root, then broadcast the concatenation back — both
     // legs under the active algorithm. The gather leg's wire model charges
     // every edge the full result size (a stated upper bound; DESIGN §14).
-    let finish: DoneFn = if nn > 1 {
+    let finish: DoneHook<BW> = if nn > 1 {
         let group = Rc::clone(&group);
         Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-            let item_done = Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-                crate::protocol::work_item_done(w, sim, node);
-                mpi_api::runtime::drain(w, sim);
-            });
-            bcast_leg(w, sim, node, comm, &group, total as u64, per_dest, item_done);
+            bcast_leg(w, sim, node, &group, total as u64, per_dest, item_done(node));
         })
     } else {
         Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
@@ -963,7 +788,7 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
         })
     };
 
-    run_gather_leg(w, sim, node, comm, &group, total, false, finish);
+    run_gather_leg(w, sim, node, &group, total, false, finish);
 }
 
 /// Run the gather leg of a reduction/allgather: `finish` fires at the
@@ -974,51 +799,34 @@ fn rm_allgather(w: &mut BW, sim: &mut Sim<BW>, node: NodeId, mut round: CollRoun
 ///   processing.
 /// * `Binomial`: the explicit mirrored tree with real point-to-point DMAs.
 /// * `OptimalSchedule`: the reversed pipelined block schedule.
-#[allow(clippy::too_many_arguments)]
 fn run_gather_leg(
     w: &mut BW,
     sim: &mut Sim<BW>,
     node: NodeId,
-    comm: CommId,
     group: &Group,
     bytes: usize,
     combine: bool,
-    finish: DoneFn,
+    finish: DoneHook<BW>,
 ) {
-    let nn = group.nodes().len();
-    match w.engine.cfg.coll_algo {
+    let cfg = &w.engine.cfg;
+    let wire = bytes as u64 + cfg.desc_bytes;
+    let combine_cost = if combine { reduce_delay(cfg, bytes) } else { SimDuration::ZERO };
+    match cfg.coll_algo {
         CollAlgo::HwMulticast => {
-            let e = &w.engine;
-            let depth = if nn <= 1 { 0 } else { log2_ceil(nn) };
-            let wire = bytes as u64 + e.cfg.desc_bytes;
-            let levels = e.bcs.fabric.net().topology().levels();
-            let combine_cost = if combine {
-                reduce_delay(&e.cfg, bytes)
-            } else {
-                SimDuration::ZERO
-            };
-            let stage = e.cfg.net.unicast_latency(2 * levels)
-                + e.cfg.net.tx_time(wire)
-                + combine_cost
-                + e.cfg.desc_cost;
-            let gather_done: SimTime = sim.now() + stage * depth as u64;
-            sim.schedule_at(gather_done, move |w: &mut BW, sim: &mut Sim<BW>| {
-                finish(w, sim);
-            });
+            let levels = w.engine.bcs.fabric.net().topology().levels();
+            let depth = coll_sched::binomial_depth(group.nodes().len());
+            let (net, per_stage) = (&cfg.net, cfg.desc_cost);
+            let t = coll_sched::tree_time(net, levels, wire, combine_cost, per_stage, depth);
+            sim.schedule_at(sim.now() + t, finish);
         }
         CollAlgo::Binomial => {
-            let order = group.nodes_from(node);
-            let wire = bytes as u64 + w.engine.cfg.desc_bytes;
-            let combine_cost = if combine {
-                reduce_delay(&w.engine.cfg, bytes)
-            } else {
-                SimDuration::ZERO
-            };
-            binomial_gather(w, sim, order, wire, combine_cost, finish);
+            binomial_gather(w, sim, group.nodes_from(node), wire, combine_cost, finish)
         }
         CollAlgo::OptimalSchedule => {
             let order = group.nodes_from(node);
-            sched_leg(w, sim, comm, order, bytes as u64, SchedLeg::Gather { combine }, finish);
+            let sched = w.engine.coll.scheds.table(order.len(), bytes as u64);
+            let run = SchedGather { order, sched, bytes: bytes as u64, combine, on_done: finish };
+            sched_gather_round(w, sim, Box::new(run), 0);
         }
     }
 }

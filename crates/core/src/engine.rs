@@ -11,18 +11,17 @@ use crate::coll::{CollKind, CollState, post_collective};
 use crate::p2p::MsgId;
 use bcs_core::BcsCluster;
 use mpi_api::call::{MpiResp, ReqId};
-use mpi_api::chunklog::ChunkLog;
 use mpi_api::comm::{CommId, CommRegistry};
 use mpi_api::datatype::{Datatype, ReduceOp};
-use mpi_api::idtable::IdTable;
 use mpi_api::message::{SrcSel, Status, TagSel};
 use mpi_api::noise::{NoiseConfig, NoiseModel};
 use mpi_api::payload::Payload;
 use mpi_api::request::{ReqKind, ReqTable, Wake};
 use mpi_api::runtime::{ClusterWorld, Engine, JobLayout, Protocol};
 use qsnet::{FabricKind, NetModel, NodeId};
+use simcore::chunklog::ChunkLog;
 use simcore::stats::LogHistogram;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{IdTable, Sim, SimDuration, SimTime};
 
 pub(crate) type BW = ClusterWorld<BcsMpi>;
 
@@ -63,13 +62,12 @@ pub struct BcsConfig {
     /// paper attributes IS's slowdown to exactly this overhead (§5.3).
     pub init_delay: SimDuration,
     /// Capture a communication-state checkpoint digest every `k` slices
-    /// (the §6 transparent-fault-tolerance hook). `None` disables.
+    /// (the §6 transparent-fault-tolerance hook). `None` disables. A run
+    /// that records responses (`ClusterWorld::set_recording`) also captures
+    /// a full *restorable* [`crate::CheckpointImage`] at every boundary:
+    /// digest-only checkpoints stay cheap; images are what recovery
+    /// restores from.
     pub checkpoint_every: Option<u64>,
-    /// Additionally capture a full *restorable* [`crate::CheckpointImage`]
-    /// at every checkpoint boundary (requires response recording on the
-    /// runtime — see `ClusterWorld::set_recording`). Digest-only
-    /// checkpoints stay cheap; images are what recovery restores from.
-    pub checkpoint_images: bool,
     /// NM/NIC time charged at each checkpoint boundary before the DEM
     /// strobe (serializing the image). Zero keeps checkpointing free, which
     /// preserves the timing of every non-checkpointed experiment.
@@ -130,7 +128,6 @@ impl Default for BcsConfig {
             noise: None,
             init_delay: SimDuration::ZERO,
             checkpoint_every: None,
-            checkpoint_images: false,
             checkpoint_cost: SimDuration::ZERO,
             retry: None,
             trace_slices: false,
@@ -261,7 +258,7 @@ pub struct BcsMpi {
     /// `(slice, digest)` stream captured by the checkpoint hook. A chunk
     /// log, so an image shares what earlier images hold of it.
     pub checkpoints: ChunkLog<(u64, u64)>,
-    /// Full restorable images (when `cfg.checkpoint_images`).
+    /// Full restorable images (when the run records responses).
     pub images: Vec<crate::checkpoint::CheckpointImage>,
     /// Set when the machine declared a node failure (heartbeat detection or
     /// a data-channel transfer abort); [`Engine::halted`] reports it so the

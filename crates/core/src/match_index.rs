@@ -47,8 +47,8 @@
 //! `match_equivalence.rs` property-checks the two against each other; what
 //! a match costs the host is `perf/`'s `core.probe_ns_per_match`.
 
-use mpi_api::idtable::IdTable;
 use mpi_api::message::{SrcSel, TagSel};
+use simcore::IdTable;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 

@@ -24,12 +24,11 @@
 use crate::engine::{BW, Blocked, BcsMpi};
 use crate::match_index::{RecvIndex, RecvSel, SendIndex, SendKey};
 use mpi_api::call::{MpiResp, ReqId};
-use mpi_api::idtable::IdTable;
 use mpi_api::message::{SrcSel, Status, TagSel};
 use mpi_api::payload::Payload;
 use mpi_api::request::ReqKind;
 use mpi_api::runtime::resume_req_at;
-use simcore::Sim;
+use simcore::{IdTable, Sim};
 use std::rc::Rc;
 
 /// Identifier of one in-flight message (sender-assigned).

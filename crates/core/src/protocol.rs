@@ -84,7 +84,7 @@ fn slice_start(w: &mut BW, sim: &mut Sim<BW>, slice: u64) {
         if k > 0 && slice % k == 0 {
             let digest = w.engine.checkpoint_digest();
             w.engine.checkpoints.push((slice, digest));
-            if w.engine.cfg.checkpoint_images {
+            if w.recording() {
                 let img = crate::checkpoint::capture_image(w, sim.now(), digest);
                 w.engine.images.push(img);
             }

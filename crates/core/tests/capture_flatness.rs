@@ -42,7 +42,6 @@ fn recorded_run() -> (Vec<CheckpointImage>, u64) {
     let layout = JobLayout::new(4, 2, 8);
     let cfg = BcsConfig {
         checkpoint_every: Some(1),
-        checkpoint_images: true,
         trace_slices: true,
         ..BcsConfig::default()
     };

@@ -41,7 +41,8 @@ pub struct CrateSpec {
     pub dev_deps: &'static [&'static str],
 }
 
-/// The declared DAG. Layers (bottom → top):
+/// The declared DAG. Layers (bottom → top); `simcore` also holds the plain
+/// containers every layer above keeps state in (`IdTable`, `ChunkLog`):
 ///
 /// ```text
 /// L0  simcore        softfloat
@@ -61,7 +62,7 @@ pub const CRATES: &[CrateSpec] = &[
         layer: 0,
         standalone: false,
         deps: &[],
-        dev_deps: &[],
+        dev_deps: &["proplite"],
     },
     CrateSpec {
         name: "softfloat",
@@ -124,7 +125,7 @@ pub const CRATES: &[CrateSpec] = &[
         layer: 3,
         standalone: false,
         deps: &["simcore", "qsnet", "bcs-core"],
-        dev_deps: &["proplite"],
+        dev_deps: &["proplite", "rdmanet"],
     },
     CrateSpec {
         name: "storm",

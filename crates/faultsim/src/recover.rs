@@ -39,8 +39,9 @@ type W = ClusterWorld<BcsMpi>;
 /// Configuration of the recovery machinery around a [`BcsConfig`].
 #[derive(Clone, Debug)]
 pub struct RecoveryCfg {
-    /// Engine configuration; must have `checkpoint_every = Some(k)` and
-    /// `checkpoint_images = true` (see [`RecoveryCfg::new`]).
+    /// Engine configuration; must have `checkpoint_every = Some(k)` (see
+    /// [`RecoveryCfg::new`]). The run records responses, so every
+    /// checkpoint boundary captures a restorable image.
     pub bcs: BcsConfig,
     /// Heartbeat strobe period. Detection is bounded by two periods: a node
     /// that dies right after acking beat `b` is caught at beat `b + 2` at
@@ -58,7 +59,6 @@ impl RecoveryCfg {
     /// data channel, and strobes heartbeats every 4 slices.
     pub fn new(mut bcs: BcsConfig, checkpoint_every: u64) -> RecoveryCfg {
         bcs.checkpoint_every = Some(checkpoint_every);
-        bcs.checkpoint_images = true;
         if bcs.retry.is_none() {
             bcs.retry = Some(bcs_core::retry::RetryPolicy::default());
         }
@@ -139,9 +139,9 @@ where
     P: RankProgram,
 {
     assert!(
-        cfg.bcs.checkpoint_every.is_some() && cfg.bcs.checkpoint_images,
+        cfg.bcs.checkpoint_every.is_some(),
         "run_with_recovery requires restorable checkpoints \
-         (BcsConfig::checkpoint_every + checkpoint_images; see RecoveryCfg::new)"
+         (BcsConfig::checkpoint_every; see RecoveryCfg::new)"
     );
     if !plan.drops.is_empty() {
         assert!(
@@ -354,8 +354,8 @@ fn aborted<R: 'static>(
 }
 
 /// Helper for experiments and tests: the fault-free reference run of the
-/// same program (no monitor, no recording, no faults) under `cfg`'s engine
-/// configuration and horizon with images disabled — the timing baseline
+/// same program (no monitor, no recording — so no images — and no faults)
+/// under `cfg`'s engine configuration and horizon: the timing baseline
 /// against which checkpoint overhead and recovery cost are measured.
 pub fn fault_free_reference<P>(
     cfg: &RecoveryCfg,
@@ -366,7 +366,6 @@ where
     P: RankProgram,
 {
     let mut bcs = cfg.bcs.clone();
-    bcs.checkpoint_images = false;
     bcs.checkpoint_cost = SimDuration::ZERO;
     Job::new(BcsMpi::new(bcs, &layout), layout).horizon(cfg.horizon).start(&program).expect_complete()
 }

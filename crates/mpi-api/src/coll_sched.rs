@@ -1,5 +1,7 @@
-//! Collective algorithm selection and round-schedule construction, shared by
-//! both engines.
+//! The collective wire layer both engines run on: algorithm selection,
+//! round-schedule construction and caching, the broadcast executors
+//! ([`binomial_bcast`], [`sched_bcast`]) and the analytic tree time
+//! ([`tree_time`]).
 //!
 //! Three algorithms cover every collective (barrier / bcast / reduce /
 //! allreduce / allgatherv):
@@ -22,12 +24,21 @@
 //!   `k - 1 + ⌈log2 n⌉` lower bound. Reductions replay the table in reverse
 //!   with every edge flipped.
 //!
-//! Schedules are pure functions of `(node count, block count)` — engines
-//! cache them per communicator and payload size, and a restored checkpoint
-//! can rebuild them verbatim. A table is built in
+//! Schedules are pure functions of `(node count, block count)` — each
+//! engine keeps one [`SchedCache`] keyed by exactly that, and a restored
+//! checkpoint rebuilds its tables verbatim. A table is built in
 //! O(nodes · blocks + nodes log nodes) per round ([`bcast_schedule`]), so a
 //! communicator of 65536 nodes gets one in tens of milliseconds; engines
 //! share it behind an `Rc` and walk a round's edges in place.
+
+use qsnet::NetModel;
+use qsnet::model::log2_ceil;
+use simcore::SimDuration;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+mod exec;
+pub use exec::{DoneHook, EdgePut, NodeHook, binomial_bcast, sched_bcast};
 
 /// Which wire schedule the engine uses for collectives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -96,6 +107,26 @@ pub fn binomial_children(idx: usize, n: usize) -> Vec<usize> {
 pub fn binomial_parent(idx: usize) -> usize {
     debug_assert!(idx > 0, "the root has no parent");
     idx & !(1usize << (usize::BITS - 1 - idx.leading_zeros()))
+}
+
+/// Sequential hops from the root to the deepest of `n` positions.
+pub fn binomial_depth(n: usize) -> usize {
+    if n <= 1 { 0 } else { log2_ceil(n) as usize }
+}
+
+/// The analytic time of a tree leg: `stages` stages in sequence, each a
+/// unicast of `wire` bytes up and down the fat tree (`2 · levels` switch
+/// hops) plus `extra` (a combine) plus `per_stage` (what the engine spends
+/// per message).
+pub fn tree_time(
+    net: &NetModel,
+    levels: u32,
+    wire: u64,
+    extra: SimDuration,
+    per_stage: SimDuration,
+    stages: usize,
+) -> SimDuration {
+    (net.unicast_latency(2 * levels) + net.tx_time(wire) + extra + per_stage) * stages as u64
 }
 
 // ----------------------------------------------------------------------
@@ -229,20 +260,16 @@ pub fn bcast_schedule(nodes: usize, blocks: usize) -> RoundSchedule {
     RoundSchedule { nodes, blocks, rounds }
 }
 
-/// The matching reduction schedule: the broadcast rounds replayed last to
-/// first with every edge flipped, so partial blocks flow leaf-to-root along
-/// the same one-port-feasible matchings.
-pub fn reduce_schedule(nodes: usize, blocks: usize) -> RoundSchedule {
-    let b = bcast_schedule(nodes, blocks);
-    RoundSchedule {
-        nodes,
-        blocks,
-        rounds: b
-            .rounds
-            .iter()
-            .rev()
-            .map(|r| r.iter().map(|&(s, d, blk)| (d, s, blk)).collect())
-            .collect(),
+/// Broadcast tables by `(nodes, blocks)`, each built once and shared.
+#[derive(Clone, Debug, Default)]
+pub struct SchedCache(BTreeMap<(usize, usize), Rc<RoundSchedule>>);
+
+impl SchedCache {
+    /// The table moving `bytes` of payload over `nodes` positions.
+    pub fn table(&mut self, nodes: usize, bytes: u64) -> Rc<RoundSchedule> {
+        let blocks = block_count(bytes);
+        let table = self.0.entry((nodes, blocks));
+        Rc::clone(table.or_insert_with(|| Rc::new(bcast_schedule(nodes, blocks))))
     }
 }
 
@@ -324,19 +351,6 @@ mod tests {
                     "n={n} k={k}: {} rounds vs bound {bound}",
                     s.rounds.len()
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_schedule_mirrors_bcast() {
-        let b = bcast_schedule(12, 3);
-        let r = reduce_schedule(12, 3);
-        assert_eq!(b.rounds.len(), r.rounds.len());
-        for (fwd, rev) in b.rounds.iter().rev().zip(r.rounds.iter()) {
-            assert_eq!(fwd.len(), rev.len());
-            for (&(s, d, blk), &(rs, rd, rblk)) in fwd.iter().zip(rev.iter()) {
-                assert_eq!((s, d, blk), (rd, rs, rblk));
             }
         }
     }

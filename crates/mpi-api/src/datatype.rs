@@ -6,6 +6,8 @@
 //! `softfloat` implementation, because the NIC it models has no FPU — the
 //! two must agree bit-for-bit, which the cross-engine tests assert.
 
+use crate::payload::Payload;
+
 /// Element type of a reduction buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Datatype {
@@ -93,6 +95,26 @@ pub fn combine_native(op: ReduceOp, dtype: Datatype, a: &mut [u8], b: &[u8]) {
             Datatype::F64 => combine_float!(op, ca, cb, f64),
         }
     }
+}
+
+/// The value plane of every reduction, under every wire schedule and both
+/// engines: the contributions, taken out of `contribs`, folded in ascending
+/// rank order with the engine's `combine` (host or NIC arithmetic).
+pub fn fold_ascending(
+    contribs: &mut [Option<Payload>],
+    op: ReduceOp,
+    dtype: Datatype,
+    combine: fn(ReduceOp, Datatype, &mut [u8], &[u8]),
+) -> Payload {
+    let mut acc: Option<Vec<u8>> = None;
+    for c in contribs {
+        let c = c.take().expect("missing reduce contribution");
+        match &mut acc {
+            None => acc = Some(c.into_vec()),
+            Some(a) => combine(op, dtype, a, &c),
+        }
+    }
+    Payload::from_vec(acc.unwrap_or_default())
 }
 
 /// Identity element of `op` for `dtype`, used to seed reduction trees.

@@ -19,12 +19,12 @@
 //!   allgather(v)/alltoall(v) composed on top of the primitives, exactly as
 //!   Appendix A prescribes ("the rest of them are built on top of those");
 //!   plus [`ctx::RankProgram`], a rank program as data;
-//! * [`idtable`] / [`request`] — the dense id-ordered table behind every
-//!   monotone id (requests, messages, scheduled resumes) and the request
-//!   lifecycle (post → complete → wait → retire) both engines run on it;
-//! * [`payload`] / [`chunklog`] — refcounted message buffers, and the
-//!   persistent append-only log (O(1) snapshots) that checkpoint images
-//!   keep their histories in;
+//! * [`request`] — the request lifecycle (post → complete → wait →
+//!   retire) both engines run on `simcore`'s dense id-ordered
+//!   [`simcore::IdTable`];
+//! * [`payload`] — refcounted message buffers;
+//! * [`coll_sched`] — the collective wire layer: algorithm selection, round
+//!   schedules, the broadcast executors and the analytic tree time;
 //! * [`runtime`] — the engine seam: an MPI implementation provides its
 //!   [`runtime::Protocol`] (the primitives that carry a call, its request
 //!   table, what an answer from its own state costs) and [`runtime::Engine`]
@@ -36,12 +36,10 @@
 //!   ranks; [`runtime::run_program`] is its one-line common case.
 
 pub mod call;
-pub mod chunklog;
 pub mod coll_sched;
 pub mod comm;
 pub mod ctx;
 pub mod datatype;
-pub mod idtable;
 pub mod message;
 pub mod noise;
 pub mod payload;

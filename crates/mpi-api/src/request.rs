@@ -27,10 +27,9 @@
 //! BCS-MPI, at once in the baseline (`runtime::Protocol::answer_cost`).
 
 use crate::call::{MpiResp, ReqId};
-use crate::idtable::IdTable;
 use crate::message::Status;
 use crate::payload::Payload;
-use simcore::SimTime;
+use simcore::{IdTable, SimTime};
 
 /// What a retired request yields: the received payload (`None` for sends)
 /// and its status.
@@ -148,9 +147,15 @@ impl CallSite {
     }
 }
 
+/// The open requests; unit tests count the table's look-ups.
+#[cfg(not(test))]
+type Reqs = IdTable<ReqId, Req>;
+#[cfg(test)]
+type Reqs = IdTable<ReqId, Req, simcore::idtable::Counted>;
+
 #[derive(Clone, Debug)]
 pub struct ReqTable {
-    reqs: IdTable<ReqId, Req>,
+    reqs: Reqs,
     waiting: Vec<Option<Waiting>>,
     /// The members of each open waitall, in the slot its [`Waiting::All`]
     /// names. A retired set's slot is reused (`free`), so the table holds

@@ -6,11 +6,10 @@
 
 use super::world::ClusterWorld;
 use crate::call::{MpiCall, MpiResp};
-use crate::chunklog::{ChunkLog, LogSnapshot};
 use crate::ctx::RankProgram;
-use crate::idtable::IdTable;
 use crate::payload::{Origin, Payload};
-use simcore::{ProcId, ProcYield, SimTime, VmHarness};
+use simcore::chunklog::{ChunkLog, LogSnapshot};
+use simcore::{IdTable, ProcId, ProcYield, SimTime, VmHarness};
 use std::collections::VecDeque;
 
 /// One step of a rank's lookahead: a response a halted run delivered to

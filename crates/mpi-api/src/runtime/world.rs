@@ -4,9 +4,9 @@
 use super::record::{Delivery, Step};
 use super::{Engine, JobLayout};
 use crate::call::{MpiCall, MpiResp, ReqId};
-use crate::chunklog::ChunkLog;
 use crate::ctx::{AsyncMpi, RankProgram};
 use crate::request::CallSite;
+use simcore::chunklog::ChunkLog;
 use simcore::{ProcId, ProcYield, Sim, SimTime, VmChannel, VmHarness};
 use std::collections::VecDeque;
 

@@ -15,8 +15,12 @@
 //!   `ceil(log2 n)` binomial tree under `HwMulticast` and `Binomial` (the
 //!   baseline's software tree *is* binomial), or the reversed pipelined
 //!   schedule's round count under `OptimalSchedule`; the result-return leg
-//!   of allreduce/allgatherv is priced per algorithm. Values are combined
-//!   in ascending rank order so both engines produce bit-identical results.
+//!   of allreduce/allgatherv is priced per algorithm. Both legs are
+//!   [`coll_sched::tree_time`]. Values are combined in ascending rank order
+//!   ([`fold_ascending`]) so both engines produce bit-identical results.
+//!
+//! The two broadcast executors are `mpi_api::coll_sched`'s, shared with
+//! BCS-MPI; this engine's issue primitive for both is [`HeaderPut`].
 //!
 //! Ranks may be in different collectives simultaneously (a non-root rank
 //! leaves a reduce as soon as its contribution is sent), so rounds are keyed
@@ -25,20 +29,19 @@
 
 use crate::engine::QuadricsMpi;
 use mpi_api::call::MpiResp;
-use mpi_api::coll_sched::{self, CollAlgo, RoundSchedule};
+use mpi_api::coll_sched::{self, CollAlgo, EdgePut, NodeHook, SchedCache};
 use mpi_api::comm::{CommId, RoundCounters};
-use mpi_api::datatype::{Datatype, ReduceOp, combine_native};
+use mpi_api::datatype::{Datatype, ReduceOp, combine_native, fold_ascending};
 use mpi_api::payload::Payload;
 use mpi_api::runtime::{ClusterWorld, drain, resume_at};
 use qsnet::NodeId;
-use qsnet::model::log2_ceil;
 use simcore::{Sim, SimDuration};
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 type QW = ClusterWorld<QuadricsMpi>;
 
+/// A collective kind; its discriminant is its slot in the round counters.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 enum Kind {
     Barrier,
@@ -55,7 +58,7 @@ struct Round {
     /// Bcast: payload once the root has arrived.
     payload: Option<Payload>,
     /// Bcast: ranks whose node has received the payload.
-    delivered: BTreeMap<usize, bool>,
+    delivered: BTreeSet<usize>,
     /// Bcast: ranks already resumed (round ends when == size).
     resumed: usize,
     /// Reduce/allgather: per-rank contributions.
@@ -70,36 +73,21 @@ struct Round {
 #[derive(Default)]
 pub struct CollManager {
     rounds: BTreeMap<(CommId, Kind, u64), Round>,
-    /// Invocation counters per member: [barrier, bcast, reduce, allgather].
+    /// Invocation counters per member and [`Kind`].
     counters: RoundCounters,
-    /// Round-schedule tables keyed by (participants, block count).
-    sched_cache: BTreeMap<(usize, usize), Rc<RoundSchedule>>,
+    scheds: SchedCache,
 }
 
 impl CollManager {
     /// Join member `comm_rank`'s next round of `kind` on `comm`.
     fn enter(&mut self, comm: CommId, kind: Kind, comm_rank: usize, comm_size: usize) -> u64 {
-        let slot = match kind {
-            Kind::Barrier => 0,
-            Kind::Bcast => 1,
-            Kind::Reduce => 2,
-            Kind::Allgather => 3,
-        };
-        let id = self.counters.enter(comm, comm_rank, slot);
+        let id = self.counters.enter(comm, comm_rank, kind as usize);
         let round = self.rounds.entry((comm, kind, id)).or_default();
         if round.contribs.is_empty() {
             round.contribs = vec![None; comm_size];
         }
         round.arrived += 1;
         id
-    }
-
-    fn sched_for(&mut self, participants: usize, blocks: usize) -> Rc<RoundSchedule> {
-        Rc::clone(
-            self.sched_cache
-                .entry((participants, blocks))
-                .or_insert_with(|| Rc::new(coll_sched::bcast_schedule(participants, blocks))),
-        )
     }
 
     pub fn describe(&self) -> String {
@@ -184,7 +172,7 @@ impl CollManager {
             w.engine.stats.bcasts += 1;
             let group = Rc::clone(w.engine.comms.group(comm));
             let src = w.engine.layout.node_of(root_world);
-            let per_node: Rc<dyn Fn(&mut QW, &mut Sim<QW>, NodeId)> = {
+            let per_node: NodeHook<QW> = {
                 let group = Rc::clone(&group);
                 Rc::new(move |w: &mut QW, sim: &mut Sim<QW>, node: NodeId| {
                     for &r in group.ranks_on(node) {
@@ -206,27 +194,22 @@ impl CollManager {
                         .multicast(sim, src, group.nodes().clone(), bytes, Some(per_instant), |_, _| {});
                 }
                 CollAlgo::Binomial => {
-                    let order = Rc::new(group.nodes_from(src));
-                    tree_forward(w, sim, order, 0, bytes, per_node);
+                    let order = group.nodes_from(src);
+                    let on_done = Box::new(|_: &mut QW, _: &mut Sim<QW>| {});
+                    coll_sched::binomial_bcast(w, sim, HeaderPut, order, plen, per_node, on_done);
                 }
                 CollAlgo::OptimalSchedule => {
                     let order = group.nodes_from(src);
-                    let blocks = coll_sched::block_count(plen);
-                    let sched = w.engine.coll.sched_for(order.len(), blocks);
-                    sched_bcast(w, sim, order, sched, plen, per_node);
+                    let sched = w.engine.coll.scheds.table(order.len(), plen);
+                    let on_done = Box::new(|_: &mut QW, _: &mut Sim<QW>| {});
+                    coll_sched::sched_bcast(w, sim, HeaderPut, order, sched, plen, per_node, on_done);
                 }
             }
         } else {
             let round = w.engine.coll.rounds.get_mut(&key).unwrap();
-            if *round.delivered.get(&rank).unwrap_or(&false) {
+            if round.delivered.contains(&rank) {
                 // Payload already landed on our node: take the data now.
-                let payload = round.payload.clone().expect("delivered without payload");
-                round.resumed += 1;
-                let done = round.resumed == size;
-                if done {
-                    w.engine.coll.rounds.remove(&key);
-                }
-                w.resume(rank, MpiResp::Data(payload));
+                Self::bcast_take(w, key, rank);
             } else {
                 round.waiters.push(rank);
             }
@@ -234,23 +217,27 @@ impl CollManager {
     }
 
     fn bcast_delivered(w: &mut QW, key: (CommId, Kind, u64), rank: usize) {
-        let size = w.engine.comms.size_of(key.0);
         let Some(round) = w.engine.coll.rounds.get_mut(&key) else {
             return;
         };
-        round.delivered.insert(rank, true);
+        round.delivered.insert(rank);
         if let Some(i) = round.waiters.iter().position(|&r| r == rank) {
             round.waiters.remove(i);
-            let payload = round
-                .payload
-                .clone()
-                .expect("payload delivered before root arrival");
-            round.resumed += 1;
-            if round.resumed == size {
-                w.engine.coll.rounds.remove(&key);
-            }
-            w.resume(rank, MpiResp::Data(payload));
+            Self::bcast_take(w, key, rank);
         }
+    }
+
+    /// `rank` is in the call and its node holds the payload: hand it over;
+    /// the last member to take it closes the round.
+    fn bcast_take(w: &mut QW, key: (CommId, Kind, u64), rank: usize) {
+        let size = w.engine.comms.size_of(key.0);
+        let round = w.engine.coll.rounds.get_mut(&key).expect("an open broadcast round");
+        let payload = round.payload.clone().expect("payload delivered before root arrival");
+        round.resumed += 1;
+        if round.resumed == size {
+            w.engine.coll.rounds.remove(&key);
+        }
+        w.resume(rank, MpiResp::Data(payload));
     }
 
     // ------------------------------------------------------------------
@@ -308,15 +295,7 @@ impl CollManager {
         // the algorithm's tree/schedule time.
         let mut round = w.engine.coll.rounds.remove(&key).unwrap();
         w.engine.stats.reduces += 1;
-        let mut acc: Option<Vec<u8>> = None;
-        for c in round.contribs.iter_mut() {
-            let c = c.take().expect("missing contribution");
-            match &mut acc {
-                None => acc = Some(c.into_vec()),
-                Some(a) => combine_native(op, dtype, a, &c),
-            }
-        }
-        let value = Payload::from_vec(acc.unwrap_or_default());
+        let value = fold_ascending(&mut round.contribs, op, dtype, combine_native);
 
         let mut done_at =
             sim.now() + Self::gather_time(w, size, bytes, true);
@@ -397,150 +376,68 @@ impl CollManager {
     /// algorithm and the analytic model coincide. `OptimalSchedule` pays
     /// the reversed pipelined schedule's round count on block-sized wires.
     fn gather_time(w: &mut QW, size: usize, bytes: usize, combine: bool) -> SimDuration {
-        let net = w.engine.cfg.net.clone();
-        let levels = w.engine.fabric.net().topology().levels();
-        let rnpb = w.engine.cfg.reduce_ns_per_byte;
-        let combine_ns = |payload: u64| {
-            if combine {
-                SimDuration::nanos((payload as f64 * rnpb) as u64)
-            } else {
-                SimDuration::ZERO
-            }
-        };
-        match w.engine.cfg.coll_algo {
-            CollAlgo::HwMulticast | CollAlgo::Binomial => {
-                let depth = if size <= 1 { 0 } else { log2_ceil(size) };
-                let wire = bytes as u64 + w.engine.cfg.header_bytes;
-                let stage = net.unicast_latency(levels * 2)
-                    + net.tx_time(wire)
-                    + combine_ns(bytes as u64)
-                    + net.host_overhead;
-                stage * depth as u64
-            }
-            CollAlgo::OptimalSchedule => {
-                let blocks = coll_sched::block_count(bytes as u64);
-                let sched = w.engine.coll.sched_for(size, blocks);
-                let share = coll_sched::block_len(bytes as u64, blocks, 0);
-                let wire = share + w.engine.cfg.header_bytes;
-                let stage = net.unicast_latency(levels * 2)
-                    + net.tx_time(wire)
-                    + combine_ns(share)
-                    + net.host_overhead;
-                stage * sched.rounds.len() as u64
-            }
-        }
+        let sched = w.engine.cfg.coll_algo == CollAlgo::OptimalSchedule;
+        Self::tree_leg_time(w, size, bytes, combine, sched)
     }
 
     /// Time for the result-return leg of allreduce/allgatherv: one
     /// hardware multicast, a binomial unicast tree, or the pipelined
     /// schedule's rounds.
     fn return_leg_time(w: &mut QW, size: usize, bytes: usize) -> SimDuration {
-        let net = w.engine.cfg.net.clone();
-        let levels = w.engine.fabric.net().topology().levels();
-        let wire = bytes as u64 + w.engine.cfg.header_bytes;
         match w.engine.cfg.coll_algo {
-            CollAlgo::HwMulticast => net.mcast_latency(size, levels) + net.mcast_tx_time(wire),
-            CollAlgo::Binomial => {
-                let depth = if size <= 1 { 0 } else { log2_ceil(size) };
-                let stage =
-                    net.unicast_latency(levels * 2) + net.tx_time(wire) + net.host_overhead;
-                stage * depth as u64
+            CollAlgo::HwMulticast => {
+                let (net, wire) = (&w.engine.cfg.net, bytes as u64 + w.engine.cfg.header_bytes);
+                let levels = w.engine.fabric.net().topology().levels();
+                net.mcast_latency(size, levels) + net.mcast_tx_time(wire)
             }
-            CollAlgo::OptimalSchedule => {
-                let blocks = coll_sched::block_count(bytes as u64);
-                let sched = w.engine.coll.sched_for(size, blocks);
-                let share = coll_sched::block_len(bytes as u64, blocks, 0);
-                let stage = net.unicast_latency(levels * 2)
-                    + net.tx_time(share + w.engine.cfg.header_bytes)
-                    + net.host_overhead;
-                stage * sched.rounds.len() as u64
-            }
+            CollAlgo::Binomial => Self::tree_leg_time(w, size, bytes, false, false),
+            CollAlgo::OptimalSchedule => Self::tree_leg_time(w, size, bytes, false, true),
         }
     }
-}
 
-/// Binomial broadcast over point-to-point puts: each node forwards to its
-/// subtree children (largest subtree first) the instant the payload lands.
-/// `per_node` fires at every node's arrival instant, the root's
-/// immediately.
-fn tree_forward(
-    w: &mut QW,
-    sim: &mut Sim<QW>,
-    order: Rc<Vec<NodeId>>,
-    idx: usize,
-    bytes: u64,
-    per_node: Rc<dyn Fn(&mut QW, &mut Sim<QW>, NodeId)>,
-) {
-    per_node(w, sim, order[idx]);
-    let children = coll_sched::binomial_children(idx, order.len());
-    for &c in children.iter().rev() {
-        let (order2, per2) = (Rc::clone(&order), Rc::clone(&per_node));
-        let src = order[idx];
-        let dst = order[c];
-        w.engine.fabric.put(sim, src, dst, bytes, move |w: &mut QW, sim| {
-            tree_forward(w, sim, order2, c, bytes, per2);
-        });
+    /// An analytic tree leg over `size` participants: ⌈log2 size⌉ stages
+    /// carrying all `bytes`, or (`sched`) the round table's rounds carrying
+    /// its first block; each stage pays the host combine when `combine`.
+    fn tree_leg_time(
+        w: &mut QW,
+        size: usize,
+        bytes: usize,
+        combine: bool,
+        sched: bool,
+    ) -> SimDuration {
+        let (stages, payload) = if sched {
+            let table = w.engine.coll.scheds.table(size, bytes as u64);
+            (table.rounds.len(), coll_sched::block_len(bytes as u64, table.blocks, 0))
+        } else {
+            (coll_sched::binomial_depth(size), bytes as u64)
+        };
+        let cfg = &w.engine.cfg;
+        let combine_ns = if combine {
+            SimDuration::nanos((payload as f64 * cfg.reduce_ns_per_byte) as u64)
+        } else {
+            SimDuration::ZERO
+        };
+        let levels = w.engine.fabric.net().topology().levels();
+        let wire = payload + cfg.header_bytes;
+        coll_sched::tree_time(&cfg.net, levels, wire, combine_ns, cfg.net.host_overhead, stages)
     }
 }
 
-struct SchedBcast {
-    order: Vec<NodeId>,
-    sched: Rc<RoundSchedule>,
-    bytes: u64,
-    hdr: u64,
-    /// Blocks received per position; `per_node` fires on the last one.
-    got: RefCell<Vec<usize>>,
-    per_node: Rc<dyn Fn(&mut QW, &mut Sim<QW>, NodeId)>,
-}
+/// The baseline's issue primitive for every broadcast edge: a fabric put
+/// of the payload and its header.
+struct HeaderPut;
 
-/// Pipelined block broadcast: the rounds of the precomputed schedule, each
-/// synchronized on its slowest one-port transfer.
-fn sched_bcast(
-    w: &mut QW,
-    sim: &mut Sim<QW>,
-    order: Vec<NodeId>,
-    sched: Rc<RoundSchedule>,
-    bytes: u64,
-    per_node: Rc<dyn Fn(&mut QW, &mut Sim<QW>, NodeId)>,
-) {
-    per_node(w, sim, order[0]);
-    let nn = order.len();
-    let run = Rc::new(SchedBcast {
-        order,
-        sched,
-        bytes,
-        hdr: w.engine.cfg.header_bytes,
-        got: RefCell::new(vec![0; nn]),
-        per_node,
-    });
-    sched_bcast_round(w, sim, run, 0);
-}
-
-fn sched_bcast_round(w: &mut QW, sim: &mut Sim<QW>, run: Rc<SchedBcast>, r: usize) {
-    if r == run.sched.rounds.len() {
-        return;
-    }
-    let edges = &run.sched.rounds[r];
-    let remaining = Rc::new(Cell::new(edges.len()));
-    for &(s, d, b) in edges {
-        let share = coll_sched::block_len(run.bytes, run.sched.blocks, b);
-        let (run2, rem) = (Rc::clone(&run), Rc::clone(&remaining));
-        let (src, dst) = (run.order[s], run.order[d]);
-        w.engine
-            .fabric
-            .put(sim, src, dst, share + run.hdr, move |w: &mut QW, sim| {
-                let complete = {
-                    let mut g = run2.got.borrow_mut();
-                    g[d] += 1;
-                    g[d] == run2.sched.blocks
-                };
-                if complete {
-                    (run2.per_node)(w, sim, run2.order[d]);
-                }
-                rem.set(rem.get() - 1);
-                if rem.get() == 0 {
-                    sched_bcast_round(w, sim, run2, r + 1);
-                }
-            });
+impl EdgePut<QW> for HeaderPut {
+    fn put(
+        &self,
+        w: &mut QW,
+        sim: &mut Sim<QW>,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+        landed: impl Fn(&mut QW, &mut Sim<QW>) + 'static,
+    ) {
+        let wire = bytes + w.engine.cfg.header_bytes;
+        w.engine.fabric.put(sim, from, to, wire, landed);
     }
 }

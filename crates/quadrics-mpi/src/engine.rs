@@ -179,9 +179,14 @@ impl QuadricsMpi {
                 QuadricsMpi::arrive_message(w, sim, env, Wire::Eager(data));
                 drain(w, sim);
             });
-            // Nobody can be waiting on a request whose id is not out yet.
+            // A blocking send waits on its own request, so completing it
+            // retires it; nobody else can be waiting on one whose id is not
+            // out yet.
+            if blocking {
+                w.engine.reqs.block_on_send(rank, req);
+            }
             let woke = w.engine.reqs.complete(req);
-            debug_assert!(woke.is_none());
+            debug_assert_eq!(woke.is_some(), blocking);
             if blocking {
                 resume_at(w, sim, sim.now() + overhead, rank, MpiResp::Ok);
             } else {
@@ -451,5 +456,26 @@ mod tests {
         assert_eq!(c.eager_threshold, 32 * 1024);
         assert!(c.noise.is_none());
         assert_eq!(c.net.name, "QsNet");
+    }
+
+    #[test]
+    fn blocking_eager_sends_leave_no_request_open() {
+        let layout = JobLayout::new(2, 1, 2);
+        let engine = QuadricsMpi::new(QuadricsConfig::default(), &layout);
+        let program = |mut mpi: mpi_api::AsyncMpi| async move {
+            let peer = 1 - mpi.rank();
+            for i in 0..100 {
+                if mpi.rank() == 0 {
+                    mpi.send(peer, i, &[7; 64]).await;
+                    mpi.recv_from(peer, i).await;
+                } else {
+                    mpi.recv_from(peer, i).await;
+                    mpi.send(peer, i, &[7; 64]).await;
+                }
+            }
+        };
+        let run = mpi_api::run_program(engine, layout, program);
+        assert_eq!(run.engine.stats.eager_msgs, 200);
+        assert_eq!(run.engine.reqs.iter().count(), 0, "a finished run holds open requests");
     }
 }

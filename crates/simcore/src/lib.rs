@@ -15,6 +15,10 @@
 //!   external crate versions;
 //! * [`stats`] — counters and fixed-bucket histograms used by the measurement
 //!   harness;
+//! * [`IdTable`] / [`chunklog::ChunkLog`] — the plain containers the layers
+//!   above keep their state in: a dense table keyed by the monotone ids it
+//!   hands out (requests, messages, in-flight transfers), and a persistent
+//!   append-only log whose snapshots cost O(1) (checkpoint histories);
 //! * [`CountingAlloc`] — a counting global allocator that tests and
 //!   benchmark binaries install to measure allocations exactly.
 //!
@@ -23,6 +27,8 @@
 //! event closures.
 
 pub mod alloc_count;
+pub mod chunklog;
+pub mod idtable;
 pub mod rng;
 pub mod sim;
 pub mod stats;
@@ -30,6 +36,7 @@ pub mod time;
 pub mod vm;
 
 pub use alloc_count::CountingAlloc;
+pub use idtable::IdTable;
 pub use vm::{ProcId, ProcYield, VmChannel, VmHarness};
 pub use rng::SimRng;
 pub use sim::Sim;

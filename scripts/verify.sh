@@ -9,7 +9,8 @@
 #      a well-formed reports/detlint.json, the layer-DAG/call-graph dump
 #      in reports/detlint_graph.dot, and detlint self-hosting (its own
 #      sources are part of the scanned tree); then the line budget: no
-#      file under crates/mpi-api/src/ over 600 lines
+#      file under crates/mpi-api/src/ or crates/quadrics-mpi/src/ over 600
+#      lines
 #   1. tier-1: cargo build --release && cargo test -q   (covers the whole
 #      workspace via workspace.default-members, the `repro` command line
 #      included: crates/bench/tests/cli.rs drives --fabric/--coll and the
@@ -99,14 +100,17 @@ cargo run --release -q -p detlint -- --quiet --check-json reports/detlint.json \
 grep -q "crates/detlint/src/main.rs" reports/detlint.json \
   || { echo "verify: detlint is not linting its own sources" >&2; exit 1; }
 
-echo "== line budget: no file under crates/mpi-api/src/ over 600 lines"
+echo "== line budget: no file under crates/mpi-api/src/ or crates/quadrics-mpi/src/ over 600 lines"
 # Every call and every response crosses mpi-api, so each host-time fast
 # path on that route was added to the runtime file: the replay tape, the
 # pending-resume slot and the answered-in-place checks took it past 1300
 # lines before it was split into world, record and job. A file that
 # outgrows the budget is split along its seams, not granted more lines.
-over="$(find crates/mpi-api/src -name '*.rs' -print0 | xargs -0 wc -l | awk '$2 != "total" && $1 > 600')"
-[ -z "$over" ] || { echo "verify: over the 600-line budget of crates/mpi-api/src/:" >&2; echo "$over" >&2; exit 1; }
+# The baseline engine is held to it too: what it shares with BCS-MPI (the
+# collective executors, the request lifecycle) lives in mpi-api, and a
+# private copy growing back in quadrics-mpi shows here first.
+over="$(find crates/mpi-api/src crates/quadrics-mpi/src -name '*.rs' -print0 | xargs -0 wc -l | awk '$2 != "total" && $1 > 600')"
+[ -z "$over" ] || { echo "verify: over the 600-line budget of crates/mpi-api/src/ and crates/quadrics-mpi/src/:" >&2; echo "$over" >&2; exit 1; }
 
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
@@ -121,7 +125,7 @@ cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 echo "== conformance lattice + membership, request-window, matching, batching and event-queue models (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, recorded receives share the sender's bytes, idle scaling, repro output repeats)"
 PROPLITE_CASES=48 cargo test --release -q --test conformance
 PROPLITE_CASES=512 cargo test --release -q -p mpi-api --test membership_model
-PROPLITE_CASES=1024 cargo test --release -q -p mpi-api --test idtable_model
+PROPLITE_CASES=1024 cargo test --release -q -p simcore --test idtable_model
 PROPLITE_CASES=512 cargo test --release -q -p bcs-mpi --test match_equivalence
 PROPLITE_CASES=96 cargo test --release -q -p apps --test batch_equivalence
 cargo test --release -q --test fault_recovery

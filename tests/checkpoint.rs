@@ -88,7 +88,6 @@ fn streaming_digest_matches_materialized_checkpoint() {
     let layout = JobLayout::new(4, 2, 8);
     let mut cfg = BcsConfig::default();
     cfg.checkpoint_every = Some(1);
-    cfg.checkpoint_images = true;
     let out = Job::new(BcsMpi::new(cfg.clone(), &layout), layout.clone())
         .setup(|w, _| w.set_recording(true))
         .start(&|mut mpi: AsyncMpi| async move {
