@@ -7,13 +7,15 @@
 //! allocations per message, and at most half of what this same test
 //! measured on the commit before payloads went by reference and the event
 //! queue, the match index and the fabric completions stopped allocating per
-//! message. The last test checks the other half of "a message body is
-//! never copied": the bytes a rank reads out of a batched waitall, a
-//! `waitall`, a `wait` or a blocking `recv` are the allocation its
+//! message. Armed with the retry layer, a lossless run costs exactly what
+//! an unarmed one does. The last test checks the other half of "a message
+//! body is never copied": the bytes a rank reads out of a batched waitall,
+//! a `waitall`, a `wait` or a blocking `recv` are the allocation its
 //! neighbour posted.
 
-use apps::runner::{RunSpec, run_app};
+use apps::runner::{RunReport, RunSpec, run_app};
 use apps::synthetic::{NeighborLoopCfg, ParticleStressCfg, neighbor_loop, particle_stress};
+use bcs_mpi::BcsConfig;
 use mpi_api::message::{SrcSel, TagSel};
 use mpi_api::runtime::JobLayout;
 use mpi_api::{AsyncMpi, MpiResp, Payload, RankProgram};
@@ -70,6 +72,44 @@ fn a_message_costs_at_most_two_and_a_half_allocations() {
             "{name}: {per_msg:.2} allocations per message, over half the {parent} it was"
         );
     }
+}
+
+/// `run_app` and the allocations this thread made during it.
+fn counted<P: RankProgram>(spec: &RunSpec, layout: JobLayout, program: P) -> (RunReport<P::Out>, u64) {
+    let before = CountingAlloc::allocs_on_this_thread();
+    let out = run_app(spec, layout, program);
+    (out, CountingAlloc::allocs_on_this_thread() - before)
+}
+
+/// Runs `program` unarmed and armed with the default retry policy, and
+/// checks that the armed run retried nothing and cost nothing more.
+fn assert_retry_is_free<P: RankProgram<Out = u64>>(name: &str, layout: fn() -> JobLayout, program: impl Fn() -> P) {
+    let armed = RunSpec::from(BcsConfig { retry: Some(Default::default()), ..BcsConfig::default() });
+    let (plain, plain_allocs) = counted(&RunSpec::bcs(), layout(), program());
+    let (armed, armed_allocs) = counted(&armed, layout(), program());
+    println!(
+        "{name}: {} events, {plain_allocs} allocations unarmed; {} events, {armed_allocs} armed",
+        plain.events, armed.events
+    );
+    assert_eq!(armed.engine.bcs().retry_stats().retries, 0, "{name}: a lossless run retried");
+    assert_eq!(armed.results, plain.results, "{name}: results");
+    assert_eq!(armed.elapsed, plain.elapsed, "{name}: elapsed time");
+    assert_eq!(armed.events, plain.events, "{name}: events");
+    assert_eq!(armed_allocs, plain_allocs, "{name}: host allocations");
+}
+
+/// Reliable delivery costs nothing until something is lost: every transfer
+/// of a lossless run lands, so the retry layer schedules each one's
+/// delivery as a plain put or get does — the same events at the same
+/// instants, and not one more host allocation.
+#[test]
+fn a_lossless_reliable_transfer_costs_what_a_plain_one_does() {
+    assert_retry_is_free("neighbor_loop", || JobLayout::crescendo(62), || {
+        neighbor_loop(NeighborLoopCfg::paper(SimDuration::micros(400), 200))
+    });
+    assert_retry_is_free("particle_stress", || JobLayout::new(16, 2, 32), || {
+        particle_stress(ParticleStressCfg::small(false, 40))
+    });
 }
 
 /// Lock-step ranks post every `post_cost` and their resumes fall on the same

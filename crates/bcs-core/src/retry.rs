@@ -4,19 +4,22 @@
 //! reliable in hardware, but §6's fault-tolerance sketch needs an
 //! end-to-end story for transient losses.
 //!
-//! Semantics are at-most-once delivery with bounded retries: each transfer
-//! gets a unique token; the completion callback runs only for the first
-//! attempt that lands (later duplicates find the token consumed), and a
-//! timeout re-issues the transfer until `max_retries` is exhausted, at
-//! which point the abort callback runs exactly once. Because the simulated
-//! fabric computes delivery times at issue, the timeout is anchored to the
-//! *expected* delivery instant, so contention never causes spurious
-//! retries — only genuine drops (or a fail-stopped endpoint) do.
+//! Semantics are at-most-once delivery with bounded retries, and they
+//! follow from the verdict the simulated fabric gives at issue: `issue_put`
+//! and `issue_get` return the delivery instant and whether the payload
+//! lands (a planned drop or a dead endpoint is decided then). An attempt
+//! that lands schedules the completion hook for its delivery instant — one
+//! event, exactly as a plain `put` or `get` — and ends the transfer. An
+//! attempt that does not land schedules a timeout instead, which re-issues
+//! the transfer until `max_retries` is exhausted and then runs the abort
+//! hook. No attempt follows one that lands, so the completion hook runs at
+//! most once by construction, with no token to tell a duplicate by. The
+//! timeout is anchored to the *expected* delivery instant, and only genuine
+//! drops (or a fail-stopped endpoint) ever arm one.
 
 use crate::BcsWorld;
 use qsnet::NodeId;
-use simcore::{Sim, SimDuration};
-use std::collections::HashSet;
+use simcore::{Sim, SimDuration, SimTime};
 use std::rc::Rc;
 
 /// Retry/backoff parameters of one reliable transfer.
@@ -41,31 +44,48 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Per-cluster bookkeeping: outstanding tokens plus counters. Fresh state
-/// is correct after a checkpoint restore because BCS microphases cannot
-/// complete while any reliable transfer is outstanding (delivery gates
-/// `work_item_done`), so slice boundaries are retry-quiescent.
+/// Per-cluster counters. Fresh state is correct after a checkpoint restore:
+/// BCS microphases cannot complete while any reliable transfer is
+/// outstanding (delivery gates `work_item_done`), so slice boundaries are
+/// retry-quiescent.
 #[derive(Debug, Default)]
 pub struct RetryState {
-    next_token: u64,
-    outstanding: HashSet<u64>,
     /// Re-issued transfers (presumed-lost attempts).
     pub retries: u64,
     /// Transfers abandoned after exhausting `max_retries`.
     pub aborts: u64,
 }
 
-/// Completion/abort callback of a reliable transfer (re-invocable because
-/// retries need it more than once; it fires at most once).
-pub type RetryFn<W> = Rc<dyn Fn(&mut W, &mut Sim<W>)>;
+/// A lost attempt's hook, shared by its timeout and the attempts it re-issues.
+type Hook<W> = Rc<dyn Fn(&mut W, &mut Sim<W>)>;
 
-/// Which fabric verb a reliable transfer uses.
+/// Which fabric verb a reliable transfer uses: `fabric.put(src, dst)` or
+/// `fabric.get(requester = src, target = dst)`.
 #[derive(Clone, Copy, Debug)]
 enum Verb {
-    /// `fabric.put(src, dst)`
     Put,
-    /// `fabric.get(requester = src, target = dst)`
     Get,
+}
+
+/// One reliable transfer: its verb, its endpoints, its size and policy.
+#[derive(Clone, Copy, Debug)]
+struct Transfer {
+    verb: Verb,
+    src: NodeId,
+    dst: NodeId,
+    bytes: u64,
+    policy: RetryPolicy,
+}
+
+impl Transfer {
+    /// Issue one attempt: its expected delivery instant and whether it lands.
+    fn issue<W: BcsWorld>(self, w: &mut W, now: SimTime) -> (SimTime, bool) {
+        let fabric = &mut w.bcs().fabric;
+        match self.verb {
+            Verb::Put => fabric.issue_put(now, self.src, self.dst, self.bytes),
+            Verb::Get => fabric.issue_get(now, self.src, self.dst, self.bytes),
+        }
+    }
 }
 
 /// One-sided put from `src` to `dst` with retry-on-loss.
@@ -76,10 +96,11 @@ pub fn reliable_put<W: BcsWorld>(
     dst: NodeId,
     bytes: u64,
     policy: RetryPolicy,
-    on_deliver: RetryFn<W>,
-    on_abort: RetryFn<W>,
+    on_deliver: impl Fn(&mut W, &mut Sim<W>) + 'static,
+    on_abort: impl Fn(&mut W, &mut Sim<W>) + 'static,
 ) {
-    start(w, sim, Verb::Put, src, dst, bytes, policy, on_deliver, on_abort);
+    let t = Transfer { verb: Verb::Put, src, dst, bytes, policy };
+    start(w, sim, t, on_deliver, on_abort);
 }
 
 /// One-sided get: `src` pulls `bytes` from `dst`, with retry-on-loss.
@@ -90,69 +111,52 @@ pub fn reliable_get<W: BcsWorld>(
     dst: NodeId,
     bytes: u64,
     policy: RetryPolicy,
-    on_deliver: RetryFn<W>,
-    on_abort: RetryFn<W>,
+    on_deliver: impl Fn(&mut W, &mut Sim<W>) + 'static,
+    on_abort: impl Fn(&mut W, &mut Sim<W>) + 'static,
 ) {
-    start(w, sim, Verb::Get, src, dst, bytes, policy, on_deliver, on_abort);
+    let t = Transfer { verb: Verb::Get, src, dst, bytes, policy };
+    start(w, sim, t, on_deliver, on_abort);
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The first attempt: one that lands moves `on_deliver` into its delivery
+/// event and drops `on_abort`; only one that is lost shares the hooks.
 fn start<W: BcsWorld>(
     w: &mut W,
     sim: &mut Sim<W>,
-    verb: Verb,
-    src: NodeId,
-    dst: NodeId,
-    bytes: u64,
-    policy: RetryPolicy,
-    on_deliver: RetryFn<W>,
-    on_abort: RetryFn<W>,
+    t: Transfer,
+    on_deliver: impl Fn(&mut W, &mut Sim<W>) + 'static,
+    on_abort: impl Fn(&mut W, &mut Sim<W>) + 'static,
 ) {
-    let retry = &mut w.bcs().retry;
-    let token = retry.next_token;
-    retry.next_token += 1;
-    retry.outstanding.insert(token);
-    attempt(w, sim, verb, src, dst, bytes, policy, token, 0, on_deliver, on_abort);
+    let (expect, lands) = t.issue(w, sim.now());
+    if lands {
+        sim.schedule_at(expect, on_deliver);
+    } else {
+        time_out(sim, t, expect, 0, Rc::new(on_deliver), Rc::new(on_abort));
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn attempt<W: BcsWorld>(
-    w: &mut W,
+/// Attempt `n` of `t`, expected at `expect`, was lost: when its grace
+/// period has passed, re-issue the transfer, or abort it.
+fn time_out<W: BcsWorld>(
     sim: &mut Sim<W>,
-    verb: Verb,
-    src: NodeId,
-    dst: NodeId,
-    bytes: u64,
-    policy: RetryPolicy,
-    token: u64,
+    t: Transfer,
+    expect: SimTime,
     n: u32,
-    on_deliver: RetryFn<W>,
-    on_abort: RetryFn<W>,
+    on_deliver: Hook<W>,
+    on_abort: Hook<W>,
 ) {
-    let deliver = Rc::clone(&on_deliver);
-    let cb = move |w: &mut W, sim: &mut Sim<W>| {
-        if w.bcs().retry.outstanding.remove(&token) {
-            deliver(w, sim);
-        }
-    };
-    let expect = match verb {
-        Verb::Put => w.bcs().fabric.put(sim, src, dst, bytes, cb),
-        Verb::Get => w.bcs().fabric.get(sim, src, dst, bytes, cb),
-    };
-    let grace = policy.timeout * (policy.backoff as u64).pow(n);
+    let grace = t.policy.timeout * (t.policy.backoff as u64).pow(n);
     sim.schedule_at(expect + grace, move |w: &mut W, sim: &mut Sim<W>| {
-        if !w.bcs().retry.outstanding.contains(&token) {
-            return; // delivered (or already aborted): stale timer
-        }
-        if n >= policy.max_retries {
-            w.bcs().retry.outstanding.remove(&token);
+        if n >= t.policy.max_retries {
             w.bcs().retry.aborts += 1;
-            on_abort(w, sim);
+            return on_abort(w, sim);
+        }
+        w.bcs().retry.retries += 1;
+        let (expect, lands) = t.issue(w, sim.now());
+        if lands {
+            sim.schedule_at(expect, move |w: &mut W, sim: &mut Sim<W>| on_deliver(w, sim));
         } else {
-            w.bcs().retry.retries += 1;
-            attempt(
-                w, sim, verb, src, dst, bytes, policy, token, n + 1, on_deliver, on_abort,
-            );
+            time_out(sim, t, expect, n + 1, on_deliver, on_abort);
         }
     });
 }
@@ -162,8 +166,8 @@ mod tests {
     use super::*;
     use crate::BcsCluster;
     use qsnet::{NetModel, QsNetFabric};
-    use std::cell::Cell;
 
+    /// The cluster, and the instants (ns) of every delivery and abort.
     struct W {
         bcs: BcsCluster<W>,
         delivered: Vec<u64>,
@@ -188,17 +192,16 @@ mod tests {
         )
     }
 
-    fn hooks(id: u64) -> (RetryFn<W>, RetryFn<W>) {
-        (
-            Rc::new(move |w: &mut W, s: &mut Sim<W>| w.delivered.push(s.now().0.max(id))),
-            Rc::new(move |w: &mut W, _: &mut Sim<W>| w.aborted.push(id)),
-        )
+    type HookFn = fn(&mut W, &mut Sim<W>);
+
+    fn hooks() -> (HookFn, HookFn) {
+        (|w, s| w.delivered.push(s.now().0), |w, s| w.aborted.push(s.now().0))
     }
 
     #[test]
     fn lossless_transfer_delivers_once_without_retries() {
         let (mut w, mut sim) = world(4);
-        let (d, a) = hooks(0);
+        let (d, a) = hooks();
         reliable_put(&mut w, &mut sim, NodeId(0), NodeId(1), 100_000, RetryPolicy::default(), d, a);
         sim.run(&mut w);
         assert_eq!(w.delivered.len(), 1);
@@ -210,7 +213,7 @@ mod tests {
     fn dropped_transfer_is_retried_and_eventually_delivered() {
         let (mut w, mut sim) = world(4);
         w.bcs.fabric.net_mut().plan_drops(vec![0]); // first bulk DMA lost
-        let (d, a) = hooks(0);
+        let (d, a) = hooks();
         reliable_put(&mut w, &mut sim, NodeId(0), NodeId(1), 100_000, RetryPolicy::default(), d, a);
         sim.run(&mut w);
         assert_eq!(w.delivered.len(), 1, "retry must re-deliver");
@@ -227,11 +230,11 @@ mod tests {
             max_retries: 2,
             ..RetryPolicy::default()
         };
-        let (d, a) = hooks(7);
+        let (d, a) = hooks();
         reliable_get(&mut w, &mut sim, NodeId(0), NodeId(1), 100_000, policy, d, a);
         sim.run(&mut w);
         assert!(w.delivered.is_empty());
-        assert_eq!(w.aborted, vec![7], "abort fires exactly once");
+        assert_eq!(w.aborted.len(), 1, "abort fires exactly once");
         assert_eq!(w.bcs.retry.retries, 2);
         assert_eq!(w.bcs.retry.aborts, 1);
     }
@@ -245,18 +248,12 @@ mod tests {
             backoff: 3,
             max_retries: 2,
         };
-        let abort_at: Rc<Cell<u64>> = Rc::new(Cell::new(0));
-        let at = Rc::clone(&abort_at);
-        let a: RetryFn<W> = Rc::new(move |_: &mut W, s: &mut Sim<W>| at.set(s.now().0));
-        let d: RetryFn<W> = Rc::new(|w: &mut W, _: &mut Sim<W>| w.delivered.push(0));
+        let (d, a) = hooks();
         reliable_put(&mut w, &mut sim, NodeId(0), NodeId(1), 100_000, policy, d, a);
         sim.run(&mut w);
         assert!(w.delivered.is_empty());
         // Grace periods 10, 30, 90 µs must all elapse before the abort.
-        assert!(
-            abort_at.get() >= SimDuration::micros(130).as_nanos(),
-            "abort at {}ns, before backoff could elapse",
-            abort_at.get()
-        );
+        let at = w.aborted[0];
+        assert!(at >= SimDuration::micros(130).as_nanos(), "abort at {at}ns, before backoff could elapse");
     }
 }

@@ -542,7 +542,7 @@ impl Plan {
 /// One wire put of the data channel — a DEM descriptor or block, a binomial
 /// collective edge — raw or under the retry layer; `deliver` runs at most
 /// once either way (a drop means it never fires, and exhausted retries
-/// declare the peer failed).
+/// declare the peer failed), and a put that lands is one event either way.
 pub(crate) fn wire_put(
     w: &mut BW,
     sim: &mut Sim<BW>,
@@ -563,7 +563,7 @@ pub(crate) fn wire_put(
             dst_node,
             bytes,
             policy,
-            std::rc::Rc::new(deliver),
+            deliver,
             transfer_abort(dst_node, what),
         ),
     }
@@ -928,7 +928,7 @@ fn chunk_source(e: &BcsMpi, node: qsnet::NodeId, slot: XferSlot) -> qsnet::NodeI
 }
 
 /// One P2P wire operation, raw or under the retry layer; `deliver` runs at
-/// most once either way.
+/// most once either way, and a get that lands is one event either way.
 fn p2p_get(
     w: &mut BW,
     sim: &mut Sim<BW>,
@@ -949,7 +949,7 @@ fn p2p_get(
             src_node,
             bytes,
             policy,
-            std::rc::Rc::new(deliver),
+            deliver,
             transfer_abort(src_node, what),
         ),
     }
@@ -958,8 +958,8 @@ fn p2p_get(
 /// Abort hook of a reliable transfer: retries exhausted means the endpoint
 /// is unreachable — declare it failed so the run driver halts the machine
 /// (recovery or clean abort is the caller's decision).
-fn transfer_abort(peer: qsnet::NodeId, what: &'static str) -> bcs_core::retry::RetryFn<BW> {
-    std::rc::Rc::new(move |w: &mut BW, sim: &mut Sim<BW>| {
+fn transfer_abort(peer: qsnet::NodeId, what: &'static str) -> impl Fn(&mut BW, &mut Sim<BW>) {
+    move |w: &mut BW, sim: &mut Sim<BW>| {
         if w.engine.failed.is_none() {
             w.engine.failed = Some(crate::engine::FailureInfo {
                 node: peer,
@@ -967,7 +967,7 @@ fn transfer_abort(peer: qsnet::NodeId, what: &'static str) -> bcs_core::retry::R
                 reason: format!("{what} aborted after retries"),
             });
         }
-    })
+    }
 }
 
 // PANIC-OK: a chunk arrival event is only scheduled for a message in the

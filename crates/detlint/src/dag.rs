@@ -107,7 +107,7 @@ pub const CRATES: &[CrateSpec] = &[
         layer: 2,
         standalone: false,
         deps: &["simcore", "qsnet"],
-        dev_deps: &[],
+        dev_deps: &["proplite"],
     },
     CrateSpec {
         name: "detlint",

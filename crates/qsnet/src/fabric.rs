@@ -622,6 +622,23 @@ impl<W: 'static> dyn Fabric<W> {
         at
     }
 
+    /// The issue half of [`get`](Self::get), as [`issue_put`](Self::issue_put)
+    /// is of `put`.
+    pub fn issue_get(
+        &mut self,
+        now: SimTime,
+        requester: NodeId,
+        target: NodeId,
+        bytes: u64,
+    ) -> (SimTime, bool) {
+        let (at, landed) = self.get_timing(now, requester, target, bytes);
+        let net = self.net_mut();
+        let stats = &mut net.ports_mut().stats;
+        stats.gets += 1;
+        stats.get_bytes += bytes;
+        (at, net.lands(requester, target, landed))
+    }
+
     pub fn get(
         &mut self,
         sim: &mut Sim<W>,
@@ -630,12 +647,8 @@ impl<W: 'static> dyn Fabric<W> {
         bytes: u64,
         on_delivered: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
     ) -> SimTime {
-        let (at, landed) = self.get_timing(sim.now(), requester, target, bytes);
-        let net = self.net_mut();
-        let stats = &mut net.ports_mut().stats;
-        stats.gets += 1;
-        stats.get_bytes += bytes;
-        if net.lands(requester, target, landed) {
+        let (at, lands) = self.issue_get(sim.now(), requester, target, bytes);
+        if lands {
             sim.schedule_at(at, on_delivered);
         }
         at

@@ -46,6 +46,9 @@
 #      tape still holds the send (recorded_sharing); the run-chained radix event queue equals its (time,
 #      seq) model (sim_queue_model, at four times its case count: short
 #      delays and delays spread over 40 bits, resumed past a horizon stop);
+#      the retry layer delivers, retries and aborts as the token-and-timer
+#      protocol it replaced did, with one event per attempt (retry_model,
+#      at four times its case count);
 #      an idle barrier loop runs the same six per-node microphase
 #      bodies, and its strobes look at the same 15 nodes, on 1024 and on
 #      8192 nodes as on 64 (BcsStats::strobe_visits); two `repro` runs print the same
@@ -122,7 +125,7 @@ cargo test --workspace -q
 echo "== benchmark package compiles against the product surface (perf/, build only)"
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
-echo "== conformance lattice + membership, request-window, matching, batching and event-queue models (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, recorded receives share the sender's bytes, idle scaling, repro output repeats)"
+echo "== conformance lattice + membership, request-window, matching, batching, event-queue and retry models (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, recorded receives share the sender's bytes, idle scaling, repro output repeats)"
 PROPLITE_CASES=48 cargo test --release -q --test conformance
 PROPLITE_CASES=512 cargo test --release -q -p mpi-api --test membership_model
 PROPLITE_CASES=1024 cargo test --release -q -p simcore --test idtable_model
@@ -134,6 +137,7 @@ cargo test --release -q -p bcs-mpi --test capture_flatness
 cargo test --release -q -p bcs-mpi --test recorded_sharing
 cargo test --release -q -p apps --test alloc_per_message
 PROPLITE_CASES=1024 cargo test --release -q --test sim_queue_model
+PROPLITE_CASES=512 cargo test --release -q -p bcs-core --test retry_model
 cargo test --release -q -p bcs-mpi --test idle_scaling
 cargo test --release -q -p bench --test cli
 
