@@ -13,6 +13,7 @@ use qsnet::{FabricKind, FabricStats};
 use quadrics_mpi::{QuadricsConfig, QuadricsMpi};
 use simcore::SimDuration;
 use std::fmt;
+use std::str::FromStr;
 
 /// Which MPI implementation to run on, with its full configuration.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,7 +23,8 @@ pub enum EngineCfg {
 }
 
 /// One run's configuration. `Display` prints its lattice cell as one line
-/// (`bcs/rdma/optimal/sched=on/coalesce=off`, `quadrics/qsnet/hw-multicast`).
+/// (`bcs/rdma/optimal/sched=on/coalesce=off`, `quadrics/qsnet/hw-multicast`),
+/// and `FromStr` reads such a line back.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunSpec {
     pub engine: EngineCfg,
@@ -103,6 +105,79 @@ impl fmt::Display for RunSpec {
             ),
             EngineCfg::Quadrics(_) => write!(f, "quadrics/{fabric}/{coll}"),
         }
+    }
+}
+
+/// Why a line is not a [`RunSpec`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RunSpecError {
+    /// The first field is neither `bcs` nor `quadrics`.
+    UnknownEngine(String),
+    /// The engine takes `expected` `/`-separated fields; the line has `found`.
+    FieldCount { engine: &'static str, expected: usize, found: usize },
+    /// Not a [`FabricKind::name`].
+    UnknownFabric(String),
+    /// Not a [`CollAlgo::label`].
+    UnknownCollective(String),
+    /// Not `<switch>=on` or `<switch>=off`.
+    BadSwitch { switch: &'static str, found: String },
+}
+
+impl fmt::Display for RunSpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunSpecError::UnknownEngine(s) => write!(f, "unknown engine `{s}` (expected bcs or quadrics)"),
+            RunSpecError::FieldCount { engine, expected, found } => {
+                write!(f, "a {engine} spec has {expected} `/`-separated fields, not {found}")
+            }
+            RunSpecError::UnknownFabric(s) => write!(f, "unknown fabric `{s}` (expected qsnet or rdma)"),
+            RunSpecError::UnknownCollective(s) => {
+                write!(f, "unknown collective algorithm `{s}` (expected hw-multicast, binomial or optimal)")
+            }
+            RunSpecError::BadSwitch { switch, found } => write!(f, "`{found}` is not {switch}=on or {switch}=off"),
+        }
+    }
+}
+
+impl std::error::Error for RunSpecError {}
+
+/// The inverse of `Display`: the line's engine, built from its defaults,
+/// on the line's fabric and collective algorithm, with BCS-MPI's schedule
+/// compilation and coalescing switched as the line says (each at its
+/// default settings when on).
+impl FromStr for RunSpec {
+    type Err = RunSpecError;
+
+    fn from_str(line: &str) -> Result<RunSpec, RunSpecError> {
+        let fields: Vec<&str> = line.split('/').collect();
+        let (engine, expected) = match fields[0] {
+            "bcs" => ("bcs", 5),
+            "quadrics" => ("quadrics", 3),
+            other => return Err(RunSpecError::UnknownEngine(other.to_string())),
+        };
+        if fields.len() != expected {
+            return Err(RunSpecError::FieldCount { engine, expected, found: fields.len() });
+        }
+        let fabric = FabricKind::from_label(fields[1]).ok_or_else(|| RunSpecError::UnknownFabric(fields[1].into()))?;
+        let coll = CollAlgo::from_label(fields[2]).ok_or_else(|| RunSpecError::UnknownCollective(fields[2].into()))?;
+        let spec = match engine {
+            "bcs" => RunSpec::from(BcsConfig {
+                sched_compile: switch(fields[3], "sched")?.then(Default::default),
+                coalesce: switch(fields[4], "coalesce")?.then(Default::default),
+                ..BcsConfig::default()
+            }),
+            _ => RunSpec::quadrics(),
+        };
+        Ok(spec.with_fabric(fabric).with_coll_algo(coll))
+    }
+}
+
+/// `<name>=on` or `<name>=off`.
+fn switch(field: &str, name: &'static str) -> Result<bool, RunSpecError> {
+    match field.strip_prefix(name).and_then(|v| v.strip_prefix('=')) {
+        Some("on") => Ok(true),
+        Some("off") => Ok(false),
+        _ => Err(RunSpecError::BadSwitch { switch: name, found: field.to_string() }),
     }
 }
 

@@ -8,17 +8,19 @@
 //! measured on the commit before payloads went by reference and the event
 //! queue, the match index and the fabric completions stopped allocating per
 //! message. Armed with the retry layer, a lossless run costs exactly what
-//! an unarmed one does. The last test checks the other half of "a message
+//! an unarmed one does. Recording for recovery costs at most two more per
+//! message: images are paid for at the capture, and neither the replay log
+//! nor the tape allocates per delivery. The last test checks the other half of "a message
 //! body is never copied": the bytes a rank reads out of a batched waitall,
 //! a `waitall`, a `wait` or a blocking `recv` are the allocation its
 //! neighbour posted.
 
 use apps::runner::{RunReport, RunSpec, run_app};
 use apps::synthetic::{NeighborLoopCfg, ParticleStressCfg, neighbor_loop, particle_stress};
-use bcs_mpi::BcsConfig;
+use bcs_mpi::{BcsConfig, BcsMpi};
 use mpi_api::message::{SrcSel, TagSel};
-use mpi_api::runtime::JobLayout;
-use mpi_api::{AsyncMpi, MpiResp, Payload, RankProgram};
+use mpi_api::runtime::{Job, JobLayout};
+use mpi_api::{AsyncMpi, MpiResp, Payload, RankProgram, ReduceOp};
 use simcore::{CountingAlloc, SimDuration};
 
 #[global_allocator]
@@ -110,6 +112,53 @@ fn a_lossless_reliable_transfer_costs_what_a_plain_one_does() {
     assert_retry_is_free("particle_stress", || JobLayout::new(16, 2, 32), || {
         particle_stress(ParticleStressCfg::small(false, 40))
     });
+}
+
+const RING_ITERS: u64 = 300;
+
+/// The recovery benchmark's ring: 8 KiB and 512 B messages in turn to the
+/// next rank, the previous rank's received, an allreduce every third
+/// iteration.
+async fn ring(mut mpi: AsyncMpi) -> u64 {
+    let (me, n) = (mpi.rank(), mpi.size());
+    let mut acc = 0u64;
+    for it in 0..RING_ITERS {
+        let bytes = if it % 2 == 0 { 8192 } else { 512 };
+        let payload: Vec<u8> = (0..bytes).map(|i| (me + it as usize + i) as u8).collect();
+        let s = mpi.isend((me + 1) % n, it as i32, &payload).await;
+        let r = mpi.irecv(SrcSel::Rank((me + n - 1) % n), TagSel::Tag(it as i32)).await;
+        let got = mpi.waitall(&[s, r]).await;
+        acc = acc.wrapping_add(u64::from(got[1].0.as_ref().expect("recv payload")[bytes - 1]));
+        if it % 3 == 2 {
+            acc = acc.wrapping_add(mpi.allreduce_f64(ReduceOp::Sum, &[it as f64, 1.0]).await[0] as u64);
+        }
+    }
+    acc
+}
+
+/// Allocations per message of [`ring`] on 32 ranks checkpointing every
+/// four slices, recorded (an image per checkpoint) or not (a digest).
+fn ring_allocs_per_message(record: bool) -> f64 {
+    let layout = JobLayout::new(16, 2, 32);
+    let cfg = BcsConfig { checkpoint_every: Some(4), ..BcsConfig::default() };
+    let before = CountingAlloc::allocs_on_this_thread();
+    let out = Job::new(BcsMpi::new(cfg, &layout), layout)
+        .setup(move |w, _| w.set_recording(record))
+        .start(&ring);
+    let allocs = CountingAlloc::allocs_on_this_thread() - before;
+    assert!(out.completed, "{:?}", out.diagnostic);
+    assert_eq!(out.engine.images.is_empty(), !record);
+    allocs as f64 / (32 * RING_ITERS) as f64
+}
+
+/// Recording pays per capture, not per message: with an image every four
+/// slices, the ring costs at most two allocations per message more than
+/// the same ring unrecorded.
+#[test]
+fn a_recorded_message_costs_at_most_two_allocations_more() {
+    let (plain, recorded) = (ring_allocs_per_message(false), ring_allocs_per_message(true));
+    println!("ring, checkpoint every 4 slices: {plain:.2} allocations per message unrecorded, {recorded:.2} recorded");
+    assert!(recorded <= plain + 2.0, "recording costs {:.2} allocations per message", recorded - plain);
 }
 
 /// Lock-step ranks post every `post_cost` and their resumes fall on the same

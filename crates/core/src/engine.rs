@@ -213,8 +213,8 @@ pub struct BcsMpi {
     pub(crate) bcs: BcsCluster<BW>,
     /// The management node hosting the MM/SS (last fabric node).
     pub(crate) mgmt: NodeId,
-    /// Per-node NIC state, shared copy-on-write with checkpoint images, and
-    /// the nodes a microstrobe has to look at.
+    /// Per-node NIC state, the copies checkpoint images share, and the
+    /// nodes a microstrobe has to look at.
     pub(crate) nic: crate::p2p::Nics,
     /// Outstanding async work items of the current microphase, per node
     /// (protocol transient — zero at every slice boundary).

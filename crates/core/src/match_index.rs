@@ -232,6 +232,15 @@ impl<K: std::hash::Hash + Eq> Buckets<K> {
             _ => *this = None,
         }
     }
+
+    /// Deque slots allocated beyond what the deques hold, and the spare
+    /// deques themselves.
+    fn spare_capacity(this: &Option<Box<Self>>) -> usize {
+        this.as_ref().map_or(0, |b| {
+            let queues = b.map.values().chain(&b.spare);
+            b.spare.len() + queues.map(|q| q.capacity() - q.len()).sum::<usize>()
+        })
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -443,6 +452,11 @@ impl<T> RecvIndex<T> {
         Buckets::shrink_to_fit(&mut self.classes);
     }
 
+    /// Capacity held beyond the live entries (see [`Self::shrink_to_fit`]).
+    pub fn spare_capacity(&self) -> usize {
+        self.master.spare_capacity() + Buckets::spare_capacity(&self.classes)
+    }
+
     /// Deques the index holds, in use or spare (diagnostic: bounded by the
     /// live buckets plus a constant, however many buckets came and went).
     pub fn deques_held(&self) -> usize {
@@ -588,6 +602,11 @@ impl<T> SendIndex<T> {
     pub fn shrink_to_fit(&mut self) {
         self.master.shrink_to_fit();
         Buckets::shrink_to_fit(&mut self.by_key);
+    }
+
+    /// Capacity held beyond the live entries (see [`Self::shrink_to_fit`]).
+    pub fn spare_capacity(&self) -> usize {
+        self.master.spare_capacity() + Buckets::spare_capacity(&self.by_key)
     }
 
     /// Declare every current entry examined against the current receive

@@ -109,11 +109,12 @@ pub enum MpiCall {
     Batch { calls: Vec<MpiCall> },
 }
 
-/// Response from the engine to a rank program. `Clone` so the runtime can
-/// record delivered responses for deterministic replay after a checkpoint
-/// restore (see `runtime::RuntimeImage`), `PartialEq` so a restore that
-/// takes over a halted run's ranks can check what it re-delivers against
-/// what was logged (`runtime::Job::ranks`).
+/// Response from the engine to a rank program. `Clone` so a checkpoint
+/// image can hold the completions not yet delivered at its capture (see
+/// `runtime::RuntimeImage`), `PartialEq` so a restore that takes over a
+/// halted run's ranks can check what it re-delivers against what was
+/// logged (`runtime::Job::ranks`). The log itself keeps responses in a
+/// flat form of its own (`runtime::ResponseLog`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MpiResp {
     /// Generic completion (Compute, blocking Send, Barrier, ...).
@@ -181,8 +182,10 @@ impl MpiCall {
     }
 
     /// Visit the payload of every point-to-point send this call posts — its
-    /// own, or a batch's sub-calls' in issue order. Replay logging stamps
-    /// them, a restore harvests them (`runtime`).
+    /// own, or a batch's sub-calls' in issue order: the one walk over a
+    /// call's payloads. A recording runtime stamps them, a restore that
+    /// takes over a halted run's ranks checks their stamps, a full replay
+    /// harvests them (`runtime`).
     pub fn for_each_send_payload(&mut self, f: &mut impl FnMut(&mut Payload)) {
         match self {
             MpiCall::Send { data, .. } => f(data),
@@ -234,37 +237,6 @@ impl MpiCall {
                 | MpiCall::Barrier { .. }
                 | MpiCall::Waitall { .. }
         )
-    }
-}
-
-impl MpiResp {
-    /// Visit every payload the response carries, sub-responses of a batch
-    /// included. Every variant is listed: a new payload-carrying response
-    /// must decide here how it is logged and replayed.
-    pub fn for_each_payload(&mut self, f: &mut impl FnMut(&mut Payload)) {
-        fn each(
-            results: &mut [(Option<Payload>, Option<Status>)],
-            f: &mut impl FnMut(&mut Payload),
-        ) {
-            results.iter_mut().filter_map(|(d, _)| d.as_mut()).for_each(f)
-        }
-        match self {
-            MpiResp::Ok
-            | MpiResp::Time(_)
-            | MpiResp::Req(_)
-            | MpiResp::ProbeDone { .. }
-            | MpiResp::CommSplitDone { .. } => {}
-            MpiResp::Data(p) => f(p),
-            MpiResp::RootData(p) => p.iter_mut().for_each(f),
-            MpiResp::Gathered { parts } => parts.iter_mut().for_each(f),
-            MpiResp::WaitDone { data, .. } => data.iter_mut().for_each(f),
-            MpiResp::WaitallDone { results } => each(results, f),
-            MpiResp::TestDone { result } => each(result.as_mut_slice(), f),
-            MpiResp::TestallDone { results } => {
-                results.iter_mut().for_each(|rs| each(rs, f))
-            }
-            MpiResp::Batch { resps } => resps.iter_mut().for_each(|r| r.for_each_payload(f)),
-        }
     }
 }
 

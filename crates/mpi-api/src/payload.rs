@@ -20,8 +20,11 @@
 //! The runtime's replay log does **not** hold message bytes. A recording
 //! runtime stamps every point-to-point send payload with its [`Origin`] as
 //! the rank yields it, and logs a delivered response with each stamped
-//! payload replaced by [`Payload::hollow`]: the origin and no bytes. A
-//! rollback rebuilds every rank, sender included: a full replay
+//! payload as its origin alone, one word of the log's flat record
+//! (`runtime::ResponseLog`), no allocation. Decoded, such a word is a
+//! [`Payload::hollow`] reference — the origin and no bytes — which is what
+//! a restore compares and a test reads. A rollback rebuilds every rank,
+//! sender included: a full replay
 //! regenerates the bytes and fills the reference from them
 //! (`runtime::Job::resume_from`), and a restore that takes over the halted
 //! run's ranks re-dispatches the very sends they yielded
@@ -76,8 +79,8 @@ impl Payload {
         Payload::from_vec(Vec::new())
     }
 
-    /// A reference to the payload stamped `origin`, carrying no bytes: what
-    /// the replay log keeps of a delivered point-to-point message.
+    /// A reference to the payload stamped `origin`, carrying no bytes: a
+    /// delivered point-to-point message as the replay log reads back.
     pub fn hollow(origin: Origin) -> Self {
         Payload(Arc::new(Shared { data: Vec::new(), origin: Some(origin) }))
     }

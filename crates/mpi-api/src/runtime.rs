@@ -8,13 +8,14 @@
 //! limit.
 //!
 //! An engine supplies only its protocol ([`Protocol`], [`Engine`]). The
-//! rest lives once, in three parts: `world` — the one match over every
+//! rest lives once, in four parts: `world` — the one match over every
 //! call a rank yields (the request arms, batches, the parked-call
-//! bookkeeping) and the handoff back to the rank; `record` — the replay
-//! log and tape, [`RuntimeImage`], and the two ways a restore rebuilds the
-//! ranks; `job` — [`Job`], a run described once as a value and then
-//! started ([`run_program`] is its shorthand), its outcome and the
-//! stuck-rank report.
+//! bookkeeping) and the handoff back to the rank; `log` — the replay
+//! log's flat record format; `record` — what a recording run logs and
+//! tapes, [`RuntimeImage`], and the two ways a restore rebuilds the ranks;
+//! `job` — [`Job`], a run described once as a value and then started
+//! ([`run_program`] is its shorthand), its outcome and the stuck-rank
+//! report.
 //!
 //! Every call is answered immediately or later by a scheduled resume.
 //! Resuming a rank yields its next call, which may be answered
@@ -23,10 +24,12 @@
 //! top level ([`drain`]) rather than recursing.
 
 mod job;
+mod log;
 mod record;
 mod world;
 
 pub use job::{Job, RunOutcome, RunResult, run_program};
+pub use log::ResponseLog;
 pub use record::{Delivery, LiveRanks, RuntimeImage};
 pub use world::{BatchState, ClusterWorld, drain, resume_at, resume_req_at};
 

@@ -1,7 +1,7 @@
 //! The job driver: a run described once as a [`Job`] value and started,
 //! what it returns, and why it stopped when it stopped short.
 
-use super::record::{LiveRanks, RuntimeImage, replay, reuse, stamp_sends, take_results};
+use super::record::{LiveRanks, RuntimeImage, replay, reuse, stamper, take_results};
 use super::world::{ClusterWorld, drain, issue, resume_at};
 use super::{Engine, JobLayout};
 use crate::ctx::RankProgram;
@@ -192,7 +192,7 @@ impl<'a, E: Engine> Job<'a, E> {
                     match w.boot_rank(program, rank) {
                         ProcYield::Request(mut call) => {
                             if w.record_resps {
-                                call = stamp_sends(&mut w.sends_yielded[rank], rank, call);
+                                call.for_each_send_payload(&mut stamper(&mut w.sends_yielded[rank], rank, false));
                             }
                             issue(&mut w, &mut sim, rank, call)
                         }

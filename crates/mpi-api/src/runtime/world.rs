@@ -1,12 +1,12 @@
 //! The world a simulation steps, and the one path a call takes through it:
 //! from the rank to the engine ([`issue`]) and back ([`drain`]).
 
-use super::record::{Delivery, Step};
+use super::log::LiveLog;
+use super::record::{Step, Tape};
 use super::{Engine, JobLayout};
 use crate::call::{MpiCall, MpiResp, ReqId};
 use crate::ctx::{AsyncMpi, RankProgram};
 use crate::request::CallSite;
-use simcore::chunklog::ChunkLog;
 use simcore::{ProcId, ProcYield, Sim, SimTime, VmChannel, VmHarness};
 use std::collections::VecDeque;
 
@@ -53,12 +53,11 @@ pub struct ClusterWorld<E> {
     /// [`Origin`](crate::payload::Origin) — the raw material of
     /// deterministic replay.
     pub(super) record_resps: bool,
-    pub(super) log: ChunkLog<Delivery>,
-    /// For each delivery `log` has not sealed yet, what the rank did next:
-    /// the call it yielded, stamped, or `None` if its program returned.
+    pub(super) log: LiveLog,
+    /// For each delivery `log` has not sealed yet, what the rank did next.
     /// Paired with the unsealed log it is the lookahead a halted run hands
     /// to the restore that follows ([`super::LiveRanks`]).
-    pub(super) tape: Vec<Option<MpiCall>>,
+    pub(super) tape: Tape,
     /// Per rank, steps its coroutine took in a run that halted and that
     /// this run has not re-delivered yet ([`super::Job::ranks`]). A rank
     /// with any left is not resumed: [`drain`] checks each response against
@@ -91,8 +90,8 @@ impl<E> ClusterWorld<E> {
             pending_resumes: vec![PendingResume::NONE; ranks],
             resumes_scheduled: 0,
             record_resps: false,
-            log: ChunkLog::new(),
-            tape: Vec::new(),
+            log: LiveLog::new(),
+            tape: Tape::default(),
             lookahead: Vec::new(),
             diverged: None,
             sends_yielded: vec![0; ranks],

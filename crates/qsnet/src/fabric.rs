@@ -125,8 +125,8 @@ pub struct PortState {
 ///
 /// The state sits behind an `Rc` shared with the fabric's snapshot cache:
 /// cloning a snapshot — and re-capturing an unchanged fabric — is a
-/// refcount bump, the same copy-on-write scheme the engine uses for NIC
-/// state and payloads.
+/// refcount bump, as an image's copy of an unchanged NIC state and a
+/// payload are.
 #[derive(Clone, Debug)]
 pub struct FabricSnapshot(Rc<PortState>);
 

@@ -1,4 +1,4 @@
-//! A persistent append-only log whose snapshots cost O(1).
+//! A persistent append-only log whose snapshots cost what was appended since the last.
 //!
 //! Checkpoint images need the *whole* history of a run — every response
 //! delivered to a rank, every boundary digest, every slice record — and a
@@ -6,8 +6,10 @@
 //! singly linked list of immutable chunks, newest first:
 //! [`ChunkLog::snapshot`] seals the growing tail into a chunk whose `prev`
 //! is the previous head and hands out the new head. A [`LogSnapshot`] is
-//! that handle plus a length, so taking, cloning or dropping one is a
-//! single reference count, image *k* shares every chunk of image *k − 1*,
+//! that handle plus a length, so cloning or dropping one is a single
+//! reference count and taking one costs the records appended since the
+//! last (moved into a chunk of exactly their size, the tail's buffer kept
+//! for the next interval); image *k* shares every chunk of image *k − 1*,
 //! and nothing appended later shows through an earlier snapshot. Reading
 //! is oldest-first and walks the chain once, which is what a restore pays.
 
@@ -146,20 +148,26 @@ impl<T> ChunkLog<T> {
 
     /// The records appended since the last snapshot, in order: what no
     /// snapshot holds.
+    pub fn unsealed(&self) -> &[T] {
+        &self.tail
+    }
+
+    /// [`Self::unsealed`], by value.
     pub fn into_unsealed(self) -> Vec<T> {
         self.tail
     }
 
     /// Seal what was appended since the last snapshot and return a handle
-    /// on the whole log. O(1): the tail is moved into its chunk, not
-    /// copied, and the handle is one reference count.
+    /// on the whole log. Costs what was appended since: those records are
+    /// moved into a chunk of exactly their number, and the tail keeps its
+    /// buffer for the next interval. The handle is one reference count.
     pub fn snapshot(&mut self) -> LogSnapshot<T> {
         self.sealed.work.handles_cloned += 1;
         if !self.tail.is_empty() {
             self.sealed.len += self.tail.len();
             self.sealed.head = Some(Arc::new(Chunk {
                 prev: self.sealed.head.take(),
-                items: std::mem::take(&mut self.tail),
+                items: self.tail.drain(..).collect(),
             }));
         }
         self.sealed.clone()

@@ -162,6 +162,11 @@ impl<K: Copy + From<u64> + Into<u64>, V, C: Counter> IdTable<K, V, C> {
         self.slots.shrink_to_fit();
     }
 
+    /// Slots allocated beyond the window.
+    pub fn spare_capacity(&self) -> usize {
+        self.slots.capacity() - self.slots.len()
+    }
+
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.live

@@ -35,13 +35,16 @@
 #      both engines), the fault-recovery scenarios (the golden recovery
 #      table, in which every restore takes over the halted segment's ranks
 #      and re-feeds no response; the polling ring whose restore falls back
-#      to the full replay; a lookahead carried across two restores; copy-
-#      on-write images against deep clones) with the payload equality a
+#      to the full replay; a lookahead carried across two restores;
+#      incremental images against deep clones) with the payload equality a
 #      restore checks with, and, in release next to it, the count-based
 #      tests: a capture's work does not grow with the image
-#      number and the replay log retains no message bytes; a message costs
-#      at most 2.5 host allocations, no copy and under two queue entries per
-#      three events; a recorded run's receiver reads the allocation its
+#      number, the replay log retains no message bytes, and a capture
+#      copies only the NIC states that changed, compacted (capture_flatness);
+#      a message costs at most 2.5 host allocations, no copy and under two
+#      queue entries per three events, and a recorded ring at most two
+#      allocations per message more than the same ring unrecorded
+#      (alloc_per_message's recorded row); a recorded run's receiver reads the allocation its
 #      sender posted, in every receive form on both engines, although the
 #      tape still holds the send (recorded_sharing); the run-chained radix event queue equals its (time,
 #      seq) model (sim_queue_model, at four times its case count: short
@@ -125,7 +128,7 @@ cargo test --workspace -q
 echo "== benchmark package compiles against the product surface (perf/, build only)"
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 
-echo "== conformance lattice + membership, request-window, matching, batching, event-queue and retry models (4x cases) + fault-recovery scenarios + count-based tests (capture flatness, per-message host cost, recorded receives share the sender's bytes, idle scaling, repro output repeats)"
+echo "== conformance lattice + membership, request-window, matching, batching, event-queue and retry models (4x cases) + fault-recovery scenarios + count-based tests (capture flatness and NIC sharing, per-message host cost unrecorded and recorded, recorded receives share the sender's bytes, idle scaling, repro output repeats)"
 PROPLITE_CASES=48 cargo test --release -q --test conformance
 PROPLITE_CASES=512 cargo test --release -q -p mpi-api --test membership_model
 PROPLITE_CASES=1024 cargo test --release -q -p simcore --test idtable_model

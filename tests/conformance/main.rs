@@ -21,7 +21,7 @@
 mod program;
 mod semantics;
 
-use bcs_repro::apps::runner::{EngineCfg, RanEngine, RunReport, RunSpec, run_app};
+use bcs_repro::apps::runner::{EngineCfg, RanEngine, RunReport, RunSpec, RunSpecError, run_app};
 use bcs_repro::bcs_mpi::{BcsConfig, BcsMpi};
 use bcs_repro::faultsim::{CrashEvent, FaultPlan, FaultProfile, RecoveryCfg, RecoveryOutcome, run_with_recovery};
 use bcs_repro::mpi_api::coll_sched::{CollAlgo, bcast_schedule};
@@ -294,6 +294,69 @@ fn the_generator_reaches_every_path() {
     assert!(
         counts.iter().all(|&c| c > 0),
         "compiled, replays, DEM blocks, P2P gathers, chunked messages, retries, restarts: {counts:?}"
+    );
+}
+
+proplite! {
+    #![config(cases = 64)]
+
+    /// Every cell's `RunSpec` line reads back as that cell, and a drawn
+    /// cell's line with one edit in it reads back as the spec it then
+    /// names or as a named error, never a panic.
+    #[test]
+    fn every_cell_line_parses_back_and_a_mangled_one_is_named(
+        k in 0usize..30,
+        at in 0usize..64,
+        edit in 0usize..4,
+        ch in 0usize..6,
+    ) {
+        let cells = cells();
+        for cell in &cells {
+            prop_assert_eq!(cell.to_string().parse::<RunSpec>(), Ok(cell.clone()), "{}", cell);
+        }
+        let mut chars: Vec<char> = cells[k].to_string().chars().collect();
+        let (at, c) = (at % chars.len(), ['/', '=', 'x', 'o', '-', ' '][ch]);
+        match edit {
+            0 => chars.truncate(at),
+            1 => chars.insert(at, c),
+            2 => chars[at] = c,
+            _ => {
+                chars.remove(at);
+            }
+        }
+        let mangled: String = chars.into_iter().collect();
+        match catch_unwind(|| mangled.parse::<RunSpec>()) {
+            Err(_) => prop_assert!(false, "parsing `{}` panicked", mangled),
+            Ok(Ok(spec)) => prop_assert_eq!(spec.to_string(), mangled),
+            Ok(Err(e)) => prop_assert!(!e.to_string().is_empty(), "`{}`: {:?}", mangled, e),
+        }
+    }
+}
+
+/// What each way of getting a line wrong is called.
+#[test]
+fn a_malformed_spec_line_names_what_is_wrong() {
+    let err = |line: &str| line.parse::<RunSpec>().expect_err(line);
+    assert_eq!(err(""), RunSpecError::UnknownEngine(String::new()));
+    assert_eq!(err("mpich/qsnet/binomial"), RunSpecError::UnknownEngine("mpich".into()));
+    assert_eq!(err("bcs/qsnet/binomial"), RunSpecError::FieldCount { engine: "bcs", expected: 5, found: 3 });
+    assert_eq!(
+        err("quadrics/qsnet/binomial/sched=on"),
+        RunSpecError::FieldCount { engine: "quadrics", expected: 3, found: 4 }
+    );
+    assert_eq!(err("quadrics/myrinet/binomial"), RunSpecError::UnknownFabric("myrinet".into()));
+    assert_eq!(err("quadrics/rdma/ring"), RunSpecError::UnknownCollective("ring".into()));
+    assert_eq!(
+        err("bcs/rdma/optimal/sched=maybe/coalesce=off"),
+        RunSpecError::BadSwitch { switch: "sched", found: "sched=maybe".into() }
+    );
+    assert_eq!(
+        err("bcs/rdma/optimal/sched=on/coalescing=off"),
+        RunSpecError::BadSwitch { switch: "coalesce", found: "coalescing=off".into() }
+    );
+    assert_eq!(
+        err("bcs/qsnet/binomial").to_string(),
+        "a bcs spec has 5 `/`-separated fields, not 3"
     );
 }
 

@@ -441,9 +441,8 @@ type CW = ClusterWorld<BcsMpi>;
 /// Shadow every checkpoint image the engine captures with an eager
 /// [`CheckpointImage::materialize`] deep clone, re-polling once per slice
 /// while the job runs. The shadow is taken while the run keeps mutating the
-/// engine, so if any post-capture mutation leaked into a shared
-/// (copy-on-write) image layer, the incremental image and its deep clone
-/// would diverge.
+/// engine, so if any post-capture mutation leaked into a layer an image
+/// shares, the incremental image and its deep clone would diverge.
 fn shadow_images(
     w: &mut CW,
     sim: &mut Sim<CW>,
@@ -878,13 +877,15 @@ proplite! {
         prop_assert_eq!(da, db);
     }
 
-    /// (c) Incremental (copy-on-write) checkpoint images are
-    /// indistinguishable from deep clones: restoring — and resuming the
-    /// whole job — from either member of each image/materialized pair is
-    /// byte-identical, under random fault plans. The deep clones are taken
-    /// *while the run keeps mutating the engine* (see [`shadow_images`]),
-    /// so a missed unshare anywhere in the COW capture path shows up as a
-    /// divergence here.
+    /// (c) Incremental checkpoint images are indistinguishable from deep
+    /// clones: restoring — and resuming the whole job — from either member
+    /// of each image/materialized pair is byte-identical, under random
+    /// fault plans, and restores the digest recorded at the capture. The
+    /// deep clones are taken *while the run keeps mutating the engine*
+    /// (see [`shadow_images`]), so a mutation that reaches a shared image
+    /// layer shows up as a divergence here, and a NIC change the capture
+    /// did not copy (one that bypasses `Nics::make_mut`) as a digest the
+    /// image no longer restores to.
     #[test]
     fn incremental_images_recover_identically_to_deep_clones(seed in 1u64..1_000_000u64) {
         let rc = recovery_cfg();
