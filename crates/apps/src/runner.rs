@@ -100,8 +100,8 @@ impl fmt::Display for RunSpec {
             EngineCfg::Bcs(c) => write!(
                 f,
                 "bcs/{fabric}/{coll}/sched={}/coalesce={}",
-                on(c.sched_compile.is_some()),
-                on(c.coalesce.is_some())
+                on(c.sched_compile),
+                on(c.coalesce)
             ),
             EngineCfg::Quadrics(_) => write!(f, "quadrics/{fabric}/{coll}"),
         }
@@ -143,8 +143,7 @@ impl std::error::Error for RunSpecError {}
 
 /// The inverse of `Display`: the line's engine, built from its defaults,
 /// on the line's fabric and collective algorithm, with BCS-MPI's schedule
-/// compilation and coalescing switched as the line says (each at its
-/// default settings when on).
+/// compilation and coalescing switched as the line says.
 impl FromStr for RunSpec {
     type Err = RunSpecError;
 
@@ -162,8 +161,8 @@ impl FromStr for RunSpec {
         let coll = CollAlgo::from_label(fields[2]).ok_or_else(|| RunSpecError::UnknownCollective(fields[2].into()))?;
         let spec = match engine {
             "bcs" => RunSpec::from(BcsConfig {
-                sched_compile: switch(fields[3], "sched")?.then(Default::default),
-                coalesce: switch(fields[4], "coalesce")?.then(Default::default),
+                sched_compile: switch(fields[3], "sched")?,
+                coalesce: switch(fields[4], "coalesce")?,
                 ..BcsConfig::default()
             }),
             _ => RunSpec::quadrics(),

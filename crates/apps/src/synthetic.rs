@@ -338,8 +338,7 @@ mod tests {
             layout(),
             prog(),
         );
-        let mut cfg = bcs_mpi::BcsConfig::default();
-        cfg.coalesce = Some(Default::default());
+        let cfg = bcs_mpi::BcsConfig { coalesce: true, ..Default::default() };
         let co = mpi_api::runtime::run_program(
             bcs_mpi::BcsMpi::new(cfg, &layout()),
             layout(),

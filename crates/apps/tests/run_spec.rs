@@ -32,7 +32,7 @@ fn display_round_trips_through_the_axis_parsers() {
 fn display_prints_the_documented_lines() {
     assert_eq!(RunSpec::bcs().to_string(), "bcs/qsnet/hw-multicast/sched=on/coalesce=off");
     assert_eq!(RunSpec::quadrics().to_string(), "quadrics/qsnet/hw-multicast");
-    let cfg = BcsConfig { coalesce: Some(Default::default()), ..BcsConfig::default() };
+    let cfg = BcsConfig { coalesce: true, ..BcsConfig::default() };
     let spec = RunSpec::from(cfg)
         .with_fabric(FabricKind::Rdma)
         .with_coll_algo(CollAlgo::OptimalSchedule);

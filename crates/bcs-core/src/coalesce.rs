@@ -26,28 +26,14 @@
 //! through whatever `qsnet::Fabric` implementation carries the job, so
 //! QsNet and the RDMA channel behave identically.
 
-/// Knobs of the coalescer (`BcsConfig::coalesce`; `None` disables).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CoalesceCfg {
-    /// Transfers strictly larger than this stay individual DMAs — past a
-    /// few KB the per-DMA overhead is already amortized and merging only
-    /// adds header bytes and latency coupling.
-    pub max_msg_bytes: u64,
-    /// Scatter-header bytes per packed entry (message id, offset, length).
-    pub entry_hdr_bytes: u64,
-    /// Leading block-header bytes (entry count, source, sequence).
-    pub block_hdr_bytes: u64,
-}
-
-impl Default for CoalesceCfg {
-    fn default() -> Self {
-        CoalesceCfg {
-            max_msg_bytes: 2048,
-            entry_hdr_bytes: 16,
-            block_hdr_bytes: 64,
-        }
-    }
-}
+/// Transfers strictly larger than this stay individual DMAs — past a few
+/// KB the per-DMA overhead is already amortized and merging only adds
+/// header bytes and latency coupling.
+pub const MAX_MSG_BYTES: u64 = 2048;
+/// Scatter-header bytes per packed entry (message id, offset, length).
+pub const ENTRY_HDR_BYTES: u64 = 16;
+/// Leading block-header bytes (entry count, source, sequence).
+pub const BLOCK_HDR_BYTES: u64 = 64;
 
 /// One planned block: the entries (indices into the caller's transfer
 /// list, in original order) merged toward/from one peer.
@@ -62,15 +48,15 @@ pub struct Gather<K> {
 impl<K> Gather<K> {
     /// Modeled wire size of the block: header + payloads + one scatter
     /// header per entry.
-    pub fn wire_bytes(&self, cfg: &CoalesceCfg) -> u64 {
-        cfg.block_hdr_bytes + self.payload_bytes + self.entries.len() as u64 * cfg.entry_hdr_bytes
+    pub fn wire_bytes(&self) -> u64 {
+        BLOCK_HDR_BYTES + self.payload_bytes + self.entries.len() as u64 * ENTRY_HDR_BYTES
     }
 }
 
 /// Partition one microphase's transfer list `(peer, bytes)` into
 /// individually-issued transfers and coalesced blocks.
 ///
-/// * entries larger than `max_msg_bytes` stay individual, as does any peer
+/// * entries larger than [`MAX_MSG_BYTES`] stay individual, as does any peer
 ///   with a single small entry (a one-entry block only adds headers);
 /// * blocks come out ordered by peer id and keep their entries in the
 ///   caller's original order — fully deterministic, so the planned DMA
@@ -78,11 +64,11 @@ impl<K> Gather<K> {
 ///
 /// Returns `(singles, gathers)`: indices to issue as-is (original order)
 /// and the planned blocks.
-pub fn plan<K: Ord + Copy>(items: &[(K, u64)], cfg: &CoalesceCfg) -> (Vec<usize>, Vec<Gather<K>>) {
+pub fn plan<K: Ord + Copy>(items: &[(K, u64)]) -> (Vec<usize>, Vec<Gather<K>>) {
     let mut singles: Vec<usize> = Vec::new();
     let mut by_peer: std::collections::BTreeMap<K, Gather<K>> = std::collections::BTreeMap::new();
     for (i, &(peer, bytes)) in items.iter().enumerate() {
-        if bytes > cfg.max_msg_bytes {
+        if bytes > MAX_MSG_BYTES {
             singles.push(i);
         } else {
             let g = by_peer.entry(peer).or_insert_with(|| Gather {
@@ -121,21 +107,19 @@ mod tests {
             (1, 16),   // 3: peer 1's only small entry -> demoted to single
             (2, 32),   // 4: small -> block for peer 2
         ];
-        let cfg = CoalesceCfg::default();
-        let (singles, gathers) = plan(items, &cfg);
+        let (singles, gathers) = plan(items);
         assert_eq!(singles, vec![1, 3], "original issue order preserved");
         assert_eq!(gathers.len(), 1);
         let g = &gathers[0];
         assert_eq!((g.peer, g.entries.clone(), g.payload_bytes), (2, vec![0, 2, 4], 128));
         // 64 B block header + 128 B payload + 3 x 16 B scatter entries.
-        assert_eq!(g.wire_bytes(&cfg), 64 + 128 + 48);
+        assert_eq!(g.wire_bytes(), 64 + 128 + 48);
     }
 
     #[test]
     fn plan_is_deterministic_and_orders_blocks_by_peer() {
         let items: &[(u32, u64)] = &[(9, 1), (3, 1), (9, 2), (3, 2), (5, 3), (5, 4)];
-        let cfg = CoalesceCfg::default();
-        let (singles, gathers) = plan(items, &cfg);
+        let (singles, gathers) = plan(items);
         assert!(singles.is_empty());
         let peers: Vec<u32> = gathers.iter().map(|g| g.peer).collect();
         assert_eq!(peers, vec![3, 5, 9]);
@@ -144,13 +128,12 @@ mod tests {
 
     #[test]
     fn threshold_boundary_is_inclusive() {
-        let cfg = CoalesceCfg::default();
-        let at = [(0u32, cfg.max_msg_bytes), (0u32, cfg.max_msg_bytes)];
-        let (singles, gathers) = plan(&at, &cfg);
-        assert!(singles.is_empty(), "== max_msg_bytes still coalesces");
+        let at = [(0u32, MAX_MSG_BYTES), (0u32, MAX_MSG_BYTES)];
+        let (singles, gathers) = plan(&at);
+        assert!(singles.is_empty(), "== MAX_MSG_BYTES still coalesces");
         assert_eq!(gathers[0].entries.len(), 2);
-        let over = [(0u32, cfg.max_msg_bytes + 1), (0u32, cfg.max_msg_bytes + 1)];
-        let (singles, gathers) = plan(&over, &cfg);
+        let over = [(0u32, MAX_MSG_BYTES + 1), (0u32, MAX_MSG_BYTES + 1)];
+        let (singles, gathers) = plan(&over);
         assert_eq!(singles, vec![0, 1]);
         assert!(gathers.is_empty());
     }

@@ -666,7 +666,7 @@ pub fn ablation_slice_exp(quick: bool, wire: Wire) -> Experiment {
     let sweep = program(move || sweep3d::sweep3d_bench(cfg.clone()));
     let mut points = vec![run_point(wire.quadrics(), layout(ranks), &sweep)];
     for &ts in slices_us {
-        let bcs = wire.bcs_cfg().with_timeslice(SimDuration::micros(ts));
+        let bcs = BcsConfig { timeslice: SimDuration::micros(ts), ..wire.bcs_cfg() };
         points.push(run_point(bcs.into(), layout(ranks), &sweep));
     }
     Experiment {
@@ -867,6 +867,7 @@ pub fn ablation_chunk_exp(quick: bool, wire: Wire) -> Experiment {
             PointOut::new(vec![out.results[1]], vec![])
         })
     };
+    let budget = wire.bcs_cfg().p2p_budget();
     let mut points: Vec<PointFn> = Vec::new();
     for &sz in sizes {
         points.push(measure(wire.bcs(), sz));
@@ -890,7 +891,7 @@ pub fn ablation_chunk_exp(quick: bool, wire: Wire) -> Experiment {
                         format!("{b:.0} MB/s"),
                         format!("{q:.0} MB/s"),
                         format!("{:.0}%", b / 320.0 * 100.0),
-                        if sz > 96 * 1024 { "chunked".into() } else { "single slice".into() },
+                        if sz as u64 > budget { "chunked".into() } else { "single slice".into() },
                     ],
                 );
             }
@@ -1023,7 +1024,7 @@ pub fn ablation_multijob_exp(wire: Wire) -> Experiment {
                 ],
             );
             r.note(format!(
-                "real engine: two jobs on half the CPUs finish in {:.2}s vs {:.2}s serially —          in-flight communication keeps progressing on the NIC while a job is descheduled",
+                "real engine: two jobs on half the CPUs finish in {:.2}s vs {:.2}s serially — in-flight communication keeps progressing on the NIC while a job is descheduled",
                 g,
                 2.0 * ded
             ));
@@ -1289,9 +1290,7 @@ pub fn ablation_schedule_exp(quick: bool, wire: Wire) -> Experiment {
     for &(stable, sz, n) in &cells {
         for variant in 0..3usize {
             points.push(Box::new(move || {
-                let mut bcfg = wire.bcs_cfg();
-                bcfg.sched_compile = if variant == 0 { None } else { Some(Default::default()) };
-                bcfg.coalesce = if variant == 2 { Some(Default::default()) } else { None };
+                let bcfg = BcsConfig { sched_compile: variant != 0, coalesce: variant == 2, ..wire.bcs_cfg() };
                 let out = run_app(
                     &bcfg.into(),
                     JobLayout::new(n, 2, 2 * n),
@@ -1431,9 +1430,8 @@ fn machinery_gets(msgs: usize, compiled: bool) -> u64 {
         fp.word(recvs.shape_digest());
         fp.finish()
     };
-    let ccfg = bcs_core::coalesce::CoalesceCfg::default();
     let plan_items: Vec<(usize, u64)> = (0..msgs).map(|i| (i % srcs, bytes)).collect();
-    let (plan_singles, plan_gathers) = bcs_core::coalesce::plan(&plan_items, &ccfg);
+    let (plan_singles, plan_gathers) = bcs_core::coalesce::plan(&plan_items);
     // Per-source/destination budget needs, aggregated at compile time
     // exactly like `schedule::Compiled::new`.
     let mut src_need = vec![0u64; srcs];
@@ -1469,7 +1467,7 @@ fn machinery_gets(msgs: usize, compiled: bool) -> u64 {
             fab.get(&mut sim, NodeId(0), NodeId(1 + src), b + hdr, |_, _| {});
         }
         for g in &plan_gathers {
-            fab.get(&mut sim, NodeId(0), NodeId(1 + g.peer), g.wire_bytes(&ccfg), |_, _| {});
+            fab.get(&mut sim, NodeId(0), NodeId(1 + g.peer), g.wire_bytes(), |_, _| {});
         }
     } else {
         for (k, b) in incoming {

@@ -18,7 +18,7 @@
 //! The *value plane* is fixed: contributions combine in ascending
 //! communicator-rank order ([`combine_nic`]), so results are bit-identical
 //! under every algorithm and both engines. The *time plane* — what the
-//! modeled wire carries — is selected by [`BcsConfig::coll_algo`]:
+//! modeled wire carries — is selected by [`crate::BcsConfig::coll_algo`]:
 //!
 //! * [`CollAlgo::HwMulticast`]: the fabric's native multicast primitive and
 //!   an analytic ⌈log2 n⌉-stage binomial gather (the paper's path).
@@ -39,7 +39,7 @@
 //! and restart its ranks), a gather round one event in all
 //! (`sched_gather_round`).
 
-use crate::engine::{BW, BcsConfig, BcsMpi, Blocked};
+use crate::engine::{BW, BcsMpi, Blocked, DESC_BYTES, DESC_COST, REDUCE_NS_PER_BYTE};
 use crate::p2p::Nics;
 use bcs_core::{BcsCluster, CmpOp, DeliverFn, Reached};
 use mpi_api::call::MpiResp;
@@ -377,7 +377,7 @@ impl EdgePut<BW> for BcsEdge {
         bytes: u64,
         landed: impl Fn(&mut BW, &mut Sim<BW>) + 'static,
     ) {
-        let wire = bytes + w.engine.cfg.desc_bytes;
+        let wire = bytes + DESC_BYTES;
         match self {
             BcsEdge::Tree => {
                 crate::p2p::wire_put(w, sim, from, to, wire, "binomial broadcast put", landed)
@@ -486,7 +486,7 @@ fn sched_gather_round(w: &mut BW, sim: &mut Sim<BW>, run: Box<SchedGather>, r: u
     let mut round_done = sim.now();
     for &(d, s, b) in &run.sched.rounds[total - 1 - r] {
         let share = coll_sched::block_len(run.bytes, run.sched.blocks, b);
-        let wire = share + w.engine.cfg.desc_bytes;
+        let wire = share + DESC_BYTES;
         let landed = BcsCluster::xfer_and_signal(
             w,
             sim,
@@ -496,7 +496,7 @@ fn sched_gather_round(w: &mut BW, sim: &mut Sim<BW>, run: Box<SchedGather>, r: u
             bcs_core::XsOpts::default(),
         );
         let extra = if run.combine {
-            reduce_delay(&w.engine.cfg, share as usize)
+            reduce_delay(share)
         } else {
             SimDuration::ZERO
         };
@@ -641,7 +641,7 @@ fn bcast_leg(
                 sim,
                 node,
                 group.nodes().clone(),
-                payload_bytes + w.engine.cfg.desc_bytes,
+                payload_bytes + DESC_BYTES,
                 bcs_core::XsOpts {
                     remote_event: None,
                     local_event: None,
@@ -809,13 +809,13 @@ fn run_gather_leg(
     finish: DoneHook<BW>,
 ) {
     let cfg = &w.engine.cfg;
-    let wire = bytes as u64 + cfg.desc_bytes;
-    let combine_cost = if combine { reduce_delay(cfg, bytes) } else { SimDuration::ZERO };
+    let wire = bytes as u64 + DESC_BYTES;
+    let combine_cost = if combine { reduce_delay(bytes as u64) } else { SimDuration::ZERO };
     match cfg.coll_algo {
         CollAlgo::HwMulticast => {
             let levels = w.engine.bcs.fabric.net().topology().levels();
             let depth = coll_sched::binomial_depth(group.nodes().len());
-            let (net, per_stage) = (&cfg.net, cfg.desc_cost);
+            let (net, per_stage) = (&cfg.net, DESC_COST);
             let t = coll_sched::tree_time(net, levels, wire, combine_cost, per_stage, depth);
             sim.schedule_at(sim.now() + t, finish);
         }
@@ -831,14 +831,9 @@ fn run_gather_leg(
     }
 }
 
-/// NIC softfloat arithmetic time for `bytes` of reduce payload — the one
-/// place the cost model multiplies a float.
-fn reduce_delay(cfg: &BcsConfig, bytes: usize) -> SimDuration {
-    // detlint: allow(D06) — cost-model arithmetic, not reduce data: one
-    // IEEE-754 multiply truncated to integer nanoseconds, which is
-    // bit-identical on every host. Reduce *payload* arithmetic goes through
-    // `softfloat` (see `softfloat::add_f32_bits`).
-    SimDuration::nanos((bytes as f64 * cfg.reduce_ns_per_byte) as u64)
+/// NIC softfloat arithmetic time for `bytes` of reduce payload.
+fn reduce_delay(bytes: u64) -> SimDuration {
+    SimDuration::nanos(bytes * REDUCE_NS_PER_BYTE)
 }
 
 /// NIC-side combine: floating point through the softfloat library (the NIC

@@ -25,7 +25,19 @@ use simcore::{IdTable, Sim, SimDuration, SimTime};
 
 pub(crate) type BW = ClusterWorld<BcsMpi>;
 
-/// Tuning knobs of BCS-MPI.
+/// Interval at which the SS re-polls `Compare-And-Write` for microphase
+/// completion.
+pub(crate) const POLL_INTERVAL: SimDuration = SimDuration::micros(25);
+/// Wire size of one descriptor / microstrobe.
+pub(crate) const DESC_BYTES: u64 = 64;
+/// NIC-thread cost to process one descriptor (post, exchange, match).
+pub(crate) const DESC_COST: SimDuration = SimDuration::nanos(900);
+/// NIC-side reduce arithmetic cost per byte (softfloat — slower than host
+/// FP, but saves the PCI crossing; §4.4).
+pub(crate) const REDUCE_NS_PER_BYTE: u64 = 20;
+
+/// Tuning knobs of BCS-MPI: the values some run sets. What no run varies
+/// is a constant above or is derived from these ([`BcsConfig::p2p_budget`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct BcsConfig {
     pub net: NetModel,
@@ -36,25 +48,9 @@ pub struct BcsConfig {
     pub fabric: FabricKind,
     /// The global time slice (500 µs in all the paper's experiments).
     pub timeslice: SimDuration,
-    /// Interval at which the SS re-polls `Compare-And-Write` for microphase
-    /// completion.
-    pub poll_interval: SimDuration,
-    /// Wire size of one descriptor / microstrobe.
-    pub desc_bytes: u64,
-    /// NIC-thread cost to process one descriptor (post, exchange, match).
-    pub desc_cost: SimDuration,
     /// Cost of posting a descriptor from the application (shared-memory
     /// FIFO write, no syscall — §4.5).
     pub post_cost: SimDuration,
-    /// Per-link byte budget for the point-to-point microphase of one slice;
-    /// larger messages are chunked across slices (§4.3).
-    pub p2p_budget: u64,
-    /// NIC-side reduce arithmetic cost per byte (softfloat — slower than
-    /// host FP, but saves the PCI crossing; §4.4).
-    // detlint: allow(D06) — cost-model config field, not reduce data: only
-    // ever multiplied once and truncated to integer nanoseconds, which is
-    // bit-identical on every IEEE-754 host.
-    pub reduce_ns_per_byte: f64,
     /// Optional scheduling noise of the user-level NM dæmon (§4.5).
     pub noise: Option<NoiseConfig>,
     /// One-time cost of bringing up the BCS-MPI runtime (STORM job launch,
@@ -86,16 +82,16 @@ pub struct BcsConfig {
     /// configuration).
     pub gang: Option<crate::gang::GangConfig>,
     /// Persistent-schedule compilation (ROADMAP item 3): fingerprint each
-    /// slice's MSM input and, after `detect_after` identical slices, record
-    /// the matching pass into a replayable schedule. Replay is observably
-    /// bit-identical to the indexed path (see [`crate::schedule`]), so this
-    /// defaults to *on*; `None` disables the detector entirely.
-    pub sched_compile: Option<crate::schedule::SchedCompileCfg>,
+    /// slice's MSM input and, after [`crate::schedule::DETECT_AFTER`]
+    /// identical slices, record the matching pass into a replayable
+    /// schedule. Replay is observably bit-identical to the indexed path
+    /// (see [`crate::schedule`]), so this defaults to *on*.
+    pub sched_compile: bool,
     /// Small-message coalescing (see [`bcs_core::coalesce`]): pack many
     /// small same-destination DEM descriptors / P2P chunks into one DMA
     /// with a scatter header. Changes the modeled wire traffic, so it
     /// defaults to *off*; experiments opt in.
-    pub coalesce: Option<bcs_core::coalesce::CoalesceCfg>,
+    pub coalesce: bool,
     /// Which wire schedule the CH/RH use for collectives (see
     /// [`mpi_api::coll_sched`]): the fabric's native multicast (the paper's
     /// path and the default), a binomial tree of point-to-point DMAs, or
@@ -107,24 +103,11 @@ pub struct BcsConfig {
 
 impl Default for BcsConfig {
     fn default() -> Self {
-        let net = NetModel::qsnet();
-        // ~60% of the slice is available to the transmission phase.
-        let timeslice = SimDuration::micros(500);
-        // detlint: allow(D06) — config-time constant: two IEEE-754
-        // multiplies truncated to an integer budget, identical on every
-        // host; no per-message protocol arithmetic happens in floats.
-        let p2p_budget = (0.6 * timeslice.as_secs_f64() * net.link_bw) as u64;
         BcsConfig {
-            net,
+            net: NetModel::qsnet(),
             fabric: FabricKind::QsNet,
-            timeslice,
-            poll_interval: SimDuration::micros(25),
-            desc_bytes: 64,
-            desc_cost: SimDuration::nanos(900),
+            timeslice: SimDuration::micros(500),
             post_cost: SimDuration::nanos(500),
-            p2p_budget,
-            // detlint: allow(D06) — config-time constant (see field docs).
-            reduce_ns_per_byte: 20.0,
             noise: None,
             init_delay: SimDuration::ZERO,
             checkpoint_every: None,
@@ -132,22 +115,23 @@ impl Default for BcsConfig {
             retry: None,
             trace_slices: false,
             gang: None,
-            sched_compile: Some(crate::schedule::SchedCompileCfg::default()),
-            coalesce: None,
+            sched_compile: true,
+            coalesce: false,
             coll_algo: mpi_api::coll_sched::CollAlgo::HwMulticast,
         }
     }
 }
 
 impl BcsConfig {
-    /// Same configuration with a different time slice (for the slice-length
-    /// ablation).
-    pub fn with_timeslice(mut self, ts: SimDuration) -> BcsConfig {
-        self.timeslice = ts;
-        // detlint: allow(D06) — config-time constant, same derivation (and
-        // justification) as the `Default` impl above.
-        self.p2p_budget = (0.6 * ts.as_secs_f64() * self.net.link_bw) as u64;
-        self
+    /// Per-link byte budget for the point-to-point microphase of one slice;
+    /// larger messages are chunked across slices (§4.3). About 60% of the
+    /// slice at QsNet's link bandwidth, whatever `net` is.
+    pub fn p2p_budget(&self) -> u64 {
+        let qsnet_bw = NetModel::qsnet().link_bw;
+        // detlint: allow(D06) — config-time derivation: two IEEE-754
+        // multiplies truncated to an integer budget, identical on every
+        // host; no per-message protocol arithmetic happens in floats.
+        (0.6 * self.timeslice.as_secs_f64() * qsnet_bw) as u64
     }
 }
 
@@ -498,5 +482,24 @@ impl Protocol for BcsMpi {
     }
     fn comm_split(w: &mut BW, _: &mut Sim<BW>, rank: usize, parent: CommId, color: i64, key: i64) {
         crate::coll::post_comm_split(w, rank, parent, color, key)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The budget is derived from the slice however the config is built, a
+    /// struct update included, and from QsNet's link whatever `net` is. The
+    /// pins are the truncated float products, not rounded ones.
+    #[test]
+    fn the_p2p_budget_follows_the_timeslice() {
+        let pins = [(100, 19_200), (250, 47_999), (500, 95_999), (1000, 191_999), (2000, 383_999)];
+        for (us, budget) in pins {
+            let cfg = BcsConfig { timeslice: SimDuration::micros(us), ..Default::default() };
+            assert_eq!(cfg.p2p_budget(), budget, "{us} us slice");
+            let bgl = BcsConfig { net: NetModel::bluegene_l(), ..cfg };
+            assert_eq!(bgl.p2p_budget(), budget, "{us} us slice on BlueGene/L");
+        }
     }
 }

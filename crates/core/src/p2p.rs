@@ -21,7 +21,7 @@
 //! descriptor counts while producing bit-identical results to the
 //! list-scan specification (`crates/core/tests/reference/`).
 
-use crate::engine::{BW, Blocked, BcsMpi};
+use crate::engine::{BW, Blocked, BcsMpi, DESC_BYTES, DESC_COST};
 use crate::match_index::{RecvIndex, RecvSel, SendIndex, SendKey};
 use mpi_api::call::{MpiResp, ReqId};
 use mpi_api::message::{SrcSel, Status, TagSel};
@@ -48,7 +48,7 @@ impl From<MsgId> for u64 {
 }
 
 /// A send descriptor in BS memory.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct SendDesc {
     pub msg: MsgId,
     pub src_rank: usize,
@@ -77,7 +77,7 @@ impl SendDesc {
 
 /// A send descriptor as received by the destination BR. The envelope triple
 /// lives in the [`SendKey`] it is indexed under.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub(crate) struct RemoteSend {
     pub msg: MsgId,
     pub bytes: usize,
@@ -91,7 +91,7 @@ pub(crate) type XferSlot = u64;
 
 /// A matching descriptor: transfer in progress, owned by the receiving node.
 #[allow(dead_code)] // dst_rank kept for diagnostics/tracing
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub(crate) struct MatchItem {
     pub msg: MsgId,
     pub src_node: qsnet::NodeId,
@@ -183,6 +183,19 @@ impl NicState {
             self.remote_sends.len(),
             self.inflight.len()
         )
+    }
+
+    /// What the state holds, in a canonical form: every queue's entries
+    /// with their positions, and the MSM flag — not capacities or caches,
+    /// so a compacted copy has its original's view. The destructuring is
+    /// exhaustive: a new field has to be added here.
+    #[cfg(debug_assertions)]
+    fn view(&self) -> String {
+        let NicState { send_posted, send_exchanging, recv_posted, remote_sends, inflight, recvs_since_msm } = self;
+        let recvs: Vec<_> = recv_posted.iter().collect();
+        let remote: Vec<_> = remote_sends.iter().collect();
+        let inflight: Vec<_> = inflight.iter().collect();
+        format!("{send_posted:?} {send_exchanging:?} {recvs:?} {remote:?} {inflight:?} {recvs_since_msm}")
     }
 }
 
@@ -326,6 +339,8 @@ impl Nics {
         if self.image.len() != nodes {
             self.image = self.state.iter().map(|nic| Rc::new(nic.compacted())).collect();
         } else {
+            #[cfg(debug_assertions)]
+            self.assert_clean_nodes_match_image();
             let mut at = 0;
             while let Some(node) = self.dirty.next_in(at, nodes) {
                 self.image[node] = Rc::new(self.state[node].compacted());
@@ -334,6 +349,22 @@ impl Nics {
         }
         self.dirty.clear();
         self.image.clone()
+    }
+
+    /// Debug builds: every node the capture shares from the previous image
+    /// still holds what that image holds, so a mutation that bypassed
+    /// [`Nics::make_mut`] fails here, at the capture it would corrupt.
+    #[cfg(debug_assertions)]
+    fn assert_clean_nodes_match_image(&self) {
+        for (node, (live, kept)) in self.state.iter().zip(&self.image).enumerate() {
+            if !self.dirty.contains(node) {
+                assert_eq!(
+                    live.view(),
+                    kept.view(),
+                    "node {node}'s NIC state changed since the last capture without Nics::make_mut"
+                );
+            }
+        }
     }
 
     /// Rebuild every live state from `image` (a restored image's), which
@@ -488,17 +519,16 @@ pub(crate) fn node_begin_dem(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
     std::mem::swap(&mut e.dem_out[node.0], &mut nic.send_exchanging);
     let n = e.dem_out[node.0].len();
     e.stats.descriptors_exchanged += n as u64;
-    let (desc_cost, desc_bytes, ccfg) = (e.cfg.desc_cost, e.cfg.desc_bytes, e.cfg.coalesce);
-    let plan = Plan::new(ccfg, n, || {
+    let plan = Plan::new(e.cfg.coalesce, n, || {
         let e = &w.engine;
-        e.dem_out[node.0].iter().map(|d| (e.node_of(d.dst_rank).0, desc_bytes)).collect()
+        e.dem_out[node.0].iter().map(|d| (e.node_of(d.dst_rank).0, DESC_BYTES)).collect()
     });
     // One work item per wire operation, plus one for the NIC thread's own
     // processing pass.
     w.engine.outstanding[node.0] = plan.wire_ops() as u32 + 1;
     for i in plan.singles() {
         let dst_node = w.engine.node_of(w.engine.dem_out[node.0][i].dst_rank);
-        wire_put(w, sim, node, dst_node, desc_bytes, "DEM descriptor put", move |w, sim| {
+        wire_put(w, sim, node, dst_node, DESC_BYTES, "DEM descriptor put", move |w, sim| {
             deliver_desc(w, sim, node, i)
         });
     }
@@ -507,33 +537,31 @@ pub(crate) fn node_begin_dem(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
     // into its arrival list (`bcs_core::coalesce` models the wire layout).
     // Descriptors keep their posting order inside a block, so MPI
     // non-overtaking per (src, dst) pair is preserved.
-    if let Some(ccfg) = ccfg {
-        for g in plan.gathers {
-            let dst_node = qsnet::NodeId(g.peer);
-            let msgs = g.entries.len() as u64;
-            w.engine.stats.dem_blocks += 1;
-            w.engine.stats.dem_block_msgs += msgs;
-            w.engine.bcs.fabric.net_mut().note_gather(msgs, msgs * desc_bytes);
-            let deliver = move |w: &mut BW, sim: &mut Sim<BW>| {
-                let e = &mut w.engine;
-                let nic = e.nic.make_mut(dst_node);
-                for &i in &g.entries {
-                    let (key, remote) = e.dem_out[node.0][i].arrival();
-                    nic.remote_sends.push(key, remote);
-                }
-                crate::protocol::work_item_done(w, sim, node);
-                mpi_api::runtime::drain(w, sim);
-            };
-            // The packed descriptors are NIC metadata, not payload: the
-            // block rides the wire as one header-sized control packet,
-            // exactly like a microstrobe — that is the whole point.
-            let hdr = ccfg.block_hdr_bytes;
-            wire_put(w, sim, node, dst_node, hdr, "DEM descriptor block put", deliver);
-        }
+    for g in plan.gathers {
+        let dst_node = qsnet::NodeId(g.peer);
+        let msgs = g.entries.len() as u64;
+        w.engine.stats.dem_blocks += 1;
+        w.engine.stats.dem_block_msgs += msgs;
+        w.engine.bcs.fabric.net_mut().note_gather(msgs, msgs * DESC_BYTES);
+        let deliver = move |w: &mut BW, sim: &mut Sim<BW>| {
+            let e = &mut w.engine;
+            let nic = e.nic.make_mut(dst_node);
+            for &i in &g.entries {
+                let (key, remote) = e.dem_out[node.0][i].arrival();
+                nic.remote_sends.push(key, remote);
+            }
+            crate::protocol::work_item_done(w, sim, node);
+            mpi_api::runtime::drain(w, sim);
+        };
+        // The packed descriptors are NIC metadata, not payload: the block
+        // rides the wire as one header-sized control packet, exactly like
+        // a microstrobe — that is the whole point.
+        let hdr = bcs_core::coalesce::BLOCK_HDR_BYTES;
+        wire_put(w, sim, node, dst_node, hdr, "DEM descriptor block put", deliver);
     }
     // NIC thread processing time for the whole queue, per descriptor
     // regardless of how the wire operations are batched.
-    crate::protocol::work_item_done_in(w, sim, node, desc_cost * n as u64);
+    crate::protocol::work_item_done_in(w, sim, node, DESC_COST * n as u64);
 }
 
 /// The wire operations of one DEM or P2P microphase (`cfg.coalesce`, see
@@ -551,18 +579,12 @@ struct Plan {
 impl Plan {
     /// `items` — `(peer node, bytes)` per transfer — is only built when
     /// there is a plan to make.
-    fn new(
-        ccfg: Option<bcs_core::coalesce::CoalesceCfg>,
-        n: usize,
-        items: impl FnOnce() -> Vec<(usize, u64)>,
-    ) -> Plan {
-        match ccfg {
-            None => Plan { singles: None, n, gathers: Vec::new() },
-            Some(c) => {
-                let (singles, gathers) = bcs_core::coalesce::plan(&items(), &c);
-                Plan { singles: Some(singles), n, gathers }
-            }
+    fn new(coalesce: bool, n: usize, items: impl FnOnce() -> Vec<(usize, u64)>) -> Plan {
+        if !coalesce {
+            return Plan { singles: None, n, gathers: Vec::new() };
         }
+        let (singles, gathers) = bcs_core::coalesce::plan(&items());
+        Plan { singles: Some(singles), n, gathers }
     }
 
     /// Transfer indices to issue on their own, ascending.
@@ -705,19 +727,17 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
         // through to plain indexed matching.
         let mut action = crate::schedule::SliceAction::Indexed;
         let mut fp_val = 0u64;
-        if let Some(sc) = e.cfg.sched_compile {
-            if fresh_recvs && !incoming.is_empty() {
-                let mut fp = crate::schedule::FpBuilder::new();
-                fp.word(incoming.len() as u64);
-                for (key, rs) in &incoming {
-                    fp.arrival(key, rs.bytes as u64);
-                }
-                // Receive side: the index maintains this digest at post
-                // time, so a replay streak never re-walks the posted set.
-                fp.word(nic.recv_posted.shape_digest());
-                fp_val = fp.finish();
-                action = e.sched_detect[node.0].observe(fp_val, sc.detect_after);
+        if e.cfg.sched_compile && fresh_recvs && !incoming.is_empty() {
+            let mut fp = crate::schedule::FpBuilder::new();
+            fp.word(incoming.len() as u64);
+            for (key, rs) in &incoming {
+                fp.arrival(key, rs.bytes as u64);
             }
+            // Receive side: the index maintains this digest at post time,
+            // so a replay streak never re-walks the posted set.
+            fp.word(nic.recv_posted.shape_digest());
+            fp_val = fp.finish();
+            action = e.sched_detect[node.0].observe(fp_val);
         }
 
         let mut replayed = false;
@@ -888,7 +908,7 @@ pub(crate) fn node_begin_msm(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
 
     // The matching pass costs NIC-thread time proportional to the
     // descriptors examined.
-    let cost = w.engine.cfg.desc_cost * processed.max(1);
+    let cost = DESC_COST * processed.max(1);
     w.engine.outstanding[node.0] = work_items;
     crate::protocol::work_item_done_in(w, sim, node, cost);
 }
@@ -920,37 +940,34 @@ pub(crate) fn node_begin_p2p(w: &mut BW, sim: &mut Sim<BW>, node: qsnet::NodeId)
         stats.chunks += 1;
         stats.p2p_bytes += chunk;
     }
-    let ccfg = w.engine.cfg.coalesce;
-    let plan = Plan::new(ccfg, sched.len(), || {
+    let plan = Plan::new(w.engine.cfg.coalesce, sched.len(), || {
         sched.iter().map(|&(slot, chunk)| (chunk_source(&w.engine, node, slot).0, chunk)).collect()
     });
     w.engine.outstanding[node.0] = plan.wire_ops() as u32;
     for i in plan.singles() {
         let (slot, chunk) = sched[i];
         let src_node = chunk_source(&w.engine, node, slot);
-        let wire = chunk + w.engine.cfg.desc_bytes;
+        let wire = chunk + DESC_BYTES;
         p2p_get(w, sim, node, src_node, wire, "P2P chunk get", move |w, sim| {
             chunk_arrived(w, sim, node, slot, chunk);
             crate::protocol::work_item_done(w, sim, node);
             mpi_api::runtime::drain(w, sim);
         });
     }
-    if let Some(ccfg) = ccfg {
-        for g in plan.gathers {
-            let src_node = qsnet::NodeId(g.peer);
-            let wire = g.wire_bytes(&ccfg);
-            let batch: Vec<(XferSlot, u64)> = g.entries.iter().map(|&i| sched[i]).collect();
-            w.engine.stats.p2p_gathers += 1;
-            w.engine.stats.p2p_gather_msgs += batch.len() as u64;
-            w.engine.bcs.fabric.net_mut().note_gather(batch.len() as u64, g.payload_bytes);
-            p2p_get(w, sim, node, src_node, wire, "P2P gather get", move |w, sim| {
-                for &(slot, chunk) in &batch {
-                    chunk_arrived(w, sim, node, slot, chunk);
-                }
-                crate::protocol::work_item_done(w, sim, node);
-                mpi_api::runtime::drain(w, sim);
-            });
-        }
+    for g in plan.gathers {
+        let src_node = qsnet::NodeId(g.peer);
+        let wire = g.wire_bytes();
+        let batch: Vec<(XferSlot, u64)> = g.entries.iter().map(|&i| sched[i]).collect();
+        w.engine.stats.p2p_gathers += 1;
+        w.engine.stats.p2p_gather_msgs += batch.len() as u64;
+        w.engine.bcs.fabric.net_mut().note_gather(batch.len() as u64, g.payload_bytes);
+        p2p_get(w, sim, node, src_node, wire, "P2P gather get", move |w, sim| {
+            for &(slot, chunk) in &batch {
+                chunk_arrived(w, sim, node, slot, chunk);
+            }
+            crate::protocol::work_item_done(w, sim, node);
+            mpi_api::runtime::drain(w, sim);
+        });
     }
     // The buffer goes back empty, for the next slice's MSM to fill.
     sched.clear();

@@ -10,7 +10,7 @@
 //!
 //! Transitions are driven by the SS: it checks with `Compare-And-Write`
 //! that every compute node's `MP_DONE` word (a monotone count of completed
-//! microphases) has reached the target, re-polling at `poll_interval`, and
+//! microphases) has reached the target, re-polling every `POLL_INTERVAL`, and
 //! then multicasts the next *microstrobe* with `Xfer-And-Signal`; the Strobe
 //! Receiver on each node wakes the NIC threads of the new microphase.
 //!
@@ -18,7 +18,7 @@
 //! slice boundary (`restart_queue`), which is what produces the paper's
 //! 1.5-slice average blocking delay.
 
-use crate::engine::{BW, BcsMpi};
+use crate::engine::{BW, BcsMpi, DESC_BYTES, DESC_COST, POLL_INTERVAL};
 use crate::words;
 use bcs_core::{BcsCluster, CmpOp, DeliverFn, Reached, XsOpts};
 use mpi_api::runtime::drain;
@@ -49,7 +49,7 @@ fn slice_start(w: &mut BW, sim: &mut Sim<BW>, slice: u64) {
         e.phase = 0;
         e.slice_started_at = sim.now();
         e.stats.slices += 1;
-        let budget = e.cfg.p2p_budget;
+        let budget = e.cfg.p2p_budget();
         e.src_budget.refill(budget);
         e.dst_budget.refill(budget);
     }
@@ -147,7 +147,6 @@ fn strobe_phase(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
     w.engine.phase = phase;
     let mgmt = w.engine.mgmt;
     let job_nodes = w.engine.job_nodes();
-    let desc = w.engine.cfg.desc_bytes;
     let on_deliver: DeliverFn<BW> =
         Rc::new(move |w: &mut BW, sim: &mut Sim<BW>, reached: Reached<'_>| {
             on_microstrobe(w, sim, slice, phase, reached);
@@ -157,7 +156,7 @@ fn strobe_phase(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
         sim,
         mgmt,
         job_nodes,
-        desc,
+        DESC_BYTES,
         XsOpts {
             remote_event: None,
             local_event: None,
@@ -165,8 +164,7 @@ fn strobe_phase(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
         },
     );
     // First completion check after one poll interval.
-    let poll = w.engine.cfg.poll_interval;
-    sim.schedule_in(poll, move |w: &mut BW, sim| {
+    sim.schedule_in(POLL_INTERVAL, move |w: &mut BW, sim| {
         poll_phase_done(w, sim, slice, phase);
         drain(w, sim);
     });
@@ -176,7 +174,7 @@ fn strobe_phase(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
 /// judged from the engine's state without touching it, and the NIC-thread
 /// work the node then starts. The predicate is true exactly when the work
 /// would be more than one look at empty queues — one work item of
-/// `desc_cost` that leaves nothing behind (DESIGN §9).
+/// `DESC_COST` that leaves nothing behind (DESIGN §9).
 type Microphase = (fn(&BcsMpi, NodeId) -> bool, fn(&mut BW, &mut Sim<BW>, NodeId));
 
 const MICROPHASES: [Microphase; PHASES as usize] = [
@@ -190,7 +188,7 @@ const MICROPHASES: [Microphase; PHASES as usize] = [
 /// SRs: a microstrobe arrived at the nodes of `reached` — wake the NIC
 /// threads of `phase` on those that have work, at each one's turn in
 /// `reached`, where it used to be looked at. The others wake, look and
-/// finish `desc_cost` later, all in one group.
+/// finish `DESC_COST` later, all in one group.
 ///
 /// Only touched nodes are looked at (`p2p::Nics`): the walk visits the
 /// touched bits inside each run in ascending node order, which is `dests`
@@ -327,8 +325,7 @@ pub(crate) fn work_item_done_in(
 /// outstanding — so there is no count to keep, only `MP_DONE` to write when
 /// the look is over, a range fill per range. One call per dispatch.
 fn idle_nodes_done_in(w: &mut BW, sim: &mut Sim<BW>, nodes: Vec<Range<usize>>) {
-    let cost = w.engine.cfg.desc_cost;
-    let group = due_group(w, sim, cost);
+    let group = due_group(w, sim, DESC_COST);
     debug_assert!(group.idle.is_empty());
     group.idle = nodes;
 }
@@ -358,8 +355,7 @@ fn poll_phase_done(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
             if ok {
                 advance_phase(w, sim, slice, phase);
             } else {
-                let poll = w.engine.cfg.poll_interval;
-                sim.schedule_in(poll, move |w: &mut BW, sim| {
+                sim.schedule_in(POLL_INTERVAL, move |w: &mut BW, sim| {
                     poll_phase_done(w, sim, slice, phase);
                     drain(w, sim);
                 });

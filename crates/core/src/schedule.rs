@@ -6,7 +6,7 @@
 //! pattern slice after slice. This module exploits that: a per-NIC
 //! [`Detector`] fingerprints every eligible MSM input (the drained arrival
 //! list plus the posted receive set, in order), and once the fingerprint
-//! has repeated [`SchedCompileCfg::detect_after`] times the next indexed
+//! has repeated [`DETECT_AFTER`] times the next indexed
 //! matching pass is *recorded* into a [`Compiled`] schedule — a
 //! send↔recv pairing pinned to arrival/post **positions** plus the planned
 //! chunk per pair. Subsequent slices validate the input with the same
@@ -40,19 +40,9 @@
 use crate::match_index::{RecvSel, SendKey};
 use mpi_api::message::{SrcSel, TagSel};
 
-/// Knobs of the pattern detector (`BcsConfig::sched_compile`).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SchedCompileCfg {
-    /// Consecutive identical slice fingerprints required before the next
-    /// matching pass is recorded into a compiled schedule.
-    pub detect_after: u32,
-}
-
-impl Default for SchedCompileCfg {
-    fn default() -> Self {
-        SchedCompileCfg { detect_after: 3 }
-    }
-}
+/// Consecutive identical slice fingerprints required before the next
+/// matching pass is recorded into a compiled schedule.
+pub const DETECT_AFTER: u32 = 3;
 
 /// Streaming 64-bit digest over the slice's descriptor shape: FNV-1a
 /// folded a whole word at a time, with a rotate so differences propagate
@@ -188,7 +178,7 @@ pub enum SliceAction {
     /// A compiled schedule matches the fingerprint: validate budgets and
     /// replay (fall back via [`Detector::replay_fallback`] if they don't).
     Replay,
-    /// The pattern has been stable for `detect_after` slices: run the
+    /// The pattern has been stable for [`DETECT_AFTER`] slices: run the
     /// indexed pass and record it ([`Detector::install`] /
     /// [`Detector::compile_failed`]).
     Compile,
@@ -208,7 +198,7 @@ pub struct Detector {
 
 impl Detector {
     /// Classify one eligible slice input by fingerprint.
-    pub fn observe(&mut self, fp: u64, detect_after: u32) -> SliceAction {
+    pub fn observe(&mut self, fp: u64) -> SliceAction {
         if let Some(c) = &self.compiled {
             if c.fingerprint == fp {
                 return SliceAction::Replay;
@@ -223,7 +213,7 @@ impl Detector {
             self.last_fp = fp;
             self.streak = 1;
         }
-        if self.streak >= detect_after {
+        if self.streak >= DETECT_AFTER {
             SliceAction::Compile
         } else {
             SliceAction::Indexed
@@ -239,9 +229,9 @@ impl Detector {
 
     /// The recorded pass was ineligible (unmatched arrival, zero-byte or
     /// chunked message, leftover receives). Reset the streak so the next
-    /// `detect_after` identical slices earn exactly one more attempt —
+    /// [`DETECT_AFTER`] identical slices earn exactly one more attempt —
     /// a structurally uncompilable pattern costs one recording pass per
-    /// `detect_after` slices, not one per slice.
+    /// [`DETECT_AFTER`] slices, not one per slice.
     pub fn compile_failed(&mut self) {
         self.streak = 0;
     }
@@ -284,15 +274,22 @@ mod tests {
         b.finish()
     }
 
+    /// `DETECT_AFTER - 1` slices of `fp` run the indexed pass, the next
+    /// one records.
+    fn streak_to_compile(d: &mut Detector, fp: u64) {
+        for _ in 1..DETECT_AFTER {
+            assert_eq!(d.observe(fp), SliceAction::Indexed);
+        }
+        assert_eq!(d.observe(fp), SliceAction::Compile);
+    }
+
     #[test]
     fn detector_compiles_after_k_identical_slices_and_replays() {
         let mut d = Detector::default();
         let a = fp(&[1, 2, 3]);
-        assert_eq!(d.observe(a, 3), SliceAction::Indexed);
-        assert_eq!(d.observe(a, 3), SliceAction::Indexed);
-        assert_eq!(d.observe(a, 3), SliceAction::Compile);
+        streak_to_compile(&mut d, a);
         d.install(Compiled::new(a, vec![]));
-        assert_eq!(d.observe(a, 3), SliceAction::Replay);
+        assert_eq!(d.observe(a), SliceAction::Replay);
         d.replayed();
         assert_eq!(d.stats.compiled, 1);
         assert_eq!(d.stats.replays, 1);
@@ -303,40 +300,35 @@ mod tests {
         let mut d = Detector::default();
         let (a, b) = (fp(&[7]), fp(&[8]));
         assert_ne!(a, b);
-        for _ in 0..2 {
-            d.observe(a, 2);
-        }
+        streak_to_compile(&mut d, a);
         d.install(Compiled::new(a, vec![]));
         // A different slice shape drops the schedule and restarts the streak.
-        assert_eq!(d.observe(b, 2), SliceAction::Indexed);
+        streak_to_compile(&mut d, b);
         assert_eq!(d.stats.invalidations, 1);
         assert!(d.compiled().is_none());
-        assert_eq!(d.observe(b, 2), SliceAction::Compile);
     }
 
     #[test]
     fn failed_compilation_backs_off_a_full_streak() {
         let mut d = Detector::default();
         let a = fp(&[9]);
-        d.observe(a, 2);
-        assert_eq!(d.observe(a, 2), SliceAction::Compile);
+        streak_to_compile(&mut d, a);
         d.compile_failed();
         // One full streak before the next attempt, not an attempt per slice.
-        assert_eq!(d.observe(a, 2), SliceAction::Indexed);
-        assert_eq!(d.observe(a, 2), SliceAction::Compile);
+        streak_to_compile(&mut d, a);
     }
 
     #[test]
     fn invalidate_resets_learned_state_and_counts_lost_schedules() {
         let mut d = Detector::default();
         let a = fp(&[4]);
-        d.observe(a, 1);
+        streak_to_compile(&mut d, a);
         d.install(Compiled::new(a, vec![]));
         d.invalidate();
         assert_eq!(d.stats.invalidations, 1);
         d.invalidate(); // idempotent: nothing left to lose
         assert_eq!(d.stats.invalidations, 1);
-        assert_eq!(d.observe(a, 1), SliceAction::Compile);
+        streak_to_compile(&mut d, a);
     }
 
     #[test]

@@ -117,14 +117,15 @@ fn run_pattern(cfg: BcsConfig, p: &Pattern) -> RunResult<u64, BcsMpi> {
 }
 
 fn cfg_with(fabric: FabricKind, compile: bool, coalesce: bool) -> BcsConfig {
-    let mut cfg = BcsConfig::default();
-    cfg.fabric = fabric;
-    cfg.sched_compile = if compile { Some(Default::default()) } else { None };
-    cfg.coalesce = if coalesce { Some(Default::default()) } else { None };
-    // Checkpoint every few slices so the digest log actually samples the
-    // mid-run protocol state the replay path touches.
-    cfg.checkpoint_every = Some(3);
-    cfg
+    BcsConfig {
+        fabric,
+        sched_compile: compile,
+        coalesce,
+        // Checkpoint every few slices so the digest log actually samples
+        // the mid-run protocol state the replay path touches.
+        checkpoint_every: Some(3),
+        ..BcsConfig::default()
+    }
 }
 
 /// Everything an observer could compare between two runs: per-rank results,

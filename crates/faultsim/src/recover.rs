@@ -43,10 +43,6 @@ pub struct RecoveryCfg {
     /// [`RecoveryCfg::new`]). The run records responses, so every
     /// checkpoint boundary captures a restorable image.
     pub bcs: BcsConfig,
-    /// Heartbeat strobe period. Detection is bounded by two periods: a node
-    /// that dies right after acking beat `b` is caught at beat `b + 2` at
-    /// the latest.
-    pub heartbeat_period: SimDuration,
     /// Restarts allowed before the machine aborts.
     pub max_restarts: usize,
     /// Virtual-time horizon of every segment (see `Job::horizon`).
@@ -56,18 +52,25 @@ pub struct RecoveryCfg {
 impl RecoveryCfg {
     /// Recovery-ready configuration: enables restorable images every
     /// `checkpoint_every` slices, arms the default retry policy for the
-    /// data channel, and strobes heartbeats every 4 slices.
+    /// data channel, and strobes heartbeats every 4 slices
+    /// ([`RecoveryCfg::heartbeat_period`]).
     pub fn new(mut bcs: BcsConfig, checkpoint_every: u64) -> RecoveryCfg {
         bcs.checkpoint_every = Some(checkpoint_every);
         if bcs.retry.is_none() {
             bcs.retry = Some(bcs_core::retry::RetryPolicy::default());
         }
         RecoveryCfg {
-            heartbeat_period: bcs.timeslice * 4,
             bcs,
             max_restarts: 8,
             horizon: SimDuration::secs(60),
         }
+    }
+
+    /// Heartbeat strobe period: four slices. Detection is bounded by two
+    /// periods: a node that dies right after acking beat `b` is caught at
+    /// beat `b + 2` at the latest.
+    pub fn heartbeat_period(&self) -> SimDuration {
+        self.bcs.timeslice * 4
     }
 }
 
@@ -161,7 +164,7 @@ where
         .horizon(cfg.horizon)
         .setup(|w, sim| {
             w.set_recording(true);
-            inject(w, sim, &plan.crashes, plan, cfg.heartbeat_period, SimTime::ZERO);
+            inject(w, sim, &plan.crashes, plan, cfg.heartbeat_period(), SimTime::ZERO);
         })
         .start(&program);
 
@@ -242,7 +245,7 @@ where
             let job = Job::new(engine, layout.clone())
                 .horizon(cfg.horizon)
                 .resume_from(&img.rt, bcs_mpi::resume_from_boundary)
-                .setup(|w, sim| inject(w, sim, &remaining, plan, cfg.heartbeat_period, img.captured_at));
+                .setup(|w, sim| inject(w, sim, &remaining, plan, cfg.heartbeat_period(), img.captured_at));
             match live {
                 Some(live) => job.ranks(live),
                 None => job,

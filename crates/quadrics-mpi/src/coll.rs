@@ -27,7 +27,7 @@
 //! by per-rank invocation counters — MPI's "same order on all ranks" rule
 //! makes the counters line up.
 
-use crate::engine::QuadricsMpi;
+use crate::engine::{HEADER_BYTES, QuadricsMpi, REDUCE_NS_PER_BYTE};
 use mpi_api::call::MpiResp;
 use mpi_api::coll_sched::{self, CollAlgo, EdgePut, NodeHook, SchedCache};
 use mpi_api::comm::{CommId, RoundCounters};
@@ -163,7 +163,7 @@ impl CollManager {
         if rank == root_world {
             let payload = data.expect("bcast root must supply data");
             let plen = payload.len() as u64;
-            let bytes = plen + w.engine.cfg.header_bytes;
+            let bytes = plen + HEADER_BYTES;
             {
                 let round = w.engine.coll.rounds.get_mut(&key).unwrap();
                 round.payload = Some(payload);
@@ -386,7 +386,7 @@ impl CollManager {
     fn return_leg_time(w: &mut QW, size: usize, bytes: usize) -> SimDuration {
         match w.engine.cfg.coll_algo {
             CollAlgo::HwMulticast => {
-                let (net, wire) = (&w.engine.cfg.net, bytes as u64 + w.engine.cfg.header_bytes);
+                let (net, wire) = (&w.engine.cfg.net, bytes as u64 + HEADER_BYTES);
                 let levels = w.engine.fabric.net().topology().levels();
                 net.mcast_latency(size, levels) + net.mcast_tx_time(wire)
             }
@@ -413,12 +413,12 @@ impl CollManager {
         };
         let cfg = &w.engine.cfg;
         let combine_ns = if combine {
-            SimDuration::nanos((payload as f64 * cfg.reduce_ns_per_byte) as u64)
+            SimDuration::nanos(payload * REDUCE_NS_PER_BYTE)
         } else {
             SimDuration::ZERO
         };
         let levels = w.engine.fabric.net().topology().levels();
-        let wire = payload + cfg.header_bytes;
+        let wire = payload + HEADER_BYTES;
         coll_sched::tree_time(&cfg.net, levels, wire, combine_ns, cfg.net.host_overhead, stages)
     }
 }
@@ -437,7 +437,7 @@ impl EdgePut<QW> for HeaderPut {
         bytes: u64,
         landed: impl Fn(&mut QW, &mut Sim<QW>) + 'static,
     ) {
-        let wire = bytes + w.engine.cfg.header_bytes;
+        let wire = bytes + HEADER_BYTES;
         w.engine.fabric.put(sim, from, to, wire, landed);
     }
 }

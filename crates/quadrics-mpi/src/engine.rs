@@ -21,19 +21,20 @@ use std::collections::BTreeMap;
 
 type QW = ClusterWorld<QuadricsMpi>;
 
-/// Tuning knobs of the baseline.
+/// Messages up to this size (bytes) use the eager protocol.
+pub(crate) const EAGER_THRESHOLD: usize = 32 * 1024;
+/// Wire header per message.
+pub(crate) const HEADER_BYTES: u64 = 64;
+/// Host-side combine cost per byte for the software reduce tree.
+pub(crate) const REDUCE_NS_PER_BYTE: u64 = 1;
+
+/// Tuning knobs of the baseline: the values some run sets.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuadricsConfig {
     pub net: NetModel,
     /// Which interconnect implementation carries the wire traffic (see
     /// `BcsConfig::fabric`).
     pub fabric: FabricKind,
-    /// Messages up to this size (bytes) use the eager protocol.
-    pub eager_threshold: usize,
-    /// Wire header per message.
-    pub header_bytes: u64,
-    /// Host-side combine cost per byte for the software reduce tree.
-    pub reduce_ns_per_byte: f64,
     /// Wire algorithm for broadcast and the result-return legs of
     /// allreduce/allgatherv (see `BcsConfig::coll_algo`); values are
     /// bit-identical across all three.
@@ -47,9 +48,6 @@ impl Default for QuadricsConfig {
         QuadricsConfig {
             net: NetModel::qsnet(),
             fabric: FabricKind::QsNet,
-            eager_threshold: 32 * 1024,
-            header_bytes: 64,
-            reduce_ns_per_byte: 1.0,
             coll_algo: mpi_api::coll_sched::CollAlgo::HwMulticast,
             noise: None,
         }
@@ -171,10 +169,10 @@ impl QuadricsMpi {
         let req = e.reqs.post(rank, ReqKind::Send, sim.now());
         let overhead = e.cfg.net.host_overhead;
 
-        if data.len() <= e.cfg.eager_threshold {
+        if data.len() <= EAGER_THRESHOLD {
             // Eager: inject now, complete locally.
             e.stats.eager_msgs += 1;
-            let wire = data.len() as u64 + e.cfg.header_bytes;
+            let wire = data.len() as u64 + HEADER_BYTES;
             Self::send_envelope(w, sim, env, wire, move |w, sim| {
                 QuadricsMpi::arrive_message(w, sim, env, Wire::Eager(data));
                 drain(w, sim);
@@ -196,7 +194,7 @@ impl QuadricsMpi {
             // Rendezvous: park the payload, send RTS.
             e.stats.rndv_msgs += 1;
             e.reqs.req_mut(req).data = Some(data);
-            let hdr = e.cfg.header_bytes;
+            let hdr = HEADER_BYTES;
             Self::send_envelope(w, sim, env, hdr, move |w, sim| {
                 QuadricsMpi::arrive_message(w, sim, env, Wire::Rts { send_req: req });
                 drain(w, sim);
@@ -275,7 +273,7 @@ impl QuadricsMpi {
         env: Envelope,
     ) {
         let e = &mut w.engine;
-        let hdr = e.cfg.header_bytes;
+        let hdr = HEADER_BYTES;
         let (src_node, dst_node) = (e.node_of(env.src), e.node_of(env.dst));
         // CTS control message from receiver to sender.
         e.fabric.put(sim, dst_node, src_node, hdr, move |w, sim| {
@@ -286,7 +284,7 @@ impl QuadricsMpi {
                 .data
                 .take()
                 .expect("rendezvous payload already taken");
-            let wire = data.len() as u64 + e.cfg.header_bytes;
+            let wire = data.len() as u64 + HEADER_BYTES;
             let (src_node, dst_node) = (e.node_of(env.src), e.node_of(env.dst));
             e.fabric.put(sim, src_node, dst_node, wire, move |w, sim| {
                 // Sender completes at data departure ~ delivery (bulk DMA).
@@ -453,7 +451,7 @@ mod tests {
     #[test]
     fn config_defaults_sane() {
         let c = QuadricsConfig::default();
-        assert_eq!(c.eager_threshold, 32 * 1024);
+        assert_eq!(EAGER_THRESHOLD, 32 * 1024);
         assert!(c.noise.is_none());
         assert_eq!(c.net.name, "QsNet");
     }

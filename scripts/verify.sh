@@ -4,8 +4,10 @@
 #      plus the semantic rules D08 layering / D09 protocol exhaustiveness /
 #      D10 panic paths / D11 nondeterminism taint, see DESIGN.md sections
 #      10 and 15) — zero unwaived findings, no stale or reason-less
-#      waivers, the total waiver count pinned at 8 (growing it is a reviewed
-#      act: bump --max-waivers here with the new waiver's justification),
+#      waivers, the total waiver count pinned at 4 (detlint's parallel read
+#      and self-timing, proplite's case-count knob, the float derivation of
+#      BcsConfig::p2p_budget; growing it is a reviewed act: bump
+#      --max-waivers here with the new waiver's justification),
 #      a well-formed reports/detlint.json, the layer-DAG/call-graph dump
 #      in reports/detlint_graph.dot, and detlint self-hosting (its own
 #      sources are part of the scanned tree); then the line budget: no
@@ -96,7 +98,7 @@ export CARGO_NET_OFFLINE=true
 export RUSTFLAGS="${RUSTFLAGS:-} -D warnings"
 
 echo "== detlint: determinism & safety lints (D01-D11) -> reports/detlint.json + detlint_graph.dot"
-cargo run --release -q -p detlint -- --graph dot --max-waivers 8
+cargo run --release -q -p detlint -- --graph dot --max-waivers 4
 [ -s reports/detlint.json ] || { echo "verify: missing reports/detlint.json" >&2; exit 1; }
 [ -s reports/detlint_graph.dot ] || { echo "verify: missing reports/detlint_graph.dot" >&2; exit 1; }
 cargo run --release -q -p detlint -- --quiet --check-json reports/detlint.json \

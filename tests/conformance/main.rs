@@ -48,8 +48,8 @@ pub fn cells() -> Vec<RunSpec> {
                     cells.push(RunSpec::from(BcsConfig {
                         fabric,
                         coll_algo,
-                        sched_compile: sched.then(Default::default),
-                        coalesce: coalesce.then(Default::default),
+                        sched_compile: sched,
+                        coalesce,
                         ..BcsConfig::default()
                     }));
                 }
@@ -157,8 +157,8 @@ proplite! {
                     let bcs = BcsConfig {
                         fabric,
                         coll_algo,
-                        coalesce: coalesce.then(Default::default),
-                        sched_compile: sched.then(Default::default),
+                        coalesce,
+                        sched_compile: sched,
                         ..BcsConfig::default()
                     };
                     let rc = RecoveryCfg::new(bcs, 2);
@@ -275,7 +275,7 @@ fn every_cell_reproduces_the_golden_table() {
 /// stops reaching one fails here, not silently.
 #[test]
 fn the_generator_reaches_every_path() {
-    let cell = RunSpec::from(BcsConfig { coalesce: Some(Default::default()), ..BcsConfig::default() });
+    let cell = RunSpec::from(BcsConfig { coalesce: true, ..BcsConfig::default() });
     let progs = fixed_progs();
     let (mut compiled, mut replays, mut blocks, mut gathers, mut chunked) = (0, 0, 0, 0, 0);
     for p in &progs {

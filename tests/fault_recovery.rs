@@ -216,7 +216,7 @@ fn silent_node_is_detected_within_the_epoch_bound() {
     // Epoch bound: a node that dies right after acking a strobe is caught
     // by the second following beat; the Compare-And-Write completes within
     // a slice of that.
-    let bound = rc.heartbeat_period * 2 + rc.bcs.timeslice;
+    let bound = rc.heartbeat_period() * 2 + rc.bcs.timeslice;
     assert!(
         lat <= bound,
         "detection took {} (bound {})",
