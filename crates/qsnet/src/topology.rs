@@ -51,6 +51,11 @@ impl NodeSet {
             Some(run) => (run.contains(&node.0).then(|| node.0 - run.start), None),
             None => (None, Some(self.nodes.iter().enumerate())),
         };
+        #[cfg(debug_assertions)]
+        if self.run_from.is_some() {
+            let listed: Vec<usize> = (0..self.nodes.len()).filter(|&i| self.nodes[i] == node).collect();
+            assert_eq!(hit.as_slice(), listed, "the run answers {node:?} unlike its member list");
+        }
         let scan = scan.into_iter().flatten().filter(move |&(_, &d)| d == node).map(|(i, _)| i);
         hit.into_iter().chain(scan)
     }

@@ -88,6 +88,10 @@
 # Steps 4 to 7 write their CSVs to a temporary directory: nothing under
 # reports/ is rewritten except detlint's two files.
 #
+# Not run here: scripts/mutants.sh, the opt-in mutation check, puts each
+# mutant of scripts/mutants.txt into a scratch copy of the tree and lists
+# the ones its named test lets through.
+#
 # Any compile warning in any workspace crate is a failure (-D warnings).
 set -euo pipefail
 cd "$(dirname "$0")/.."
