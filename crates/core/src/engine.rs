@@ -7,16 +7,16 @@
 //! real work happens in the NIC-thread state machines of `protocol.rs`,
 //! `p2p.rs` and `coll.rs`.
 
-use crate::coll::{CollKind, CollState, post_collective};
+use crate::coll::{CollState, post_collective};
 use crate::p2p::MsgId;
 use bcs_core::BcsCluster;
 use mpi_api::call::{MpiResp, ReqId};
 use mpi_api::comm::{CommId, CommRegistry};
-use mpi_api::datatype::{Datatype, ReduceOp};
 use mpi_api::message::{SrcSel, Status, TagSel};
 use mpi_api::noise::{NoiseConfig, NoiseModel};
 use mpi_api::payload::Payload;
 use mpi_api::request::{ReqKind, ReqTable, Wake};
+use mpi_api::round::CollCall;
 use mpi_api::runtime::{ClusterWorld, Engine, JobLayout, Protocol};
 use qsnet::{FabricKind, NetModel, NodeId};
 use simcore::chunklog::ChunkLog;
@@ -458,27 +458,8 @@ impl Protocol for BcsMpi {
         self.blocked[rank] = Some(Blocked::Probe { src, tag });
     }
 
-    fn barrier(w: &mut BW, _: &mut Sim<BW>, rank: usize, comm: CommId) {
-        post_collective(w, rank, comm, CollKind::Barrier, 0, None, None)
-    }
-    fn bcast(w: &mut BW, _: &mut Sim<BW>, rank: usize, comm: CommId, root: usize, data: Option<Payload>) {
-        post_collective(w, rank, comm, CollKind::Bcast, root, data, None)
-    }
-    fn reduce(
-        w: &mut BW,
-        _: &mut Sim<BW>,
-        rank: usize,
-        comm: CommId,
-        root: usize,
-        op: ReduceOp,
-        dtype: Datatype,
-        data: Payload,
-        all: bool,
-    ) {
-        post_collective(w, rank, comm, CollKind::Reduce { all }, root, Some(data), Some((op, dtype)))
-    }
-    fn allgatherv(w: &mut BW, _: &mut Sim<BW>, rank: usize, comm: CommId, data: Payload) {
-        post_collective(w, rank, comm, CollKind::Allgather, 0, Some(data), None)
+    fn collective(w: &mut BW, _: &mut Sim<BW>, rank: usize, comm: CommId, call: CollCall) {
+        post_collective(w, rank, comm, call)
     }
     fn comm_split(w: &mut BW, _: &mut Sim<BW>, rank: usize, parent: CommId, color: i64, key: i64) {
         crate::coll::post_comm_split(w, rank, parent, color, key)

@@ -88,7 +88,7 @@ fn d08_layering(rel: &str, parsed: &ParsedFile, out: &mut Vec<Finding>) {
 /// the build at every match site, because a silently-swallowed variant is
 /// a silently-divergent replay.
 pub const PROTOCOL_ENUMS: &[&str] =
-    &["MpiCall", "MpiResp", "FabricKind", "CollAlgo"];
+    &["MpiCall", "MpiResp", "FabricKind", "CollAlgo", "CollKind"];
 
 fn d09_applies(rel: &str) -> bool {
     !matches!(crate_of(rel), "bench" | "detlint" | "proplite")
@@ -145,11 +145,12 @@ fn d09_exhaustiveness(rel: &str, parsed: &ParsedFile, out: &mut Vec<Finding>) {
 
 /// Modules where an unexpected panic corrupts a slice mid-flight or kills
 /// a recovery that was the last line of defense: the BCS p2p and
-/// collective engines, the collective executors both engines run,
-/// faultsim's restore path, and the rank-program VM step loop.
+/// collective engines, the collective round and executors both engines
+/// run, faultsim's restore path, and the rank-program VM step loop.
 pub const D10_FILES: &[&str] = &[
     "crates/core/src/p2p.rs",
     "crates/core/src/coll.rs",
+    "crates/mpi-api/src/round.rs",
     "crates/mpi-api/src/coll_sched/exec.rs",
     "crates/faultsim/src/recover.rs",
     "crates/simcore/src/vm.rs",

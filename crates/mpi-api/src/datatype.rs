@@ -128,11 +128,6 @@ impl ReduceBuf {
         ReduceBuf { bytes: Vec::new(), len: 0, filled: vec![false; members], count: 0 }
     }
 
-    /// Whether communicator rank `slot` has contributed.
-    pub fn has(&self, slot: usize) -> bool {
-        self.filled[slot]
-    }
-
     /// Copy communicator rank `slot`'s contribution into its slot.
     ///
     /// # Panics
@@ -195,18 +190,6 @@ fn per_slot_fold(
         combine(op, dtype, &mut acc, &slot);
     }
     acc
-}
-
-/// What an open collective round holds of its members' data, on both
-/// engines: a barrier nothing, a broadcast the root's payload, a reduce every
-/// member's bytes in one flat buffer, an allgather every member's part
-/// (handed out by reference).
-#[derive(Clone, Debug)]
-pub enum RoundData {
-    Barrier,
-    Bcast(Option<Payload>),
-    Reduce(ReduceBuf),
-    Allgather(Vec<Option<Payload>>),
 }
 
 /// Identity element of `op` for `dtype`, used to seed reduction trees.
@@ -360,9 +343,7 @@ mod tests {
     fn a_reduce_buffer_folds_in_rank_order_whatever_the_arrival_order() {
         let mut buf = ReduceBuf::new(3);
         for (slot, x) in [(2, 1e16), (0, 1.0), (1, 1.0)] {
-            assert!(!buf.has(slot));
             buf.put(slot, &to_bytes_f64(&[x, slot as f64]));
-            assert!(buf.has(slot));
         }
         // (1 + 1) + 1e16 is 1e16 + 2 in binary64; 1 + 1e16 ties to even
         // and rounds down, so the descending fold would give 1e16.

@@ -23,6 +23,8 @@
 //!   retire) both engines run on `simcore`'s dense id-ordered
 //!   [`simcore::IdTable`];
 //! * [`payload`] — refcounted message buffers;
+//! * [`round`] — a collective round's value plane: its kinds, the join
+//!   and its mismatch checks, the close and each member's response;
 //! * [`coll_sched`] — the collective wire layer: algorithm selection, round
 //!   schedules, the broadcast executors and the analytic tree time;
 //! * [`runtime`] — the engine seam: an MPI implementation provides its
@@ -44,6 +46,7 @@ pub mod message;
 pub mod noise;
 pub mod payload;
 pub mod request;
+pub mod round;
 pub mod runtime;
 
 pub use call::{MpiCall, MpiResp, ReqId};

@@ -34,10 +34,10 @@ pub use record::{Delivery, LiveRanks, RuntimeImage};
 pub use world::{BatchState, ClusterWorld, drain, resume_at, resume_req_at};
 
 use crate::comm::CommId;
-use crate::datatype::{Datatype, ReduceOp};
 use crate::message::{SrcSel, Status, TagSel};
 use crate::payload::Payload;
 use crate::request::ReqTable;
+use crate::round::CollCall;
 use qsnet::NodeId;
 use simcore::{Sim, SimDuration};
 
@@ -129,21 +129,10 @@ pub trait Protocol: Sized + 'static {
     fn compute(w: &mut W<Self>, sim: &mut S<Self>, rank: usize, ns: u64);
     fn post_send(w: &mut W<Self>, sim: &mut S<Self>, rank: usize, dest: usize, tag: i32, data: Payload, blocking: bool);
     fn post_recv(w: &mut W<Self>, sim: &mut S<Self>, rank: usize, src: SrcSel, tag: TagSel, blocking: bool);
-    fn barrier(w: &mut W<Self>, sim: &mut S<Self>, rank: usize, comm: CommId);
-    fn bcast(w: &mut W<Self>, sim: &mut S<Self>, rank: usize, comm: CommId, root: usize, data: Option<Payload>);
-    #[allow(clippy::too_many_arguments)]
-    fn reduce(
-        w: &mut W<Self>,
-        sim: &mut S<Self>,
-        rank: usize,
-        comm: CommId,
-        root: usize,
-        op: ReduceOp,
-        dtype: Datatype,
-        data: Payload,
-        all: bool,
-    );
-    fn allgatherv(w: &mut W<Self>, sim: &mut S<Self>, rank: usize, comm: CommId, data: Payload);
+    /// A barrier, broadcast, reduce or allgather: join `rank`'s round of
+    /// `call`'s kind on `comm` ([`crate::round::Round::join`]) and answer
+    /// with the closed round's response for it.
+    fn collective(w: &mut W<Self>, sim: &mut S<Self>, rank: usize, comm: CommId, call: CollCall);
     fn comm_split(w: &mut W<Self>, sim: &mut S<Self>, rank: usize, parent: CommId, color: i64, key: i64);
 }
 

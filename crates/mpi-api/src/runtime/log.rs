@@ -242,6 +242,73 @@ fn result<'a>(
     (data, status(words))
 }
 
+/// Read one record off `words` as [`decode`] does and check that it is
+/// `resp` delivered to `rank` in logged form: each stamped payload a hollow
+/// reference to its send, the form a restore compares
+/// (`ClusterWorld::step_recorded`). It compares as it reads, allocating
+/// nothing, so the count-based allocation tests hold in debug builds.
+#[cfg(debug_assertions)]
+fn assert_reads_back<'a>(words: &mut impl Iterator<Item = &'a Word>, rank: u32, resp: &MpiResp) {
+    let Some(&Word::Head(logged, kind, arg)) = words.next() else {
+        panic!("replay log: a record does not start with a head");
+    };
+    let result = |words: &mut _, data: &Option<Payload>, status: &Option<Status>| {
+        reads_payload(words, data.as_ref()) && reads_status(words, status)
+    };
+    let n = arg as usize;
+    let same = logged == rank
+        && match (kind, resp) {
+            (Kind::Ok, MpiResp::Ok)
+            | (Kind::TestPending, MpiResp::TestDone { result: None })
+            | (Kind::TestallPending, MpiResp::TestallDone { results: None }) => true,
+            (Kind::Time, MpiResp::Time(x)) | (Kind::Req, MpiResp::Req(ReqId(x))) => arg == *x,
+            (Kind::Data, MpiResp::Data(p)) => reads_payload(words, Some(p)),
+            (Kind::RootData, MpiResp::RootData(p)) => reads_payload(words, p.as_ref()),
+            (Kind::Gathered, MpiResp::Gathered { parts }) => {
+                n == parts.len() && parts.iter().all(|p| reads_payload(words, Some(p)))
+            }
+            (Kind::WaitDone, MpiResp::WaitDone { data, status })
+            | (Kind::TestDone, MpiResp::TestDone { result: Some((data, status)) }) => result(words, data, status),
+            (Kind::WaitallDone, MpiResp::WaitallDone { results })
+            | (Kind::TestallDone, MpiResp::TestallDone { results: Some(results) }) => {
+                n == results.len() && results.iter().all(|(data, status)| result(words, data, status))
+            }
+            (Kind::ProbeDone, MpiResp::ProbeDone { status }) => reads_status(words, status),
+            (Kind::CommSplitDone, MpiResp::CommSplitDone { handle }) => match (words.next(), handle) {
+                (Some(Word::Handle(logged)), Some(h)) => **logged == *h,
+                (Some(Word::Absent), None) => true,
+                _ => false,
+            },
+            (Kind::Batch, MpiResp::Batch { resps }) if n == resps.len() => {
+                resps.iter().for_each(|r| assert_reads_back(words, rank, r));
+                true
+            }
+            (kind, resp) => panic!("replay log: {resp:?} logged as a {kind:?} record of {n}"),
+        };
+    assert!(same, "replay log: {resp:?} to rank {rank} does not read back from its record");
+}
+
+#[cfg(debug_assertions)]
+fn reads_payload<'a>(words: &mut impl Iterator<Item = &'a Word>, p: Option<&Payload>) -> bool {
+    match (words.next(), p) {
+        (Some(Word::Absent), None) => true,
+        (Some(&Word::Hollow(rank, ordinal)), Some(p)) => p.origin() == Some(Origin { rank, ordinal }),
+        (Some(Word::Value(logged)), Some(p)) => p.origin().is_none() && logged == p,
+        _ => false,
+    }
+}
+
+#[cfg(debug_assertions)]
+fn reads_status<'a>(words: &mut impl Iterator<Item = &'a Word>, status: &Option<Status>) -> bool {
+    match (words.next(), status) {
+        (Some(Word::Absent), None) => true,
+        (Some(&Word::Status(source, tag)), Some(s)) => {
+            (source as usize, tag) == (s.source, s.tag) && matches!(words.next(), Some(&Word::Count(b)) if b as usize == s.bytes)
+        }
+        _ => false,
+    }
+}
+
 /// The live log: the word stream and the deliveries it records.
 pub(super) struct LiveLog {
     words: ChunkLog<Word>,
@@ -259,10 +326,16 @@ impl LiveLog {
     }
 
     /// Log `resp`, delivered to `rank`; returns the payload bytes kept by
-    /// value.
+    /// value. Debug builds read the record back and check that it gives
+    /// `resp` in logged form.
     pub(super) fn push(&mut self, rank: usize, resp: &MpiResp) -> u64 {
         self.deliveries += 1;
-        encode(rank, resp, &mut |w| self.words.push(w))
+        #[cfg(debug_assertions)]
+        let at = self.words.unsealed().len();
+        let kept = encode(rank, resp, &mut |w| self.words.push(w));
+        #[cfg(debug_assertions)]
+        assert_reads_back(&mut self.words.unsealed()[at..].iter(), narrow(rank), resp);
+        kept
     }
 
     /// Words appended since the last snapshot.

@@ -99,16 +99,7 @@ impl Protocol for NullEngine {
     fn park_probe(&mut self, _: usize, _: SrcSel, _: TagSel) {
         unimplemented!()
     }
-    fn barrier(_: &mut NW, _: &mut Sim<NW>, _: usize, _: CommId) {
-        unimplemented!()
-    }
-    fn bcast(_: &mut NW, _: &mut Sim<NW>, _: usize, _: CommId, _: usize, _: Option<Payload>) {
-        unimplemented!()
-    }
-    fn reduce(_: &mut NW, _: &mut Sim<NW>, _: usize, _: CommId, _: usize, _: ReduceOp, _: Datatype, _: Payload, _: bool) {
-        unimplemented!()
-    }
-    fn allgatherv(_: &mut NW, _: &mut Sim<NW>, _: usize, _: CommId, _: Payload) {
+    fn collective(_: &mut NW, _: &mut Sim<NW>, _: usize, _: CommId, _: CollCall) {
         unimplemented!()
     }
     fn comm_split(_: &mut NW, _: &mut Sim<NW>, _: usize, _: CommId, _: i64, _: i64) {

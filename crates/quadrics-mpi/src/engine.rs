@@ -9,11 +9,11 @@
 use crate::coll::CollManager;
 use mpi_api::call::{MpiResp, ReqId};
 use mpi_api::comm::{CommId, CommRegistry};
-use mpi_api::datatype::{Datatype, ReduceOp};
 use mpi_api::message::{Envelope, SrcSel, Status, TagSel, match_first};
 use mpi_api::noise::{NoiseConfig, NoiseModel};
 use mpi_api::payload::Payload;
 use mpi_api::request::{ReqKind, ReqTable};
+use mpi_api::round::CollCall;
 use mpi_api::runtime::{ClusterWorld, Engine, JobLayout, Protocol, drain, resume_at};
 use qsnet::{Fabric, FabricKind, NetModel, NodeId};
 use simcore::{Sim, SimDuration, SimTime};
@@ -417,27 +417,8 @@ impl Protocol for QuadricsMpi {
         self.ranks[rank].probing = Some((src, tag));
     }
 
-    fn barrier(w: &mut QW, sim: &mut Sim<QW>, rank: usize, comm: CommId) {
-        CollManager::barrier(w, sim, rank, comm)
-    }
-    fn bcast(w: &mut QW, sim: &mut Sim<QW>, rank: usize, comm: CommId, root: usize, data: Option<Payload>) {
-        CollManager::bcast(w, sim, rank, comm, root, data)
-    }
-    fn reduce(
-        w: &mut QW,
-        sim: &mut Sim<QW>,
-        rank: usize,
-        comm: CommId,
-        root: usize,
-        op: ReduceOp,
-        dtype: Datatype,
-        data: Payload,
-        all: bool,
-    ) {
-        CollManager::reduce(w, sim, rank, comm, root, op, dtype, data, all)
-    }
-    fn allgatherv(w: &mut QW, sim: &mut Sim<QW>, rank: usize, comm: CommId, data: Payload) {
-        CollManager::allgatherv(w, sim, rank, comm, data)
+    fn collective(w: &mut QW, sim: &mut Sim<QW>, rank: usize, comm: CommId, call: CollCall) {
+        CollManager::post(w, sim, rank, comm, call)
     }
     fn comm_split(w: &mut QW, sim: &mut Sim<QW>, rank: usize, parent: CommId, color: i64, key: i64) {
         CollManager::comm_split(w, sim, rank, parent, color, key)

@@ -1,8 +1,9 @@
 //! What the generator does not reach, stated once and run on both engines:
 //! wildcard source *and* tag, test and iprobe, sendrecv, one-rank jobs,
 //! zero-length and composed collectives, communicator splits, the 62-rank
-//! machine; request misuse, which must end in the shared lifecycle
-//! diagnostic; and the application kernels, each on a cell of its own.
+//! machine; request and collective misuse, each of which must end in one
+//! diagnostic on both engines; and the application kernels, each on a cell
+//! of its own.
 
 use super::cells;
 use bcs_repro::apps::npb::{cg, ep, ft, is, lu, mg};
@@ -217,6 +218,48 @@ fn request_misuse_is_diagnosed_on_both_engines() {
             let Err(err) = catch_unwind(AssertUnwindSafe(run)) else { panic!("{spec}, misuse {case}: not diagnosed") };
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains(who) && msg.contains(what), "{spec}, misuse {case}: {msg}");
+        }
+    }
+}
+
+/// Collective misuse `case`: rank 0 opens a round at t = 0 and rank 1 joins
+/// it a millisecond later with a call that differs in kind (a reduce
+/// against an allreduce, which share a round), root, operator or element
+/// type.
+async fn collective_misuse(mut mpi: AsyncMpi, case: usize) {
+    let me = mpi.rank();
+    if me == 1 {
+        mpi.compute(SimDuration::millis(1)).await;
+    }
+    let data = [0u8; 8];
+    match (case, me) {
+        (0, 0) => drop(mpi.reduce(0, ReduceOp::Sum, Datatype::F64, &data).await),
+        (0, _) => drop(mpi.allreduce(ReduceOp::Sum, Datatype::F64, &data).await),
+        (1, _) => drop(mpi.bcast(me, Some(&data)).await),
+        (2, _) => drop(mpi.allreduce([ReduceOp::Sum, ReduceOp::Max][me], Datatype::F64, &data).await),
+        _ => drop(mpi.allreduce(ReduceOp::Sum, [Datatype::F64, Datatype::I64][me], &data).await),
+    }
+}
+
+/// A member whose collective differs from the round it joins ends the run
+/// in one diagnostic on both engines — rank, call, virtual time and what
+/// differs — never in a hang or a result. Calls of kinds with different
+/// slots (a barrier against a bcast) never meet in one round: that stays a
+/// deadlock report, and is not a row here.
+#[test]
+fn collective_misuse_is_diagnosed_on_both_engines() {
+    let diagnostics = [
+        ("rank 1 called allreduce at t=", "a mismatched collective: kind allreduce where the round it joins has reduce"),
+        ("rank 1 called bcast at t=", "a mismatched collective: root 1 where the round it joins has 0"),
+        ("rank 1 called allreduce at t=", "a mismatched collective: op Max where the round it joins has Sum"),
+        ("rank 1 called allreduce at t=", "a mismatched collective: dtype I64 where the round it joins has F64"),
+    ];
+    for (case, (who, what)) in diagnostics.into_iter().enumerate() {
+        for spec in [RunSpec::bcs(), RunSpec::quadrics()] {
+            let run = || run_app(&spec, JobLayout::new(2, 1, 2), move |mpi: AsyncMpi| collective_misuse(mpi, case));
+            let Err(err) = catch_unwind(AssertUnwindSafe(run)) else { panic!("{spec}, collective misuse {case}: not diagnosed") };
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains(who) && msg.contains(what), "{spec}, collective misuse {case}: {msg}");
         }
     }
 }
