@@ -8,7 +8,8 @@
 # DIR holds the copy and its cargo target directory (default
 # ${TMPDIR:-/tmp}/bcs-mutants); the working tree is never written. The copy
 # is of the tracked and untracked, not ignored, files as they are now, so
-# uncommitted changes are checked too. Each mutant is built and tested in
+# uncommitted changes are checked too (a tracked file deleted from the
+# working tree is left out). Each mutant is built and tested in
 # debug, where the shadow checks are compiled in. Exits 0 when every mutant
 # is caught, 1 when one survives, no longer applies or does not build.
 set -euo pipefail
@@ -20,7 +21,9 @@ export CARGO_NET_OFFLINE=true
 export CARGO_TARGET_DIR="$work/target"
 rm -rf "$tree"
 mkdir -p "$tree"
-git ls-files -z -co --exclude-standard | tar --null -T - -cf - | tar -xf - -C "$tree"
+git ls-files -z -co --exclude-standard |
+    while IFS= read -r -d '' f; do if [ -e "$f" ]; then printf '%s\0' "$f"; fi; done |
+    tar --null -T - -cf - | tar -xf - -C "$tree"
 
 failed=()
 name= file= test=
