@@ -18,12 +18,18 @@
 //!
 //! This crate implements those semantics on the simulated fabric:
 //! [`BcsCluster`] holds per-node *global words* (the global variables) and
-//! *event words* (Elan-style counting events with waiters), and drives the
-//! multicast/conditional transports of whichever `Box<dyn Fabric<W>>` it was
-//! built over (traffic counters and fault injection are the fabric's
-//! `net()`). Sequential consistency of `Xfer-And-Signal` and
-//! `Compare-And-Write` follows from the fabric's ordering clock, which every
-//! set of timing rules acquires for its collective wire operations.
+//! drives the multicast/conditional transports of whichever
+//! `Box<dyn Fabric<W>>` it was built over (traffic counters and fault
+//! injection are the fabric's `net()`). Sequential consistency of
+//! `Xfer-And-Signal` and `Compare-And-Write` follows from the fabric's
+//! ordering clock, which every set of timing rules acquires for its
+//! collective wire operations.
+//!
+//! No event state is kept. A NIC thread that would block in `Test-Event`
+//! is a continuation run at the instant the event would be signalled:
+//! `xfer_and_signal`'s delivery hook (remote events) or the completion
+//! instant it returns (local events), the closure a fabric `put` or `get`
+//! runs when its payload lands, and a `compare_and_write` continuation.
 //!
 //! Higher layers own the simulation world `W` and embed a `BcsCluster<W>` in
 //! it; the [`BcsWorld`] accessor trait lets deferred completions find the
@@ -34,9 +40,7 @@ pub mod retry;
 
 use qsnet::{Fabric, NodeId};
 use simcore::{Sim, SimTime};
-use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
-use std::rc::Rc;
 
 /// Accessor implemented by every simulation world that embeds a BCS cluster.
 pub trait BcsWorld: Sized + 'static {
@@ -53,9 +57,6 @@ pub trait BcsHost<W> {
 /// Address of a global variable: the same "virtual address" designates one
 /// word on every node (paper §2, semantics point 1).
 pub type GlobalWord = u32;
-
-/// Address of a local event word.
-pub type EventWord = u32;
 
 /// Comparison operator of `Compare-And-Write`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,37 +97,14 @@ pub use qsnet::fabric::{DeliverFn, Reached};
 
 /// Options of one `Xfer-And-Signal` invocation.
 pub struct XsOpts<W> {
-    /// Event signalled on each destination node at its delivery instant.
-    pub remote_event: Option<EventWord>,
-    /// Event signalled on the source node once all deliveries completed.
-    pub local_event: Option<EventWord>,
-    /// Arbitrary delivery action, run before `remote_event` is signalled
-    /// on the same destinations.
+    /// Delivery action: the remote event's waiter, run on the destinations
+    /// at their delivery instant.
     pub on_deliver: Option<DeliverFn<W>>,
 }
 
 impl<W> Default for XsOpts<W> {
     fn default() -> Self {
-        XsOpts {
-            remote_event: None,
-            local_event: None,
-            on_deliver: None,
-        }
-    }
-}
-
-struct EventState<W> {
-    pending: u32,
-    /// Parked continuations, woken in park order.
-    waiters: VecDeque<Box<dyn FnOnce(&mut W, &mut Sim<W>)>>,
-}
-
-impl<W> Default for EventState<W> {
-    fn default() -> Self {
-        EventState {
-            pending: 0,
-            waiters: VecDeque::new(),
-        }
+        XsOpts { on_deliver: None }
     }
 }
 
@@ -143,18 +121,15 @@ struct WordColumn {
     vals: Vec<i64>,
 }
 
-/// Control-memory state of the whole cluster at a quiescent instant: the
-/// global-word columns and every node's pending (unconsumed) event counts,
-/// in a deterministic order. Captured only when no event *waiters* are
-/// parked — a closure cannot be checkpointed — which holds at BCS slice
-/// boundaries.
+/// Control-memory state of the whole cluster: the global-word columns, in
+/// ascending address order, and the machine size they were taken on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WordsSnapshot {
+    nodes: usize,
     words: Vec<WordColumn>,
-    pending_rows: Vec<Vec<(EventWord, u32)>>,
 }
 
-/// The BCS abstract machine: global words + events on every node, over the
+/// The BCS abstract machine: global words on every node, over the
 /// simulated fabric.
 pub struct BcsCluster<W: 'static> {
     pub fabric: Box<dyn Fabric<W>>,
@@ -162,71 +137,30 @@ pub struct BcsCluster<W: 'static> {
     pub retry: retry::RetryState,
     /// Global words, one column per written address, ascending address.
     words: Vec<WordColumn>,
-    /// Event words, per node.
-    events: Vec<BTreeMap<EventWord, EventState<W>>>,
 }
 
 impl<W: BcsWorld> BcsCluster<W> {
     pub fn new(fabric: Box<dyn Fabric<W>>) -> BcsCluster<W> {
-        let n = fabric.net().nodes();
         BcsCluster {
             fabric,
             retry: retry::RetryState::default(),
             words: Vec::new(),
-            events: (0..n).map(|_| BTreeMap::new()).collect(),
         }
     }
 
-    pub fn nodes(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Capture the global words and every node's pending event counts.
-    /// Panics if any event waiter is parked: waiters are continuations and
-    /// cannot survive a checkpoint — callers must capture at quiescent
-    /// points only (slice boundaries in BCS-MPI).
+    /// Capture the global words.
     pub fn snapshot_words(&self) -> WordsSnapshot {
-        let pending_rows = self
-            .events
-            .iter()
-            .enumerate()
-            .map(|(i, events)| {
-                events
-                    .iter()
-                    .inspect(|(ev, st)| {
-                        assert!(
-                            st.waiters.is_empty(),
-                            "snapshot_words with parked waiter on node {i} event {ev}"
-                        );
-                    })
-                    .filter(|(_, st)| st.pending > 0)
-                    .map(|(&ev, st)| (ev, st.pending))
-                    .collect()
-            })
-            .collect();
         WordsSnapshot {
+            nodes: self.fabric.net().nodes(),
             words: self.words.clone(),
-            pending_rows,
         }
     }
 
-    /// Restore global words and pending event counts from a snapshot,
-    /// discarding all current control-memory state.
+    /// Restore the global words from a snapshot of a machine of the same
+    /// size, discarding every word written since.
     pub fn restore_words(&mut self, s: &WordsSnapshot) {
-        assert_eq!(s.pending_rows.len(), self.events.len(), "snapshot node count");
+        assert_eq!(s.nodes, self.fabric.net().nodes(), "snapshot node count");
         self.words.clone_from(&s.words);
-        for (events, ps) in self.events.iter_mut().zip(&s.pending_rows) {
-            events.clear();
-            for &(ev, pending) in ps {
-                events.insert(
-                    ev,
-                    EventState {
-                        pending,
-                        waiters: VecDeque::new(),
-                    },
-                );
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -245,7 +179,7 @@ impl<W: BcsWorld> BcsCluster<W> {
         let i = match self.words.binary_search_by_key(&addr, |c| c.addr) {
             Ok(i) => i,
             Err(i) => {
-                let vals = vec![0; self.events.len()];
+                let vals = vec![0; self.fabric.net().nodes()];
                 self.words.insert(i, WordColumn { addr, vals });
                 i
             }
@@ -286,57 +220,12 @@ impl<W: BcsWorld> BcsCluster<W> {
     }
 
     // ------------------------------------------------------------------
-    // Test-Event (and local signalling)
-    // ------------------------------------------------------------------
-
-    /// Signal an event on a node: wakes one waiter if present, otherwise
-    /// increments the pending count (Elan events are counters).
-    pub fn signal_event(w: &mut W, sim: &mut Sim<W>, node: NodeId, ev: EventWord) {
-        let st = w.bcs().events[node.0].entry(ev).or_default();
-        if let Some(waiter) = st.waiters.pop_front() {
-            waiter(w, sim);
-        } else {
-            st.pending += 1;
-        }
-    }
-
-    /// Non-blocking `Test-Event`: returns true (consuming one signal) if the
-    /// event has been signalled.
-    pub fn test_event(&mut self, node: NodeId, ev: EventWord) -> bool {
-        let st = self.events[node.0].entry(ev).or_default();
-        if st.pending > 0 {
-            st.pending -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Blocking `Test-Event`: run `cont` as soon as the event is signalled
-    /// (immediately if a signal is already pending).
-    pub fn wait_event(
-        w: &mut W,
-        sim: &mut Sim<W>,
-        node: NodeId,
-        ev: EventWord,
-        cont: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
-    ) {
-        let st = w.bcs().events[node.0].entry(ev).or_default();
-        if st.pending > 0 {
-            st.pending -= 1;
-            cont(w, sim);
-        } else {
-            st.waiters.push_back(Box::new(cont));
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Xfer-And-Signal
     // ------------------------------------------------------------------
 
-    /// Atomic PUT of `bytes` from `src` to every node in `dests`, with
-    /// optional event signalling and a delivery hook.
-    /// Returns the completion time (last delivery).
+    /// Atomic PUT of `bytes` from `src` to every node in `dests`, with an
+    /// optional delivery hook. Returns the completion time (last delivery):
+    /// the instant the source's local event would be signalled.
     ///
     /// `dests` is a borrowed list (copied if the operation is a multicast)
     /// or a [`NodeSet`] the multicast shares with its delivery hook.
@@ -349,48 +238,23 @@ impl<W: BcsWorld> BcsCluster<W> {
         opts: XsOpts<W>,
     ) -> SimTime {
         assert!(!dests.as_nodes().is_empty(), "Xfer-And-Signal with empty destination set");
-        let remote_event = opts.remote_event;
-        let user_deliver = opts.on_deliver;
-        let on_deliver: Option<DeliverFn<W>> = match remote_event {
-            None => user_deliver,
-            Some(ev) => Some(Rc::new(move |w: &mut W, sim: &mut Sim<W>, reached: Reached<'_>| {
-                if let Some(cb) = &user_deliver {
-                    cb(w, sim, reached);
-                }
-                for d in reached.nodes() {
-                    BcsCluster::signal_event(w, sim, d, ev);
-                }
-            })),
-        };
-        let local_event = opts.local_event;
-        let on_complete = move |w: &mut W, sim: &mut Sim<W>| {
-            if let Some(ev) = local_event {
-                BcsCluster::signal_event(w, sim, src, ev);
-            }
-        };
-
         let unicast = match *dests.as_nodes() {
             [d] if d != src => Some(d),
             _ => None,
         };
-        if let Some(d) = unicast {
-            // Single destination: plain unicast DMA.
-            if on_deliver.is_none() && local_event.is_none() {
-                // An event that does nothing is not scheduled (DESIGN §9):
-                // the transfer is issued and accounted, and the caller has
-                // the instant.
-                return w.bcs().fabric.issue_put(sim.now(), src, d, bytes).0;
+        match (unicast, opts.on_deliver) {
+            // Single destination: plain unicast DMA. An event that does
+            // nothing is not scheduled (DESIGN §9): the transfer is issued
+            // and accounted, and the caller has the instant.
+            (Some(d), None) => w.bcs().fabric.issue_put(sim.now(), src, d, bytes).0,
+            (Some(d), Some(cb)) => w.bcs().fabric.put(sim, src, d, bytes, move |w, sim| {
+                cb(w, sim, Reached::one(&d))
+            }),
+            (None, on_deliver) => {
+                w.bcs()
+                    .fabric
+                    .multicast(sim, src, dests, bytes, on_deliver, |_, _| {})
             }
-            w.bcs().fabric.put(sim, src, d, bytes, move |w, sim| {
-                if let Some(cb) = &on_deliver {
-                    cb(w, sim, Reached::one(&d));
-                }
-                on_complete(w, sim);
-            })
-        } else {
-            w.bcs()
-                .fabric
-                .multicast(sim, src, dests, bytes, on_deliver, on_complete)
         }
     }
 
@@ -452,6 +316,7 @@ mod tests {
     use super::*;
     use qsnet::{NetModel, QsNetFabric};
     use simcore::SimDuration;
+    use std::rc::Rc;
 
     struct TestWorld {
         bcs: BcsCluster<TestWorld>,
@@ -476,33 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn xfer_and_signal_signals_remote_and_local_events() {
-        let (mut w, mut sim) = setup(8);
-        let dests: Vec<NodeId> = (1..8).map(NodeId).collect();
-        BcsCluster::xfer_and_signal(
-            &mut w,
-            &mut sim,
-            NodeId(0),
-            &dests,
-            256,
-            XsOpts {
-                remote_event: Some(7),
-                local_event: Some(9),
-                on_deliver: Some(Rc::new(|w: &mut TestWorld, s: &mut Sim<TestWorld>, ds: Reached<'_>| {
-                    w.log.extend(ds.nodes().map(|d| (s.now().0, format!("deliver@{d}"))));
-                })),
-            },
-        );
-        sim.run(&mut w);
-        assert_eq!(w.log.len(), 7);
-        for d in 1..8 {
-            assert!(w.bcs.test_event(NodeId(d), 7), "remote event missing on n{d}");
-            assert!(!w.bcs.test_event(NodeId(d), 7), "event should be consumed");
-        }
-        assert!(w.bcs.test_event(NodeId(0), 9), "local completion event missing");
-    }
-
-    #[test]
     fn xfer_and_signal_unicast_path() {
         let (mut w, mut sim) = setup(4);
         let t = BcsCluster::xfer_and_signal(
@@ -512,67 +350,24 @@ mod tests {
             &[NodeId(3)],
             64,
             XsOpts {
-                remote_event: Some(1),
-                ..Default::default()
+                on_deliver: Some(Rc::new(
+                    |w: &mut TestWorld, s: &mut Sim<TestWorld>, ds: Reached<'_>| {
+                        w.log
+                            .extend(ds.nodes().map(|d| (s.now().0, format!("deliver@{d}"))));
+                    },
+                )),
             },
         );
         sim.run(&mut w);
-        assert!(w.bcs.test_event(NodeId(3), 1));
+        assert_eq!(
+            w.log,
+            [(t.0, "deliver@n3".to_string())],
+            "one delivery, at the returned instant"
+        );
         // Unicast should not pay the multicast/root serialization.
         assert!(t.since(SimTime::ZERO) < SimDuration::micros(5));
         assert_eq!(w.bcs.fabric.net().stats().puts, 1);
         assert_eq!(w.bcs.fabric.net().stats().multicasts, 0);
-    }
-
-    #[test]
-    fn wait_event_fires_immediately_when_pending() {
-        let (mut w, mut sim) = setup(2);
-        BcsCluster::signal_event(&mut w, &mut sim, NodeId(1), 3);
-        BcsCluster::wait_event(&mut w, &mut sim, NodeId(1), 3, |w, s| {
-            w.log.push((s.now().0, "woke".into()));
-        });
-        assert_eq!(w.log.len(), 1, "pending signal should satisfy wait at once");
-    }
-
-    #[test]
-    fn wait_event_blocks_until_signal() {
-        let (mut w, mut sim) = setup(2);
-        BcsCluster::wait_event(&mut w, &mut sim, NodeId(0), 5, |w, s| {
-            w.log.push((s.now().0, "woke".into()));
-        });
-        assert!(w.log.is_empty());
-        // Remote signal via Xfer-And-Signal.
-        BcsCluster::xfer_and_signal(
-            &mut w,
-            &mut sim,
-            NodeId(1),
-            &[NodeId(0)],
-            64,
-            XsOpts {
-                remote_event: Some(5),
-                ..Default::default()
-            },
-        );
-        sim.run(&mut w);
-        assert_eq!(w.log.len(), 1);
-        assert!(w.log[0].0 > 0, "wake must happen at delivery time");
-    }
-
-    #[test]
-    fn waiters_on_one_event_wake_in_park_order() {
-        let (mut w, mut sim) = setup(2);
-        for name in ["first", "second", "third"] {
-            BcsCluster::wait_event(&mut w, &mut sim, NodeId(1), 4, move |w, s| {
-                w.log.push((s.now().0, name.into()));
-            });
-        }
-        for woken in 1..=3 {
-            BcsCluster::signal_event(&mut w, &mut sim, NodeId(1), 4);
-            assert_eq!(w.log.len(), woken, "one waiter per signal");
-        }
-        let order: Vec<&str> = w.log.iter().map(|(_, name)| name.as_str()).collect();
-        assert_eq!(order, ["first", "second", "third"]);
-        assert!(!w.bcs.test_event(NodeId(1), 4), "every signal went to a waiter");
     }
 
     #[test]
@@ -696,24 +491,18 @@ mod tests {
 
     #[test]
     fn words_snapshot_round_trips() {
-        let (mut w, mut sim) = setup(3);
+        let (mut w, _sim) = setup(3);
         w.bcs.set_word(NodeId(0), 5, 42);
         w.bcs.add_word(NodeId(2), 7, -3);
-        BcsCluster::signal_event(&mut w, &mut sim, NodeId(1), 9);
-        BcsCluster::signal_event(&mut w, &mut sim, NodeId(1), 9);
         let snap = w.bcs.snapshot_words();
         // Mutate everything, then restore.
         w.bcs.set_word(NodeId(0), 5, 0);
         w.bcs.set_word(NodeId(1), 99, 1);
-        assert!(w.bcs.test_event(NodeId(1), 9));
         w.bcs.restore_words(&snap);
         assert_eq!(w.bcs.snapshot_words(), snap);
         assert_eq!(w.bcs.word(NodeId(0), 5), 42);
         assert_eq!(w.bcs.word(NodeId(2), 7), -3);
         assert_eq!(w.bcs.word(NodeId(1), 99), 0, "post-snapshot write discarded");
-        assert!(w.bcs.test_event(NodeId(1), 9));
-        assert!(w.bcs.test_event(NodeId(1), 9));
-        assert!(!w.bcs.test_event(NodeId(1), 9), "pending count restored exactly");
     }
 
     #[test]

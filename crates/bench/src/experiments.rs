@@ -867,7 +867,8 @@ pub fn ablation_chunk_exp(quick: bool, wire: Wire) -> Experiment {
             PointOut::new(vec![out.results[1]], vec![])
         })
     };
-    let budget = wire.bcs_cfg().p2p_budget();
+    let cfg = wire.bcs_cfg();
+    let (budget, link_mb_s) = (cfg.p2p_budget(), cfg.net.link_bw / 1e6);
     let mut points: Vec<PointFn> = Vec::new();
     for &sz in sizes {
         points.push(measure(wire.bcs(), sz));
@@ -890,7 +891,7 @@ pub fn ablation_chunk_exp(quick: bool, wire: Wire) -> Experiment {
                     vec![
                         format!("{b:.0} MB/s"),
                         format!("{q:.0} MB/s"),
-                        format!("{:.0}%", b / 320.0 * 100.0),
+                        format!("{:.0}%", b / link_mb_s * 100.0),
                         if sz as u64 > budget { "chunked".into() } else { "single slice".into() },
                     ],
                 );

@@ -580,11 +580,7 @@ fn bcast_leg(
                 node,
                 group.nodes().clone(),
                 payload_bytes + DESC_BYTES,
-                bcs_core::XsOpts {
-                    remote_event: None,
-                    local_event: None,
-                    on_deliver: Some(per_instant),
-                },
+                bcs_core::XsOpts { on_deliver: Some(per_instant) },
             );
             // The leg ends when the multicast completes (last delivery);
             // deliveries were scheduled earlier at the same instants, so

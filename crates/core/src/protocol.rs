@@ -157,11 +157,7 @@ fn strobe_phase(w: &mut BW, sim: &mut Sim<BW>, slice: u64, phase: u32) {
         mgmt,
         job_nodes,
         DESC_BYTES,
-        XsOpts {
-            remote_event: None,
-            local_event: None,
-            on_deliver: Some(on_deliver),
-        },
+        XsOpts { on_deliver: Some(on_deliver) },
     );
     // First completion check after one poll interval.
     sim.schedule_in(POLL_INTERVAL, move |w: &mut BW, sim| {

@@ -3,7 +3,7 @@
 //! The engine-backed primitives (point-to-point, probe/test/wait, barrier,
 //! bcast, reduce/allreduce) each cross to the engine as one [`MpiCall`].
 //! Following the paper's Appendix A, the remaining collectives —
-//! scatter(v), gather(v), allgather(v), alltoall(v) — are *composed*
+//! scatterv, gatherv, allgather(v), alltoall(v) — are *composed*
 //! (beside the engine collectives, in the `coll` submodule) from
 //! non-blocking point-to-point plus waitall, identically for both
 //! engines ("the point-to-point primitives and the basic collective
@@ -13,7 +13,7 @@
 //! Send data crosses to the engine as a [`Payload`]. The methods that take
 //! `&[u8]` copy it once on the way in; everything that already owns its
 //! bytes passes them on as they are — the typed helpers the `Vec` they just
-//! encoded, `allgatherv*` one shared buffer for all peers, and
+//! encoded, `allgatherv` one shared buffer for all peers, and
 //! [`AsyncMpi::isend_desc`] whatever `Into<Payload>` the program hands it,
 //! so a buffer kept as a `Payload` is posted by reference count. Receive
 //! data comes back the same way: every receive returns the `Payload` the
@@ -443,11 +443,5 @@ impl AsyncMpi {
     /// Blocking receive of a typed `f64` slice from an exact source.
     pub async fn recv_f64(&mut self, src: usize, tag: i32) -> Vec<f64> {
         datatype::from_bytes_f64(&self.recv_from(src, tag).await)
-    }
-
-    /// Non-blocking send of a typed `f64` slice.
-    pub async fn isend_f64(&mut self, dest: usize, tag: i32, xs: &[f64]) -> ReqId {
-        self.check_send("isend", dest, tag);
-        self.isend_internal(dest, tag, datatype::to_bytes_f64(xs).into()).await
     }
 }

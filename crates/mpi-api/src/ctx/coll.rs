@@ -176,16 +176,9 @@ impl AsyncMpi {
             .await
     }
 
-    /// MPI_Allgatherv over a sub-communicator (indexed by communicator rank).
-    pub async fn allgatherv_on(&mut self, comm: &CommHandle, data: &[u8]) -> Vec<Vec<u8>> {
-        let shared: Payload = data.into();
-        self.exchange(comm.size(), comm.rank, |i| comm.world_rank(i), data.to_vec(), |_| shared.clone())
-            .await
-    }
-
     /// MPI_Allgatherv as a single engine collective: gathered on the NIC
     /// and broadcast back under the active collective algorithm, instead of
-    /// the point-to-point composition of [`AsyncMpi::allgatherv_on`].
+    /// the point-to-point composition of [`AsyncMpi::allgatherv`].
     /// Returns every member's contribution by communicator rank.
     pub async fn allgatherv_coll(&mut self, data: &[u8]) -> Vec<Payload> {
         self.allgatherv_coll_on_id(CommId::WORLD, data).await
@@ -287,18 +280,6 @@ impl AsyncMpi {
         }
     }
 
-    /// MPI_Scatter: equal-size chunks.
-    pub async fn scatter(&mut self, root: usize, chunks: Option<&[Vec<u8>]>) -> Vec<u8> {
-        if let Some(cs) = chunks {
-            let len0 = cs.first().map_or(0, |c| c.len());
-            assert!(
-                cs.iter().all(|c| c.len() == len0),
-                "scatter requires equal chunk sizes; use scatterv"
-            );
-        }
-        self.scatterv(root, chunks).await
-    }
-
     /// MPI_Gatherv: every rank contributes; the root receives all chunks in
     /// rank order.
     pub async fn gatherv(&mut self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
@@ -327,19 +308,6 @@ impl AsyncMpi {
             self.wait(req).await;
             None
         }
-    }
-
-    /// MPI_Gather (equal sizes enforced at the root).
-    pub async fn gather(&mut self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
-        let out = self.gatherv(root, data).await;
-        if let Some(chunks) = &out {
-            let len0 = chunks[0].len();
-            assert!(
-                chunks.iter().all(|c| c.len() == len0),
-                "gather requires equal contributions; use gatherv"
-            );
-        }
-        out
     }
 
     /// MPI_Allgatherv: every rank receives every contribution, in rank

@@ -15,7 +15,7 @@
 //!   of the paper's Appendix A;
 //! * [`ctx`] — [`ctx::AsyncMpi`], the handle rank programs use: blocking
 //!   and non-blocking point-to-point, barrier/bcast/reduce/allreduce
-//!   (engine primitives, NIC-level in BCS-MPI), and scatter(v)/gather(v)/
+//!   (engine primitives, NIC-level in BCS-MPI), and scatterv/gatherv/
 //!   allgather(v)/alltoall(v) composed on top of the primitives, exactly as
 //!   Appendix A prescribes ("the rest of them are built on top of those");
 //!   plus [`ctx::RankProgram`], a rank program as data;

@@ -162,12 +162,6 @@ impl Topology {
         2 * self.nca_level(a, b)
     }
 
-    /// Hops to reach the root from any leaf — the distance a hardware
-    /// multicast or network conditional must climb before fanning out.
-    pub fn hops_to_root(&self) -> u32 {
-        self.levels
-    }
-
     /// Maximum hops between any two nodes.
     pub fn diameter(&self) -> u32 {
         2 * self.levels
@@ -207,7 +201,6 @@ mod tests {
         // Opposite halves go through the root.
         assert_eq!(t.hops(NodeId(0), NodeId(31)), 6);
         assert_eq!(t.diameter(), 6);
-        assert_eq!(t.hops_to_root(), 3);
     }
 
     #[test]

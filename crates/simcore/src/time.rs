@@ -96,13 +96,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Construct from fractional microseconds (rounded to nearest ns).
-    #[inline]
-    pub fn micros_f64(us: f64) -> SimDuration {
-        debug_assert!(us >= 0.0);
-        SimDuration((us * 1_000.0).round() as u64)
-    }
-
     /// Construct from fractional seconds (rounded to nearest ns).
     #[inline]
     pub fn secs_f64(s: f64) -> SimDuration {
@@ -258,7 +251,6 @@ mod tests {
         assert_eq!(SimDuration::micros(1).as_nanos(), 1_000);
         assert_eq!(SimDuration::millis(1).as_nanos(), 1_000_000);
         assert_eq!(SimDuration::secs(1).as_nanos(), 1_000_000_000);
-        assert_eq!(SimDuration::micros_f64(1.5).as_nanos(), 1_500);
         assert_eq!(SimDuration::secs_f64(0.25).as_nanos(), 250_000_000);
     }
 

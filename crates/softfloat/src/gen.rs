@@ -99,11 +99,6 @@ macro_rules! softfloat_impl {
                 $name(self.0 ^ Self::SIGN_BIT)
             }
 
-            #[inline]
-            pub fn abs(self) -> $name {
-                $name(self.0 & !Self::SIGN_BIT)
-            }
-
             fn inf(sign: bool) -> $name {
                 Self::pack(sign, Self::EXP_MAX, 0)
             }

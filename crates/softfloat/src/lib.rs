@@ -24,6 +24,3 @@
 mod gen;
 
 pub use gen::{F32, F64};
-
-/// Ordering result of an IEEE comparison; `None` when unordered (NaN).
-pub type IeeeOrdering = Option<std::cmp::Ordering>;

@@ -139,11 +139,7 @@ fn beat<W: BcsWorld>(
         mgmt,
         &cfg.nodes,
         64,
-        XsOpts {
-            remote_event: None,
-            local_event: None,
-            on_deliver: Some(per_dest),
-        },
+        XsOpts { on_deliver: Some(per_dest) },
     );
     // Liveness check: all acks must have reached this beat's count.
     let m_chk = Rc::clone(&m);

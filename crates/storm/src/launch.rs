@@ -88,11 +88,7 @@ pub fn launch_job(
         mgmt,
         &nodes,
         image_bytes,
-        XsOpts {
-            remote_event: None,
-            local_event: None,
-            on_deliver: Some(per_dest),
-        },
+        XsOpts { on_deliver: Some(per_dest) },
     );
 
     // Step 3: poll the ready flag, then multicast "go".
