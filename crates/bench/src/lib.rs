@@ -10,6 +10,7 @@
 
 pub mod experiments;
 pub mod gate;
+pub mod measure;
 pub mod sweep;
 
 use std::fmt::Write as _;

@@ -50,23 +50,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Round this instant *up* to the next multiple of `quantum` (used for
-    /// slice-boundary alignment). An instant already on a boundary is
-    /// returned unchanged.
-    #[inline]
-    pub fn round_up(self, quantum: SimDuration) -> SimTime {
-        debug_assert!(quantum.0 > 0);
-        let q = quantum.0;
-        SimTime(self.0.div_ceil(q) * q)
-    }
-
-    /// Round this instant *down* to the previous multiple of `quantum`.
-    #[inline]
-    pub fn round_down(self, quantum: SimDuration) -> SimTime {
-        debug_assert!(quantum.0 > 0);
-        SimTime(self.0 / quantum.0 * quantum.0)
-    }
 }
 
 impl SimDuration {
@@ -262,16 +245,6 @@ mod tests {
         // since() saturates
         assert_eq!(SimTime::ZERO.since(t), SimDuration::ZERO);
         assert_eq!((t - SimDuration::micros(100)).as_nanos(), 400_000);
-    }
-
-    #[test]
-    fn round_up_to_slice_boundary() {
-        let slice = SimDuration::micros(500);
-        assert_eq!(SimTime(0).round_up(slice), SimTime(0));
-        assert_eq!(SimTime(1).round_up(slice), SimTime(500_000));
-        assert_eq!(SimTime(500_000).round_up(slice), SimTime(500_000));
-        assert_eq!(SimTime(500_001).round_up(slice), SimTime(1_000_000));
-        assert_eq!(SimTime(999_999).round_down(slice), SimTime(500_000));
     }
 
     #[test]

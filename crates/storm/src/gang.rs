@@ -28,18 +28,6 @@ pub struct JobProfile {
     pub steps: u64,
 }
 
-impl JobProfile {
-    /// Total CPU demand.
-    pub fn cpu_demand(&self) -> SimDuration {
-        self.compute * self.steps
-    }
-
-    /// Run time when executed alone (dedicated machine).
-    pub fn solo_runtime(&self) -> SimDuration {
-        (self.compute + self.blocked) * self.steps
-    }
-}
-
 /// Result of a gang-scheduled run.
 #[derive(Clone, Debug)]
 pub struct GangReport {
@@ -221,13 +209,6 @@ mod tests {
             blocked: SimDuration::millis(1),
             steps: 1000,
         }
-    }
-
-    #[test]
-    fn solo_runtime_matches_profile() {
-        let j = blocking_heavy();
-        assert_eq!(j.solo_runtime(), SimDuration::secs(2));
-        assert_eq!(j.cpu_demand(), SimDuration::secs(1));
     }
 
     #[test]

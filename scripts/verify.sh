@@ -12,7 +12,8 @@
 #      in reports/detlint_graph.dot, and detlint self-hosting (its own
 #      sources are part of the scanned tree); then the line budget: no
 #      file under crates/mpi-api/src/ or crates/quadrics-mpi/src/ over 600
-#      lines
+#      lines, and crates/bench/src/experiments.rs (the repro tables) not
+#      over 1300
 #   1. tier-1: cargo build --release && cargo test -q   (covers the whole
 #      workspace via workspace.default-members, the `repro` command line
 #      included: crates/bench/tests/cli.rs drives --fabric/--coll and the
@@ -112,7 +113,7 @@ cargo run --release -q -p detlint -- --quiet --check-json reports/detlint.json \
 grep -q "crates/detlint/src/main.rs" reports/detlint.json \
   || { echo "verify: detlint is not linting its own sources" >&2; exit 1; }
 
-echo "== line budget: no file under crates/mpi-api/src/ or crates/quadrics-mpi/src/ over 600 lines"
+echo "== line budget: no file under crates/mpi-api/src/ or crates/quadrics-mpi/src/ over 600 lines, experiments.rs not over 1300"
 # Every call and every response crosses mpi-api, so each host-time fast
 # path on that route was added to the runtime file: the replay tape, the
 # pending-resume slot and the answered-in-place checks took it past 1300
@@ -123,6 +124,11 @@ echo "== line budget: no file under crates/mpi-api/src/ or crates/quadrics-mpi/s
 # private copy growing back in quadrics-mpi shows here first.
 over="$(find crates/mpi-api/src crates/quadrics-mpi/src -name '*.rs' -print0 | xargs -0 wc -l | awk '$2 != "total" && $1 > 600')"
 [ -z "$over" ] || { echo "verify: over the 600-line budget of crates/mpi-api/src/ and crates/quadrics-mpi/src/:" >&2; echo "$over" >&2; exit 1; }
+# Every repro experiment is a table of rows built by one builder
+# (DESIGN.md section 5): an experiment that grows its own assembly, or a
+# run path of its own, shows here first.
+exp_lines="$(wc -l < crates/bench/src/experiments.rs)"
+[ "$exp_lines" -le 1300 ] || { echo "verify: crates/bench/src/experiments.rs is $exp_lines lines, over its 1300-line budget" >&2; exit 1; }
 
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
