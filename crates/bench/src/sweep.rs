@@ -27,7 +27,7 @@ use std::time::Instant;
 /// Raw output of one sweep point: float measurements plus exact integer
 /// words (virtual-time nanoseconds, counters, per-rank checksums).
 /// Points return *data*, never formatted strings — all formatting happens
-/// in the experiment's assemble step, in deterministic point order.
+/// after the sweep, when each experiment assembles its rows, in point order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PointOut {
     pub nums: Vec<f64>,
