@@ -1,6 +1,6 @@
-//! Collectives: barrier, broadcast (CH), reduce/allreduce (RH) and
-//! allgatherv, per §4.4 — extended with communicator (MPI group) support,
-//! the functionality §4.5 lists as the prototype's main limitation.
+//! Collectives: barrier, broadcast (CH) and reduce/allreduce (RH), per
+//! §4.4 — extended with communicator (MPI group) support, the
+//! functionality §4.5 lists as the prototype's main limitation.
 //!
 //! Every collective call posts a descriptor to the BR and blocks. The BR
 //! pre-processes descriptors: once all local ranks *of the communicator*
@@ -9,7 +9,7 @@
 //! node issues a `Compare-And-Write` query checking the flag on all member
 //! nodes; when it holds everywhere the operation is scheduled. The CH then
 //! performs broadcasts/barriers in the broadcast & barrier microphase, and
-//! the RH performs reduces (and allgathers) in the reduce microphase,
+//! the RH performs reduces in the reduce microphase,
 //! computing reductions **on the NIC** with the softfloat library (the
 //! Elan3 has no FPU).
 //!
@@ -64,7 +64,7 @@ use std::collections::btree_map::Entry;
 use std::rc::Rc;
 
 /// Word slots reserved per communicator (one per collective kind family).
-const SLOTS_PER_COMM: u32 = 4;
+const SLOTS_PER_COMM: u32 = 3;
 
 /// Global-word address of the flag for `(comm, slot)`. Word ids below
 /// [`crate::words::RESERVED`] belong to the protocol (`crate::words`); each
@@ -343,7 +343,7 @@ impl EdgePut<BW> for BcsEdge {
 struct GatherRun {
     order: Vec<NodeId>,
     bytes: u64,
-    /// NIC combine cost charged per received partial (zero for allgather).
+    /// NIC combine cost charged per received partial.
     combine: SimDuration,
     /// Children still outstanding per tree position.
     pending: RefCell<Vec<usize>>,
@@ -411,8 +411,6 @@ struct SchedGather {
     sched: Rc<RoundSchedule>,
     /// Payload bytes being moved (split into `sched.blocks` shares).
     bytes: u64,
-    /// Charge the NIC combine cost per received block.
-    combine: bool,
     on_done: DoneHook<BW>,
 }
 
@@ -443,12 +441,7 @@ fn sched_gather_round(w: &mut BW, sim: &mut Sim<BW>, run: Box<SchedGather>, r: u
             wire,
             bcs_core::XsOpts::default(),
         );
-        let extra = if run.combine {
-            reduce_delay(share)
-        } else {
-            SimDuration::ZERO
-        };
-        round_done = round_done.max(landed + extra);
+        round_done = round_done.max(landed + reduce_delay(share));
     }
     sim.schedule_at(round_done, move |w: &mut BW, sim: &mut Sim<BW>| {
         sched_gather_round(w, sim, run, r + 1);
@@ -460,9 +453,9 @@ fn sched_gather_round(w: &mut BW, sim: &mut Sim<BW>, run: Box<SchedGather>, r: u
 // ----------------------------------------------------------------------
 
 /// The scheduled rounds of the kinds in `slots` whose master lives on
-/// `node`: what its CH (barrier, broadcast) or RH (reduce, allgather) has to
-/// perform in the microphase now being strobed.
-fn rooted_rounds(e: &BcsMpi, node: NodeId, slots: [usize; 2]) -> impl Iterator<Item = RoundKey> + '_ {
+/// `node`: what its CH (barrier, broadcast) or RH (reduce) has to perform in
+/// the microphase now being strobed.
+fn rooted_rounds<'e>(e: &'e BcsMpi, node: NodeId, slots: &'static [usize]) -> impl Iterator<Item = RoundKey> + 'e {
     e.coll
         .rounds
         .iter()
@@ -472,15 +465,15 @@ fn rooted_rounds(e: &BcsMpi, node: NodeId, slots: [usize; 2]) -> impl Iterator<I
         .map(|(key, _)| *key)
 }
 
-const BBM_SLOTS: [usize; 2] = [0, 1];
-const RM_SLOTS: [usize; 2] = [2, 3];
+const BBM_SLOTS: &[usize] = &[0, 1];
+const RM_SLOTS: &[usize] = &[2];
 
 /// Whether `node`'s CH has a barrier or broadcast to perform.
 pub(crate) fn bbm_has_work(e: &BcsMpi, node: NodeId) -> bool {
     rooted_rounds(e, node, BBM_SLOTS).next().is_some()
 }
 
-/// Whether `node`'s RH has a reduce or allgather to perform.
+/// Whether `node`'s RH has a reduce or allreduce to perform.
 pub(crate) fn rm_has_work(e: &BcsMpi, node: NodeId) -> bool {
     rooted_rounds(e, node, RM_SLOTS).next().is_some()
 }
@@ -498,7 +491,7 @@ pub(crate) fn node_begin_bbm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
         match round.value.kind() {
             CollKind::Barrier => w.engine.stats.barriers += 1,
             CollKind::Bcast => w.engine.stats.bcasts += 1,
-            CollKind::Reduce { .. } | CollKind::Allgather => unreachable!("an RM round in the BBM"),
+            CollKind::Reduce { .. } => unreachable!("an RM round in the BBM"),
         }
         let group = Rc::clone(w.engine.comms.group(key.0));
         let root = group.members()[round.value.root()];
@@ -604,14 +597,13 @@ fn bcast_leg(
 }
 
 // ----------------------------------------------------------------------
-// RM: reduce & allgather (RH)
+// RM: reduce & allreduce (RH)
 // ----------------------------------------------------------------------
 
-/// RH work for one node: every scheduled reduce/allgather whose master
-/// lives here. Each round closes, then its RH gathers to the root and, for
-/// an allreduce or an allgather, broadcasts the result back — both legs
-/// under the active algorithm. The gather leg's wire model charges every
-/// edge the full result size (a stated upper bound; DESIGN §14).
+/// RH work for one node: every scheduled reduce whose master lives here.
+/// Each round closes, then its RH gathers to the root and, for an
+/// allreduce, broadcasts the result back — both legs under the active
+/// algorithm; every gather edge carries a partial of the result's size.
 // PANIC-OK: reduce/multicast rounds are installed before the strobe
 // schedules this phase; per-node tables are sized by the topology, and
 // `blocked` per rank at startup.
@@ -626,17 +618,10 @@ pub(crate) fn node_begin_rm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
             Entry::Occupied(round) => round.remove(),
             Entry::Vacant(_) => unreachable!("a rooted round is in the table"),
         });
-        let kind = round.value.kind();
-        let reduce = match kind {
-            CollKind::Reduce { .. } => true,
-            CollKind::Allgather => false,
-            CollKind::Barrier | CollKind::Bcast => unreachable!("a BBM round in the RM"),
+        let CollKind::Reduce { all } = round.value.kind() else {
+            unreachable!("a BBM round in the RM")
         };
-        if reduce {
-            w.engine.stats.reduces += 1;
-        } else {
-            w.engine.stats.allgathers += 1;
-        }
+        w.engine.stats.reduces += 1;
         let group = Rc::clone(w.engine.comms.group(key.0));
         let root = group.members()[round.value.root()];
         // RH combines partials with the NIC's softfloat arithmetic; the
@@ -645,16 +630,16 @@ pub(crate) fn node_begin_rm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
         let bytes = value.bytes();
 
         // What happens once the gather leg completes at the root.
-        let returns = kind != (CollKind::Reduce { all: false }) && group.nodes().len() > 1;
+        let returns = all && group.nodes().len() > 1;
         let finish: DoneHook<BW> = if returns {
-            // An allreduce or an allgather over several nodes: the RH
-            // broadcasts the result within the reduce microphase.
+            // An allreduce over several nodes: the RH broadcasts the result
+            // within the reduce microphase.
             let per_dest = restart_on(&group, root, value);
             let group = Rc::clone(&group);
             Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
                 bcast_leg(w, sim, node, &group, bytes as u64, per_dest, item_done(node));
             })
-        } else if reduce {
+        } else {
             // A plain reduce (result only on the root) or a one-node
             // allreduce: every member restarts the moment the gather
             // completes.
@@ -667,26 +652,17 @@ pub(crate) fn node_begin_rm(w: &mut BW, sim: &mut Sim<BW>, node: NodeId) {
                 crate::protocol::work_item_done(w, sim, node);
                 mpi_api::runtime::drain(w, sim);
             })
-        } else {
-            // A one-node allgather: its ranks restart the moment the gather
-            // completes.
-            let per_dest = restart_on(&group, root, value);
-            Box::new(move |w: &mut BW, sim: &mut Sim<BW>| {
-                per_dest(w, sim, node);
-                crate::protocol::work_item_done(w, sim, node);
-                mpi_api::runtime::drain(w, sim);
-            })
         };
 
-        run_gather_leg(w, sim, node, &group, bytes, reduce, finish);
+        run_gather_leg(w, sim, node, &group, bytes, finish);
     }
 }
 
-/// Run the gather leg of a reduction/allgather: `finish` fires at the
-/// instant the root holds the combined result.
+/// Run the gather leg of a reduction: `finish` fires at the instant the
+/// root holds the combined result.
 ///
 /// * `HwMulticast`: the paper's analytic ⌈log2 n⌉-stage binomial model —
-///   each stage pays latency + wire + (optional) NIC combine + descriptor
+///   each stage pays latency + wire + NIC combine + descriptor
 ///   processing.
 /// * `Binomial`: the explicit mirrored tree with real point-to-point DMAs.
 /// * `OptimalSchedule`: the reversed pipelined block schedule.
@@ -696,12 +672,11 @@ fn run_gather_leg(
     node: NodeId,
     group: &Group,
     bytes: usize,
-    combine: bool,
     finish: DoneHook<BW>,
 ) {
     let cfg = &w.engine.cfg;
     let wire = bytes as u64 + DESC_BYTES;
-    let combine_cost = if combine { reduce_delay(bytes as u64) } else { SimDuration::ZERO };
+    let combine_cost = reduce_delay(bytes as u64);
     match cfg.coll_algo {
         CollAlgo::HwMulticast => {
             let levels = w.engine.bcs.fabric.net().topology().levels();
@@ -716,7 +691,7 @@ fn run_gather_leg(
         CollAlgo::OptimalSchedule => {
             let order = group.nodes_from(node);
             let sched = w.engine.coll.scheds.table(order.len(), bytes as u64);
-            let run = SchedGather { order, sched, bytes: bytes as u64, combine, on_done: finish };
+            let run = SchedGather { order, sched, bytes: bytes as u64, on_done: finish };
             sched_gather_round(w, sim, Box::new(run), 0);
         }
     }
@@ -892,13 +867,12 @@ mod tests {
             CollKind::Bcast,
             CollKind::Reduce { all: false },
             CollKind::Reduce { all: true },
-            CollKind::Allgather,
         ];
         let mut slots = std::collections::BTreeSet::new();
         for k in kinds {
             assert!((k.slot() as u32) < SLOTS_PER_COMM);
             slots.insert(k.slot());
         }
-        assert_eq!(slots.len(), 4, "both reduce variants share a slot");
+        assert_eq!(slots.len(), 3, "both reduce variants share a slot");
     }
 }

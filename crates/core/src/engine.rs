@@ -147,6 +147,9 @@ pub struct BcsStats {
     pub barriers: u64,
     pub bcasts: u64,
     pub reduces: u64,
+    /// Always 0: MPI_Allgatherv is composed from point-to-point calls
+    /// (`AsyncMpi::allgatherv`), so the NIC runs no allgather round. Kept
+    /// because the `perf/` adapter sums it into its collective count.
     pub allgathers: u64,
     /// Slices whose work overran the nominal boundary (drift events).
     pub overruns: u64,

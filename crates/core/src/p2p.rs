@@ -90,7 +90,6 @@ pub(crate) struct RemoteSend {
 pub(crate) type XferSlot = u64;
 
 /// A matching descriptor: transfer in progress, owned by the receiving node.
-#[allow(dead_code)] // dst_rank kept for diagnostics/tracing
 #[derive(Clone, Debug)]
 pub(crate) struct MatchItem {
     pub msg: MsgId,

@@ -106,7 +106,6 @@ fn payloads(resp: &MpiResp) -> Vec<&Payload> {
         | MpiResp::TestallDone { results: None } => Vec::new(),
         MpiResp::Data(p) => vec![p],
         MpiResp::RootData(p) => p.iter().collect(),
-        MpiResp::Gathered { parts } => parts.iter().collect(),
         MpiResp::WaitDone { data, .. } => data.iter().collect(),
         MpiResp::WaitallDone { results: rs } | MpiResp::TestallDone { results: Some(rs) } => results(rs),
         MpiResp::TestDone { result: Some(r) } => results(std::slice::from_ref(r)),

@@ -115,11 +115,11 @@ fn run_scenario(cfg: BcsConfig, s: &Scenario) -> RunResult<u64, BcsMpi> {
             for v in mpi.allreduce_f64(s.op, &xs).await {
                 acc = acc.rotate_left(7) ^ v.to_bits();
             }
-            // Engine-level allgatherv with genuinely uneven contributions.
+            // Allgatherv with genuinely uneven contributions.
             let mine: Vec<u8> = (0..1 + (me * 7 + it) % 23)
                 .map(|i| (me * 13 + i) as u8)
                 .collect();
-            for (src, part) in mpi.allgatherv_coll(&mine).await.iter().enumerate() {
+            for (src, part) in mpi.allgatherv(&mine).await.iter().enumerate() {
                 acc = acc.wrapping_add((src as u64 + 1).wrapping_mul(1 + part.len() as u64));
                 for b in part.iter() {
                     acc = acc.wrapping_mul(31).wrapping_add(*b as u64);
@@ -135,7 +135,7 @@ fn run_scenario(cfg: BcsConfig, s: &Scenario) -> RunResult<u64, BcsMpi> {
                 for v in mpi.allreduce_f64_on(h, s.op, &xs).await {
                     acc = acc.rotate_left(3) ^ v.to_bits();
                 }
-                for part in mpi.allgatherv_coll_on(h, &mine).await {
+                for part in mpi.alltoallv_on(h, &vec![mine.clone(); h.size()]).await {
                     for &b in part.iter() {
                         acc = acc.wrapping_mul(27).wrapping_add(b as u64);
                     }
@@ -202,9 +202,9 @@ proplite! {
 }
 
 /// Collective-dense async workload for the recovery runs: the crash slice
-/// lands while barriers/reduces/allgathers are in flight, so the restore
-/// replays mid-collective protocol state (flag words, round maps, blocked
-/// ranks) from the checkpoint image.
+/// lands while barriers, reduces and allgatherv exchanges are in flight,
+/// so the restore replays mid-collective protocol state (flag words, round
+/// maps, blocked ranks) from the checkpoint image.
 async fn coll_program(mut mpi: AsyncMpi, iters: u64) -> u64 {
     let me = mpi.rank();
     let mut acc: u64 = (me as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -223,7 +223,7 @@ async fn coll_program(mut mpi: AsyncMpi, iters: u64) -> u64 {
             acc = acc.wrapping_mul(31).wrapping_add(*b as u64);
         }
         let mine: Vec<u8> = (0..1 + (me + it as usize) % 9).map(|i| (me + i) as u8).collect();
-        for part in mpi.allgatherv_coll(&mine).await {
+        for part in mpi.allgatherv(&mine).await {
             for &b in part.iter() {
                 acc = acc.wrapping_mul(29).wrapping_add(b as u64);
             }

@@ -86,12 +86,6 @@ pub enum MpiCall {
         data: Payload,
         all: bool,
     },
-    /// `MPI_Allgatherv` as an engine collective: every member contributes
-    /// its (arbitrarily sized) payload and every member receives all
-    /// contributions in ascending communicator-rank order. The engine runs
-    /// it as a gather + broadcast composition under the active
-    /// [`crate::coll_sched::CollAlgo`].
-    Allgatherv { comm: CommId, data: Payload },
     /// `MPI_Comm_split` over `parent` (a collective; `color < 0` =
     /// MPI_UNDEFINED).
     CommSplit {
@@ -127,9 +121,6 @@ pub enum MpiResp {
     Data(Payload),
     /// Reduce completion: payload only on the root.
     RootData(Option<Payload>),
-    /// Allgatherv completion: every member's contribution, in ascending
-    /// communicator-rank order.
-    Gathered { parts: Vec<Payload> },
     /// Wait completion: receive payload (None for sends) + status.
     WaitDone {
         data: Option<Payload>,
@@ -175,7 +166,6 @@ impl MpiCall {
             MpiCall::Bcast { .. } => "bcast",
             MpiCall::Reduce { all: false, .. } => "reduce",
             MpiCall::Reduce { all: true, .. } => "allreduce",
-            MpiCall::Allgatherv { .. } => "allgatherv",
             MpiCall::CommSplit { .. } => "comm_split",
             MpiCall::Batch { .. } => "batch",
         }
@@ -201,7 +191,6 @@ impl MpiCall {
             | MpiCall::Barrier { .. }
             | MpiCall::Bcast { .. }
             | MpiCall::Reduce { .. }
-            | MpiCall::Allgatherv { .. }
             | MpiCall::CommSplit { .. } => {}
         }
     }
@@ -279,13 +268,5 @@ mod tests {
             "allreduce"
         );
         assert_eq!(MpiCall::Barrier { comm: CommId::WORLD }.op_name(), "barrier");
-        assert_eq!(
-            MpiCall::Allgatherv {
-                comm: CommId::WORLD,
-                data: Payload::empty()
-            }
-            .op_name(),
-            "allgatherv"
-        );
     }
 }

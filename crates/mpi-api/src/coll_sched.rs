@@ -4,7 +4,7 @@
 //! ([`tree_time`]).
 //!
 //! Three algorithms cover every collective (barrier / bcast / reduce /
-//! allreduce / allgatherv):
+//! allreduce):
 //!
 //! * [`CollAlgo::HwMulticast`] — the fabric's native multicast primitive
 //!   (hardware on QsNet, the sequencer-emulated software tree on the

@@ -242,7 +242,7 @@ impl Group {
 /// open rounds by it. Dense, `[comm][comm_rank]`, like the registry's
 /// groups, and grown by the first call that reaches past the end.
 #[derive(Clone, Default)]
-pub struct RoundCounters(Vec<Vec<[u64; 4]>>);
+pub struct RoundCounters(Vec<Vec<[u64; 3]>>);
 
 impl RoundCounters {
     /// The round of kind `slot` that member `comm_rank` of `comm` enters
@@ -254,7 +254,7 @@ impl RoundCounters {
         }
         let row = &mut self.0[c];
         if row.len() <= comm_rank {
-            row.resize(comm_rank + 1, [0; 4]);
+            row.resize(comm_rank + 1, [0; 3]);
         }
         let id = row[comm_rank][slot];
         row[comm_rank][slot] += 1;

@@ -1,5 +1,5 @@
 //! The collectives of [`AsyncMpi`]: the engine primitives (barrier,
-//! bcast, reduce/allreduce, allgatherv, comm_split — NIC-level in BCS-MPI),
+//! bcast, reduce/allreduce, comm_split — NIC-level in BCS-MPI),
 //! each one [`MpiCall`], and the collectives composed from non-blocking
 //! point-to-point plus waitall, identically for both engines, as the
 //! paper's Appendix A prescribes.
@@ -174,32 +174,6 @@ impl AsyncMpi {
         let (n, me, own) = (comm.size(), comm.rank, chunks[comm.rank].clone());
         self.exchange(n, me, |i| comm.world_rank(i), own, |i| chunks[i].as_slice().into())
             .await
-    }
-
-    /// MPI_Allgatherv as a single engine collective: gathered on the NIC
-    /// and broadcast back under the active collective algorithm, instead of
-    /// the point-to-point composition of [`AsyncMpi::allgatherv`].
-    /// Returns every member's contribution by communicator rank.
-    pub async fn allgatherv_coll(&mut self, data: &[u8]) -> Vec<Payload> {
-        self.allgatherv_coll_on_id(CommId::WORLD, data).await
-    }
-
-    /// Engine-collective MPI_Allgatherv over a sub-communicator.
-    pub async fn allgatherv_coll_on(&mut self, comm: &CommHandle, data: &[u8]) -> Vec<Payload> {
-        self.allgatherv_coll_on_id(comm.id, data).await
-    }
-
-    async fn allgatherv_coll_on_id(&mut self, comm: CommId, data: &[u8]) -> Vec<Payload> {
-        match self
-            .call(MpiCall::Allgatherv {
-                comm,
-                data: data.into(),
-            })
-            .await
-        {
-            MpiResp::Gathered { parts } => parts,
-            other => unreachable!("allgatherv -> {other:?}"),
-        }
     }
 
     /// Typed allreduce over a sub-communicator.

@@ -1,7 +1,7 @@
 //! A collective round's value plane, written once for both engines (DESIGN
 //! §14): the kinds, the join that checks a member's call against the
-//! round's and stores its contribution, the close — the ascending fold or
-//! the concatenation — and the response each member gets. An engine keeps
+//! round's and stores its contribution, the close — the ascending fold
+//! of a reduce — and the response each member gets. An engine keeps
 //! only its time plane: when the round closes and when each response
 //! reaches its member. A member whose kind, root, operator or element type
 //! differs from the round's ends the run in one diagnostic on both engines;
@@ -21,7 +21,6 @@ pub enum CollKind {
     Barrier,
     Bcast,
     Reduce { all: bool },
-    Allgather,
 }
 
 impl CollKind {
@@ -30,7 +29,6 @@ impl CollKind {
             CollKind::Barrier => 0,
             CollKind::Bcast => 1,
             CollKind::Reduce { .. } => 2,
-            CollKind::Allgather => 3,
         }
     }
 
@@ -48,12 +46,11 @@ impl CollKind {
 #[derive(Debug)]
 pub struct CollCall {
     pub kind: CollKind,
-    /// Communicator rank of the root; 0 for a barrier and an allgather.
+    /// Communicator rank of the root; 0 for a barrier.
     pub root: usize,
     /// A reduce's operator and element type.
     pub params: Option<(ReduceOp, Datatype)>,
-    /// The member's contribution: a reduce's or an allgather's, a broadcast
-    /// root's payload.
+    /// The member's contribution to a reduce, a broadcast root's payload.
     pub data: Option<Payload>,
     /// Who called, and when: what a mismatch diagnostic names.
     pub site: CallSite,
@@ -61,13 +58,12 @@ pub struct CollCall {
 
 /// What an open round holds of its members' data: a barrier nothing, a
 /// broadcast the root's payload, a reduce every member's bytes in one flat
-/// buffer, an allgather every member's part (handed out by reference).
+/// buffer.
 #[derive(Clone, Debug)]
 enum RoundData {
     Barrier,
     Bcast(Option<Payload>),
     Reduce(ReduceBuf),
-    Allgather(Vec<Option<Payload>>),
 }
 
 /// An open round: the call that opened it, what the members have brought
@@ -91,7 +87,6 @@ impl Round {
             CollKind::Barrier => RoundData::Barrier,
             CollKind::Bcast => RoundData::Bcast(None),
             CollKind::Reduce { .. } => RoundData::Reduce(ReduceBuf::new(members)),
-            CollKind::Allgather => RoundData::Allgather(vec![None; members]),
         };
         Round { kind: call.kind, op: call.site.op, root: call.root, params: call.params, data, arrived: 0 }
     }
@@ -112,10 +107,10 @@ impl Round {
 
     /// Communicator rank `member` joins with `call`: its call is checked
     /// against the round's and its contribution stored.
-    // PANIC-OK: the runtime builds every reduce and allgather call with its
-    // data, a broadcast root's with its payload, and a member joins each
-    // round once (`RoundCounters`); a call that differs from the round's
-    // ends the run in `CallSite::mismatch`.
+    // PANIC-OK: the runtime builds every reduce call with its data, a
+    // broadcast root's with its payload, and a member joins each round once
+    // (`RoundCounters`); a call that differs from the round's ends the run
+    // in `CallSite::mismatch`.
     #[inline]
     pub fn join(&mut self, member: usize, call: CollCall) {
         let site = call.site;
@@ -141,17 +136,15 @@ impl Round {
                 }
             }
             RoundData::Reduce(contribs) => contribs.put(member, &call.data.expect("reduce needs a contribution")),
-            RoundData::Allgather(parts) => parts[member] = Some(call.data.expect("allgather needs a contribution")),
         }
         self.arrived += 1;
     }
 
     /// The round's value: the reduce contributions folded in ascending rank
-    /// order with `combine`, or the allgather parts concatenated in it, once
-    /// every member has joined; a broadcast's is the root's payload, there
-    /// from the root's join on.
-    // PANIC-OK: an engine closes a reduce or allgather round only after all
-    // of its members have joined, and a broadcast only after its root has.
+    /// order with `combine`, once every member has joined; a broadcast's is
+    /// the root's payload, there from the root's join on.
+    // PANIC-OK: an engine closes a reduce round only after all of its
+    // members have joined, and a broadcast only after its root has.
     pub fn close(self, combine: Combine) -> Closed {
         match self.data {
             RoundData::Barrier => Closed::Barrier,
@@ -161,9 +154,6 @@ impl Round {
                 let all = self.kind == CollKind::Reduce { all: true };
                 Closed::Reduce { all, value: contribs.fold(op, dtype, combine) }
             }
-            RoundData::Allgather(parts) => Closed::Allgather(
-                parts.into_iter().map(|p| p.expect("missing allgather contribution")).collect(),
-            ),
         }
     }
 }
@@ -175,7 +165,6 @@ pub enum Closed {
     Barrier,
     Bcast(Payload),
     Reduce { all: bool, value: Payload },
-    Allgather(Vec<Payload>),
 }
 
 impl Closed {
@@ -185,7 +174,6 @@ impl Closed {
         match self {
             Closed::Barrier => 0,
             Closed::Bcast(value) | Closed::Reduce { value, .. } => value.len(),
-            Closed::Allgather(parts) => parts.iter().map(|p| p.len()).sum(),
         }
     }
 
@@ -196,7 +184,6 @@ impl Closed {
             Closed::Barrier => MpiResp::Ok,
             Closed::Bcast(value) | Closed::Reduce { all: true, value } => MpiResp::Data(value.clone()),
             Closed::Reduce { all: false, value } => MpiResp::RootData(root.then(|| value.clone())),
-            Closed::Allgather(parts) => MpiResp::Gathered { parts: parts.clone() },
         }
     }
 }

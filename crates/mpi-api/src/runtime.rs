@@ -129,7 +129,7 @@ pub trait Protocol: Sized + 'static {
     fn compute(w: &mut W<Self>, sim: &mut S<Self>, rank: usize, ns: u64);
     fn post_send(w: &mut W<Self>, sim: &mut S<Self>, rank: usize, dest: usize, tag: i32, data: Payload, blocking: bool);
     fn post_recv(w: &mut W<Self>, sim: &mut S<Self>, rank: usize, src: SrcSel, tag: TagSel, blocking: bool);
-    /// A barrier, broadcast, reduce or allgather: join `rank`'s round of
+    /// A barrier, broadcast, reduce or allreduce: join `rank`'s round of
     /// `call`'s kind on `comm` ([`crate::round::Round::join`]) and answer
     /// with the closed round's response for it.
     fn collective(w: &mut W<Self>, sim: &mut S<Self>, rank: usize, comm: CommId, call: CollCall);

@@ -21,7 +21,6 @@ pub(super) enum Kind {
     Req,
     Data,
     RootData,
-    Gathered,
     WaitDone,
     WaitallDone,
     TestPending,
@@ -34,16 +33,15 @@ pub(super) enum Kind {
 }
 
 /// One word of the log. A record is a [`Word::Head`] and then, by its
-/// kind: a payload word (`Data`; `RootData` may be `Absent`), `n` payload
-/// words (`Gathered`), a result — payload or `Absent`, then status or
-/// `Absent` — or `n` of them (`WaitDone`, `TestDone`; `WaitallDone`,
-/// `TestallDone`), a status (`ProbeDone`), a handle or `Absent`
-/// (`CommSplitDone`), `n` records (`Batch`), or nothing.
+/// kind: a payload word (`Data`; `RootData` may be `Absent`), a result —
+/// payload or `Absent`, then status or `Absent` — or `n` of them
+/// (`WaitDone`, `TestDone`; `WaitallDone`, `TestallDone`), a status
+/// (`ProbeDone`), a handle or `Absent` (`CommSplitDone`), `n` records
+/// (`Batch`), or nothing.
 #[derive(Clone, Debug)]
 pub(super) enum Word {
     /// A response to world rank `.0` of kind `.1`; `.2` is the `Time` or
-    /// `Req` value, or the number of parts, results or sub-responses that
-    /// follow.
+    /// `Req` value, or the number of results or sub-responses that follow.
     Head(u32, Kind, u64),
     /// No payload, status or handle.
     Absent,
@@ -97,10 +95,6 @@ impl<F: FnMut(Word)> Encoder<'_, F> {
             MpiResp::RootData(p) => {
                 self.head(Kind::RootData, 0);
                 self.payload(p.as_ref());
-            }
-            MpiResp::Gathered { parts } => {
-                self.head(Kind::Gathered, parts.len() as u64);
-                parts.iter().for_each(|p| self.payload(Some(p)));
             }
             MpiResp::WaitDone { data, status } => {
                 self.head(Kind::WaitDone, 0);
@@ -185,11 +179,6 @@ pub(super) fn decode<'a>(
         Kind::Req => MpiResp::Req(ReqId(arg)),
         Kind::Data => MpiResp::Data(payload(words, fill).expect("replay log: data without a payload")),
         Kind::RootData => MpiResp::RootData(payload(words, fill)),
-        Kind::Gathered => MpiResp::Gathered {
-            parts: (0..n)
-                .map(|_| payload(words, fill).expect("replay log: a gathered part without a payload"))
-                .collect(),
-        },
         Kind::WaitDone => {
             let (data, status) = result(words, fill);
             MpiResp::WaitDone { data, status }
@@ -264,9 +253,6 @@ fn assert_reads_back<'a>(words: &mut impl Iterator<Item = &'a Word>, rank: u32, 
             (Kind::Time, MpiResp::Time(x)) | (Kind::Req, MpiResp::Req(ReqId(x))) => arg == *x,
             (Kind::Data, MpiResp::Data(p)) => reads_payload(words, Some(p)),
             (Kind::RootData, MpiResp::RootData(p)) => reads_payload(words, p.as_ref()),
-            (Kind::Gathered, MpiResp::Gathered { parts }) => {
-                n == parts.len() && parts.iter().all(|p| reads_payload(words, Some(p)))
-            }
             (Kind::WaitDone, MpiResp::WaitDone { data, status })
             | (Kind::TestDone, MpiResp::TestDone { result: Some((data, status)) }) => result(words, data, status),
             (Kind::WaitallDone, MpiResp::WaitallDone { results })

@@ -207,7 +207,6 @@ impl Tape {
             | MpiCall::Barrier { .. }
             | MpiCall::Bcast { .. }
             | MpiCall::Reduce { .. }
-            | MpiCall::Allgatherv { .. }
             | MpiCall::CommSplit { .. } => Taped::Call(call.clone()),
         }
     }

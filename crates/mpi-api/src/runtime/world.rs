@@ -200,10 +200,6 @@ pub(super) fn issue<E: Engine>(
             let (kind, site) = (CollKind::Reduce { all }, CallSite::new(rank, name, now));
             E::collective(w, sim, rank, comm, CollCall { kind, root, params: Some((op, dtype)), data: Some(data), site })
         }
-        MpiCall::Allgatherv { comm, data } => {
-            let (kind, site) = (CollKind::Allgather, CallSite::new(rank, name, now));
-            E::collective(w, sim, rank, comm, CollCall { kind, root: 0, params: None, data: Some(data), site })
-        }
         MpiCall::CommSplit { parent, color, key } => E::comm_split(w, sim, rank, parent, color, key),
         MpiCall::Batch { calls } => {
             assert!(w.batches[rank].is_none(), "rank {rank} issued a batch while one is in flight");

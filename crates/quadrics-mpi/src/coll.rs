@@ -13,13 +13,13 @@
 //!   point-to-point puts, or the precomputed pipelined round schedule of
 //!   [`mpi_api::coll_sched`]. Receivers get the payload at
 //!   `max(their_arrival, delivery)`.
-//! * **Reduce / Allreduce / Allgatherv** — software tree with *host*
+//! * **Reduce / Allreduce** — software tree with *host*
 //!   arithmetic (the baseline has no NIC reduce — that is BCS-MPI's Reduce
 //!   Helper territory): analytic timing. The gather leg is the classic
 //!   `ceil(log2 n)` binomial tree under `HwMulticast` and `Binomial` (the
 //!   baseline's software tree *is* binomial), or the reversed pipelined
 //!   schedule's round count under `OptimalSchedule`; the result-return leg
-//!   of allreduce/allgatherv is priced per algorithm. Both legs are
+//!   of allreduce is priced per algorithm. Both legs are
 //!   [`coll_sched::tree_time`]. The round closes with
 //!   [`combine_native`], bit-identical to BCS-MPI's NIC arithmetic.
 //!
@@ -144,7 +144,7 @@ impl CollManager {
                 }
                 return;
             }
-            CollKind::Barrier | CollKind::Reduce { .. } | CollKind::Allgather => {}
+            CollKind::Barrier | CollKind::Reduce { .. } => {}
         }
         let complete = open.round.arrived() == size;
         match kind.leaf_response(rank == root) {
@@ -162,7 +162,6 @@ impl CollManager {
             CollKind::Barrier => stats.barriers += 1,
             CollKind::Bcast => unreachable!("a broadcast closes as its members take the payload"),
             CollKind::Reduce { .. } => stats.reduces += 1,
-            CollKind::Allgather => stats.allgathers += 1,
         }
         let value = open.round.close(combine_native);
         let waiters = open.waiters;
@@ -178,17 +177,15 @@ impl CollManager {
             });
             return;
         }
-        // Everyone is in and the value is folded or concatenated: charge
-        // the gather leg, with the host combine on a reduce — the classic
-        // binomial tree under `HwMulticast` and `Binomial` (the baseline's
-        // software reduce *is* binomial), the reversed pipelined schedule's
-        // rounds under `OptimalSchedule` — then the return leg of an
-        // allreduce or allgather.
+        // Everyone is in and the value is folded: charge the gather leg,
+        // with the host combine — the classic binomial tree under
+        // `HwMulticast` and `Binomial` (the baseline's software reduce *is*
+        // binomial), the reversed pipelined schedule's rounds under
+        // `OptimalSchedule` — then the return leg of an allreduce.
         let bytes = value.bytes();
-        let reduce = matches!(kind, CollKind::Reduce { .. });
         let sched = w.engine.cfg.coll_algo == CollAlgo::OptimalSchedule;
-        let mut done_at = sim.now() + Self::tree_leg_time(w, size, bytes, reduce, sched);
-        if matches!(kind, CollKind::Reduce { all: true } | CollKind::Allgather) && size > 1 {
+        let mut done_at = sim.now() + Self::tree_leg_time(w, size, bytes, true, sched);
+        if kind == (CollKind::Reduce { all: true }) && size > 1 {
             done_at += Self::return_leg_time(w, size, bytes);
         }
         for r in waiters {
@@ -267,7 +264,7 @@ impl CollManager {
 
     // ------------------------------------------------------------------
 
-    /// Time for the result-return leg of allreduce/allgatherv: one
+    /// Time for the result-return leg of allreduce: one
     /// hardware multicast, a binomial unicast tree, or the pipelined
     /// schedule's rounds.
     fn return_leg_time(w: &mut QW, size: usize, bytes: usize) -> SimDuration {

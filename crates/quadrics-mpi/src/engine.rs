@@ -36,7 +36,7 @@ pub struct QuadricsConfig {
     /// `BcsConfig::fabric`).
     pub fabric: FabricKind,
     /// Wire algorithm for broadcast and the result-return legs of
-    /// allreduce/allgatherv (see `BcsConfig::coll_algo`); values are
+    /// allreduce (see `BcsConfig::coll_algo`); values are
     /// bit-identical across all three.
     pub coll_algo: mpi_api::coll_sched::CollAlgo,
     /// Optional OS-noise injection (uncoordinated dæmons).
@@ -66,7 +66,6 @@ pub struct QuadricsStats {
     pub barriers: u64,
     pub bcasts: u64,
     pub reduces: u64,
-    pub allgathers: u64,
 }
 
 /// What a message puts on the wire: the payload itself (eager) or a

@@ -12,6 +12,8 @@
 //! * batched ≡ unbatched in results and elapsed time, on both engines;
 //! * a waitall in post order ≡ a shuffled one in everything;
 //! * a cell run twice is identical in everything;
+//! * on BCS-MPI, a free checkpoint digest at every slice boundary moves no
+//!   virtual time;
 //! * a seeded fault plan completes with the fault-free results, and the
 //!   same seed replays the same recovery.
 //!
@@ -211,36 +213,36 @@ fn fixed_progs() -> Vec<Prog> {
 /// introduced it; it pins what cell-to-cell equality cannot — a change that
 /// moves every cell alike.
 const GOLDEN: &[(&str, u64, u64, u64)] = &[
-    ("bcs/qsnet/hw-multicast/sched=off/coalesce=off", 136002000, 16824, 0x2f0c2b0fbee8b4fb),
-    ("bcs/qsnet/hw-multicast/sched=on/coalesce=off", 136002000, 16824, 0x2f0c2b0fbee8b4fb),
-    ("bcs/qsnet/hw-multicast/sched=off/coalesce=on", 136002000, 13957, 0xa9a534a0211c730b),
-    ("bcs/qsnet/hw-multicast/sched=on/coalesce=on", 136002000, 13957, 0xa9a534a0211c730b),
-    ("quadrics/qsnet/hw-multicast", 83206299, 4304, 0x4721c3066115e12e),
-    ("bcs/qsnet/binomial/sched=off/coalesce=off", 136002000, 16791, 0x3c290a9791aa8ef1),
-    ("bcs/qsnet/binomial/sched=on/coalesce=off", 136002000, 16791, 0x3c290a9791aa8ef1),
-    ("bcs/qsnet/binomial/sched=off/coalesce=on", 136002000, 13924, 0xe561dd3e07b391a1),
-    ("bcs/qsnet/binomial/sched=on/coalesce=on", 136002000, 13924, 0xe561dd3e07b391a1),
-    ("quadrics/qsnet/binomial", 83263558, 4296, 0xd7f50754d54bb905),
-    ("bcs/qsnet/optimal/sched=off/coalesce=off", 136002000, 16792, 0xe0edaf3a44e1c993),
-    ("bcs/qsnet/optimal/sched=on/coalesce=off", 136002000, 16792, 0xe0edaf3a44e1c993),
-    ("bcs/qsnet/optimal/sched=off/coalesce=on", 136002000, 13925, 0xfcb7102e0e3b4663),
-    ("bcs/qsnet/optimal/sched=on/coalesce=on", 136002000, 13925, 0xfcb7102e0e3b4663),
-    ("quadrics/qsnet/optimal", 83236106, 4296, 0x744bb5df37ce7705),
-    ("bcs/rdma/hw-multicast/sched=off/coalesce=off", 143082000, 21479, 0xf5c3fe4d57b06cc0),
-    ("bcs/rdma/hw-multicast/sched=on/coalesce=off", 143082000, 21479, 0xf5c3fe4d57b06cc0),
-    ("bcs/rdma/hw-multicast/sched=off/coalesce=on", 143002000, 18611, 0x8c829294acc9cfb0),
-    ("bcs/rdma/hw-multicast/sched=on/coalesce=on", 143002000, 18611, 0x8c829294acc9cfb0),
-    ("quadrics/rdma/hw-multicast", 83884323, 4314, 0xebe5783f974fbf3e),
-    ("bcs/rdma/binomial/sched=off/coalesce=off", 143582000, 21475, 0x6d75dc746f6b2a10),
-    ("bcs/rdma/binomial/sched=on/coalesce=off", 143582000, 21475, 0x6d75dc746f6b2a10),
-    ("bcs/rdma/binomial/sched=off/coalesce=on", 143502000, 18609, 0x941cec0fdd76dce0),
-    ("bcs/rdma/binomial/sched=on/coalesce=on", 143502000, 18609, 0x941cec0fdd76dce0),
-    ("quadrics/rdma/binomial", 83907318, 4296, 0x8d1de82ae79528f7),
-    ("bcs/rdma/optimal/sched=off/coalesce=off", 143582000, 21474, 0x0c1a2dd04ebed9a6),
-    ("bcs/rdma/optimal/sched=on/coalesce=off", 143582000, 21474, 0x0c1a2dd04ebed9a6),
-    ("bcs/rdma/optimal/sched=off/coalesce=on", 143502000, 18608, 0x1c76bcff35566a56),
-    ("bcs/rdma/optimal/sched=on/coalesce=on", 143502000, 18608, 0x1c76bcff35566a56),
-    ("quadrics/rdma/optimal", 83882276, 4296, 0x358ef69a9aca1d01),
+    ("bcs/qsnet/hw-multicast/sched=off/coalesce=off", 136002000, 16844, 0x6edc62ae0597804a),
+    ("bcs/qsnet/hw-multicast/sched=on/coalesce=off", 136002000, 16844, 0x6edc62ae0597804a),
+    ("bcs/qsnet/hw-multicast/sched=off/coalesce=on", 136002000, 13977, 0x859b13fbd81c40ba),
+    ("bcs/qsnet/hw-multicast/sched=on/coalesce=on", 136002000, 13977, 0x859b13fbd81c40ba),
+    ("quadrics/qsnet/hw-multicast", 83199966, 4315, 0x3b23513355918b2b),
+    ("bcs/qsnet/binomial/sched=off/coalesce=off", 136002000, 16812, 0x0e5be551db8171a4),
+    ("bcs/qsnet/binomial/sched=on/coalesce=off", 136002000, 16812, 0x0e5be551db8171a4),
+    ("bcs/qsnet/binomial/sched=off/coalesce=on", 136002000, 13945, 0x2b9e81c237e921b4),
+    ("bcs/qsnet/binomial/sched=on/coalesce=on", 136002000, 13945, 0x2b9e81c237e921b4),
+    ("quadrics/qsnet/binomial", 83252844, 4307, 0x2f697656cbd88a39),
+    ("bcs/qsnet/optimal/sched=off/coalesce=off", 136002000, 16816, 0xea64f6eb8c85960a),
+    ("bcs/qsnet/optimal/sched=on/coalesce=off", 136002000, 16816, 0xea64f6eb8c85960a),
+    ("bcs/qsnet/optimal/sched=off/coalesce=on", 136002000, 13949, 0x906363ccacab2e7a),
+    ("bcs/qsnet/optimal/sched=on/coalesce=on", 136002000, 13949, 0x906363ccacab2e7a),
+    ("quadrics/qsnet/optimal", 83226586, 4307, 0xdfd31ff13797ca3f),
+    ("bcs/rdma/hw-multicast/sched=off/coalesce=off", 143082000, 21496, 0x5f0391e73f4ac301),
+    ("bcs/rdma/hw-multicast/sched=on/coalesce=off", 143082000, 21496, 0x5f0391e73f4ac301),
+    ("bcs/rdma/hw-multicast/sched=off/coalesce=on", 143002000, 18628, 0xa5ba536c45188531),
+    ("bcs/rdma/hw-multicast/sched=on/coalesce=on", 143002000, 18628, 0xa5ba536c45188531),
+    ("quadrics/rdma/hw-multicast", 83879790, 4325, 0xfcb449a0f238b177),
+    ("bcs/rdma/binomial/sched=off/coalesce=off", 143582000, 21494, 0xc62e7eae7014caf5),
+    ("bcs/rdma/binomial/sched=on/coalesce=off", 143582000, 21494, 0xc62e7eae7014caf5),
+    ("bcs/rdma/binomial/sched=off/coalesce=on", 143502000, 18628, 0x9cec71d427150a05),
+    ("bcs/rdma/binomial/sched=on/coalesce=on", 143502000, 18628, 0x9cec71d427150a05),
+    ("quadrics/rdma/binomial", 83898404, 4307, 0x0e3e94fc6deb9137),
+    ("bcs/rdma/optimal/sched=off/coalesce=off", 143582000, 21496, 0xbd68df6e5bb54ab7),
+    ("bcs/rdma/optimal/sched=on/coalesce=off", 143582000, 21496, 0xbd68df6e5bb54ab7),
+    ("bcs/rdma/optimal/sched=off/coalesce=on", 143502000, 18630, 0x897207e2856b7067),
+    ("bcs/rdma/optimal/sched=on/coalesce=on", 143502000, 18630, 0x897207e2856b7067),
+    ("quadrics/rdma/optimal", 84499709, 4307, 0x078de5ba998243a4),
 ];
 
 #[test]
@@ -266,6 +268,29 @@ fn every_cell_reproduces_the_golden_table() {
     assert_eq!(rows.len(), GOLDEN.len(), "the whole table is now:\n{table}");
     for (row, &(c, ns, ev, h)) in rows.iter().zip(GOLDEN) {
         assert_eq!((row.0.as_str(), row.1, row.2, row.3), (c, ns, ev, h), "the whole table is now:\n{table}");
+    }
+}
+
+/// A digest at every slice boundary moves no virtual time at the default
+/// zero `checkpoint_cost`: in every BCS-MPI cell, checkpointing every slice,
+/// at each program's own period and never (`Some(0)`) agree in results,
+/// elapsed time, finish times and events.
+#[test]
+fn a_free_checkpoint_at_every_boundary_moves_no_virtual_time() {
+    let progs = fixed_progs();
+    for cell in cells().iter().filter(|c| matches!(c.engine, EngineCfg::Bcs(_))) {
+        for p in &progs {
+            let timing = |every: u64| {
+                let s = seen(&run(cell, &Prog { ckpt: every, ..p.clone() }, CANON));
+                (s.digests.len(), (s.results, s.elapsed, s.finish, s.events))
+            };
+            let (every_slice, all) = timing(1);
+            let (never, none) = timing(0);
+            let (_, own) = timing(p.ckpt);
+            assert!(every_slice > 0 && never == 0, "{cell}: {every_slice} digests at every slice, {never} at none");
+            assert_eq!(all, own, "{cell}: a digest at every boundary moved virtual time");
+            assert_eq!(none, own, "{cell}: checkpointing at the program's period moved virtual time");
+        }
     }
 }
 

@@ -323,8 +323,8 @@ async fn run(mpi: AsyncMpi, p: Prog, form: Form) -> u64 {
                         let len = |m: usize| 1 + (m * 7 + i) % 23;
                         let mine = payload(me, i, 0, len(me));
                         let parts = match h {
-                            Some(h) => r.mpi.allgatherv_coll_on(h, &mine).await,
-                            None => r.mpi.allgatherv_coll(&mine).await,
+                            Some(h) => r.mpi.alltoallv_on(h, &vec![mine.clone(); h.size()]).await,
+                            None => r.mpi.allgatherv(&mine).await,
                         };
                         let members: Vec<usize> = if world { (0..n).collect() } else { (group..n).step_by(p.groups).collect() };
                         let want: Vec<Vec<u8>> = members.iter().map(|&m| payload(m, i, 0, len(m))).collect();
